@@ -3,7 +3,7 @@
 Elements are Python ints in ``[0, 2^m)`` interpreted as polynomials over
 GF(2).  Multiplication is carry-less multiplication followed by reduction
 modulo an irreducible polynomial.  For small fields (m <= 16) log/exp tables
-make multiplication two lookups; for larger fields a nibble-windowed
+make multiplication three lookups; for larger fields a nibble-windowed
 carry-less multiply plus a precomputed per-field reduction table keeps
 pure-Python cost low.
 
@@ -11,22 +11,36 @@ Polynomials over GF(2^m) are represented as lists of coefficients in
 ascending degree order, normalised so the last coefficient is nonzero (the
 zero polynomial is the empty list).
 
+Sentinel tables
+---------------
+
+The log/exp tables carry a zero sentinel (``log[0] = 2n``, ``exp`` zero on
+``[2n, 4n + 2)`` for ``n = 2^m - 1``), so a table product is three
+branch-free lookups whatever its operands.  Every kernel builds on that:
+:meth:`GF2m.mul_scalar_batch` -- the row update of polynomial division,
+gcd, Berlekamp--Massey and the Frobenius chain -- looks the logs of its
+fixed operand up once per call, and :meth:`GF2m.dot` accumulates without
+zero tests.  The tower field GF((2^16)^2) inlines the same lookups on its
+subfield's tables.
+
 Fast path
 ---------
 
-When numpy is importable the field objects additionally expose *batched*
+When numpy is importable the field objects additionally run *batched*
 kernels -- :meth:`GF2m.mul_batch`, :meth:`GF2m.sqr_batch`,
-:meth:`GF2m.inv_batch`, :meth:`GF2m.dot` and :meth:`GF2m.find_roots_scan` --
-that vectorise the log/exp table lookups (m <= 16) or the tower-subfield
-lookups (m == 32) over whole arrays.  Every batched kernel has a
+:meth:`GF2m.inv_batch`, :meth:`GF2m.find_roots_scan`, and on the tower
+field long :meth:`~GF2Tower32.mul_scalar_batch` rows and the
+:class:`FrobeniusChain` of a locator of degree >= 5 -- as whole-array
+gathers on the same (mirrored) tables.  Every batched kernel has a
 pure-Python scalar fallback producing bit-identical results, selected
 automatically when numpy is absent or the fast path is disabled via
 :func:`set_fast_path`.  ``tests/sketch/test_fastpath.py`` property-tests the
-equality; ``python -m repro bench`` measures the speedup.
+equality; ``python -m lobench`` measures what it buys end to end.
 """
 
 from __future__ import annotations
 
+from operator import xor as _xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # The fast path is optional; the library must work without numpy.
@@ -80,6 +94,9 @@ _TABLE_CACHE: Dict[
     Tuple[int, int], Tuple[Optional[List[int]], Optional[List[int]]]
 ] = {}
 
+# Numpy mirrors of the cached tables, built on first use of a batched kernel.
+_NP_TABLE_CACHE: Dict[Tuple[int, int], tuple] = {}
+
 
 class GF2m:
     """The finite field GF(2^m).
@@ -105,9 +122,6 @@ class GF2m:
         self._low_modulus = modulus
         self._log: Optional[List[int]] = None
         self._exp: Optional[List[int]] = None
-        self._np_exp = None
-        self._np_log = None
-        self._np_chien_ii = None
         self._reduce_table: Optional[List[int]] = None
         if m <= 16:
             self._build_tables()
@@ -115,52 +129,80 @@ class GF2m:
     # ------------------------------------------------------------------ setup
 
     def _build_tables(self) -> None:
-        """Build log/exp tables over a primitive element.
+        """Build log/exp tables over a primitive element, in sentinel form.
 
         ``x`` itself need not be primitive for every irreducible modulus
         (it is not for the GF(2^16) modulus used here), so candidate
         generators are tried until one whose powers enumerate the whole
-        multiplicative group is found.  Tables are shared process-wide per
-        (m, modulus) through a module cache: building the GF(2^16) tables
-        walks 65,535 multiplications, far too costly to repeat per sketch.
+        multiplicative group (``n = 2^m - 1`` elements) is found.  The walk
+        multiplies by the small candidate inline (xor of shifts, then one
+        lookup to fold the few overflow bits back).
+
+        Sentinel form: ``log[0] = 2n`` and ``exp`` is periodic on
+        ``[0, 2n)`` and zero on ``[2n, 4n + 2)``, so ``exp[log[a] + log[b]]``
+        and ``exp[2 * log[a]]`` are already correct for zero operands and
+        the kernels below need no zero tests or masks.  The ``log`` list
+        re-uses the int objects of ``exp`` (both hold ~2^m distinct values),
+        which keeps the pair at the size the plain tables had.
+
+        Tables are shared process-wide per (m, modulus) through a module
+        cache: far too costly to repeat per sketch.
         """
         cache_key = (self.m, self.modulus)
         cached = _TABLE_CACHE.get(cache_key)
         if cached is not None:
             self._exp, self._log = cached
             return
-        size = self.order
+        n = self.order - 1
+        m, mask = self.m, self.mask
         for generator in range(2, 64):
-            exp = [0] * (2 * size)
-            log = [0] * size
+            shifts = [k for k in range(generator.bit_length())
+                      if generator >> k & 1]
+            # fold[h] = (h << m) mod f for every overflow pattern of value * g.
+            fold = [self._reduce(h << m) for h in range(generator)]
+            exp = []
             value = 1
-            primitive = True
-            for i in range(size - 1):
-                if value == 1 and i > 0:
-                    primitive = False  # cycled early: not a generator
+            while len(exp) <= n:
+                exp.append(value)
+                product = 0
+                for k in shifts:
+                    product ^= value << k
+                value = (product & mask) ^ fold[product >> m]
+                if value == 1:
                     break
-                exp[i] = value
-                log[value] = i
-                value = self._mul_notable(value, generator)
-            if primitive and value == 1:
-                for i in range(size - 1, 2 * size):
-                    exp[i] = exp[i - (size - 1)]
-                self._exp = exp
-                self._log = log
-                _TABLE_CACHE[cache_key] = (exp, log)
-                return
-        self._log = None
-        self._exp = None
-        _TABLE_CACHE[cache_key] = (None, None)
+            if len(exp) == n:
+                break  # the powers of g enumerate the whole group
+        else:
+            _TABLE_CACHE[cache_key] = (None, None)
+            return
+        shared = [0] * self.order  # value -> the int object exp holds for it
+        for value in exp:
+            shared[value] = value
+        log = [2 * n] * self.order
+        for i, value in enumerate(exp):
+            log[value] = shared[i]
+        del shared
+        exp = exp + exp + [0] * (2 * n + 2)
+        self._exp, self._log = exp, log
+        _TABLE_CACHE[cache_key] = (exp, log)
 
     def _np_tables(self):
-        """Numpy mirrors of the log/exp tables, or None off the fast path."""
+        """Numpy mirrors of the log/exp tables, or None off the fast path.
+
+        ``exp`` is uint32 (tower kernels shift products left by 16) and
+        ``log`` int32 (index sums stay below ``4n + 2``).
+        """
         if self._log is None or not fast_path_active():
             return None
-        if self._np_exp is None:
-            self._np_exp = _np.asarray(self._exp, dtype=_np.int64)
-            self._np_log = _np.asarray(self._log, dtype=_np.int64)
-        return self._np_exp, self._np_log
+        cache_key = (self.m, self.modulus)
+        mirrors = _NP_TABLE_CACHE.get(cache_key)
+        if mirrors is None:
+            mirrors = (
+                _np.asarray(self._exp, dtype=_np.uint32),
+                _np.asarray(self._log, dtype=_np.int32),
+            )
+            _NP_TABLE_CACHE[cache_key] = mirrors
+        return mirrors
 
     # ------------------------------------------------------------- arithmetic
 
@@ -222,17 +264,22 @@ class GF2m:
             k += 1
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        """Field multiplication."""
-        if a == 0 or b == 0:
-            return 0
-        if self._log is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        # Nibble-windowed carry-less multiply for large fields.
+    def _window(self, b: int) -> List[int]:
+        """``[n * b for n in range(16)]`` as carry-less products (no reduce)."""
         table = [0, b]
         for i in range(1, 8):
             table.append(table[i] << 1)
             table.append((table[i] << 1) ^ b)
+        return table
+
+    def mul(self, a: int, b: int) -> int:
+        """Field multiplication."""
+        if self._log is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        if a == 0 or b == 0:
+            return 0
+        # Nibble-windowed carry-less multiply for large fields.
+        table = self._window(b)
         result = 0
         shift = 0
         while a:
@@ -245,7 +292,7 @@ class GF2m:
 
     def sqr(self, a: int) -> int:
         """Field squaring (linear in characteristic 2; bit-spread then reduce)."""
-        if self._log is not None and a != 0:
+        if self._log is not None:
             return self._exp[2 * self._log[a]]
         result = 0
         bit = 0
@@ -255,6 +302,17 @@ class GF2m:
             a >>= 1
             bit += 1
         return self._reduce(result)
+
+    def sqrt(self, a: int) -> int:
+        """The unique square root: ``a^(2^(m-1))`` (Frobenius is a bijection)."""
+        if self._log is not None:
+            if a == 0:
+                return 0
+            half = self._log[a]
+            return self._exp[(half + (self.order - 1 if half & 1 else 0)) >> 1]
+        for _ in range(self.m - 1):
+            a = self.sqr(a)
+        return a
 
     def pow(self, a: int, e: int) -> int:
         """Field exponentiation by squaring."""
@@ -291,39 +349,25 @@ class GF2m:
             mul = self.mul
             return [mul(x, y) for x, y in zip(a, b)]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        bv = _np.asarray(b, dtype=_np.int64)
-        out = _np.zeros(av.shape, dtype=_np.int64)
-        nz = (av != 0) & (bv != 0)
-        out[nz] = exp[log[av[nz]] + log[bv[nz]]]
-        return out.tolist()
+        av = _np.asarray(a, dtype=_np.uint32)
+        bv = _np.asarray(b, dtype=_np.uint32)
+        return exp[log[av] + log[bv]].tolist()
 
     def mul_scalar_batch(self, scalar: int, vec: Sequence[int]) -> List[int]:
         """``[scalar * v for v in vec]`` with the per-scalar setup hoisted.
 
-        For table fields this broadcasts a single log lookup; for larger
-        fields the nibble window table of ``scalar`` is built once and
-        reused across the whole vector instead of once per product.
+        The row update of every polynomial routine below.  For table fields
+        the scalar's log is looked up once; for larger fields the nibble
+        window table of ``scalar`` is built once and reused across the
+        whole vector instead of once per product.
         """
-        if scalar == 0 or not vec:
-            return [0] * len(vec)
-        tables = self._np_tables()
-        if tables is not None:
-            exp, log = tables
-            vv = _np.asarray(vec, dtype=_np.int64)
-            out = _np.zeros(vv.shape, dtype=_np.int64)
-            nz = vv != 0
-            out[nz] = exp[log[vv[nz]] + int(log[scalar])]
-            return out.tolist()
         if self._log is not None:
-            exp_t, log_t = self._exp, self._log
-            log_s = log_t[scalar]
-            return [exp_t[log_t[v] + log_s] if v else 0 for v in vec]
-        # Large field: hoist the window table of the *scalar* operand.
-        window = [0, scalar]
-        for i in range(1, 8):
-            window.append(window[i] << 1)
-            window.append((window[i] << 1) ^ scalar)
+            exp, log = self._exp, self._log
+            log_s = log[scalar]
+            return [exp[log[v] + log_s] for v in vec]
+        if scalar == 0:
+            return [0] * len(vec)
+        window = self._window(scalar)
         reduce = self._reduce
         out = []
         for v in vec:
@@ -345,11 +389,7 @@ class GF2m:
             sqr = self.sqr
             return [sqr(x) for x in a]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        out = _np.zeros(av.shape, dtype=_np.int64)
-        nz = av != 0
-        out[nz] = exp[2 * log[av[nz]]]
-        return out.tolist()
+        return exp[2 * log[_np.asarray(a, dtype=_np.uint32)]].tolist()
 
     def inv_batch(self, a: Sequence[int]) -> List[int]:
         """Elementwise inverses; raises ZeroDivisionError on any zero."""
@@ -358,32 +398,26 @@ class GF2m:
             inv = self.inv
             return [inv(x) for x in a]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        if bool((av == 0).any()):
+        av = _np.asarray(a, dtype=_np.uint32)
+        if not av.all():
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
         return exp[(self.order - 1) - log[av]].tolist()
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         """XOR-accumulated inner product ``a[0]b[0] ^ a[1]b[1] ^ ...``.
 
-        The Berlekamp--Massey discrepancy is exactly this shape; on the
-        fast path the products and the XOR reduction both vectorise.
+        The Berlekamp--Massey discrepancy is exactly this shape.
         """
-        tables = self._np_tables()
-        if tables is None:
-            mul = self.mul
-            acc = 0
+        acc = 0
+        if self._log is not None:
+            exp, log = self._exp, self._log
             for x, y in zip(a, b):
-                if x and y:
-                    acc ^= mul(x, y)
+                acc ^= exp[log[x] + log[y]]
             return acc
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        bv = _np.asarray(b, dtype=_np.int64)
-        out = _np.zeros(av.shape, dtype=_np.int64)
-        nz = (av != 0) & (bv != 0)
-        out[nz] = exp[log[av[nz]] + log[bv[nz]]]
-        return int(_np.bitwise_xor.reduce(out)) if out.size else 0
+        mul = self.mul
+        for x, y in zip(a, b):
+            acc ^= mul(x, y)
+        return acc
 
     def find_roots_scan(self, poly: Sequence[int]) -> Optional[List[int]]:
         """All distinct roots of ``poly`` by a vectorised full-field scan.
@@ -395,7 +429,7 @@ class GF2m:
         inner loop is four branch-free numpy passes and never needs
         zero-masking.  Only available for table fields (m <= 16) on the
         fast path; returns None otherwise so callers fall back to
-        Berlekamp-trace splitting.  Repeated roots are reported once, which
+        trace splitting.  Repeated roots are reported once, which
         matches the decoder's distinct-roots contract.
         """
         tables = self._np_tables()
@@ -406,26 +440,19 @@ class GF2m:
         if not p or len(p) == 1:
             return []
         n = self.order - 1  # multiplicative group order
-        if self._np_chien_ii is None:
-            # int32 workspace: indices stay below 2n < 2^31 and the halved
-            # memory traffic is worth ~1.5x on the 64-pass inner loop.
-            self._np_chien_ii = (
-                _np.arange(n, dtype=_np.int32),
-                _np.asarray(self._exp, dtype=_np.int32),
-            )
-        ii, exp32 = self._np_chien_ii
+        ii = _np.arange(n, dtype=_np.int32)
         # acc[i] accumulates poly(g^i); jpow[i] tracks (j*i) mod n.
-        acc = _np.full(n, p[0], dtype=_np.int32)
+        acc = _np.full(n, p[0], dtype=_np.uint32)
         jpow = _np.zeros(n, dtype=_np.int32)
         idx = _np.empty(n, dtype=_np.int32)
         for coeff in p[1:]:
             jpow += ii
             _np.subtract(jpow, n, out=jpow, where=jpow >= n)
             if coeff:
-                # exp is double-length (periodic), so log[c] + jpow needs
-                # no second reduction.
+                # exp is periodic on [0, 2n), so log[c] + jpow needs no
+                # second reduction.
                 _np.add(jpow, int(log[coeff]), out=idx)
-                acc ^= exp32[idx]
+                acc ^= exp[idx]
         root_exponents = _np.nonzero(acc == 0)[0]
         roots = exp[root_exponents].tolist()
         if p[0] == 0:
@@ -479,6 +506,58 @@ class GF2m:
         rows.sort(key=lambda r: -r[0])
         self._as_rows = rows
 
+    _basis_powers: Optional[Tuple[List[int], List[int], List[int]]] = None
+
+    def solve_linearized_quartic(self, a: int, b: int, v: int) -> List[int]:
+        """The four roots of ``z^4 + a z^2 + b z = v``, or ``[]``.
+
+        ``L(z) = z^4 + a z^2 + b z`` is GF(2)-linear, so the equation is an
+        m x m linear system over GF(2): the images of the basis elements
+        ``1 << k`` (two hoisted scalar-vector products on the precomputed
+        basis squares and fourth powers) are put in echelon form by their
+        top bit, carrying preimages along.  The solutions are a coset of
+        the kernel of ``L``; there are four distinct ones exactly when the
+        kernel has dimension 2 (it cannot be larger) and ``v`` is in the
+        image -- anything else returns ``[]``.  The closed form behind the
+        cubic and quartic root finders of PinSketch decoding.
+        """
+        if b == 0:
+            return []  # L(z) + v is a square: every root is repeated
+        if self._basis_powers is None:
+            basis = [1 << k for k in range(self.m)]
+            squares = [self.sqr(e) for e in basis]
+            self._basis_powers = (
+                basis, squares, [self.sqr(s) for s in squares]
+            )
+        basis, squares, fourths = self._basis_powers
+        images = map(
+            _xor3, fourths,
+            self.mul_scalar_batch(a, squares), self.mul_scalar_batch(b, basis),
+        )
+        pivots: List[Optional[Tuple[int, int]]] = [None] * (self.m + 1)
+        kernel = []
+        for image, preimage in zip(images, basis):
+            while image:
+                row = pivots[image.bit_length()]
+                if row is None:
+                    pivots[image.bit_length()] = (image, preimage)
+                    break
+                image ^= row[0]
+                preimage ^= row[1]
+            else:
+                kernel.append(preimage)
+        if len(kernel) != 2:
+            return []
+        z = 0
+        while v:
+            row = pivots[v.bit_length()]
+            if row is None:
+                return []
+            v ^= row[0]
+            z ^= row[1]
+        k0, k1 = kernel
+        return [z, z ^ k0, z ^ k1, z ^ k0 ^ k1]
+
     def div(self, a: int, b: int) -> int:
         """Field division ``a / b``."""
         return self.mul(a, self.inv(b))
@@ -506,42 +585,44 @@ class GF2m:
         if not p or not q:
             return []
         out = [0] * (len(p) + len(q) - 1)
-        mul = self.mul
+        scale = self.mul_scalar_batch
         for i, a in enumerate(p):
-            if a == 0:
-                continue
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] ^= mul(a, b)
+            if a:
+                out[i : i + len(q)] = map(_xor, out[i : i + len(q)], scale(a, q))
         return self.poly_trim(out)
+
+    def poly_divmod(
+        self, p: Sequence[int], q: Sequence[int]
+    ) -> Tuple[List[int], List[int]]:
+        """Quotient and remainder of ``p / q``; ``q`` must be nonzero.
+
+        Each elimination step is one row update: the scalar-vector product
+        ``factor * q`` (:meth:`mul_scalar_batch`, per-scalar work hoisted)
+        XOR-ed into the remainder as a C-level sweep.
+        """
+        q = self.poly_trim(list(q))
+        if not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = self.poly_trim(list(p))
+        lead = q.pop()
+        dq = len(q)
+        inv_lead = self.inv(lead) if lead != 1 else 1
+        mul = self.mul
+        scale = self.mul_scalar_batch
+        quotient = [0] * max(len(rem) - dq, 0)
+        while len(rem) > dq:
+            factor = rem.pop()
+            if factor:
+                if inv_lead != 1:
+                    factor = mul(factor, inv_lead)
+                shift = len(rem) - dq
+                quotient[shift] = factor
+                rem[shift:] = map(_xor, rem[shift:], scale(factor, q))
+        return quotient, self.poly_trim(rem)
 
     def poly_mod(self, p: Sequence[int], q: Sequence[int]) -> List[int]:
         """Polynomial remainder ``p mod q``; ``q`` must be nonzero."""
-        if not q:
-            raise ZeroDivisionError("polynomial mod by zero")
-        rem = list(p)
-        self.poly_trim(rem)
-        dq = len(q) - 1
-        inv_lead = self.inv(q[-1])
-        mul = self.mul
-        # Each elimination step multiplies every coefficient of q by the
-        # same factor; batch that scalar-vector product when q is big
-        # enough for the hoisted-window/vector kernels to pay off.
-        batch = len(q) >= 16
-        while len(rem) - 1 >= dq and rem:
-            shift = len(rem) - 1 - dq
-            factor = mul(rem[-1], inv_lead)
-            if batch:
-                products = self.mul_scalar_batch(factor, q)
-                for i, prod in enumerate(products):
-                    if prod:
-                        rem[i + shift] ^= prod
-            else:
-                for i, coeff in enumerate(q):
-                    if coeff:
-                        rem[i + shift] ^= mul(factor, coeff)
-            self.poly_trim(rem)
-        return rem
+        return self.poly_divmod(p, q)[1]
 
     def poly_gcd(self, p: Sequence[int], q: Sequence[int]) -> List[int]:
         """Monic polynomial greatest common divisor."""
@@ -549,19 +630,15 @@ class GF2m:
         self.poly_trim(a)
         self.poly_trim(b)
         while b:
-            a, b = b, self.poly_mod(a, b)
-        if a and a[-1] != 1:
-            inv_lead = self.inv(a[-1])
-            a = [self.mul(c, inv_lead) for c in a]
-        return a
+            a, b = b, self.poly_divmod(a, b)[1]
+        return self.poly_monic(a)
 
     def poly_monic(self, p: Sequence[int]) -> List[int]:
         """Return the monic scalar multiple of ``p``."""
         p = self.poly_trim(list(p))
         if not p or p[-1] == 1:
             return p
-        inv_lead = self.inv(p[-1])
-        return [self.mul(c, inv_lead) for c in p]
+        return self.mul_scalar_batch(self.inv(p[-1]), p)
 
     def poly_eval(self, p: Sequence[int], x: int) -> int:
         """Evaluate ``p`` at ``x`` with Horner's rule."""
@@ -571,24 +648,102 @@ class GF2m:
             acc = mul(acc, x) ^ coeff
         return acc
 
-    def poly_sqr_mod(self, p: Sequence[int], q: Sequence[int]) -> List[int]:
-        """Square a polynomial modulo ``q`` (cheap in characteristic 2)."""
-        if not p:
-            return []
-        out = [0] * (2 * len(p) - 1)
-        sqr = self.sqr
-        for i, coeff in enumerate(p):
-            if coeff:
-                out[2 * i] = sqr(coeff)
-        return self.poly_mod(out, q)
+    # -------------------------------------------------------- Frobenius chain
 
-    def poly_frobenius_mod(self, q: Sequence[int]) -> List[int]:
-        """Compute ``x^(2^m) mod q`` by m modular squarings."""
-        result: List[int] = [0, 1]  # the polynomial x
-        result = self.poly_mod(result, q)
-        for _ in range(self.m):
-            result = self.poly_sqr_mod(result, q)
-        return result
+    _conjugates: Optional[Dict[int, List[int]]] = None
+
+    def basis_conjugates(self, bit: int) -> List[int]:
+        """``[beta^(2^i) for i < m]`` for ``beta = 1 << bit``, cached per field."""
+        if self._conjugates is None:
+            self._conjugates = {}
+        conjugates = self._conjugates.get(bit)
+        if conjugates is None:
+            conjugates = [1 << bit]
+            for _ in range(self.m - 1):
+                conjugates.append(self.sqr(conjugates[-1]))
+            self._conjugates[bit] = conjugates
+        return conjugates
+
+    def frobenius_chain(self, q: Sequence[int]) -> "FrobeniusChain":
+        """The chain ``x^(2^i) mod q`` (``i <= m``) of a monic ``q``."""
+        return FrobeniusChain(self, q)
+
+
+def _xor3(a: int, b: int, c: int) -> int:
+    return a ^ b ^ c
+
+
+def _square_table(field: GF2m, q: Sequence[int]) -> List[List[int]]:
+    """Rows ``x^(2j) mod q`` for ``j < deg q`` (``q`` monic).
+
+    Squaring a polynomial is GF(2)-linear in characteristic 2 --
+    ``(sum f_j x^j)^2 = sum f_j^2 x^(2j)`` -- so these rows turn every
+    modular squaring into a matrix-vector product.  Only the rows with
+    ``2j >= deg q`` need any reduction (two multiply-by-x steps each).
+    """
+    degree = len(q) - 1
+    low = list(q[:-1])
+    scale = field.mul_scalar_batch
+    power = [1] + [0] * (degree - 1)
+    rows = [power]
+    for _ in range(2 * (degree - 1)):
+        lead = power[-1]
+        power = [0] + power[:-1]
+        if lead:
+            power = list(map(_xor, power, scale(lead, low)))
+        rows.append(power)
+    return rows[::2]
+
+
+class FrobeniusChain:
+    """``F_i = x^(2^i) mod q`` for ``i <= m``, computed once per locator.
+
+    Everything root finding needs from the m modular squarings comes from
+    this one chain:
+
+    * ``splits``: ``F_m == x`` exactly when ``q`` divides ``x^(2^m) - x``,
+      i.e. when ``q`` is a product of *distinct* linear factors -- a
+      complete test that rejects over-capacity locators after one chain.
+    * :meth:`trace`: ``Tr(beta x) mod q = sum_i beta^(2^i) F_i``, the
+      Berlekamp trace-splitting polynomial for any ``beta``; factors of
+      ``q`` reduce this one polynomial modulo themselves instead of running
+      their own chain.
+
+    ``q`` must be monic of degree >= 2.  This is the field-generic scalar
+    implementation (one hoisted row update per coefficient and step);
+    :class:`GF2Tower32` swaps in whole-array numpy steps when it pays.
+    """
+
+    def __init__(self, field: GF2m, q: Sequence[int]):
+        self.field = field
+        degree = len(q) - 1
+        rows = _square_table(field, q)
+        plain = (degree + 1) // 2  # rows[j] is the monomial x^(2j) below this
+        sqr = field.sqr
+        scale = field.mul_scalar_batch
+        term = [0, 1] + [0] * (degree - 2)
+        self._chain = [term]
+        for _ in range(field.m):
+            acc = [0] * degree
+            for j in range(plain):
+                acc[2 * j] = sqr(term[j])
+            for j in range(plain, degree):
+                if term[j]:
+                    acc = list(map(_xor, acc, scale(sqr(term[j]), rows[j])))
+            self._chain.append(acc)
+            term = acc
+        self.splits = term == self._chain[0]
+
+    def trace(self, bit: int) -> List[int]:
+        """``Tr((1 << bit) * x) mod q``, trimmed."""
+        field = self.field
+        scale = field.mul_scalar_batch
+        total = [0] * len(self._chain[0])
+        for conjugate, term in zip(field.basis_conjugates(bit), self._chain):
+            if conjugate != 1:
+                term = scale(conjugate, term)
+            total = list(map(_xor, total, term))
+        return field.poly_trim(total)
 
 
 class GF2Tower32(GF2m):
@@ -606,10 +761,18 @@ class GF2Tower32(GF2m):
     same representation on both sides, which holds process-wide via
     :func:`default_field`.
 
-    On the fast path the batched kernels vectorise the subfield table
-    lookups over numpy arrays, so ``mul_batch``/``sqr_batch``/``inv_batch``
-    process whole syndrome vectors per call.
+    Every kernel works in the log domain of the subfield's sentinel tables
+    (see :meth:`GF2m._build_tables`): a subfield product is three
+    branch-free lookups, and the kernels with one fixed operand
+    (:meth:`mul_scalar_batch`, the chain) look its logs up once.  On the
+    fast path the batched kernels run the same lookups as whole-array
+    numpy gathers.
     """
+
+    #: Shortest vector for which one numpy pass beats the scalar row update.
+    _NUMPY_ROW = 48
+    #: Lowest locator degree whose Frobenius chain runs as numpy steps.
+    _NUMPY_CHAIN = 5
 
     def __init__(self):
         # Intentionally no super().__init__: the base attributes are set up
@@ -623,178 +786,248 @@ class GF2Tower32(GF2m):
             raise RuntimeError("GF(2^16) tables unavailable")
         self._log = None
         self._exp = None
-        self._np_exp = None
-        self._np_log = None
-        self._np_chien_ii = None
         self._reduce_table = None
+        self._sub_exp = self.sub._exp
+        self._sub_log = self.sub._log
         # y^2 + y + c must be irreducible over GF(2^16), which holds exactly
-        # when the GF(2)-trace of c is 1; pick the smallest such c.
+        # when the GF(2)-trace of c is 1.  The trace is GF(2)-linear, so the
+        # smallest such c is the lowest basis element with trace 1.
         self.QUAD_C = next(
-            c for c in range(1, 1 << 16) if self._subfield_trace(c) == 1
+            1 << k for k in range(16) if self._subfield_trace(1 << k) == 1
         )
+        self._log_c = self._sub_log[self.QUAD_C]
 
     def _subfield_trace(self, value: int) -> int:
         """Trace of a GF(2^16) element down to GF(2)."""
-        total = 0
-        term = value
-        for _ in range(16):
-            total ^= term
-            term = self.sub.sqr(term)
-        return total
-
-    def _np_sub_tables(self):
-        """Numpy mirrors of the *subfield* tables, or None off the fast path."""
-        if not fast_path_active():
-            return None
-        if self._np_exp is None:
-            self._np_exp = _np.asarray(self.sub._exp, dtype=_np.int64)
-            self._np_log = _np.asarray(self.sub._log, dtype=_np.int64)
-        return self._np_exp, self._np_log
+        return self.sub.trace(value)
 
     def mul(self, a: int, b: int) -> int:
         """Tower-field multiplication (Karatsuba over GF(2^16))."""
-        if a == 0 or b == 0:
-            return 0
-        sub = self.sub
-        exp, log = sub._exp, sub._log
+        exp, log = self._sub_exp, self._sub_log
         a1, a0 = a >> 16, a & 0xFFFF
         b1, b0 = b >> 16, b & 0xFFFF
-        m1 = exp[log[a1] + log[b1]] if a1 and b1 else 0
-        m0 = exp[log[a0] + log[b0]] if a0 and b0 else 0
-        sa, sb = a1 ^ a0, b1 ^ b0
-        mx = exp[log[sa] + log[sb]] if sa and sb else 0
-        hi = mx ^ m0                     # (a1b0 + a0b1) + a1b1
-        lo = m0 ^ (exp[log[m1] + log[self.QUAD_C]] if m1 else 0)
-        return (hi << 16) | lo
+        m0 = exp[log[a0] + log[b0]]
+        # hi = (a1 b0 + a0 b1) + a1 b1, lo = a0 b0 + c a1 b1
+        return ((exp[log[a1 ^ a0] + log[b1 ^ b0]] ^ m0) << 16) | (
+            m0 ^ exp[log[exp[log[a1] + log[b1]]] + self._log_c]
+        )
 
     def sqr(self, a: int) -> int:
         """Tower-field squaring (two subfield squares + one constant mul)."""
-        if a == 0:
-            return 0
+        exp, log = self._sub_exp, self._sub_log
+        s1 = exp[2 * log[a >> 16]]
+        return (s1 << 16) | (
+            exp[2 * log[a & 0xFFFF]] ^ exp[log[s1] + self._log_c]
+        )
+
+    def sqrt(self, a: int) -> int:
+        """Tower-field square root (the inverse of :meth:`sqr`)."""
         sub = self.sub
-        a1, a0 = a >> 16, a & 0xFFFF
-        s1 = sub.sqr(a1)
-        s0 = sub.sqr(a0)
-        lo = s0 ^ (sub.mul(s1, self.QUAD_C) if s1 else 0)
-        return (s1 << 16) | lo
+        a1 = a >> 16
+        return (sub.sqrt(a1) << 16) | sub.sqrt(
+            (a & 0xFFFF) ^ sub.mul(a1, self.QUAD_C)
+        )
 
     def inv(self, a: int) -> int:
         """Tower-field inverse via the GF(2^16) norm; raises on zero."""
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^32)")
-        sub = self.sub
+        exp, log = self._sub_exp, self._sub_log
         a1, a0 = a >> 16, a & 0xFFFF
+        l1, l0 = log[a1], log[a0]
         # Norm over GF(2^16): a0^2 + a0*a1 + c*a1^2 (never zero for a != 0).
-        norm = sub.sqr(a0) ^ sub.mul(a0, a1) ^ sub.mul(self.QUAD_C, sub.sqr(a1))
-        inv_norm = sub.inv(norm)
+        norm = exp[2 * l0] ^ exp[l0 + l1] ^ exp[log[exp[2 * l1]] + self._log_c]
+        log_inv = 0xFFFF - log[norm]
         # inverse = conjugate(a) / norm, conj(a) = a1*y + (a0 + a1).
-        hi = sub.mul(a1, inv_norm)
-        lo = sub.mul(a0 ^ a1, inv_norm)
-        return (hi << 16) | lo
+        return (exp[l1 + log_inv] << 16) | exp[log[a0 ^ a1] + log_inv]
 
     # ------------------------------------------------------ batched kernels
 
-    @staticmethod
-    def _tab_mul(exp, log, x, y):
-        """Vectorised subfield product of two int64 arrays (zeros handled)."""
-        out = _np.zeros(x.shape, dtype=_np.int64)
-        nz = (x != 0) & (y != 0)
-        out[nz] = exp[log[x[nz]] + log[y[nz]]]
-        return out
-
     def mul_batch(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         """Elementwise tower products of two equal-length sequences."""
-        tables = self._np_sub_tables()
+        tables = self.sub._np_tables()
         if tables is None:
             mul = self.mul
             return [mul(x, y) for x, y in zip(a, b)]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        bv = _np.asarray(b, dtype=_np.int64)
+        av = _np.asarray(a, dtype=_np.uint32)
+        bv = _np.asarray(b, dtype=_np.uint32)
         a1, a0 = av >> 16, av & 0xFFFF
         b1, b0 = bv >> 16, bv & 0xFFFF
-        m1 = self._tab_mul(exp, log, a1, b1)
-        m0 = self._tab_mul(exp, log, a0, b0)
-        mx = self._tab_mul(exp, log, a1 ^ a0, b1 ^ b0)
-        hi = mx ^ m0
-        log_c = int(log[self.QUAD_C])
-        cm = _np.zeros(m1.shape, dtype=_np.int64)
-        nz = m1 != 0
-        cm[nz] = exp[log[m1[nz]] + log_c]
-        lo = m0 ^ cm
+        m0 = exp[log[a0] + log[b0]]
+        hi = exp[log[a1 ^ a0] + log[b1 ^ b0]] ^ m0
+        lo = m0 ^ exp[log[exp[log[a1] + log[b1]]] + self._log_c]
         return ((hi << 16) | lo).tolist()
 
     def mul_scalar_batch(self, scalar: int, vec: Sequence[int]) -> List[int]:
-        """``[scalar * v for v in vec]`` over the tower field."""
-        if scalar == 0 or not vec:
-            return [0] * len(vec)
-        if self._np_sub_tables() is None:
-            mul = self.mul
-            return [mul(scalar, v) for v in vec]
-        return self.mul_batch([scalar] * len(vec), vec)
+        """``[scalar * v for v in vec]`` with the scalar's logs hoisted."""
+        l1 = self._sub_log[scalar >> 16]
+        l0 = self._sub_log[scalar & 0xFFFF]
+        lx = self._sub_log[(scalar >> 16) ^ (scalar & 0xFFFF)]
+        lc = self._log_c
+        if len(vec) >= self._NUMPY_ROW and fast_path_active():
+            exp, log = self.sub._np_tables()
+            vv = _np.asarray(vec, dtype=_np.uint32)
+            v1, v0 = vv >> 16, vv & 0xFFFF
+            m0 = exp[log[v0] + l0]
+            hi = exp[log[v1 ^ v0] + lx] ^ m0
+            lo = m0 ^ exp[log[exp[log[v1] + l1]] + lc]
+            return ((hi << 16) | lo).tolist()
+        exp, log = self._sub_exp, self._sub_log
+        out = []
+        append = out.append
+        for v in vec:
+            v1 = v >> 16
+            v0 = v & 0xFFFF
+            m0 = exp[log[v0] + l0]
+            append(
+                ((exp[log[v1 ^ v0] + lx] ^ m0) << 16)
+                | (m0 ^ exp[log[exp[log[v1] + l1]] + lc])
+            )
+        return out
 
     def sqr_batch(self, a: Sequence[int]) -> List[int]:
         """Elementwise tower squares of a sequence."""
-        tables = self._np_sub_tables()
+        tables = self.sub._np_tables()
         if tables is None:
             sqr = self.sqr
             return [sqr(x) for x in a]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        a1, a0 = av >> 16, av & 0xFFFF
-        s1 = _np.zeros(a1.shape, dtype=_np.int64)
-        nz1 = a1 != 0
-        s1[nz1] = exp[2 * log[a1[nz1]]]
-        s0 = _np.zeros(a0.shape, dtype=_np.int64)
-        nz0 = a0 != 0
-        s0[nz0] = exp[2 * log[a0[nz0]]]
-        log_c = int(log[self.QUAD_C])
-        cm = _np.zeros(s1.shape, dtype=_np.int64)
-        nz = s1 != 0
-        cm[nz] = exp[log[s1[nz]] + log_c]
-        return ((s1 << 16) | (s0 ^ cm)).tolist()
+        av = _np.asarray(a, dtype=_np.uint32)
+        s1 = exp[2 * log[av >> 16]]
+        lo = exp[2 * log[av & 0xFFFF]] ^ exp[log[s1] + self._log_c]
+        return ((s1 << 16) | lo).tolist()
 
     def inv_batch(self, a: Sequence[int]) -> List[int]:
         """Elementwise tower inverses; raises ZeroDivisionError on any zero."""
-        tables = self._np_sub_tables()
+        tables = self.sub._np_tables()
         if tables is None:
             inv = self.inv
             return [inv(x) for x in a]
         exp, log = tables
-        av = _np.asarray(a, dtype=_np.int64)
-        if bool((av == 0).any()):
+        av = _np.asarray(a, dtype=_np.uint32)
+        if not av.all():
             raise ZeroDivisionError("inverse of 0 in GF(2^32)")
-        a1, a0 = av >> 16, av & 0xFFFF
-        sq0 = _np.zeros(a0.shape, dtype=_np.int64)
-        nz0 = a0 != 0
-        sq0[nz0] = exp[2 * log[a0[nz0]]]
-        sq1 = _np.zeros(a1.shape, dtype=_np.int64)
-        nz1 = a1 != 0
-        sq1[nz1] = exp[2 * log[a1[nz1]]]
-        log_c = int(log[self.QUAD_C])
-        c_sq1 = _np.zeros(sq1.shape, dtype=_np.int64)
-        nz = sq1 != 0
-        c_sq1[nz] = exp[log[sq1[nz]] + log_c]
-        norm = sq0 ^ self._tab_mul(exp, log, a0, a1) ^ c_sq1
-        inv_norm = exp[(0xFFFF) - log[norm]]  # norm != 0 for nonzero input
-        hi = self._tab_mul(exp, log, a1, inv_norm)
-        lo = self._tab_mul(exp, log, a0 ^ a1, inv_norm)
+        l1, l0 = log[av >> 16], log[av & 0xFFFF]
+        norm = exp[2 * l0] ^ exp[l0 + l1] ^ exp[log[exp[2 * l1]] + self._log_c]
+        log_inv = 0xFFFF - log[norm]  # norm != 0 for nonzero input
+        hi = exp[l1 + log_inv]
+        lo = exp[log[(av >> 16) ^ (av & 0xFFFF)] + log_inv]
         return ((hi << 16) | lo).tolist()
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """XOR-accumulated inner product over the tower field."""
-        if self._np_sub_tables() is None:
-            mul = self.mul
-            acc = 0
-            for x, y in zip(a, b):
-                if x and y:
-                    acc ^= mul(x, y)
-            return acc
-        products = self.mul_batch(a, b)
-        acc = 0
-        for p in products:
-            acc ^= p
-        return acc
+        """XOR-accumulated inner product over the tower field.
+
+        The three Karatsuba partial products are accumulated separately
+        (they are linear), so the constant multiplication and the
+        recombination happen once per call instead of once per term.
+        """
+        exp, log = self._sub_exp, self._sub_log
+        acc1 = acc0 = accx = 0
+        for x, y in zip(a, b):
+            x1 = x >> 16
+            x0 = x & 0xFFFF
+            y1 = y >> 16
+            y0 = y & 0xFFFF
+            acc1 ^= exp[log[x1] + log[y1]]
+            acc0 ^= exp[log[x0] + log[y0]]
+            accx ^= exp[log[x1 ^ x0] + log[y1 ^ y0]]
+        return ((accx ^ acc0) << 16) | (
+            acc0 ^ exp[log[acc1] + self._log_c]
+        )
+
+    def frobenius_chain(self, q: Sequence[int]):
+        """The chain of ``q``: numpy steps when they pay, else the generic one."""
+        if len(q) > self._NUMPY_CHAIN and fast_path_active():
+            return _TowerChain(self, q)
+        return FrobeniusChain(self, q)
+
+
+class _TowerChain:
+    """:class:`FrobeniusChain` over the tower field as whole-array numpy steps.
+
+    A chain entry is stored split, ``[hi coefficients | lo coefficients]``
+    (subfield elements, ``2d`` of them).  Squaring a tower element
+    ``f1 y + f0`` gives ``f1^2 (y + c) + f0^2``, so with the rows
+    ``T_j = x^(2j) mod q`` of :func:`_square_table`
+
+        ``F_(i+1) = sum_j  f1_j^2 * ((y + c) T_j)  +  f0_j^2 * T_j``
+
+    -- subfield scalars times tower rows, i.e. plain subfield products.
+    The logs of ``(y + c) T_j`` and ``T_j`` are fixed for the whole chain
+    (a ``2d x 2d`` matrix looked up once); one step is then the logs of the
+    ``2d`` squares, one broadcast add, one gather and one XOR reduction.
+    Results are bit-identical with the generic chain.
+    """
+
+    def __init__(self, field: "GF2Tower32", q: Sequence[int]):
+        self.field = field
+        exp, log = field.sub._np_tables()
+        lc = field._log_c
+        m = field.m
+        self.degree = degree = len(q) - 1
+        table = _np.array(_square_table(field, q), dtype=_np.uint32)
+        t1, t0 = table >> 16, table & 0xFFFF
+        ts = t1 ^ t0
+        logs = _np.empty((2, degree, 2, degree), dtype=_np.int32)
+        logs[0, :, 0] = log[ts ^ exp[log[t1] + lc]]  # (y + c) T_j, hi part
+        logs[0, :, 1] = log[exp[log[ts] + lc]]       # (y + c) T_j, lo part
+        logs[1, :, 0] = log[t1]
+        logs[1, :, 1] = log[t0]
+        logs = logs.reshape(2 * degree, 2 * degree)
+        chain = _np.zeros((m + 1, 2 * degree), dtype=_np.uint32)
+        chain[0, degree + 1] = 1  # the polynomial x
+        reduce = _np.bitwise_xor.reduce
+        for i in range(m):
+            squares = log[exp[2 * log[chain[i]]]]
+            reduce(exp[squares[:, None] + logs], axis=0, out=chain[i + 1])
+        self._chain = chain
+        self.splits = bool((chain[m] == chain[0]).all())
+        self._traces: List[List[int]] = []
+        self._chain_logs = None
+
+    def _polys(self, split) -> List[List[int]]:
+        """Rows of ``[hi | lo]`` arrays as trimmed coefficient lists."""
+        degree = self.degree
+        joined = (split[:, :degree] << 16) | split[:, degree:]
+        trim = self.field.poly_trim
+        return [trim(row) for row in joined.tolist()]
+
+    def trace(self, bit: int) -> List[int]:
+        """``Tr((1 << bit) * x) mod q``, trimmed.
+
+        ``beta = 1`` is a plain XOR of the chain; further betas are
+        computed four at a time as one batched tower product
+        ``sum_i beta^(2^i) F_i`` against the chain's logs.
+        """
+        traces = self._traces
+        while bit >= len(traces):
+            traces.extend(self._more_traces(len(traces)))
+        return traces[bit]
+
+    def _more_traces(self, first: int) -> List[List[int]]:
+        field = self.field
+        m = field.m
+        degree = self.degree
+        reduce = _np.bitwise_xor.reduce
+        chain = self._chain[:m]
+        if first == 0:
+            return self._polys(reduce(chain, axis=0)[None, :])
+        exp, log = field.sub._np_tables()
+        if self._chain_logs is None:
+            f1, f0 = chain[:, :degree], chain[:, degree:]
+            self._chain_logs = (log[f1], log[f0], log[f1 ^ f0])
+        lf1, lf0, lfx = self._chain_logs
+        betas = _np.array(
+            [field.basis_conjugates(b) for b in range(first, min(first + 4, m))],
+            dtype=_np.uint32,
+        )
+        b1, b0 = betas >> 16, betas & 0xFFFF
+        m1 = reduce(exp[log[b1][:, :, None] + lf1], axis=1)
+        m0 = reduce(exp[log[b0][:, :, None] + lf0], axis=1)
+        mx = reduce(exp[log[b1 ^ b0][:, :, None] + lfx], axis=1)
+        lo = m0 ^ exp[log[m1] + field._log_c]
+        return self._polys(_np.concatenate((mx ^ m0, lo), axis=1))
 
 
 # Field instances shared per (m, modulus); see default_field.

@@ -13,11 +13,13 @@ Performance layers (docs/architecture.md has the full map):
   once, *incrementally extended* when a larger capacity is requested, and
   LRU-bounded; every node in a simulation re-uses one vector per
   transaction id across all rounds (:class:`_SyndromeCache`).
-* **Batched kernels** -- bulk ``add_all`` computes syndromes for all new
-  elements with one vectorised sweep per power; the Berlekamp--Massey
-  discrepancy and the root search run through the numpy fast path of
-  :mod:`repro.sketch.gf` when available (pure-Python fallbacks decode
-  bit-identically).
+* **Decode cost follows the decoded difference** -- Berlekamp--Massey runs
+  online and stops at the first locator that reproduces every stored
+  syndrome (:meth:`PinSketch._decode_uncached`); roots come from closed
+  forms up to degree 4 and from one shared Frobenius chain per locator
+  above (:func:`_find_roots`).  The numpy fast path of
+  :mod:`repro.sketch.gf` runs the chain and long rows as whole-array
+  gathers; the pure-Python fallback decodes bit-identically.
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
   hit/miss/eviction counters exported via :func:`repro.metrics.cache_stats`.
 """
@@ -28,7 +30,7 @@ import struct
 from collections import OrderedDict
 from functools import lru_cache
 from operator import xor as _xor
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.metrics.caches import register_cache
 from repro.sketch.gf import GF2m, default_field, fast_path_active
@@ -257,6 +259,7 @@ def clear_syndrome_cache() -> None:
 
 _DECODE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _DECODE_CACHE_LIMIT = 131072
+_UNDECODABLE = object()  # cache marker: decoding raises SketchDecodeError
 _DECODE_STATS = register_cache(
     "sketch.decode", size_probe=lambda: len(_DECODE_CACHE)
 )
@@ -434,7 +437,7 @@ class PinSketch:
 
     def is_empty(self) -> bool:
         """True when every syndrome is zero (difference is empty or aliased)."""
-        return all(value == 0 for value in self._syndromes)
+        return not any(self._syndromes)
 
     # ----------------------------------------------------------- wire format
 
@@ -464,12 +467,12 @@ class PinSketch:
 
     # -------------------------------------------------------------- decoding
 
-    def decode(self, verify: bool = True) -> Set[int]:
+    def decode(self) -> Set[int]:
         """Recover the sketched set (|set| <= capacity) or raise.
 
         Raises :class:`SketchDecodeError` when the difference exceeds the
-        capacity (detected via locator-degree and root-count checks, plus an
-        optional syndrome re-verification that catches aliasing).
+        capacity (detected via locator-degree and root-count checks, plus
+        the syndrome re-verification that catches aliasing).
 
         Results are memoised process-wide by syndrome content in an LRU
         (hit/miss counters: ``repro.metrics.cache_stats()["sketch.decode"]``):
@@ -484,46 +487,74 @@ class PinSketch:
         if cached is not None:
             _DECODE_STATS.hits += 1
             _DECODE_CACHE.move_to_end(cache_key)
-            if isinstance(cached, SketchDecodeError):
-                raise cached
+            if cached is _UNDECODABLE:
+                # A fresh exception per hit: a cached instance would grow
+                # and pin its __traceback__ with every re-raise.
+                raise SketchDecodeError("sketch is not decodable (cached)")
             return set(cached)
         _DECODE_STATS.misses += 1
         try:
-            result = self._decode_uncached(verify)
-        except SketchDecodeError as exc:
-            _cache_store(cache_key, exc)
+            result = self._decode_uncached()
+        except SketchDecodeError:
+            _cache_store(cache_key, _UNDECODABLE)
             raise
         _cache_store(cache_key, frozenset(result))
         return result
 
-    def _decode_uncached(self, verify: bool) -> Set[int]:
-        full = self._full_syndromes()
-        locator = _berlekamp_massey(full, self.field)
+    def _decode_uncached(self) -> Set[int]:
+        """Early-exit Berlekamp--Massey, root finding, full verification.
+
+        Berlekamp--Massey is online, so the stored syndromes are fed one at
+        a time and decoding stops at the first locator that explains the
+        *whole* sketch: once the LFSR length ``L`` has survived until
+        ``2L + 4`` syndromes are consumed (tried once per ``L``), the
+        locator's roots are found and the candidate set is re-sketched at
+        full capacity and compared with all ``t`` stored syndromes.  The
+        cost follows the decoded difference, not the capacity.
+
+        This is exact.  At most one set of size <= t has a given ``t`` odd
+        power sums (BCH distance 2t + 1), and the full-length procedure
+        returns exactly that set or raises.  An early candidate is only
+        accepted when it passes the full-capacity check, so it *is* that
+        set; when it fails, Berlekamp--Massey simply continues, and after
+        the last syndrome the full-length procedure runs as it always did.
+        Results and :class:`SketchDecodeError` outcomes are therefore
+        identical to a full-length decode, aliased over-capacity sketches
+        included.
+        """
+        tried = 0
+        steps = _berlekamp_massey(self._syndromes, self.field)
+        for consumed, (length, locator) in enumerate(steps, 1):
+            # `consumed` odd syndromes stand for 2 * consumed syndromes.
+            if tried < length <= consumed - 2 and consumed < self.capacity:
+                tried = length
+                if len(locator) - 1 == length:
+                    elements = self._explained_by(locator)
+                    if elements is not None:
+                        return elements
         degree = len(locator) - 1
         if degree == 0 or degree > self.capacity:
             raise SketchDecodeError(
                 f"locator degree {degree} exceeds capacity {self.capacity}"
             )
-        roots = _find_roots(locator, self.field)
-        if len(roots) != degree:
+        elements = self._explained_by(locator)
+        if elements is None:
             raise SketchDecodeError(
-                f"locator of degree {degree} has only {len(roots)} roots"
+                f"locator of degree {degree} has fewer distinct roots or "
+                "its roots fail the syndrome check"
             )
-        elements = set(self.field.inv_batch(roots))
-        if verify and not self._verify(elements):
-            raise SketchDecodeError("recovered elements fail syndrome check")
         return elements
 
-    def _full_syndromes(self) -> List[int]:
-        """Expand to s_1..s_2t using s_{2k} = s_k^2 (characteristic 2)."""
-        t = self.capacity
-        full = [0] * (2 * t + 1)  # 1-indexed
-        for i, value in enumerate(self._syndromes):
-            full[2 * i + 1] = value
-        sqr = self.field.sqr
-        for k in range(1, t + 1):
-            full[2 * k] = sqr(full[k])
-        return full[1:]
+    def _explained_by(self, locator: List[int]) -> Optional[Set[int]]:
+        """The set ``locator`` stands for, if it reproduces every syndrome.
+
+        The difference elements are the roots of the reversed locator
+        ``prod (x - e_i)``, which is monic because ``locator[0] == 1``.
+        """
+        elements = set(_find_roots(locator[::-1], self.field))
+        if len(elements) == len(locator) - 1 and self._verify(elements):
+            return elements
+        return None
 
     def _verify(self, elements: Set[int]) -> bool:
         check = PinSketch(self.capacity, self.m, self.field)
@@ -531,107 +562,103 @@ class PinSketch:
         return check._syndromes == self._syndromes
 
 
-def _berlekamp_massey(syndromes: Sequence[int], field: GF2m) -> List[int]:
-    """Minimal LFSR (error locator) for the syndrome sequence.
+def _berlekamp_massey(
+    odd_syndromes: Sequence[int], field: GF2m
+) -> Iterator[Tuple[int, List[int]]]:
+    """Online Berlekamp--Massey over the stored (odd) syndromes.
 
-    Returns the connection polynomial ``C`` with ``C[0] == 1``; its degree is
-    the number of difference elements when decoding succeeds.  The per-step
-    discrepancy is an inner product of the current connection polynomial
-    with a syndrome window; it runs through :meth:`GF2m.dot`, which the
-    fast path vectorises over the whole window.
+    Consumes ``s_1, s_3, s_5, ...`` and, after each, yields ``(L, C)``: the
+    length and the connection polynomial (``C[0] == 1``, trailing zeros
+    trimmed) of the minimal LFSR generating ``s_1 .. s_2k`` for the ``k``
+    stored syndromes consumed so far.  The last pair is the error locator
+    of the whole sketch; its degree is the number of difference elements
+    when decoding succeeds.
+
+    The even syndromes are never stored: ``s_2k = s_k^2`` in characteristic
+    2, so they are squared into the window as the recurrence reaches them,
+    and the discrepancy at every even syndrome is identically zero (the
+    classical binary-BCH simplification), so those steps need no inner
+    product -- the LFSR is merely shifted.  The discrepancy at an odd
+    syndrome is :meth:`GF2m.dot` and the update one
+    :meth:`GF2m.mul_scalar_batch` row update.
     """
     current: List[int] = [1]
     previous: List[int] = [1]
     length = 0
     shift = 1
     prev_discrepancy = 1
-    mul = field.mul
-    inv = field.inv
-    dot = field.dot
-    for n, s_n in enumerate(syndromes):
-        window = min(length, len(current) - 1)
-        if window <= 0:
-            discrepancy = s_n
-        elif window < 8:
-            discrepancy = s_n
-            for i in range(1, window + 1):
-                if current[i]:
-                    discrepancy ^= mul(current[i], syndromes[n - i])
-        else:
-            # dot(current[1..w], syndromes[n-1], ..., syndromes[n-w])
-            discrepancy = s_n ^ dot(
-                current[1 : window + 1], syndromes[n - window : n][::-1]
+    window: List[int] = []  # s_n, s_(n-1), ..., s_1: newest first
+    mul, inv, sqr = field.mul, field.inv, field.sqr
+    dot, scale = field.dot, field.mul_scalar_batch
+    for k, s_odd in enumerate(odd_syndromes):
+        if k:
+            window.insert(0, sqr(window[k - 1]))  # s_2k = s_k^2
+        n = 2 * k  # syndromes consumed before s_(2k+1)
+        discrepancy = s_odd ^ dot(current[1:], window)
+        window.insert(0, s_odd)
+        if discrepancy:
+            coefficient = mul(discrepancy, inv(prev_discrepancy))
+            update = scale(coefficient, previous)
+            grown = current + [0] * (shift + len(update) - len(current))
+            grown[shift : shift + len(update)] = map(
+                _xor, grown[shift:], update
             )
-        if discrepancy == 0:
-            shift += 1
-            continue
-        coefficient = mul(discrepancy, inv(prev_discrepancy))
-        update = [0] * shift + field.mul_scalar_batch(coefficient, previous)
-        if 2 * length <= n:
-            saved = list(current)
-            current = _xor_poly(current, update)
-            previous = saved
-            length = n + 1 - length
-            prev_discrepancy = discrepancy
-            shift = 1
-        else:
-            current = _xor_poly(current, update)
-            shift += 1
-    while current and current[-1] == 0:
-        current.pop()
-    return current
-
-
-def _xor_poly(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = list(a) if len(a) >= len(b) else list(b)
-    shorter = b if len(a) >= len(b) else a
-    for i, coeff in enumerate(shorter):
-        out[i] ^= coeff
-    return out
+            if 2 * length <= n:
+                previous = current
+                length = n + 1 - length
+                prev_discrepancy = discrepancy
+                shift = 0
+            current = grown
+        shift += 2  # this step and the zero-discrepancy even step after it
+        while current[-1] == 0:
+            current.pop()
+        yield length, current
 
 
 def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:
     """Roots of ``poly`` in GF(2^m), distinct-roots contract.
 
-    Two strategies:
+    Returns all ``deg poly`` roots when ``poly`` is a product of distinct
+    linear factors, and fewer otherwise; callers treat the latter as a
+    decode failure.  By degree:
 
-    * **Full-field scan** (fast path, m <= 16): evaluate the polynomial at
-      every field element in one vectorised Horner sweep
+    * **Full-field scan** (fast path, m <= 16, degree > 2): evaluate the
+      polynomial at every field element in one vectorised sweep
       (:meth:`GF2m.find_roots_scan`) -- a Chien search across the whole
-      field, degree-many numpy passes.
-    * **Berlekamp trace splitting** (fallback, and all m > 16): recursively
-      split with gcd(poly, Tr(beta x)), with degree-1/2 factors solved in
-      closed form and a Frobenius linearity check rejecting invalid
-      locators early.  Tr(beta x) is computed once modulo the *top-level*
-      polynomial per beta and cached; deeper recursion levels reduce the
-      cached trace modulo their factor instead of re-running the m modular
-      squarings.
-
-    Both return fewer roots than the degree when the polynomial does not
-    split into distinct linear factors; callers treat that as a decode
-    failure, so the strategies are observationally identical.
+      field.
+    * **Closed forms** (degree <= 4): degree 2 is an Artin--Schreier
+      equation; degrees 3 and 4 are brought to an affine linearised
+      quartic ``z^4 + A z^2 + B z = v`` and solved as an m x m system over
+      GF(2) (:meth:`GF2m.solve_linearized_quartic`).
+    * **One Frobenius chain** (degree >= 5): ``x^(2^i) mod poly`` for
+      ``i <= m`` is computed once (:meth:`GF2m.frobenius_chain`).  Its last
+      entry decides whether ``poly`` splits at all, and every Berlekamp
+      trace polynomial ``Tr(beta x) mod poly`` is a linear combination of
+      its entries, so :func:`_trace_split` never squares again.
     """
-    monic = field.poly_monic(list(poly))
-    if len(monic) <= 1:
+    monic = field.poly_monic(poly)
+    degree = len(monic) - 1
+    if degree < 1:
         return []
-    if len(monic) > 3:  # closed forms beat a full scan for degree <= 2
+    if degree > 2:  # closed forms beat a full scan for degree <= 2
         scanned = field.find_roots_scan(monic)
         if scanned is not None:
             return scanned
+    if degree <= 4:
+        return _CLOSED_FORMS[degree](monic, field)
+    chain = field.frobenius_chain(monic)
+    if not chain.splits:
+        return []
     roots: List[int] = []
-    trace_cache: dict = {}
-    try:
-        _trace_split(monic, monic, field, roots, trace_cache)
-    except _NotFullySplittable:
-        pass
+    _trace_split(monic, 0, chain, field, roots)
     return roots
 
 
-class _NotFullySplittable(Exception):
-    """Internal: the locator has non-linear or repeated factors."""
+def _solve_linear(poly: Sequence[int], field: GF2m) -> List[int]:
+    return [poly[0]]  # monic x + c has root c (addition is XOR)
 
 
-def _solve_quadratic(poly: Sequence[int], field: GF2m, out: List[int]) -> None:
+def _solve_quadratic(poly: Sequence[int], field: GF2m) -> List[int]:
     """Closed-form roots of a monic quadratic x^2 + b x + c.
 
     ``b == 0`` means a repeated root (x + sqrt(c))^2 -- invalid for a
@@ -640,93 +667,88 @@ def _solve_quadratic(poly: Sequence[int], field: GF2m, out: List[int]) -> None:
     """
     c, b = poly[0], poly[1]
     if b == 0:
-        raise _NotFullySplittable
-    u = field.mul(c, field.inv(field.sqr(b)))
-    y = field.artin_schreier_solve(u)
+        return []
+    y = field.artin_schreier_solve(field.mul(c, field.inv(field.sqr(b))))
     if y is None:
-        raise _NotFullySplittable
-    root_a = field.mul(b, y)
-    out.append(root_a)
-    out.append(root_a ^ b)  # the second solution is y + 1, i.e. +b after scaling
+        return []
+    root = field.mul(b, y)
+    return [root, root ^ b]  # the second solution is y + 1, i.e. +b after scaling
+
+
+def _solve_cubic(poly: Sequence[int], field: GF2m) -> List[int]:
+    """Closed-form roots of a monic cubic x^3 + a x^2 + b x + c.
+
+    Multiplying by ``x + a`` cancels the cubic term and leaves the affine
+    linearised quartic ``x^4 + (a^2 + b) x^2 + (a b + c) x = a c``, whose
+    roots are the cubic's plus ``a``.  Its linear coefficient vanishes
+    exactly when ``a`` is itself a root of the cubic, and then the cubic is
+    ``(x + a)(x^2 + b)`` with a repeated root: not split.
+    """
+    c, b, a = poly[0], poly[1], poly[2]
+    mul = field.mul
+    roots = field.solve_linearized_quartic(
+        field.sqr(a) ^ b, mul(a, b) ^ c, mul(a, c)
+    )
+    if roots:
+        roots.remove(a)
+    return roots
+
+
+def _solve_quartic(poly: Sequence[int], field: GF2m) -> List[int]:
+    """Closed-form roots of a monic quartic x^4 + a x^3 + b x^2 + c x + e.
+
+    With ``a == 0`` the quartic is already affine linearised.  Otherwise
+    shift by ``s = sqrt(c / a)``, which removes the linear term
+    (``y^4 + a y^3 + b' y^2 + e'``), and reverse (``y = 1 / z``), which
+    turns the cubic term into a linear one:
+    ``z^4 + (b'/e') z^2 + (a/e') z = 1/e'``.  ``e' == 0`` means ``s`` is a
+    root and then a repeated one: not split.
+    """
+    e, c, b, a = poly[0], poly[1], poly[2], poly[3]
+    if a == 0:
+        return field.solve_linearized_quartic(b, c, e)
+    mul, inv = field.mul, field.inv
+    s = field.sqrt(mul(c, inv(a)))
+    shifted_b = mul(a, s) ^ b
+    shifted_e = field.poly_eval(poly, s)
+    if shifted_e == 0:
+        return []
+    inv_e = inv(shifted_e)
+    zs = field.solve_linearized_quartic(
+        mul(shifted_b, inv_e), mul(a, inv_e), inv_e
+    )
+    return [s ^ inv(z) for z in zs]
+
+
+_CLOSED_FORMS = (None, _solve_linear, _solve_quadratic, _solve_cubic,
+                 _solve_quartic)
 
 
 def _trace_split(
     poly: List[int],
-    top: Sequence[int],
+    bit: int,
+    chain,
     field: GF2m,
     out: List[int],
-    trace_cache: dict,
 ) -> None:
-    """Recursively split a (presumed) product of distinct linear factors."""
+    """Split a product of distinct linear factors down to closed forms.
+
+    ``poly`` divides the chain's polynomial, which is known to split, so
+    ``gcd(poly, Tr(beta x))`` separates the roots with ``Tr(beta r) = 0``
+    from the rest, and some basis element ``beta = 1 << bit`` separates any
+    two distinct roots.  Both halves continue with the next bit (this
+    one's trace is constant on each of them).
+    """
     degree = len(poly) - 1
-    if degree <= 0:
+    if degree <= 4:
+        out.extend(_CLOSED_FORMS[degree](poly, field))
         return
-    if degree == 1:
-        out.append(poly[0])  # monic x + c has root c (addition is XOR)
-        return
-    if degree == 2:
-        _solve_quadratic(poly, field, out)
-        return
-    failures = 0
-    for bit in range(field.m):
-        beta = 1 << bit
-        top_trace = trace_cache.get(beta)
-        if top_trace is None:
-            top_trace = _trace_poly(beta, top, field)
-            trace_cache[beta] = top_trace
-        trace = field.poly_mod(top_trace, poly)
+    for bit in range(bit, field.m):
+        trace = field.poly_mod(chain.trace(bit), poly)
         factor = field.poly_gcd(poly, trace)
         if 0 < len(factor) - 1 < degree:
-            other = _poly_divide_exact(poly, factor, field)
-            _trace_split(field.poly_monic(factor), top, field, out, trace_cache)
-            _trace_split(field.poly_monic(other), top, field, out, trace_cache)
+            other = field.poly_divmod(poly, factor)[0]
+            _trace_split(factor, bit + 1, chain, field, out)
+            _trace_split(other, bit + 1, chain, field, out)
             return
-        failures += 1
-        if failures == 4 and not _is_fully_linear(poly, field):
-            raise _NotFullySplittable
-    raise _NotFullySplittable
-
-
-def _is_fully_linear(poly: Sequence[int], field: GF2m) -> bool:
-    """Whether ``poly`` is a product of distinct linear factors.
-
-    Checks gcd(poly, x^(2^m) - x) == poly; only invoked when trace
-    splitting stalls, i.e. almost exclusively on invalid locators.
-    """
-    frob = field.poly_frobenius_mod(poly)           # x^(2^m) mod poly
-    frob_minus_x = field.poly_add(frob, [0, 1])
-    linear_part = field.poly_gcd(list(poly), frob_minus_x)
-    return len(linear_part) == len(poly)
-
-
-def _trace_poly(beta: int, modulus: Sequence[int], field: GF2m) -> List[int]:
-    """Tr(beta * x) mod ``modulus`` = sum_{i<m} (beta x)^(2^i) mod modulus."""
-    term = field.poly_mod([0, beta], modulus)
-    total = list(term)
-    for _ in range(field.m - 1):
-        term = field.poly_sqr_mod(term, modulus)
-        total = field.poly_add(total, term)
-    return total
-
-
-def _poly_divide_exact(
-    numerator: Sequence[int], denominator: Sequence[int], field: GF2m
-) -> List[int]:
-    """Exact polynomial division (remainder must be zero)."""
-    rem = list(numerator)
-    field.poly_trim(rem)
-    dd = len(denominator) - 1
-    inv_lead = field.inv(denominator[-1])
-    quotient = [0] * (len(rem) - dd)
-    mul = field.mul
-    while rem and len(rem) - 1 >= dd:
-        shift = len(rem) - 1 - dd
-        factor = mul(rem[-1], inv_lead)
-        quotient[shift] = factor
-        for i, coeff in enumerate(denominator):
-            if coeff:
-                rem[i + shift] ^= mul(factor, coeff)
-        field.poly_trim(rem)
-    if rem:
-        raise ArithmeticError("polynomial division left a remainder")
-    return quotient
+    raise ArithmeticError("distinct roots not separated by any basis trace")

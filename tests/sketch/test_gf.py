@@ -142,11 +142,119 @@ def test_poly_monic_normalises_leading_coefficient():
 
 
 def test_poly_sqr_mod_consistency():
-    f = FIELDS[16]
-    p = [3, 1, 5]
-    q = [9, 0, 0, 1]
-    direct = f.poly_mod(f.poly_mul(p, p), q)
-    assert f.poly_sqr_mod(p, q) == direct
+    """The Frobenius chain squares modulo q exactly like poly_mul + poly_mod."""
+    for m in (8, 16, 32):
+        f = default_field(m)
+        q = [9, 7, 0, 3, 0, 1]  # monic, degree 5
+        term = [0, 1]
+        total = []
+        for _ in range(f.m):
+            total = f.poly_add(total, term)
+            term = f.poly_mod(f.poly_mul(term, term), q)
+        chain = f.frobenius_chain(q)
+        assert chain.trace(0) == total
+        assert chain.splits == (term == [0, 1])
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_frobenius_chain_traces_match_direct_sum(m):
+    """Tr(beta x) mod q from the chain, for a q that splits, every beta."""
+    import random
+
+    f = default_field(m)
+    rnd = random.Random(m)
+    roots = rnd.sample(range(1, f.order), 6)
+    q = [1]
+    for r in roots:
+        q = f.poly_mul(q, [r, 1])
+    chain = f.frobenius_chain(q)
+    assert chain.splits
+    for bit in range(f.m):
+        term = f.poly_mod([0, 1 << bit], q)
+        total = []
+        for _ in range(f.m):
+            total = f.poly_add(total, term)
+            term = f.poly_mod(f.poly_mul(term, term), q)
+        assert chain.trace(bit) == total
+        # The trace polynomial takes the GF(2) value Tr(beta r) at each root.
+        for r in roots:
+            assert f.poly_eval(total, r) == f.trace(f.mul(1 << bit, r))
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_tables_match_reference_construction(m):
+    """Inline generator walk == the shift-and-add ``_mul_notable`` walk."""
+    f = GF2m(m)
+    n = f.order - 1
+    for generator in range(2, 64):
+        powers, value = [], 1
+        for _ in range(n):
+            powers.append(value)
+            value = f._mul_notable(value, generator)
+            if value == 1:
+                break
+        if len(powers) == n:
+            break
+    assert f._exp[:n] == powers
+    assert f._exp[n:2 * n] == powers
+    assert not any(f._exp[2 * n:]) and len(f._exp) == 4 * n + 2
+    assert f._log[0] == 2 * n
+    assert all(f._log[value] == i for i, value in enumerate(powers))
+
+
+def test_tower_quad_c_is_smallest_trace_one_element():
+    field = default_field(32)
+    assert field.QUAD_C == 2048
+    assert all(field.sub.trace(c) == 0 for c in range(1, field.QUAD_C))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_sqrt_inverts_sqr(m):
+    import random
+
+    f = default_field(m)
+    rnd = random.Random(m)
+    for a in [0, 1] + [rnd.randrange(f.order) for _ in range(50)]:
+        assert f.sqr(f.sqrt(a)) == a
+        assert f.sqrt(f.sqr(a)) == a
+
+
+def _brute_linearized(f, a, b, v):
+    return sorted(
+        z for z in range(f.order)
+        if f.sqr(f.sqr(z)) ^ f.mul(a, f.sqr(z)) ^ f.mul(b, z) == v
+    )
+
+
+@given(a=st.integers(0, 255), b=st.integers(0, 255), v=st.integers(0, 255))
+@settings(max_examples=300, deadline=None)
+def test_linearized_quartic_matches_brute_force(a, b, v):
+    """Four roots exactly when the equation has four distinct ones, else []."""
+    f = default_field(8)
+    expected = _brute_linearized(f, a, b, v)
+    got = sorted(f.solve_linearized_quartic(a, b, v))
+    if b != 0 and len(expected) == 4:
+        assert got == expected
+    else:
+        assert got == []
+
+
+@given(z=st.lists(elem32, min_size=3, max_size=3, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_linearized_quartic_recovers_planted_roots_m32(z):
+    """Plant a 2-dimensional kernel coset in GF(2^32) and recover it."""
+    f = FIELDS[32]
+    z0, k0, k1 = z
+    if 0 in (k0, k1):
+        return
+    roots = [z0, z0 ^ k0, z0 ^ k1, z0 ^ k0 ^ k1]
+    poly = [1]
+    for r in roots:
+        poly = f.poly_mul(poly, [r, 1])
+    # A coset of a GF(2)-subspace has an affine linearised annihilator.
+    assert poly[3] == 0 and poly[4] == 1
+    assert sorted(f.solve_linearized_quartic(poly[2], poly[1], poly[0])) \
+        == sorted(roots)
 
 
 def test_poly_mod_by_zero_raises():

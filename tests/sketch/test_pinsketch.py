@@ -75,10 +75,72 @@ def test_over_capacity_raises():
     assert failures >= 7
 
 
-def test_verify_false_still_decodes_valid_sets():
+def test_decode_always_verifies_against_every_syndrome():
+    """A locator that splits is not enough: all t syndromes must match.
+
+    The first syndromes are a genuine 3-element sketch, so the early-exit
+    candidate {5, 6, 7} is found -- and must be rejected because the last
+    stored syndrome disagrees (verification is part of the algorithm, not
+    an option).
+    """
     sketch = PinSketch(capacity=8, m=32)
     sketch.add_all({5, 6, 7})
-    assert sketch.decode(verify=False) == {5, 6, 7}
+    assert sketch.decode() == {5, 6, 7}
+    corrupted = list(sketch.syndromes_view())
+    corrupted[-1] ^= 1
+    sketch.load_syndromes(corrupted)
+    with pytest.raises(SketchDecodeError):
+        sketch.decode()
+
+
+def test_cached_decode_failure_raises_fresh_exceptions():
+    """1,000 cache hits on a failing sketch leave nothing growing.
+
+    Re-raising one cached exception instance appended two traceback
+    entries per hit and pinned every frame it passed through.
+    """
+    import gc
+
+    from repro.metrics.caches import cache_stats
+
+    clear_decode_cache()
+    sketch = PinSketch(capacity=3, m=32)
+    sketch.add_all(random.Random(17).sample(range(1, 2 ** 31), 9))
+
+    def failing_decode():
+        try:
+            sketch.decode()
+        except SketchDecodeError as exc:
+            return exc
+        raise AssertionError("over-capacity sketch decoded")
+
+    def depth(exc):
+        count, tb = 0, exc.__traceback__
+        while tb is not None:
+            count, tb = count + 1, tb.tb_next
+        return count
+
+    first = failing_decode()  # the miss
+    second = failing_decode()  # a hit
+    hits_before = cache_stats()["sketch.decode"]["hits"]
+    second_depth = depth(second)
+    gc.collect()
+    objects_before = len(gc.get_objects())
+    last = second
+    for _ in range(1000):
+        last = failing_decode()
+    assert cache_stats()["sketch.decode"]["hits"] == hits_before + 1000
+    assert last is not second and last is not first
+    assert depth(last) == second_depth
+    assert depth(second) == second_depth  # earlier instances did not grow
+    gc.collect()
+    assert len(gc.get_objects()) - objects_before < 50
+    # The cache holds a marker, never an exception instance (no referrer
+    # that outlives the caller's handler).
+    from repro.sketch import pinsketch
+
+    assert not any(isinstance(value, BaseException)
+                   for value in pinsketch._DECODE_CACHE.values())
 
 
 def test_serialize_roundtrip():
