@@ -283,10 +283,21 @@ class AccountabilityState:
     # ------------------------------------------------------------- exposure
 
     def store_for(self, signer: PublicKey) -> CommitmentStore:
-        """Commitment store for a remote signer (created on demand)."""
-        if signer not in self.stores:
-            self.stores[signer] = CommitmentStore(signer)
-        return self.stores[signer]
+        """Commitment store for a remote signer (created on demand).
+
+        For recording what ``signer`` sent; a caller that only reads uses
+        :meth:`latest_header` (or ``stores.get``), so a peer nothing was
+        ever heard from costs no store.
+        """
+        store = self.stores.get(signer)
+        if store is None:
+            store = self.stores[signer] = CommitmentStore(signer)
+        return store
+
+    def latest_header(self, signer: PublicKey) -> Optional[CommitmentHeader]:
+        """Newest header observed from ``signer``, or None (never creates)."""
+        store = self.stores.get(signer)
+        return store.latest if store is not None else None
 
     def observe_header(
         self, header: CommitmentHeader

@@ -278,12 +278,13 @@ class CommitmentStore:
     ``C_i \\ C_hat_j`` test.
     """
 
+    __slots__ = ("signer", "latest", "by_seq", "known_ids")
+
     def __init__(self, signer: PublicKey):
         self.signer = signer
         self.latest: Optional[CommitmentHeader] = None
         self.by_seq: Dict[int, CommitmentHeader] = {}
         self.known_ids: set = set()
-        self.bundles: List[BundleInfo] = []  # when the full log was shared
 
     def observe(
         self, header: CommitmentHeader

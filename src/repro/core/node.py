@@ -169,6 +169,9 @@ class LONode(Endpoint):
         # Per-tick reconciliation cache, live only inside one _sync_tick
         # callback: (spec, capacity) -> (sketch, own counts, wire size).
         self._sketch_cache: Optional[Dict[Tuple, Tuple]] = None
+        # (exposed count, sorted neighbours, eligible) of the last
+        # quarantine-free _eligible_neighbors() computation.
+        self._eligible_memo: Optional[Tuple[int, List[int], List[int]]] = None
         self._nonce = 0
         self.quarantine = PeerQuarantine(
             threshold=config.quarantine_threshold,
@@ -433,24 +436,51 @@ class LONode(Endpoint):
             )
 
     def _eligible_neighbors(self) -> List[int]:
-        """Neighbours that are not exposed or quarantined.
+        """Neighbours that are not exposed or quarantined, sorted.
 
         Suspected peers are still probed (temporal accuracy); quarantined
         ones are skipped until their backoff window expires.
+
+        The returned list is shared between calls: callers must not
+        mutate it.  With no quarantine episode open the answer depends
+        only on the neighbour set and the exposed set, so it is kept and
+        recomputed when either changed.  The exposed set only grows, so
+        its size is its version; the neighbour set is mutated in place
+        (shuffler, enforcement) or reassigned by code that does not know
+        this node, so it is compared with the sorted copy taken here.  An
+        open episode ends with the clock: nothing is reused or kept while
+        there is one.
         """
-        out = []
-        for peer in self.neighbors:
-            if self.quarantine.is_quarantined(peer, self.now):
-                continue
-            key = self.directory.key_of(peer)
-            if not self.acct.is_exposed(key):
-                out.append(peer)
-        return sorted(out)
+        neighbors = self.neighbors
+        exposed = self.acct.exposed
+        quarantine = self.quarantine
+        memo = self._eligible_memo
+        if (
+            memo is not None
+            and memo[0] == len(exposed)
+            and len(memo[1]) == len(neighbors)
+            and neighbors.issuperset(memo[1])
+            and not quarantine.any_open()
+        ):
+            return memo[2]
+        now = self.now
+        key_of = self.directory.key_of
+        everyone = sorted(neighbors)
+        eligible = [
+            peer for peer in everyone
+            if not quarantine.is_quarantined(peer, now)
+            and key_of(peer) not in exposed
+        ]
+        if len(eligible) == len(everyone):
+            eligible = everyone  # the usual case: one list is both
+        if not quarantine.any_open():
+            self._eligible_memo = (len(exposed), everyone, eligible)
+        return eligible
 
     def _peer_outdated(self, peer: int) -> bool:
         """Alg. 1 line 13: do we hold ids the peer has not committed to?"""
-        store = self.acct.store_for(self.directory.key_of(peer))
-        if store.latest is None:
+        store = self.acct.stores.get(self.directory.key_of(peer))
+        if store is None or store.latest is None:
             return len(self.log) > 0
         if len(self.log) > len(store.known_ids):
             return True
@@ -459,20 +489,20 @@ class LONode(Endpoint):
 
     def _flagged_spec(self, peer: int) -> SplitSpec:
         """Cells that look out of date versus the peer's last known clock."""
-        store = self.acct.store_for(self.directory.key_of(peer))
-        if not self.config.use_clock_prefilter or store.latest is None:
+        latest = self.acct.latest_header(self.directory.key_of(peer))
+        if not self.config.use_clock_prefilter or latest is None:
             return SplitSpec(tuple(range(self.config.clock_cells)))
-        flagged = self.log.clock.flagged_cells(store.latest.clock)
+        flagged = self.log.clock.flagged_cells(latest.clock)
         if not flagged:
             # Same counts but our id set may still differ; probe everything.
             return SplitSpec(tuple(range(self.config.clock_cells)))
         return SplitSpec(tuple(flagged))
 
     def _estimate_for(self, peer: int, spec: SplitSpec) -> int:
-        store = self.acct.store_for(self.directory.key_of(peer))
-        if store.latest is None:
+        latest = self.acct.latest_header(self.directory.key_of(peer))
+        if latest is None:
             return len(self.log)
-        return max(1, self.log.clock.estimate_difference(store.latest.clock))
+        return max(1, self.log.clock.estimate_difference(latest.clock))
 
     def _send_sync_request(
         self, peer: int, spec: Optional[SplitSpec], depth: int,
@@ -1018,13 +1048,12 @@ class LONode(Endpoint):
         peer_key = self.directory.key_of(peer)
         if self.acct.is_exposed(peer_key):
             return
-        store = self.acct.store_for(peer_key)
         blame = SuspicionBlame(
             accuser=self.public_key,
             accused=peer_key,
             kind=kind,
             detail=detail,
-            last_known=store.latest,
+            last_known=self.acct.latest_header(peer_key),
             raised_at=self.now,
         )
         if self.counter is not None and not self.acct.is_suspected(peer_key):
@@ -1330,10 +1359,10 @@ class LONode(Endpoint):
         from repro.core.policies import STALE_SEQ_SLACK
 
         block: Block = announce.block
-        store = self.acct.store_for(block.creator)
+        latest = self.acct.latest_header(block.creator)
         freshest = announce.header
-        if store.latest is not None and store.latest.seq > freshest.seq:
-            freshest = store.latest
+        if latest is not None and latest.seq > freshest.seq:
+            freshest = latest
         if freshest.seq - block.commit_seq <= STALE_SEQ_SLACK:
             return
         violation = Violation(

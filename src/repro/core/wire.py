@@ -418,6 +418,14 @@ class PeerQuarantine:
             return False
         return True
 
+    def any_open(self) -> bool:
+        """Whether any episode is open or expired but not yet re-admitted.
+
+        While False, :meth:`is_quarantined` is False for every peer at
+        every time, so callers may skip it.
+        """
+        return bool(self._until)
+
     def release_time(self, peer: int) -> Optional[float]:
         """End of the peer's current episode, if one is open."""
         return self._until.get(peer)

@@ -12,10 +12,12 @@ in :mod:`repro.attacks` plugs into the same harness.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro import obs
 from repro.chain.leader import LeaderSchedule
@@ -52,6 +54,45 @@ def _collect_cache_stats() -> Dict[str, float]:
     return flat
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Build a large object graph without the cyclic collector re-walking it.
+
+    Construction only allocates objects that stay alive, so every pass it
+    triggers frees nothing and costs time proportional to the graph built
+    so far.  The caller's collector state is restored, never forced on.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@contextmanager
+def _heap_frozen() -> Iterator[None]:
+    """Keep the collector off everything that is alive right now.
+
+    ``gc.freeze()`` parks every tracked object in the permanent generation
+    (an O(1) list splice), so the passes a run's own allocations trigger
+    walk only what the run allocated -- not the static network built
+    before it -- and cyclic garbage made during the run is still
+    collected.  ``gc.unfreeze()`` returns the graph to the oldest
+    generation, so a dropped simulation is reclaimed as usual.  Objects
+    somebody else froze (an outer run, a pre-fork server) are left alone.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 @dataclass
 class SimulationParams:
     """Knobs of one simulation run."""
@@ -82,6 +123,10 @@ class LOSimulation:
     """A ready-to-run LO network."""
 
     def __init__(self, params: SimulationParams):
+        with _collector_paused():
+            self._build(params)
+
+    def _build(self, params: SimulationParams) -> None:
         # Per-run cache-metric scoping: the sketch LRU hit/miss counters are
         # process-global, so without this reset every `run --json` and
         # metrics snapshot would report numbers accumulated across all
@@ -114,6 +159,7 @@ class LOSimulation:
             self.topology = builder.build()
 
         self.nodes: Dict[int, LONode] = {}
+        note_block_created = self._note_block_created  # one bound method
         for node_id in range(params.num_nodes):
             factory: NodeFactory = LONode
             if node_id in malicious and params.attacker_factory is not None:
@@ -130,7 +176,7 @@ class LOSimulation:
                 block_tracker=self.block_tracker,
                 counter=self.counter,
             )
-            node.on_block_created = self._note_block_created
+            node.on_block_created = note_block_created
             self.nodes[node_id] = node
         self.malicious_ids: Set[int] = malicious
         self.correct_ids: List[int] = [
@@ -574,7 +620,8 @@ class LOSimulation:
             self._telemetry_horizon = until
         tracer = obs.TRACER
         if not tracer.enabled:
-            self.loop.run_until(until)
+            with _heap_frozen():
+                self.loop.run_until(until)
             return
         self._runs += 1
         span = tracer.begin_span(
@@ -583,7 +630,8 @@ class LOSimulation:
             malicious=len(self.malicious_ids),
         )
         try:
-            self.loop.run_until(until)
+            with _heap_frozen():
+                self.loop.run_until(until)
         finally:
             tracer = obs.TRACER
             if tracer.enabled:
@@ -635,11 +683,12 @@ class LOSimulation:
             )
         steady_at: Optional[float] = None
         try:
-            while self.loop.now < horizon:
-                self.loop.run_until(min(horizon, self.loop.now + step))
-                if monitor.check():
-                    steady_at = self.loop.now
-                    break
+            with _heap_frozen():
+                while self.loop.now < horizon:
+                    self.loop.run_until(min(horizon, self.loop.now + step))
+                    if monitor.check():
+                        steady_at = self.loop.now
+                        break
         finally:
             tracer = obs.TRACER
             if tracer.enabled and span is not None:

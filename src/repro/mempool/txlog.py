@@ -19,11 +19,18 @@ an ordered, append-only sequence of transaction ids, with:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bloomclock import BloomClock
 from repro.mempool.transaction import Transaction
 from repro.sketch import PinSketch, sketch_syndromes_packed
+
+
+@lru_cache(maxsize=8)
+def _all_cells(clock_cells: int) -> Tuple[int, ...]:
+    """``(0, ..., clock_cells - 1)``, one tuple shared by every log."""
+    return tuple(range(clock_cells))
 
 
 class TransactionLog:
@@ -38,7 +45,11 @@ class TransactionLog:
         self._position: Dict[int, int] = {}      # sketch id -> index
         self._content: Dict[int, Transaction] = {}
         self._invalid: Set[int] = set()
-        self._cell_items: List[List[int]] = [[] for _ in range(clock_cells)]
+        # cell -> ids in that cell; a cell's list exists from its first
+        # append (at paper scale most logs stay empty for most of the run,
+        # and 32 empty lists per node were half the heap the collector
+        # had to walk).
+        self._cell_items: Dict[int, List[int]] = {}
         # Per-cell and whole-log sketches in packed form: the syndrome
         # vector as one big integer (m bits per slot), so both the
         # per-append update and the cell-subset combine are single-integer
@@ -51,7 +62,7 @@ class TransactionLog:
         # one round) skip the combine-and-unpack entirely.
         self._cell_gen: List[int] = [0] * clock_cells
         self._sketch_memo: Dict[tuple, tuple] = {}
-        self._all_cells = tuple(range(clock_cells))
+        self._all_cells = _all_cells(clock_cells)
 
     # --------------------------------------------------------------- queries
 
@@ -105,7 +116,10 @@ class TransactionLog:
         self._order.append(sketch_id)
         self.clock.add(sketch_id)
         cell = self.clock.cell_of(sketch_id)
-        self._cell_items[cell].append(sketch_id)
+        items = self._cell_items.get(cell)
+        if items is None:
+            items = self._cell_items[cell] = []
+        items.append(sketch_id)
         # One packed-vector fetch feeds both the cell and whole-log
         # sketches; each update is a single big-integer XOR.
         packed = sketch_syndromes_packed(sketch_id, self.sketch_capacity,
@@ -191,13 +205,13 @@ class TransactionLog:
 
     def cell_count(self, cell: int) -> int:
         """Number of committed ids in one Bloom-Clock cell (no copy)."""
-        return len(self._cell_items[cell])
+        return len(self._cell_items.get(cell, ()))
 
     def items_in_cells(self, cells: Iterable[int]) -> List[int]:
         """All ids mapping into the given Bloom-Clock cells."""
         items: List[int] = []
         for cell in cells:
-            items.extend(self._cell_items[cell])
+            items.extend(self._cell_items.get(cell, ()))
         return items
 
     def subset_sketch(

@@ -18,6 +18,7 @@ Hot-path call sites guard on one attribute check::
 See ``docs/observability.md`` for the span/event inventory and schema.
 """
 
+import gc
 from contextlib import contextmanager
 
 from repro.obs.export import (
@@ -210,6 +211,32 @@ def use_profiler(profiler):
         yield profiler
     finally:
         set_profiler(previous)
+
+
+def _gc_phase(phase: str, info) -> None:
+    """``gc.callbacks`` hook: each collector pass is a nested ``gc`` phase.
+
+    Without it a pass is charged to whichever layer made the allocation
+    that crossed the threshold.
+    """
+    profiler = PROFILER
+    if profiler is None:
+        return  # a pass between set_profiler(None) and this hook's removal
+    if phase == "start":
+        profiler.enter("gc")
+    else:
+        profiler.exit()
+
+
+def _rebind_gc_phase(profiler) -> None:
+    """Keep :func:`_gc_phase` registered exactly while a profiler is."""
+    if _gc_phase in gc.callbacks:
+        gc.callbacks.remove(_gc_phase)
+    if profiler is not None and profiler.enabled:
+        gc.callbacks.append(_gc_phase)
+
+
+on_profiler_change(_rebind_gc_phase)
 
 
 __all__ = [

@@ -11,12 +11,16 @@ speed.
 
 import json
 
+import repro.experiments.harness as harness
 from repro import obs
+from repro.attacks import CensoringNode
 from repro.core.config import LOConfig
+from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.metrics.caches import reset_cache_stats
 from repro.obs import Tracer, trace_lines
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
+from tests.core.test_eligible_memo import recompute
 
 
 def _traced_run(force_slow_path: bool):
@@ -117,3 +121,74 @@ def test_fast_path_reenables_after_faults_clear():
     assert not network._fast_send  # partition still installed
     network.heal_partition()
     assert network._fast_send
+
+
+# ------------------------------------------- memoised eligible neighbours
+
+
+class _AlwaysRecompute:
+    """The eligibility rule with no memory: the oracle for the memo."""
+
+    def _eligible_neighbors(self):
+        return recompute(self)
+
+
+class _RecomputingNode(_AlwaysRecompute, LONode):
+    pass
+
+
+class _RecomputingCensor(_AlwaysRecompute, CensoringNode):
+    pass
+
+
+def _shuffled_censor_run(monkeypatch, node_cls, censor_cls):
+    """Rotating neighbours around an equivocating censor: full outcome."""
+    clear_decode_cache()
+    clear_syndrome_cache()
+    monkeypatch.setattr(harness, "LONode", node_cls)
+
+    def censor(**kwargs):
+        node = censor_cls(**kwargs)
+        node.equivocate = True
+        return node
+
+    sim = LOSimulation(SimulationParams(
+        num_nodes=14, seed=21, config=LOConfig(),
+        malicious_ids=[0], attacker_factory=censor,
+        enable_shuffling=True, shuffle_period_s=1.5,
+    ))
+    assert type(sim.nodes[1]) is node_cls and type(sim.nodes[0]) is censor_cls
+    # The first transaction is the censor's own: a fork needs a commitment.
+    for index in range(8):
+        sim.inject_at(0.2 + 0.4 * index, index % 14, fee=5 + index)
+    sim.run(14.0)
+    return {
+        "events": sim.loop.processed_events,
+        "delivered": sim.network.delivered_messages,
+        "net": sim.network.collect_metrics(),
+        "overhead_bytes": sim.total_overhead_bytes(),
+        "latencies": sim.mempool_tracker.all_latencies(),
+        "logs": [list(sim.nodes[i].log.order) for i in sorted(sim.nodes)],
+        "neighbors": [sorted(sim.nodes[i].neighbors) for i in sorted(sim.nodes)],
+        "counters": sorted(sim.counter.totals().items()),
+        "exposures": sorted(
+            (node_id, sorted(peer.hex() for peer in node.acct.exposed))
+            for node_id, node in sim.nodes.items()
+        ),
+    }
+
+
+def test_memoised_eligible_neighbours_do_not_change_a_shuffled_censor_run(
+        monkeypatch):
+    """Exposures, evictions by the shuffler and rotations all invalidate
+    the memoised list; RNG draws and message order -- so every outcome --
+    must match a node that recomputes the list on every call."""
+    memoised = _shuffled_censor_run(monkeypatch, LONode, CensoringNode)
+    recomputed = _shuffled_censor_run(
+        monkeypatch, _RecomputingNode, _RecomputingCensor
+    )
+    assert json.dumps(memoised, sort_keys=True) == \
+        json.dumps(recomputed, sort_keys=True)
+    # The run exercised what the memo has to notice.
+    assert any(exposed for _, exposed in memoised["exposures"])
+    assert memoised["events"] > 1000

@@ -6,6 +6,8 @@ phases appear) and the contract that profiling never changes simulation
 results.
 """
 
+import gc
+
 import pytest
 
 from repro import obs
@@ -89,6 +91,38 @@ def test_rows_sorted_by_self_time_and_fractions_sum_to_one():
     as_dict = profiler.as_dict()
     assert as_dict["net"]["self_s"] == 6.0
     assert as_dict["net"]["self_fraction"] == 0.6
+
+
+def test_collector_passes_are_a_nested_phase_of_their_own():
+    """A pass inside ``net`` is charged to ``gc``, not to ``net``; the hook
+    is registered exactly while a profiler is installed."""
+    clock = FakeClock()
+    profiler = PhaseProfiler(clock=clock)
+
+    def three_seconds_in_the_collector(phase, info):
+        if phase == "start":
+            clock.advance(3.0)
+
+    assert obs._gc_phase not in gc.callbacks
+    was_enabled = gc.isenabled()
+    gc.disable()  # only the forced pass below may run
+    try:
+        with obs.use_profiler(profiler):
+            assert gc.callbacks.count(obs._gc_phase) == 1
+            gc.callbacks.append(three_seconds_in_the_collector)
+            profiler.enter("net")
+            clock.advance(1.0)
+            gc.collect()
+            clock.advance(1.0)
+            profiler.exit()
+    finally:
+        gc.callbacks.remove(three_seconds_in_the_collector)
+        if was_enabled:
+            gc.enable()
+    assert obs._gc_phase not in gc.callbacks
+    assert profiler.calls == {"net": 1, "gc": 1}
+    assert profiler.self_s == {"net": 2.0, "gc": 3.0}
+    assert profiler.incl_s == {"net": 5.0, "gc": 3.0}
 
 
 # -------------------------------------------------------------- classification
