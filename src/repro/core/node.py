@@ -139,6 +139,7 @@ class LONode(Endpoint):
         self.neighbors = set(neighbors)
         self.rng = rng
         self.keypair = KeyPair.generate(seed=f"lo-node-{node_id}".encode())
+        self._raw_key = self.keypair.public_key.raw
         directory.register(node_id, self.keypair.public_key)
 
         self.log = TransactionLog(
@@ -600,6 +601,23 @@ class LONode(Endpoint):
         "lo/status_query": "_handle_status_query",
     }
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._bind_handlers()
+
+    @classmethod
+    def _bind_handlers(cls) -> None:
+        """Resolve ``_HANDLERS`` to this class's functions, once.
+
+        Runs when a class is created, so a subclass's ``_handle_*``
+        override is the function its instances dispatch to; ingress then
+        calls ``handler(self, message)`` without a per-message ``getattr``.
+        """
+        cls._dispatch = {
+            msg_type: getattr(cls, name)
+            for msg_type, name in cls._HANDLERS.items()
+        }
+
     def on_message(self, message: Message) -> None:
         """Byzantine-hardened ingress: validate, contain, attribute.
 
@@ -610,27 +628,30 @@ class LONode(Endpoint):
         violation is counted against the (authenticated) sender.  Repeated
         garbage quarantines the peer with exponential backoff.
         """
-        sender = message.sender
-        if self.quarantine.is_quarantined(sender, self.now):
+        quarantine = self.quarantine
+        if quarantine.any_open() and quarantine.is_quarantined(
+            message.sender, self.loop.now
+        ):
             if self.counter is not None:
                 self.counter.increment("quarantine_drops", node=self.node_id)
             return
-        name = self._HANDLERS.get(message.msg_type)
+        msg_type = message.msg_type
+        handler = self._dispatch.get(msg_type)
         if not self.config.validate_ingress:
-            if name is not None:
-                getattr(self, name)(message)
+            if handler is not None:
+                handler(self, message)
             return
-        if name is None:
+        if handler is None:
             self._record_wire_violation(
-                message, f"unknown message type {message.msg_type!r}"
+                message, f"unknown message type {msg_type!r}"
             )
             return
-        error = validate_payload(message.msg_type, message.payload)
+        error = validate_payload(msg_type, message.payload)
         if error is not None:
             self._record_wire_violation(message, error)
             return
         try:
-            getattr(self, name)(message)
+            handler(self, message)
         except Exception as exc:
             # Containment: a payload that passed the shallow schema check
             # can still break a handler's deeper assumptions.  The node
@@ -1081,12 +1102,13 @@ class LONode(Endpoint):
 
     def _handle_suspicion(self, message: Message) -> None:
         blame: SuspicionBlame = message.payload
-        if blame.accused == self.public_key:
+        accused = blame.accused.raw
+        if accused == self._raw_key:
             # We are being suspected: answer publicly by pushing our latest
             # commitment back through the accuser's path.
             self._send_commit_update(message.sender)
             return
-        key = (blame.accuser.raw, blame.accused.raw, blame.kind, blame.raised_at)
+        key = (blame.accuser.raw, accused, blame.kind, blame.raised_at)
         if key in self._seen_suspicions:
             return
         action, header, evidence = self.acct.evaluate_suspicion(blame)
@@ -1446,3 +1468,6 @@ class LONode(Endpoint):
                 self._broadcast_exposure(
                     ExposureBlame(accused=block.creator, block_violation=evidence)
                 )
+
+
+LONode._bind_handlers()  # subclasses bind in __init_subclass__

@@ -42,34 +42,38 @@ class SignatureError(ValueError):
 
 
 class PublicKey:
-    """An immutable, hashable public identity derived from a private seed."""
+    """An immutable, hashable public identity derived from a private seed.
 
-    __slots__ = ("_raw", "_hash")
+    ``raw`` holds the 32 key bytes.  It is a plain slot so the hot paths
+    that key on it (suspicion de-duplication, signature checks) pay one
+    attribute read; nothing may assign to it after construction, the
+    hash is precomputed from it.
+    """
+
+    __slots__ = ("raw", "_hash")
 
     def __init__(self, raw: bytes):
         if len(raw) != 32:
             raise ValueError(f"public key must be 32 bytes, got {len(raw)}")
-        self._raw = raw
+        self.raw = raw
         self._hash = hash(raw)
-
-    @property
-    def raw(self) -> bytes:
-        """The 32 raw key bytes."""
-        return self._raw
 
     def hex(self) -> str:
         """Hex encoding of the key."""
-        return self._raw.hex()
+        return self.raw.hex()
 
     def short(self) -> str:
         """First 8 hex chars, for logs."""
-        return self._raw.hex()[:8]
+        return self.raw.hex()[:8]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PublicKey) and self._raw == other._raw
+        # Directory keys are shared objects: most equal keys are identical.
+        return other is self or (
+            isinstance(other, PublicKey) and self.raw == other.raw
+        )
 
     def __lt__(self, other: "PublicKey") -> bool:
-        return self._raw < other._raw
+        return self.raw < other.raw
 
     def __hash__(self) -> int:
         return self._hash  # precomputed: keys are dict keys everywhere

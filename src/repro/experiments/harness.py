@@ -24,6 +24,7 @@ from repro.chain.leader import LeaderSchedule
 from repro.core.config import LOConfig
 from repro.gossip import NeighborShuffler, PeerSampler
 from repro.core.node import Directory, LONode
+from repro.core.wire import clear_validation_memo
 from repro.metrics import EventCounter, LatencyTracker, reset_cache_stats
 from repro.net.chaos import ChaosController, ChaosPlan
 from repro.net.latency import CityLatencyModel, LatencyModel
@@ -132,8 +133,11 @@ class LOSimulation:
         # metrics snapshot would report numbers accumulated across all
         # repetitions (and, in a sweep worker, all prior tasks) instead of
         # this run's own cache behaviour.  The cache *contents* are kept --
-        # they memoise pure functions and only affect speed.
+        # they memoise pure functions and only affect speed.  The ingress
+        # memo is emptied: it is keyed on the previous run's payload
+        # objects, which can never be delivered again.
         reset_cache_stats()
+        clear_validation_memo()
         self.params = params
         self.rng = SeededRng(params.seed)
         self.loop = EventLoop()

@@ -11,12 +11,7 @@ clusters with small intra-cluster and large inter-cluster RTTs spanning the
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # optional: vectorised batch lookups when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback path
-    _np = None
+from typing import Dict, List, Sequence, Tuple
 
 
 class LatencyModel:
@@ -46,9 +41,9 @@ class LatencyModel:
         The contract is byte-identity with the scalar path: element ``i``
         must equal ``delay(sender, recipients[i])`` exactly, so a batched
         fan-out schedules deliveries at the same timestamps as per-pair
-        calls would.  Subclasses override this when they can vectorise;
-        the default simply loops (preserving any first-call RNG draw
-        order a stateful model relies on).
+        calls would.  Subclasses override this when they can answer a
+        whole list cheaper; the default simply loops (preserving any
+        first-call RNG draw order a stateful model relies on).
         """
         scalar = self.delay
         return [scalar(sender, recipient) for recipient in recipients]
@@ -168,24 +163,8 @@ class CityLatencyModel(LatencyModel):
                 flat[a * n + b] = delay
                 flat[b * n + a] = delay
         self._city_delay_flat = flat
-        # Same matrix as a numpy array (row-major), for batch lookups.
-        self._city_delay_np = (
-            _np.asarray(flat, dtype=_np.float64).reshape(n, n)
-            if _np is not None else None
-        )
-        # Materialized lazily (only if a caller wants the per-node view).
-        self._assignment_cache: Optional[List[int]] = None
 
     CHEAP_DELAY = True
-
-    @property
-    def _assignment(self) -> List[int]:
-        """Lazily materialized per-node city assignment (round-robin)."""
-        if self._assignment_cache is None:
-            self._assignment_cache = [
-                i % self._num_cities for i in range(self._num_nodes)
-            ]
-        return self._assignment_cache
 
     def _city_index(self, node: int) -> int:
         if node < 0:
@@ -203,21 +182,14 @@ class CityLatencyModel(LatencyModel):
         return self._city_delay_flat[(sender % n) * n + recipient % n]
 
     def delays_batch(self, sender: int, recipients: Sequence[int]) -> List[float]:
-        """Vectorised row lookup; byte-identical to per-pair ``delay``.
+        """Reads of the sender's matrix row, one per recipient.
 
-        With numpy installed the whole fan-out is one fancy-indexing read
-        of the sender's matrix row; the float64 values are bit-for-bit
-        the floats the scalar path returns, so batched scheduling lands
-        deliveries on exactly the same timestamps.
+        A plain loop on purpose: numpy's fixed cost per call (~4.5 us)
+        loses to it at every fan-out the protocol sends (3, 8, 25).
         """
         if sender < 0:
             raise ValueError(f"negative node id: {sender}")
         n = self._num_cities
-        if self._city_delay_np is not None and len(recipients) >= 4:
-            idx = _np.asarray(recipients)
-            if idx.size and int(idx.min()) < 0:
-                raise ValueError(f"negative node id in batch: {recipients}")
-            return self._city_delay_np[sender % n, idx % n].tolist()
         flat = self._city_delay_flat
         row = (sender % n) * n
         out = []

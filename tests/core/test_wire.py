@@ -1,7 +1,12 @@
 """Unit tests for ingress schema validation and peer quarantine."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.core import wire
+from repro.core.accountability import SuspicionBlame
 from repro.core.commitment import sign_header
 from repro.core.reconciliation import (
     ContentRequest,
@@ -14,6 +19,8 @@ from repro.core.wire import PeerQuarantine, validate_payload
 from repro.crypto.keys import KeyPair
 from repro.bloomclock import BloomClock
 from repro.mempool.transaction import make_transaction
+from repro.metrics import cache_stats
+from repro.net.chaos import corrupt_payload
 from repro.sketch import PinSketch
 
 
@@ -58,8 +65,6 @@ def test_type_confusion_rejected():
 
 def test_field_level_corruption_rejected():
     request = make_sync_request()
-    import dataclasses
-
     bad_header = dataclasses.replace(request, header=b"not-a-header")
     assert "header" in validate_payload("lo/sync_req", bad_header)
     bad_spec = dataclasses.replace(request, spec=SplitSpec((-1, 2)))
@@ -94,8 +99,6 @@ def test_validator_crash_becomes_reason_not_exception():
 
 
 def test_nan_raised_at_rejected():
-    from repro.core.accountability import SuspicionBlame
-
     key_a = KeyPair.generate(seed=b"a").public_key
     key_b = KeyPair.generate(seed=b"b").public_key
     blame = SuspicionBlame(
@@ -103,6 +106,140 @@ def test_nan_raised_at_rejected():
         last_known=None, raised_at=float("nan"),
     )
     assert "NaN" in validate_payload("lo/suspicion", blame)
+
+
+# ------------------------------------------------------ clean-verdict memo
+
+
+def make_blame(**changes):
+    fields = dict(
+        accuser=KeyPair.generate(seed=b"a").public_key,
+        accused=KeyPair.generate(seed=b"b").public_key,
+        kind="sync", detail=(), last_known=make_header(), raised_at=1.5,
+    )
+    fields.update(changes)
+    return SuspicionBlame(**fields)
+
+
+@pytest.fixture
+def schema_runs(monkeypatch):
+    """Per-type counts of validator executions, from an empty memo."""
+    monkeypatch.setattr(wire, "_CLEAN", {})
+    runs = {}
+
+    def counting(msg_type, validator):
+        def run(payload):
+            runs[msg_type] = runs.get(msg_type, 0) + 1
+            return validator(payload)
+        return run
+
+    for msg_type, validator in wire.VALIDATORS.items():
+        monkeypatch.setitem(wire.VALIDATORS, msg_type,
+                            counting(msg_type, validator))
+    return runs
+
+
+def test_clean_object_is_validated_once(schema_runs):
+    blame = make_blame()
+    before = cache_stats()["wire.validate"]
+    for _ in range(50):
+        assert validate_payload("lo/suspicion", blame) is None
+    assert schema_runs == {"lo/suspicion": 1}
+    after = cache_stats()["wire.validate"]
+    assert after["hits"] - before["hits"] == 49
+    assert after["misses"] - before["misses"] == 1
+    assert after["size"] == 1
+    # An equal but distinct object is a different delivery of other bytes.
+    assert validate_payload("lo/suspicion", make_blame()) is None
+    assert schema_runs == {"lo/suspicion": 2}
+
+
+def test_memoised_types_are_frozen_dataclasses():
+    for cls in wire._MEMOISED_TYPES:
+        assert cls.__dataclass_params__.frozen, cls
+
+
+def test_corrupted_copy_of_a_cleared_object_is_rejected(schema_runs):
+    blame = make_blame()
+    assert validate_payload("lo/suspicion", blame) is None
+    bad = dataclasses.replace(blame, detail=("x",))
+    assert "detail" in validate_payload("lo/suspicion", bad)
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(200):
+        mangled = corrupt_payload(blame, rng)
+        assert mangled is not blame
+        runs = schema_runs["lo/suspicion"]
+        rejected += validate_payload("lo/suspicion", mangled) is not None
+        assert schema_runs["lo/suspicion"] == runs + 1  # never from memory
+    assert rejected > 100  # some garbage is, by chance, well-formed
+
+
+def test_memo_is_keyed_on_message_type(schema_runs):
+    blame = make_blame()
+    assert validate_payload("lo/suspicion", blame) is None
+    assert validate_payload("lo/exposure", blame) is not None
+    assert validate_payload("lo/commit_upd", blame) is not None
+    header = make_header()
+    assert validate_payload("lo/commit_upd", header) is None
+    assert validate_payload("lo/suspicion", header) is not None
+
+
+def test_failed_payload_is_checked_again(schema_runs):
+    bad = make_blame(raised_at=float("nan"))
+    for _ in range(3):
+        assert "NaN" in validate_payload("lo/suspicion", bad)
+    assert schema_runs == {"lo/suspicion": 3}
+    assert id(bad) not in wire._CLEAN
+
+
+def test_only_exact_frozen_payload_types_are_memoised(schema_runs):
+    @dataclasses.dataclass(frozen=True)
+    class Shifty(SuspicionBlame):
+        """Passes the isinstance check; could override any field."""
+
+    shifty = Shifty(**dataclasses.asdict(make_blame(last_known=None)))
+    for _ in range(3):
+        assert validate_payload("lo/suspicion", shifty) is None
+        assert validate_payload("lo/block_req", 7) is None
+        assert validate_payload("lo/status_query", (1_000_000, 42)) is None
+    assert schema_runs == {"lo/suspicion": 3, "lo/block_req": 3,
+                           "lo/status_query": 3}
+    assert wire._CLEAN == {}
+
+
+def test_preset_verdict_attribute_is_no_free_pass(schema_runs):
+    class Hostile:
+        def __init__(self):
+            self._schema_ok = True
+
+    bad = make_blame(kind=42)
+    object.__setattr__(bad, "_schema_ok", True)
+    for msg_type in ("lo/suspicion", "lo/sync_req", "lo/exposure"):
+        assert validate_payload(msg_type, Hostile()) is not None
+    assert "kind" in validate_payload("lo/suspicion", bad)
+
+
+def test_memo_is_bounded_and_a_recycled_id_cannot_hit(schema_runs):
+    limit = wire._MEMO_LIMIT
+    seen_ids = set()
+    recycled = 0
+    for index in range(3 * limit):
+        # Each object is freed as soon as the memo lets go of it, so ids
+        # come round again; every new object must still be checked.
+        payload = ContentRequest(index, (index,))
+        recycled += id(payload) in seen_ids
+        seen_ids.add(id(payload))
+        assert validate_payload("lo/content_req", payload) is None
+        assert schema_runs["lo/content_req"] == index + 1
+        assert len(wire._CLEAN) <= limit
+        del payload
+    assert recycled > 0  # the loop did exercise id reuse
+    # A recycled id under the same type tag still names a different object.
+    bad = ContentRequest("nope", ())
+    stale = ContentRequest(0, ())
+    wire._CLEAN[id(bad)] = ("lo/content_req", stale)
+    assert "request_id" in validate_payload("lo/content_req", bad)
 
 
 # ------------------------------------------------------------- quarantine

@@ -11,13 +11,18 @@ speed.
 
 import json
 
+import pytest
+
 import repro.experiments.harness as harness
 from repro import obs
-from repro.attacks import CensoringNode
+from repro.attacks import CensoringNode, make_censor_factory
+from repro.attacks.degraded import GarbageNode
+from repro.core import wire
 from repro.core.config import LOConfig
 from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics.caches import reset_cache_stats
+from repro.metrics.caches import cache_stats, reset_cache_stats
+from repro.net.chaos import ChaosPlan
 from repro.obs import Tracer, trace_lines
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 from tests.core.test_eligible_memo import recompute
@@ -192,3 +197,154 @@ def test_memoised_eligible_neighbours_do_not_change_a_shuffled_censor_run(
     # The run exercised what the memo has to notice.
     assert any(exposed for _, exposed in memoised["exposures"])
     assert memoised["events"] > 1000
+
+
+# ------------------------------------------------- ingress: memo + dispatch
+
+
+def _plain_on_message(self, message):
+    """Ingress with no memory: every delivery pays the quarantine lookup,
+    the full schema check and a ``getattr`` dispatch.  The oracle for
+    ``LONode.on_message`` + ``wire.validate_payload``."""
+    if self.quarantine.is_quarantined(message.sender, self.now):
+        if self.counter is not None:
+            self.counter.increment("quarantine_drops", node=self.node_id)
+        return
+    name = self._HANDLERS.get(message.msg_type)
+    if name is None:
+        self._record_wire_violation(
+            message, f"unknown message type {message.msg_type!r}"
+        )
+        return
+    try:
+        error = wire.VALIDATORS[message.msg_type](message.payload)
+    except Exception as exc:
+        error = f"validator error: {type(exc).__name__}: {exc}"
+    if error is not None:
+        self._record_wire_violation(message, error)
+        return
+    try:
+        getattr(self, name)(message)
+    except Exception as exc:
+        self._record_wire_violation(
+            message, f"handler error: {type(exc).__name__}: {exc}"
+        )
+
+
+def _storm():
+    """lobench's ``censor_storm`` in small: ids 1-2 pure censors, id 0 forks."""
+    censors = {0, 1, 2}
+    pure = make_censor_factory(censors, equivocate=False)
+    forking = make_censor_factory(censors, equivocate=True)
+    sim = LOSimulation(SimulationParams(
+        num_nodes=32, seed=5,
+        config=LOConfig(verify_suspicions_locally=False),
+        malicious_ids=sorted(censors),
+        attacker_factory=lambda **kwargs: (
+            forking if kwargs["node_id"] == 0 else pure
+        )(**kwargs),
+    ))
+    for index in range(8):
+        sim.inject_at(0.3 + 0.5 * index, index % 32, fee=5 + index)
+    sim.run(12.0)
+    return sim
+
+
+def _garbage():
+    sim = LOSimulation(SimulationParams(
+        num_nodes=12, seed=9,
+        config=LOConfig(quarantine_base_s=1.0, quarantine_max_s=4.0),
+        malicious_ids=[4],
+        attacker_factory=lambda **kwargs: GarbageNode(**kwargs),
+    ))
+    for index in range(6):
+        sim.inject_at(0.2 + 0.6 * index, index % 12, fee=3 + index)
+    sim.run(15.0)
+    return sim
+
+
+def _chaos():
+    sim = LOSimulation(SimulationParams(
+        num_nodes=14, seed=13,
+        config=LOConfig(quarantine_base_s=2.0, quarantine_max_s=8.0),
+        chaos_plan=ChaosPlan(seed=3, duplicate_rate=0.1, reorder_rate=0.1,
+                             corrupt_rate=0.08),
+    ))
+    for index in range(6):
+        sim.inject_at(0.2 + 0.7 * index, index % 14, fee=3 + index)
+    sim.run(12.0)
+    return sim
+
+
+def _ingress_outcome(scenario):
+    clear_decode_cache()
+    clear_syndrome_cache()
+    sim = scenario()
+    nodes = [sim.nodes[i] for i in sorted(sim.nodes)]
+    return {
+        "events": sim.loop.processed_events,
+        "delivered": sim.network.delivered_messages,
+        "net": sim.network.collect_metrics(),
+        "meters": [
+            (m.sent_messages, m.recv_messages, m.sent_overhead, m.sent_payload,
+             m.recv_overhead, m.recv_payload, sorted(m.by_type.items()))
+            for m in (sim.network.meters[n.node_id] for n in nodes)
+        ],
+        "counters": sorted(sim.counter.totals().items()),
+        "violations": sorted(sim.wire_violation_totals().items()),
+        "quarantine": [sorted(n.quarantine.snapshot().items()) for n in nodes],
+        "exposures": [sorted(k.hex() for k in n.acct.exposed) for n in nodes],
+        "suspicions": [sorted(k.hex() for k in n.acct.suspected) for n in nodes],
+        "latencies": sim.mempool_tracker.all_latencies(),
+        "logs": [list(n.log.order) for n in nodes],
+    }
+
+
+@pytest.mark.parametrize("scenario", [_storm, _garbage, _chaos])
+def test_memoised_table_dispatched_ingress_changes_no_outcome(
+        monkeypatch, scenario):
+    """Duplicates answered from the clean-verdict memo, corrupted copies,
+    garbage and quarantine episodes: every meter, counter and verdict must
+    match a node that re-validates each delivery and looks its handler up
+    by name."""
+    fast = _ingress_outcome(scenario)
+    memo = cache_stats()["wire.validate"]
+    monkeypatch.setattr(LONode, "on_message", _plain_on_message)
+    plain = _ingress_outcome(scenario)
+    assert json.dumps(fast, sort_keys=True) == json.dumps(plain, sort_keys=True)
+    # The runs exercised what they are here for.
+    assert memo["hits"] > 0 and memo["evictions"] > 0
+    assert cache_stats()["wire.validate"]["hits"] == 0
+    counters = dict(fast["counters"])
+    if scenario is _storm:
+        assert any(fast["exposures"]) and any(fast["suspicions"])
+        assert memo["hits"] > 4 * memo["misses"]
+    else:
+        assert counters["wire_violations"] > 0
+    if scenario is _garbage:
+        assert counters["peers_quarantined"] > 0
+        assert counters["quarantine_drops"] > 0
+
+
+def _lonode_subclasses(cls=LONode):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _lonode_subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(
+        {c for c in _lonode_subclasses() if c.__module__.startswith("repro.")},
+        key=lambda c: c.__qualname__,
+    ), ids=lambda c: c.__name__,
+)
+def test_every_handler_override_is_what_ingress_dispatches_to(cls):
+    """The per-class table is resolved when the class is created; an
+    attacker's ``_handle_*`` override must be the function in it."""
+    assert set(cls._dispatch) == set(cls._HANDLERS)
+    for msg_type, name in cls._HANDLERS.items():
+        assert cls._dispatch[msg_type] is getattr(cls, name), (msg_type, name)
+    overridden = {name for name in cls.__dict__ if name.startswith("_handle_")}
+    for msg_type, name in cls._HANDLERS.items():
+        if name in overridden:
+            assert cls._dispatch[msg_type] is cls.__dict__[name]

@@ -197,8 +197,9 @@ def _collect(num_nodes, script, batching):
     for op in script:
         kind = op[0]
         if kind == "fanout":
-            _, sender, recipients, wire = op
-            net.send_fanout(sender, recipients, "t/fanout", "shared", wire)
+            _, sender, recipients, wire, *overhead = op
+            net.send_fanout(sender, recipients, "t/fanout", "shared", wire,
+                            *overhead)
         elif kind == "many":
             _, sender, sends = op
             net.send_many(sender, sends)
@@ -244,6 +245,13 @@ _SHAPES = [
         ("fanout", 3, [0, 1, 2, 0, 1], 48),
     ]),
     ("wide_fanout", [("fanout", 0, list(range(1, 12)) * 2, 24)]),
+    # The fan-out is metered once, after its loop: nothing for an empty
+    # one (not even a zero ``by_type`` key), payload bytes when asked.
+    ("empty_fanout", [("fanout", 0, [], 64), ("fanout", 1, [], 64, False)]),
+    ("payload_fanout", [
+        ("fanout", 0, [1, 2, 3, 1], 40, False),
+        ("fanout", 0, [4, 5], 40, True),
+    ]),
 ]
 
 
@@ -261,8 +269,9 @@ def test_batched_matches_unbatched_fixed_shapes(name, script):
             st.tuples(
                 st.just("fanout"),
                 st.integers(0, 9),
-                st.lists(st.integers(0, 9), min_size=1, max_size=12),
+                st.lists(st.integers(0, 9), min_size=0, max_size=12),
                 st.sampled_from([8, 64, 256]),
+                st.booleans(),
             ),
             st.tuples(
                 st.just("send"),
@@ -279,9 +288,10 @@ def test_batched_matches_unbatched_fixed_shapes(name, script):
 )
 def test_batched_matches_unbatched_property(ops):
     # Property form of the same identity: arbitrary interleavings of
-    # fan-outs (with self-sends and duplicates), unicasts, and time
-    # advances produce byte-identical delivery streams, per-type meters,
-    # and processed-event counts with batching on and off.
+    # fan-outs (empty ones, self-sends, duplicates, overhead and payload
+    # bytes), unicasts, and time advances produce byte-identical delivery
+    # streams, per-type meters, and processed-event counts with batching
+    # on and off.
     batched = _collect(10, ops, batching=True)
     unbatched = _collect(10, ops, batching=False)
     assert batched == unbatched

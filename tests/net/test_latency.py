@@ -145,16 +145,16 @@ def test_city_model_out_of_range_ids_no_double_wrap():
 
 
 def test_delays_batch_matches_scalar_exactly():
-    # The batched path must be byte-identical to per-pair delay() calls:
-    # both the short pure-Python path and the vectorised one (>= 4
-    # recipients when numpy is installed).
+    # Element i of a batch equals delay(sender, recipients[i]) exactly, at
+    # every size, for ids beyond the overlay and for repeated recipients.
     models = (
         ConstantLatencyModel(0.017),
         UniformLatencyModel(0.01, 0.1, random.Random(5)),
         CityLatencyModel(48, random.Random(5)),
     )
     for model in models:
-        for recipients in ([7], [1, 2], list(range(40)), [3, 1_000_000, 5, 9]):
+        for recipients in ([], [7], [1, 2], list(range(40)), [3, 1_000_000, 5, 9],
+                           [4, 4, 36, 4]):
             if model.__class__ is UniformLatencyModel:
                 recipients = [r % 48 for r in recipients]
             batched = model.delays_batch(2, recipients)
