@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bloomclock import BloomClock
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, PublicKey, verify
+from repro.metrics.caches import IdentityMemo
 
 # Wire cost of a commitment header: bloom clock (68 B at 32 cells) + seq
 # counter (8) + chained digest (32) + tx count (4) + signature (64).
@@ -129,18 +130,20 @@ class CommitmentHeader:
         )
 
     def signature_valid(self) -> bool:
-        """Verify the signer's signature (memoized per instance).
+        """Verify the signer's signature (remembered per header object).
 
         Headers are immutable snapshots -- every field is frozen and the
         clock is copied at signing time -- so the verdict cannot change.
         The same header object is observed once per peer per exchange, and
         re-verifying dominated the accountability profile before this memo.
+        The verdict is kept by the verifier (:data:`_SIGNATURE_VERDICTS`),
+        never on the header, which the signer built and could have marked.
         """
-        cached = self.__dict__.get("_sig_ok")
-        if cached is None:
-            cached = verify(self.signer, self.signing_bytes(), self.signature)
-            object.__setattr__(self, "_sig_ok", cached)
-        return cached
+        verdict = _SIGNATURE_VERDICTS.get(self)
+        if verdict is None:
+            verdict = verify(self.signer, self.signing_bytes(), self.signature)
+            _SIGNATURE_VERDICTS.put(self, verdict)
+        return verdict
 
     def tip_digest(self) -> bytes:
         """Chain tip digest (genesis constant at seq 0)."""
@@ -219,6 +222,14 @@ class CommitmentHeader:
         if self.seq <= other.seq:
             return self.is_prefix_of(other) and other.clock.dominates(self.clock)
         return other.is_prefix_of(self) and self.clock.dominates(other.clock)
+
+
+#: Signature verdicts of the headers this process has verified, both
+#: outcomes.  One live header per node plus the ones still in flight: the
+#: bound covers a 10,000-node run without a wholesale clear.
+_SIGNATURE_VERDICTS = IdentityMemo(
+    "crypto.header_sig", CommitmentHeader, limit=16384
+)
 
 
 def sign_header(

@@ -56,6 +56,7 @@ from repro.core.reconciliation import (
     SyncResponse,
     adaptive_capacity,
     decode_difference,
+    full_range_spec,
     ids_for_spec,
     sketch_for_spec,
 )
@@ -492,11 +493,11 @@ class LONode(Endpoint):
         """Cells that look out of date versus the peer's last known clock."""
         latest = self.acct.latest_header(self.directory.key_of(peer))
         if not self.config.use_clock_prefilter or latest is None:
-            return SplitSpec(tuple(range(self.config.clock_cells)))
+            return full_range_spec(self.config.clock_cells)
         flagged = self.log.clock.flagged_cells(latest.clock)
         if not flagged:
             # Same counts but our id set may still differ; probe everything.
-            return SplitSpec(tuple(range(self.config.clock_cells)))
+            return full_range_spec(self.config.clock_cells)
         return SplitSpec(tuple(flagged))
 
     def _estimate_for(self, peer: int, spec: SplitSpec) -> int:
@@ -815,9 +816,13 @@ class LONode(Endpoint):
             self._send(sender, "lo/sync_resp", response, response.wire_size())
             return
         local = sketch_for_spec(self.log, request.spec, capacity)
+        # Our own slice of the log, taken once: the decoder tests these ids
+        # as roots before it searches (about half of the difference is
+        # among them), and the store below records them.
+        held = ids_for_spec(self.log, request.spec)
         if self.counter is not None:
             self.counter.increment("reconciliations", node=self.node_id)
-        diff = decode_difference(local, request.sketch)
+        diff = decode_difference(local, request.sketch, held)
         _t = obs.TRACER
         if diff is None:
             if self.counter is not None:
@@ -858,9 +863,10 @@ class LONode(Endpoint):
             offered_ids=offered,
         )
         # After a successful round both parties hold the union over the spec
-        # (two updates into the store's set -- no intermediate union set).
+        # (two updates into the store's set -- no intermediate union set):
+        # what we held before the round, plus the difference.
         store = self.acct.store_for(request.header.signer)
-        store.record_ids(ids_for_spec(self.log, request.spec))
+        store.record_ids(held)
         store.record_ids(diff)
         self._send(sender, "lo/sync_resp", response, response.wire_size())
 

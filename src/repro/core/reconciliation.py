@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.commitment import CommitmentHeader
@@ -72,6 +73,17 @@ class SplitSpec:
         return len(self.cells) + 2
 
 
+@lru_cache(maxsize=8)
+def full_range_spec(clock_cells: int) -> SplitSpec:
+    """The spec selecting every cell: one instance per cell count.
+
+    Most requests probe the whole clock.  Sharing the (frozen) spec lets a
+    receiver's per-object schema verdict hit instead of re-checking
+    ``clock_cells`` ints per request.
+    """
+    return SplitSpec(tuple(range(clock_cells)))
+
+
 def sketch_for_spec(
     log: TransactionLog, spec: SplitSpec, capacity: int
 ) -> PinSketch:
@@ -107,13 +119,19 @@ def adaptive_capacity(estimate: int, config: LOConfig) -> int:
 
 
 def decode_difference(
-    local: PinSketch, remote: PinSketch
+    local: PinSketch, remote: PinSketch, held: Sequence[int] = ()
 ) -> Optional[Set[int]]:
-    """XOR-combine and decode; None signals capacity overflow (split)."""
+    """XOR-combine and decode; None signals capacity overflow (split).
+
+    ``held`` are the ids behind ``local``.  About half of the difference
+    is among them (the part the remote side lacks), and the decoder tests
+    those before it searches the field for the rest
+    (:meth:`PinSketch.decode`); the decoded set does not depend on it.
+    """
     from repro import obs
 
     try:
-        diff = (local ^ remote).decode()
+        diff = (local ^ remote).decode(held)
     except SketchDecodeError:
         diff = None
     _t = obs.TRACER

@@ -42,7 +42,11 @@ from repro.core.reconciliation import (
 )
 from repro.crypto.keys import PublicKey
 from repro.mempool.transaction import Transaction
-from repro.metrics.caches import register_cache
+from repro.metrics.caches import (
+    IdentityMemo,
+    clear_identity_memos,
+    register_cache,
+)
 from repro.sketch import PinSketch
 
 Validator = Callable[[Any], Optional[str]]
@@ -87,19 +91,26 @@ def _typed(value: Any, kind: type, name: str) -> Optional[str]:
     return None
 
 
+#: Headers and specs whose fields were found well-formed.  Both are frozen
+#: and travel inside many payload objects (a node reuses its signed header
+#: until its log advances; a spec is echoed back in responses and splits),
+#: so a clean verdict is remembered per object -- here, not on the object a
+#: peer built.  Only validity is kept: failure reasons embed ``name``,
+#: which varies between call sites.  The header bound covers the live
+#: headers of a 10,000-node run (one per node).
+_CLEAN_HEADERS = IdentityMemo("wire.header", CommitmentHeader, limit=16384)
+_CLEAN_SPECS = IdentityMemo("wire.spec", SplitSpec, limit=512)
+
+
 def _check_header(header: Any, name: str = "header") -> Optional[str]:
     error = _typed(header, CommitmentHeader, name)
     if error:
         return error
-    # Headers are frozen snapshots shared across many messages (a node
-    # reuses its cached signed header until its log advances), so a clean
-    # verdict is memoized per object.  Only validity is cached: failure
-    # reasons embed ``name``, which varies between call sites.
-    if header.__dict__.get("_schema_ok"):
+    if _CLEAN_HEADERS.get(header):
         return None
     verdict = _check_header_fields(header, name)
     if verdict is None:
-        object.__setattr__(header, "_schema_ok", True)
+        _CLEAN_HEADERS.put(header, True)
     return verdict
 
 
@@ -125,13 +136,11 @@ def _check_spec(spec: Any, name: str = "spec") -> Optional[str]:
     error = _typed(spec, SplitSpec, name)
     if error:
         return error
-    # Specs are frozen and echoed back verbatim in responses/splits; cache
-    # clean verdicts per object like _check_header does.
-    if spec.__dict__.get("_schema_ok"):
+    if _CLEAN_SPECS.get(spec):
         return None
     verdict = _check_spec_fields(spec, name)
     if verdict is None:
-        object.__setattr__(spec, "_schema_ok", True)
+        _CLEAN_SPECS.put(spec, True)
     return verdict
 
 
@@ -368,8 +377,15 @@ _MEMO_STATS = register_cache("wire.validate", size_probe=lambda: len(_CLEAN))
 
 
 def clear_validation_memo() -> None:
-    """Forget every remembered verdict (and let go of the payloads)."""
+    """Forget every remembered verdict (and let go of the objects).
+
+    Payload verdicts, and with them every :class:`IdentityMemo`: the
+    header / spec schema verdicts above and the signature verdicts of
+    :meth:`CommitmentHeader.signature_valid` and
+    :meth:`Transaction.signature_valid`.
+    """
     _CLEAN.clear()
+    clear_identity_memos()
 
 
 def validate_payload(msg_type: str, payload: Any) -> Optional[str]:

@@ -19,7 +19,8 @@ accounting must stay allocation-free.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import weakref
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class CacheStats:
@@ -76,6 +77,7 @@ class CacheStats:
 
 
 _REGISTRY: Dict[str, CacheStats] = {}
+_IDENTITY_MEMOS: "weakref.WeakSet[IdentityMemo]" = weakref.WeakSet()
 
 
 def register_cache(
@@ -94,6 +96,64 @@ def register_cache(
     elif size_probe is not None:
         stats.size_probe = size_probe
     return stats
+
+
+class IdentityMemo:
+    """What a verifier has established about immutable objects it was handed.
+
+    ``id(obj) -> (obj, verdict)``, kept on the verifier's side: a verdict
+    stored *on* a peer-supplied object (an attribute, a ``__dict__`` entry)
+    is one the peer can set before sending.  The entry references the
+    object, so while it is here the object cannot be freed and its id
+    cannot come to name another one.  Only instances of exactly ``kind``
+    are remembered -- a subclass can turn any field into a property, so
+    its verdict may not hold twice.  At ``limit`` entries the memo is
+    cleared wholesale (every entry pins its object; the bound is what
+    keeps memory flat) and :func:`clear_identity_memos` empties every memo.
+
+    >>> memo = IdentityMemo("doctest.memo", kind=tuple, limit=2)
+    >>> point = (1, 2)
+    >>> memo.get(point) is None
+    True
+    >>> memo.put(point, True)
+    >>> memo.get(point), memo.get((1, 2)), memo.stats.hits
+    (True, None, 1)
+    >>> unregister_cache("doctest.memo")
+    """
+
+    __slots__ = ("kind", "limit", "entries", "stats", "__weakref__")
+
+    def __init__(self, name: str, kind: type, limit: int):
+        self.kind = kind
+        self.limit = limit
+        self.entries: Dict[int, Tuple[Any, Any]] = {}
+        self.stats = register_cache(name, size_probe=self.entries.__len__)
+        _IDENTITY_MEMOS.add(self)
+
+    def get(self, obj: Any) -> Any:
+        """The verdict remembered for this very object, else ``None``."""
+        entry = self.entries.get(id(obj))
+        if entry is not None and entry[0] is obj:
+            self.stats.hits += 1
+            return entry[1]
+        self.stats.misses += 1
+        return None
+
+    def put(self, obj: Any, verdict: Any) -> None:
+        """Remember ``verdict`` (not ``None``) if ``obj`` is exactly a ``kind``."""
+        if type(obj) is not self.kind:
+            return
+        entries = self.entries
+        if len(entries) >= self.limit:
+            self.stats.evictions += len(entries)
+            entries.clear()
+        entries[id(obj)] = (obj, verdict)
+
+
+def clear_identity_memos() -> None:
+    """Empty every :class:`IdentityMemo` (and let go of the objects)."""
+    for memo in _IDENTITY_MEMOS:
+        memo.entries.clear()
 
 
 def unregister_cache(name: str) -> None:

@@ -29,9 +29,10 @@ Fast path
 When numpy is importable the field objects additionally run *batched*
 kernels -- :meth:`GF2m.mul_batch`, :meth:`GF2m.sqr_batch`,
 :meth:`GF2m.inv_batch`, :meth:`GF2m.find_roots_scan`, and on the tower
-field long :meth:`~GF2Tower32.mul_scalar_batch` rows and the
-:class:`FrobeniusChain` of a locator of degree >= 5 -- as whole-array
-gathers on the same (mirrored) tables.  Every batched kernel has a
+field long :meth:`~GF2Tower32.mul_scalar_batch` rows, the candidate test
+:meth:`~GF2Tower32.roots_among` and the :class:`FrobeniusChain` of a
+locator of degree >= 5 -- as whole-array gathers on the same (mirrored)
+tables.  Every batched kernel has a
 pure-Python scalar fallback producing bit-identical results, selected
 automatically when numpy is absent or the fast path is disabled via
 :func:`set_fast_path`.  ``tests/sketch/test_fastpath.py`` property-tests the
@@ -648,6 +649,54 @@ class GF2m:
             acc = mul(acc, x) ^ coeff
         return acc
 
+    #: Most candidates :func:`repro.sketch.pinsketch._find_roots` tests
+    #: before it searches.  Measured on the numpy tower path (docs/sketch.md
+    #: section 3.4): the test is linear in the candidate count, the search
+    #: does not depend on it, and between 1,000 and 2,000 candidates the
+    #: test costs what finding half of the roots by it saves.
+    MAX_TESTED_CANDIDATES = 1024
+
+    def roots_among(
+        self, poly: Sequence[int], candidates: Sequence[int]
+    ) -> List[int]:
+        """The distinct ``candidates`` at which ``poly`` is zero, ascending.
+
+        A *test*, not a search: ``deg poly`` multiplications per candidate
+        (Horner), nothing that depends on the field's size.  A value is
+        reported only if ``poly`` evaluates to zero at it, so whatever the
+        candidates are the result is a subset of ``poly``'s roots.
+        Candidates outside ``[1, 2^m)`` are no sketch elements and are
+        ignored (never reduced into the field).
+        """
+        if len(poly) < 2:
+            return []
+        mask = self.mask
+        evaluate = self.poly_eval
+        return sorted({
+            c for c in candidates
+            if 0 < c <= mask and evaluate(poly, c) == 0
+        })
+
+    def poly_deflate(self, p: Sequence[int], roots: Sequence[int]) -> List[int]:
+        """``p / prod (x - r)`` over distinct roots ``r`` of ``p``, exactly.
+
+        One synthetic division per root (``deg p`` multiplications each).
+        Every remainder is ``p(r) == 0`` for distinct roots, so the
+        quotient is exact; a value that is no root (or a repeat the
+        quotient no longer vanishes at) raises :class:`ArithmeticError`.
+        """
+        quotient = list(p)
+        mul = self.mul
+        for r in roots:
+            acc = 0
+            for i in range(len(quotient) - 1, -1, -1):
+                acc = quotient[i] ^ mul(acc, r)
+                quotient[i] = acc
+            if acc:
+                raise ArithmeticError(f"{r} is not a root: remainder {acc}")
+            del quotient[0]  # slot 0 held the remainder
+        return quotient
+
     # -------------------------------------------------------- Frobenius chain
 
     _conjugates: Optional[Dict[int, List[int]]] = None
@@ -935,6 +984,40 @@ class GF2Tower32(GF2m):
         return ((accx ^ acc0) << 16) | (
             acc0 ^ exp[log[acc1] + self._log_c]
         )
+
+    def roots_among(
+        self, poly: Sequence[int], candidates: Sequence[int]
+    ) -> List[int]:
+        """:meth:`GF2m.roots_among` as one Horner sweep over all candidates.
+
+        The candidates' three subfield logs (hi, lo, hi ^ lo) are looked
+        up once; each coefficient is then one whole-array tower
+        multiply-add with the accumulator kept split in its subfield
+        halves.  Out-of-range candidates are dropped as Python ints,
+        before anything is narrowed to ``uint32``.
+        """
+        tables = self.sub._np_tables()
+        if tables is None:
+            return super().roots_among(poly, candidates)
+        mask = self.mask
+        values = _np.array(
+            [c for c in candidates if 0 < c <= mask], dtype=_np.uint32
+        )
+        if not values.size or len(poly) < 2:
+            return []
+        exp, log = tables
+        lc = self._log_c
+        x1, x0 = values >> 16, values & 0xFFFF
+        l1, l0, lx = log[x1], log[x0], log[x1 ^ x0]
+        lead = poly[-1]
+        a1 = _np.full(values.size, lead >> 16, dtype=_np.uint32)
+        a0 = _np.full(values.size, lead & 0xFFFF, dtype=_np.uint32)
+        for coeff in reversed(poly[:-1]):
+            m0 = exp[log[a0] + l0]
+            hi = exp[log[a1 ^ a0] + lx] ^ m0
+            a0 = m0 ^ exp[log[exp[log[a1] + l1]] + lc] ^ (coeff & 0xFFFF)
+            a1 = hi ^ (coeff >> 16)
+        return sorted(set(values[(a1 | a0) == 0].tolist()))
 
     def frobenius_chain(self, q: Sequence[int]):
         """The chain of ``q``: numpy steps when they pay, else the generic one."""

@@ -17,7 +17,8 @@ Performance layers (docs/architecture.md has the full map):
   online and stops at the first locator that reproduces every stored
   syndrome (:meth:`PinSketch._decode_uncached`); roots come from closed
   forms up to degree 4 and from one shared Frobenius chain per locator
-  above (:func:`_find_roots`).  The numpy fast path of
+  above, after the elements the caller already holds have been tested and
+  divided out (:func:`_find_roots`).  The numpy fast path of
   :mod:`repro.sketch.gf` runs the chain and long rows as whole-array
   gathers; the pure-Python fallback decodes bit-identically.
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
@@ -467,18 +468,29 @@ class PinSketch:
 
     # -------------------------------------------------------------- decoding
 
-    def decode(self) -> Set[int]:
+    def decode(self, candidates: Sequence[int] = ()) -> Set[int]:
         """Recover the sketched set (|set| <= capacity) or raise.
 
         Raises :class:`SketchDecodeError` when the difference exceeds the
         capacity (detected via locator-degree and root-count checks, plus
         the syndrome re-verification that catches aliasing).
 
+        ``candidates`` are elements the caller already holds and expects
+        some of the sketched set to be among -- a reconciliation responder
+        holds about half of ``A ^ B``.  They are a hint about *where* to
+        look first (:func:`_find_roots` tests them before it searches) and
+        never about *what* is found: the result, the
+        :class:`SketchDecodeError` outcome and the memo entry are the same
+        for every ``candidates``, the empty default included.
+
         Results are memoised process-wide by syndrome content in an LRU
-        (hit/miss counters: ``repro.metrics.cache_stats()["sketch.decode"]``):
-        in a simulated network the same difference set is decoded by many
-        node pairs as a transaction floods the overlay, so cache hits are
-        frequent and exact (same syndromes => same set).
+        (hit/miss counters: ``repro.metrics.cache_stats()["sketch.decode"]``)
+        and a hit is exact (same syndromes => same set).  How often it hits
+        depends on how much work the nodes share: 99.8% on the 10,000-node
+        ``paper_scale`` lobench workload (a few transactions, every pair
+        decodes the same difference), 77% on ``censor_storm``, but only 9%
+        on the paper-like ``steady_gossip`` and ``burst_admission``, where
+        nearly every decode pays :meth:`_decode_uncached`.
         """
         if self.is_empty():
             return set()
@@ -494,14 +506,14 @@ class PinSketch:
             return set(cached)
         _DECODE_STATS.misses += 1
         try:
-            result = self._decode_uncached()
+            result = self._decode_uncached(candidates)
         except SketchDecodeError:
             _cache_store(cache_key, _UNDECODABLE)
             raise
         _cache_store(cache_key, frozenset(result))
         return result
 
-    def _decode_uncached(self) -> Set[int]:
+    def _decode_uncached(self, candidates: Sequence[int] = ()) -> Set[int]:
         """Early-exit Berlekamp--Massey, root finding, full verification.
 
         Berlekamp--Massey is online, so the stored syndromes are fed one at
@@ -529,7 +541,7 @@ class PinSketch:
             if tried < length <= consumed - 2 and consumed < self.capacity:
                 tried = length
                 if len(locator) - 1 == length:
-                    elements = self._explained_by(locator)
+                    elements = self._explained_by(locator, candidates)
                     if elements is not None:
                         return elements
         degree = len(locator) - 1
@@ -537,7 +549,7 @@ class PinSketch:
             raise SketchDecodeError(
                 f"locator degree {degree} exceeds capacity {self.capacity}"
             )
-        elements = self._explained_by(locator)
+        elements = self._explained_by(locator, candidates)
         if elements is None:
             raise SketchDecodeError(
                 f"locator of degree {degree} has fewer distinct roots or "
@@ -545,13 +557,18 @@ class PinSketch:
             )
         return elements
 
-    def _explained_by(self, locator: List[int]) -> Optional[Set[int]]:
+    def _explained_by(
+        self, locator: List[int], candidates: Sequence[int] = ()
+    ) -> Optional[Set[int]]:
         """The set ``locator`` stands for, if it reproduces every syndrome.
 
         The difference elements are the roots of the reversed locator
         ``prod (x - e_i)``, which is monic because ``locator[0] == 1``.
+        Both acceptance tests -- as many distinct roots as the degree, and
+        the full-capacity re-sketch -- are applied to whatever
+        :func:`_find_roots` returns, however it found it.
         """
-        elements = set(_find_roots(locator[::-1], self.field))
+        elements = set(_find_roots(locator[::-1], self.field, candidates))
         if len(elements) == len(locator) - 1 and self._verify(elements):
             return elements
         return None
@@ -615,12 +632,14 @@ def _berlekamp_massey(
         yield length, current
 
 
-def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:
+def _find_roots(
+    poly: Sequence[int], field: GF2m, candidates: Sequence[int] = ()
+) -> List[int]:
     """Roots of ``poly`` in GF(2^m), distinct-roots contract.
 
-    Returns all ``deg poly`` roots when ``poly`` is a product of distinct
-    linear factors, and fewer otherwise; callers treat the latter as a
-    decode failure.  By degree:
+    Returns ``deg poly`` distinct values when ``poly`` is a product of
+    distinct linear factors, and fewer distinct values otherwise; callers
+    treat the latter as a decode failure.  By degree:
 
     * **Full-field scan** (fast path, m <= 16, degree > 2): evaluate the
       polynomial at every field element in one vectorised sweep
@@ -630,11 +649,27 @@ def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:
       equation; degrees 3 and 4 are brought to an affine linearised
       quartic ``z^4 + A z^2 + B z = v`` and solved as an m x m system over
       GF(2) (:meth:`GF2m.solve_linearized_quartic`).
-    * **One Frobenius chain** (degree >= 5): ``x^(2^i) mod poly`` for
-      ``i <= m`` is computed once (:meth:`GF2m.frobenius_chain`).  Its last
-      entry decides whether ``poly`` splits at all, and every Berlekamp
-      trace polynomial ``Tr(beta x) mod poly`` is a linear combination of
+    * **Known candidates, then one Frobenius chain** (degree >= 5):
+      ``candidates`` -- values the caller holds and expects some roots to
+      be among -- are *tested* (:meth:`GF2m.roots_among`) and the hits
+      divided out (:meth:`GF2m.poly_deflate`); only the residual is
+      *searched*, by the closed forms when they reach it and otherwise by
+      one chain ``x^(2^i) mod residual`` for ``i <= m``
+      (:meth:`GF2m.frobenius_chain`).  The chain's last entry decides
+      whether the residual splits at all, and every Berlekamp trace
+      polynomial ``Tr(beta x) mod residual`` is a linear combination of
       its entries, so :func:`_trace_split` never squares again.
+
+    The candidates cannot change what is returned, only what it costs.  A
+    candidate is reported only if ``poly`` is zero at it and deflation is
+    exact division, so ``hits + roots(residual)`` is always a subset of
+    ``poly``'s distinct roots: it has ``deg poly`` elements exactly when
+    ``poly`` is a product of distinct linear factors (then the residual is
+    one too, and its search finds all of them), and fewer otherwise --
+    with a repeated root among the hits, the residual keeps the repeat and
+    returns it again or not at all.  The test is skipped above
+    :attr:`GF2m.MAX_TESTED_CANDIDATES`, where it stops being cheaper than
+    the search it saves.
     """
     monic = field.poly_monic(poly)
     degree = len(monic) - 1
@@ -646,6 +681,10 @@ def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:
             return scanned
     if degree <= 4:
         return _CLOSED_FORMS[degree](monic, field)
+    if candidates and len(candidates) <= field.MAX_TESTED_CANDIDATES:
+        hits = field.roots_among(monic, candidates)
+        if hits:
+            return hits + _find_roots(field.poly_deflate(monic, hits), field)
     chain = field.frobenius_chain(monic)
     if not chain.splits:
         return []

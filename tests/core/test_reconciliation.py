@@ -121,3 +121,121 @@ def test_message_wire_sizes():
     tx = make_transaction(CLIENT, 99, 5, created_at=0.0, size_bytes=250)
     response = ContentResponse(request_id=1, txs=(tx,))
     assert response.wire_size() == 8 + 250
+
+
+# ------------------------------------------- the responder's own slice (held)
+
+
+def _outcome(sim):
+    """Everything a run decided, as one digest plus the stores' id sets."""
+    import hashlib
+    import json
+
+    known = {
+        node_id: {
+            key.hex(): sorted(store.known_ids)
+            for key, store in sorted(node.acct.stores.items())
+        }
+        for node_id, node in sim.nodes.items()
+    }
+    summary = {
+        "events": sim.loop.processed_events,
+        "delivered": sim.network.delivered_messages,
+        "overhead_bytes": sim.total_overhead_bytes(),
+        "latencies": sim.mempool_tracker.all_latencies(),
+        "orders": {n: list(node.log.order) for n, node in sim.nodes.items()},
+        "headers": {n: node.header().signature.hex()
+                    for n, node in sim.nodes.items()},
+        "known_ids": known,
+    }
+    blob = json.dumps(summary, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest(), known
+
+
+def _run_16_nodes(monkeypatch, forget_held):
+    import repro.core.node as node_module
+    from repro.sketch.gf import GF2Tower32
+    from repro.sketch.pinsketch import clear_decode_cache
+    from tests.conftest import make_sim
+
+    tested = []
+    roots_among = GF2Tower32.roots_among
+
+    def counting(self, poly, candidates):
+        hits = roots_among(self, poly, candidates)
+        tested.append(len(hits))
+        return hits
+
+    monkeypatch.setattr(GF2Tower32, "roots_among", counting)
+    if forget_held:
+        monkeypatch.setattr(
+            node_module, "decode_difference",
+            lambda local, remote, held=(): decode_difference(local, remote),
+        )
+    clear_decode_cache()  # every decode below is searched, not remembered
+    sim = make_sim(num_nodes=16, seed=11)
+    sim.inject_workload(rate_per_s=40.0, duration_s=3.0)
+    sim.run(8.0)
+    return _outcome(sim), tested
+
+
+def test_same_seed_run_is_identical_with_held_forced_empty(monkeypatch):
+    """The responder's slice changes what a decode costs, never a result."""
+    with monkeypatch.context() as patch:
+        (digest, known), tested = _run_16_nodes(patch, forget_held=False)
+    with monkeypatch.context() as patch:
+        (blind_digest, blind_known), blind = _run_16_nodes(
+            patch, forget_held=True)
+    assert sum(tested) > 0  # ids the responders held were found by testing
+    assert blind == []      # ... and without `held` nothing is ever tested
+    assert known == blind_known
+    assert digest == blind_digest
+
+
+def test_sync_request_records_old_slice_and_difference():
+    """``known_ids`` after a round: what the responder held in the spec
+    before the round plus the decoded difference -- the union the two
+    ``ids_for_spec`` reads (before / after the commit) both give."""
+    from repro.core.reconciliation import SyncRequest, full_range_spec
+    from repro.net.message import Message
+    from tests.conftest import make_sim
+
+    sim = make_sim(num_nodes=4)
+    requester, responder = sim.nodes[0], sim.nodes[1]
+    shared = [responder.create_transaction(fee=5) for _ in range(6)]
+    for tx in shared[:4]:
+        requester.receive_client_transaction(tx)
+    only_requester = [requester.create_transaction(fee=7) for _ in range(5)]
+    spec = full_range_spec(responder.config.clock_cells)
+    held_before = set(ids_for_spec(responder.log, spec))
+    difference = {tx.sketch_id for tx in shared[4:] + only_requester}
+    request = SyncRequest(
+        request_id=1, header=requester.header(), spec=spec,
+        sketch=sketch_for_spec(requester.log, spec, 16),
+    )
+    responder._handle_sync_request(
+        Message(0, 1, "lo/sync_req", request, request.wire_size()))
+    store = responder.acct.store_for(requester.public_key)
+    assert store.known_ids == held_before | difference
+    assert store.known_ids == set(ids_for_spec(responder.log, spec))
+    assert all(tx.sketch_id in responder.log for tx in only_requester)
+
+
+def test_full_range_spec_is_one_shared_instance():
+    """Every whole-clock probe carries the same spec object, so a receiver
+    checks its 32 cells once, not once per request."""
+    from repro.core import wire
+    from repro.core.reconciliation import full_range_spec
+    from tests.conftest import make_sim
+
+    assert full_range_spec(32) is full_range_spec(32)
+    assert full_range_spec(32) == SplitSpec(tuple(range(32)))
+    assert full_range_spec(8).cells == tuple(range(8))
+    sim = make_sim(num_nodes=4)
+    node = sim.nodes[0]
+    shared = full_range_spec(node.config.clock_cells)
+    assert node._flagged_spec(1) is shared and node._flagged_spec(2) is shared
+    sim.nodes[1].create_transaction(fee=3)
+    sim.run(4.0)
+    stats = wire._CLEAN_SPECS.stats
+    assert stats.hits > 0 and id(shared) in wire._CLEAN_SPECS.entries

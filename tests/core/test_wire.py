@@ -242,6 +242,103 @@ def test_memo_is_bounded_and_a_recycled_id_cannot_hit(schema_runs):
     assert "request_id" in validate_payload("lo/content_req", bad)
 
 
+# ------------------------------ verdicts live with the verifier, not the peer
+
+
+def test_header_and_spec_with_a_preset_schema_mark_are_still_checked():
+    """``_schema_ok`` on the object a peer built is not a verdict."""
+    wire.clear_validation_memo()
+    bad_header = dataclasses.replace(make_header(), seq="seven")
+    object.__setattr__(bad_header, "_schema_ok", True)
+    bad_spec = SplitSpec((-1, 2))
+    object.__setattr__(bad_spec, "_schema_ok", True)
+    request = make_sync_request()
+    assert "seq" in validate_payload("lo/commit_upd", bad_header)
+    assert "header.seq" in validate_payload(
+        "lo/sync_req", dataclasses.replace(request, header=bad_header))
+    assert "cells" in validate_payload(
+        "lo/sync_req", dataclasses.replace(request, spec=bad_spec))
+    response = SyncResponse(1, make_header(), "split", split_specs=(bad_spec,))
+    assert "split_specs[0]" in validate_payload("lo/sync_resp", response)
+
+
+def test_forged_signatures_with_a_preset_mark_are_still_rejected():
+    """``_sig_ok`` on a forged header / transaction buys nothing."""
+    wire.clear_validation_memo()
+    forged_header = dataclasses.replace(make_header(), tx_count=99)
+    object.__setattr__(forged_header, "_sig_ok", True)
+    assert not forged_header.signature_valid()
+    assert not forged_header.signature_valid()  # the remembered verdict too
+    tx = make_transaction(KeyPair.generate(seed=b"c"), 1, fee=5, created_at=0.0)
+    forged_tx = dataclasses.replace(tx, fee=6)
+    object.__setattr__(forged_tx, "_sig_ok", True)
+    assert not forged_tx.signature_valid()
+    assert tx.signature_valid() and make_header().signature_valid()
+
+
+def test_verifier_side_verdicts_hit_once_known_and_are_cleared_together(
+        monkeypatch):
+    """One schema run and one ``verify`` per object, until the memos clear."""
+    import repro.core.commitment as commitment
+    import repro.mempool.transaction as transaction
+
+    wire.clear_validation_memo()
+    calls = {"verify": 0, "header": 0, "spec": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(commitment, "verify",
+                        counted("verify", commitment.verify))
+    monkeypatch.setattr(transaction, "verify",
+                        counted("verify", transaction.verify))
+    monkeypatch.setattr(wire, "_check_header_fields",
+                        counted("header", wire._check_header_fields))
+    monkeypatch.setattr(wire, "_check_spec_fields",
+                        counted("spec", wire._check_spec_fields))
+    header, spec = make_header(), SplitSpec((1, 2))
+    tx = make_transaction(KeyPair.generate(seed=b"c"), 1, fee=5, created_at=0.0)
+    for round_ in range(3):
+        # A fresh payload each time: only the shared header / spec repeat.
+        request = SyncRequest(round_, header, spec, PinSketch(8, 32))
+        assert validate_payload("lo/sync_req", request) is None
+        assert header.signature_valid() and tx.signature_valid()
+    assert calls == {"verify": 2, "header": 1, "spec": 1}
+    wire.clear_validation_memo()
+    assert validate_payload(
+        "lo/sync_req", SyncRequest(9, header, spec, PinSketch(8, 32))) is None
+    assert header.signature_valid() and tx.signature_valid()
+    assert calls == {"verify": 4, "header": 2, "spec": 2}
+
+
+def test_subclass_instances_are_verified_every_time(monkeypatch):
+    """A subclass can compute its fields: its verdict is never remembered."""
+    import repro.core.commitment as commitment
+
+    @dataclasses.dataclass(frozen=True)
+    class Shifty(commitment.CommitmentHeader):
+        """Passes isinstance; could override ``signing_bytes``."""
+
+    wire.clear_validation_memo()
+    calls = []
+    verify = commitment.verify
+    monkeypatch.setattr(
+        commitment, "verify",
+        lambda *args: calls.append(1) or verify(*args))
+    plain = make_header()
+    shifty = Shifty(**{f.name: getattr(plain, f.name)
+                       for f in dataclasses.fields(plain)})
+    for _ in range(3):
+        assert shifty.signature_valid()
+        assert validate_payload("lo/commit_upd", shifty) is None
+    assert len(calls) == 3
+    assert id(shifty) not in commitment._SIGNATURE_VERDICTS.entries
+    assert id(shifty) not in wire._CLEAN_HEADERS.entries
+
+
 # ------------------------------------------------------------- quarantine
 
 

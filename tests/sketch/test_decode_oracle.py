@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import PinSketch, SketchDecodeError
+from repro.sketch import PinSketch, SketchDecodeError, pinsketch
 from repro.sketch.gf import default_field, set_fast_path
 from repro.sketch.pinsketch import (
     _berlekamp_massey,
@@ -261,3 +261,179 @@ def test_find_roots_rejects_non_split_locators_of_every_degree(fast):
                 assert len(got) < degree
     finally:
         set_fast_path(previous)
+
+
+# ------------------------------------------------ known-candidate deflation
+
+CANDIDATE_KINDS = ("half", "superset", "junk", "duplicates", "empty",
+                   "over_bound", "out_of_range")
+
+
+def _candidates(kind, elements, m, rnd):
+    """Candidate lists a caller could pass: helpful, useless and hostile."""
+    field = default_field(m)
+    ordered = sorted(elements)
+    half = rnd.sample(ordered, len(ordered) // 2)
+    junk = [x for x in (rnd.randrange(1, 1 << m) for _ in range(40))
+            if x not in elements]
+    if kind == "half":
+        return half
+    if kind == "superset":
+        mixed = ordered + junk
+        rnd.shuffle(mixed)
+        return mixed
+    if kind == "junk":
+        return junk
+    if kind == "duplicates":
+        return half + junk[:5] + half + half
+    if kind == "empty":
+        return ()
+    if kind == "over_bound":  # one more than is ever tested
+        padding = field.MAX_TESTED_CANDIDATES + 1 - len(half)
+        return half + [rnd.randrange(1, 1 << m) for _ in range(padding)]
+    # Values that are no field element.  ``e + 2^32`` is ``e`` once
+    # narrowed to uint32: it must not come back as a root.
+    return half + [0, -1, -ordered[0] if ordered else -7, 1 << m] + [
+        e + (1 << 32) for e in ordered] + [e + (1 << m) for e in ordered]
+
+
+@st.composite
+def candidate_case(draw):
+    m = draw(st.sampled_from([16, 32]))
+    elements, capacity = draw(random_case(m, 24, lambda t: t + 8))
+    kind = draw(st.sampled_from(CANDIDATE_KINDS))
+    return elements, capacity, m, kind, draw(st.integers(0, 2 ** 32))
+
+
+@given(case=candidate_case())
+@settings(max_examples=400, deadline=None)
+def test_candidates_never_change_the_decode(case):
+    """decode(candidates=C) == decode() == the reference == brute force."""
+    elements, capacity, m, kind, seed = case
+    field = default_field(m)
+    syndromes = ref.sketch_of(elements, capacity, field)
+    expected = ref.decode(syndromes, field)
+    if len(elements) <= capacity:
+        assert expected == set(elements)
+    candidates = _candidates(kind, elements, m, random.Random(seed))
+    sketch = PinSketch(capacity, m)
+    sketch.load_syndromes(syndromes)
+    for fast in (True, False):
+        previous = set_fast_path(fast)
+        try:
+            outcomes = []
+            for hint in ((), candidates):
+                clear_decode_cache()
+                try:
+                    outcomes.append(sketch.decode(hint))
+                except SketchDecodeError:
+                    outcomes.append(None)
+                # What the memo now holds does not depend on the hint.
+                outcomes.append(list(pinsketch._DECODE_CACHE.items()))
+        finally:
+            set_fast_path(previous)
+        plain, plain_memo, hinted, hinted_memo = outcomes
+        assert plain == hinted == expected, (fast, kind, capacity)
+        assert plain_memo == hinted_memo
+
+
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("fast", [True, False])
+def test_decode_with_candidates_then_without_is_a_cache_hit(m, fast):
+    rnd = random.Random(31 * m + fast)
+    elements = set(rnd.sample(range(1, 1 << m), 9))
+    sketch = PinSketch(16, m)
+    sketch.add_all(elements)
+    previous = set_fast_path(fast)
+    try:
+        clear_decode_cache()
+        stats = pinsketch._DECODE_STATS
+        hits, misses = stats.hits, stats.misses
+        assert sketch.decode(sorted(elements)[:4]) == elements
+        assert (stats.hits, stats.misses) == (hits, misses + 1)
+        assert sketch.decode() == elements
+        assert sketch.decode([1, 2, 3]) == elements
+        assert (stats.hits, stats.misses) == (hits + 2, misses + 1)
+    finally:
+        set_fast_path(previous)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("fast", [True, False])
+def test_roots_among_reports_only_field_elements_that_are_roots(m, fast):
+    field = default_field(m)
+    rnd = random.Random(17 * m + fast)
+    roots = rnd.sample(range(1, 1 << m), 7)
+    poly = [1]
+    for r in roots:
+        poly = field.poly_mul(poly, [r, 1])
+    hostile = [0, -1, -roots[0], 1 << m, (1 << m) + roots[1],
+               (1 << 32) + roots[2], (1 << 64) + roots[3]]
+    junk = [x for x in (rnd.randrange(1, 1 << m) for _ in range(50))
+            if x not in roots]
+    previous = set_fast_path(fast)
+    try:
+        assert field.roots_among(poly, hostile) == []
+        assert field.roots_among(poly, hostile + junk) == []
+        assert field.roots_among(poly, hostile + junk + roots[:3] + roots[:3]) \
+            == sorted(roots[:3])
+        assert field.roots_among(poly, ()) == []
+        assert field.roots_among([5], roots) == []  # a constant has no roots
+    finally:
+        set_fast_path(previous)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_candidates_cannot_rescue_a_locator_that_does_not_split(fast):
+    """Repeated roots and irreducible factors fail with or without hints."""
+    field = default_field(32)
+    rnd = random.Random(99 + fast)
+
+    def product(roots):
+        poly = [1]
+        for r in roots:
+            poly = field.poly_mul(poly, [r, 1])
+        return poly
+
+    previous = set_fast_path(fast)
+    try:
+        for degree in range(5, 14):
+            roots = rnd.sample(range(1, 1 << 32), degree)
+            poly = product(roots)
+            for hint in (roots, roots[:degree // 2], roots[:1]):
+                assert sorted(_find_roots(poly, field, hint)) == sorted(roots)
+            # A repeated root, itself among the candidates.
+            repeated = product(roots[:-1] + [roots[0]])
+            assert len(_find_roots(repeated, field)) < degree
+            for hint in (roots, roots[:1], roots[1:3]):
+                assert len(set(_find_roots(repeated, field, hint))) < degree
+            # An irreducible quadratic factor next to known roots.
+            while True:
+                b, c = rnd.randrange(1, 1 << 32), rnd.randrange(1, 1 << 32)
+                if field.artin_schreier_solve(
+                        field.div(c, field.sqr(b))) is None:
+                    break
+            non_split = field.poly_mul(product(roots[:-2]), [c, b, 1])
+            got = _find_roots(non_split, field, roots)
+            assert set(got) <= set(roots[:-2]) and len(got) < degree
+    finally:
+        set_fast_path(previous)
+
+
+def test_poly_deflate_is_exact_division_and_rejects_non_roots():
+    field = default_field(32)
+    rnd = random.Random(4)
+    roots = rnd.sample(range(1, 1 << 32), 9)
+    poly = [1]
+    for r in roots:
+        poly = field.poly_mul(poly, [r, 1])
+    rest = [1]
+    for r in roots[4:]:
+        rest = field.poly_mul(rest, [r, 1])
+    assert field.poly_deflate(poly, roots[:4]) == rest
+    assert field.poly_deflate(poly, []) == poly
+    assert field.poly_deflate(poly, roots) == [1]
+    with pytest.raises(ArithmeticError):
+        field.poly_deflate(poly, [roots[0] ^ 1])
+    with pytest.raises(ArithmeticError):
+        field.poly_deflate(poly, [roots[0], roots[0]])  # distinct roots only
