@@ -36,10 +36,6 @@ class SlowNode(LONode):
     hardware / an overloaded event loop rather than network latency.
     """
 
-    #: The envelope is re-queued for a later callback, so the network must
-    #: not recycle it after this ``on_message`` returns.
-    RETAINS_ENVELOPES = True
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.extra_delay_s = 0.8

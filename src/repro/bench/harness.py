@@ -19,8 +19,7 @@ Derived metrics:
   dominated by large-overlay bookkeeping rather than kernel math;
 * ``paper_scale_events_per_second`` -- the same probe at the paper's
   cluster size (``sim/run/nodes=10000``); completing this row at all is
-  the paper-scale acceptance gate, its throughput tracks the batched
-  delivery engine;
+  the paper-scale acceptance gate;
 * ``fanout_messages_per_second`` -- the ``sim/run/fanout`` micro-case:
   pure ``Network.send_fanout`` + delivery over no-op endpoints, so
   send-path regressions are attributable without protocol noise;
@@ -146,9 +145,7 @@ def harness_suite(quick: bool = False, seed: int = 42) -> SuiteOutput:
 
     # --- paper scale: 10,000 nodes -------------------------------------
     # The committed row CI requires via --require-case: a seeded run at
-    # the paper's cluster size must complete, and its throughput tracks
-    # the batched delivery engine (batched fan-outs, pooled envelopes,
-    # struct-of-arrays overlay state).
+    # the paper's cluster size must complete.
     paper_kwargs = _paper_scale_params(quick)
     paper_seconds = paper_kwargs["duration_s"] + paper_kwargs["drain_s"]
     paper_probe = run_plain(seed=seed, **paper_kwargs)
@@ -168,8 +165,8 @@ def harness_suite(quick: bool = False, seed: int = 42) -> SuiteOutput:
 
     # --- send-path micro-case: fan-outs over no-op endpoints -----------
     # Isolates Network.send_fanout + EventLoop delivery from all protocol
-    # work, so a batching/pooling regression shows up here even when the
-    # end-to-end rows hide it behind handler cost.
+    # work, so a per-message cost added to the delivery path shows up here
+    # even when the end-to-end rows hide it behind handler cost.
     import random as _random
 
     from repro.net.latency import CityLatencyModel
@@ -177,8 +174,6 @@ def harness_suite(quick: bool = False, seed: int = 42) -> SuiteOutput:
     from repro.sim.loop import EventLoop
 
     class _Sink(Endpoint):
-        RETAINS_ENVELOPES = False  # envelopes recycle through the pool
-
         def __init__(self, node_id: int):
             self.node_id = node_id
 

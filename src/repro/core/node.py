@@ -114,11 +114,6 @@ class _Session:
 class LONode(Endpoint):
     """One miner running the LO accountable base layer."""
 
-    #: Ingress reads the envelope synchronously (handlers keep payload
-    #: references, never the :class:`Message` itself), so the network may
-    #: recycle delivered envelopes through its pool.
-    RETAINS_ENVELOPES = False
-
     def __init__(
         self,
         node_id: int,
@@ -732,7 +727,7 @@ class LONode(Endpoint):
         self, peers: Sequence[int], msg_type: str, payload, body_bytes: int,
         is_overhead: bool = True,
     ) -> None:
-        """One shared payload to many peers as a delay-grouped batch."""
+        """One shared payload to many peers (metered once)."""
         if not peers:
             return
         self.network.send_fanout(

@@ -17,42 +17,13 @@ from typing import Dict, List, Sequence, Tuple
 class LatencyModel:
     """Base class: maps (sender, recipient) to a one-way delay in seconds."""
 
-    #: When ``True``, ``delay(sender, recipient)`` returns the same value
-    #: on every call for a given ordered pair (it may draw randomness on
-    #: the *first* call, but is fixed afterwards).  The network layer uses
-    #: this to memoize delays per ordered pair on its hot send path.
-    #: Models whose delay varies call-to-call must override this with
-    #: ``False``.
-    PAIR_STABLE = True
-
-    #: When ``True``, ``delay`` is a cheap pure lookup (no RNG draw, no
-    #: expensive math), so the network layer skips its per-ordered-pair
-    #: memo dict entirely: at a 10,000-node overlay the memo would hold
-    #: millions of tuple keys while saving nothing over the direct call.
-    CHEAP_DELAY = False
-
     def delay(self, sender: int, recipient: int) -> float:
         """One-way delay for a message between two node indices."""
         raise NotImplementedError
 
-    def delays_batch(self, sender: int, recipients: Sequence[int]) -> List[float]:
-        """One-way delays from ``sender`` to every recipient, in order.
-
-        The contract is byte-identity with the scalar path: element ``i``
-        must equal ``delay(sender, recipients[i])`` exactly, so a batched
-        fan-out schedules deliveries at the same timestamps as per-pair
-        calls would.  Subclasses override this when they can answer a
-        whole list cheaper; the default simply loops (preserving any
-        first-call RNG draw order a stateful model relies on).
-        """
-        scalar = self.delay
-        return [scalar(sender, recipient) for recipient in recipients]
-
 
 class ConstantLatencyModel(LatencyModel):
     """Every message takes exactly ``delay_s`` seconds; handy in unit tests."""
-
-    CHEAP_DELAY = True
 
     def __init__(self, delay_s: float = 0.05):
         if delay_s < 0:
@@ -61,9 +32,6 @@ class ConstantLatencyModel(LatencyModel):
 
     def delay(self, sender: int, recipient: int) -> float:
         return self.delay_s
-
-    def delays_batch(self, sender: int, recipients: Sequence[int]) -> List[float]:
-        return [self.delay_s] * len(recipients)
 
 
 class UniformLatencyModel(LatencyModel):
@@ -164,8 +132,6 @@ class CityLatencyModel(LatencyModel):
                 flat[b * n + a] = delay
         self._city_delay_flat = flat
 
-    CHEAP_DELAY = True
-
     def _city_index(self, node: int) -> int:
         if node < 0:
             raise ValueError(f"negative node id: {node}")
@@ -180,21 +146,3 @@ class CityLatencyModel(LatencyModel):
             raise ValueError(f"negative node id: ({sender}, {recipient})")
         n = self._num_cities
         return self._city_delay_flat[(sender % n) * n + recipient % n]
-
-    def delays_batch(self, sender: int, recipients: Sequence[int]) -> List[float]:
-        """Reads of the sender's matrix row, one per recipient.
-
-        A plain loop on purpose: numpy's fixed cost per call (~4.5 us)
-        loses to it at every fan-out the protocol sends (3, 8, 25).
-        """
-        if sender < 0:
-            raise ValueError(f"negative node id: {sender}")
-        n = self._num_cities
-        flat = self._city_delay_flat
-        row = (sender % n) * n
-        out = []
-        for recipient in recipients:
-            if recipient < 0:
-                raise ValueError(f"negative node id: {recipient}")
-            out.append(flat[row + recipient % n])
-        return out

@@ -7,11 +7,12 @@ the wire, so bandwidth experiments measure protocol overhead rather than
 Python object sizes.  Every protocol computes ``wire_bytes`` from the
 serialized sizes of its data structures (sketches, clocks, signatures...).
 
-Envelopes are pooled on the network's fault-free fast path: a hand-rolled
-``__slots__`` class (not a dataclass -- ``slots=True`` needs 3.10+) keeps
-the instance a fixed-size struct the :class:`repro.net.network.Network`
-free list can recycle in place, re-stamping ``msg_id`` from the global
-counter so recycled envelopes are indistinguishable from fresh ones.
+One envelope is built per send, so the class is a hand-rolled
+``__slots__`` struct (not a dataclass -- ``slots=True`` needs 3.10+), and
+``msg_id`` comes from one process-wide counter.  The network hands the
+object itself to ``on_message`` and keeps no reference: an endpoint may
+hold on to it, but must not mutate it -- a chaos duplicate is the same
+object delivered twice.
 """
 
 from __future__ import annotations
@@ -34,16 +35,10 @@ class Message:
     envelope.  ``is_overhead`` distinguishes protocol overhead from raw
     transaction payload bytes: Fig. 9 "omit[s] the bandwidth overhead for
     sharing transactions, as it is the same for all protocols".
-
-    ``pooled`` is owned by the network: ``True`` marks an envelope the
-    network acquired from its free list (and may reclaim after a
-    non-retaining endpoint's ``on_message`` returns).  Envelopes built
-    directly -- tests, chaos duplicates, the slow path -- leave it
-    ``False`` and are never recycled.
     """
 
     __slots__ = ("sender", "recipient", "msg_type", "payload", "wire_bytes",
-                 "is_overhead", "msg_id", "pooled")
+                 "is_overhead", "msg_id")
 
     def __init__(
         self,
@@ -64,7 +59,6 @@ class Message:
         self.wire_bytes = wire_bytes
         self.is_overhead = is_overhead
         self.msg_id = next(_message_counter) if msg_id is None else msg_id
-        self.pooled = False
 
     def __eq__(self, other: Any) -> bool:
         # Field-for-field equality, msg_id included, matching the old

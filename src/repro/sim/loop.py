@@ -5,26 +5,25 @@ pops events in (time, sequence) order, advancing the clock to each event's
 timestamp before invoking its callback.  Ties are broken by insertion order,
 which makes runs fully deterministic.
 
-Hot-path representation
------------------------
+Representation
+--------------
 
-Heap entries are plain ``[time, seq, callback, args]`` lists rather than
-:class:`Event` instances.  ``heapq`` orders entries with ``<``, and list
-comparison runs entirely in C: because ``seq`` is unique, a comparison
-never proceeds past the ``(time, seq)`` prefix, so ``callback`` and
-``args`` are never compared.  The old object-based heap paid a Python
-``Event.__lt__`` call for every sift step; this layout removes that cost
-while keeping the exact ``(time, seq)`` order, so two runs with the same
-seed execute callbacks in byte-identical order.
+One heap entry is one callback: a plain ``[time, seq, callback, args]``
+list.  ``heapq`` orders entries with ``<``, and list comparison runs
+entirely in C: because ``seq`` is unique, a comparison never proceeds
+past the ``(time, seq)`` prefix, so ``callback`` and ``args`` are never
+compared, and two runs with the same seed execute callbacks in
+byte-identical order.
 
-:class:`Event` remains the public cancellation handle returned by
-:meth:`EventLoop.call_at` / :meth:`EventLoop.call_later`; it wraps the
-heap entry directly.  Cancellation tombstones an entry in place (the
-callback slot becomes ``None``), which the pop loop skips with one ``is
-None`` test -- no side table, no hashing.  Fire-and-forget call sites
-that never cancel (message delivery, workload injection) can use
-:meth:`EventLoop.schedule_at` / :meth:`EventLoop.schedule_later`, which
-skip the handle allocation entirely.
+There are two ways in.  :meth:`EventLoop.call_at` /
+:meth:`EventLoop.call_later` return an :class:`Event`, the cancellation
+handle, which wraps the heap entry directly; cancelling tombstones the
+entry in place (the callback slot becomes ``None``), which the pop loop
+skips with one ``is None`` test -- no side table, no hashing -- and
+cancelling a handle whose callback already ran does nothing.
+:meth:`EventLoop.schedule_at` / :meth:`EventLoop.schedule_later` are the
+same push without the handle, for call sites that never cancel (every
+message delivery, workload injection).
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ from repro import obs
 #: Heap entry layout: ``[time, seq, callback, args]``.  ``callback`` is
 #: ``None`` for a cancelled (tombstoned) entry.
 _TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
-
-#: Sentinel in the callback slot marking a *batch* entry.  For such an
-#: entry ``args`` holds ``(callback, items)`` where ``items`` is a
-#: sequence of argument tuples: the dispatch loop invokes
-#: ``callback(*item)`` for every item, in order, at the entry's single
-#: timestamp, and credits ``len(items)`` processed events -- so event
-#: counts are indistinguishable from scheduling each item individually.
-_BATCH = object()
 
 #: The installed :class:`repro.obs.PhaseProfiler`, or ``None`` when phase
 #: profiling is off.  Rebound by :func:`repro.obs.on_profiler_change`
@@ -78,7 +69,7 @@ class Event:
 
     __slots__ = ("_entry", "_loop")
 
-    def __init__(self, entry: List[Any], loop: Optional["EventLoop"] = None):
+    def __init__(self, entry: List[Any], loop: "EventLoop"):
         self._entry = entry
         self._loop = loop
 
@@ -108,14 +99,17 @@ class Event:
         return self._entry[_CALLBACK] is None
 
     def cancel(self) -> None:
-        """Prevent the callback from running when the event is popped."""
+        """Prevent the callback from running when the event is popped.
+
+        A no-op on an event that already ran (a timer callback cancelling
+        its own handle) or was already cancelled.
+        """
         entry = self._entry
-        if entry[_CALLBACK] is None:
+        if entry[_CALLBACK] is None or self._loop._has_run(entry):
             return
         entry[_CALLBACK] = None
         entry[_ARGS] = ()  # release argument references immediately
-        if self._loop is not None:
-            self._loop._note_cancelled()
+        self._loop._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -145,9 +139,10 @@ class EventLoop:
         self._heap: List[List[Any]] = []
         self._seq = itertools.count()
         self._processed = 0
+        # Sequence number of the entry dispatched last (see _has_run).
+        self._ran_seq = -1
         self._cancelled = 0
         self._compactions = 0
-        self._running = False
 
     @property
     def now(self) -> float:
@@ -215,37 +210,21 @@ class EventLoop:
             self._heap, [self._now + delay, next(self._seq), callback, args]
         )
 
-    def schedule_batch_at(self, when: float, callback: Callable[..., Any],
-                          items: List[tuple]) -> None:
-        """Schedule ``callback(*item)`` for every item at one timestamp.
+    def _has_run(self, entry: List[Any]) -> bool:
+        """Whether ``entry`` has been dispatched (it is no longer in the heap).
 
-        The whole batch is a *single* heap entry, so a fan-out of ``n``
-        messages sharing a delivery time costs one push and one pop
-        instead of ``n`` -- the core of the batched delivery engine.
-        Items run in list order at time ``when``, and each counts as one
-        processed event, so :attr:`processed_events` (and therefore every
-        same-seed identity check) matches per-item scheduling exactly.
-
-        Batches are fire-and-forget: there is no cancellation handle,
-        matching :meth:`schedule_at`.  Note :attr:`pending_events` counts
-        a pending batch as one entry, not ``len(items)``.
+        Entries leave the heap in strictly increasing ``(time, seq)``
+        order: nothing can be scheduled before ``now``, and a new entry's
+        ``seq`` exceeds every older one.  So an entry has run exactly when
+        it sorts at or before the last dispatched ``(time, seq)``.  The
+        clock may be ahead of that time (``run_until`` ends by moving it
+        to the deadline); then nothing before ``now`` is pending, and
+        whatever is scheduled at ``now`` later gets a ``seq`` above
+        ``_ran_seq``.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={when:.6f} before now={self._now:.6f}"
-            )
-        heapq.heappush(
-            self._heap, [when, next(self._seq), _BATCH, (callback, items)]
-        )
-
-    def schedule_batch_later(self, delay: float, callback: Callable[..., Any],
-                             items: List[tuple]) -> None:
-        """:meth:`schedule_batch_at` with a relative delay (hot path)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        heapq.heappush(
-            self._heap,
-            [self._now + delay, next(self._seq), _BATCH, (callback, items)],
+        time = entry[_TIME]
+        return time < self._now or (
+            time == self._now and entry[_SEQ] <= self._ran_seq
         )
 
     def _note_cancelled(self) -> None:
@@ -288,58 +267,39 @@ class EventLoop:
             raise SimulationError(
                 f"deadline t={deadline:.6f} is before now={self._now:.6f}"
             )
-        self._running = True
         heap = self._heap  # identity survives compaction (see above)
         pop = heapq.heappop
         profiler = _PHASES
-        try:
-            if profiler is None:
-                while heap and heap[0][0] <= deadline:
-                    entry = pop(heap)
-                    callback = entry[_CALLBACK]
-                    if callback is None:
-                        self._cancelled -= 1
-                        continue
-                    self._now = entry[_TIME]
-                    if callback is _BATCH:
-                        fn, items = entry[_ARGS]
-                        self._processed += len(items)
-                        for args in items:
-                            fn(*args)
-                        continue
-                    self._processed += 1
+        if profiler is None:
+            while heap and heap[0][0] <= deadline:
+                entry = pop(heap)
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    self._cancelled -= 1
+                    continue
+                self._now = entry[_TIME]
+                self._ran_seq = entry[_SEQ]
+                self._processed += 1
+                callback(*entry[_ARGS])
+        else:
+            classify = profiler.classify
+            enter = profiler.enter
+            leave = profiler.exit
+            while heap and heap[0][0] <= deadline:
+                entry = pop(heap)
+                callback = entry[_CALLBACK]
+                if callback is None:
+                    self._cancelled -= 1
+                    continue
+                self._now = entry[_TIME]
+                self._ran_seq = entry[_SEQ]
+                self._processed += 1
+                enter(classify(callback))
+                try:
                     callback(*entry[_ARGS])
-            else:
-                classify = profiler.classify
-                enter = profiler.enter
-                leave = profiler.exit
-                while heap and heap[0][0] <= deadline:
-                    entry = pop(heap)
-                    callback = entry[_CALLBACK]
-                    if callback is None:
-                        self._cancelled -= 1
-                        continue
-                    self._now = entry[_TIME]
-                    if callback is _BATCH:
-                        fn, items = entry[_ARGS]
-                        self._processed += len(items)
-                        phase = classify(fn)
-                        for args in items:
-                            enter(phase)
-                            try:
-                                fn(*args)
-                            finally:
-                                leave()
-                        continue
-                    self._processed += 1
-                    enter(classify(callback))
-                    try:
-                        callback(*entry[_ARGS])
-                    finally:
-                        leave()
-            self._now = deadline
-        finally:
-            self._running = False
+                finally:
+                    leave()
+        self._now = deadline
 
     def run_for(self, duration: float) -> None:
         """Run the simulation forward by ``duration`` seconds."""
@@ -359,14 +319,7 @@ class EventLoop:
                 self._cancelled -= 1
                 continue
             self._now = entry[_TIME]
-            if callback is _BATCH:
-                # A batch entry is a single step: all items run before
-                # control returns, mirroring ``run_until`` semantics.
-                fn, items = entry[_ARGS]
-                self._processed += len(items)
-                for args in items:
-                    fn(*args)
-                return Event(entry, self)
+            self._ran_seq = entry[_SEQ]
             self._processed += 1
             callback(*entry[_ARGS])
             return Event(entry, self)

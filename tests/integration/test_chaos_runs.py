@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
+from repro.mempool.admission import AdmissionConfig
 from repro.net.chaos import ChaosPlan, CrashWindow
 from repro.net.latency import ConstantLatencyModel
 from repro.testing import InvariantMonitor, check_chaos_invariants
@@ -29,24 +30,33 @@ PLAN = ChaosPlan(
 )
 
 
+def chaos_then_heal(params, inject, chaos_until, heal_until):
+    """Faults until ``chaos_until``, quiet until ``heal_until``."""
+    sim = LOSimulation(params)
+    monitor = InvariantMonitor(sim, period_s=2.0).start()
+    inject(sim)
+    sim.run(chaos_until)
+    sim.chaos.uninstall()  # faults heal; crash windows already elapsed
+    sim.run(heal_until)
+    return sim, monitor
+
+
 def run_chaos_simulation():
     """One full chaos-then-heal run; returns (sim, monitor)."""
-    sim = LOSimulation(
+    def inject(sim):
+        for i in range(8):
+            sim.inject_at(0.5 + 1.5 * i, origin=(i * 5) % 20, fee=10)
+
+    return chaos_then_heal(
         SimulationParams(
             num_nodes=20,
             seed=7,
             config=LOConfig(quarantine_base_s=2.0, quarantine_max_s=8.0),
             latency_model=ConstantLatencyModel(0.03),
             chaos_plan=PLAN,
-        )
+        ),
+        inject, CHAOS_UNTIL, HEAL_UNTIL,
     )
-    monitor = InvariantMonitor(sim, period_s=2.0).start()
-    for i in range(8):
-        sim.inject_at(0.5 + 1.5 * i, origin=(i * 5) % 20, fee=10)
-    sim.run(CHAOS_UNTIL)
-    sim.chaos.uninstall()  # faults heal; crash windows already elapsed
-    sim.run(HEAL_UNTIL)
-    return sim, monitor
 
 
 def fingerprint(sim):
@@ -98,3 +108,51 @@ def test_restarted_nodes_reconverge_with_the_rest():
     for crashed in PLAN.crashed_ids():
         assert set(sim.nodes[crashed].log.order) == reference
     check_chaos_invariants(sim, monitor=monitor)
+
+
+def run_admission_chaos_simulation():
+    """Clients submit through the admission pipeline while faults run."""
+    return chaos_then_heal(
+        SimulationParams(
+            num_nodes=12,
+            seed=11,
+            config=LOConfig(admission=AdmissionConfig(),
+                            quarantine_base_s=2.0, quarantine_max_s=8.0),
+            latency_model=ConstantLatencyModel(0.03),
+            chaos_plan=ChaosPlan(
+                seed=41, drop_rate=0.05, duplicate_rate=0.05,
+                reorder_rate=0.2, max_jitter_s=0.4, corrupt_rate=0.03,
+                crash_windows=(CrashWindow(4, 3.0, 9.0),),
+            ),
+        ),
+        lambda sim: sim.inject_open_loop(
+            rate_per_s=10.0, duration_s=8.0, hot_fraction=0.5,
+            rbf_fraction=0.1),
+        chaos_until=14.0, heal_until=70.0,
+    )
+
+
+@pytest.mark.chaos
+def test_admission_under_chaos_passes_invariants_and_is_deterministic():
+    # Faults and clean runs share one delivery path, so the admission
+    # pipeline (pending pool drained into commitments on sync ticks) can
+    # be held to the same battery under drop + duplicate + reorder +
+    # corrupt and a crash window as commit-on-receipt is above.
+    sim_a, monitor_a = run_admission_chaos_simulation()
+    check_chaos_invariants(sim_a, monitor=monitor_a)
+
+    counters = sim_a.chaos.injector.counters.as_dict()
+    assert all(counters[kind] > 0 for kind in
+               ("dropped", "duplicated", "reordered", "corrupted"))
+    assert sim_a.drop_breakdown()["crashed"] > 0
+    assert sim_a.nodes[4].restarts == 1
+    breakdown = sim_a.admission_breakdown()
+    assert breakdown["drained"] > 30
+    # Every admitted transaction was committed by every node.
+    assert {len(node.log) for node in sim_a.nodes.values()} == \
+        {breakdown["drained"]}
+
+    sim_b, monitor_b = run_admission_chaos_simulation()
+    check_chaos_invariants(sim_b, monitor=monitor_b)
+    assert fingerprint(sim_a) == fingerprint(sim_b)
+    assert breakdown == sim_b.admission_breakdown()

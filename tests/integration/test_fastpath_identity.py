@@ -1,12 +1,12 @@
-"""Fast path on vs off: same seed, byte-identical observable output.
+"""Shortcuts on vs off: same seed, byte-identical observable output.
 
-``Network.send`` takes a precomputed fast path while no fault of any kind
-is installed; installing any fault (here: a no-op delivery hook that
-approves every message) forces the full branch chain.  The two paths must
-be *observably indistinguishable*: identical simulation results, identical
+``Network.send_fanout`` skips its fault checks as a whole while no fault
+is installed; installing any fault (here: a delivery hook that approves
+every message) makes every message pass through them.  The two must be
+*observably indistinguishable*: identical simulation results, identical
 event counts and identical ``repro.trace/1`` trace exports, line for line.
-Anything less would mean the optimisation changes behaviour, not just
-speed.
+The same standard holds for the phase profiler, the memoised eligible
+neighbours and the memoised, table-dispatched ingress below.
 """
 
 import json
@@ -22,17 +22,19 @@ from repro.core.config import LOConfig
 from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.metrics.caches import cache_stats, reset_cache_stats
+from repro.net import Endpoint, Network
 from repro.net.chaos import ChaosPlan
 from repro.obs import Tracer, trace_lines
+from repro.sim import EventLoop
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 from tests.core.test_eligible_memo import recompute
 
 
-def _traced_run(force_slow_path: bool):
+def _traced_run(approve_all_hook: bool):
     """One small simulation; returns (summary dict, trace lines)."""
     # The sketch caches and their hit/miss counters are process-global and
     # appear in metrics snapshots inside the trace; start both runs from
-    # the same blank state so the comparison sees only the send path.
+    # the same blank state so the comparison sees only the fault checks.
     clear_decode_cache()
     clear_syndrome_cache()
     reset_cache_stats()
@@ -41,11 +43,8 @@ def _traced_run(force_slow_path: bool):
         sim = LOSimulation(SimulationParams(
             num_nodes=10, seed=1234, config=LOConfig(),
         ))
-        if force_slow_path:
-            # A hook that approves everything is behaviourally a no-op but
-            # flips the no-faults flag off.
+        if approve_all_hook:
             sim.network.add_delivery_hook(lambda message: True)
-        assert sim.network._fast_send is (not force_slow_path)
         injected = sim.inject_workload(rate_per_s=8.0, duration_s=4.0)
         sim.run(6.0)
         summary = {
@@ -67,12 +66,13 @@ def _traced_run(force_slow_path: bool):
 
 
 def test_fast_and_slow_send_paths_are_byte_identical():
-    fast_summary, fast_trace = _traced_run(force_slow_path=False)
-    slow_summary, slow_trace = _traced_run(force_slow_path=True)
-    assert json.dumps(fast_summary, sort_keys=True) == \
-        json.dumps(slow_summary, sort_keys=True)
-    assert fast_summary["events_processed"] > 0
-    assert fast_trace == slow_trace  # line-for-line identical export
+    """An approve-all hook changes no summary field and no trace line."""
+    clean_summary, clean_trace = _traced_run(approve_all_hook=False)
+    hooked_summary, hooked_trace = _traced_run(approve_all_hook=True)
+    assert json.dumps(clean_summary, sort_keys=True) == \
+        json.dumps(hooked_summary, sort_keys=True)
+    assert clean_summary["events_processed"] > 0
+    assert clean_trace == hooked_trace  # line-for-line identical export
 
 
 def test_telemetry_guards_rebind_and_default_to_none():
@@ -98,10 +98,10 @@ def test_profiled_run_is_byte_identical_to_unprofiled():
     """The phase profiler reads the wall clock but must never leak into
     deterministic artifacts: a profiled run's trace export and summary
     are line-for-line identical to an unprofiled run's."""
-    plain_summary, plain_trace = _traced_run(force_slow_path=False)
+    plain_summary, plain_trace = _traced_run(approve_all_hook=False)
     profiler = obs.PhaseProfiler()
     with obs.use_profiler(profiler):
-        profiled_summary, profiled_trace = _traced_run(force_slow_path=False)
+        profiled_summary, profiled_trace = _traced_run(approve_all_hook=False)
     assert json.dumps(plain_summary, sort_keys=True) == \
         json.dumps(profiled_summary, sort_keys=True)
     assert plain_trace == profiled_trace
@@ -111,21 +111,46 @@ def test_profiled_run_is_byte_identical_to_unprofiled():
 
 
 def test_fast_path_reenables_after_faults_clear():
-    sim = LOSimulation(SimulationParams(num_nodes=4, seed=7,
-                                        config=LOConfig()))
-    network = sim.network
-    assert network._fast_send
+    """Each fault drops while installed and stops dropping once cleared."""
+    class Sink(Endpoint):
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def on_message(self, message):
+            pass
+
+    loop = EventLoop()
+    network = Network(loop)
+    for node_id in range(4):
+        network.register(Sink(node_id))
+
+    def probe():
+        """Every ordered pair once; returns (newly delivered, new drops)."""
+        delivered = network.delivered_messages
+        drops = network.drop_breakdown()
+        for sender in range(4):
+            network.send_fanout(
+                sender, [peer for peer in range(4) if peer != sender],
+                "test/probe", None, wire_bytes=1,
+            )
+        loop.run_until(loop.now + 1.0)
+        return (network.delivered_messages - delivered,
+                {reason: count - drops.get(reason, 0)
+                 for reason, count in network.drop_breakdown().items()
+                 if count != drops.get(reason, 0)})
+
+    assert probe() == (12, {})
     network.crash(0)
-    assert not network._fast_send
+    assert probe() == (6, {"crashed": 6})
     network.recover(0)
-    assert network._fast_send
+    assert probe() == (12, {})
     network.block_link(1, 2)
     network.partition([{0, 1}, {2, 3}])
-    assert not network._fast_send
+    assert probe() == (4, {"blocked_link": 1, "partition": 7})
     network.unblock_link(1, 2)
-    assert not network._fast_send  # partition still installed
+    assert probe() == (4, {"partition": 8})  # partition still installed
     network.heal_partition()
-    assert network._fast_send
+    assert probe() == (12, {})
 
 
 # ------------------------------------------- memoised eligible neighbours

@@ -1,10 +1,10 @@
 """Paper-scale smoke: a seeded 10,000-node run completes and is sane.
 
 The paper's evaluation ran LO on a 10,000-node cluster (section 6.1).
-This suite proves the batched delivery engine actually reaches that node
-count inside a test budget -- the simulated horizon is tiny, so the run
-is dominated by the parts batching is for: topology construction, the
-per-tick reconciliation fan-outs, and heap traffic.
+This suite proves the simulator actually reaches that node count inside
+a test budget -- the simulated horizon is tiny, so the run is dominated
+by topology construction, the per-tick reconciliation fan-outs, and heap
+traffic.
 """
 
 import pytest

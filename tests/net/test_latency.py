@@ -56,15 +56,15 @@ def test_uniform_model_shares_one_draw_per_unordered_pair():
 
 
 def test_bundled_models_declare_pair_stability():
-    # Network._delay_cache keys off this flag; a model advertising
-    # stability must return the same value on every call for a pair.
+    # The network asks for the delay once per message and keeps no memo:
+    # a link's delay is fixed only because every bundled model returns
+    # the same value on every call for a pair.
     models = (
         ConstantLatencyModel(0.05),
         UniformLatencyModel(0.01, 0.1, random.Random(5)),
         CityLatencyModel(48, random.Random(5)),
     )
     for model in models:
-        assert model.PAIR_STABLE
         assert model.delay(1, 2) == model.delay(1, 2)
         assert model.delay(2, 1) == model.delay(2, 1)
 
@@ -125,10 +125,6 @@ def test_city_model_rejects_negative_ids():
         model.delay(-1, 3)
     with pytest.raises(ValueError):
         model.delay(3, -1)
-    with pytest.raises(ValueError):
-        model.delays_batch(-1, [0, 1])
-    with pytest.raises(ValueError):
-        model.delays_batch(0, [1, -2, 3, 4, 5])
 
 
 def test_city_model_out_of_range_ids_no_double_wrap():
@@ -142,30 +138,3 @@ def test_city_model_out_of_range_ids_no_double_wrap():
     assert model.city_of(1_000_000) != model.city_of((1_000_000 % 70) % 32)
     assert model.delay(1_000_000, 5) == model.delay(1_000_000 % 32, 5)
     assert model.delay(5, 1_000_000) == model.delay(5, 1_000_000 % 32)
-
-
-def test_delays_batch_matches_scalar_exactly():
-    # Element i of a batch equals delay(sender, recipients[i]) exactly, at
-    # every size, for ids beyond the overlay and for repeated recipients.
-    models = (
-        ConstantLatencyModel(0.017),
-        UniformLatencyModel(0.01, 0.1, random.Random(5)),
-        CityLatencyModel(48, random.Random(5)),
-    )
-    for model in models:
-        for recipients in ([], [7], [1, 2], list(range(40)), [3, 1_000_000, 5, 9],
-                           [4, 4, 36, 4]):
-            if model.__class__ is UniformLatencyModel:
-                recipients = [r % 48 for r in recipients]
-            batched = model.delays_batch(2, recipients)
-            scalar = [model.delay(2, r) for r in recipients]
-            assert batched == scalar, model
-
-
-def test_cheap_delay_flags():
-    # Pure-lookup models advertise CHEAP_DELAY so the network skips its
-    # per-ordered-pair memo; the stateful uniform model must not (its
-    # first call draws RNG, which the memo preserves).
-    assert ConstantLatencyModel(0.05).CHEAP_DELAY
-    assert CityLatencyModel(16, random.Random(0)).CHEAP_DELAY
-    assert not UniformLatencyModel(0.01, 0.1, random.Random(0)).CHEAP_DELAY

@@ -1,8 +1,10 @@
 """Unit tests for the simulated network."""
 
+import random
+
 import pytest
 
-from repro.net import ConstantLatencyModel, Network
+from repro.net import ConstantLatencyModel, Network, UniformLatencyModel
 from repro.net.network import Endpoint
 from repro.sim import EventLoop
 
@@ -201,3 +203,52 @@ def test_unregister_removes_id_from_live_partition():
     net.send(2, 0, "after", None, wire_bytes=1)
     loop.run_until(1.0)
     assert [m.msg_type for m in nodes[0].received] == ["after"]
+
+
+def test_reregistered_id_keeps_its_byte_history():
+    # Regression: ``unregister`` documents "meter is retained", but a later
+    # ``register`` under the same id replaced it with a fresh one, so the
+    # network-wide totals went backwards across a detach / re-attach.
+    loop, net, nodes = make_net()
+    net.send(1, 0, "ctl", None, wire_bytes=100)
+    net.send(1, 0, "data", None, wire_bytes=40, is_overhead=False)
+    net.send(0, 1, "ctl", None, wire_bytes=7)
+    loop.run_until(1.0)
+    before = (net.total_overhead_bytes(), net.total_payload_bytes(),
+              net.overhead_by_type())
+    assert before == (107, 40, {"ctl": 107})
+    net.unregister(1)
+    assert net.total_overhead_bytes() == 107
+    net.register(Recorder(1))
+    assert (net.total_overhead_bytes(), net.total_payload_bytes(),
+            net.overhead_by_type()) == before
+    assert net.meters[1].recv_overhead == 7
+    net.send(1, 0, "ctl", None, wire_bytes=1)
+    assert net.meters[1].sent_overhead == 101
+
+
+def test_a_dropped_message_draws_no_delay():
+    # UniformLatencyModel draws from its RNG the first time a pair is asked
+    # for, so *when* the network asks is part of the seeded outcome: only
+    # for a message that survived the fault checks, in send order.
+    def run(blocked):
+        rng = random.Random(17)
+        loop = EventLoop()
+        net = Network(loop, UniformLatencyModel(0.01, 0.1, rng))
+        for i in range(4):
+            net.register(Recorder(i))
+        if blocked:
+            net.block_link(0, 2)
+        net.send_fanout(0, [1, 2, 3], "x", None, wire_bytes=1)
+        return net, rng
+
+    net, rng = run(blocked=True)
+    reference = random.Random(17)
+    assert net.latency_model.delay(0, 1) == reference.uniform(0.01, 0.1)
+    assert net.latency_model.delay(0, 3) == reference.uniform(0.01, 0.1)
+    assert rng.getstate() == reference.getstate()  # (0, 2) drew nothing
+    assert net.drop_breakdown() == {"blocked_link": 1}
+    net, rng = run(blocked=False)
+    reference.seed(17)
+    assert [net.latency_model.delay(0, i) for i in (1, 2, 3)] == \
+        [reference.uniform(0.01, 0.1) for _ in range(3)]

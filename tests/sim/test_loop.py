@@ -222,3 +222,51 @@ def test_popping_tombstones_keeps_accounting_consistent():
     assert loop.pending_events == 0
     assert loop.heap_size == 0
     assert loop.processed_events == 3
+
+
+def test_cancel_after_run_is_a_no_op():
+    # Regression: a handle whose callback had already run still looked
+    # cancellable, so each such cancel drove pending_events one below zero
+    # and fed a phantom tombstone count to the compaction policy.
+    loop = EventLoop()
+    seen = []
+    events = [loop.call_later(1.0, seen.append, i) for i in range(4)]
+    loop.run_until(2.0)
+    for event in events:
+        event.cancel()
+        event.cancel()
+    assert loop.pending_events == 0
+    assert not any(event.cancelled for event in events)
+    later = loop.call_later(1.0, seen.append, "later")
+    assert loop.pending_events == 1
+    later.cancel()  # a handle that has not run still cancels
+    assert later.cancelled and loop.pending_events == 0
+    loop.run_until(5.0)
+    assert seen == [0, 1, 2, 3]
+
+
+def test_timer_callback_may_cancel_its_own_handle():
+    loop = EventLoop()
+    handles = []
+    fired = []
+
+    def timer():
+        fired.append(loop.now)
+        handles[0].cancel()  # the usual "disarm" call, from inside the timer
+
+    handles.append(loop.call_later(1.0, timer))
+    same_time = loop.call_at(1.0, fired.append, "same time, still pending")
+    loop.step()
+    assert fired == [1.0]
+    assert loop.pending_events == 1
+    same_time.cancel()  # same timestamp, younger seq: really pending
+    assert same_time.cancelled and loop.pending_events == 0
+
+
+def test_step_returns_an_event_that_reads_as_run_not_cancelled():
+    loop = EventLoop()
+    loop.call_later(1.0, lambda: None)
+    event = loop.step()
+    assert not event.cancelled
+    event.cancel()
+    assert not event.cancelled and loop.pending_events == 0

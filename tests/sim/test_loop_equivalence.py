@@ -8,7 +8,10 @@ on event objects) and the identical scheduling semantics.  Hypothesis
 drives both loops through random schedule/cancel/run programs -- including
 callbacks that schedule further events mid-run -- and every observable
 must match exactly: callback execution order, the clock at each callback,
-the final clock, and the processed/pending/compaction counters.
+the final clock, and the processed/pending/compaction counters.  After
+every operation ``pending_events`` must also equal the live entries
+actually in the heap, on both loops -- cancelling a handle whose callback
+already ran (from outside, or from inside that very callback) is a no-op.
 """
 
 import heapq
@@ -29,13 +32,14 @@ from repro.sim.loop import EventLoop, SimulationError
 class _RefEvent:
     """Heap entry ordered by ``(time, seq)`` via a Python ``__lt__``."""
 
-    __slots__ = ("time", "seq", "callback", "args")
+    __slots__ = ("time", "seq", "callback", "args", "ran")
 
     def __init__(self, time, seq, callback, args):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
+        self.ran = False  # set by the loop as it dispatches the event
 
     def __lt__(self, other):
         return (self.time, self.seq) < (other.time, other.seq)
@@ -45,7 +49,7 @@ class _RefEvent:
         return self.callback is None
 
     def cancel(self, loop):
-        if self.callback is None:
+        if self.callback is None or self.ran:
             return
         self.callback = None
         self.args = ()
@@ -129,6 +133,7 @@ class ReferenceLoop:
                 continue
             self._now = event.time
             self._processed += 1
+            event.ran = True
             event.callback(*event.args)
         self._now = deadline
 
@@ -140,6 +145,7 @@ class ReferenceLoop:
                 continue
             self._now = event.time
             self._processed += 1
+            event.ran = True
             event.callback(*event.args)
             return event
         return None
@@ -150,21 +156,43 @@ class ReferenceLoop:
 # --------------------------------------------------------------------------
 
 
+def _cancel(handle, loop):
+    handle.cancel(loop) if isinstance(handle, _RefEvent) else handle.cancel()
+
+
+def _live_entries(loop):
+    """Heap entries that still hold a callback, counted the slow way."""
+    if isinstance(loop, ReferenceLoop):
+        return sum(1 for event in loop._heap if event.callback is not None)
+    return sum(1 for entry in loop._heap if entry[2] is not None)
+
+
 def _run_program(loop, ops):
     """Execute a schedule/cancel/run program; returns the observation log.
 
     Tags divisible by 3 schedule a follow-up from inside their callback
     (mid-run scheduling), tags divisible by 5 use the handle-returning
-    API so cancel ops have targets; the rest use the handle-free fast
-    path.  Cancel ops pick among still-pending handles, and every cancel
-    index is also re-cancelled to pin idempotence.
+    API so cancel ops have targets (those divisible by 10 also cancel
+    their own handle from inside the callback); the rest use the
+    handle-free path.  Cancel ops pick among the handles not yet
+    cancelled -- run or not -- and re-cancel to pin idempotence;
+    "cancel_ran" ops pick among handles whose callback has run.
     """
     record = []
     handles = []
+    ran = []  # positions in ``handles`` whose callback has run
 
-    def make_callback(tag):
+    def check():
+        assert loop.pending_events == _live_entries(loop)
+
+    def make_callback(tag, position=None):
         def callback():
             record.append((tag, loop.now, loop.processed_events))
+            if position is not None:
+                ran.append(position)
+                if tag % 10 == 0:
+                    _cancel(handles[position], loop)
+                    check()
             if tag % 3 == 0:
                 loop.schedule_later((tag % 7) * 0.05, make_callback(tag + 1000))
         return callback
@@ -175,7 +203,8 @@ def _run_program(loop, ops):
             _, centi_delay, tag = op
             delay = centi_delay / 100.0
             if tag % 5 == 0:
-                handles.append(loop.call_later(delay, make_callback(tag)))
+                callback = make_callback(tag, len(handles))
+                handles.append(loop.call_later(delay, callback))
             else:
                 loop.schedule_later(delay, make_callback(tag))
         elif kind == "cancel":
@@ -183,18 +212,29 @@ def _run_program(loop, ops):
             pending = [h for h in handles if h.callback is not None]
             if pending:
                 target = pending[pick % len(pending)]
-                target.cancel(loop) if isinstance(target, _RefEvent) \
-                    else target.cancel()
+                _cancel(target, loop)
                 # Cancel must be idempotent: a second call is a no-op.
-                target.cancel(loop) if isinstance(target, _RefEvent) \
-                    else target.cancel()
+                _cancel(target, loop)
+        elif kind == "cancel_ran":
+            _, pick = op
+            if ran:
+                target = handles[ran[pick % len(ran)]]
+                _cancel(target, loop)
+                assert target.callback is not None  # not tombstoned either
         elif kind == "run":
             _, centi_duration = op
             loop.run_until(loop.now + centi_duration / 100.0)
         elif kind == "step":
             stepped = loop.step()
             record.append(("step", stepped is not None, loop.now))
+            if stepped is not None:
+                assert not stepped.cancelled
+                _cancel(stepped, loop)
+                assert not stepped.cancelled
+        check()
     loop.run_until(loop.now + 100.0)  # drain everything still pending
+    check()
+    assert loop.pending_events == 0
     return record
 
 
@@ -203,6 +243,7 @@ _OPS = st.lists(
         st.tuples(st.just("sched"), st.integers(0, 400),
                   st.integers(0, 50)),
         st.tuples(st.just("cancel"), st.integers(0, 64)),
+        st.tuples(st.just("cancel_ran"), st.integers(0, 64)),
         st.tuples(st.just("run"), st.integers(0, 300)),
         st.tuples(st.just("step")),
     ),

@@ -1,5 +1,6 @@
 """CLI tests (tiny parameters, captured stdout)."""
 
+import argparse
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from repro.cli import build_parser, main
 def test_parser_covers_all_experiments():
     parser = build_parser()
     sub = next(
-        a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     commands = set(sub.choices)
     assert {"run", "fig6", "fig7", "fig8", "fig9", "fig10", "memory",
