@@ -52,6 +52,10 @@ class SuspicionBlame:
 
     Carries the accuser's last known commitment of the accused so that
     better-informed peers can run the Fig. 4 consistency check.
+    ``raised_at`` is when the accuser's current suspicion *episode* of the
+    accused began (its :attr:`SuspicionRecord.since`), not when this blame
+    was built: a retry that times out inside one episode re-announces the
+    same blame.
     """
 
     accuser: PublicKey
@@ -65,6 +69,16 @@ class SuspicionBlame:
         """On-wire size: keys + timestamp + detail ids + header + signature."""
         header = self.last_known.wire_size() if self.last_known else 0
         return 32 + 32 + 8 + 4 * len(self.detail) + header + 64
+
+    def key(self) -> Tuple:
+        """Deduplication key for gossip: what the blame announces.
+
+        "``accuser`` has suspected ``accused`` for ``kind`` (``detail``)
+        since ``raised_at``".  ``last_known`` is left out: it is the
+        accuser's evidence, and it may grow inside one episode.
+        """
+        return (self.accuser.raw, self.accused.raw, self.kind, self.detail,
+                self.raised_at)
 
 
 @dataclass(frozen=True)
@@ -170,11 +184,17 @@ class ExposureBlame:
 
 @dataclass
 class SuspicionRecord:
-    """Local suspicion state for one remote node."""
+    """Local suspicion state for one remote node: one suspicion episode.
+
+    The episode runs from ``since`` until the record is cleared.
+    ``claims`` are the ``(kind, detail)`` pairs this node has blamed the
+    node for first-hand in the episode; each is one gossiped blame.
+    """
 
     since: float
     kinds: Set[str] = field(default_factory=set)
     secondhand: bool = False
+    claims: Set[Tuple[str, Tuple[int, ...]]] = field(default_factory=set)
 
 
 class AccountabilityState:
@@ -257,6 +277,23 @@ class AccountabilityState:
             return True
         record.kinds.add(kind)
         return False
+
+    def claim(
+        self, target: PublicKey, kind: str, detail: Tuple[int, ...], now: float
+    ) -> Tuple[float, bool]:
+        """Suspect ``target`` first-hand for ``kind`` (``detail``).
+
+        Returns ``(since, new)``: the start of the current episode, and
+        whether this claim is new in it (a retry of a claim already made
+        in the episode is not).
+        """
+        self._suspect(target, kind, now, secondhand=False)
+        record = self.suspected[target]
+        claim = (kind, detail)
+        if claim in record.claims:
+            return record.since, False
+        record.claims.add(claim)
+        return record.since, True
 
     def is_suspected(self, target: PublicKey) -> bool:
         """True while ``target`` has an unanswered suspicion against it."""

@@ -1070,14 +1070,6 @@ class LONode(Endpoint):
         peer_key = self.directory.key_of(peer)
         if self.acct.is_exposed(peer_key):
             return
-        blame = SuspicionBlame(
-            accuser=self.public_key,
-            accused=peer_key,
-            kind=kind,
-            detail=detail,
-            last_known=self.acct.latest_header(peer_key),
-            raised_at=self.now,
-        )
         if self.counter is not None and not self.acct.is_suspected(peer_key):
             self.counter.increment("suspicions_raised", node=self.node_id)
         _t = obs.TRACER
@@ -1085,16 +1077,29 @@ class LONode(Endpoint):
             _t.event("acct.suspicion", t=self.now, node_id=self.node_id,
                      accused=peer, accused_key=peer_key.raw.hex()[:16],
                      kind=kind, detail_len=len(detail))
-        self.acct.adopt_suspicion(blame, self.now)
-        self._gossip_suspicion(blame)
+        # The blame is stamped with the start of the current episode, so a
+        # retry round that times out again re-announces the same blame.
+        since, new = self.acct.claim(peer_key, kind, detail, self.now)
+        if new and self.counter is not None:
+            self.counter.increment("suspicion_claims", node=self.node_id)
+        self._gossip_suspicion(SuspicionBlame(
+            accuser=self.public_key,
+            accused=peer_key,
+            kind=kind,
+            detail=detail,
+            last_known=self.acct.latest_header(peer_key),
+            raised_at=since,
+        ))
 
     def _gossip_suspicion(self, blame: SuspicionBlame) -> None:
-        key = (blame.accuser.raw, blame.accused.raw, blame.kind, blame.raised_at)
+        key = blame.key()
         if key in self._seen_suspicions:
             return
         self._seen_suspicions.add(key)
-        self._send_fanout(self._gossip_peers(), "lo/suspicion", blame,
-                          blame.wire_size())
+        peers = self._gossip_peers()
+        if peers and self.counter is not None:
+            self.counter.increment("suspicion_fanouts", node=self.node_id)
+        self._send_fanout(peers, "lo/suspicion", blame, blame.wire_size())
 
     def _gossip_peers(self) -> List[int]:
         peers = self._eligible_neighbors()
@@ -1109,8 +1114,7 @@ class LONode(Endpoint):
             # commitment back through the accuser's path.
             self._send_commit_update(message.sender)
             return
-        key = (blame.accuser.raw, accused, blame.kind, blame.raised_at)
-        if key in self._seen_suspicions:
+        if blame.key() in self._seen_suspicions:
             return
         action, header, evidence = self.acct.evaluate_suspicion(blame)
         if action == "expose" and evidence is not None:

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.attacks import make_censor_factory
 from repro.experiments.harness import LOSimulation, SimulationParams
-
-POLL_INTERVAL_S = 0.25
+from repro.testing.invariants import DetectionMonitor
 
 
 @dataclass
@@ -75,56 +74,19 @@ def run_detection_point(
     )
     sim.inject_workload(rate_per_s=tx_rate_per_s, duration_s=horizon_s * 0.5)
 
-    keys = [sim.directory.key_of(i) for i in malicious]
-    state = {
-        "first_exposure": None,
-        "exposure_done": None,
-        "suspicion_done": None,
-        "exposed_nodes": set(),
-        "suspect_nodes": set(),
-    }
-
-    def poll() -> None:
-        now = sim.loop.now
-        for nid in sim.correct_ids:
-            acct = sim.nodes[nid].acct
-            if nid not in state["exposed_nodes"] and all(
-                acct.is_exposed(k) for k in keys
-            ):
-                state["exposed_nodes"].add(nid)
-            if nid not in state["suspect_nodes"] and all(
-                acct.is_suspected(k) or acct.is_exposed(k) for k in keys
-            ):
-                state["suspect_nodes"].add(nid)
-            if state["first_exposure"] is None and any(
-                acct.is_exposed(k) for k in keys
-            ):
-                state["first_exposure"] = now
-        if state["exposure_done"] is None and len(state["exposed_nodes"]) == len(
-            sim.correct_ids
-        ):
-            state["exposure_done"] = now
-        if state["suspicion_done"] is None and len(state["suspect_nodes"]) == len(
-            sim.correct_ids
-        ):
-            state["suspicion_done"] = now
-        if now < horizon_s and (
-            state["exposure_done"] is None or state["suspicion_done"] is None
-        ):
-            sim.loop.call_later(POLL_INTERVAL_S, poll)
-
-    sim.loop.call_later(POLL_INTERVAL_S, poll)
+    monitor = DetectionMonitor(sim, exposed=malicious,
+                               suspected=malicious).start()
     sim.run(horizon_s)
 
     spread = None
-    if state["exposure_done"] is not None and state["first_exposure"] is not None:
-        spread = state["exposure_done"] - state["first_exposure"]
+    if monitor.exposure_at is not None and monitor.first_exposure_at is not None:
+        spread = monitor.exposure_at - monitor.first_exposure_at
     return DetectionPoint(
         malicious_fraction=malicious_fraction,
         num_malicious=num_malicious,
-        first_exposure_at=state["first_exposure"],
-        exposure_convergence_at=state["exposure_done"],
-        suspicion_convergence_at=state["suspicion_done"],
+        first_exposure_at=monitor.first_exposure_at,
+        exposure_convergence_at=monitor.exposure_at,
+        suspicion_convergence_at=monitor.suspicion_at,
         exposure_spread_s=spread,
     )
 
