@@ -290,43 +290,6 @@ def cmd_cpu(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import run_suites
-
-    suites = None if args.suite == "all" else [args.suite]
-    payloads = run_suites(suites, quick=args.quick, seed=args.seed,
-                          out_dir=args.out_dir, profile=args.profile,
-                          profile_top=args.profile_top, phases=args.phases)
-    for name, payload in payloads.items():
-        rows = [
-            (r["name"], r["iterations"],
-             f"{r['seconds_per_op'] * 1e6:.1f}",
-             f"{r['ops_per_second']:.0f}")
-            for r in payload["results"]
-        ]
-        print(f"suite: {name}  (fast_path={payload['fast_path']})")
-        print(format_table(("case", "iters", "us_per_op", "ops_per_s"), rows))
-        if payload["derived"]:
-            print()
-            print(format_table(
-                ("derived", "value"),
-                [(k, f"{v:.2f}") for k, v in sorted(payload["derived"].items())],
-            ))
-        if payload.get("phases"):
-            print()
-            print(format_table(
-                ("phase", "calls", "self_s", "incl_s", "self_frac"),
-                [(p, d["calls"], f"{d['self_s']:.4f}", f"{d['incl_s']:.4f}",
-                  f"{d['self_fraction']:.1%}")
-                 for p, d in payload["phases"].items()],
-            ))
-        print(f"[json written to {payload['path']}]")
-        if "profile_path" in payload:
-            print(f"[profile written to {payload['profile_path']}]")
-        print()
-    return 0
-
-
 def _parse_param_value(text: str):
     """Best-effort scalar literal parsing for ``--param`` grid values."""
     lowered = text.lower()
@@ -870,31 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="poll interval in wall seconds (default 2)")
     p.set_defaults(func=cmd_watch)
 
-    p = sub.add_parser(
-        "bench",
-        help="hot-path micro-benchmarks; writes BENCH_*.json "
-             "(schema repro.bench/1)",
-    )
-    p.add_argument("--suite",
-                   choices=["sketch", "reconcile", "harness", "mempool",
-                            "obs", "all"],
-                   default="all")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced sizes for CI smoke runs")
-    p.add_argument("--out-dir", type=str, default=".",
-                   help="directory for the BENCH_*.json files")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--profile", action="store_true",
-                   help="run each suite under cProfile and write a "
-                        "BENCH_<suite>.profile.txt top-N table next to "
-                        "the JSON (numbers then measure shape, not speed)")
-    p.add_argument("--profile-top", type=int, default=25,
-                   help="functions per section in the profile table")
-    p.add_argument("--phases", action="store_true",
-                   help="run each suite under the phase profiler and print"
-                        " per-phase wall-clock attribution")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -918,13 +856,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     The same pattern covers the other telemetry layers: ``--timeline`` /
     ``--until-steady`` / ``--telemetry-dir`` install a
     :class:`~repro.obs.timeline.TimelineRecorder` and ``--phases`` a
-    :class:`~repro.obs.phases.PhaseProfiler` for the command's duration
-    (``bench --phases`` manages its own per-suite profiler instead).
+    :class:`~repro.obs.phases.PhaseProfiler` for the command's duration.
     """
     args = build_parser().parse_args(argv)
-    if args.command in ("report", "watch", "bench"):
-        # report/watch only read artifacts; bench manages its own
-        # telemetry (per-suite tracer/timeline/profiler installs).
+    if args.command in ("report", "watch"):
+        # report/watch only read artifacts.
         return args.func(args)
     trace_path = getattr(args, "trace", None)
     chrome_path = getattr(args, "trace_chrome", None)

@@ -1,7 +1,6 @@
 """Result reporting: aligned tables and JSON export.
 
-Used by the command-line interface; the benchmark suite has its own thin
-printer so that it stays importable without the library's CLI glue.
+Used by the command-line interface.
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ def use_timeline(timeline):
 # ------------------------------------------------------------- profiler
 
 #: Callbacks invoked with the new profiler on every :func:`set_profiler`.
-#: The event loop and the nested crypto/mempool sites rebind their
+#: The event loop and the nested crypto/mempool/sketch sites rebind their
 #: module-level ``_PHASES`` guards through this, keeping the off path at
 #: one global load plus one branch per site.
 _PROFILER_HOOKS = []

@@ -5,9 +5,9 @@ reconciliation, mempool admission, crypto?  The tracer can't answer: it
 records *simulated* time.  :class:`PhaseProfiler` times real execution:
 the event loop classifies every callback it runs into a coarse phase
 (see :func:`classify_callback`), and a few nested hot spots (signature
-creation/verification, mempool admission) attribute their own slices, so
-a phase's **self** time excludes its children while **inclusive** time
-contains them.
+creation/verification, mempool admission, sketch decode-cache misses)
+attribute their own slices, so a phase's **self** time excludes its
+children while **inclusive** time contains them.
 
 Zero cost when off: profiling modules keep a module-level ``_PHASES``
 guard rebound by :func:`repro.obs.on_profiler_change` (the same

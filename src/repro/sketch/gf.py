@@ -28,7 +28,7 @@ Fast path
 
 When numpy is importable the field objects additionally run *batched*
 kernels -- :meth:`GF2m.mul_batch`, :meth:`GF2m.sqr_batch`,
-:meth:`GF2m.inv_batch`, :meth:`GF2m.find_roots_scan`, and on the tower
+:meth:`GF2m.find_roots_scan`, and on the tower
 field long :meth:`~GF2Tower32.mul_scalar_batch` rows, the candidate test
 :meth:`~GF2Tower32.roots_among` and the :class:`FrobeniusChain` of a
 locator of degree >= 5 -- as whole-array gathers on the same (mirrored)
@@ -66,9 +66,8 @@ def set_fast_path(enabled: bool) -> bool:
     """Enable/disable the numpy kernels; returns the previous setting.
 
     Disabling forces every batched API through the pure-Python scalar
-    fallback -- used by the equality property tests and by the benchmark
-    runner to measure the scalar baseline.  A no-op (always "disabled")
-    when numpy is not installed.
+    fallback -- used by the equality property tests as the reference
+    switch.  A no-op (always "disabled") when numpy is not installed.
     """
     global _FAST_ENABLED
     previous = _FAST_ENABLED
@@ -391,18 +390,6 @@ class GF2m:
             return [sqr(x) for x in a]
         exp, log = tables
         return exp[2 * log[_np.asarray(a, dtype=_np.uint32)]].tolist()
-
-    def inv_batch(self, a: Sequence[int]) -> List[int]:
-        """Elementwise inverses; raises ZeroDivisionError on any zero."""
-        tables = self._np_tables()
-        if tables is None:
-            inv = self.inv
-            return [inv(x) for x in a]
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.uint32)
-        if not av.all():
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return exp[(self.order - 1) - log[av]].tolist()
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         """XOR-accumulated inner product ``a[0]b[0] ^ a[1]b[1] ^ ...``.
@@ -946,23 +933,6 @@ class GF2Tower32(GF2m):
         s1 = exp[2 * log[av >> 16]]
         lo = exp[2 * log[av & 0xFFFF]] ^ exp[log[s1] + self._log_c]
         return ((s1 << 16) | lo).tolist()
-
-    def inv_batch(self, a: Sequence[int]) -> List[int]:
-        """Elementwise tower inverses; raises ZeroDivisionError on any zero."""
-        tables = self.sub._np_tables()
-        if tables is None:
-            inv = self.inv
-            return [inv(x) for x in a]
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.uint32)
-        if not av.all():
-            raise ZeroDivisionError("inverse of 0 in GF(2^32)")
-        l1, l0 = log[av >> 16], log[av & 0xFFFF]
-        norm = exp[2 * l0] ^ exp[l0 + l1] ^ exp[log[exp[2 * l1]] + self._log_c]
-        log_inv = 0xFFFF - log[norm]  # norm != 0 for nonzero input
-        hi = exp[l1 + log_inv]
-        lo = exp[log[(av >> 16) ^ (av & 0xFFFF)] + log_inv]
-        return ((hi << 16) | lo).tolist()
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         """XOR-accumulated inner product over the tower field.

@@ -33,8 +33,24 @@ from functools import lru_cache
 from operator import xor as _xor
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.metrics.caches import register_cache
 from repro.sketch.gf import GF2m, default_field, fast_path_active
+
+#: Installed phase profiler or ``None``; rebound via
+#: :func:`repro.obs.on_profiler_change` so a decode-cache miss can
+#: attribute its wall time to a nested ``sketch`` phase at the cost of
+#: one global load and branch when profiling is off.
+_PHASES = None
+
+
+def _rebind_profiler(profiler) -> None:
+    """Hook for :func:`repro.obs.on_profiler_change`."""
+    global _PHASES
+    _PHASES = profiler if profiler is not None and profiler.enabled else None
+
+
+obs.on_profiler_change(_rebind_profiler)
 
 
 class SketchDecodeError(ValueError):
@@ -505,11 +521,17 @@ class PinSketch:
                 raise SketchDecodeError("sketch is not decodable (cached)")
             return set(cached)
         _DECODE_STATS.misses += 1
+        profiler = _PHASES
+        if profiler is not None:
+            profiler.enter("sketch")
         try:
             result = self._decode_uncached(candidates)
         except SketchDecodeError:
             _cache_store(cache_key, _UNDECODABLE)
             raise
+        finally:
+            if profiler is not None:
+                profiler.exit()
         _cache_store(cache_key, frozenset(result))
         return result
 

@@ -1,5 +1,7 @@
 """The admission pipeline: rejection reasons, RBF, nonce FIFO, drain order."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from repro.mempool.fee_market import FeeMarketConfig
 from repro.mempool.limiter import LimiterConfig
 from repro.mempool.transaction import make_transaction
 from repro.mempool.watermark import WatermarkConfig
+from repro.workload.hotkey import HotKeySampler
 
 KP = KeyPair.generate(seed=b"admission-test")
 KP2 = KeyPair.generate(seed=b"admission-test-2")
@@ -156,6 +159,37 @@ def test_age_expiry_leaves_gap_then_resubmission_works():
     assert pool.counters["expired_age"] == 2
     # next_nonce never advanced, so the sender may resubmit nonce 1.
     assert pool.admit(tx(nonce=1, created_at=21.0), 21.0).accepted
+
+
+def test_skewed_stream_clears_and_tiny_pool_evicts():
+    """Two pipeline shapes end to end: a hot-key-skewed stream mostly
+    clears admission, and rising fees into a tiny pool evict on most
+    admits."""
+    rnd = random.Random(42)
+    sampler = HotKeySampler(rnd, num_accounts=1_000, num_hot=8,
+                            hot_fraction=0.6)
+    keys, nonces = {}, {}
+    pool = Mempool(AdmissionConfig(max_nonce_gap=1_000_000))
+    count, rate_per_s = 2_000, 200.0
+    for i in range(count):
+        account = sampler()
+        if account not in keys:
+            keys[account] = KeyPair.generate(seed=b"hot-%d" % account)
+        nonces[account] = nonce = nonces.get(account, 0) + 1
+        fee = max(1, int(rnd.lognormvariate(3.0, 1.1)))
+        t = make_transaction(keys[account], nonce, fee, i / rate_per_s)
+        pool.admit(t, now=i / rate_per_s, peer=t.sender.raw)
+    assert pool.counters["accepted"] + pool.counters["replaced"] > count // 2
+
+    pressure = 500
+    pool = Mempool(AdmissionConfig(
+        watermarks=WatermarkConfig(max_pool_bytes=50_000, low_fraction=0.9,
+                                   max_age_s=1e9, max_pool_txs=50_000)))
+    for i in range(pressure):
+        keypair = KeyPair.generate(seed=b"pressure-%d" % i)
+        t = make_transaction(keypair, 1, 100 + i + rnd.randrange(50), float(i))
+        pool.admit(t, now=float(i), peer=None)
+    assert pool.counters["evicted_pool_full"] > pressure // 4
 
 
 def test_rejection_breakdown_covers_all_reasons():

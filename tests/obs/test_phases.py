@@ -12,8 +12,10 @@ import pytest
 
 from repro import obs
 from repro.experiments.harness import LOSimulation, SimulationParams
+from repro.metrics import cache_stats
 from repro.obs import PhaseProfiler
 from repro.obs.phases import CLASSIFY_RULES, OTHER_PHASE, classify_callback
+from repro.sketch.pinsketch import clear_decode_cache
 
 
 class FakeClock:
@@ -187,10 +189,15 @@ def _run(seed=11, profiler=None):
 
 
 def test_profiled_sim_attributes_expected_phases():
+    clear_decode_cache()  # so the run below decodes, not just looks up
     profiler = PhaseProfiler()
     _run(profiler=profiler)
     phases = set(profiler.self_s)
-    assert {"net", "reconcile", "workload", "crypto"} <= phases
+    assert {"net", "reconcile", "workload", "crypto", "sketch"} <= phases
+    # one sketch frame per decode-cache miss, none for a hit
+    misses = cache_stats()["sketch.decode"]["misses"]
+    assert misses > 0
+    assert profiler.calls["sketch"] == misses
     assert all(t >= 0.0 for t in profiler.self_s.values())
     assert profiler._stack == []  # every enter() found its exit()
     # crypto nests inside loop phases: inclusive >= self for its parents

@@ -15,7 +15,7 @@ def test_parser_covers_all_experiments():
     )
     commands = set(sub.choices)
     assert {"run", "fig6", "fig7", "fig8", "fig9", "fig10", "memory",
-            "cpu", "bench", "report"} <= commands
+            "cpu", "report"} <= commands
 
 
 def test_run_command(capsys):
@@ -231,17 +231,3 @@ def test_run_phases_prints_profile_table(tmp_path, capsys):
     phases = json.loads(out_file.read_text())["result"]["phases"]
     assert "net" in phases
     assert all(entry["self_s"] >= 0.0 for entry in phases.values())
-
-
-def test_bench_obs_quick_writes_overhead_metrics(tmp_path, capsys):
-    code = main(["bench", "--quick", "--suite", "obs",
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
-    capsys.readouterr()
-    payload = json.loads((tmp_path / "BENCH_obs.json").read_text())
-    assert payload["schema"] == "repro.bench/1"
-    names = {r["name"] for r in payload["results"]}
-    assert {"sim/run/telemetry=off", "sim/run/telemetry=trace",
-            "sim/run/telemetry=timeline",
-            "sim/run/telemetry=phases"} <= names
-    assert payload["derived"]["telemetry_off_events_per_second"] > 0

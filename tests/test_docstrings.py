@@ -35,7 +35,6 @@ DOCUMENTED_PACKAGES = [
     "repro.core",
     "repro.net.chaos",
     "repro.testing",
-    "repro.bench",
     "repro.metrics",
     "repro.exec",
     "repro.mempool",

@@ -48,12 +48,6 @@ PUBLIC_MODULES = [
     "repro.obs.steady",
     "repro.obs.phases",
     "repro.obs.live",
-    "repro.bench",
-    "repro.bench.runner",
-    "repro.bench.suites",
-    "repro.bench.harness",
-    "repro.bench.mempool",
-    "repro.bench.obs",
     "repro.exec",
     "repro.exec.tasks",
     "repro.exec.worker",
