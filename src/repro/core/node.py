@@ -23,6 +23,7 @@ Wire protocol (message types on the simulated network):
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -69,14 +70,40 @@ from repro.metrics import EventCounter, LatencyTracker
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
 from repro.sim.loop import Event, EventLoop
+from repro.sketch.gf import GF2m
 
 
 class Directory:
-    """Shared node-id <-> public-key mapping (the PKI assumption)."""
+    """What every node of one simulation shares: the PKI and committed ids.
+
+    ``register`` / ``key_of`` / ``id_of`` are the node-id <-> public-key
+    mapping (the PKI assumption).  ``committed`` is the simulation's
+    registry of sketch ids: every id some node committed
+    (:meth:`LONode._commit_bundle` is the only way into a log), once, in
+    first-commit order, capped at the newest
+    :attr:`~repro.sketch.gf.GF2m.MAX_TESTED_CANDIDATES`.  A responder hands
+    it to the decoder as root candidates: every id a correct sketch carries
+    was committed by some node of this simulation, so the decoder *tests*
+    these instead of *searching* GF(2^32) for the roots -- the simulator's
+    stand-in for libminisketch's root search, as the simulated signatures'
+    ``verify()`` is for Ed25519 (DESIGN.md section 3).  Candidates never
+    change a decode's result, only its cost.  One ``Directory`` is built per
+    simulation, so two simulations never share the registry.
+    """
 
     def __init__(self) -> None:
         self._by_id: Dict[int, PublicKey] = {}
         self._by_key: Dict[PublicKey, int] = {}
+        self.committed: "OrderedDict[int, None]" = OrderedDict()
+
+    def note_committed(self, ids: Sequence[int]) -> None:
+        """Add freshly committed ids not yet in the registry, evict the oldest."""
+        committed = self.committed
+        for sketch_id in ids:
+            if sketch_id not in committed:
+                committed[sketch_id] = None
+        while len(committed) > GF2m.MAX_TESTED_CANDIDATES:
+            committed.popitem(last=False)
 
     def register(self, node_id: int, key: PublicKey) -> None:
         """Record one node's identity."""
@@ -348,6 +375,7 @@ class LONode(Endpoint):
         fresh = self.log.append_many(ids)
         if not fresh:
             return None
+        self.directory.note_committed(fresh)
         bundle = BundleInfo(
             index=self.seq,
             ids=tuple(fresh),
@@ -811,13 +839,15 @@ class LONode(Endpoint):
             self._send(sender, "lo/sync_resp", response, response.wire_size())
             return
         local = sketch_for_spec(self.log, request.spec, capacity)
-        # Our own slice of the log, taken once: the decoder tests these ids
-        # as roots before it searches (about half of the difference is
-        # among them), and the store below records them.
+        # Our own slice of the log, taken before the commit below: the
+        # store records it once the round is done.
         held = ids_for_spec(self.log, request.spec)
         if self.counter is not None:
             self.counter.increment("reconciliations", node=self.node_id)
-        diff = decode_difference(local, request.sketch, held)
+        # The decoder tests the simulation's committed ids as roots before
+        # it searches; a correct requester's sketch carries nothing else.
+        diff = decode_difference(local, request.sketch,
+                                 self.directory.committed)
         _t = obs.TRACER
         if diff is None:
             if self.counter is not None:

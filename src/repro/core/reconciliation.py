@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Collection, List, Optional, Set, Tuple
 
 from repro.core.commitment import CommitmentHeader
 from repro.core.config import LOConfig
@@ -119,19 +119,20 @@ def adaptive_capacity(estimate: int, config: LOConfig) -> int:
 
 
 def decode_difference(
-    local: PinSketch, remote: PinSketch, held: Sequence[int] = ()
+    local: PinSketch, remote: PinSketch, candidates: Collection[int] = ()
 ) -> Optional[Set[int]]:
     """XOR-combine and decode; None signals capacity overflow (split).
 
-    ``held`` are the ids behind ``local``.  About half of the difference
-    is among them (the part the remote side lacks), and the decoder tests
-    those before it searches the field for the rest
-    (:meth:`PinSketch.decode`); the decoded set does not depend on it.
+    ``candidates`` are ids the difference is expected to be among -- a
+    responder passes its simulation's registry of committed ids
+    (:class:`repro.core.node.Directory`), which holds every id of a correct
+    difference.  The decoder tests them before it searches the field
+    (:meth:`PinSketch.decode`); the decoded set does not depend on them.
     """
     from repro import obs
 
     try:
-        diff = (local ^ remote).decode(held)
+        diff = (local ^ remote).decode(candidates)
     except SketchDecodeError:
         diff = None
     _t = obs.TRACER

@@ -42,7 +42,7 @@ equality; ``python -m lobench`` measures what it buys end to end.
 from __future__ import annotations
 
 from operator import xor as _xor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:  # The fast path is optional; the library must work without numpy.
     import numpy as _np
@@ -640,11 +640,13 @@ class GF2m:
     #: before it searches.  Measured on the numpy tower path (docs/sketch.md
     #: section 3.4): the test is linear in the candidate count, the search
     #: does not depend on it, and between 1,000 and 2,000 candidates the
-    #: test costs what finding half of the roots by it saves.
+    #: test costs what finding half of the roots by it saves.  A
+    #: simulation's registry of committed ids
+    #: (:class:`repro.core.node.Directory`) keeps this many, the newest.
     MAX_TESTED_CANDIDATES = 1024
 
     def roots_among(
-        self, poly: Sequence[int], candidates: Sequence[int]
+        self, poly: Sequence[int], candidates: Iterable[int]
     ) -> List[int]:
         """The distinct ``candidates`` at which ``poly`` is zero, ascending.
 
@@ -956,7 +958,7 @@ class GF2Tower32(GF2m):
         )
 
     def roots_among(
-        self, poly: Sequence[int], candidates: Sequence[int]
+        self, poly: Sequence[int], candidates: Iterable[int]
     ) -> List[int]:
         """:meth:`GF2m.roots_among` as one Horner sweep over all candidates.
 

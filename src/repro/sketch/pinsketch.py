@@ -16,9 +16,9 @@ Performance layers (docs/architecture.md has the full map):
 * **Decode cost follows the decoded difference** -- Berlekamp--Massey runs
   online and stops at the first locator that reproduces every stored
   syndrome (:meth:`PinSketch._decode_uncached`); roots come from closed
-  forms up to degree 4 and from one shared Frobenius chain per locator
-  above, after the elements the caller already holds have been tested and
-  divided out (:func:`_find_roots`).  The numpy fast path of
+  forms up to degree 4; above that the caller's candidates are tested
+  first, and one shared Frobenius chain searches only for roots they do
+  not explain (:func:`_find_roots`).  The numpy fast path of
   :mod:`repro.sketch.gf` runs the chain and long rows as whole-array
   gathers; the pure-Python fallback decodes bit-identically.
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
@@ -31,7 +31,9 @@ import struct
 from collections import OrderedDict
 from functools import lru_cache
 from operator import xor as _xor
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import obs
 from repro.metrics.caches import register_cache
@@ -484,17 +486,20 @@ class PinSketch:
 
     # -------------------------------------------------------------- decoding
 
-    def decode(self, candidates: Sequence[int] = ()) -> Set[int]:
+    def decode(self, candidates: Collection[int] = ()) -> Set[int]:
         """Recover the sketched set (|set| <= capacity) or raise.
 
         Raises :class:`SketchDecodeError` when the difference exceeds the
         capacity (detected via locator-degree and root-count checks, plus
         the syndrome re-verification that catches aliasing).
 
-        ``candidates`` are elements the caller already holds and expects
-        some of the sketched set to be among -- a reconciliation responder
-        holds about half of ``A ^ B``.  They are a hint about *where* to
-        look first (:func:`_find_roots` tests them before it searches) and
+        ``candidates`` are values the caller expects the sketched set to be
+        among -- a reconciliation responder passes every id its simulation
+        has committed (:class:`repro.core.node.Directory`), which holds the
+        whole difference of a correct sketch.  Any collection of ints will
+        do, junk, duplicates and values outside the field included.  They
+        are a hint about *where* to look first (:func:`_find_roots` tests
+        them, and searches only when they do not explain every root) and
         never about *what* is found: the result, the
         :class:`SketchDecodeError` outcome and the memo entry are the same
         for every ``candidates``, the empty default included.
@@ -535,7 +540,7 @@ class PinSketch:
         _cache_store(cache_key, frozenset(result))
         return result
 
-    def _decode_uncached(self, candidates: Sequence[int] = ()) -> Set[int]:
+    def _decode_uncached(self, candidates: Collection[int] = ()) -> Set[int]:
         """Early-exit Berlekamp--Massey, root finding, full verification.
 
         Berlekamp--Massey is online, so the stored syndromes are fed one at
@@ -580,7 +585,7 @@ class PinSketch:
         return elements
 
     def _explained_by(
-        self, locator: List[int], candidates: Sequence[int] = ()
+        self, locator: List[int], candidates: Collection[int] = ()
     ) -> Optional[Set[int]]:
         """The set ``locator`` stands for, if it reproduces every syndrome.
 
@@ -655,7 +660,7 @@ def _berlekamp_massey(
 
 
 def _find_roots(
-    poly: Sequence[int], field: GF2m, candidates: Sequence[int] = ()
+    poly: Sequence[int], field: GF2m, candidates: Collection[int] = ()
 ) -> List[int]:
     """Roots of ``poly`` in GF(2^m), distinct-roots contract.
 
@@ -672,11 +677,13 @@ def _find_roots(
       quartic ``z^4 + A z^2 + B z = v`` and solved as an m x m system over
       GF(2) (:meth:`GF2m.solve_linearized_quartic`).
     * **Known candidates, then one Frobenius chain** (degree >= 5):
-      ``candidates`` -- values the caller holds and expects some roots to
-      be among -- are *tested* (:meth:`GF2m.roots_among`) and the hits
-      divided out (:meth:`GF2m.poly_deflate`); only the residual is
-      *searched*, by the closed forms when they reach it and otherwise by
-      one chain ``x^(2^i) mod residual`` for ``i <= m``
+      ``candidates`` -- values the caller expects the roots to be among --
+      are *tested* (:meth:`GF2m.roots_among`).  When the hits number
+      ``deg poly`` they are returned as they are: that many distinct roots
+      of a monic polynomial of that degree are all of its roots.  Fewer
+      hits are divided out (:meth:`GF2m.poly_deflate`) and only the
+      residual is *searched*, by the closed forms when they reach it and
+      otherwise by one chain ``x^(2^i) mod residual`` for ``i <= m``
       (:meth:`GF2m.frobenius_chain`).  The chain's last entry decides
       whether the residual splits at all, and every Berlekamp trace
       polynomial ``Tr(beta x) mod residual`` is a linear combination of
@@ -688,7 +695,8 @@ def _find_roots(
     ``poly``'s distinct roots: it has ``deg poly`` elements exactly when
     ``poly`` is a product of distinct linear factors (then the residual is
     one too, and its search finds all of them), and fewer otherwise --
-    with a repeated root among the hits, the residual keeps the repeat and
+    a repeated root leaves fewer than ``deg poly`` distinct roots to hit,
+    and when it is among the hits the residual keeps the repeat and
     returns it again or not at all.  The test is skipped above
     :attr:`GF2m.MAX_TESTED_CANDIDATES`, where it stops being cheaper than
     the search it saves.
@@ -705,6 +713,8 @@ def _find_roots(
         return _CLOSED_FORMS[degree](monic, field)
     if candidates and len(candidates) <= field.MAX_TESTED_CANDIDATES:
         hits = field.roots_among(monic, candidates)
+        if len(hits) == degree:
+            return hits
         if hits:
             return hits + _find_roots(field.poly_deflate(monic, hits), field)
     chain = field.frobenius_chain(monic)

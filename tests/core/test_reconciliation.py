@@ -152,42 +152,116 @@ def _outcome(sim):
     return hashlib.sha256(blob).hexdigest(), known
 
 
-def _run_16_nodes(monkeypatch, forget_held):
+def _run_counting(monkeypatch, build, blind):
+    """Run ``build()``, counting root tests and Frobenius chains.
+
+    ``blind`` forces the candidates every responder decodes with to ``()``,
+    so each root of degree >= 5 is searched for instead of tested.
+    Returns ``(outcome, hits per test, chain count)``.
+    """
     import repro.core.node as node_module
     from repro.sketch.gf import GF2Tower32
     from repro.sketch.pinsketch import clear_decode_cache
-    from tests.conftest import make_sim
 
-    tested = []
+    tested, chains = [], []
     roots_among = GF2Tower32.roots_among
+    frobenius_chain = GF2Tower32.frobenius_chain
 
     def counting(self, poly, candidates):
         hits = roots_among(self, poly, candidates)
         tested.append(len(hits))
         return hits
 
+    def counting_chain(self, q):
+        chains.append(len(q) - 1)
+        return frobenius_chain(self, q)
+
     monkeypatch.setattr(GF2Tower32, "roots_among", counting)
-    if forget_held:
+    monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
+    if blind:
         monkeypatch.setattr(
             node_module, "decode_difference",
-            lambda local, remote, held=(): decode_difference(local, remote),
+            lambda local, remote, candidates=(): decode_difference(
+                local, remote),
         )
-    clear_decode_cache()  # every decode below is searched, not remembered
+    clear_decode_cache()  # every decode below is found, not remembered
+    sim = build()
+    return _outcome(sim), tested, len(chains)
+
+
+def _with_and_without_candidates(monkeypatch, build):
+    with monkeypatch.context() as patch:
+        seen = _run_counting(patch, build, blind=False)
+    with monkeypatch.context() as patch:
+        blind = _run_counting(patch, build, blind=True)
+    return seen, blind
+
+
+def _sixteen_nodes():
+    from tests.conftest import make_sim
+
     sim = make_sim(num_nodes=16, seed=11)
     sim.inject_workload(rate_per_s=40.0, duration_s=3.0)
     sim.run(8.0)
-    return _outcome(sim), tested
+    return sim
 
 
 def test_same_seed_run_is_identical_with_held_forced_empty(monkeypatch):
-    """The responder's slice changes what a decode costs, never a result."""
-    with monkeypatch.context() as patch:
-        (digest, known), tested = _run_16_nodes(patch, forget_held=False)
-    with monkeypatch.context() as patch:
-        (blind_digest, blind_known), blind = _run_16_nodes(
-            patch, forget_held=True)
-    assert sum(tested) > 0  # ids the responders held were found by testing
-    assert blind == []      # ... and without `held` nothing is ever tested
+    """The committed-id registry changes what a decode costs, never a
+    result: forcing the responders' candidates to ``()`` gives the same run."""
+    ((digest, known), tested, _), ((blind_digest, blind_known), blind, _) = \
+        _with_and_without_candidates(monkeypatch, _sixteen_nodes)
+    assert sum(tested) > 0  # committed ids were found by testing
+    assert blind == []      # ... and without candidates nothing is tested
+    assert known == blind_known
+    assert digest == blind_digest
+
+
+def _corrupting_chaos():
+    from repro.core.config import LOConfig
+    from repro.experiments.harness import LOSimulation, SimulationParams
+    from repro.net.chaos import ChaosPlan
+
+    sim = LOSimulation(SimulationParams(
+        num_nodes=14, seed=13,
+        config=LOConfig(quarantine_base_s=2.0, quarantine_max_s=8.0),
+        chaos_plan=ChaosPlan(seed=9, duplicate_rate=0.1, reorder_rate=0.1,
+                             corrupt_rate=0.08),
+    ))
+    sim.inject_workload(rate_per_s=60.0, duration_s=3.0)
+    sim.run(8.0)
+    return sim
+
+
+def _garbage_neighbour():
+    from repro.attacks.degraded import GarbageNode
+    from repro.core.config import LOConfig
+    from repro.experiments.harness import LOSimulation, SimulationParams
+
+    sim = LOSimulation(SimulationParams(
+        num_nodes=12, seed=3,
+        config=LOConfig(quarantine_base_s=1.0, quarantine_max_s=4.0),
+        malicious_ids=[4],
+        attacker_factory=lambda **kwargs: GarbageNode(**kwargs),
+    ))
+    sim.inject_workload(rate_per_s=60.0, duration_s=3.0)
+    sim.run(8.0)
+    return sim
+
+
+@pytest.mark.parametrize("build", [_corrupting_chaos, _garbage_neighbour])
+def test_candidates_change_no_outcome_where_the_search_still_runs(
+        monkeypatch, build):
+    """Corrupted copies and a garbage-sending neighbour: some locators
+    (over-capacity ones) are not explained by the committed ids, so the
+    Frobenius chain still runs with the registry in place -- and the run
+    is the same as one that searches for every root."""
+    ((digest, known), tested, chains), ((blind_digest, blind_known), _,
+                                        blind_chains) = \
+        _with_and_without_candidates(monkeypatch, build)
+    assert sum(tested) > 0
+    assert chains >= 1                # not vacuous: the search ran
+    assert blind_chains > chains
     assert known == blind_known
     assert digest == blind_digest
 

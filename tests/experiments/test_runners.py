@@ -83,6 +83,25 @@ def test_sec65_cpu_comparison():
     assert result.speedup > 0
 
 
+def test_sec65_naive_decode_runs_the_full_root_search(monkeypatch):
+    """Section 6.5 times the whole decoder: no candidates, so the roots of
+    the degree-32 locator are searched for by the Frobenius chain."""
+    from repro.experiments.sec65_cpu import time_naive
+    from repro.sketch.gf import GF2Tower32
+
+    chains = []
+    frobenius_chain = GF2Tower32.frobenius_chain
+
+    def counting_chain(self, q):
+        chains.append(len(q) - 1)
+        return frobenius_chain(self, q)
+
+    monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
+    a, b = make_sets(difference=32)
+    assert time_naive(a, b, capacity=32) > 0
+    assert chains and chains[0] == 32
+
+
 def test_make_sets_exact_difference():
     a, b = make_sets(difference=20, common=50, seed=3)
     assert len(a ^ b) == 20

@@ -420,6 +420,105 @@ def test_candidates_cannot_rescue_a_locator_that_does_not_split(fast):
         set_fast_path(previous)
 
 
+# ------------------------------------------- every root among the candidates
+
+FULL_KINDS = ("exact", "superset", "duplicates", "out_of_range")
+
+
+def _candidates_with_every_root(kind, elements, rnd):
+    """Candidate lists holding all of ``elements``, the way a simulation's
+    registry of committed ids holds a correct difference."""
+    ordered = sorted(elements)
+    junk = [x for x in (rnd.randrange(1, 1 << 32) for _ in range(60))
+            if x not in elements]
+    if kind == "exact":
+        return ordered
+    if kind == "superset":
+        mixed = ordered + junk
+        rnd.shuffle(mixed)
+        return mixed
+    if kind == "duplicates":
+        return ordered + junk[:5] + ordered[::-1] + ordered[:3]
+    # Values that are no field element, next to the roots themselves.
+    return [0, -1, -ordered[0], 1 << 32] + [
+        e + (1 << 32) for e in ordered] + ordered
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS)
+@pytest.mark.parametrize("fast", [True, False])
+def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
+    """A full hit is returned as it is: no deflation, no chain, and the
+    same set as the reference decoder, brute force and the plain search."""
+    from repro.sketch.gf import GF2Tower32
+
+    field = default_field(32)
+    rnd = random.Random(10 * FULL_KINDS.index(kind) + fast)
+    tests, chains = [], []
+    roots_among = GF2Tower32.roots_among
+    frobenius_chain = GF2Tower32.frobenius_chain
+
+    def counting(self, poly, candidates):
+        hits = roots_among(self, poly, candidates)
+        tests.append((len(poly) - 1, len(hits)))
+        return hits
+
+    def counting_chain(self, q):
+        chains.append(len(q) - 1)
+        return frobenius_chain(self, q)
+
+    def no_deflation(self, p, roots):
+        raise AssertionError("a full hit needs no deflation")
+
+    monkeypatch.setattr(GF2Tower32, "roots_among", counting)
+    monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
+    monkeypatch.setattr(GF2Tower32, "poly_deflate", no_deflation)
+    previous = set_fast_path(fast)
+    try:
+        for degree in (5, 6, 8, 12, 17, 24):
+            elements = set(rnd.sample(range(1, 1 << 32), degree))
+            capacity = degree + rnd.randint(0, 8)
+            syndromes = ref.sketch_of(elements, capacity, field)
+            assert ref.decode(syndromes, field) == elements  # brute force
+            sketch = PinSketch(capacity, 32)
+            sketch.load_syndromes(syndromes)
+            hint = _candidates_with_every_root(kind, elements, rnd)
+            del tests[:], chains[:]
+            clear_decode_cache()
+            assert sketch.decode(hint) == elements
+            assert tests and tests[-1] == (degree, degree)
+            assert chains == []
+            clear_decode_cache()
+            assert sketch.decode() == elements
+            assert chains  # without candidates the roots are searched for
+    finally:
+        set_fast_path(previous)
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_a_repeated_root_among_the_candidates_fails_as_before(fast):
+    """``deg q`` hits are impossible when a root repeats: the hits are
+    divided out and the residual returns the repeat again, so the result
+    still has fewer than ``deg q`` distinct roots."""
+    field = default_field(32)
+    rnd = random.Random(123 + fast)
+    previous = set_fast_path(fast)
+    try:
+        for degree in range(5, 14):
+            roots = rnd.sample(range(1, 1 << 32), degree)
+            distinct = roots[:-1]
+            repeated = [1]
+            for r in distinct + [roots[0]]:
+                repeated = field.poly_mul(repeated, [r, 1])
+            assert _find_roots(repeated, field) == []  # the chain: no split
+            for hint in (distinct, distinct + distinct + [0, 1 << 32],
+                         roots + [rnd.randrange(1, 1 << 32)]):
+                got = _find_roots(repeated, field, hint)
+                assert sorted(got) == sorted(distinct + [roots[0]])
+                assert len(set(got)) < degree
+    finally:
+        set_fast_path(previous)
+
+
 def test_poly_deflate_is_exact_division_and_rejects_non_roots():
     field = default_field(32)
     rnd = random.Random(4)
