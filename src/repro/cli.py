@@ -22,8 +22,8 @@ worker processes (results are identical to the serial run; see
 ``docs/parallelism.md``), and ``--trace PATH`` to write a deterministic
 ``repro.trace/1`` JSONL trace (``--trace-chrome PATH`` adds a
 Perfetto-loadable Chrome trace); ``report`` summarises a trace; ``sweep``
-fans an (experiment x seed x grid) task matrix across a process pool with
-crash containment and a deterministic merge.
+fans an (experiment x seed x grid) task matrix across spool worker
+processes with crash containment and a deterministic merge.
 """
 
 from __future__ import annotations
@@ -317,7 +317,8 @@ def _parse_grid(params: List[str]):
 
 
 def cmd_sweep(args) -> int:
-    from repro.exec import derive_tasks, experiment_names, run_sweep
+    from repro.exec import (SpoolConfig, derive_tasks, experiment_names,
+                            run_sweep)
 
     if args.experiment not in experiment_names():
         print(f"unknown experiment {args.experiment!r};"
@@ -333,14 +334,14 @@ def cmd_sweep(args) -> int:
     tasks = derive_tasks(args.experiment, grid, base_seed=args.seed,
                          repetitions=args.repetitions)
     trace_dir = args.out_dir if args.task_traces else None
+    config = SpoolConfig(
+        heartbeat_s=args.heartbeat,
+        lease_timeout_s=args.lease_timeout,
+        max_attempts=args.max_attempts,
+    )
     if args.spool:
-        from repro.exec import SpoolConfig, SpoolError, run_spool_sweep
+        from repro.exec import SpoolError, run_spool_sweep
 
-        config = SpoolConfig(
-            heartbeat_s=args.heartbeat,
-            lease_timeout_s=args.lease_timeout,
-            max_attempts=args.max_attempts,
-        )
         try:
             outcome = run_spool_sweep(
                 args.spool, tasks, workers=args.workers, config=config,
@@ -356,7 +357,7 @@ def cmd_sweep(args) -> int:
     else:
         outcome = run_sweep(
             tasks, workers=args.workers, timeout_s=args.timeout,
-            retries=args.retries, trace_dir=trace_dir,
+            config=config, trace_dir=trace_dir,
         )
     rows = [
         (o.task.index, o.task.seed, o.task.repetition,
@@ -370,12 +371,11 @@ def cmd_sweep(args) -> int:
     ))
     print(f"[{len(tasks)} tasks, {args.workers} worker(s),"
           f" wall {outcome.wall_seconds:.2f}s,"
-          f" {len(outcome.failed())} failed"
-          + (f", {outcome.pool_rebuilds} pool rebuild(s)"
-             if outcome.pool_rebuilds else "") + "]")
+          f" {len(outcome.failed())} failed]")
     if outcome.spool is not None:
         s = outcome.spool
-        print(f"[spool {args.spool}: {s['completed']}/{s['tasks_total']}"
+        print(f"[spool {args.spool or '(temporary)'}:"
+              f" {s['completed']}/{s['tasks_total']}"
               f" completed, {s['attempts']} attempt(s),"
               f" {s['reclaims']} reclaim(s), {s['parked']} parked,"
               f" {s.get('worker_restarts', 0)} worker restart(s)]")
@@ -388,10 +388,9 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
 
     if args.out_dir:
-        paths = outcome.write_run_dir(args.out_dir)
+        outcome.write_run_dir(args.out_dir)
         print(f"[run directory {args.out_dir}: sweep.json, execution.json"
               + (", task-*.trace.jsonl" if trace_dir else "") + "]")
-        del paths
     if args.json:
         with open(args.json, "wb") as stream:
             stream.write(outcome.results_bytes())
@@ -767,11 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (1 = serial)")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-task wall-clock budget; timed-out tasks are"
-                        " retried, then recorded as failures")
-    p.add_argument("--retries", type=int, default=1,
-                   help="extra attempts after a crash/timeout (default 1;"
-                        " spool runs use --max-attempts instead)")
+                   help="per-task wall-clock budget, enforced in the worker;"
+                        " with --workers > 1 a worker still on a task after"
+                        " 2 x S + 5s is killed. Timed-out tasks are retried,"
+                        " then parked")
     p.add_argument("--spool", type=str, default=None, metavar="DIR",
                    help="durable spool directory: tasks/leases/results live"
                         " as atomically-published files, so the sweep"
@@ -787,8 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spool lease staleness threshold (default"
                         " 3 x heartbeat)")
     p.add_argument("--max-attempts", type=int, default=3,
-                   help="spool per-task attempt budget before the task is"
-                        " parked (default 3)")
+                   help="per-task attempt budget of a parallel sweep: a task"
+                        " whose worker crashed or timed out this many times"
+                        " is parked (default 3)")
     p.add_argument("--out-dir", type=str, default=None,
                    help="run directory for sweep.json + execution.json"
                         " (+ per-task traces with --task-traces)")

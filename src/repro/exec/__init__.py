@@ -9,19 +9,18 @@ serial run:
 
 * :func:`derive_tasks` / :func:`expand_grid` -- deterministic task
   enumeration on top of :func:`repro.experiments.derive_seeds`;
-* :func:`run_sweep` -- the engine: bounded in-flight dispatch, per-task
-  timeout + retry, worker-crash containment, order-independent merge;
-* :func:`map_points` / :func:`map_seeds` -- the thin fan-out primitives
-  behind the experiment runners' and :func:`repeat_scalar`'s ``workers``
-  parameter;
-* :func:`register_experiment` -- add custom sweepable entry points;
-* :func:`run_spool_sweep` / :mod:`repro.exec.spool` -- the durable,
-  crash-resumable backend: tasks, leases and results live as atomically
-  published files in a spool directory, workers claim via exclusive
-  lease files with heartbeats, stale leases are reclaimed under a
-  retry/backoff budget, and an interrupted sweep resumes (skipping
-  completed indices) to a merged document byte-identical to the
-  uninterrupted serial run.
+* :func:`run_sweep` -- serial in-process with ``workers=1``; otherwise
+  :func:`run_spool_sweep` on a temporary directory;
+* :func:`run_spool_sweep` / :mod:`repro.exec.spool` -- the one parallel
+  executor: tasks, leases and results live as atomically published files
+  in a spool directory, workers claim via exclusive lease files with
+  heartbeats, a crashed or wedged worker's task is retried under a
+  backoff budget and then parked, and an interrupted sweep resumes
+  (skipping completed indices) to a merged document byte-identical to
+  the uninterrupted serial run;
+* :func:`map_points` -- the in-memory fan-out behind the experiment
+  runners' and :func:`repeat_scalar`'s ``workers`` parameter;
+* :func:`register_experiment` -- add custom sweepable entry points.
 
 Shell entry point: ``python -m repro sweep`` (plus ``--workers`` on every
 experiment verb and ``--spool DIR`` / ``--resume`` for durable runs).
@@ -33,14 +32,12 @@ from repro.exec.engine import (
     SweepOutcome,
     TaskOutcome,
     map_points,
-    map_seeds,
     run_sweep,
 )
 from repro.exec.spool import (
     SpoolConfig,
     SpoolError,
     collect_outcomes,
-    collect_spool_metrics,
     init_spool,
     load_manifest,
     reclaim_stale,
@@ -66,7 +63,6 @@ __all__ = [
     "SweepTask",
     "TaskOutcome",
     "collect_outcomes",
-    "collect_spool_metrics",
     "derive_tasks",
     "execute_task",
     "expand_grid",
@@ -74,7 +70,6 @@ __all__ = [
     "init_spool",
     "load_manifest",
     "map_points",
-    "map_seeds",
     "reclaim_stale",
     "register_experiment",
     "reset_worker_state",

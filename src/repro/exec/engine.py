@@ -1,47 +1,47 @@
-"""The multiprocess sweep engine: fan out tasks, merge deterministically.
+"""The sweep entry point and its deterministic merge.
 
-Execution model (see ``docs/parallelism.md``):
+:func:`run_sweep` has one serial and one parallel path (see
+``docs/parallelism.md``):
 
-* at most ``workers`` tasks are in flight at a time, dispatched to a
-  ``ProcessPoolExecutor`` from an internal queue, so submission time is a
-  faithful proxy for start time and parent-side deadlines stay meaningful;
-* a task that *raises* is a recorded failure (the worker catches and
-  reports it -- the pool is never poisoned by an experiment bug);
-* a task whose worker *dies* (segfault, ``os._exit``, OOM-kill) breaks the
-  pool; the engine rebuilds the executor, re-queues every in-flight task
-  (the crasher included, up to ``retries`` extra attempts) and carries on
-  -- a deterministic crasher ends up as a recorded failure, not a hung or
-  aborted sweep.  Because a break takes down innocent in-flight peers
-  too, every task gets one *post-budget* requeue after a break, so a
-  bystander disrupted on its final attempt is re-run instead of being
-  reported as failed;
-* a task that exceeds ``timeout_s`` is interrupted in-worker via
-  ``SIGALRM`` (and, as a backstop on platforms without it, the parent
-  abandons the pool once ``2 x timeout_s + 5 s`` passes), then retried
-  like a crash.
+* ``workers=1`` runs the tasks in-process, one after another, with the
+  same per-task state reset a worker applies -- the reference every
+  parallel run is checked against;
+* ``workers > 1`` drains a spool on a temporary directory with that many
+  worker processes (:func:`repro.exec.spool.run_spool_sweep`), which owns
+  retry, timeout and crash containment: a task that *raises* is a
+  recorded failure, a worker that *dies* or wedges past its deadline has
+  its task retried until the attempt budget is spent and then parked.
 
 Merging is order-independent: outcomes are keyed by ``task.index`` and
 re-assembled in derivation order, and worker-side state isolation
 (:func:`repro.exec.worker.reset_worker_state`) makes each result a pure
 function of its task -- so :meth:`SweepOutcome.results_bytes` is
 byte-identical between ``workers=1`` and ``workers=N`` runs.
+
+:func:`map_points` is the experiment runners' in-memory fan-out of
+picklable results; it is not a sweep executor.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence)
 
 from repro.exec.tasks import SweepTask
-from repro.exec.worker import execute_task, reset_worker_state
+from repro.exec.worker import (
+    execute_task,
+    preserved_process_state,
+    reset_worker_state,
+)
 
-_POLL_S = 0.25
+if TYPE_CHECKING:
+    from repro.exec.spool import SpoolConfig
 
 
 @dataclass
@@ -57,7 +57,7 @@ class TaskOutcome:
     attempts: int = 1
     worker_pid: Optional[int] = None
     trace_path: Optional[str] = None
-    parked: bool = False  # spool runs: retry budget exhausted (degraded)
+    parked: bool = False  # parallel runs: attempt budget exhausted
 
     def result_record(self) -> Dict[str, Any]:
         """The deterministic (execution-independent) merge record."""
@@ -99,15 +99,14 @@ class SweepOutcome:
     outcomes: List[TaskOutcome] = field(default_factory=list)
     workers: int = 1
     wall_seconds: float = 0.0
-    pool_rebuilds: int = 0
-    spool: Optional[Dict[str, Any]] = None  # spool-backed runs: status scan
+    spool: Optional[Dict[str, Any]] = None  # parallel runs: spool status scan
 
     def failed(self) -> List[TaskOutcome]:
         """Outcomes that did not produce a result."""
         return [o for o in self.outcomes if not o.ok]
 
     def parked(self) -> List[TaskOutcome]:
-        """Spool outcomes that exhausted their retry budget (degraded)."""
+        """Outcomes that exhausted their attempt budget (degraded)."""
         return [o for o in self.outcomes if o.parked]
 
     def results_doc(self) -> Dict[str, Any]:
@@ -117,7 +116,7 @@ class SweepOutcome:
         results; wall-clock, pids and retry counts live in
         :meth:`execution_doc` so this document is byte-identical between
         serial and parallel runs of the same sweep.  A degraded
-        spool-backed run adds a ``parked`` index list -- only when
+        parallel run adds a ``parked`` index list -- only when
         non-empty, so a clean run (every task completed) stays
         byte-identical to the uninterrupted serial document.
         """
@@ -140,8 +139,8 @@ class SweepOutcome:
         """Timings and placement: everything the results doc excludes.
 
         Degradation is first-class here: ``tasks_retried`` /
-        ``attempts_total`` expose the engine's retry/requeue activity, and
-        spool-backed runs attach the spool's ground-truth lifecycle scan
+        ``attempts_total`` expose retry/requeue activity, and parallel
+        runs attach the spool's ground-truth lifecycle scan
         (claims, reclaims, parked tasks, worker restarts) under ``spool``
         so operators see recovery work instead of inferring it from wall
         time.
@@ -150,7 +149,6 @@ class SweepOutcome:
             "schema": "repro.sweep-execution/1",
             "workers": self.workers,
             "wall_seconds": self.wall_seconds,
-            "pool_rebuilds": self.pool_rebuilds,
             "tasks_total": len(self.outcomes),
             "tasks_failed": len(self.failed()),
             "tasks_retried": sum(1 for o in self.outcomes if o.attempts > 1),
@@ -183,34 +181,6 @@ class SweepOutcome:
         return paths
 
 
-def _kill_workers(executor: ProcessPoolExecutor) -> None:
-    """Best-effort SIGKILL of a pool's worker processes.
-
-    Used only on the hard-deadline path, where a worker is wedged beyond
-    the reach of the in-worker ``SIGALRM``; without the kill, a stuck
-    non-daemon worker would block interpreter shutdown.  Reaches into the
-    executor's private process table, so every step is defensive.
-    """
-    import signal as _signal
-
-    for process in list(getattr(executor, "_processes", {}).values()):
-        try:
-            process.terminate()
-            os.kill(process.pid, _signal.SIGKILL)
-        except (OSError, AttributeError, ValueError):
-            pass
-
-
-def _spec_for(task: SweepTask, timeout_s: Optional[float],
-              trace_dir: Optional[str]) -> Dict[str, Any]:
-    spec = task.spec()
-    if timeout_s is not None:
-        spec["timeout_s"] = timeout_s
-    if trace_dir is not None:
-        spec["trace_dir"] = trace_dir
-    return spec
-
-
 def _outcome_from_payload(task: SweepTask, payload: Dict[str, Any],
                           attempts: int) -> TaskOutcome:
     return TaskOutcome(
@@ -230,184 +200,40 @@ def run_sweep(
     tasks: Sequence[SweepTask],
     workers: int = 1,
     timeout_s: Optional[float] = None,
-    retries: int = 1,
+    config: Optional["SpoolConfig"] = None,
     trace_dir: Optional[str] = None,
 ) -> SweepOutcome:
     """Execute ``tasks`` and merge the outcomes in derivation order.
 
-    ``workers <= 1`` runs everything in-process (same per-task state reset
-    as the workers apply, so the results document is identical either
-    way); ``workers > 1`` fans out across a process pool with crash
-    containment and per-task ``timeout_s``/``retries``.
+    ``workers <= 1`` runs every task once, in-process (same per-task state
+    reset as the workers apply, so the results document is identical
+    either way): the reference ``--check-serial`` compares against.
+    ``workers > 1`` is :func:`repro.exec.spool.run_spool_sweep` under
+    ``config`` on a temporary spool directory: crashed or wedged workers
+    are replaced and their tasks retried until ``config.max_attempts`` is
+    spent, then parked.
     """
+    if workers > 1 and tasks:
+        from repro.exec.spool import run_spool_sweep
+
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as spool_dir:
+            return run_spool_sweep(
+                spool_dir, tasks, workers=workers, config=config,
+                timeout_s=timeout_s, trace_dir=trace_dir,
+            )
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     start = time.perf_counter()
-    if workers <= 1:
-        outcome = _run_serial(tasks, timeout_s, trace_dir)
-    else:
-        outcome = _run_parallel(tasks, workers, timeout_s, retries, trace_dir)
-    outcome.outcomes.sort(key=lambda o: o.task.index)
-    outcome.wall_seconds = time.perf_counter() - start
-    return outcome
-
-
-def _run_serial(tasks: Sequence[SweepTask], timeout_s: Optional[float],
-                trace_dir: Optional[str]) -> SweepOutcome:
-    """In-process execution with the same per-task isolation as workers.
-
-    The parent's own global state (installed tracer, signature-verifier
-    registry) is saved and restored around the sweep so running a serial
-    sweep mid-session does not disturb the caller's simulations.
-    """
-    from repro import obs
-    from repro.crypto import keys
-
-    saved_tracer = obs.TRACER
-    saved_verifiers = dict(keys._VERIFIERS)
-    outcomes: List[TaskOutcome] = []
-    try:
-        for task in tasks:
-            payload = execute_task(_spec_for(task, timeout_s, trace_dir))
-            outcomes.append(_outcome_from_payload(task, payload, attempts=1))
-    finally:
-        reset_worker_state()
-        keys._VERIFIERS.update(saved_verifiers)
-        obs.set_tracer(saved_tracer)
-    return SweepOutcome(outcomes=outcomes, workers=1)
-
-
-def _run_parallel(
-    tasks: Sequence[SweepTask],
-    workers: int,
-    timeout_s: Optional[float],
-    retries: int,
-    trace_dir: Optional[str],
-) -> SweepOutcome:
-    done_outcomes: Dict[int, TaskOutcome] = {}
-    queue = deque((task, 1) for task in tasks)  # (task, attempt_number)
-    executor = ProcessPoolExecutor(max_workers=workers)
-    in_flight: Dict[Any, Any] = {}  # future -> (task, attempt, submitted_at)
-    # Backstop for platforms where the in-worker SIGALRM timeout cannot
-    # fire: abandon the pool once a task has run well past its budget.
-    hard_deadline_s = None if timeout_s is None else 2.0 * timeout_s + 5.0
-    rebuilds = 0
-    graced: set = set()  # task indexes granted a post-budget requeue
-
-    def record_failure(task: SweepTask, attempt: int, error: str,
-                       timeout: bool = False) -> None:
-        done_outcomes[task.index] = TaskOutcome(
-            task=task, ok=False, error=error, timeout=timeout,
-            attempts=attempt,
-        )
-
-    def requeue_or_fail(task: SweepTask, attempt: int, error: str,
-                        timeout: bool = False) -> None:
-        if attempt <= retries:
-            queue.append((task, attempt + 1))
-        elif task.index not in graced:
-            # A pool break takes down every in-flight task, the crasher
-            # and innocent bystanders alike.  One post-budget requeue per
-            # task means a bystander disrupted on its final attempt is
-            # re-run rather than failed without ever having crashed
-            # itself; a true crasher burns the grace on its next break
-            # and still terminates.
-            graced.add(task.index)
-            queue.append((task, attempt + 1))
-        else:
-            record_failure(task, attempt, error, timeout)
-
-    def drain_broken_pool(note: str) -> None:
-        """Re-queue everything in flight and rebuild the executor."""
-        nonlocal executor, rebuilds
-        for future, (task, attempt, _) in list(in_flight.items()):
-            if future.done() and not future.cancelled():
-                exc = future.exception()
-                if exc is None:
-                    payload = future.result()
-                    handle_payload(task, attempt, payload)
-                    continue
-            requeue_or_fail(task, attempt, note)
-        in_flight.clear()
-        executor.shutdown(wait=False, cancel_futures=True)
-        executor = ProcessPoolExecutor(max_workers=workers)
-        rebuilds += 1
-
-    def handle_payload(task: SweepTask, attempt: int,
-                       payload: Dict[str, Any]) -> None:
-        if payload.get("timeout") and attempt <= retries:
-            queue.append((task, attempt + 1))
-            return
-        outcome = _outcome_from_payload(task, payload, attempts=attempt)
-        done_outcomes[task.index] = outcome
-
-    try:
-        while queue or in_flight:
-            while queue and len(in_flight) < workers:
-                task, attempt = queue.popleft()
-                try:
-                    future = executor.submit(
-                        execute_task, _spec_for(task, timeout_s, trace_dir)
-                    )
-                except BrokenProcessPool as exc:
-                    queue.appendleft((task, attempt))
-                    drain_broken_pool(f"worker process crashed: {exc}")
-                    continue
-                in_flight[future] = (task, attempt, time.monotonic())
-            completed, _ = wait(
-                list(in_flight), timeout=_POLL_S,
-                return_when=FIRST_COMPLETED,
+    with preserved_process_state():
+        outcomes = [
+            _outcome_from_payload(
+                task, execute_task(task.spec(), timeout_s, trace_dir),
+                attempts=1,
             )
-            broken = None
-            for future in completed:
-                task, attempt, _ = in_flight.pop(future)
-                try:
-                    payload = future.result()
-                except BrokenProcessPool as exc:
-                    broken = f"worker process crashed: {exc}"
-                    requeue_or_fail(task, attempt, broken)
-                    continue
-                except Exception as exc:  # transport failure (e.g. pickling)
-                    record_failure(
-                        task, attempt, f"result transport failed: {exc}"
-                    )
-                    continue
-                handle_payload(task, attempt, payload)
-            if broken is not None:
-                drain_broken_pool(broken)
-                continue
-            if hard_deadline_s is not None:
-                now = time.monotonic()
-                stuck = [
-                    (task, attempt)
-                    for _, (task, attempt, submitted) in in_flight.items()
-                    if now - submitted > hard_deadline_s
-                ]
-                if stuck:
-                    for task, attempt in stuck:
-                        requeue_or_fail(
-                            task, attempt,
-                            f"task exceeded hard deadline"
-                            f" ({hard_deadline_s:.1f}s); worker abandoned",
-                            timeout=True,
-                        )
-                    stuck_indexes = {task.index for task, _ in stuck}
-                    for future, (task, attempt, _) in list(in_flight.items()):
-                        if task.index not in stuck_indexes:
-                            requeue_or_fail(
-                                task, attempt, "pool torn down (stuck peer)"
-                            )
-                    in_flight.clear()
-                    _kill_workers(executor)
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(max_workers=workers)
-                    rebuilds += 1
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return SweepOutcome(
-        outcomes=list(done_outcomes.values()), workers=workers,
-        pool_rebuilds=rebuilds,
-    )
+            for task in tasks
+        ]
+    return SweepOutcome(outcomes=outcomes, workers=1,
+                        wall_seconds=time.perf_counter() - start)
 
 
 # ------------------------------------------------------- point-level fan-out
@@ -439,32 +265,5 @@ def map_points(
         futures = [
             executor.submit(_isolated_apply, fn, dict(kwargs))
             for kwargs in calls
-        ]
-        return [future.result() for future in futures]
-
-
-def _isolated_seed_call(fn: Callable[[int], Any], seed: int) -> Any:
-    """Worker-side shim for seed-indexed repetition runs."""
-    reset_worker_state()
-    return fn(seed)
-
-
-def map_seeds(
-    run: Callable[[int], Any],
-    seeds: Sequence[int],
-    workers: int = 1,
-) -> List[Any]:
-    """``[run(seed) for seed in seeds]``, optionally across processes.
-
-    Order is preserved, so downstream aggregation (mean/std in
-    :func:`repro.experiments.repeat.repeat_scalar`) consumes the exact
-    float sequence the serial path would.
-    """
-    if workers <= 1 or len(seeds) <= 1:
-        return [run(seed) for seed in seeds]
-    effective = min(workers, len(seeds))
-    with ProcessPoolExecutor(max_workers=effective) as executor:
-        futures = [
-            executor.submit(_isolated_seed_call, run, seed) for seed in seeds
         ]
         return [future.result() for future in futures]

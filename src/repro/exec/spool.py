@@ -1,14 +1,14 @@
 """Durable, crash-resumable sweep execution over a filesystem spool.
 
-:func:`repro.exec.engine.run_sweep` contains crashes *within* one process
--pool lifetime; nothing survives the death of the coordinator itself.  This
-module makes the sweep state durable: every task, claim and result is a
-file in a *spool directory*, written with atomic primitives, so a
-``kill -9`` of any participant -- worker or coordinator -- at any instant
-leaves the spool recoverable and ``run_spool_sweep(..., resume=True)``
-picks up exactly where the dead run stopped.  Because the spool is just a
-directory, several hosts pointing at a shared mount cooperate on one sweep
-with no coordinator process at all.
+This is the one parallel sweep executor: :func:`repro.exec.run_sweep`
+with ``workers > 1`` is :func:`run_spool_sweep` on a temporary directory.
+Every task, claim and result is a file in a *spool directory*, written
+with atomic primitives, so a ``kill -9`` of any participant -- worker or
+coordinator -- at any instant leaves the spool recoverable and
+``run_spool_sweep(..., resume=True)`` picks up exactly where the dead run
+stopped.  Because the spool is just a directory, several hosts pointing
+at a shared mount cooperate on one sweep with no coordinator process at
+all.
 
 Spool layout (on-disk schema ``repro.sweep-spool/1``)::
 
@@ -37,11 +37,17 @@ participant's :func:`reclaim_stale` pass removes leases whose heartbeat is
 older than ``lease_timeout_s``, requeues the task under an exponential
 backoff, and *parks* tasks that exhaust ``max_attempts`` -- graceful
 degradation, recorded in the merged document instead of aborting the run.
+The coordinator of ``run_spool_sweep(workers > 1)`` does not wait for its
+own workers' heartbeats to lapse: it requeues a dead worker's leases as
+soon as the process exits, and SIGKILLs a worker wedged past the hard
+deadline ``2 x timeout_s + 5 s``.  Workers started elsewhere with
+:func:`spool_worker_loop` have only the lease timeout.
 
 Results are pure functions of the task spec, so the duplicated execution a
 lost-then-reclaimed lease can cause is benign: both writers publish the
-identical payload.  Counters (claims / completions / reclaims / parks) are
-best-effort under concurrent reclaimers; the files are the ground truth.
+identical payload.  The attempt and reclaim counts in the state files are
+best-effort under concurrent reclaimers; :func:`spool_status` counts the
+result and parked files, which are the ground truth.
 """
 
 from __future__ import annotations
@@ -55,7 +61,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.exec.engine import SweepOutcome, TaskOutcome, \
+    _outcome_from_payload
 from repro.exec.tasks import SweepTask
+from repro.exec.worker import execute_task, preserved_process_state
 
 SPOOL_SCHEMA = "repro.sweep-spool/1"
 
@@ -96,35 +105,6 @@ class SpoolConfig:
             self.backoff_cap_s,
             self.backoff_base_s * (2.0 ** max(0, attempts - 1)),
         )
-
-
-# ------------------------------------------------------- lifecycle counters
-
-#: In-process spool lifecycle counters, exposed to
-#: :class:`repro.obs.MetricsRegistry` via :func:`collect_spool_metrics`.
-#: They count *this process's* actions; for the cross-process/cross-host
-#: totals scan the spool itself (:func:`spool_status`).
-SPOOL_COUNTERS: Dict[str, int] = {}
-
-
-def _count(name: str, by: int = 1) -> None:
-    SPOOL_COUNTERS[name] = SPOOL_COUNTERS.get(name, 0) + by
-
-
-def collect_spool_metrics() -> Dict[str, int]:
-    """Snapshot of this process's spool counters (an obs collector).
-
-    Register with ``registry.register_collector("spool",
-    collect_spool_metrics)`` to fold ``spool.claimed`` /
-    ``spool.completed`` / ``spool.reclaimed`` / ``spool.parked`` /
-    ``spool.heartbeats`` into a metrics snapshot.
-    """
-    return dict(SPOOL_COUNTERS)
-
-
-def reset_spool_counters() -> None:
-    """Zero the in-process counters (fresh runs, tests)."""
-    SPOOL_COUNTERS.clear()
 
 
 # ------------------------------------------------------------------- paths
@@ -302,21 +282,17 @@ def claim_task(
         return None
     state["attempts"] += 1
     _write_atomic(_entry_path(spool_dir, "state", index), state)
-    _count("claimed")
     return lease
 
 
-def heartbeat_lease(spool_dir: str, index: int, owner: str,
-                    now: Optional[float] = None) -> None:
+def heartbeat_lease(spool_dir: str, index: int, owner: str) -> None:
     """Renew a held lease's heartbeat (atomic rewrite)."""
-    now = time.time() if now is None else now
     lease_path = _entry_path(spool_dir, "leases", index)
     lease = _read_json(lease_path)
     if lease is None or lease.get("owner") != owner:
         return  # reclaimed out from under us; the task will be re-run
-    lease["heartbeat_unix"] = now
+    lease["heartbeat_unix"] = time.time()
     _write_atomic(lease_path, lease)
-    _count("heartbeats")
 
 
 def release_lease(spool_dir: str, index: int) -> None:
@@ -371,7 +347,6 @@ def park_task(spool_dir: str, index: int, error: str,
         "parked_unix": time.time(),
     })
     release_lease(spool_dir, index)
-    _count("parked")
 
 
 def _requeue_or_park(spool_dir: str, index: int, error: str,
@@ -437,7 +412,6 @@ def reclaim_stale(
             config, now, reclaim=True,
         )
         reclaimed.append(index)
-        _count("reclaimed")
     return reclaimed
 
 
@@ -481,29 +455,22 @@ def _execute_claimed(
 ) -> None:
     """Run one claimed task under a heartbeat and publish the outcome.
 
-    Mirrors the engine's retry semantics: an experiment *exception* is a
-    recorded failure (published as a result -- rerunning a deterministic
-    bug buys nothing), while a *timeout* consumes an attempt and goes back
-    through the backoff/park path like a crash would.
+    An experiment *exception* is a recorded failure (published as a
+    result -- rerunning a deterministic bug buys nothing), while a
+    *timeout* consumes an attempt and goes back through the backoff/park
+    path like a crash would.
     """
-    from repro.exec.worker import execute_task
-
     spec = _read_json(_entry_path(spool_dir, "tasks", index))
     if spec is None:
         raise SpoolError(f"spool task file missing for index {index}")
-    if timeout_s is not None:
-        spec["timeout_s"] = timeout_s
-    if trace_dir is not None:
-        spec["trace_dir"] = trace_dir
     with _Heartbeat(spool_dir, index, lease["owner"], config.heartbeat_s):
-        payload = execute_task(spec)
+        payload = execute_task(spec, timeout_s, trace_dir)
     if payload.get("timeout"):
         _requeue_or_park(spool_dir, index, payload.get("error", "timeout"),
                          config, time.time(), timeout=True)
         return
     _write_atomic(_entry_path(spool_dir, "results", index), payload)
     release_lease(spool_dir, index)
-    _count("completed")
 
 
 def spool_worker_loop(
@@ -537,15 +504,15 @@ def spool_worker_loop(
         for index in _runnable_indices(spool_dir, tasks_total, now):
             if max_tasks is not None and executed >= max_tasks:
                 return executed
-            lease = claim_task(spool_dir, index, owner, config, now)
+            # Claimed now, not at the pass's start: never stale on arrival.
+            lease = claim_task(spool_dir, index, owner, config)
             if lease is None:
                 continue
             _execute_claimed(spool_dir, index, lease, config,
                              timeout_s, trace_dir)
             executed += 1
             progress = True
-        status = spool_status(spool_dir)
-        if status["pending"] == 0:
+        if spool_status(spool_dir)["pending"] == 0:
             return executed
         if max_tasks is not None and executed >= max_tasks:
             return executed
@@ -585,7 +552,7 @@ def spool_status(spool_dir: str) -> Dict[str, int]:
 def collect_outcomes(
     spool_dir: str,
     tasks: Optional[Sequence[SweepTask]] = None,
-) -> "SweepOutcome":
+) -> SweepOutcome:
     """Merge the spool's results into a :class:`SweepOutcome`.
 
     Completed tasks reproduce the exact payload a serial
@@ -595,9 +562,6 @@ def collect_outcomes(
     ``parked`` index list); tasks with neither file are reported as
     unfinished -- visible, never silently dropped.
     """
-    from repro.exec.engine import SweepOutcome, TaskOutcome, \
-        _outcome_from_payload
-
     if tasks is None:
         tasks = load_tasks(spool_dir)
     outcomes: List[TaskOutcome] = []
@@ -628,12 +592,101 @@ def collect_outcomes(
     return SweepOutcome(outcomes=outcomes, workers=1, spool=status)
 
 
-def _spool_worker_main(spool_dir: str, owner: str, config: SpoolConfig,
-                       timeout_s: Optional[float],
-                       trace_dir: Optional[str]) -> None:
-    """Entry point for a spawned spool worker process."""
-    spool_worker_loop(spool_dir, owner=owner, config=config,
-                      timeout_s=timeout_s, trace_dir=trace_dir)
+def _leases_of(spool_dir: str, owner: str) -> List[Dict[str, Any]]:
+    """The leases ``owner`` currently holds, in index order."""
+    leases = (
+        _read_json(_entry_path(spool_dir, "leases", index))
+        for index in sorted(_index_set(spool_dir, "leases"))
+    )
+    return [lease for lease in leases
+            if lease is not None and lease.get("owner") == owner]
+
+
+def _reclaim_owned(spool_dir: str, owner: str, error: str,
+                   config: SpoolConfig, timeout: bool = False) -> None:
+    """Requeue (or park) every task a dead worker held, without waiting
+    for its lease to go stale."""
+    for lease in _leases_of(spool_dir, owner):
+        index = lease["index"]
+        if os.path.exists(_entry_path(spool_dir, "results", index)):
+            release_lease(spool_dir, index)  # it finished before dying
+            continue
+        _requeue_or_park(spool_dir, index, error, config, time.time(),
+                         timeout=timeout, reclaim=True)
+
+
+def _run_workers(spool_dir: str, workers: int, config: SpoolConfig,
+                 timeout_s: Optional[float],
+                 trace_dir: Optional[str]) -> int:
+    """Keep ``workers`` worker processes on the spool until it drains;
+    returns how many were replaced.
+
+    A worker's owner string names its slot and spawn generation.  One that
+    exits non-zero, or is SIGKILLed for holding a lease past the hard
+    deadline (the task is then a timeout), has its leases reclaimed at
+    once rather than after the lease timeout.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait as wait_for_exit
+
+    ctx = mp.get_context()
+    hard_deadline_s = None if timeout_s is None else 2.0 * timeout_s + 5.0
+    procs: Dict[int, Any] = {}  # slot -> (process, owner)
+    spawned = [0] * workers
+    restarts = 0
+    try:
+        while spool_status(spool_dir)["pending"] > 0:
+            reclaim_stale(spool_dir, config)
+            for slot in range(workers):
+                proc, owner = procs.get(slot, (None, ""))
+                timeout = False
+                if proc is not None and proc.is_alive():
+                    now = time.time()
+                    if hard_deadline_s is None or not any(
+                        now - lease["claimed_unix"] > hard_deadline_s
+                        for lease in _leases_of(spool_dir, owner)
+                    ):
+                        continue
+                    proc.kill()
+                    timeout = True
+                if proc is not None:
+                    proc.join()
+                    if proc.exitcode != 0:  # died, not drained-and-done
+                        restarts += 1
+                        error = (
+                            f"task exceeded hard deadline"
+                            f" ({hard_deadline_s:.1f}s); worker killed"
+                            if timeout else
+                            f"worker process crashed"
+                            f" (exit code {proc.exitcode})"
+                        )
+                        _reclaim_owned(spool_dir, owner, error, config,
+                                       timeout)
+                        time.sleep(config.poll_s)  # no tight respawn loop
+                owner = f"{default_owner()}:w{slot}.{spawned[slot]}"
+                spawned[slot] += 1
+                # Not a daemon: a task may fan out with map_points itself.
+                proc = ctx.Process(
+                    target=spool_worker_loop, args=(spool_dir, owner, config,
+                                                    timeout_s, trace_dir),
+                )
+                proc.start()
+                procs[slot] = (proc, owner)
+            # Wake as soon as any worker exits (drained, or died).
+            wait_for_exit([proc.sentinel for proc, _ in procs.values()],
+                          timeout=config.poll_s)
+    finally:
+        # A worker holding no lease has nothing left but its idle poll:
+        # stop it now.  One still on a task gets a lease timeout to finish.
+        deadline = time.time() + config.effective_lease_timeout_s + 5.0
+        for proc, owner in procs.values():
+            if proc.is_alive() and not _leases_of(spool_dir, owner):
+                proc.terminate()
+            proc.join(timeout=max(0.1, deadline - time.time()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    return restarts
 
 
 def run_spool_sweep(
@@ -645,7 +698,7 @@ def run_spool_sweep(
     timeout_s: Optional[float] = None,
     trace_dir: Optional[str] = None,
     meta: Optional[Dict[str, Any]] = None,
-) -> "SweepOutcome":
+) -> SweepOutcome:
     """Initialise (or resume) a spool, drain it, and merge the outcomes.
 
     Fresh runs require ``tasks`` and refuse an already-initialised spool;
@@ -656,15 +709,13 @@ def run_spool_sweep(
     an uninterrupted serial run of the same task list.
 
     ``workers <= 1`` drains the spool in-process (with the same
-    global-state save/restore the serial engine applies); ``workers > 1``
-    spawns that many independent worker *processes*.  A worker killed
-    mid-task takes nothing down with it: its lease goes stale, any peer
-    reclaims it, and the coordinator replaces the dead process while work
+    global-state save/restore the serial sweep applies); ``workers > 1``
+    spawns that many independent worker *processes* (:func:`_run_workers`).
+    A worker killed mid-task takes nothing down with it: the coordinator
+    requeues its task at once and replaces the dead process while work
     remains (each crash consumes one of the task's ``max_attempts``, so a
     deterministic crasher ends up parked and the sweep still terminates).
     """
-    import multiprocessing as mp
-
     config = config or SpoolConfig()
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
@@ -693,58 +744,15 @@ def run_spool_sweep(
 
     restarts = 0
     if workers <= 1:
-        _drain_in_process(spool_dir, config, timeout_s, trace_dir)
+        with preserved_process_state():
+            spool_worker_loop(spool_dir, config=config, timeout_s=timeout_s,
+                              trace_dir=trace_dir)
     else:
-        ctx = mp.get_context()
-        procs: Dict[int, Any] = {}
-        try:
-            while spool_status(spool_dir)["pending"] > 0:
-                reclaim_stale(spool_dir, config)
-                for slot in range(workers):
-                    proc = procs.get(slot)
-                    if proc is not None and proc.is_alive():
-                        continue
-                    if proc is not None:
-                        proc.join()
-                        if proc.exitcode != 0:  # died, not drained-and-done
-                            restarts += 1
-                    procs[slot] = ctx.Process(
-                        target=_spool_worker_main,
-                        args=(spool_dir, f"{default_owner()}:w{slot}",
-                              config, timeout_s, trace_dir),
-                        daemon=True,
-                    )
-                    procs[slot].start()
-                time.sleep(config.poll_s)
-        finally:
-            deadline = time.time() + config.effective_lease_timeout_s + 5.0
-            for proc in procs.values():
-                proc.join(timeout=max(0.1, deadline - time.time()))
-                if proc.is_alive():
-                    proc.terminate()
+        restarts = _run_workers(spool_dir, workers, config, timeout_s,
+                                trace_dir)
 
     outcome = collect_outcomes(spool_dir, tasks)
     outcome.workers = max(1, workers)
     outcome.wall_seconds = time.perf_counter() - start
-    if outcome.spool is not None:
-        outcome.spool["worker_restarts"] = restarts
+    outcome.spool["worker_restarts"] = restarts
     return outcome
-
-
-def _drain_in_process(spool_dir: str, config: SpoolConfig,
-                      timeout_s: Optional[float],
-                      trace_dir: Optional[str]) -> None:
-    """Single-worker drain with the serial engine's state hygiene."""
-    from repro import obs
-    from repro.crypto import keys
-    from repro.exec.worker import reset_worker_state
-
-    saved_tracer = obs.TRACER
-    saved_verifiers = dict(keys._VERIFIERS)
-    try:
-        spool_worker_loop(spool_dir, config=config, timeout_s=timeout_s,
-                          trace_dir=trace_dir)
-    finally:
-        reset_worker_state()
-        keys._VERIFIERS.update(saved_verifiers)
-        obs.set_tracer(saved_tracer)

@@ -27,11 +27,16 @@ import os
 import signal
 import time
 import traceback
-from typing import Any, Dict, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional
 
 
-class TaskTimeout(RuntimeError):
-    """Raised inside a worker when a task exceeds its wall-clock budget."""
+class TaskTimeout(BaseException):
+    """Raised inside a worker when a task exceeds its wall-clock budget.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the simulation contains
+    handler errors with ``except Exception``, which must not swallow it.
+    """
 
 
 def reset_worker_state() -> None:
@@ -48,6 +53,24 @@ def reset_worker_state() -> None:
     keys._VERIFIERS.clear()
 
 
+@contextmanager
+def preserved_process_state() -> Iterator[None]:
+    """Run tasks in this process, then restore the caller's tracer and
+    verifier registry (each task resets them, as in any worker), so an
+    in-process sweep leaves the caller's own simulations undisturbed."""
+    from repro import obs
+    from repro.crypto import keys
+
+    saved_tracer = obs.TRACER
+    saved_verifiers = dict(keys._VERIFIERS)
+    try:
+        yield
+    finally:
+        reset_worker_state()
+        keys._VERIFIERS.update(saved_verifiers)
+        obs.set_tracer(saved_tracer)
+
+
 def _alarm_supported() -> bool:
     """SIGALRM-based timeouts need a Unix main thread."""
     import threading
@@ -58,7 +81,8 @@ def _alarm_supported() -> bool:
     )
 
 
-def execute_task(spec: Dict[str, Any]) -> Dict[str, Any]:
+def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
+                 trace_dir: Optional[str] = None) -> Dict[str, Any]:
     """Run one task spec (see :meth:`SweepTask.spec`) and report the outcome.
 
     Returns a plain dict -- never raises -- so an experiment bug is a
@@ -70,18 +94,15 @@ def execute_task(spec: Dict[str, Any]) -> Dict[str, Any]:
     :func:`repro.metrics.reporting.to_jsonable`, so the parent can merge
     and serialise outcomes without importing experiment result classes.
 
-    Optional spec keys: ``timeout_s`` (enforced in-worker via ``SIGALRM``
-    where available, so a wedged simulation is interrupted rather than
-    hanging the sweep) and ``trace_dir`` (write a per-task
-    ``repro.trace/1`` JSONL into the run directory).
+    ``timeout_s`` is enforced in-worker via ``SIGALRM`` where available,
+    so a wedged simulation is interrupted rather than hanging the sweep;
+    ``trace_dir`` writes a per-task ``repro.trace/1`` JSONL there.
     """
     from repro import obs
     from repro.exec.tasks import EXPERIMENTS
     from repro.metrics.reporting import to_jsonable
 
     index = spec["index"]
-    timeout_s: Optional[float] = spec.get("timeout_s")
-    trace_dir: Optional[str] = spec.get("trace_dir")
     reset_worker_state()
 
     outcome: Dict[str, Any] = {

@@ -22,32 +22,29 @@ def derive_seeds(base_seed: int, repetitions: int) -> List[int]:
 
 
 def repeat_scalar(
-    run: Callable[[int], T],
+    run: Callable[..., T],
     extract: Dict[str, Callable[[T], float]],
     base_seed: int = 42,
     repetitions: int = 3,
     workers: int = 1,
 ) -> Dict[str, Dict[str, float]]:
-    """Run ``run(seed)`` per repetition and average scalar extractions.
+    """Run ``run(seed=s)`` per repetition and average scalar extractions.
 
     Returns ``{metric: {"mean": ..., "std": ..., "min": ..., "max": ...,
     "runs": n}}`` for each extractor.
 
     ``workers > 1`` fans the repetitions across worker processes
-    (:func:`repro.exec.map_seeds`); results come back in seed order and
+    (:func:`repro.exec.map_points`); results come back in seed order and
     the extraction/aggregation below consumes the identical float
     sequence, so mean/std match the serial run exactly.  ``run`` must
     then be picklable (a module-level function or ``functools.partial``
     of one); ``extract`` callables always run in this process and are
     unconstrained.
     """
-    seeds = derive_seeds(base_seed, repetitions)
-    if workers > 1:
-        from repro.exec.engine import map_seeds
+    from repro.exec.engine import map_points
 
-        results = map_seeds(run, seeds, workers=workers)
-    else:
-        results = [run(seed) for seed in seeds]
+    seeds = derive_seeds(base_seed, repetitions)
+    results = map_points(run, [{"seed": s} for s in seeds], workers=workers)
     samples: Dict[str, List[float]] = {name: [] for name in extract}
     for result in results:
         for name, fn in extract.items():

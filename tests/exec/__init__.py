@@ -1,1 +1,1 @@
-"""Tests for the multiprocess sweep engine (``repro.exec``)."""
+"""Tests for the multiprocess sweep executor (``repro.exec``)."""

@@ -1,8 +1,10 @@
-"""Tests for the sweep engine: merging, failures, crashes, timeouts.
+"""Tests for ``run_sweep``: merging, failures, crashes, timeouts.
 
-The crash/timeout experiments are module-level functions registered via
-:func:`register_experiment`; fork-started workers inherit the registry, so
-no importable plugin module is needed.
+``workers=1`` is the in-process serial loop; ``workers > 1`` runs the spool
+executor on a temporary directory.  The crash/timeout experiments are
+module-level functions registered via :func:`register_experiment`;
+fork-started workers inherit the registry, so no importable plugin module
+is needed.
 """
 
 import json
@@ -13,9 +15,9 @@ import pytest
 
 from repro.exec import (
     EXPERIMENTS,
+    SpoolConfig,
     derive_tasks,
     map_points,
-    map_seeds,
     register_experiment,
     run_sweep,
 )
@@ -34,12 +36,8 @@ def _failing_experiment(seed, **params):
 def _crashing_experiment(seed, **params):
     # Repetition 0 seeds stay alive; the derived second-repetition seed
     # (base + 1000) kills its worker outright -- no exception, no cleanup,
-    # exactly what a segfault or OOM-kill looks like to the parent.  The
-    # delay before dying lets concurrently running innocent tasks (which
-    # return in microseconds) deliver their results first, keeping the
-    # collateral-damage pattern of each pool break deterministic.
+    # exactly what a segfault or OOM-kill looks like to the parent.
     if seed >= 1000:
-        time.sleep(0.25)
         os._exit(3)
     return {"seed": seed}
 
@@ -49,6 +47,11 @@ def _sleeping_experiment(seed, sleep_s=0.0, **params):
     return {"seed": seed}
 
 
+def _nested_experiment(seed, **params):
+    # An experiment runner's own ``workers=`` fan-out, inside a sweep task.
+    return map_points(_square, [{"x": seed}, {"x": 2}], workers=2)
+
+
 @pytest.fixture(autouse=True)
 def _registered_probes():
     probes = {
@@ -56,6 +59,7 @@ def _registered_probes():
         "probe_fail": _failing_experiment,
         "probe_crash": _crashing_experiment,
         "probe_sleep": _sleeping_experiment,
+        "probe_nested": _nested_experiment,
     }
     for name, fn in probes.items():
         register_experiment(name, fn)
@@ -97,6 +101,13 @@ def test_results_doc_schema_and_determinism_split():
     assert execution["tasks"][0]["seconds"] >= 0.0
 
 
+def test_parallel_task_may_fan_out_itself():
+    tasks = derive_tasks("probe_nested", {}, base_seed=3)
+    outcome = run_sweep(tasks, workers=2)
+    assert outcome.outcomes[0].ok, outcome.outcomes[0].error
+    assert outcome.outcomes[0].result == [9, 4]
+
+
 def test_raising_experiment_is_recorded_not_fatal():
     tasks = derive_tasks("probe_fail", {"boom": [False, True]}, base_seed=2)
     outcome = run_sweep(tasks, workers=2)
@@ -104,39 +115,50 @@ def test_raising_experiment_is_recorded_not_fatal():
     assert by_index[0].ok
     assert not by_index[1].ok
     assert "boom at seed 2" in by_index[1].error
-    assert outcome.pool_rebuilds == 0  # an exception must not poison the pool
+    # An exception is a result, not a dead worker.
+    assert outcome.execution_doc()["spool"]["worker_restarts"] == 0
 
 
 def test_worker_crash_is_contained_and_retried():
     # 2 grid points x 2 repetitions; the repetition-1 seed (>= 1000) makes
-    # its worker die via os._exit.  The engine must rebuild the pool,
-    # retry, and still complete every other task.
+    # its worker die via os._exit.  The dead worker is replaced, its task
+    # retried until the default 3-attempt budget is spent and then parked,
+    # and every other task still completes.
     tasks = derive_tasks("probe_crash", {"x": [1, 2]}, base_seed=1,
                          repetitions=2)
-    outcome = run_sweep(tasks, workers=2, retries=1)
+    outcome = run_sweep(tasks, workers=2)
     assert len(outcome.outcomes) == 4
     by_index = {o.task.index: o for o in outcome.outcomes}
     crashed = [o for o in outcome.outcomes if o.task.seed >= 1000]
     survived = [o for o in outcome.outcomes if o.task.seed < 1000]
     assert all(not o.ok for o in crashed)
-    assert all("crash" in o.error.lower() or "abandoned" in o.error
-               for o in crashed)
-    # retries=1 normal attempts + the one post-budget grace requeue that
-    # protects innocent bystanders of a pool break -> 3 attempts total.
+    assert all("crash" in o.error.lower() for o in crashed)
     assert all(o.attempts == 3 for o in crashed)
     assert all(o.ok for o in survived)
-    assert outcome.pool_rebuilds >= 1
+    assert outcome.execution_doc()["spool"]["worker_restarts"] >= 1
     assert sorted(by_index) == [0, 1, 2, 3]
 
 
 def test_in_worker_timeout_records_timeout():
     tasks = derive_tasks("probe_sleep", {"sleep_s": [5.0]}, base_seed=9)
     start = time.perf_counter()
-    outcome = run_sweep(tasks, workers=2, timeout_s=0.5, retries=0)
+    outcome = run_sweep(tasks, workers=2, timeout_s=0.5,
+                        config=SpoolConfig(max_attempts=1))
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0  # SIGALRM interrupted the sleep
     assert len(outcome.outcomes) == 1
     assert not outcome.outcomes[0].ok
+    assert outcome.outcomes[0].timeout
+
+
+def test_timeout_reaches_into_a_running_simulation():
+    # The alarm usually fires inside a node's message handler; the
+    # simulation's per-message error containment must not swallow it.
+    tasks = derive_tasks("run", {"num_nodes": [6], "duration_s": [600.0]},
+                         base_seed=5)
+    start = time.perf_counter()
+    outcome = run_sweep(tasks, workers=1, timeout_s=0.5)
+    assert time.perf_counter() - start < 5.0
     assert outcome.outcomes[0].timeout
 
 
@@ -177,9 +199,11 @@ def test_map_points_preserves_order():
     assert serial == parallel == [0, 1, 4, 9, 16, 25]
 
 
-def test_map_seeds_preserves_order():
+def test_map_points_preserves_seed_order():
+    # The seed fan-out behind ``repeat_scalar``: ``run(seed=s)`` per seed.
     seeds = [7, 1007, 2007]
-    serial = map_seeds(_seeded, seeds, workers=1)
-    parallel = map_seeds(_seeded, seeds, workers=3)
+    calls = [{"seed": s} for s in seeds]
+    serial = map_points(_seeded, calls, workers=1)
+    parallel = map_points(_seeded, calls, workers=3)
     assert serial == parallel
     assert [r["seed"] for r in parallel] == seeds

@@ -1,6 +1,6 @@
 """Serial vs parallel equivalence on real experiments.
 
-The acceptance property of the sweep engine: for a fixed sweep
+The acceptance property of the sweep executor: for a fixed sweep
 specification, ``workers=N`` must produce a merged document
 *byte-identical* to ``workers=1`` -- and the experiment runners' own
 ``workers`` parameter must leave their results (and any downstream

@@ -44,6 +44,7 @@ from repro.exec.spool import (
     reclaim_stale,
     release_lease,
 )
+from repro.exec.worker import preserved_process_state
 
 # Tight liveness knobs so recovery paths run in test time.
 FAST = SpoolConfig(heartbeat_s=0.05, lease_timeout_s=0.25, max_attempts=3,
@@ -70,28 +71,35 @@ def _blocking_experiment(seed, block_file="", **params):
     return {"seed": seed}
 
 
+def _sleeping_experiment(seed, sleep_s=0.0, **params):
+    time.sleep(sleep_s)
+    return {"seed": seed}
+
+
+def _wedged_experiment(seed, **params):
+    # Out of reach of the in-worker timeout: SIGALRM is blocked, so only
+    # the coordinator's hard deadline can end this task early.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    time.sleep(30.0)
+    return {"seed": seed}
+
+
 @pytest.fixture(autouse=True)
 def _registered_probes():
     # Register the probe experiments, and restore the process-global state
     # that direct in-process ``spool_worker_loop`` calls reset per task
     # (``run_spool_sweep`` does this itself; raw loop calls do not).
-    from repro import obs
-    from repro.crypto import keys
-    from repro.exec.worker import reset_worker_state
-
     probes = {
         "spool_fast": _fast_experiment,
         "spool_crash": _crashing_experiment,
         "spool_block": _blocking_experiment,
+        "spool_wedge": _wedged_experiment,
+        "spool_sleep": _sleeping_experiment,
     }
     for name, fn in probes.items():
         register_experiment(name, fn)
-    saved_tracer = obs.TRACER
-    saved_verifiers = dict(keys._VERIFIERS)
-    yield
-    reset_worker_state()
-    keys._VERIFIERS.update(saved_verifiers)
-    obs.set_tracer(saved_tracer)
+    with preserved_process_state():
+        yield
     for name in probes:
         EXPERIMENTS.pop(name, None)
 
@@ -204,15 +212,20 @@ def test_sigkilled_worker_is_reclaimed_retried_and_identical(tmp_path):
 def test_deterministic_crasher_is_parked_not_fatal(tmp_path):
     # seed >= 1000 (repetition 1) kills its worker every time; the task
     # must burn its budget, be parked, and leave the rest of the sweep
-    # (and the merged document) intact.
+    # (and the merged document) intact.  Default config: waiting out the
+    # 15 s lease timeout per crash would take 45 s, but the coordinator
+    # reclaims a dead worker's lease as soon as it exits, so only the
+    # 1 s + 2 s backoffs stand between the three attempts.
     tasks = _tasks(n_points=2, experiment="spool_crash")
-    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2,
-                              config=FAST)
-    by_seed = {o.task.seed: o for o in outcome.outcomes}
+    start = time.perf_counter()
+    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2)
+    assert time.perf_counter() - start < 6.0
     crashed = [o for o in outcome.outcomes if o.task.seed >= 1000]
     survived = [o for o in outcome.outcomes if o.task.seed < 1000]
     assert all(o.parked and not o.ok for o in crashed)
-    assert all(o.attempts == FAST.max_attempts for o in crashed)
+    assert all(o.attempts == SpoolConfig().max_attempts for o in crashed)
+    assert all("worker process crashed (exit code 3)" in o.error
+               for o in crashed)
     assert all(o.ok for o in survived)
     doc = outcome.results_doc()
     assert doc["parked"] == sorted(o.task.index for o in crashed)
@@ -222,7 +235,38 @@ def test_deterministic_crasher_is_parked_not_fatal(tmp_path):
     assert execution["tasks_parked"] == len(crashed)
     assert execution["spool"]["parked"] == len(crashed)
     assert execution["spool"]["worker_restarts"] >= 1
-    del by_seed
+
+
+def test_wedged_worker_killed_at_hard_deadline(tmp_path):
+    # The task ignores its 0.5 s SIGALRM and its heartbeat keeps the lease
+    # alive; the coordinator kills it at 2 x 0.5 + 5 = 6 s.
+    tasks = derive_tasks("spool_wedge", {}, base_seed=3)
+    start = time.perf_counter()
+    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2,
+                              timeout_s=0.5,
+                              config=SpoolConfig(max_attempts=1))
+    assert time.perf_counter() - start < 10.0
+    (wedged,) = outcome.outcomes
+    assert wedged.parked and wedged.timeout and not wedged.ok
+    assert "hard deadline" in wedged.error
+    assert outcome.spool["worker_restarts"] == 1
+
+
+def test_late_claim_in_a_long_pass_is_not_reclaimed_or_killed(tmp_path):
+    # One worker pass walks the whole task list, so with two workers each
+    # pass lasts the full ~6.6 s sweep: longer than the 0.3 s lease timeout
+    # and the 2 x 0.5 + 5 = 6 s hard deadline.  A claim made late in the
+    # pass is fresh all the same: nothing is reclaimed, killed or re-run.
+    config = SpoolConfig(heartbeat_s=0.05, lease_timeout_s=0.3, poll_s=0.02)
+    tasks = derive_tasks("spool_sleep", {"x": list(range(22)),
+                                         "sleep_s": [0.3]},
+                         base_seed=3, repetitions=2)
+    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2,
+                              timeout_s=0.5, config=config)
+    assert not outcome.failed()
+    assert all(o.attempts == 1 for o in outcome.outcomes)
+    assert outcome.spool["reclaims"] == 0
+    assert outcome.spool["worker_restarts"] == 0
 
 
 def test_heartbeat_keeps_long_task_from_being_reclaimed(tmp_path):
