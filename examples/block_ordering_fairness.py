@@ -10,7 +10,7 @@ Run:  python examples/block_ordering_fairness.py
 """
 
 from repro.experiments.fig8_block_latency import run_policy
-from repro.metrics import Histogram
+from repro.obs.stats import Histogram
 
 
 def ascii_histogram(latencies, low=0.0, high=60.0, bins=12, width=44):

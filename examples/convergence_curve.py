@@ -13,7 +13,7 @@ import statistics
 
 from repro.experiments.fig7_mempool_latency import dissemination_hops
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics.probes import ConvergenceProbe
+from repro.obs.probes import ConvergenceProbe
 
 
 def main() -> None:

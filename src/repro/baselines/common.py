@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Set, Type
 
 from repro.crypto.keys import KeyPair
 from repro.mempool.transaction import Transaction, make_transaction
-from repro.metrics import LatencyTracker
+from repro.obs.trackers import LatencyTracker
 from repro.net.latency import CityLatencyModel, LatencyModel
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network

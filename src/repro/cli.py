@@ -33,7 +33,17 @@ import statistics
 import sys
 from typing import List, Optional
 
-from repro.metrics.reporting import format_table, write_json
+from repro.obs.report import (
+    cache_rows,
+    event_counts,
+    fault_detection_rows,
+    final_metrics,
+    format_table,
+    load_trace,
+    span_rows,
+    timeline_rows,
+    write_json,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser, sweeps: bool = True) -> None:
@@ -428,8 +438,6 @@ def cmd_sweep(args) -> int:
 
 def _print_timeline_table(records) -> None:
     """Render ``timeline`` records as one sparkline table."""
-    from repro.obs.report import timeline_rows
-
     rows = timeline_rows(records)
     if not rows:
         print("no timeline series recorded")
@@ -461,14 +469,6 @@ def _first_schema(path: str) -> Optional[str]:
 
 
 def cmd_report(args) -> int:
-    from repro.obs.report import (
-        cache_rows,
-        event_counts,
-        fault_detection_rows,
-        final_metrics,
-        load_trace,
-        span_rows,
-    )
     from repro.obs.schema import validate_trace_file
     from repro.obs.timeline import TIMELINE_SCHEMA, load_timeline
 

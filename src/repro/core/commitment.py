@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bloomclock import BloomClock
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, PublicKey, verify
-from repro.metrics.caches import IdentityMemo
+from repro.obs.caches import IdentityMemo
 
 # Wire cost of a commitment header: bloom clock (68 B at 32 cells) + seq
 # counter (8) + chained digest (32) + tx count (4) + signature (64).
@@ -228,7 +228,7 @@ class CommitmentHeader:
 #: outcomes.  One live header per node plus the ones still in flight: the
 #: bound covers a 10,000-node run without a wholesale clear.
 _SIGNATURE_VERDICTS = IdentityMemo(
-    "crypto.header_sig", CommitmentHeader, limit=16384
+    "crypto.header_sig", kinds=frozenset({CommitmentHeader}), limit=16384
 )
 
 

@@ -56,10 +56,8 @@ class LOConfig:
     admission: Optional[AdmissionConfig] = None
 
     # --- ingress hardening (Byzantine message tolerance) ---
-    # When True every inbound lo/* payload is schema-checked before its
-    # handler runs and handler exceptions are contained instead of killing
-    # the event loop (repro.core.wire).
-    validate_ingress: bool = True
+    # Every inbound lo/* payload is schema-checked before its handler runs
+    # and handler exceptions are contained (repro.core.wire).
     # Wire violations within one admission window before the peer is
     # quarantined; episode n lasts base * 2**(n-1) seconds, capped at max.
     quarantine_threshold: int = 3

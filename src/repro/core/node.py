@@ -66,7 +66,7 @@ from repro.crypto.keys import KeyPair, PublicKey
 from repro.mempool.admission import Mempool
 from repro.mempool.transaction import Transaction, make_transaction, prevalidate
 from repro.mempool.txlog import TransactionLog
-from repro.metrics import EventCounter, LatencyTracker
+from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
 from repro.sim.loop import Event, EventLoop
@@ -661,10 +661,6 @@ class LONode(Endpoint):
             return
         msg_type = message.msg_type
         handler = self._dispatch.get(msg_type)
-        if not self.config.validate_ingress:
-            if handler is not None:
-                handler(self, message)
-            return
         if handler is None:
             self._record_wire_violation(
                 message, f"unknown message type {msg_type!r}"

@@ -42,11 +42,7 @@ from repro.core.reconciliation import (
 )
 from repro.crypto.keys import PublicKey
 from repro.mempool.transaction import Transaction
-from repro.metrics.caches import (
-    IdentityMemo,
-    clear_identity_memos,
-    register_cache,
-)
+from repro.obs.caches import IdentityMemo, clear_identity_memos
 from repro.sketch import PinSketch
 
 Validator = Callable[[Any], Optional[str]]
@@ -98,8 +94,12 @@ def _typed(value: Any, kind: type, name: str) -> Optional[str]:
 #: peer built.  Only validity is kept: failure reasons embed ``name``,
 #: which varies between call sites.  The header bound covers the live
 #: headers of a 10,000-node run (one per node).
-_CLEAN_HEADERS = IdentityMemo("wire.header", CommitmentHeader, limit=16384)
-_CLEAN_SPECS = IdentityMemo("wire.spec", SplitSpec, limit=512)
+_CLEAN_HEADERS = IdentityMemo(
+    "wire.header", kinds=frozenset({CommitmentHeader}), limit=16384
+)
+_CLEAN_SPECS = IdentityMemo(
+    "wire.spec", kinds=frozenset({SplitSpec}), limit=512
+)
 
 
 def _check_header(header: Any, name: str = "header") -> Optional[str]:
@@ -361,30 +361,26 @@ _MEMOISED_TYPES = frozenset({
     Transaction,
 })
 
-#: Entries the clean-verdict memo holds before it is cleared wholesale.
-#: Every entry pins its payload (and the headers it carries), so the bound
-#: is what keeps peak RSS flat: 8,192 entries cost +5% on ``censor_storm``;
-#: 512 cost nothing and hit as often, because gossip re-delivers an object
-#: within a few network delays of its first arrival.
-_MEMO_LIMIT = 512
-
-# id(payload) -> (msg_type, payload).  The entry references the payload:
-# while it is here the object cannot be freed, so its id cannot be reused
-# by a different object.  Kept on the validator's side rather than as an
-# attribute of the payload, which a sender could set before sending.
-_CLEAN: Dict[int, Tuple[str, Any]] = {}
-_MEMO_STATS = register_cache("wire.validate", size_probe=lambda: len(_CLEAN))
+#: Clean payload verdicts, ``id(payload) -> (payload, msg_type)``: a hit
+#: needs this very object under the same message type.  At 512 entries the
+#: memo is cleared wholesale.  Every entry pins its payload (and the
+#: headers it carries), so the bound is what keeps peak RSS flat: 8,192
+#: entries cost +5% on ``censor_storm``; 512 cost nothing and hit as
+#: often, because gossip re-delivers an object within a few network delays
+#: of its first arrival.
+_CLEAN_PAYLOADS = IdentityMemo(
+    "wire.validate", kinds=_MEMOISED_TYPES, limit=512
+)
 
 
 def clear_validation_memo() -> None:
     """Forget every remembered verdict (and let go of the objects).
 
-    Payload verdicts, and with them every :class:`IdentityMemo`: the
-    header / spec schema verdicts above and the signature verdicts of
+    Empties every :class:`IdentityMemo`: the payload verdicts above, the
+    header / spec schema verdicts and the signature verdicts of
     :meth:`CommitmentHeader.signature_valid` and
     :meth:`Transaction.signature_valid`.
     """
-    _CLEAN.clear()
     clear_identity_memos()
 
 
@@ -400,25 +396,19 @@ def validate_payload(msg_type: str, payload: Any) -> Optional[str]:
     Gossip delivers one immutable payload object to many nodes; the schema
     runs once per object and message type (see :data:`_MEMOISED_TYPES`),
     later deliveries cost one dict probe.  Only clean verdicts are kept.
-    ``repro.metrics.cache_stats()["wire.validate"]`` counts both.
+    ``repro.obs.cache_stats()["wire.validate"]`` counts both.
     """
-    entry = _CLEAN.get(id(payload))
-    if entry is not None and entry[1] is payload and entry[0] == msg_type:
-        _MEMO_STATS.hits += 1
-        return None
     validator = VALIDATORS.get(msg_type)
     if validator is None:
         return f"unknown message type {msg_type!r}"
-    _MEMO_STATS.misses += 1
+    if _CLEAN_PAYLOADS.holds(payload, msg_type):
+        return None
     try:
         error = validator(payload)
     except Exception as exc:  # hostile payloads can break any assumption
         return f"validator error: {type(exc).__name__}: {exc}"
-    if error is None and type(payload) in _MEMOISED_TYPES:
-        if len(_CLEAN) >= _MEMO_LIMIT:
-            _MEMO_STATS.evictions += len(_CLEAN)
-            _CLEAN.clear()
-        _CLEAN[id(payload)] = (msg_type, payload)
+    if error is None:
+        _CLEAN_PAYLOADS.put(payload, msg_type)
     return error
 
 

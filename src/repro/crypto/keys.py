@@ -21,21 +21,6 @@ from typing import Dict, Optional
 
 from repro import obs
 
-#: Installed phase profiler or ``None``; rebound via
-#: :func:`repro.obs.on_profiler_change` so signing/verification can
-#: attribute their wall time to a nested ``crypto`` phase at the cost of
-#: one global load and branch when profiling is off.
-_PHASES = None
-
-
-def _rebind_profiler(profiler) -> None:
-    """Hook for :func:`repro.obs.on_profiler_change`."""
-    global _PHASES
-    _PHASES = profiler if profiler is not None and profiler.enabled else None
-
-
-obs.on_profiler_change(_rebind_profiler)
-
 
 class SignatureError(ValueError):
     """Raised when signature verification fails in contexts that demand it."""
@@ -112,15 +97,19 @@ class KeyPair:
         return cls(seed if seed is not None else os.urandom(32))
 
     def sign(self, message: bytes) -> bytes:
-        """Return a 32-byte signature over ``message``."""
-        if _PHASES is not None:
-            _PHASES.enter("crypto")
-            try:
-                return hmac.new(self._seed, b"lo-sig:" + message,
-                                hashlib.sha256).digest()
-            finally:
-                _PHASES.exit()
-        return hmac.new(self._seed, b"lo-sig:" + message, hashlib.sha256).digest()
+        """Return a 32-byte signature over ``message``.
+
+        An installed phase profiler charges the call to ``crypto``.
+        """
+        profiler = obs.PROFILER
+        if profiler is not None:
+            profiler.enter("crypto")
+        try:
+            return hmac.new(self._seed, b"lo-sig:" + message,
+                            hashlib.sha256).digest()
+        finally:
+            if profiler is not None:
+                profiler.exit()
 
     def _mac(self, message: bytes) -> bytes:
         return hmac.new(self._seed, b"lo-sig:" + message, hashlib.sha256).digest()
@@ -130,18 +119,17 @@ def verify(public_key: PublicKey, message: bytes, signature: bytes) -> bool:
     """Check ``signature`` over ``message`` under ``public_key``.
 
     Unknown public keys verify nothing (returns False), mirroring a real
-    scheme where an invalid key yields invalid signatures.
+    scheme where an invalid key yields invalid signatures.  An installed
+    phase profiler charges the call to ``crypto``.
     """
-    if _PHASES is not None:
-        _PHASES.enter("crypto")
-        try:
-            holder = _VERIFIERS.get(public_key.raw)
-            if holder is None:
-                return False
-            return hmac.compare_digest(holder._mac(message), signature)
-        finally:
-            _PHASES.exit()
-    holder = _VERIFIERS.get(public_key.raw)
-    if holder is None:
-        return False
-    return hmac.compare_digest(holder._mac(message), signature)
+    profiler = obs.PROFILER
+    if profiler is not None:
+        profiler.enter("crypto")
+    try:
+        holder = _VERIFIERS.get(public_key.raw)
+        if holder is None:
+            return False
+        return hmac.compare_digest(holder._mac(message), signature)
+    finally:
+        if profiler is not None:
+            profiler.exit()

@@ -5,7 +5,7 @@ subsystems keep *process-global* state that would otherwise leak between
 tasks (and differ from a fresh serial run):
 
 * the sketch syndrome/decode LRUs (``repro.sketch.pinsketch``),
-* the cache hit/miss counters (``repro.metrics.caches``),
+* the cache hit/miss counters (``repro.obs.caches``),
 * the installed tracer (``repro.obs.TRACER``),
 * the signature-verification registry (``repro.crypto.keys._VERIFIERS``).
 
@@ -43,7 +43,7 @@ def reset_worker_state() -> None:
     """Restore cold-start process-global state (caches, tracer, verifiers)."""
     from repro import obs
     from repro.crypto import keys
-    from repro.metrics.caches import reset_cache_stats
+    from repro.obs.caches import reset_cache_stats
     from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 
     obs.clear_tracer()
@@ -91,7 +91,7 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
     ``{"index", "ok", "result" | "error", "seconds", "worker_pid"}``
 
     ``result`` is already passed through
-    :func:`repro.metrics.reporting.to_jsonable`, so the parent can merge
+    :func:`repro.obs.report.to_jsonable`, so the parent can merge
     and serialise outcomes without importing experiment result classes.
 
     ``timeout_s`` is enforced in-worker via ``SIGALRM`` where available,
@@ -100,7 +100,7 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
     """
     from repro import obs
     from repro.exec.tasks import EXPERIMENTS
-    from repro.metrics.reporting import to_jsonable
+    from repro.obs.report import to_jsonable
 
     index = spec["index"]
     reset_worker_state()

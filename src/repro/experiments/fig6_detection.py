@@ -17,7 +17,7 @@ miners.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.attacks import make_censor_factory
 from repro.experiments.harness import LOSimulation, SimulationParams
@@ -34,14 +34,6 @@ class DetectionPoint:
     exposure_convergence_at: Optional[float]    # all correct nodes exposed all
     suspicion_convergence_at: Optional[float]   # all correct nodes suspect all
     exposure_spread_s: Optional[float]          # convergence - first exposure
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "fraction": self.malicious_fraction,
-            "suspicion_s": self.suspicion_convergence_at or float("nan"),
-            "exposure_s": self.exposure_convergence_at or float("nan"),
-            "exposure_spread_s": self.exposure_spread_s or float("nan"),
-        }
 
 
 @dataclass

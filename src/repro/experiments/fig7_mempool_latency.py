@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics import Histogram, describe
+from repro.obs.stats import Histogram, describe
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics import describe
+from repro.obs.stats import describe
 
 
 @dataclass

@@ -25,11 +25,12 @@ from repro.core.config import LOConfig
 from repro.gossip import NeighborShuffler, PeerSampler
 from repro.core.node import Directory, LONode
 from repro.core.wire import clear_validation_memo
-from repro.metrics import EventCounter, LatencyTracker, reset_cache_stats
 from repro.net.chaos import ChaosController, ChaosPlan
 from repro.net.latency import CityLatencyModel, LatencyModel
 from repro.net.network import Network
 from repro.net.topology import TopologyBuilder
+from repro.obs.caches import cache_stats, reset_cache_stats
+from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.crypto.keys import KeyPair
 from repro.mempool.transaction import make_transaction
 from repro.sim.loop import EventLoop
@@ -40,14 +41,12 @@ NodeFactory = Callable[..., LONode]
 
 
 def _collect_cache_stats() -> Dict[str, float]:
-    """Flatten :func:`repro.metrics.caches.cache_stats` for the registry.
+    """Flatten :func:`repro.obs.caches.cache_stats` for the registry.
 
     ``{"sketch.syndrome": {"hits": 3, ...}}`` becomes
     ``{"sketch.syndrome.hits": 3, ...}`` so a metrics snapshot carries the
     LRU effectiveness of every registered hot-path cache.
     """
-    from repro.metrics.caches import cache_stats
-
     flat: Dict[str, float] = {}
     for name, counters in cache_stats().items():
         for key, value in counters.items():

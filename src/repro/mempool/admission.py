@@ -70,22 +70,6 @@ REJECT_REASONS: Tuple[str, ...] = (
 E_POOL_FULL = "evicted_pool_full"
 E_AGE = "expired_age"
 
-#: Installed phase profiler or ``None``; rebound via
-#: :func:`repro.obs.on_profiler_change` so :meth:`Mempool.admit` can
-#: attribute admission wall time to a nested ``mempool`` phase.  The off
-#: path costs one global load and branch per call.
-_PHASES = None
-
-
-def _rebind_profiler(profiler) -> None:
-    """Hook for :func:`repro.obs.on_profiler_change`."""
-    global _PHASES
-    _PHASES = profiler if profiler is not None and profiler.enabled else None
-
-
-obs.on_profiler_change(_rebind_profiler)
-
-
 @dataclass(frozen=True)
 class AdmissionConfig:
     """Configuration of the whole admission pipeline.
@@ -228,7 +212,7 @@ class Mempool:
         limiter (a network peer id, or the sender key for local
         submissions); ``None`` skips the limiter stage.
         """
-        profiler = _PHASES
+        profiler = obs.PROFILER
         if profiler is not None:
             profiler.enter("mempool")
         try:

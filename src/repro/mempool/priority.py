@@ -117,11 +117,6 @@ class PriorityIndex:
         self._bytes -= self._byte_sizes.pop(item_id)
         return True
 
-    def priority_of(self, item_id: int) -> Optional[float]:
-        """Priority of a live entry, or None."""
-        info = self._alive.get(item_id)
-        return info[0] if info is not None else None
-
     def info(self, item_id: int) -> Optional[Tuple[float, int, int]]:
         """``(priority, seq, size_bytes)`` of a live entry, or None.
 
@@ -162,11 +157,6 @@ class PriorityIndex:
             return None
         self.remove(lowest[0])
         return lowest
-
-    def min_priority(self) -> Optional[float]:
-        """Priority of the cheapest live entry (None when empty)."""
-        lowest = self.peek_lowest()
-        return lowest[1] if lowest is not None else None
 
     def band_histogram(self) -> Dict[int, int]:
         """Live entry count per non-empty band (a fee-rate histogram)."""

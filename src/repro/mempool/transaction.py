@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.crypto.hashing import sha256, txid_from_bytes
 from repro.crypto.keys import KeyPair, PublicKey, verify
-from repro.metrics.caches import IdentityMemo
+from repro.obs.caches import IdentityMemo
 
 # Default size from the evaluation setup: "each transaction being 250 bytes
 # in size" (section 6.1).
@@ -96,7 +96,9 @@ class Transaction:
 #: outcomes.  A transaction is prevalidated by every node within a few
 #: network delays of its first arrival; the bound is several seconds of
 #: arrivals at the highest rates the workloads run.
-_SIGNATURE_VERDICTS = IdentityMemo("crypto.tx_sig", Transaction, limit=4096)
+_SIGNATURE_VERDICTS = IdentityMemo(
+    "crypto.tx_sig", kinds=frozenset({Transaction}), limit=4096
+)
 
 
 def make_transaction(

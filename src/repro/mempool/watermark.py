@@ -56,11 +56,6 @@ class WatermarkConfig:
         """Byte level a pool-full eviction episode drains down to."""
         return int(self.max_pool_bytes * self.low_fraction)
 
-    def over_high(self, pool_bytes: int, pool_txs: int) -> bool:
-        """Is the pool past either high watermark (bytes or count)?"""
-        return (pool_bytes > self.max_pool_bytes
-                or pool_txs > self.max_pool_txs)
-
     def fits(self, pool_bytes: int, pool_txs: int, tx_bytes: int) -> bool:
         """Would one more ``tx_bytes``-sized entry stay within the limits?"""
         return (pool_bytes + tx_bytes <= self.max_pool_bytes

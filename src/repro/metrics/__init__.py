@@ -1,43 +1,8 @@
-"""Measurement utilities shared by experiments and benchmarks.
+"""Compatibility names for the benchmark harness; use :mod:`repro.obs`.
 
-Submodules: :mod:`~repro.metrics.stats` (histograms, percentiles),
-:mod:`~repro.metrics.trackers` (latency/event trackers),
-:mod:`~repro.metrics.caches` (hit/miss counters for the hot-path caches),
-:mod:`~repro.metrics.probes` (time-series probes) and
-:mod:`~repro.metrics.reporting` (tables + JSON export).
+The measurement code lives in :mod:`repro.obs`.  ``lobench`` still
+imports ``repro.metrics.caches.{cache_stats, register_cache}`` and
+``repro.metrics.stats.percentile``, so the two submodules here re-export
+exactly those names.  The package goes when a benchmark change moves
+lobench's imports to :mod:`repro.obs`.
 """
-
-from repro.metrics.caches import (
-    CacheStats,
-    cache_stats,
-    register_cache,
-    reset_cache_stats,
-)
-from repro.metrics.probes import ConvergenceProbe
-from repro.metrics.reporting import format_table, to_jsonable, write_json
-from repro.metrics.stats import (
-    Histogram,
-    describe,
-    mean,
-    percentile,
-    stddev,
-)
-from repro.metrics.trackers import EventCounter, LatencyTracker
-
-__all__ = [
-    "CacheStats",
-    "ConvergenceProbe",
-    "EventCounter",
-    "Histogram",
-    "LatencyTracker",
-    "cache_stats",
-    "describe",
-    "format_table",
-    "mean",
-    "percentile",
-    "register_cache",
-    "reset_cache_stats",
-    "stddev",
-    "to_jsonable",
-    "write_json",
-]

@@ -32,11 +32,9 @@ injector rewrite the delivery, and pushes one
 Clean runs and fault runs execute this same body; with no fault
 installed the fault checks are skipped as a whole, nothing else differs.
 
-Node state is plain ``dict`` / ``set`` keyed by node id.  The tracer
-guard is hoisted: a module-level ``_TRACE`` binding is rebound by
-:func:`repro.obs.on_tracer_change` and is ``None`` whenever tracing is
-off, so the per-message tracing cost with tracing disabled is one global
-load and branch.
+Node state is plain ``dict`` / ``set`` keyed by node id.  Tracing reads
+``obs.TRACER`` once per call: with tracing off a fan-out or a delivery
+pays one attribute load and one ``enabled`` test.
 """
 
 from __future__ import annotations
@@ -50,21 +48,6 @@ from repro.net.message import Message
 from repro.sim.loop import EventLoop
 
 NodeId = int
-
-#: The installed tracer when tracing is enabled, ``None`` otherwise.
-#: Rebound by :func:`_rebind_tracer` on every ``obs.set_tracer``; hot
-#: call sites test ``_TRACE is not None`` instead of re-reading
-#: ``obs.TRACER.enabled`` per message.
-_TRACE = None
-
-
-def _rebind_tracer(tracer) -> None:
-    """Keep the module-level ``_TRACE`` guard current."""
-    global _TRACE
-    _TRACE = tracer if tracer.enabled else None
-
-
-obs.on_tracer_change(_rebind_tracer)
 
 
 class Endpoint:
@@ -111,11 +94,6 @@ class BandwidthMeter:
             self.recv_overhead += message.wire_bytes
         else:
             self.recv_payload += message.wire_bytes
-
-    @property
-    def total_overhead(self) -> int:
-        """Overhead bytes crossing this node's interface, both directions."""
-        return self.sent_overhead + self.recv_overhead
 
 
 class Network:
@@ -240,11 +218,12 @@ class Network:
     def _drop(self, reason: str, message: Message) -> None:
         self.dropped_messages += 1
         self.drop_reasons[reason] += 1
-        if _TRACE is not None:
-            _TRACE.event("net.drop", t=self.loop.now,
-                         node_id=message.recipient, reason=reason,
-                         msg_type=message.msg_type, sender=message.sender,
-                         recipient=message.recipient)
+        trace = obs.TRACER
+        if trace.enabled:
+            trace.event("net.drop", t=self.loop.now,
+                        node_id=message.recipient, reason=reason,
+                        msg_type=message.msg_type, sender=message.sender,
+                        recipient=message.recipient)
 
     def drop_breakdown(self) -> Dict[str, int]:
         """Per-reason drop counts (copy); reasons never hit are absent."""
@@ -331,12 +310,13 @@ class Network:
         delay_of = self.latency_model.delay
         schedule = self.loop.schedule_later
         deliver = self._deliver
-        trace = _TRACE
+        trace = obs.TRACER
+        tracing = trace.enabled
         now = self.loop.now
         for recipient in recipients:
             message = Message(sender, recipient, msg_type, payload,
                               wire_bytes, is_overhead)
-            if trace is not None:
+            if tracing:
                 trace.message_event("net.send", now, msg_type, sender,
                                     recipient, wire_bytes)
             if faults:
@@ -367,10 +347,11 @@ class Network:
             return
         self.meters[recipient].record_recv(message)
         self.delivered_messages += 1
-        if _TRACE is not None:
-            _TRACE.message_event("net.deliver", self.loop.now,
-                                 message.msg_type, message.sender, recipient,
-                                 message.wire_bytes)
+        trace = obs.TRACER
+        if trace.enabled:
+            trace.message_event("net.deliver", self.loop.now,
+                                message.msg_type, message.sender, recipient,
+                                message.wire_bytes)
         endpoint.on_message(message)
 
     # ------------------------------------------------------------ statistics

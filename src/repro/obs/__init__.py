@@ -1,4 +1,4 @@
-"""``repro.obs``: deterministic structured tracing and unified metrics.
+"""``repro.obs``: every measurement this repository reports.
 
 One process-wide tracer (module attribute :data:`TRACER`) defaults to a
 no-op :class:`~repro.obs.tracer.NullTracer`; installing a real
@@ -8,12 +8,20 @@ accountability, network delivery, chaos injection, the experiment
 harness -- into a sim-clock-stamped event/span stream exportable as
 ``repro.trace/1`` JSONL or Chrome trace-event JSON (Perfetto).
 
-Hot-path call sites guard on one attribute check::
+The tracer, the timeline (:data:`TIMELINE`) and the phase profiler
+(:data:`PROFILER`) are three slots with one switch each: a call site
+reads the slot once per call and does nothing more while it is off::
 
     from repro import obs
     _t = obs.TRACER
     if _t.enabled:
         _t.event("acct.suspicion", t=now, node_id=me, accused=peer)
+
+Beside them: :mod:`~repro.obs.caches` (hit/miss counters of the hot-path
+caches), :mod:`~repro.obs.stats` (percentiles, density histograms),
+:mod:`~repro.obs.trackers` (latency and event trackers),
+:mod:`~repro.obs.probes` (convergence probes) and
+:mod:`~repro.obs.report` (trace reports, tables and JSON export).
 
 See ``docs/observability.md`` for the span/event inventory and schema.
 """
@@ -21,6 +29,12 @@ See ``docs/observability.md`` for the span/event inventory and schema.
 import gc
 from contextlib import contextmanager
 
+from repro.obs.caches import (
+    CacheStats,
+    cache_stats,
+    register_cache,
+    reset_cache_stats,
+)
 from repro.obs.export import (
     chrome_trace,
     export_chrome,
@@ -30,8 +44,11 @@ from repro.obs.export import (
 )
 from repro.obs.live import TelemetrySink, read_telemetry
 from repro.obs.phases import PhaseProfiler, classify_callback
+from repro.obs.probes import ConvergenceProbe
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.report import format_table, to_jsonable, write_json
 from repro.obs.schema import validate_trace_file, validate_trace_lines
+from repro.obs.stats import describe, mean, percentile, stddev
 from repro.obs.steady import SteadyStateMonitor, window_is_steady
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,
@@ -47,9 +64,11 @@ from repro.obs.tracer import (
     TRACE_SCHEMA,
     Tracer,
 )
+from repro.obs.trackers import EventCounter, LatencyTracker
 
-#: The process-wide tracer. Instrumented code reads ``obs.TRACER`` on each
-#: use (module attribute lookup stays current after ``set_tracer``).
+#: The process-wide tracer.  Instrumented code reads ``obs.TRACER`` once
+#: per call (a module attribute lookup, so it stays current after
+#: ``set_tracer``) and tests ``enabled`` before doing any work.
 TRACER = NULL_TRACER
 
 #: The process-wide timeline recorder (``None`` when no timeline is
@@ -58,43 +77,14 @@ TRACER = NULL_TRACER
 TIMELINE = None
 
 #: The process-wide phase profiler (``None`` when profiling is off).
-#: Profiled modules hold a module-level ``_PHASES`` guard rebound via
-#: :func:`on_profiler_change`, mirroring the tracer's ``_TRACE`` guard.
+#: Profiled sites read ``obs.PROFILER`` once per call, like the tracer.
 PROFILER = None
-
-#: Callbacks invoked with the new tracer on every :func:`set_tracer`.
-#: Hot-path modules use this to rebind a module-level guard once per
-#: install instead of re-reading ``obs.TRACER.enabled`` per event (see
-#: :func:`on_tracer_change`).
-_TRACER_HOOKS = []
-
-
-def get_tracer():
-    """The currently installed tracer (the null tracer by default)."""
-    return TRACER
-
-
-def on_tracer_change(hook) -> None:
-    """Register ``hook(tracer)`` to run on every :func:`set_tracer`.
-
-    The hook is also invoked immediately with the current tracer, so a
-    module can register at import time and hold a binding that is always
-    current.  This is the mechanism behind the per-message fast paths:
-    ``repro.net.network`` keeps a module-level ``_TRACE`` that is the
-    tracer when tracing is enabled and ``None`` otherwise, reducing the
-    per-message cost with tracing off to a single global load and branch
-    (no attribute lookups, no no-op call frames).
-    """
-    _TRACER_HOOKS.append(hook)
-    hook(TRACER)
 
 
 def set_tracer(tracer) -> None:
     """Install a tracer process-wide (pass ``NULL_TRACER`` to disable)."""
     global TRACER
     TRACER = tracer
-    for hook in _TRACER_HOOKS:
-        hook(tracer)
 
 
 def clear_tracer() -> None:
@@ -122,32 +112,11 @@ def use_tracer(tracer):
 
 # ------------------------------------------------------------- timeline
 
-#: Callbacks invoked with the new timeline on every :func:`set_timeline`.
-_TIMELINE_HOOKS = []
-
-
-def get_timeline():
-    """The installed timeline recorder, or ``None``."""
-    return TIMELINE
-
-
-def on_timeline_change(hook) -> None:
-    """Register ``hook(timeline)`` to run on every :func:`set_timeline`.
-
-    Invoked immediately with the current timeline, exactly like
-    :func:`on_tracer_change`, so modules can keep a module-level guard
-    that is ``None`` whenever no timeline is installed.
-    """
-    _TIMELINE_HOOKS.append(hook)
-    hook(TIMELINE)
-
 
 def set_timeline(timeline) -> None:
     """Install a timeline recorder process-wide (``None`` to disable)."""
     global TIMELINE
     TIMELINE = timeline
-    for hook in _TIMELINE_HOOKS:
-        hook(timeline)
 
 
 def clear_timeline() -> None:
@@ -168,33 +137,19 @@ def use_timeline(timeline):
 
 # ------------------------------------------------------------- profiler
 
-#: Callbacks invoked with the new profiler on every :func:`set_profiler`.
-#: The event loop and the nested crypto/mempool/sketch sites rebind their
-#: module-level ``_PHASES`` guards through this, keeping the off path at
-#: one global load plus one branch per site.
-_PROFILER_HOOKS = []
-
-
-def get_profiler():
-    """The installed phase profiler, or ``None``."""
-    return PROFILER
-
-
-def on_profiler_change(hook) -> None:
-    """Register ``hook(profiler)`` to run on every :func:`set_profiler`.
-
-    Invoked immediately with the current profiler (``None`` by default).
-    """
-    _PROFILER_HOOKS.append(hook)
-    hook(PROFILER)
-
 
 def set_profiler(profiler) -> None:
-    """Install a phase profiler process-wide (``None`` to disable)."""
+    """Install a phase profiler process-wide (``None`` to disable).
+
+    :func:`_gc_phase` sits in ``gc.callbacks`` exactly while a profiler
+    is installed.
+    """
     global PROFILER
     PROFILER = profiler
-    for hook in _PROFILER_HOOKS:
-        hook(profiler)
+    if _gc_phase in gc.callbacks:
+        gc.callbacks.remove(_gc_phase)
+    if profiler is not None:
+        gc.callbacks.append(_gc_phase)
 
 
 def clear_profiler() -> None:
@@ -228,21 +183,14 @@ def _gc_phase(phase: str, info) -> None:
         profiler.exit()
 
 
-def _rebind_gc_phase(profiler) -> None:
-    """Keep :func:`_gc_phase` registered exactly while a profiler is."""
-    if _gc_phase in gc.callbacks:
-        gc.callbacks.remove(_gc_phase)
-    if profiler is not None and profiler.enabled:
-        gc.callbacks.append(_gc_phase)
-
-
-on_profiler_change(_rebind_gc_phase)
-
-
 __all__ = [
+    "CacheStats",
+    "ConvergenceProbe",
     "Counter",
+    "EventCounter",
     "Gauge",
     "Histogram",
+    "LatencyTracker",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -258,24 +206,27 @@ __all__ = [
     "TimelineRecorder",
     "TimelineSeries",
     "Tracer",
+    "cache_stats",
     "chrome_trace",
     "classify_callback",
     "clear_profiler",
     "clear_timeline",
     "clear_tracer",
+    "describe",
     "export_chrome",
     "export_jsonl",
-    "get_profiler",
-    "get_timeline",
-    "get_tracer",
+    "format_table",
     "load_timeline",
-    "on_profiler_change",
-    "on_timeline_change",
-    "on_tracer_change",
+    "mean",
+    "percentile",
     "read_telemetry",
+    "register_cache",
+    "reset_cache_stats",
     "set_profiler",
     "set_timeline",
     "set_tracer",
+    "stddev",
+    "to_jsonable",
     "trace_lines",
     "use_profiler",
     "use_timeline",
@@ -284,5 +235,6 @@ __all__ = [
     "validate_trace_file",
     "validate_trace_lines",
     "window_is_steady",
+    "write_json",
     "write_jsonl",
 ]

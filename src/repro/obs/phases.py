@@ -9,11 +9,10 @@ creation/verification, mempool admission, sketch decode-cache misses)
 attribute their own slices, so a phase's **self** time excludes its
 children while **inclusive** time contains them.
 
-Zero cost when off: profiling modules keep a module-level ``_PHASES``
-guard rebound by :func:`repro.obs.on_profiler_change` (the same
-mechanism as the network's ``_TRACE`` tracer guard), so the off path is
-one global load plus one ``is None`` branch per site -- and the event
-loop hoists even that to *once per* ``run_until`` *call*.
+Near zero cost when off: each profiled site reads ``obs.PROFILER`` once
+per call, so the off path is one attribute load plus one ``is None``
+branch -- and the event loop reads it once per ``run_until`` call, not
+per event.
 
 The profiler reads the wall clock, so it is deliberately kept out of
 every deterministic artifact: nothing it measures enters traces,
@@ -76,8 +75,6 @@ class PhaseProfiler:
     ``clock`` is injectable for tests; production uses
     :func:`time.perf_counter`.
     """
-
-    enabled = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or time.perf_counter

@@ -8,9 +8,10 @@ producing the convergence-over-time curves behind Fig. 7's narrative
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.loop import Event, EventLoop
+if TYPE_CHECKING:  # repro.sim.loop imports repro.obs
+    from repro.sim.loop import Event, EventLoop
 
 
 class ConvergenceProbe:
@@ -18,7 +19,7 @@ class ConvergenceProbe:
 
     def __init__(
         self,
-        loop: EventLoop,
+        loop: "EventLoop",
         coverage_of: Callable[[int], float],
         period_s: float = 0.25,
     ):
@@ -29,7 +30,7 @@ class ConvergenceProbe:
         self.period_s = period_s
         self._items: Dict[int, float] = {}          # item -> registered at
         self.series: Dict[int, List[Tuple[float, float]]] = {}
-        self._event: Optional[Event] = None
+        self._event: Optional["Event"] = None
         self._running = False
 
     def track(self, item: int) -> None:

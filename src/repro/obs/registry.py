@@ -1,7 +1,7 @@
 """Unified metrics registry: named counters, gauges and histograms.
 
 The repository grew several ad-hoc measurement surfaces -- the
-:mod:`repro.metrics.caches` hit/miss counters, the network's per-type byte
+:mod:`repro.obs.caches` hit/miss counters, the network's per-type byte
 meters, the chaos injector's per-fault counters, the harness's wire
 violation totals.  This registry absorbs them into one namespace so a
 single :meth:`MetricsRegistry.snapshot` captures the whole system, either
@@ -62,7 +62,7 @@ class Gauge:
 class Histogram:
     """Streaming summary of observed values (count/total/min/max).
 
-    Full distributions live in :mod:`repro.metrics.stats`; this keeps the
+    Full distributions live in :mod:`repro.obs.stats`; this keeps the
     allocation-free summary that a periodic snapshot can afford.
     """
 

@@ -38,22 +38,6 @@ from repro import obs
 #: ``None`` for a cancelled (tombstoned) entry.
 _TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
 
-#: The installed :class:`repro.obs.PhaseProfiler`, or ``None`` when phase
-#: profiling is off.  Rebound by :func:`repro.obs.on_profiler_change`
-#: (the same mechanism as the network's ``_TRACE`` guard); ``run_until``
-#: reads it once per call, so the unprofiled hot loop is untouched.
-_PHASES = None
-
-
-def _rebind_profiler(profiler) -> None:
-    """Hook for :func:`repro.obs.on_profiler_change`."""
-    global _PHASES
-    _PHASES = profiler if profiler is not None and profiler.enabled else None
-
-
-obs.on_profiler_change(_rebind_profiler)
-
-
 class SimulationError(RuntimeError):
     """Raised on misuse of the simulation engine (e.g. scheduling in the past)."""
 
@@ -258,10 +242,10 @@ class EventLoop:
         run.  Events scheduled by callbacks during the run are honoured if
         they also fall within the deadline.
 
-        When a phase profiler is installed (``_PHASES``), every callback
-        runs inside an enter/exit pair attributing its wall time to a
-        phase; the guard is read once per call, so with profiling off the
-        dispatch loop is byte-for-byte the unprofiled one.
+        When a phase profiler is installed (``obs.PROFILER``), every
+        callback runs inside an enter/exit pair attributing its wall time
+        to a phase; the slot is read once per call, so with profiling off
+        the dispatch loop is byte-for-byte the unprofiled one.
         """
         if deadline < self._now:
             raise SimulationError(
@@ -269,7 +253,7 @@ class EventLoop:
             )
         heap = self._heap  # identity survives compaction (see above)
         pop = heapq.heappop
-        profiler = _PHASES
+        profiler = obs.PROFILER
         if profiler is None:
             while heap and heap[0][0] <= deadline:
                 entry = pop(heap)

@@ -22,7 +22,7 @@ Performance layers (docs/architecture.md has the full map):
   :mod:`repro.sketch.gf` runs the chain and long rows as whole-array
   gathers; the pure-Python fallback decodes bit-identically.
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
-  hit/miss/eviction counters exported via :func:`repro.metrics.cache_stats`.
+  hit/miss/eviction counters exported via :func:`repro.obs.cache_stats`.
 """
 
 from __future__ import annotations
@@ -36,24 +36,8 @@ from typing import (
 )
 
 from repro import obs
-from repro.metrics.caches import register_cache
+from repro.obs.caches import register_cache
 from repro.sketch.gf import GF2m, default_field, fast_path_active
-
-#: Installed phase profiler or ``None``; rebound via
-#: :func:`repro.obs.on_profiler_change` so a decode-cache miss can
-#: attribute its wall time to a nested ``sketch`` phase at the cost of
-#: one global load and branch when profiling is off.
-_PHASES = None
-
-
-def _rebind_profiler(profiler) -> None:
-    """Hook for :func:`repro.obs.on_profiler_change`."""
-    global _PHASES
-    _PHASES = profiler if profiler is not None and profiler.enabled else None
-
-
-obs.on_profiler_change(_rebind_profiler)
-
 
 class SketchDecodeError(ValueError):
     """Decoding failed: the set difference exceeds the sketch capacity."""
@@ -505,7 +489,7 @@ class PinSketch:
         for every ``candidates``, the empty default included.
 
         Results are memoised process-wide by syndrome content in an LRU
-        (hit/miss counters: ``repro.metrics.cache_stats()["sketch.decode"]``)
+        (hit/miss counters: ``repro.obs.cache_stats()["sketch.decode"]``)
         and a hit is exact (same syndromes => same set).  How often it hits
         depends on how much work the nodes share: 99.8% on the 10,000-node
         ``paper_scale`` lobench workload (a few transactions, every pair
@@ -526,7 +510,7 @@ class PinSketch:
                 raise SketchDecodeError("sketch is not decodable (cached)")
             return set(cached)
         _DECODE_STATS.misses += 1
-        profiler = _PHASES
+        profiler = obs.PROFILER
         if profiler is not None:
             profiler.enter("sketch")
         try:

@@ -19,7 +19,7 @@ from repro.core.wire import PeerQuarantine, validate_payload
 from repro.crypto.keys import KeyPair
 from repro.bloomclock import BloomClock
 from repro.mempool.transaction import make_transaction
-from repro.metrics import cache_stats
+from repro.obs.caches import cache_stats
 from repro.net.chaos import corrupt_payload
 from repro.sketch import PinSketch
 
@@ -124,7 +124,7 @@ def make_blame(**changes):
 @pytest.fixture
 def schema_runs(monkeypatch):
     """Per-type counts of validator executions, from an empty memo."""
-    monkeypatch.setattr(wire, "_CLEAN", {})
+    wire._CLEAN_PAYLOADS.entries.clear()
     runs = {}
 
     def counting(msg_type, validator):
@@ -175,7 +175,7 @@ def test_corrupted_copy_of_a_cleared_object_is_rejected(schema_runs):
     assert rejected > 100  # some garbage is, by chance, well-formed
 
 
-def test_memo_is_keyed_on_message_type(schema_runs):
+def test_memo_is_keyed_on_message_type(schema_runs, monkeypatch):
     blame = make_blame()
     assert validate_payload("lo/suspicion", blame) is None
     assert validate_payload("lo/exposure", blame) is not None
@@ -183,6 +183,18 @@ def test_memo_is_keyed_on_message_type(schema_runs):
     header = make_header()
     assert validate_payload("lo/commit_upd", header) is None
     assert validate_payload("lo/suspicion", header) is not None
+    # The same object, clean under another message type, re-runs the
+    # schema and counts a miss each time the type changes.
+    monkeypatch.setitem(wire.VALIDATORS, "lo/exposure", lambda payload: None)
+    before = cache_stats()["wire.validate"]
+    runs = schema_runs["lo/suspicion"]
+    for msg_type in ("lo/suspicion", "lo/exposure", "lo/exposure",
+                     "lo/suspicion"):
+        assert validate_payload(msg_type, blame) is None
+    after = cache_stats()["wire.validate"]
+    assert schema_runs["lo/suspicion"] == runs + 1  # the last call only
+    assert after["hits"] - before["hits"] == 2
+    assert after["misses"] - before["misses"] == 2
 
 
 def test_failed_payload_is_checked_again(schema_runs):
@@ -190,7 +202,7 @@ def test_failed_payload_is_checked_again(schema_runs):
     for _ in range(3):
         assert "NaN" in validate_payload("lo/suspicion", bad)
     assert schema_runs == {"lo/suspicion": 3}
-    assert id(bad) not in wire._CLEAN
+    assert id(bad) not in wire._CLEAN_PAYLOADS.entries
 
 
 def test_only_exact_frozen_payload_types_are_memoised(schema_runs):
@@ -205,7 +217,12 @@ def test_only_exact_frozen_payload_types_are_memoised(schema_runs):
         assert validate_payload("lo/status_query", (1_000_000, 42)) is None
     assert schema_runs == {"lo/suspicion": 3, "lo/block_req": 3,
                            "lo/status_query": 3}
-    assert wire._CLEAN == {}
+    assert wire._CLEAN_PAYLOADS.entries == {}
+    # Its exact base class is remembered: only the subclass is refused.
+    plain = make_blame(last_known=None)
+    assert validate_payload("lo/suspicion", plain) is None
+    assert id(plain) in wire._CLEAN_PAYLOADS.entries
+    assert id(shifty) not in wire._CLEAN_PAYLOADS.entries
 
 
 def test_preset_verdict_attribute_is_no_free_pass(schema_runs):
@@ -221,7 +238,7 @@ def test_preset_verdict_attribute_is_no_free_pass(schema_runs):
 
 
 def test_memo_is_bounded_and_a_recycled_id_cannot_hit(schema_runs):
-    limit = wire._MEMO_LIMIT
+    limit = wire._CLEAN_PAYLOADS.limit
     seen_ids = set()
     recycled = 0
     for index in range(3 * limit):
@@ -232,13 +249,13 @@ def test_memo_is_bounded_and_a_recycled_id_cannot_hit(schema_runs):
         seen_ids.add(id(payload))
         assert validate_payload("lo/content_req", payload) is None
         assert schema_runs["lo/content_req"] == index + 1
-        assert len(wire._CLEAN) <= limit
+        assert len(wire._CLEAN_PAYLOADS.entries) <= limit
         del payload
     assert recycled > 0  # the loop did exercise id reuse
     # A recycled id under the same type tag still names a different object.
     bad = ContentRequest("nope", ())
     stale = ContentRequest(0, ())
-    wire._CLEAN[id(bad)] = ("lo/content_req", stale)
+    wire._CLEAN_PAYLOADS.entries[id(bad)] = (stale, "lo/content_req")
     assert "request_id" in validate_payload("lo/content_req", bad)
 
 

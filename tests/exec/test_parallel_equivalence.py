@@ -17,7 +17,7 @@ from repro.experiments.fig9_bandwidth import run_fig9
 from repro.experiments.fig7_mempool_latency import run_fig7
 from repro.experiments.repeat import repeat_scalar
 from repro.experiments.sec65_cpu import run_cpu_sweep
-from repro.metrics.reporting import to_jsonable
+from repro.obs.report import to_jsonable
 
 WORKERS = 4
 

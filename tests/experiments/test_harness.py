@@ -149,7 +149,7 @@ def test_can_propose_excludes_stale_nodes():
 
 
 def test_cache_stats_reset_per_simulation():
-    from repro.metrics.caches import cache_stats
+    from repro.obs.caches import cache_stats
 
     def totals():
         # Only the resettable counters: `size` reports the (deliberately

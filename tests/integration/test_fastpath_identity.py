@@ -21,7 +21,7 @@ from repro.core import wire
 from repro.core.config import LOConfig
 from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics.caches import cache_stats, reset_cache_stats
+from repro.obs.caches import cache_stats, reset_cache_stats
 from repro.net import Endpoint, Network
 from repro.net.chaos import ChaosPlan
 from repro.obs import Tracer, trace_lines
@@ -75,23 +75,73 @@ def test_fast_and_slow_send_paths_are_byte_identical():
     assert clean_trace == hooked_trace  # line-for-line identical export
 
 
-def test_telemetry_guards_rebind_and_default_to_none():
-    """Every profiled module keeps a ``_PHASES`` guard that is ``None``
-    while no profiler is installed (the zero-cost-when-off contract, the
-    same mechanism as the network's ``_TRACE`` tracer guard) and rebinds
-    to the live profiler inside ``use_profiler``."""
-    import repro.crypto.keys as keys
-    import repro.mempool.admission as admission
-    import repro.sim.loop as loop
+def test_telemetry_slots_are_read_per_call():
+    """Objects built before an instrument is installed still report to it:
+    every profiled site reads ``obs.PROFILER`` and the network reads
+    ``obs.TRACER`` on each call, and nothing is charged once the slot is
+    cleared again."""
+    import gc
 
-    for module in (loop, keys, admission):
-        assert module._PHASES is None, module.__name__
+    from repro.crypto.keys import KeyPair, verify
+    from repro.mempool.admission import Mempool
+    from repro.mempool.transaction import make_transaction
+    from repro.sketch.pinsketch import PinSketch
+
+    class Sink(Endpoint):
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def on_message(self, message):
+            pass
+
+    loop = EventLoop()
+    network = Network(loop)
+    network.register(Sink(0))
+    network.register(Sink(1))
+    pool = Mempool()
+    keypair = KeyPair.generate(seed=b"telemetry-slots")
+    txs = [make_transaction(keypair, nonce, 100, 0.0) for nonce in range(3)]
+    sketch = PinSketch(capacity=8, m=32)
+    sketch.add_all([11, 22, 33])
+    clear_decode_cache()
+    decode_stats = cache_stats()["sketch.decode"]
+
     profiler = obs.PhaseProfiler()
     with obs.use_profiler(profiler):
-        for module in (loop, keys, admission):
-            assert module._PHASES is profiler, module.__name__
-    for module in (loop, keys, admission):
-        assert module._PHASES is None, module.__name__
+        assert obs._gc_phase in gc.callbacks
+        signatures = [keypair.sign(b"m%d" % i) for i in range(4)]
+        assert profiler.calls == {"crypto": 4}
+        for i, signature in enumerate(signatures):
+            assert verify(keypair.public_key, b"m%d" % i, signature)
+        assert profiler.calls == {"crypto": 8}
+        for tx in txs:
+            pool.admit(tx, now=0.0)
+        assert profiler.calls["mempool"] == 3
+        for _ in range(3):
+            assert sketch.decode() == {11, 22, 33}
+        misses = cache_stats()["sketch.decode"]["misses"] \
+            - decode_stats["misses"]
+        assert misses == 1
+        assert profiler.calls["sketch"] == misses
+    charged = dict(profiler.calls)
+    assert obs._gc_phase not in gc.callbacks
+    keypair.sign(b"after")
+    pool.admit(make_transaction(keypair, 3, 100, 0.0), now=0.0)
+    clear_decode_cache()
+    sketch.decode()
+    assert profiler.calls == charged
+
+    tracer = Tracer()
+    obs.set_tracer(tracer)
+    try:
+        network.send(0, 1, "ping", None, wire_bytes=64)
+        loop.run_for(1.0)
+    finally:
+        obs.clear_tracer()
+    assert [r["name"] for r in tracer.records] == ["net.send", "net.deliver"]
+    network.send(0, 1, "ping", None, wire_bytes=64)
+    loop.run_for(1.0)
+    assert len(tracer.records) == 2
 
 
 def test_profiled_run_is_byte_identical_to_unprofiled():

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.metrics.probes import ConvergenceProbe
-from repro.metrics.reporting import format_table, to_jsonable, write_json
+from repro.obs.probes import ConvergenceProbe
+from repro.obs.report import format_table, to_jsonable, write_json
 from repro.sim import EventLoop
 
 

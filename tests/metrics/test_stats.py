@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import Histogram, describe, mean, percentile, stddev
+from repro.obs.stats import Histogram, describe, mean, percentile, stddev
 
 floats = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1,

@@ -1,6 +1,6 @@
 """Unit tests for latency and event trackers."""
 
-from repro.metrics import EventCounter, LatencyTracker
+from repro.obs.trackers import EventCounter, LatencyTracker
 
 
 def test_latency_basic_flow():

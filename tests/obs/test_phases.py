@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics import cache_stats
+from repro.obs.caches import cache_stats
 from repro.obs import PhaseProfiler
 from repro.obs.phases import CLASSIFY_RULES, OTHER_PHASE, classify_callback
 from repro.sketch.pinsketch import clear_decode_cache

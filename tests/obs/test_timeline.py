@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.metrics.caches import reset_cache_stats
+from repro.obs.caches import reset_cache_stats
 from repro.obs import MetricsRegistry, TimelineRecorder
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,

@@ -13,7 +13,7 @@ from repro.attacks import make_censor_factory
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.net.chaos import ChaosPlan, CrashWindow
 from repro.net.latency import ConstantLatencyModel
-from repro.metrics.caches import reset_cache_stats
+from repro.obs.caches import reset_cache_stats
 from repro.obs import Tracer, export_jsonl, validate_trace_file
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 

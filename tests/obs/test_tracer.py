@@ -27,7 +27,7 @@ def test_null_tracer_is_disabled_and_inert():
 
 
 def test_default_tracer_is_null():
-    assert obs.get_tracer() is NULL_TRACER
+    assert obs.TRACER is NULL_TRACER
     assert obs.TRACER.enabled is False
 
 
@@ -118,10 +118,10 @@ def test_set_and_clear_tracer():
     tracer = Tracer()
     obs.set_tracer(tracer)
     try:
-        assert obs.get_tracer() is tracer
+        assert obs.TRACER is tracer
     finally:
         obs.clear_tracer()
-    assert obs.get_tracer() is NULL_TRACER
+    assert obs.TRACER is NULL_TRACER
 
 
 # ---------------------------------------------------------------- registry

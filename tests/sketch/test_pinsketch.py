@@ -101,7 +101,7 @@ def test_cached_decode_failure_raises_fresh_exceptions():
     """
     import gc
 
-    from repro.metrics.caches import cache_stats
+    from repro.obs.caches import cache_stats
 
     clear_decode_cache()
     sketch = PinSketch(capacity=3, m=32)

@@ -181,7 +181,7 @@ def _cold_caches():
     in-process CLI runs must start them cold for byte-identity; separate
     processes -- the real CLI usage -- start cold anyway.
     """
-    from repro.metrics.caches import reset_cache_stats
+    from repro.obs.caches import reset_cache_stats
     from repro.sketch.pinsketch import clear_decode_cache, \
         clear_syndrome_cache
 

@@ -21,7 +21,7 @@ DOCTEST_MODULES = [
     "repro.sketch.gf",
     "repro.sketch.pinsketch",
     "repro.sketch.partition",
-    "repro.metrics.caches",
+    "repro.obs.caches",
     "repro.mempool.priority",
     "repro.mempool.fee_market",
     "repro.workload.hotkey",
@@ -35,7 +35,6 @@ DOCUMENTED_PACKAGES = [
     "repro.core",
     "repro.net.chaos",
     "repro.testing",
-    "repro.metrics",
     "repro.exec",
     "repro.mempool",
     "repro.workload",

@@ -32,13 +32,15 @@ PUBLIC_MODULES = [
     "repro.workload",
     "repro.workload.bursty",
     "repro.workload.hotkey",
+    # Compatibility modules; they go with lobench's last import of them.
     "repro.metrics",
     "repro.metrics.caches",
-    "repro.metrics.probes",
-    "repro.metrics.reporting",
     "repro.metrics.stats",
-    "repro.metrics.trackers",
     "repro.obs",
+    "repro.obs.caches",
+    "repro.obs.probes",
+    "repro.obs.stats",
+    "repro.obs.trackers",
     "repro.obs.tracer",
     "repro.obs.registry",
     "repro.obs.export",
@@ -78,13 +80,29 @@ def test_dunder_all_resolves(name):
 
 
 def test_metrics_convenience_exports():
-    """Probes and reporting helpers are importable from the package root."""
-    from repro.metrics import (  # noqa: F401
+    """Measurement helpers are importable from the ``repro.obs`` root."""
+    from repro.obs import (  # noqa: F401
+        CacheStats,
         ConvergenceProbe,
+        EventCounter,
+        LatencyTracker,
+        cache_stats,
+        describe,
         format_table,
+        mean,
+        percentile,
+        register_cache,
+        reset_cache_stats,
+        stddev,
         to_jsonable,
         write_json,
     )
+    from repro import obs
+    from repro.obs import registry, stats
+
+    # The root's Histogram is the registry's; the density one stays in stats.
+    assert obs.Histogram is registry.Histogram
+    assert stats.Histogram is not obs.Histogram
 
 
 def test_version():
