@@ -23,7 +23,6 @@ Wire protocol (message types on the simulated network):
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -70,6 +69,7 @@ from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
 from repro.sim.loop import Event, EventLoop
+from repro.sketch import CandidateRegistry
 from repro.sketch.gf import GF2m
 
 
@@ -78,32 +78,27 @@ class Directory:
 
     ``register`` / ``key_of`` / ``id_of`` are the node-id <-> public-key
     mapping (the PKI assumption).  ``committed`` is the simulation's
-    registry of sketch ids: every id some node committed
-    (:meth:`LONode._commit_bundle` is the only way into a log), once, in
-    first-commit order, capped at the newest
+    registry of sketch ids (a :class:`~repro.sketch.CandidateRegistry`):
+    every id some node committed (:meth:`LONode._commit_bundle` is the
+    only way into a log), once, in first-commit order, capped at the newest
     :attr:`~repro.sketch.gf.GF2m.MAX_TESTED_CANDIDATES`.  A responder hands
-    it to the decoder as root candidates: every id a correct sketch carries
-    was committed by some node of this simulation, so the decoder *tests*
-    these instead of *searching* GF(2^32) for the roots -- the simulator's
-    stand-in for libminisketch's root search, as the simulated signatures'
-    ``verify()`` is for Ed25519 (DESIGN.md section 3).  Candidates never
-    change a decode's result, only its cost.  One ``Directory`` is built per
-    simulation, so two simulations never share the registry.
+    it, uncopied, to the decoder as root candidates: every id a correct
+    sketch carries was committed by some node of this simulation, so the
+    decoder *tests* these instead of *searching* GF(2^32) for the roots --
+    the simulator's stand-in for libminisketch's root search, as the
+    simulated signatures' ``verify()`` is for Ed25519 (DESIGN.md section
+    3).  The registry keeps each id's powers for that test, built the first
+    time a test meets the id.  Candidates never change a decode's result,
+    only its cost.  One ``Directory`` is built per simulation, so two
+    simulations never share the registry.
     """
 
     def __init__(self) -> None:
         self._by_id: Dict[int, PublicKey] = {}
         self._by_key: Dict[PublicKey, int] = {}
-        self.committed: "OrderedDict[int, None]" = OrderedDict()
-
-    def note_committed(self, ids: Sequence[int]) -> None:
-        """Add freshly committed ids not yet in the registry, evict the oldest."""
-        committed = self.committed
-        for sketch_id in ids:
-            if sketch_id not in committed:
-                committed[sketch_id] = None
-        while len(committed) > GF2m.MAX_TESTED_CANDIDATES:
-            committed.popitem(last=False)
+        self.committed = CandidateRegistry(
+            limit=GF2m.MAX_TESTED_CANDIDATES
+        )
 
     def register(self, node_id: int, key: PublicKey) -> None:
         """Record one node's identity."""
@@ -375,7 +370,7 @@ class LONode(Endpoint):
         fresh = self.log.append_many(ids)
         if not fresh:
             return None
-        self.directory.note_committed(fresh)
+        self.directory.committed.add_many(fresh)
         bundle = BundleInfo(
             index=self.seq,
             ids=tuple(fresh),

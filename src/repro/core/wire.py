@@ -44,6 +44,7 @@ from repro.crypto.keys import PublicKey
 from repro.mempool.transaction import Transaction
 from repro.obs.caches import IdentityMemo, clear_identity_memos
 from repro.sketch import PinSketch
+from repro.sketch.gf import IRREDUCIBLE_POLY
 
 Validator = Callable[[Any], Optional[str]]
 
@@ -159,6 +160,33 @@ def _check_spec_fields(spec: Any, name: str) -> Optional[str]:
     return None
 
 
+def _check_sketch(sketch: Any) -> Optional[str]:
+    """A sketch the decoder can take: its field, capacity and every slot.
+
+    The field width must be one :func:`repro.sketch.gf.default_field`
+    builds, the capacity a positive int with exactly that many syndromes,
+    and every syndrome an int in ``[0, 2^m)``.  The decode kernels index
+    log tables by syndrome halves, so a negative one would silently read
+    from the end of a table and a wide one would raise mid-handler.
+    """
+    error = _typed(sketch, PinSketch, "sketch")
+    if error:
+        return error
+    m, capacity, slots = sketch.m, sketch.capacity, sketch._syndromes
+    if not _is_int(m) or m not in IRREDUCIBLE_POLY:
+        return "sketch.m: unsupported field width"
+    error = _int_field(capacity, "sketch.capacity", minimum=1)
+    if error:
+        return error
+    if type(slots) is not list or len(slots) != capacity:
+        return f"sketch: expected {capacity} syndromes"
+    if not set(map(type, slots)) <= {int}:
+        return "sketch: non-integer syndrome"
+    if min(slots) < 0 or max(slots) >> m:
+        return f"sketch: syndrome outside GF(2^{m})"
+    return None
+
+
 # --------------------------------------------------------------------------
 # Per-message-type validators
 # --------------------------------------------------------------------------
@@ -172,7 +200,7 @@ def _validate_sync_req(payload: Any) -> Optional[str]:
         _int_field(payload.request_id, "request_id", minimum=0)
         or _check_header(payload.header)
         or _check_spec(payload.spec)
-        or _typed(payload.sketch, PinSketch, "sketch")
+        or _check_sketch(payload.sketch)
         or _typed(payload.is_retry, bool, "is_retry")
     )
 

@@ -10,6 +10,8 @@ Submodules:
 
 * :mod:`repro.sketch.gf` -- carry-less GF(2^m) arithmetic and polynomials.
 * :mod:`repro.sketch.pinsketch` -- sketch create/add/merge/decode.
+* :mod:`repro.sketch.registry` -- candidate roots carrying their power
+  rows (a simulation's committed ids, tested before any root search).
 * :mod:`repro.sketch.partition` -- the recursive hash-partitioning fallback
   the paper introduces in section 6.5 to bound decode cost.
 """
@@ -23,9 +25,11 @@ from repro.sketch.pinsketch import (
     sketch_syndromes_packed,
     unpack_syndromes,
 )
+from repro.sketch.registry import CandidateRegistry
 from repro.sketch.partition import PartitionedReconciler, ReconcileStats
 
 __all__ = [
+    "CandidateRegistry",
     "GF2m",
     "PartitionedReconciler",
     "PinSketch",

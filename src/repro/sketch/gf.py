@@ -18,36 +18,44 @@ The log/exp tables carry a zero sentinel (``log[0] = 2n``, ``exp`` zero on
 ``[2n, 4n + 2)`` for ``n = 2^m - 1``), so a table product is three
 branch-free lookups whatever its operands.  Every kernel builds on that:
 :meth:`GF2m.mul_scalar_batch` -- the row update of polynomial division,
-gcd, Berlekamp--Massey and the Frobenius chain -- looks the logs of its
-fixed operand up once per call, and :meth:`GF2m.dot` accumulates without
-zero tests.  The tower field GF((2^16)^2) inlines the same lookups on its
-subfield's tables.
+gcd and the Frobenius chain -- looks the logs of its fixed operand up once
+per call.  The tower field GF((2^16)^2) inlines the same lookups on its
+subfield's tables, and its :meth:`~GF2Tower32.berlekamp_massey` keeps every
+operand of the recurrence in that log form, so a step is subfield lookups
+and XORs only.
 
 Fast path
 ---------
 
 When numpy is importable the field objects additionally run *batched*
-kernels -- :meth:`GF2m.mul_batch`, :meth:`GF2m.sqr_batch`,
-:meth:`GF2m.find_roots_scan`, and on the tower
-field long :meth:`~GF2Tower32.mul_scalar_batch` rows, the candidate test
-:meth:`~GF2Tower32.roots_among` and the :class:`FrobeniusChain` of a
-locator of degree >= 5 -- as whole-array gathers on the same (mirrored)
-tables.  Every batched kernel has a
-pure-Python scalar fallback producing bit-identical results, selected
-automatically when numpy is absent or the fast path is disabled via
-:func:`set_fast_path`.  ``tests/sketch/test_fastpath.py`` property-tests the
-equality; ``python -m lobench`` measures what it buys end to end.
+kernels as whole-array gathers on the same (mirrored) tables:
+
+* :meth:`GF2Tower32.roots_among`, the candidate test of every decode of
+  degree >= 3 -- one broadcast product over a
+  :class:`~repro.sketch.registry.CandidateRegistry`'s power rows;
+* the :class:`FrobeniusChain` of a locator of degree >= 5 that the
+  candidates do not explain (:class:`_TowerChain`);
+* :meth:`GF2m.mul_batch` / :meth:`GF2m.sqr_batch`, the bulk syndrome
+  generation of :meth:`repro.sketch.pinsketch.PinSketch.add_all`.
+
+Every batched kernel has a pure-Python scalar fallback producing
+bit-identical results, selected automatically when numpy is absent or the
+fast path is disabled via :func:`set_fast_path`.
+``tests/sketch/test_fastpath.py`` property-tests the equality;
+``python -m lobench`` measures what it buys end to end.
 """
 
 from __future__ import annotations
 
 from operator import xor as _xor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 try:  # The fast path is optional; the library must work without numpy.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via set_fast_path(False)
     _np = None
+
+from repro.sketch.registry import CandidateRegistry
 
 _FAST_ENABLED = True
 
@@ -190,16 +198,24 @@ class GF2m:
         """Numpy mirrors of the log/exp tables, or None off the fast path.
 
         ``exp`` is uint32 (tower kernels shift products left by 16) and
-        ``log`` int32 (index sums stay below ``4n + 2``).
+        ``log`` int32 (index sums stay below ``4n + 2``).  Only the first
+        period of ``exp`` is converted from the lists; the rest of both
+        mirrors follows from the sentinel layout.
         """
         if self._log is None or not fast_path_active():
             return None
         cache_key = (self.m, self.modulus)
         mirrors = _NP_TABLE_CACHE.get(cache_key)
         if mirrors is None:
+            n = self.order - 1
+            period = _np.array(self._exp[:n], dtype=_np.uint32)
+            log = _np.full(self.order, 2 * n, dtype=_np.int32)
+            log[period] = _np.arange(n, dtype=_np.int32)
             mirrors = (
-                _np.asarray(self._exp, dtype=_np.uint32),
-                _np.asarray(self._log, dtype=_np.int32),
+                _np.concatenate(
+                    (period, period, _np.zeros(2 * n + 2, dtype=_np.uint32))
+                ),
+                log,
             )
             _NP_TABLE_CACHE[cache_key] = mirrors
         return mirrors
@@ -390,62 +406,6 @@ class GF2m:
             return [sqr(x) for x in a]
         exp, log = tables
         return exp[2 * log[_np.asarray(a, dtype=_np.uint32)]].tolist()
-
-    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """XOR-accumulated inner product ``a[0]b[0] ^ a[1]b[1] ^ ...``.
-
-        The Berlekamp--Massey discrepancy is exactly this shape.
-        """
-        acc = 0
-        if self._log is not None:
-            exp, log = self._exp, self._log
-            for x, y in zip(a, b):
-                acc ^= exp[log[x] + log[y]]
-            return acc
-        mul = self.mul
-        for x, y in zip(a, b):
-            acc ^= mul(x, y)
-        return acc
-
-    def find_roots_scan(self, poly: Sequence[int]) -> Optional[List[int]]:
-        """All distinct roots of ``poly`` by a vectorised full-field scan.
-
-        A Chien search in the log domain: the polynomial is evaluated at
-        every nonzero element ``g^i`` simultaneously, one table-gather pass
-        per nonzero coefficient.  The exponent array ``(j * i) mod (q-1)``
-        is maintained incrementally (add, conditional subtract), so the
-        inner loop is four branch-free numpy passes and never needs
-        zero-masking.  Only available for table fields (m <= 16) on the
-        fast path; returns None otherwise so callers fall back to
-        trace splitting.  Repeated roots are reported once, which
-        matches the decoder's distinct-roots contract.
-        """
-        tables = self._np_tables()
-        if tables is None:
-            return None
-        exp, log = tables
-        p = self.poly_trim(list(poly))
-        if not p or len(p) == 1:
-            return []
-        n = self.order - 1  # multiplicative group order
-        ii = _np.arange(n, dtype=_np.int32)
-        # acc[i] accumulates poly(g^i); jpow[i] tracks (j*i) mod n.
-        acc = _np.full(n, p[0], dtype=_np.uint32)
-        jpow = _np.zeros(n, dtype=_np.int32)
-        idx = _np.empty(n, dtype=_np.int32)
-        for coeff in p[1:]:
-            jpow += ii
-            _np.subtract(jpow, n, out=jpow, where=jpow >= n)
-            if coeff:
-                # exp is periodic on [0, 2n), so log[c] + jpow needs no
-                # second reduction.
-                _np.add(jpow, int(log[coeff]), out=idx)
-                acc ^= exp[idx]
-        root_exponents = _np.nonzero(acc == 0)[0]
-        roots = exp[root_exponents].tolist()
-        if p[0] == 0:
-            roots.insert(0, 0)
-        return roots
 
     def trace(self, a: int) -> int:
         """Absolute trace down to GF(2): sum of the m Frobenius conjugates."""
@@ -639,8 +599,9 @@ class GF2m:
     #: Most candidates :func:`repro.sketch.pinsketch._find_roots` tests
     #: before it searches.  Measured on the numpy tower path (docs/sketch.md
     #: section 3.4): the test is linear in the candidate count, the search
-    #: does not depend on it, and between 1,000 and 2,000 candidates the
-    #: test costs what finding half of the roots by it saves.  A
+    #: does not depend on it.  From degree 5 a test that finds half of the
+    #: roots still pays at 2,000 candidates; at degrees 3-4, whose closed
+    #: forms are cheap, a test pays only up to a few hundred.  A
     #: simulation's registry of committed ids
     #: (:class:`repro.core.node.Directory`) keeps this many, the newest.
     MAX_TESTED_CANDIDATES = 1024
@@ -655,7 +616,9 @@ class GF2m:
         reported only if ``poly`` evaluates to zero at it, so whatever the
         candidates are the result is a subset of ``poly``'s roots.
         Candidates outside ``[1, 2^m)`` are no sketch elements and are
-        ignored (never reduced into the field).
+        ignored (never reduced into the field).  Any iterable of ints will
+        do; :class:`GF2Tower32` on the numpy path takes a
+        :class:`~repro.sketch.registry.CandidateRegistry` as it is.
         """
         if len(poly) < 2:
             return []
@@ -685,6 +648,64 @@ class GF2m:
                 raise ArithmeticError(f"{r} is not a root: remainder {acc}")
             del quotient[0]  # slot 0 held the remainder
         return quotient
+
+    # ------------------------------------------------------ Berlekamp--Massey
+
+    def berlekamp_massey(
+        self, odd_syndromes: Iterable[int]
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """Online Berlekamp--Massey over the stored (odd) syndromes.
+
+        Consumes ``s_1, s_3, s_5, ...`` and, after each, yields ``(L, C)``:
+        the length and the connection polynomial (``C[0] == 1``, trailing
+        zeros trimmed) of the minimal LFSR generating ``s_1 .. s_2k`` for
+        the ``k`` stored syndromes consumed so far.  The last pair is the
+        error locator of the whole sketch; its degree is the number of
+        difference elements when decoding succeeds.  A yielded list is
+        never mutated afterwards.
+
+        The even syndromes are never stored: ``s_2k = s_k^2`` in
+        characteristic 2, so they are squared into the window as the
+        recurrence reaches them, and the discrepancy at every even
+        syndrome is identically zero (the classical binary-BCH
+        simplification), so those steps need no inner product -- the LFSR
+        is merely shifted.  The window holds the syndromes newest first,
+        the one being consumed included, so the discrepancy is the inner
+        product of the whole of ``C`` (``C[0] == 1``) with it.
+        :class:`GF2Tower32` runs the same loop in the subfield log domain.
+        """
+        current: List[int] = [1]
+        previous: List[int] = [1]
+        length = 0
+        shift = 1
+        prev_discrepancy = 1
+        window: List[int] = []  # s_n, s_(n-1), ..., s_1: newest first
+        mul, inv, sqr = self.mul, self.inv, self.sqr
+        scale = self.mul_scalar_batch
+        for k, s_odd in enumerate(odd_syndromes):
+            if k:
+                window.insert(0, sqr(window[k - 1]))  # s_2k = s_k^2
+            window.insert(0, s_odd)
+            discrepancy = 0
+            for c, s in zip(current, window):
+                discrepancy ^= mul(c, s)
+            if discrepancy:
+                update = scale(mul(discrepancy, inv(prev_discrepancy)),
+                               previous)
+                grown = current + [0] * (shift + len(update) - len(current))
+                grown[shift : shift + len(update)] = map(
+                    _xor, grown[shift:], update
+                )
+                if length <= k:  # 2L <= n for the n = 2k syndromes before
+                    previous = current
+                    length = 2 * k + 1 - length
+                    prev_discrepancy = discrepancy
+                    shift = 0
+                current = grown
+            shift += 2  # this step and the zero-discrepancy even step after
+            while current[-1] == 0:
+                current.pop()
+            yield length, current
 
     # -------------------------------------------------------- Frobenius chain
 
@@ -802,13 +823,12 @@ class GF2Tower32(GF2m):
     Every kernel works in the log domain of the subfield's sentinel tables
     (see :meth:`GF2m._build_tables`): a subfield product is three
     branch-free lookups, and the kernels with one fixed operand
-    (:meth:`mul_scalar_batch`, the chain) look its logs up once.  On the
+    (:meth:`mul_scalar_batch`, the chain) look its logs up once;
+    :meth:`berlekamp_massey` keeps all of its operands as logs.  On the
     fast path the batched kernels run the same lookups as whole-array
     numpy gathers.
     """
 
-    #: Shortest vector for which one numpy pass beats the scalar row update.
-    _NUMPY_ROW = 48
     #: Lowest locator degree whose Frobenius chain runs as numpy steps.
     _NUMPY_CHAIN = 5
 
@@ -903,14 +923,6 @@ class GF2Tower32(GF2m):
         l0 = self._sub_log[scalar & 0xFFFF]
         lx = self._sub_log[(scalar >> 16) ^ (scalar & 0xFFFF)]
         lc = self._log_c
-        if len(vec) >= self._NUMPY_ROW and fast_path_active():
-            exp, log = self.sub._np_tables()
-            vv = _np.asarray(vec, dtype=_np.uint32)
-            v1, v0 = vv >> 16, vv & 0xFFFF
-            m0 = exp[log[v0] + l0]
-            hi = exp[log[v1 ^ v0] + lx] ^ m0
-            lo = m0 ^ exp[log[exp[log[v1] + l1]] + lc]
-            return ((hi << 16) | lo).tolist()
         exp, log = self._sub_exp, self._sub_log
         out = []
         append = out.append
@@ -936,60 +948,118 @@ class GF2Tower32(GF2m):
         lo = exp[2 * log[av & 0xFFFF]] ^ exp[log[s1] + self._log_c]
         return ((s1 << 16) | lo).tolist()
 
-    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """XOR-accumulated inner product over the tower field.
-
-        The three Karatsuba partial products are accumulated separately
-        (they are linear), so the constant multiplication and the
-        recombination happen once per call instead of once per term.
-        """
-        exp, log = self._sub_exp, self._sub_log
-        acc1 = acc0 = accx = 0
-        for x, y in zip(a, b):
-            x1 = x >> 16
-            x0 = x & 0xFFFF
-            y1 = y >> 16
-            y0 = y & 0xFFFF
-            acc1 ^= exp[log[x1] + log[y1]]
-            acc0 ^= exp[log[x0] + log[y0]]
-            accx ^= exp[log[x1 ^ x0] + log[y1 ^ y0]]
-        return ((accx ^ acc0) << 16) | (
-            acc0 ^ exp[log[acc1] + self._log_c]
-        )
-
     def roots_among(
         self, poly: Sequence[int], candidates: Iterable[int]
     ) -> List[int]:
-        """:meth:`GF2m.roots_among` as one Horner sweep over all candidates.
+        """:meth:`GF2m.roots_among` as one product over the candidates' rows.
 
-        The candidates' three subfield logs (hi, lo, hi ^ lo) are looked
-        up once; each coefficient is then one whole-array tower
-        multiply-add with the accumulator kept split in its subfield
-        halves.  Out-of-range candidates are dropped as Python ints,
-        before anything is narrowed to ``uint32``.
+        ``q(c) = sum_j q_j c^j``, and a :class:`CandidateRegistry` keeps
+        the three subfield logs (hi, lo, hi ^ lo) of every candidate's
+        powers ``c^j``.  With the coefficients' logs looked up once, the
+        ``((deg q + 1) x candidates)`` block of Karatsuba partial products
+        is one broadcast add and one gather; XOR-reducing it along the
+        powers leaves three subfield sums per candidate, and ``q(c) == 0``
+        is two comparisons on them: under ten array operations whatever
+        the degree.  Any other collection is put into a throwaway registry
+        first (the same code: candidates outside ``[1, 2^32)`` get no row
+        and are never reported).
         """
         tables = self.sub._np_tables()
         if tables is None:
             return super().roots_among(poly, candidates)
-        mask = self.mask
-        values = _np.array(
-            [c for c in candidates if 0 < c <= mask], dtype=_np.uint32
-        )
-        if not values.size or len(poly) < 2:
+        if len(poly) < 2:
             return []
-        exp, log = tables
-        lc = self._log_c
-        x1, x0 = values >> 16, values & 0xFFFF
-        l1, l0, lx = log[x1], log[x0], log[x1 ^ x0]
-        lead = poly[-1]
-        a1 = _np.full(values.size, lead >> 16, dtype=_np.uint32)
-        a0 = _np.full(values.size, lead & 0xFFFF, dtype=_np.uint32)
-        for coeff in reversed(poly[:-1]):
-            m0 = exp[log[a0] + l0]
-            hi = exp[log[a1 ^ a0] + lx] ^ m0
-            a0 = m0 ^ exp[log[exp[log[a1] + l1]] + lc] ^ (coeff & 0xFFFF)
-            a1 = hi ^ (coeff >> 16)
-        return sorted(set(values[(a1 | a0) == 0].tolist()))
+        if not isinstance(candidates, CandidateRegistry):
+            candidates = CandidateRegistry(candidates)
+        rows, values = candidates.block(self, len(poly) - 1)
+        if not values:
+            return []
+        exp = tables[0]
+        log, lc, order = self._sub_log, self._log_c, self.sub.order - 1
+        # The hi coefficient's log carries QUAD_C of ``lo = m0 + QUAD_C m1``
+        # (a zero hi keeps the sentinel), so the three sums are QUAD_C m1,
+        # m0 and mx, and q vanishes exactly where they are all equal.
+        coefficient_logs = _np.array([
+            ((log[q >> 16] + lc) % order if q >> 16 else log[0],
+             log[q & 0xFFFF], log[(q >> 16) ^ (q & 0xFFFF)])
+            for q in poly
+        ], dtype=_np.intp)[:, :, None]
+        sums = _np.bitwise_xor.reduce(exp[rows + coefficient_logs], axis=0)
+        zero = (sums[0] == sums[1]) & (sums[1] == sums[2])
+        return sorted(
+            value for value in map(values.__getitem__, _np.flatnonzero(zero))
+            if value
+        )
+
+    def berlekamp_massey(
+        self, odd_syndromes: Iterable[int]
+    ) -> Iterator[Tuple[int, List[int]]]:
+        """:meth:`GF2m.berlekamp_massey` as one loop in the log domain.
+
+        Every syndrome's three subfield logs (hi, lo, hi ^ lo) are looked
+        up once, when it enters the window (an even one is squared from
+        its half's logs), and the connection polynomial ``C`` and the
+        previous one ``B`` carry theirs beside their values.  The
+        discrepancy is then three XOR-accumulated subfield products per
+        term, recombined once per step; the row update ``C += d/b x^s B``
+        multiplies ``B`` in its logs by the hoisted logs of ``d/b`` and
+        refreshes the logs of only the coefficients it changed.  Yields
+        exactly the generic recurrence's states.
+        """
+        exp, log, lc = self._sub_exp, self._sub_log, self._log_c
+        zero = (log[0], log[0], log[0])
+        current: List[int] = [1]
+        current_logs = [(log[0], log[1], log[1])]  # (hi, lo, hi ^ lo) each
+        previous, previous_logs = current, current_logs
+        inv_prev = 1  # 1 / the discrepancy that made `previous`
+        length = 0
+        shift = 1
+        window: List[Tuple[int, int, int]] = []  # logs, newest first
+        for k, s_odd in enumerate(odd_syndromes):
+            if k:  # s_2k = s_k^2 enters the window
+                half = window[k - 1]
+                hi = exp[2 * half[0]]
+                lo = exp[2 * half[1]] ^ exp[log[hi] + lc]
+                window.insert(0, (log[hi], log[lo], log[hi ^ lo]))
+            hi, lo = s_odd >> 16, s_odd & 0xFFFF
+            window.insert(0, (log[hi], log[lo], log[hi ^ lo]))
+            a1 = a0 = ax = 0
+            for (c1, c0, cx), (w1, w0, wx) in zip(current_logs, window):
+                a1 ^= exp[c1 + w1]
+                a0 ^= exp[c0 + w0]
+                ax ^= exp[cx + wx]
+            hi = ax ^ a0
+            lo = a0 ^ exp[log[a1] + lc]
+            if hi or lo:
+                discrepancy = (hi << 16) | lo
+                factor = self.mul(discrepancy, inv_prev)
+                f1, f0 = factor >> 16, factor & 0xFFFF
+                k1, k0, kx = log[f1], log[f0], log[f1 ^ f0]
+                extra = shift + len(previous) - len(current)
+                grown = current + [0] * extra
+                grown_logs = current_logs + [zero] * extra
+                j = shift
+                for b1, b0, bx in previous_logs:
+                    m0 = exp[k0 + b0]
+                    value = grown[j] ^ (
+                        ((exp[kx + bx] ^ m0) << 16)
+                        | (m0 ^ exp[log[exp[k1 + b1]] + lc])
+                    )
+                    grown[j] = value
+                    hi, lo = value >> 16, value & 0xFFFF
+                    grown_logs[j] = (log[hi], log[lo], log[hi ^ lo])
+                    j += 1
+                if length <= k:  # 2L <= n for the n = 2k syndromes before
+                    previous, previous_logs = current, current_logs
+                    length = 2 * k + 1 - length
+                    inv_prev = self.inv(discrepancy)
+                    shift = 0
+                current, current_logs = grown, grown_logs
+                while current[-1] == 0:
+                    current.pop()
+                    current_logs.pop()
+            shift += 2  # this step and the zero-discrepancy even step after
+            yield length, current
 
     def frobenius_chain(self, q: Sequence[int]):
         """The chain of ``q``: numpy steps when they pay, else the generic one."""

@@ -14,13 +14,16 @@ Performance layers (docs/architecture.md has the full map):
   LRU-bounded; every node in a simulation re-uses one vector per
   transaction id across all rounds (:class:`_SyndromeCache`).
 * **Decode cost follows the decoded difference** -- Berlekamp--Massey runs
-  online and stops at the first locator that reproduces every stored
-  syndrome (:meth:`PinSketch._decode_uncached`); roots come from closed
-  forms up to degree 4; above that the caller's candidates are tested
-  first, and one shared Frobenius chain searches only for roots they do
-  not explain (:func:`_find_roots`).  The numpy fast path of
-  :mod:`repro.sketch.gf` runs the chain and long rows as whole-array
-  gathers; the pure-Python fallback decodes bit-identically.
+  online, one loop per field class (the tower's entirely on subfield
+  logs), and stops at the first locator that reproduces every stored
+  syndrome (:meth:`PinSketch._decode_uncached`).  From degree 3 the
+  caller's candidates are tested first -- on the numpy path one broadcast
+  product over a :class:`~repro.sketch.registry.CandidateRegistry`'s
+  cached power rows -- and only roots they do not explain are searched,
+  by closed forms up to degree 4 and one shared Frobenius chain above
+  (:func:`_find_roots`).  A found set is verified by XOR-ing its elements'
+  cached packed syndrome vectors (:meth:`PinSketch._verify`).  The
+  pure-Python fallback decodes bit-identically.
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
   hit/miss/eviction counters exported via :func:`repro.obs.cache_stats`.
 """
@@ -32,7 +35,7 @@ from collections import OrderedDict
 from functools import lru_cache
 from operator import xor as _xor
 from typing import (
-    Collection, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Collection, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro import obs
@@ -546,7 +549,7 @@ class PinSketch:
         included.
         """
         tried = 0
-        steps = _berlekamp_massey(self._syndromes, self.field)
+        steps = self.field.berlekamp_massey(self._syndromes)
         for consumed, (length, locator) in enumerate(steps, 1):
             # `consumed` odd syndromes stand for 2 * consumed syndromes.
             if tried < length <= consumed - 2 and consumed < self.capacity:
@@ -585,62 +588,17 @@ class PinSketch:
         return None
 
     def _verify(self, elements: Set[int]) -> bool:
-        check = PinSketch(self.capacity, self.m, self.field)
-        check.add_all(elements)
-        return check._syndromes == self._syndromes
+        """Whether ``elements`` sketch to exactly these syndromes.
 
-
-def _berlekamp_massey(
-    odd_syndromes: Sequence[int], field: GF2m
-) -> Iterator[Tuple[int, List[int]]]:
-    """Online Berlekamp--Massey over the stored (odd) syndromes.
-
-    Consumes ``s_1, s_3, s_5, ...`` and, after each, yields ``(L, C)``: the
-    length and the connection polynomial (``C[0] == 1``, trailing zeros
-    trimmed) of the minimal LFSR generating ``s_1 .. s_2k`` for the ``k``
-    stored syndromes consumed so far.  The last pair is the error locator
-    of the whole sketch; its degree is the number of difference elements
-    when decoding succeeds.
-
-    The even syndromes are never stored: ``s_2k = s_k^2`` in characteristic
-    2, so they are squared into the window as the recurrence reaches them,
-    and the discrepancy at every even syndrome is identically zero (the
-    classical binary-BCH simplification), so those steps need no inner
-    product -- the LFSR is merely shifted.  The discrepancy at an odd
-    syndrome is :meth:`GF2m.dot` and the update one
-    :meth:`GF2m.mul_scalar_batch` row update.
-    """
-    current: List[int] = [1]
-    previous: List[int] = [1]
-    length = 0
-    shift = 1
-    prev_discrepancy = 1
-    window: List[int] = []  # s_n, s_(n-1), ..., s_1: newest first
-    mul, inv, sqr = field.mul, field.inv, field.sqr
-    dot, scale = field.dot, field.mul_scalar_batch
-    for k, s_odd in enumerate(odd_syndromes):
-        if k:
-            window.insert(0, sqr(window[k - 1]))  # s_2k = s_k^2
-        n = 2 * k  # syndromes consumed before s_(2k+1)
-        discrepancy = s_odd ^ dot(current[1:], window)
-        window.insert(0, s_odd)
-        if discrepancy:
-            coefficient = mul(discrepancy, inv(prev_discrepancy))
-            update = scale(coefficient, previous)
-            grown = current + [0] * (shift + len(update) - len(current))
-            grown[shift : shift + len(update)] = map(
-                _xor, grown[shift:], update
-            )
-            if 2 * length <= n:
-                previous = current
-                length = n + 1 - length
-                prev_discrepancy = discrepancy
-                shift = 0
-            current = grown
-        shift += 2  # this step and the zero-discrepancy even step after it
-        while current[-1] == 0:
-            current.pop()
-        yield length, current
+        The XOR of the elements' cached packed syndrome vectors
+        (:func:`sketch_syndromes_packed`), compared with this sketch
+        packed: one big-integer XOR per element.
+        """
+        capacity, m = self.capacity, self.m
+        packed = 0
+        for element in elements:
+            packed ^= sketch_syndromes_packed(element, capacity, m)
+        return packed == pack_syndromes(self._syndromes, m)
 
 
 def _find_roots(
@@ -652,26 +610,24 @@ def _find_roots(
     distinct linear factors, and fewer distinct values otherwise; callers
     treat the latter as a decode failure.  By degree:
 
-    * **Full-field scan** (fast path, m <= 16, degree > 2): evaluate the
-      polynomial at every field element in one vectorised sweep
-      (:meth:`GF2m.find_roots_scan`) -- a Chien search across the whole
-      field.
+    * **Known candidates** (degree >= 3): ``candidates`` -- values the
+      caller expects the roots to be among -- are *tested*
+      (:meth:`GF2m.roots_among`).  When the hits number ``deg poly`` they
+      are returned as they are: that many distinct roots of a monic
+      polynomial of that degree are all of its roots.  Fewer hits are
+      divided out (:meth:`GF2m.poly_deflate`) and only the residual is
+      *searched*, as below.  At degrees 3 and 4 the test is cheaper than
+      the closed form's m x m GF(2) solve whenever it explains the roots.
     * **Closed forms** (degree <= 4): degree 2 is an Artin--Schreier
       equation; degrees 3 and 4 are brought to an affine linearised
       quartic ``z^4 + A z^2 + B z = v`` and solved as an m x m system over
       GF(2) (:meth:`GF2m.solve_linearized_quartic`).
-    * **Known candidates, then one Frobenius chain** (degree >= 5):
-      ``candidates`` -- values the caller expects the roots to be among --
-      are *tested* (:meth:`GF2m.roots_among`).  When the hits number
-      ``deg poly`` they are returned as they are: that many distinct roots
-      of a monic polynomial of that degree are all of its roots.  Fewer
-      hits are divided out (:meth:`GF2m.poly_deflate`) and only the
-      residual is *searched*, by the closed forms when they reach it and
-      otherwise by one chain ``x^(2^i) mod residual`` for ``i <= m``
-      (:meth:`GF2m.frobenius_chain`).  The chain's last entry decides
-      whether the residual splits at all, and every Berlekamp trace
-      polynomial ``Tr(beta x) mod residual`` is a linear combination of
-      its entries, so :func:`_trace_split` never squares again.
+    * **One Frobenius chain** (degree >= 5): the chain
+      ``x^(2^i) mod poly`` for ``i <= m`` (:meth:`GF2m.frobenius_chain`).
+      Its last entry decides whether the polynomial splits at all, and
+      every Berlekamp trace polynomial ``Tr(beta x) mod poly`` is a linear
+      combination of its entries, so :func:`_trace_split` never squares
+      again.
 
     The candidates cannot change what is returned, only what it costs.  A
     candidate is reported only if ``poly`` is zero at it and deflation is
@@ -689,18 +645,15 @@ def _find_roots(
     degree = len(monic) - 1
     if degree < 1:
         return []
-    if degree > 2:  # closed forms beat a full scan for degree <= 2
-        scanned = field.find_roots_scan(monic)
-        if scanned is not None:
-            return scanned
-    if degree <= 4:
-        return _CLOSED_FORMS[degree](monic, field)
-    if candidates and len(candidates) <= field.MAX_TESTED_CANDIDATES:
+    if (degree > 2 and candidates
+            and len(candidates) <= field.MAX_TESTED_CANDIDATES):
         hits = field.roots_among(monic, candidates)
         if len(hits) == degree:
             return hits
         if hits:
             return hits + _find_roots(field.poly_deflate(monic, hits), field)
+    if degree <= 4:
+        return _CLOSED_FORMS[degree](monic, field)
     chain = field.frobenius_chain(monic)
     if not chain.splits:
         return []

@@ -73,6 +73,78 @@ def test_field_level_corruption_rejected():
     assert "request_id" in validate_payload("lo/sync_req", bad_id)
 
 
+def _sketch_with(slots, capacity=16, m=32):
+    """A sketch whose fields were set past every constructor check."""
+    sketch = PinSketch(capacity=1, m=32)
+    sketch.capacity, sketch.m, sketch._syndromes = capacity, m, slots
+    return sketch
+
+
+@pytest.mark.parametrize("sketch,reason", [
+    (_sketch_with([-5] * 16), "outside GF(2^32)"),
+    (_sketch_with([0] * 15 + [-1]), "outside GF(2^32)"),
+    (_sketch_with([1 << 32] + [0] * 15), "outside GF(2^32)"),
+    (_sketch_with([0] * 15 + [(1 << 64) + 3]), "outside GF(2^32)"),
+    (_sketch_with([1 << 16] * 16, m=16), "outside GF(2^16)"),
+    (_sketch_with([1, 2, 3]), "expected 16 syndromes"),
+    (_sketch_with([0] * 17), "expected 16 syndromes"),
+    (_sketch_with((0,) * 16), "expected 16 syndromes"),
+    (_sketch_with([0] * 15 + [1.0]), "non-integer syndrome"),
+    (_sketch_with([0] * 15 + [True]), "non-integer syndrome"),
+    (_sketch_with([0] * 15 + ["7"]), "non-integer syndrome"),
+    (_sketch_with([0] * 15 + [None]), "non-integer syndrome"),
+    (_sketch_with([0] * 16, m=31), "sketch.m"),
+    (_sketch_with([0] * 16, m="32"), "sketch.m"),
+    (_sketch_with([0] * 16, m=True), "sketch.m"),
+    (_sketch_with([], capacity=0), "sketch.capacity"),
+    (_sketch_with([0] * 16, capacity=16.0), "sketch.capacity"),
+    (_sketch_with([0], capacity=True), "sketch.capacity"),
+])
+def test_malformed_sync_sketches_rejected(sketch, reason):
+    request = dataclasses.replace(make_sync_request(), sketch=sketch)
+    error = validate_payload("lo/sync_req", request)
+    assert error is not None and reason in error, error
+
+
+def test_sketches_at_the_field_bounds_pass():
+    top = (1 << 32) - 1
+    for slots in ([0] * 16, [top] * 16, [top, 0] * 8):
+        request = dataclasses.replace(
+            make_sync_request(), sketch=_sketch_with(slots))
+        assert validate_payload("lo/sync_req", request) is None
+    request = dataclasses.replace(
+        make_sync_request(), sketch=_sketch_with([0xFFFF] * 4, 4, m=16))
+    assert validate_payload("lo/sync_req", request) is None
+
+
+@pytest.mark.parametrize("slots", [[-5] * 16, [1, 2, 3], [1 << 32] * 16])
+def test_malformed_sketch_is_a_violation_before_any_handler_work(
+        slots, monkeypatch):
+    """No decode and no split reply: only the violation is counted."""
+    import repro.core.node as node_module
+    from tests.conftest import make_sim
+    from repro.core.node import LONode
+    from repro.core.reconciliation import full_range_spec
+    from repro.net.message import Message
+
+    sim = make_sim(num_nodes=4)
+    requester, responder = sim.nodes[0], sim.nodes[1]
+    decoded = []
+    monkeypatch.setattr(node_module, "decode_difference",
+                        lambda *args: decoded.append(args))
+    sent = []
+    monkeypatch.setattr(LONode, "_send",
+                        lambda self, *args, **kwargs: sent.append(args))
+    request = SyncRequest(
+        request_id=1, header=requester.header(),
+        spec=full_range_spec(requester.config.clock_cells),
+        sketch=_sketch_with(slots))
+    responder.on_message(Message(requester.node_id, responder.node_id,
+                                 "lo/sync_req", request, 64))
+    assert decoded == [] and sent == []
+    assert sim.wire_violation_totals() == {responder.node_id: 1}
+
+
 def test_sync_response_status_enum_enforced():
     response = SyncResponse(request_id=1, header=make_header(), status="pwned")
     assert "status" in validate_payload("lo/sync_resp", response)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.sketch import PinSketch, SketchDecodeError, pinsketch
 from repro.sketch.gf import default_field, set_fast_path
 from repro.sketch.pinsketch import (
-    _berlekamp_massey,
     _find_roots,
     _solve_cubic,
     _solve_quartic,
@@ -158,7 +157,7 @@ def test_online_bm_matches_plain_recurrence(odd):
     plain = ref.berlekamp_massey_trace(ref.full_syndromes(odd, field), field)
     assert all(d == 0 for _, _, d in plain[1::2])
     online = [(length, list(conn))
-              for length, conn in _berlekamp_massey(odd, field)]
+              for length, conn in field.berlekamp_massey(odd)]
     assert online == [(length, conn) for length, conn, _ in plain[1::2]]
 
 
@@ -170,7 +169,7 @@ def test_online_bm_matches_plain_recurrence_small_fields(m):
         odd = [rnd.randrange(1 << m) for _ in range(rnd.randint(1, 12))]
         plain = ref.berlekamp_massey_trace(ref.full_syndromes(odd, field), field)
         assert all(d == 0 for _, _, d in plain[1::2])
-        assert [(l, list(c)) for l, c in _berlekamp_massey(odd, field)] \
+        assert [(l, list(c)) for l, c in field.berlekamp_massey(odd)] \
             == [(l, c) for l, c, _ in plain[1::2]]
 
 
@@ -447,15 +446,17 @@ def _candidates_with_every_root(kind, elements, rnd):
 @pytest.mark.parametrize("kind", FULL_KINDS)
 @pytest.mark.parametrize("fast", [True, False])
 def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
-    """A full hit is returned as it is: no deflation, no chain, and the
-    same set as the reference decoder, brute force and the plain search."""
-    from repro.sketch.gf import GF2Tower32
+    """A full hit is returned as it is: no deflation, no chain, no closed
+    form from degree 3, and the same set as the reference decoder, brute
+    force and the plain search."""
+    from repro.sketch.gf import GF2m, GF2Tower32
 
     field = default_field(32)
     rnd = random.Random(10 * FULL_KINDS.index(kind) + fast)
-    tests, chains = [], []
+    tests, chains, quartics = [], [], []
     roots_among = GF2Tower32.roots_among
     frobenius_chain = GF2Tower32.frobenius_chain
+    solve_linearized_quartic = GF2m.solve_linearized_quartic
 
     def counting(self, poly, candidates):
         hits = roots_among(self, poly, candidates)
@@ -466,15 +467,20 @@ def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
         chains.append(len(q) - 1)
         return frobenius_chain(self, q)
 
+    def counting_quartic(self, a, b, v):
+        quartics.append((a, b, v))
+        return solve_linearized_quartic(self, a, b, v)
+
     def no_deflation(self, p, roots):
         raise AssertionError("a full hit needs no deflation")
 
     monkeypatch.setattr(GF2Tower32, "roots_among", counting)
     monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
+    monkeypatch.setattr(GF2m, "solve_linearized_quartic", counting_quartic)
     monkeypatch.setattr(GF2Tower32, "poly_deflate", no_deflation)
     previous = set_fast_path(fast)
     try:
-        for degree in (5, 6, 8, 12, 17, 24):
+        for degree in (3, 4, 5, 6, 8, 12, 17, 24):
             elements = set(rnd.sample(range(1, 1 << 32), degree))
             capacity = degree + rnd.randint(0, 8)
             syndromes = ref.sketch_of(elements, capacity, field)
@@ -482,14 +488,15 @@ def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
             sketch = PinSketch(capacity, 32)
             sketch.load_syndromes(syndromes)
             hint = _candidates_with_every_root(kind, elements, rnd)
-            del tests[:], chains[:]
+            del tests[:], chains[:], quartics[:]
             clear_decode_cache()
             assert sketch.decode(hint) == elements
             assert tests and tests[-1] == (degree, degree)
-            assert chains == []
+            assert chains == [] and quartics == []
             clear_decode_cache()
             assert sketch.decode() == elements
-            assert chains  # without candidates the roots are searched for
+            # Without candidates the roots are searched for.
+            assert chains if degree > 4 else quartics
     finally:
         set_fast_path(previous)
 
@@ -536,3 +543,129 @@ def test_poly_deflate_is_exact_division_and_rejects_non_roots():
         field.poly_deflate(poly, [roots[0] ^ 1])
     with pytest.raises(ArithmeticError):
         field.poly_deflate(poly, [roots[0], roots[0]])  # distinct roots only
+
+
+# ------------------------------------------ the registry's power-row test
+
+
+def _product(field, roots):
+    poly = [1]
+    for r in roots:
+        poly = field.poly_mul(poly, [r, 1])
+    return poly
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_registry_roots_test_matches_brute_force_and_horner(fast):
+    """Hostile entries, evictions and degrees past the row width.
+
+    The registry holds the newest 48 of everything added, hostile values
+    (0, negatives, >= 2^32) among them; every test is checked against the
+    roots the polynomial was built from (brute force) and against the
+    scalar Horner test over the same values as a plain list.
+    """
+    from repro.sketch import CandidateRegistry
+    from repro.sketch.gf import GF2m
+
+    field = default_field(32)
+    rnd = random.Random(404 + fast)
+    registry = CandidateRegistry(limit=48)
+    evicted = rnd.sample(range(1, 1 << 32), 20)
+    registry.add_many(evicted + evicted[:5])
+    hostile = [0, -1, -evicted[0], 1 << 32, (1 << 32) + evicted[1],
+               (1 << 64) + evicted[2]]
+    previous = set_fast_path(fast)
+    try:
+        degrees = list(range(1, 41))
+        rnd.shuffle(degrees)
+        for step, degree in enumerate([3, 1, 2] + degrees + [40, 1, 17]):
+            fresh = rnd.sample(range(1, 1 << 32), rnd.randint(0, 6))
+            before = set(registry)
+            # A hostile value evicts an id and takes no row in its place.
+            registry.add_many(hostile[step % 6:step % 6 + 1] + fresh)
+            evicted += [c for c in before - set(registry) if 0 < c < 1 << 32]
+            held = [c for c in registry if 0 < c < 1 << 32]
+            pool = held + evicted[-8:] + evicted[:4] + [(1 << 32) - 1, 1]
+            roots = rnd.sample(pool, min(degree, len(pool)))
+            roots += rnd.sample(range(1, 1 << 32), degree - len(roots))
+            poly = _product(field, roots)
+            if step % 3 == 1:
+                poly[0] ^= 1  # almost surely no longer split
+            brute = sorted({c for c in held if field.poly_eval(poly, c) == 0})
+            if step % 3 != 1:
+                assert brute == sorted(set(roots) & set(held))
+            assert field.roots_among(poly, registry) == brute
+            as_list = list(registry) + hostile + held[:4]
+            assert field.roots_among(poly, as_list) == brute
+            assert GF2m.roots_among(field, poly, as_list) == brute
+        assert not set(evicted) & set(registry)
+    finally:
+        set_fast_path(previous)
+
+
+def test_registry_rows_are_built_once_and_widen_by_doubling(monkeypatch):
+    """A quick ``steady_gossip`` run: one row build per tested id, and the
+    width grows at most ceil(log2(max degree)) times."""
+    import math
+
+    from lobench.workloads import WORKLOADS
+    from repro.sketch import CandidateRegistry
+    from repro.sketch.gf import GF2Tower32
+
+    builds, widths, degrees = [], [], []
+    build, grow = CandidateRegistry._build, CandidateRegistry._grow
+    roots_among = GF2Tower32.roots_among
+
+    def counting_build(self, field, slots):
+        builds.extend(self._values[s] for s in slots)
+        return build(self, field, slots)
+
+    def counting_grow(self, field, width):
+        before = self._width
+        grow(self, field, width)
+        if self._width != before:
+            widths.append(self._width)
+
+    def counting_test(self, poly, candidates):
+        degrees.append(len(poly) - 1)
+        return roots_among(self, poly, candidates)
+
+    monkeypatch.setattr(CandidateRegistry, "_build", counting_build)
+    monkeypatch.setattr(CandidateRegistry, "_grow", counting_grow)
+    monkeypatch.setattr(GF2Tower32, "roots_among", counting_test)
+    clear_decode_cache()
+    workload = WORKLOADS["steady_gossip"]
+    sim = workload.construct(7, True)
+    workload.inject(sim, 7, True)
+    sim.run(workload.horizon(True))
+    assert degrees and builds
+    assert len(builds) == len(set(builds))  # each id's row once
+    assert set(builds) <= set(sim.directory.committed)
+    assert widths == sorted(widths) and widths[-1] >= max(degrees)
+    assert len(widths) <= math.ceil(math.log2(max(degrees)))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+@pytest.mark.parametrize("fast", [True, False])
+def test_fused_berlekamp_massey_matches_plain_recurrence(m, fast):
+    """Each field's one loop == the plain recurrence, state by state."""
+    field = default_field(m)
+    rnd = random.Random(7 * m + fast)
+    previous = set_fast_path(fast)
+    try:
+        for trial in range(120):
+            size = rnd.randint(0, 30)
+            if trial % 3:  # a sketch of a set, in or over capacity
+                capacity = rnd.randint(1, 24)
+                elements = rnd.sample(range(1, 1 << m), min(size, 200))
+                odd = ref.sketch_of(set(elements), capacity, field)
+            else:  # arbitrary syndromes, zeros and the field's top included
+                odd = [rnd.choice((0, 1, (1 << m) - 1, rnd.randrange(1 << m)))
+                       for _ in range(rnd.randint(1, 24))]
+            plain = ref.berlekamp_massey_trace(
+                ref.full_syndromes(odd, field), field)
+            steps = list(field.berlekamp_massey(odd))
+            assert [(length, list(c)) for length, c in steps] \
+                == [(length, c) for length, c, _ in plain[1::2]]
+    finally:
+        set_fast_path(previous)

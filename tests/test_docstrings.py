@@ -21,6 +21,7 @@ DOCTEST_MODULES = [
     "repro.sketch.gf",
     "repro.sketch.pinsketch",
     "repro.sketch.partition",
+    "repro.sketch.registry",
     "repro.obs.caches",
     "repro.mempool.priority",
     "repro.mempool.fee_market",
