@@ -483,16 +483,17 @@ class LONode(Endpoint):
             and not quarantine.any_open()
         ):
             return memo[2]
-        now = self.now
-        key_of = self.directory.key_of
-        everyone = sorted(neighbors)
-        eligible = [
-            peer for peer in everyone
-            if not quarantine.is_quarantined(peer, now)
-            and key_of(peer) not in exposed
-        ]
-        if len(eligible) == len(everyone):
-            eligible = everyone  # the usual case: one list is both
+        everyone = eligible = sorted(neighbors)
+        if exposed or quarantine.any_open():  # else nobody to filter out
+            now = self.now
+            key_of = self.directory.key_of
+            kept = [
+                peer for peer in everyone
+                if not quarantine.is_quarantined(peer, now)
+                and key_of(peer) not in exposed
+            ]
+            if len(kept) < len(everyone):
+                eligible = kept
         if not quarantine.any_open():
             self._eligible_memo = (len(exposed), everyone, eligible)
         return eligible
@@ -592,12 +593,15 @@ class LONode(Endpoint):
             self._send(peer, "lo/sync_req", request, wire_size)
 
     def _own_counts_for_spec(self, spec: SplitSpec) -> Dict[int, int]:
-        """Per-cell count of our own items inside a spec (coverage check)."""
+        """Per-cell count of our own items inside a spec (coverage check).
+
+        At bit level 0 only cells holding ids are listed: a zero count is
+        covered by any clock, so :meth:`_response_covers` needs no entry.
+        """
         if spec.bit_level == 0:
             # matches() is vacuously true at bit level 0: the count is just
             # the cell population, no item scan needed.
-            cell_count = self.log.cell_count
-            return {cell: cell_count(cell) for cell in spec.cells}
+            return self.log.cell_counts(spec.cells)
         counts: Dict[int, int] = {}
         for cell in spec.cells:
             items = self.log.items_in_cells((cell,))
@@ -796,7 +800,25 @@ class LONode(Endpoint):
 
     # ------------------------------------------------- responder: sync_req
 
+    def _foreign_clock(self, message: Message) -> bool:
+        """Count a header clock whose width differs from ours as a violation.
+
+        The schema cannot know the receiver's width; a clock of another
+        width cannot be compared cell by cell, so a sync message carrying
+        one is refused before any handler work.
+        """
+        cells = message.payload.header.clock.cells
+        if cells == self.log.clock.cells:
+            return False
+        self._record_wire_violation(
+            message, f"header.clock: {cells} cells, expected "
+            f"{self.log.clock.cells}"
+        )
+        return True
+
     def _handle_sync_request(self, message: Message) -> None:
+        if self._foreign_clock(message):
+            return
         request: SyncRequest = message.payload
         sender = message.sender
         self._observe_remote_header(request.header)
@@ -806,10 +828,7 @@ class LONode(Endpoint):
         # Cheap overload pre-check: the Bloom-Clock gap is a lower bound on
         # the true difference, so a gap beyond the sketch capacity makes the
         # decode certain to fail -- skip straight to the split reply.
-        cell_gap = sum(
-            abs(self.log.clock.counters[c] - request.header.clock.counters[c])
-            for c in request.spec.cells
-        )
+        cell_gap = self._cell_gap(request.spec, request.header.clock)
         if (
             self.config.use_clock_prefilter
             and request.spec.bit_level == 0
@@ -886,9 +905,19 @@ class LONode(Endpoint):
         store.record_ids(diff)
         self._send(sender, "lo/sync_resp", response, response.wire_size())
 
+    def _cell_gap(self, spec: SplitSpec, clock: BloomClock) -> int:
+        """Sum of counter differences to ``clock`` over the spec's cells."""
+        own = self.log.clock
+        if self.log.spans_every_cell(spec.cells):
+            return own.estimate_difference(clock)
+        ours, theirs = own.counters, clock.counters
+        return sum(abs(ours[c] - theirs[c]) for c in spec.cells)
+
     # ------------------------------------------------- requester: sync_resp
 
     def _handle_sync_response(self, message: Message) -> None:
+        if self._foreign_clock(message):
+            return
         response: SyncResponse = message.payload
         session = self._sessions.get(response.request_id)
         if session is None:
@@ -1194,6 +1223,8 @@ class LONode(Endpoint):
                                   header, header.wire_size())
 
     def _observe_remote_header(self, header: CommitmentHeader) -> None:
+        if header.clock.cells != self.log.clock.cells:
+            return  # not comparable with ours: neither state nor evidence
         evidence = self.acct.observe_header(header)
         if evidence is not None:
             _t = obs.TRACER

@@ -30,7 +30,7 @@ from typing import Collection, List, Optional, Set, Tuple
 
 from repro.core.commitment import CommitmentHeader
 from repro.core.config import LOConfig
-from repro.mempool.txlog import TransactionLog
+from repro.mempool.txlog import TransactionLog, all_cells
 from repro.sketch import PinSketch, SketchDecodeError
 
 
@@ -79,9 +79,10 @@ def full_range_spec(clock_cells: int) -> SplitSpec:
 
     Most requests probe the whole clock.  Sharing the (frozen) spec lets a
     receiver's per-object schema verdict hit instead of re-checking
-    ``clock_cells`` ints per request.
+    ``clock_cells`` ints per request, and its cells are the logs' own
+    tuple (:meth:`TransactionLog.spans_every_cell` by identity).
     """
-    return SplitSpec(tuple(range(clock_cells)))
+    return SplitSpec(all_cells(clock_cells))
 
 
 def sketch_for_spec(
@@ -99,7 +100,11 @@ def sketch_for_spec(
 
 
 def ids_for_spec(log: TransactionLog, spec: SplitSpec) -> List[int]:
-    """All local ids inside a split spec."""
+    """All local ids inside a split spec, as a new list.
+
+    The order is :meth:`TransactionLog.items_in_cells`'s: a full-range
+    spec yields the log in received order with no per-cell walk.
+    """
     if spec.bit_level == 0:
         # matches() is vacuously true at bit level 0; skip the filter.
         return log.items_in_cells(spec.cells)

@@ -22,6 +22,7 @@ Two pieces:
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.bloomclock import BloomClock
@@ -130,6 +131,12 @@ def _check_header_fields(header: Any, name: str) -> Optional[str]:
         return f"{name}.digests: non-bytes element"
     if len(header.digests) > header.seq:
         return f"{name}.digests: {len(header.digests)} entries for seq {header.seq}"
+    clock = header.clock
+    error = _int_field(clock.cells, f"{name}.clock.cells", minimum=1)
+    if error:
+        return error
+    if type(clock.counters) is not list or len(clock.counters) != clock.cells:
+        return f"{name}.clock: expected {clock.cells} counters"
     return None
 
 
@@ -153,10 +160,22 @@ def _check_spec_fields(spec: Any, name: str) -> Optional[str]:
     ):
         if reason:
             return reason
-    if not spec.cells:
+    cells = spec.cells
+    if not cells:
         return f"{name}.cells: empty"
-    if any(cell < 0 for cell in spec.cells):
+    if cells[0] < 0:
         return f"{name}.cells: negative cell"
+    # Every honest producer emits ascending cells; a repeated cell would be
+    # counted twice by the gap and XOR its own sketch away.
+    if not all(map(lt, cells, cells[1:])):
+        return f"{name}.cells: not strictly increasing"
+    return None
+
+
+def _spec_within(spec: SplitSpec, clock: BloomClock, name: str) -> Optional[str]:
+    """A (well-formed) spec's cells must exist in the header's clock."""
+    if spec.cells[-1] >= clock.cells:
+        return f"{name}.cells: cell {spec.cells[-1]} beyond {clock.cells}"
     return None
 
 
@@ -200,6 +219,7 @@ def _validate_sync_req(payload: Any) -> Optional[str]:
         _int_field(payload.request_id, "request_id", minimum=0)
         or _check_header(payload.header)
         or _check_spec(payload.spec)
+        or _spec_within(payload.spec, payload.header.clock, "spec")
         or _check_sketch(payload.sketch)
         or _typed(payload.is_retry, bool, "is_retry")
     )
@@ -220,8 +240,10 @@ def _validate_sync_resp(payload: Any) -> Optional[str]:
         return error
     if payload.status not in ("ok", "split"):
         return f"status: {payload.status!r} not in ('ok', 'split')"
+    clock = payload.header.clock
     for index, spec in enumerate(payload.split_specs):
-        error = _check_spec(spec, f"split_specs[{index}]")
+        name = f"split_specs[{index}]"
+        error = _check_spec(spec, name) or _spec_within(spec, clock, name)
         if error:
             return error
     return None

@@ -56,11 +56,15 @@ def _collect_cache_stats() -> Dict[str, float]:
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Build a large object graph without the cyclic collector re-walking it.
+    """Build or run a large object graph without the collector re-walking it.
 
-    Construction only allocates objects that stay alive, so every pass it
-    triggers frees nothing and costs time proportional to the graph built
-    so far.  The caller's collector state is restored, never forced on.
+    Construction only allocates objects that stay alive, and a run makes
+    no cyclic garbage on any workload measured (docs/performance.md), so
+    every pass the collector would make there frees nothing and costs
+    time proportional to the graph so far.  When the caller's collector
+    was on, the block ends with exactly one young pass -- it frees every
+    cycle made inside the block -- and the collector comes back on.  A
+    collector the caller turned off stays off, and no pass is forced.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -68,29 +72,8 @@ def _collector_paused() -> Iterator[None]:
         yield
     finally:
         if was_enabled:
+            gc.collect(0)
             gc.enable()
-
-
-@contextmanager
-def _heap_frozen() -> Iterator[None]:
-    """Keep the collector off everything that is alive right now.
-
-    ``gc.freeze()`` parks every tracked object in the permanent generation
-    (an O(1) list splice), so the passes a run's own allocations trigger
-    walk only what the run allocated -- not the static network built
-    before it -- and cyclic garbage made during the run is still
-    collected.  ``gc.unfreeze()`` returns the graph to the oldest
-    generation, so a dropped simulation is reclaimed as usual.  Objects
-    somebody else froze (an outer run, a pre-fork server) are left alone.
-    """
-    if gc.get_freeze_count():
-        yield
-        return
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
 
 
 @dataclass
@@ -618,12 +601,17 @@ class LOSimulation:
     # ------------------------------------------------------------ execution
 
     def run(self, until: float) -> None:
-        """Advance simulated time (traced as one ``sim.run`` phase span)."""
+        """Advance simulated time (traced as one ``sim.run`` phase span).
+
+        The collector is paused for the run and, if the caller had it on,
+        makes one young pass before returning (:func:`_collector_paused`).
+        Driving ``self.loop.run_until`` directly skips both.
+        """
         if self._telemetry_horizon is None or until > self._telemetry_horizon:
             self._telemetry_horizon = until
         tracer = obs.TRACER
         if not tracer.enabled:
-            with _heap_frozen():
+            with _collector_paused():
                 self.loop.run_until(until)
             return
         self._runs += 1
@@ -633,7 +621,7 @@ class LOSimulation:
             malicious=len(self.malicious_ids),
         )
         try:
-            with _heap_frozen():
+            with _collector_paused():
                 self.loop.run_until(until)
         finally:
             tracer = obs.TRACER
@@ -659,7 +647,8 @@ class LOSimulation:
 
         Returns ``{"steady": bool, "steady_at": float | None,
         "t": float, "horizon": float}``.  Traced as one
-        ``sim.run_until_steady`` span.
+        ``sim.run_until_steady`` span.  Each leg between two checks runs
+        like :meth:`run`: collector paused, one young pass at its end.
         """
         timeline = obs.TIMELINE
         if timeline is None:
@@ -686,12 +675,12 @@ class LOSimulation:
             )
         steady_at: Optional[float] = None
         try:
-            with _heap_frozen():
-                while self.loop.now < horizon:
+            while self.loop.now < horizon:
+                with _collector_paused():
                     self.loop.run_until(min(horizon, self.loop.now + step))
-                    if monitor.check():
-                        steady_at = self.loop.now
-                        break
+                if monitor.check():
+                    steady_at = self.loop.now
+                    break
         finally:
             tracer = obs.TRACER
             if tracer.enabled and span is not None:

@@ -28,7 +28,7 @@ from repro.sketch import PinSketch, sketch_syndromes_packed
 
 
 @lru_cache(maxsize=8)
-def _all_cells(clock_cells: int) -> Tuple[int, ...]:
+def all_cells(clock_cells: int) -> Tuple[int, ...]:
     """``(0, ..., clock_cells - 1)``, one tuple shared by every log."""
     return tuple(range(clock_cells))
 
@@ -62,7 +62,7 @@ class TransactionLog:
         # one round) skip the combine-and-unpack entirely.
         self._cell_gen: List[int] = [0] * clock_cells
         self._sketch_memo: Dict[tuple, tuple] = {}
-        self._all_cells = _all_cells(clock_cells)
+        self._all_cells = all_cells(clock_cells)
 
     # --------------------------------------------------------------- queries
 
@@ -168,7 +168,7 @@ class TransactionLog:
                 f"capacity {capacity} exceeds maintained {self.sketch_capacity}"
             )
         cell_tuple = tuple(cells)
-        if cell_tuple == self._all_cells:
+        if self.spans_every_cell(cell_tuple):
             # XOR over every cell == the incrementally maintained whole-log
             # packed sketch.
             gen = len(self._order)
@@ -203,12 +203,36 @@ class TransactionLog:
         """Sketch of the entire log."""
         return self.sketch_for_cells(range(self.clock.cells), capacity)
 
-    def cell_count(self, cell: int) -> int:
-        """Number of committed ids in one Bloom-Clock cell (no copy)."""
-        return len(self._cell_items.get(cell, ()))
+    def spans_every_cell(self, cells: Iterable[int]) -> bool:
+        """Whether ``cells`` is ``(0, ..., clock_cells - 1)``, in that order.
+
+        :func:`repro.core.reconciliation.full_range_spec` carries this
+        log's own tuple, so the usual full-range request is an identity hit.
+        """
+        all_cells = self._all_cells
+        return cells is all_cells or cells == all_cells
+
+    def cell_counts(self, cells: Iterable[int]) -> Dict[int, int]:
+        """Ids per cell of ``cells``, for the cells that hold any.
+
+        A cell with no ids is left out rather than counted as 0; a full
+        range reads only the cells that hold ids.
+        """
+        held = self._cell_items
+        if self.spans_every_cell(cells):
+            return {cell: len(items) for cell, items in held.items()}
+        return {cell: len(held[cell]) for cell in cells if cell in held}
 
     def items_in_cells(self, cells: Iterable[int]) -> List[int]:
-        """All ids mapping into the given Bloom-Clock cells."""
+        """All ids mapping into the given Bloom-Clock cells (a new list).
+
+        Cells are walked in the order given, each one's ids in received
+        order.  A full-range walk (:meth:`spans_every_cell`) returns the
+        whole log in received order instead, with no per-cell walk: the
+        same ids, in a different order.
+        """
+        if self.spans_every_cell(cells):
+            return self._order[:]
         items: List[int] = []
         for cell in cells:
             items.extend(self._cell_items.get(cell, ()))

@@ -70,6 +70,20 @@ operations = st.one_of(
     + [(("advance", 4.5), True)],
     seed=0,
 )
+@example(
+    # The first exposure ends the unfiltered shortcut for good.
+    ops=[(("expose", 3), False), (("advance", 1.1), True),
+         (("expose", 5), True), (("rotate",), False)],
+    seed=1,
+)
+@example(
+    # A quarantine opens and closes mid-run with nobody exposed: the list
+    # is filtered while it is open and whole again once it has closed.
+    ops=[(("advance", 0.3), False), (("violate", 2, 3), True),
+         (("advance", 1.1), False), (("advance", 4.5), True),
+         (("rewire", 2), False), (("rewire", 2), True)],
+    seed=2,
+)
 @settings(max_examples=80, deadline=None)
 def test_memoised_eligible_neighbours_equal_a_recompute(ops, seed):
     sim = make_sim(num_nodes=NODES, seed=seed, config=LOConfig(

@@ -1,8 +1,13 @@
 """Unit-level tests of LONode behaviour on tiny networks."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.bloomclock import BloomClock
 from repro.core.config import LOConfig
+from repro.core.reconciliation import SplitSpec, full_range_spec
 from tests.conftest import make_sim
 
 
@@ -189,3 +194,42 @@ def test_highest_fee_policy_flag():
         sim.nodes[1].log.content_of(i).fee for i in block.tx_ids
     ]
     assert block_fees == sorted(block_fees, reverse=True)
+
+
+def _counts_of_every_cell(node, spec):
+    """Own counts with an entry for every cell of the spec, empty or not."""
+    return {
+        cell: sum(1 for i in node.log.items_in_cells((cell,))
+                  if spec.matches(i))
+        for cell in spec.cells
+    }
+
+
+@pytest.mark.parametrize("bit_level", [0, 1])
+def test_coverage_verdicts_do_not_need_the_empty_cells(bit_level):
+    """Own counts list only cells that hold ids; on random responder
+    clocks the coverage verdict equals the one over every cell."""
+    rng = random.Random(bit_level)
+    node = make_sim(num_nodes=4).nodes[0]
+    node.log.append_many(rng.getrandbits(32) for _ in range(24))
+    cells = node.config.clock_cells
+    specs = [full_range_spec(cells), SplitSpec((1, 4, 9, 17, 30)),
+             SplitSpec(tuple(range(cells // 2, cells)))]
+    if bit_level:
+        specs = [half for spec in specs for cell in spec.cells[:3]
+                 for half in SplitSpec((cell,)).split()]
+    verdicts = set()
+    for _ in range(400):
+        spec = rng.choice(specs)
+        own = node.log.clock.counters
+        clock = BloomClock(cells, [max(0, count + rng.choice((-1, 0, 0, 1)))
+                                   for count in own])
+        listed = node._own_counts_for_spec(spec)
+        assert all(listed.values()) or bit_level
+        verdict = node._response_covers(
+            SimpleNamespace(pushed_counts=listed), clock)
+        assert verdict == node._response_covers(
+            SimpleNamespace(pushed_counts=_counts_of_every_cell(node, spec)),
+            clock)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -150,6 +150,84 @@ def test_sync_response_status_enum_enforced():
     assert "status" in validate_payload("lo/sync_resp", response)
 
 
+@pytest.mark.parametrize("cells,clock_cells,reason", [
+    # Each shape reached the handler before ingress checked it.
+    ((0, 40), 32, "spec.cells: cell 40 beyond 32"),
+    ((3, 3, 3), 32, "spec.cells: not strictly increasing"),
+    ((5, 2), 32, "spec.cells: not strictly increasing"),
+    ((0, 1, 2), 8, "header.clock: 8 cells, expected 32"),
+    (tuple(range(32)), 64, "header.clock: 64 cells, expected 32"),
+], ids=["cell-beyond-clock", "repeated-cell", "descending", "narrow-clock",
+        "wide-clock"])
+def test_malformed_spec_or_clock_is_a_violation_before_any_handler_work(
+        cells, clock_cells, reason, monkeypatch):
+    """No decode, no reply, no stored header -- and the node runs on."""
+    import repro.core.node as node_module
+    from repro.core.node import LONode
+    from repro.net.message import Message
+    from repro.obs import Tracer, use_tracer
+    from tests.conftest import make_sim
+
+    sim = make_sim(num_nodes=6)
+    requester, responder = sim.nodes[0], sim.nodes[1]
+    header = sign_header(requester.keypair, seq=0, tx_count=0, digests=(),
+                         clock=BloomClock(cells=clock_cells))
+    request = SyncRequest(request_id=1, header=header, spec=SplitSpec(cells),
+                          sketch=PinSketch(capacity=8, m=32))
+    decoded, sent = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(node_module, "decode_difference",
+                      lambda *args: decoded.append(args))
+        patch.setattr(LONode, "_send",
+                      lambda self, *args, **kwargs: sent.append(args))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            responder.on_message(Message(requester.node_id,
+                                         responder.node_id, "lo/sync_req",
+                                         request, 64))
+    assert decoded == [] and sent == []
+    assert sim.wire_violation_totals() == {responder.node_id: 1}
+    [violation] = [r for r in tracer.records if r["name"] == "wire.violation"]
+    assert violation["attrs"]["reason"] == reason
+    if clock_cells != 32:  # a same-width header is salvaged as evidence
+        assert responder.acct.latest_header(requester.public_key) is None
+    # A stored clock of another width used to crash the next sync tick.
+    for index in range(6):
+        sim.inject_at(0.1 + 0.1 * index, index)
+    sim.run(4.0)
+    assert sim.wire_violation_totals() == {responder.node_id: 1}
+
+
+def test_a_split_spec_with_a_repeated_cell_is_rejected():
+    response = SyncResponse(request_id=1, header=make_header(),
+                            status="split",
+                            split_specs=(SplitSpec((1, 2)), SplitSpec((3, 3))))
+    error = validate_payload("lo/sync_resp", response)
+    assert error == "split_specs[1].cells: not strictly increasing"
+    beyond = dataclasses.replace(response, split_specs=(SplitSpec((31, 32)),))
+    assert "beyond 32" in validate_payload("lo/sync_resp", beyond)
+
+
+def test_a_clock_with_the_wrong_number_of_counters_is_rejected():
+    header = make_header()
+    clock = BloomClock(cells=32)
+    clock.counters = [0] * 8
+    request = dataclasses.replace(
+        make_sync_request(), header=dataclasses.replace(header, clock=clock))
+    assert validate_payload("lo/sync_req", request) == \
+        "header.clock: expected 32 counters"
+
+
+def test_an_honest_run_records_no_violation():
+    from tests.conftest import make_sim
+
+    sim = make_sim(num_nodes=12)
+    sim.inject_workload(rate_per_s=6.0, duration_s=3.0)
+    sim.run(6.0)
+    assert sim.wire_violation_totals() == {}
+    assert any(len(node.log) for node in sim.nodes.values())
+
+
 def test_bool_is_not_an_int():
     # bools slip through isinstance(int) checks unless explicitly excluded.
     assert validate_payload("lo/block_req", True) is not None

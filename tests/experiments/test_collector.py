@@ -1,10 +1,10 @@
 """The harness and CPython's cyclic collector: states and counts, no timings.
 
-``LOSimulation`` builds its network with the collector paused and runs
-with everything that was alive before the run frozen out of the
-collector's reach.  Both must be invisible afterwards: the caller's
-collector state comes back, nothing stays frozen, a dropped simulation is
-still reclaimed -- and an idle network allocates no per-node state.
+``LOSimulation`` builds its network and runs it with the collector
+paused; each ends with one young pass when the caller's collector was on.
+Both must be invisible afterwards: the caller's collector state comes
+back, cycles made during a run are freed, a dropped simulation is still
+reclaimed -- and an idle network allocates no per-node state.
 """
 
 import gc
@@ -14,7 +14,11 @@ import weakref
 import pytest
 
 from repro import obs
+from repro.attacks import make_censor_factory
+from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
+from repro.mempool.admission import AdmissionConfig
+from repro.net.chaos import ChaosPlan
 from repro.obs.timeline import TimelineRecorder
 
 
@@ -50,23 +54,102 @@ def test_construction_restores_the_callers_collector_state(enabled):
     assert gc.isenabled() is enabled
 
 
-def test_run_freezes_the_graph_and_leaves_nothing_frozen():
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _young_middle_full():
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def _watch_collector(sim, at=(0.5,)):
+    """Record ``gc.isenabled()`` from inside the run at each time in ``at``."""
+    seen = []
+    for when in at:
+        sim.loop.call_at(when, lambda: seen.append(gc.isenabled()))
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_off_inside_a_run_and_comes_back(enabled):
     sim = LOSimulation(SimulationParams(num_nodes=6, seed=1))
-    frozen_inside = []
-    sim.loop.call_later(
-        0.5, lambda: frozen_inside.append(gc.get_freeze_count())
-    )
+    _set_collector(enabled)
+    seen = _watch_collector(sim, at=(0.5,))
+    before = _young_middle_full()
     sim.run(1.0)
-    assert frozen_inside[0] > 0
-    assert gc.get_freeze_count() == 0
+    assert seen == [False] and gc.isenabled() is enabled
     with obs.use_tracer(obs.Tracer()):  # the traced branch of run()
-        sim.loop.call_later(
-            0.5, lambda: frozen_inside.append(gc.get_freeze_count())
-        )
+        seen = _watch_collector(sim, at=(1.5,))
         sim.run(2.0)
-    assert frozen_inside[1] > 0
-    assert gc.get_freeze_count() == 0
-    assert gc.isenabled()
+    assert seen == [False] and gc.isenabled() is enabled
+    if not enabled:
+        assert _young_middle_full() == before  # no pass forced
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_each_run_until_steady_leg_pauses_the_collector(enabled):
+    with obs.use_timeline(TimelineRecorder(interval_s=0.5, bins=64)):
+        sim = LOSimulation(SimulationParams(num_nodes=6, seed=1))
+        legs, checks = [], []
+        run_until = sim.loop.run_until
+
+        def leg(until):
+            legs.append(gc.isenabled())
+            run_until(until)
+
+        sim.loop.run_until = leg
+        monitor = obs.SteadyStateMonitor(obs.TIMELINE)
+        check = monitor.check
+
+        def checked():
+            checks.append(gc.isenabled())  # between two legs
+            return check()
+
+        monitor.check = checked
+        _set_collector(enabled)
+        seen = _watch_collector(sim, at=(0.5, 2.5, 3.5))
+        before = _young_middle_full()
+        sim.run_until_steady(4.0, monitor=monitor, check_every_s=1.0)
+        after = _young_middle_full()
+    assert len(legs) == 4 and seen == [False] * 3
+    assert checks == [enabled] * len(legs)
+    assert gc.isenabled() is enabled
+    if enabled:  # one young pass per leg
+        assert after[0] - before[0] == len(legs)
+    else:
+        assert after == before
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_callback_that_raises_restores_the_callers_collector(enabled):
+    sim = LOSimulation(SimulationParams(num_nodes=6, seed=1))
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.loop.call_later(0.5, boom)
+    _set_collector(enabled)
+    before = _young_middle_full()
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run(1.0)
+    after = _young_middle_full()
+    assert gc.isenabled() is enabled
+    if not enabled:
+        assert after == before  # no pass forced on a caller who turned it off
+
+
+def test_a_run_makes_exactly_one_young_pass():
+    sim = LOSimulation(SimulationParams(num_nodes=30, seed=3))
+    sim.inject_workload(rate_per_s=5.0, duration_s=3.0)
+    gc.enable()
+    before = _young_middle_full()
+    sim.run(5.0)
+    after = _young_middle_full()
+    assert sim.loop.processed_events > 1000
+    assert [b - a for a, b in zip(before, after)] == [1, 0, 0]
 
 
 def test_nothing_stays_frozen_when_a_callback_raises_out_of_run():
@@ -81,16 +164,65 @@ def test_nothing_stays_frozen_when_a_callback_raises_out_of_run():
     assert gc.get_freeze_count() == 0
 
 
-def test_run_until_steady_leaves_nothing_frozen():
-    with obs.use_timeline(TimelineRecorder(interval_s=0.5, bins=64)):
-        sim = LOSimulation(SimulationParams(num_nodes=6, seed=1))
-        frozen_inside = []
-        sim.loop.call_later(
-            0.5, lambda: frozen_inside.append(gc.get_freeze_count())
-        )
-        sim.run_until_steady(4.0)
-    assert frozen_inside[0] > 0
-    assert gc.get_freeze_count() == 0
+def _blocks():
+    sim = LOSimulation(SimulationParams(
+        num_nodes=10, seed=2, enable_blocks=True,
+        config=LOConfig(mean_block_time_s=1.0),
+    ))
+    sim.inject_workload(rate_per_s=4.0, duration_s=3.0)
+    sim.run(5.0)
+    assert sim.canonical_height > 0
+    return sim
+
+
+def _admission_with_rbf():
+    sim = LOSimulation(SimulationParams(
+        num_nodes=8, seed=4, config=LOConfig(admission=AdmissionConfig()),
+    ))
+    sim.inject_open_loop(rate_per_s=15.0, duration_s=3.0, arrivals="bursty",
+                         hot_fraction=0.6, rbf_fraction=0.3)
+    sim.run(5.0)
+    breakdown = sim.admission_breakdown()
+    assert breakdown["replaced"] + breakdown["replace_underpriced"] > 0
+    return sim
+
+
+def _equivocating_censor():
+    censors = {0, 1}
+    sim = LOSimulation(SimulationParams(
+        num_nodes=12, seed=5, malicious_ids=sorted(censors),
+        attacker_factory=make_censor_factory(censors, equivocate=True),
+    ))
+    for index in range(6):
+        sim.inject_at(0.2 + 0.4 * index, index % 12, fee=5 + index)
+    sim.run(8.0)
+    assert any(node.acct.exposed for node in sim.nodes.values())
+    return sim
+
+
+def _chaos():
+    sim = LOSimulation(SimulationParams(
+        num_nodes=10, seed=13,
+        chaos_plan=ChaosPlan(seed=3, drop_rate=0.05, duplicate_rate=0.1,
+                             reorder_rate=0.1, corrupt_rate=0.05),
+    ))
+    sim.inject_workload(rate_per_s=4.0, duration_s=3.0)
+    sim.run(6.0)
+    assert sim.wire_violation_totals()  # corrupted copies reached ingress
+    return sim
+
+
+@pytest.mark.parametrize("scenario", [
+    _blocks, _admission_with_rbf, _equivocating_censor, _chaos,
+], ids=lambda scenario: scenario.__name__.strip("_"))
+def test_a_run_leaves_no_cyclic_garbage(scenario):
+    """Why the pause costs nothing: with the collector off for the whole
+    build and run, a full pass afterwards finds no unreachable cycle."""
+    gc.disable()
+    gc.collect()
+    sim = scenario()
+    assert sim.loop.processed_events > 400
+    assert gc.collect() == 0
 
 
 def test_objects_frozen_by_the_caller_stay_frozen():

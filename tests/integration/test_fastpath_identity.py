@@ -21,6 +21,7 @@ from repro.core import wire
 from repro.core.config import LOConfig
 from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
+from repro.mempool.admission import AdmissionConfig
 from repro.obs.caches import cache_stats, reset_cache_stats
 from repro.net import Endpoint, Network
 from repro.net.chaos import ChaosPlan
@@ -272,6 +273,86 @@ def test_memoised_eligible_neighbours_do_not_change_a_shuffled_censor_run(
     # The run exercised what the memo has to notice.
     assert any(exposed for _, exposed in memoised["exposures"])
     assert memoised["events"] > 1000
+
+
+# ---------------------------------- sync bookkeeping on occupied cells only
+
+
+def _ids_cell_by_cell(log, spec):
+    """``ids_for_spec`` walking every cell, full range or not."""
+    items = []
+    for cell in spec.cells:
+        items.extend(i for i in log.items_in_cells((cell,)) if spec.matches(i))
+    return items
+
+
+class _EveryCell(_AlwaysRecompute):
+    """The all-cell formulas: the oracle for the occupied-cell shortcuts
+    (and, through the base, the filtered neighbour list)."""
+
+    def _cell_gap(self, spec, clock):
+        ours, theirs = self.log.clock.counters, clock.counters
+        return sum(abs(ours[c] - theirs[c]) for c in spec.cells)
+
+    def _own_counts_for_spec(self, spec):
+        if spec.bit_level:
+            return super()._own_counts_for_spec(spec)
+        return {cell: len(self.log.items_in_cells((cell,)))
+                for cell in spec.cells}
+
+
+class _EveryCellNode(_EveryCell, LONode):
+    pass
+
+
+class _EveryCellCensor(_EveryCell, CensoringNode):
+    pass
+
+
+def _admission_run(monkeypatch, node_cls):
+    """Admission, RBF and split rounds: full outcome."""
+    clear_decode_cache()
+    clear_syndrome_cache()
+    monkeypatch.setattr(harness, "LONode", node_cls)
+    sim = LOSimulation(SimulationParams(
+        num_nodes=10, seed=8, enable_blocks=True,
+        config=LOConfig(admission=AdmissionConfig(), min_sketch_capacity=2),
+    ))
+    sim.inject_open_loop(rate_per_s=25.0, duration_s=4.0, arrivals="bursty",
+                         hot_fraction=0.6, rbf_fraction=0.2)
+    sim.run(8.0)
+    return {
+        "events": sim.loop.processed_events,
+        "net": sim.network.collect_metrics(),
+        "overhead_bytes": sim.total_overhead_bytes(),
+        "latencies": sim.mempool_tracker.all_latencies(),
+        "admission": sim.admission_breakdown(),
+        "logs": [list(sim.nodes[i].log.order) for i in sorted(sim.nodes)],
+        "counters": sorted(sim.counter.totals().items()),
+    }
+
+
+def test_occupied_cell_bookkeeping_changes_no_outcome(monkeypatch):
+    """The cell gap, own counts, full-range ids and the unfiltered
+    neighbour list must drive every round as the all-cell formulas do."""
+    import repro.core.node as node_module
+
+    fast = (
+        _shuffled_censor_run(monkeypatch, LONode, CensoringNode),
+        _admission_run(monkeypatch, LONode),
+    )
+    monkeypatch.setattr(node_module, "ids_for_spec", _ids_cell_by_cell)
+    every_cell = (
+        _shuffled_censor_run(monkeypatch, _EveryCellNode, _EveryCellCensor),
+        _admission_run(monkeypatch, _EveryCellNode),
+    )
+    assert json.dumps(fast, sort_keys=True) == \
+        json.dumps(every_cell, sort_keys=True)
+    censor, admission = fast
+    assert any(exposed for _, exposed in censor["exposures"])
+    counters = dict(admission["counters"])
+    assert counters["reconciliations"] > 100
+    assert counters["reconciliation_failures"] > 0  # split rounds ran
 
 
 # ------------------------------------------------- ingress: memo + dispatch

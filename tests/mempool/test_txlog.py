@@ -108,6 +108,40 @@ def test_sketch_for_cells_matches_items_in_cells():
     assert sketched == set(log.items_in_cells(cells))
 
 
+@pytest.mark.parametrize("count", [0, 1, 4, 40, 300])
+def test_a_full_range_walk_returns_the_log_in_received_order(count):
+    """The shortcut equals the cell-by-cell scan as a set, and hands out a
+    copy: a later append does not reach a list already returned."""
+    log = TransactionLog(sketch_capacity=16)
+    log.append_many(make_tx(n).sketch_id for n in range(1, count + 1))
+    every = tuple(range(log.clock.cells))
+    by_cell = []
+    for cell in every:
+        by_cell.extend(log.items_in_cells((cell,)))
+    walked = log.items_in_cells(every)
+    assert sorted(walked) == sorted(by_cell) and len(walked) == count
+    assert walked == list(log.order)
+    log.append(make_tx(count + 1).sketch_id)
+    assert len(walked) == count
+    # Any other order is walked cell by cell, in the order given.
+    backwards = []
+    for cell in reversed(every):
+        backwards.extend(log.items_in_cells((cell,)))
+    assert log.items_in_cells(every[::-1]) == backwards
+
+
+def test_cell_counts_list_only_cells_that_hold_ids():
+    log = TransactionLog(sketch_capacity=16)
+    log.append_many(make_tx(n).sketch_id for n in range(1, 9))
+    every = tuple(range(log.clock.cells))
+    counts = {cell: len(log.items_in_cells((cell,))) for cell in every}
+    occupied = {cell: count for cell, count in counts.items() if count}
+    assert log.cell_counts(every) == occupied
+    some = (0, 3, 7, 11, 19, 30)
+    assert log.cell_counts(some) == {
+        cell: count for cell, count in occupied.items() if cell in some}
+
+
 def test_sketch_capacity_truncation():
     log = TransactionLog(sketch_capacity=32)
     small = log.sketch_for_cells(range(32), capacity=8)
