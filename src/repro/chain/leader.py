@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from repro.sim.loop import Event, EventLoop
+from repro.sim.loop import EventLoop, Timer
 
 
 class LeaderSchedule:
@@ -53,7 +53,7 @@ class LeaderSchedule:
             )
         self.min_gap = min_gap
         self.elections = 0
-        self._event: Optional[Event] = None
+        self._event: Optional[Timer] = None
         self._stopped = True
 
     def start(self) -> None:
@@ -67,7 +67,7 @@ class LeaderSchedule:
         """Halt elections; idempotent."""
         self._stopped = True
         if self._event is not None:
-            self._event.cancel()
+            self.loop.cancel(self._event)
             self._event = None
 
     def _schedule_next(self) -> None:

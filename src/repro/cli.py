@@ -17,13 +17,14 @@ Examples::
     python -m repro report t.jsonl
 
 Every experiment subcommand accepts ``--json PATH`` to dump the raw
-result object, ``--workers N`` to parallelise its internal sweep across
-worker processes (results are identical to the serial run; see
-``docs/parallelism.md``), and ``--trace PATH`` to write a deterministic
+result object and ``--trace PATH`` to write a deterministic
 ``repro.trace/1`` JSONL trace (``--trace-chrome PATH`` adds a
-Perfetto-loadable Chrome trace); ``report`` summarises a trace; ``sweep``
-fans an (experiment x seed x grid) task matrix across spool worker
-processes with crash containment and a deterministic merge.
+Perfetto-loadable Chrome trace).  All but ``run`` (one simulation) also
+take ``--workers N`` to parallelise their internal sweep across worker
+processes (results are identical to the serial run; see
+``docs/parallelism.md``).  ``report`` summarises a trace; ``sweep`` fans
+an (experiment x seed x grid) task matrix across spool worker processes
+with crash containment and a deterministic merge.
 """
 
 from __future__ import annotations
@@ -46,14 +47,15 @@ from repro.obs.report import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, sweeps: bool = True) -> None:
-    if sweeps:
-        help_text = ("worker processes for the verb's internal sweep"
-                     " (1 = serial; results are identical either way)")
-    else:
-        help_text = ("accepted for interface uniformity; this verb runs a"
-                     " single simulation, so extra workers are not used")
-    parser.add_argument("--workers", type=int, default=1, help=help_text)
+def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
+    """:func:`_add_common` plus ``--workers``, for verbs that sweep."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for the verb's internal sweep"
+                             " (1 = serial; results are identical either way)")
+    _add_common(parser)
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--json", type=str, default=None,
                         help="write the raw result object to this file")
@@ -688,14 +690,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", action="store_true",
                    help="profile wall-clock time per phase (net, reconcile,"
                         " mempool, crypto, ...) and print the table")
-    _add_common(p, sweeps=False)
+    _add_common(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("fig6", help="detection times vs malicious fraction")
     p.add_argument("--nodes", type=int, default=50)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.1, 0.2, 0.3])
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_fig6)
 
     p = sub.add_parser("fig7", help="mempool inclusion latency density")
@@ -705,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=1,
                    help="repeat at derived seeds and pool the samples"
                         " (paper: 10)")
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("fig8", help="FIFO vs Highest-Fee block latency")
@@ -713,14 +715,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=5.0)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--sizes", type=int, nargs="*", default=[])
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser("fig9", help="bandwidth overhead across protocols")
     p.add_argument("--nodes", type=int, default=60)
     p.add_argument("--rate", type=float, default=10.0)
     p.add_argument("--duration", type=float, default=15.0)
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_fig9)
 
     p = sub.add_parser("fig10", help="reconciliations per minute vs workload")
@@ -728,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--workloads", type=float, nargs="+",
                    default=[60, 180, 420])
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_fig10)
 
     p = sub.add_parser("memory", help="commitment sizes vs workload")
@@ -736,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--workloads", type=float, nargs="+",
                    default=[120, 600])
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_memory)
 
     p = sub.add_parser("cpu", help="naive vs partitioned decode timing")
@@ -745,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep several difference sizes (one row each);"
                         " overrides --difference and honours --workers")
     p.add_argument("--capacity", type=int, default=16)
-    _add_common(p)
+    _add_sweep_common(p)
     p.set_defaults(func=cmd_cpu)
 
     p = sub.add_parser(

@@ -200,8 +200,9 @@ class SuspicionRecord:
 class AccountabilityState:
     """Per-node accountability bookkeeping: Alg. 1's S and E sets."""
 
-    def __init__(self, owner: PublicKey):
+    def __init__(self, owner: PublicKey, clock_cells: int):
         self.owner = owner
+        self.clock_cells = clock_cells  # the owner's Bloom-clock width
         self.exposed: Dict[PublicKey, ExposureBlame] = {}
         self.suspected: Dict[PublicKey, SuspicionRecord] = {}
         self.pending: Dict[int, PendingRequest] = {}
@@ -339,10 +340,19 @@ class AccountabilityState:
     def observe_header(
         self, header: CommitmentHeader
     ) -> Optional[EquivocationEvidence]:
-        """Record a commitment header, returning evidence on inconsistency."""
-        if not header.signature_valid():
+        """Record a commitment header, returning evidence on inconsistency.
+
+        A header whose clock is not :meth:`comparable` with ours is dropped:
+        neither state nor evidence.  It is not a violation either, since
+        correct relays forward the same blame object unchanged.
+        """
+        if not self.comparable(header) or not header.signature_valid():
             return None  # unauthenticated headers are ignored, not evidence
         return self.store_for(header.signer).observe(header)
+
+    def comparable(self, header: CommitmentHeader) -> bool:
+        """Whether ``header``'s clock has our width (cell-by-cell comparable)."""
+        return header.clock.cells == self.clock_cells
 
     def expose(self, blame: ExposureBlame) -> bool:
         """Verify and record an exposure; returns True when newly adopted.
@@ -392,13 +402,16 @@ class AccountabilityState:
         """
         store = self.stores.get(blame.accused)
         latest = store.latest if store is not None else None
-        if blame.last_known is not None and blame.last_known.signature_valid():
-            evidence = self.observe_header(blame.last_known)
+        last_known = blame.last_known
+        if last_known is not None and not self.comparable(last_known):
+            last_known = None  # observe_header drops it; so do we
+        if last_known is not None and last_known.signature_valid():
+            evidence = self.observe_header(last_known)
             if evidence is not None:
                 return "expose", None, evidence
         if latest is None:
             return "adopt", None, None
-        if blame.last_known is not None and latest.seq <= blame.last_known.seq:
+        if last_known is not None and latest.seq <= last_known.seq:
             return "adopt", None, None
         covered = blame.kind == "content" and all(
             detail in store.known_ids for detail in blame.detail

@@ -68,7 +68,7 @@ from repro.mempool.txlog import TransactionLog
 from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
-from repro.sim.loop import Event, EventLoop
+from repro.sim.loop import EventLoop, Timer
 from repro.sketch import CandidateRegistry
 from repro.sketch.gf import GF2m
 
@@ -121,7 +121,7 @@ class _Session:
                  "timer", "acct_id", "span")
 
     def __init__(self, peer: int, spec: SplitSpec, capacity: int, depth: int,
-                 pushed_counts: Dict[int, int], timer: Event, acct_id: int,
+                 pushed_counts: Dict[int, int], timer: Timer, acct_id: int,
                  span=None):
         self.peer = peer
         self.spec = spec
@@ -171,20 +171,21 @@ class LONode(Endpoint):
         self._header_dirty = True
         self._cached_header: Optional[CommitmentHeader] = None
 
-        self.acct = AccountabilityState(self.keypair.public_key)
+        self.acct = AccountabilityState(self.keypair.public_key,
+                                        config.clock_cells)
         self.ledger = Ledger()
         self.builder = BlockBuilder(self.keypair, config)
         self.inspector = BlockInspector(config)
 
         self._sessions: Dict[int, _Session] = {}
-        self._content_timers: Dict[int, Event] = {}
+        self._content_timers: Dict[int, Timer] = {}
         self._pending_blocks: Dict[int, BlockAnnounce] = {}
         self._announces_by_height: Dict[int, BlockAnnounce] = {}
         self._pending_inspections: List[BlockAnnounce] = []
         self._seen_blocks: Set[bytes] = set()
         self._seen_suspicions: Set[Tuple] = set()
         self._relayed_updates: Set[Tuple] = set()
-        self._sync_event: Optional[Event] = None
+        self._sync_event: Optional[Timer] = None
         # Per-tick reconciliation cache, live only inside one _sync_tick
         # callback: (spec, capacity) -> (sketch, own counts, wire size).
         self._sketch_cache: Optional[Dict[Tuple, Tuple]] = None
@@ -265,7 +266,7 @@ class LONode(Endpoint):
     def stop(self) -> None:
         """Stop periodic syncing."""
         if self._sync_event is not None:
-            self._sync_event.cancel()
+            self.loop.cancel(self._sync_event)
             self._sync_event = None
 
     def restart(self) -> None:
@@ -280,12 +281,12 @@ class LONode(Endpoint):
         self.stop()
         _t = obs.TRACER
         for session in self._sessions.values():
-            session.timer.cancel()
+            self.loop.cancel(session.timer)
             if _t.enabled:
                 _t.end_span(session.span, self.now, outcome="restart")
         self._sessions.clear()
         for timer in self._content_timers.values():
-            timer.cancel()
+            self.loop.cancel(timer)
         self._content_timers.clear()
         self.acct.pending.clear()
         self.restarts += 1
@@ -922,7 +923,7 @@ class LONode(Endpoint):
         session = self._sessions.get(response.request_id)
         if session is None:
             return
-        session.timer.cancel()
+        self.loop.cancel(session.timer)
         self._observe_remote_header(response.header)
         peer_key = self.directory.key_of(session.peer)
         _t = obs.TRACER
@@ -1036,7 +1037,7 @@ class LONode(Endpoint):
         if response.request_id >= 0:
             timer = self._content_timers.pop(response.request_id, None)
             if timer is not None:
-                timer.cancel()
+                self.loop.cancel(timer)
             self.acct.close_request(response.request_id)
             sender_key = self.directory.key_of(message.sender)
             self.acct.clear_suspicion(sender_key)
@@ -1223,8 +1224,6 @@ class LONode(Endpoint):
                                   header, header.wire_size())
 
     def _observe_remote_header(self, header: CommitmentHeader) -> None:
-        if header.clock.cells != self.log.clock.cells:
-            return  # not comparable with ours: neither state nor evidence
         evidence = self.acct.observe_header(header)
         if evidence is not None:
             _t = obs.TRACER

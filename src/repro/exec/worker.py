@@ -31,6 +31,10 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
 
+# Seconds between repeats of an alarm whose TaskTimeout was dropped.
+_TIMEOUT_REPEAT_S = 0.05
+
+
 class TaskTimeout(BaseException):
     """Raised inside a worker when a task exceeds its wall-clock budget.
 
@@ -111,8 +115,15 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
         "worker_pid": os.getpid(),
     }
     alarm_set = False
+    caught = False
     if timeout_s is not None and _alarm_supported():
         def _on_alarm(signum, frame):
+            if caught:
+                return
+            # Python prints and drops an exception raised inside a
+            # ``gc.callbacks`` hook or a ``__del__``; the alarm fires again
+            # until the task's own ``except`` has seen it.
+            signal.setitimer(signal.ITIMER_REAL, _TIMEOUT_REPEAT_S)
             raise TaskTimeout(
                 f"task {index} exceeded timeout_s={timeout_s:g}"
             )
@@ -132,6 +143,7 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
         outcome["ok"] = True
         outcome["result"] = to_jsonable(result)
     except TaskTimeout as exc:
+        caught = True
         outcome["error"] = str(exc)
         outcome["timeout"] = True
     except Exception as exc:  # noqa: BLE001 - contained, reported upstream

@@ -436,11 +436,9 @@ class LOSimulation:
             mean_size_bytes=self.params.tx_size_bytes,
         )
         count = 0
-        # Fire-and-forget: injections are never cancelled, so the
-        # handle-free scheduling path avoids one Event per transaction.
-        schedule_at = self.loop.schedule_at
+        call_at = self.loop.call_at
         for trace_tx in generator.stream(duration_s):
-            schedule_at(
+            call_at(
                 start_at + trace_tx.at_time,
                 self._inject_one,
                 trace_tx.origin,
@@ -526,9 +524,9 @@ class LOSimulation:
         else:
             trace = generator.stream(duration_s)
         count = 0
-        schedule_at = self.loop.schedule_at
+        call_at = self.loop.call_at
         for trace_tx in trace:
-            schedule_at(
+            call_at(
                 start_at + trace_tx.at_time,
                 self._inject_client,
                 trace_tx.sender_account,
@@ -596,7 +594,7 @@ class LOSimulation:
     def inject_at(self, when: float, origin: int, fee: int = 10,
                   size_bytes: int = 250) -> None:
         """Schedule a single transaction injection."""
-        self.loop.schedule_at(when, self._inject_one, origin, fee, size_bytes)
+        self.loop.call_at(when, self._inject_one, origin, fee, size_bytes)
 
     # ------------------------------------------------------------ execution
 

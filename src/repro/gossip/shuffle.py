@@ -11,15 +11,20 @@ neighbours first.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from repro.gossip.sampler import PeerSampler
 from repro.sim.loop import EventLoop
-from repro.sim.process import PeriodicProcess
 
 
-class NeighborShuffler(PeriodicProcess):
-    """Rotates one node's neighbour set against the sampler."""
+class NeighborShuffler:
+    """Rotates one node's neighbour set against the sampler.
+
+    :meth:`start` schedules the first round ``phase`` seconds in, with the
+    phase drawn from ``rng`` at construction so nodes de-synchronise; each
+    round then reschedules itself ``period`` ± 10% later, the jitter drawn
+    from ``rng`` after the round's own draws.
+    """
 
     def __init__(
         self,
@@ -34,10 +39,11 @@ class NeighborShuffler(PeriodicProcess):
         blocklist: Optional[Callable[[], Set[int]]] = None,
         on_change: Optional[Callable[[Set[int], Set[int]], None]] = None,
     ):
-        super().__init__(
-            loop, period, phase=rng.uniform(0, period), jitter=period * 0.1,
-            jitter_rng=rng,
-        )
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period}")
+        self.loop = loop
+        self.period = period
+        self._phase = rng.uniform(0, period)
         self.node_id = node_id
         self.neighbors = neighbors
         self.sampler = sampler
@@ -47,6 +53,17 @@ class NeighborShuffler(PeriodicProcess):
         self.blocklist = blocklist or (lambda: set())
         self.on_change = on_change
         self.total_swaps = 0
+
+    def start(self) -> None:
+        """Schedule the first round."""
+        self.loop.call_later(self._phase, self._round)
+
+    def _round(self) -> None:
+        self.tick()
+        jitter = self.period * 0.1
+        self.loop.call_later(
+            self.period + self.rng.uniform(-jitter, jitter), self._round
+        )
 
     def tick(self) -> None:
         """One shuffle round: evict bad/random neighbours, refill to target."""

@@ -27,7 +27,7 @@ applies the installed faults (crash, blocked link, partition, hooks --
 in that order, first match names the drop reason), asks the latency
 model for the delay of a message that survived them, lets the chaos
 injector rewrite the delivery, and pushes one
-:meth:`~repro.sim.loop.EventLoop.schedule_later` entry per delivery.
+:meth:`~repro.sim.loop.EventLoop.call_later` entry per delivery.
 :meth:`Network.send` and :meth:`Network.send_many` are fan-outs of one.
 Clean runs and fault runs execute this same body; with no fault
 installed the fault checks are skipped as a whole, nothing else differs.
@@ -308,7 +308,7 @@ class Network:
                       or self._partition is not None or self._delivery_hooks)
         injector = self._fault_injector
         delay_of = self.latency_model.delay
-        schedule = self.loop.schedule_later
+        schedule = self.loop.call_later
         deliver = self._deliver
         trace = obs.TRACER
         tracing = trace.enabled

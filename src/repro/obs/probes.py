@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # repro.sim.loop imports repro.obs
-    from repro.sim.loop import Event, EventLoop
+    from repro.sim.loop import EventLoop, Timer
 
 
 class ConvergenceProbe:
@@ -30,7 +30,7 @@ class ConvergenceProbe:
         self.period_s = period_s
         self._items: Dict[int, float] = {}          # item -> registered at
         self.series: Dict[int, List[Tuple[float, float]]] = {}
-        self._event: Optional["Event"] = None
+        self._event: Optional["Timer"] = None
         self._running = False
 
     def track(self, item: int) -> None:
@@ -49,7 +49,7 @@ class ConvergenceProbe:
         """Stop sampling and cancel the pending tick."""
         self._running = False
         if self._event is not None:
-            self._event.cancel()
+            self.loop.cancel(self._event)
             self._event = None
 
     def _tick(self) -> None:

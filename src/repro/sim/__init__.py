@@ -7,21 +7,19 @@ experiment is reproducible bit-for-bit from a seed (see DESIGN.md section 3).
 
 Public API:
 
-* :class:`~repro.sim.loop.EventLoop` -- the scheduler.
-* :class:`~repro.sim.loop.Event` -- a scheduled callback handle.
-* :class:`~repro.sim.process.Process` -- base class for periodic activities.
+* :class:`~repro.sim.loop.EventLoop` -- the scheduler.  ``call_at`` /
+  ``call_later`` return a :data:`~repro.sim.loop.Timer` (the heap entry
+  itself), which ``EventLoop.cancel`` disarms; periodic activities
+  reschedule themselves with ``call_later``.
 * :class:`~repro.sim.rng.SeededRng` -- named deterministic random streams.
 """
 
-from repro.sim.loop import Event, EventLoop, SimulationError
-from repro.sim.process import PeriodicProcess, Process
+from repro.sim.loop import EventLoop, SimulationError, Timer
 from repro.sim.rng import SeededRng
 
 __all__ = [
-    "Event",
     "EventLoop",
-    "PeriodicProcess",
-    "Process",
     "SeededRng",
     "SimulationError",
+    "Timer",
 ]

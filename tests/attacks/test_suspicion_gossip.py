@@ -9,7 +9,14 @@ deduplicates; a new episode (after the suspicion cleared) is a new blame.
 import pytest
 
 from repro.attacks import make_censor_factory
+from repro.bloomclock import BloomClock
 from repro.core.accountability import AccountabilityState, SuspicionBlame
+from repro.core.commitment import (
+    GENESIS_DIGEST,
+    bundle_digest,
+    chain_digest,
+    sign_header,
+)
 from repro.core.config import LOConfig
 from repro.crypto.keys import KeyPair
 from repro.experiments.harness import LOSimulation, SimulationParams
@@ -41,13 +48,65 @@ def test_blame_key_is_what_the_blame_announces():
 
 
 def test_a_claim_keeps_its_episode_start_until_the_suspicion_clears():
-    acct = AccountabilityState(_key(b"me"))
+    acct = AccountabilityState(_key(b"me"), clock_cells=32)
     peer = _key(b"peer")
     assert acct.claim(peer, "sync", (), 1.0) == (1.0, True)
     assert acct.claim(peer, "sync", (), 4.0) == (1.0, False)  # a retry round
     assert acct.claim(peer, "content", (7,), 5.0) == (1.0, True)
     acct.clear_suspicion(peer)
     assert acct.claim(peer, "sync", (), 9.0) == (9.0, True)  # new episode
+
+
+def test_a_blame_carrying_a_clock_of_another_width_is_dropped_not_stored():
+    # The accused really signed this header: a 64-cell clock (ours have
+    # 32) extending its own chain to seq 6.  Receivers used to store it as
+    # the accused's latest (and stop believing its real seq 6..8 headers)
+    # or raise comparing it with a stored one, which counted a wire
+    # violation against the relay.
+    sim = LOSimulation(SimulationParams(num_nodes=8, seed=3))
+    sim.inject_workload(2.0, 7.0)
+    sim.run(1.5)
+    accused, accuser = sim.nodes[1], sim.nodes[2]
+    assert accused.seq < 6
+    clock = BloomClock(64)
+    clock.add_all(accused.log.known_ids())
+    digests = list(accused._digest_chain)
+    while len(digests) < 6:
+        digests.append(chain_digest(digests[-1] if digests else GENESIS_DIGEST,
+                                    bundle_digest([10**6 + len(digests)])))
+    wide = sign_header(accused.keypair, 6, len(accused.log) + 1, digests, clock)
+    blame = SuspicionBlame(accuser=accuser.public_key,
+                           accused=accused.public_key, kind="sync",
+                           detail=(), last_known=wide, raised_at=1.4)
+    receivers = sorted(accused.neighbors - {accuser.node_id})
+    assert len(receivers) >= 5
+    for receiver in receivers:
+        sim.network.send(accuser.node_id, receiver, "lo/suspicion", blame,
+                         blame.wire_size())
+    sim.run(8.0)
+    assert sim.wire_violation_totals() == {}
+    for node_id in receivers:
+        acct = sim.nodes[node_id].acct
+        latest = acct.latest_header(accused.public_key)
+        assert latest is not None and latest.clock.cells == 32
+        assert latest == accused.header_at(latest.seq) and latest.seq > 6
+        assert not acct.is_exposed(accused.public_key)
+
+
+def test_a_foreign_width_last_known_is_treated_as_absent():
+    acct = AccountabilityState(_key(b"me"), clock_cells=32)
+    keypair = KeyPair.generate(seed=b"x")
+    digests = [chain_digest(GENESIS_DIGEST, bundle_digest([1]))]
+    ours = sign_header(keypair, 1, 1, digests, BloomClock(32))
+    assert acct.observe_header(ours) is None
+    wide = sign_header(keypair, 2, 2, digests * 2, BloomClock(64))
+    blame = SuspicionBlame(accuser=_key(b"a"), accused=keypair.public_key,
+                           kind="sync", detail=(), last_known=wide,
+                           raised_at=1.0)
+    # With the wide header absent we hold the newest commitment: relay it.
+    assert acct.evaluate_suspicion(blame) == ("relay", ours, None)
+    assert acct.observe_header(wide) is None
+    assert acct.latest_header(keypair.public_key) is ours
 
 
 def _censor_sim(seed, censors, equivocate, verify):

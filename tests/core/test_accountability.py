@@ -39,7 +39,7 @@ def make_header(bundles, keypair=REMOTE):
 
 
 def fresh_state():
-    return AccountabilityState(OWNER.public_key)
+    return AccountabilityState(OWNER.public_key, BloomClock().cells)
 
 
 # ------------------------------------------------------------ request cycle

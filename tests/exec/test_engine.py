@@ -47,6 +47,24 @@ def _sleeping_experiment(seed, sleep_s=0.0, **params):
     return {"seed": seed}
 
 
+class _SleepsWhenDropped:
+    # ``__del__`` is one of the places (like a ``gc.callbacks`` hook)
+    # where Python prints an exception and drops it.
+    def __init__(self, sleep_s):
+        self.sleep_s = sleep_s
+
+    def __del__(self):
+        time.sleep(self.sleep_s)
+
+
+def _swallowing_experiment(seed, sleep_s=0.0, spin_s=0.0, **params):
+    _SleepsWhenDropped(sleep_s)  # the first alarm lands in its __del__
+    deadline = time.perf_counter() + spin_s
+    while time.perf_counter() < deadline:
+        pass
+    return {"seed": seed}
+
+
 def _nested_experiment(seed, **params):
     # An experiment runner's own ``workers=`` fan-out, inside a sweep task.
     return map_points(_square, [{"x": seed}, {"x": 2}], workers=2)
@@ -59,6 +77,7 @@ def _registered_probes():
         "probe_fail": _failing_experiment,
         "probe_crash": _crashing_experiment,
         "probe_sleep": _sleeping_experiment,
+        "probe_swallow": _swallowing_experiment,
         "probe_nested": _nested_experiment,
     }
     for name, fn in probes.items():
@@ -156,6 +175,17 @@ def test_timeout_reaches_into_a_running_simulation():
     # simulation's per-message error containment must not swallow it.
     tasks = derive_tasks("run", {"num_nodes": [6], "duration_s": [600.0]},
                          base_seed=5)
+    start = time.perf_counter()
+    outcome = run_sweep(tasks, workers=1, timeout_s=0.5)
+    assert time.perf_counter() - start < 5.0
+    assert outcome.outcomes[0].timeout
+
+
+def test_a_timeout_dropped_where_python_ignores_exceptions_fires_again():
+    # An alarm whose TaskTimeout is raised inside a __del__ or a gc
+    # callback is printed and lost; the task must still be interrupted.
+    tasks = derive_tasks("probe_swallow",
+                         {"sleep_s": [1.0], "spin_s": [20.0]}, base_seed=9)
     start = time.perf_counter()
     outcome = run_sweep(tasks, workers=1, timeout_s=0.5)
     assert time.perf_counter() - start < 5.0

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.gossip import NeighborShuffler, PeerSampler
 from repro.sim import EventLoop
 
@@ -77,3 +79,52 @@ def test_never_adds_self():
     shuffler.start()
     loop.run_until(5.0)
     assert 0 not in neighbors
+
+
+def test_round_times_are_pinned():
+    # The phase is drawn at construction and each round's +-10% jitter
+    # after that round's own draws; these times were recorded before the
+    # shuffler scheduled itself, so shuffled runs replay unchanged.
+    neighbors = {1, 2, 3, 4}
+    loop, shuffler, _ = make_shuffler(neighbors)
+    times = []
+    tick = shuffler.tick
+    shuffler.tick = lambda: (times.append(loop.now), tick())
+    shuffler.start()
+    loop.run_until(11.0)
+    assert times == [
+        0.9560342718892494, 1.874351229370264, 2.941451004996154,
+        3.891767664515147, 4.913128011243314, 6.013071770432368,
+        7.0738056590629546, 8.082641068548819, 9.083054526997826,
+        10.15726112067142,
+    ]
+    assert sorted(neighbors) == [3, 4, 12, 17]
+
+
+def test_first_round_runs_at_the_phase_drawn_from_the_rng():
+    # make_shuffler seeds the shuffler's rng with 2; the phase is its first draw.
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4}, period=2.0)
+    times = []
+    tick = shuffler.tick
+    shuffler.tick = lambda: (times.append(loop.now), tick())
+    shuffler.start()
+    loop.run_until(2.0)
+    assert times[0] == random.Random(2).uniform(0, 2.0)
+
+
+def test_rounds_are_jittered_within_ten_percent_of_the_period():
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4}, period=2.0)
+    times = []
+    tick = shuffler.tick
+    shuffler.tick = lambda: (times.append(loop.now), tick())
+    shuffler.start()
+    loop.run_until(60.0)
+    assert 0.0 <= times[0] <= 2.0  # the phase is drawn within one period
+    intervals = [b - a for a, b in zip(times, times[1:])]
+    assert all(1.8 <= i <= 2.2 for i in intervals)
+    assert len(set(round(i, 6) for i in intervals)) > 1
+
+
+def test_invalid_period_rejected():
+    with pytest.raises(ValueError):
+        make_shuffler({1, 2, 3, 4}, period=0.0)

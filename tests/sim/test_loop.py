@@ -5,6 +5,11 @@ import pytest
 from repro.sim import EventLoop, SimulationError
 
 
+def cancelled(timer):
+    """Whether ``timer`` (a ``[time, seq, callback, args]`` entry) is a tombstone."""
+    return timer[2] is None
+
+
 def test_events_run_in_time_order():
     loop = EventLoop()
     seen = []
@@ -46,8 +51,8 @@ def test_events_beyond_deadline_stay_pending():
 def test_cancelled_event_does_not_run():
     loop = EventLoop()
     seen = []
-    event = loop.call_later(1.0, seen.append, "x")
-    event.cancel()
+    timer = loop.call_later(1.0, seen.append, "x")
+    loop.cancel(timer)
     loop.run_until(2.0)
     assert seen == []
 
@@ -96,41 +101,6 @@ def test_run_for_advances_relative():
     assert loop.now == 12.5
 
 
-def test_step_executes_single_event():
-    loop = EventLoop()
-    seen = []
-    loop.call_later(1.0, seen.append, "a")
-    loop.call_later(2.0, seen.append, "b")
-    loop.step()
-    assert seen == ["a"]
-    assert loop.now == 1.0
-
-
-def test_step_on_empty_heap_returns_none():
-    assert EventLoop().step() is None
-
-
-def test_drain_runs_everything():
-    loop = EventLoop()
-    seen = []
-    loop.call_later(1.0, seen.append, 1)
-    loop.call_later(2.0, seen.append, 2)
-    executed = loop.drain()
-    assert executed == 2
-    assert seen == [1, 2]
-
-
-def test_drain_guards_against_livelock():
-    loop = EventLoop()
-
-    def reschedule():
-        loop.call_later(0.1, reschedule)
-
-    loop.call_later(0.1, reschedule)
-    with pytest.raises(SimulationError):
-        loop.drain(max_events=100)
-
-
 def test_processed_events_counter():
     loop = EventLoop()
     for _ in range(5):
@@ -146,18 +116,18 @@ def test_pending_events_excludes_cancelled():
     loop = EventLoop()
     events = [loop.call_later(float(i + 1), lambda: None) for i in range(5)]
     assert loop.pending_events == 5
-    events[0].cancel()
-    events[3].cancel()
+    loop.cancel(events[0])
+    loop.cancel(events[3])
     assert loop.pending_events == 3
 
 
 def test_cancel_is_idempotent_in_accounting():
     loop = EventLoop()
-    event = loop.call_later(1.0, lambda: None)
+    timer = loop.call_later(1.0, lambda: None)
     loop.call_later(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
-    event.cancel()
+    loop.cancel(timer)
+    loop.cancel(timer)
+    loop.cancel(timer)
     assert loop.pending_events == 1
 
 
@@ -168,8 +138,8 @@ def test_heap_compacts_when_tombstones_dominate():
     kept = [loop.call_later(1000.0 + i, lambda: None) for i in range(keep)]
     doomed = [loop.call_later(2000.0 + i, lambda: None) for i in range(cancel)]
     assert loop.heap_size == keep + cancel
-    for event in doomed:
-        event.cancel()
+    for timer in doomed:
+        loop.cancel(timer)
     # The cancelled fraction crossed 50% part-way through; a rebuild must
     # have shed the tombstones accumulated so far instead of waiting for
     # their (far-future) timestamps to be popped.  Cancellations after the
@@ -179,14 +149,14 @@ def test_heap_compacts_when_tombstones_dominate():
     assert loop.heap_size < keep + cancel
     tombstones = loop.heap_size - loop.pending_events
     assert tombstones * 2 <= loop.heap_size
-    assert all(not e.cancelled for e in kept)
+    assert not any(cancelled(timer) for timer in kept)
 
 
 def test_no_compaction_below_min_size():
     loop = EventLoop()
     events = [loop.call_later(100.0 + i, lambda: None) for i in range(10)]
-    for event in events[:9]:
-        event.cancel()
+    for timer in events[:9]:
+        loop.cancel(timer)
     assert loop.compactions == 0          # tiny heaps are left alone
     assert loop.heap_size == 10           # tombstones still in place
     assert loop.pending_events == 1
@@ -201,12 +171,12 @@ def test_events_still_run_in_order_after_compaction():
             live.append((i, loop.call_later(float(i + 1), seen.append, i)))
         else:
             loop.call_later(float(i + 1), seen.append, i)
-    doomed = [e for i, e in live]  # cancel every odd-timed event
-    for event in doomed:
-        event.cancel()
+    doomed = [timer for i, timer in live]  # cancel every odd-timed event
+    for timer in doomed:
+        loop.cancel(timer)
     extra = [loop.call_later(500.0, lambda: None) for _ in range(80)]
-    for event in extra:
-        event.cancel()
+    for timer in extra:
+        loop.cancel(timer)
     assert loop.compactions >= 1
     loop.run_until(100.0)
     assert seen == [i for i in range(64) if i % 2 == 0]
@@ -216,8 +186,8 @@ def test_events_still_run_in_order_after_compaction():
 def test_popping_tombstones_keeps_accounting_consistent():
     loop = EventLoop()
     events = [loop.call_later(float(i + 1), lambda: None) for i in range(6)]
-    for event in events[::2]:
-        event.cancel()
+    for timer in events[::2]:
+        loop.cancel(timer)
     loop.run_until(10.0)  # pops the tombstones without compaction
     assert loop.pending_events == 0
     assert loop.heap_size == 0
@@ -225,48 +195,55 @@ def test_popping_tombstones_keeps_accounting_consistent():
 
 
 def test_cancel_after_run_is_a_no_op():
-    # Regression: a handle whose callback had already run still looked
+    # Regression: a timer whose callback had already run still looked
     # cancellable, so each such cancel drove pending_events one below zero
     # and fed a phantom tombstone count to the compaction policy.
     loop = EventLoop()
     seen = []
     events = [loop.call_later(1.0, seen.append, i) for i in range(4)]
     loop.run_until(2.0)
-    for event in events:
-        event.cancel()
-        event.cancel()
+    for timer in events:
+        loop.cancel(timer)
+        loop.cancel(timer)
     assert loop.pending_events == 0
-    assert not any(event.cancelled for event in events)
+    assert not any(cancelled(timer) for timer in events)
     later = loop.call_later(1.0, seen.append, "later")
     assert loop.pending_events == 1
-    later.cancel()  # a handle that has not run still cancels
-    assert later.cancelled and loop.pending_events == 0
+    loop.cancel(later)  # a timer that has not run still cancels
+    assert cancelled(later) and loop.pending_events == 0
     loop.run_until(5.0)
     assert seen == [0, 1, 2, 3]
 
 
+def test_a_timer_that_ran_reads_as_run_not_cancelled():
+    loop = EventLoop()
+    timer = loop.call_later(1.0, lambda: None)
+    loop.run_until(1.0)
+    assert not cancelled(timer)
+    loop.cancel(timer)
+    assert not cancelled(timer) and loop.pending_events == 0
+
+
 def test_timer_callback_may_cancel_its_own_handle():
     loop = EventLoop()
-    handles = []
+    timers = []
     fired = []
 
-    def timer():
+    def on_timeout():
         fired.append(loop.now)
-        handles[0].cancel()  # the usual "disarm" call, from inside the timer
+        loop.cancel(timers[0])  # the usual "disarm" call, from inside the timer
+        assert not cancelled(timers[0]) and loop.pending_events == 1
+        loop.cancel(timers[1])  # same timestamp, younger seq: really pending
+        assert cancelled(timers[1]) and loop.pending_events == 0
 
-    handles.append(loop.call_later(1.0, timer))
-    same_time = loop.call_at(1.0, fired.append, "same time, still pending")
-    loop.step()
+    timers.append(loop.call_later(1.0, on_timeout))
+    timers.append(loop.call_at(1.0, fired.append, "same time, still pending"))
+    loop.run_until(1.0)
     assert fired == [1.0]
-    assert loop.pending_events == 1
-    same_time.cancel()  # same timestamp, younger seq: really pending
-    assert same_time.cancelled and loop.pending_events == 0
+    assert loop.pending_events == 0 and loop.processed_events == 1
 
 
-def test_step_returns_an_event_that_reads_as_run_not_cancelled():
-    loop = EventLoop()
-    loop.call_later(1.0, lambda: None)
-    event = loop.step()
-    assert not event.cancelled
-    event.cancel()
-    assert not event.cancelled and loop.pending_events == 0
+def test_schedule_at_is_the_same_push_as_call_at():
+    # Kept as an alias only for callers outside ``src/``; it must not
+    # grow into a second scheduling path.
+    assert EventLoop.schedule_at is EventLoop.call_at

@@ -10,7 +10,7 @@ callbacks that schedule further events mid-run -- and every observable
 must match exactly: callback execution order, the clock at each callback,
 the final clock, and the processed/pending/compaction counters.  After
 every operation ``pending_events`` must also equal the live entries
-actually in the heap, on both loops -- cancelling a handle whose callback
+actually in the heap, on both loops -- cancelling a timer whose callback
 already ran (from outside, or from inside that very callback) is a no-op.
 """
 
@@ -44,25 +44,16 @@ class _RefEvent:
     def __lt__(self, other):
         return (self.time, self.seq) < (other.time, other.seq)
 
-    @property
-    def cancelled(self):
-        return self.callback is None
-
-    def cancel(self, loop):
-        if self.callback is None or self.ran:
-            return
-        self.callback = None
-        self.args = ()
-        loop._note_cancelled()
 
 
 class ReferenceLoop:
     """Pre-refactor loop semantics, kept only as a test oracle.
 
     Mirrors :class:`EventLoop`'s public surface (``call_at``,
-    ``call_later``, ``schedule_at``, ``schedule_later``, ``run_until``,
-    ``step``, the counters) and its compaction policy, but with the
-    object-based heap the production loop replaced.
+    ``call_later``, ``cancel``, ``run_until``, the counters) and its
+    compaction policy, but with the object-based heap the production loop
+    replaced and a per-event ``ran`` flag instead of the ``(time, seq)``
+    test.
     """
 
     COMPACT_MIN_SIZE = EventLoop.COMPACT_MIN_SIZE
@@ -107,17 +98,15 @@ class ReferenceLoop:
             raise SimulationError(f"negative delay: {delay}")
         return self.call_at(self._now + delay, callback, *args)
 
-    def schedule_at(self, when, callback, *args):
-        self.call_at(when, callback, *args)
-
-    def schedule_later(self, delay, callback, *args):
-        self.call_later(delay, callback, *args)
-
-    def _note_cancelled(self):
+    def cancel(self, event):
+        if event.callback is None or event.ran:
+            return
+        event.callback = None
+        event.args = ()
         self._cancelled += 1
         if (len(self._heap) >= self.COMPACT_MIN_SIZE
                 and self._cancelled * 2 > len(self._heap)):
-            self._heap = [e for e in self._heap if not e.cancelled]
+            self._heap = [e for e in self._heap if e.callback is not None]
             heapq.heapify(self._heap)
             self._cancelled = 0
             self._compactions += 1
@@ -137,27 +126,15 @@ class ReferenceLoop:
             event.callback(*event.args)
         self._now = deadline
 
-    def step(self):
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.callback is None:
-                self._cancelled -= 1
-                continue
-            self._now = event.time
-            self._processed += 1
-            event.ran = True
-            event.callback(*event.args)
-            return event
-        return None
-
 
 # --------------------------------------------------------------------------
 # Program interpreter: one op list, two loops, compared observables.
 # --------------------------------------------------------------------------
 
 
-def _cancel(handle, loop):
-    handle.cancel(loop) if isinstance(handle, _RefEvent) else handle.cancel()
+def _callback(timer):
+    """The callback slot of either loop's timer (``None`` once cancelled)."""
+    return timer.callback if isinstance(timer, _RefEvent) else timer[2]
 
 
 def _live_entries(loop):
@@ -171,16 +148,16 @@ def _run_program(loop, ops):
     """Execute a schedule/cancel/run program; returns the observation log.
 
     Tags divisible by 3 schedule a follow-up from inside their callback
-    (mid-run scheduling), tags divisible by 5 use the handle-returning
-    API so cancel ops have targets (those divisible by 10 also cancel
-    their own handle from inside the callback); the rest use the
-    handle-free path.  Cancel ops pick among the handles not yet
-    cancelled -- run or not -- and re-cancel to pin idempotence;
-    "cancel_ran" ops pick among handles whose callback has run.
+    (mid-run scheduling), tags divisible by 5 keep their timer so cancel
+    ops have targets (those divisible by 10 also cancel their own timer
+    from inside the callback); the rest drop it.  Cancel ops pick among
+    the timers not yet cancelled -- run or not -- and re-cancel to pin
+    idempotence; "cancel_ran" ops pick among timers whose callback has
+    run.
     """
     record = []
-    handles = []
-    ran = []  # positions in ``handles`` whose callback has run
+    timers = []
+    ran = []  # positions in ``timers`` whose callback has run
 
     def check():
         assert loop.pending_events == _live_entries(loop)
@@ -191,10 +168,10 @@ def _run_program(loop, ops):
             if position is not None:
                 ran.append(position)
                 if tag % 10 == 0:
-                    _cancel(handles[position], loop)
+                    loop.cancel(timers[position])
                     check()
             if tag % 3 == 0:
-                loop.schedule_later((tag % 7) * 0.05, make_callback(tag + 1000))
+                loop.call_later((tag % 7) * 0.05, make_callback(tag + 1000))
         return callback
 
     for op in ops:
@@ -203,34 +180,27 @@ def _run_program(loop, ops):
             _, centi_delay, tag = op
             delay = centi_delay / 100.0
             if tag % 5 == 0:
-                callback = make_callback(tag, len(handles))
-                handles.append(loop.call_later(delay, callback))
+                callback = make_callback(tag, len(timers))
+                timers.append(loop.call_later(delay, callback))
             else:
-                loop.schedule_later(delay, make_callback(tag))
+                loop.call_later(delay, make_callback(tag))
         elif kind == "cancel":
             _, pick = op
-            pending = [h for h in handles if h.callback is not None]
+            pending = [t for t in timers if _callback(t) is not None]
             if pending:
                 target = pending[pick % len(pending)]
-                _cancel(target, loop)
+                loop.cancel(target)
                 # Cancel must be idempotent: a second call is a no-op.
-                _cancel(target, loop)
+                loop.cancel(target)
         elif kind == "cancel_ran":
             _, pick = op
             if ran:
-                target = handles[ran[pick % len(ran)]]
-                _cancel(target, loop)
-                assert target.callback is not None  # not tombstoned either
+                target = timers[ran[pick % len(ran)]]
+                loop.cancel(target)
+                assert _callback(target) is not None  # not tombstoned either
         elif kind == "run":
             _, centi_duration = op
             loop.run_until(loop.now + centi_duration / 100.0)
-        elif kind == "step":
-            stepped = loop.step()
-            record.append(("step", stepped is not None, loop.now))
-            if stepped is not None:
-                assert not stepped.cancelled
-                _cancel(stepped, loop)
-                assert not stepped.cancelled
         check()
     loop.run_until(loop.now + 100.0)  # drain everything still pending
     check()
@@ -245,7 +215,6 @@ _OPS = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 64)),
         st.tuples(st.just("cancel_ran"), st.integers(0, 64)),
         st.tuples(st.just("run"), st.integers(0, 300)),
-        st.tuples(st.just("step")),
     ),
     max_size=60,
 )
@@ -285,7 +254,7 @@ def test_partial_run_executes_exactly_the_due_prefix(delays, deadline_centi):
     loop = EventLoop()
     fired = []
     for index, centi in enumerate(delays):
-        loop.schedule_at(centi / 100.0, fired.append, (centi / 100.0, index))
+        loop.call_at(centi / 100.0, fired.append, (centi / 100.0, index))
     deadline = deadline_centi / 100.0
     loop.run_until(deadline)
     expected = sorted(
@@ -304,20 +273,15 @@ def test_past_scheduling_raises_like_reference():
             loop.call_at(0.5, lambda: None)
         with pytest.raises(SimulationError):
             loop.call_later(-0.1, lambda: None)
-    with pytest.raises(SimulationError):
-        EventLoop().schedule_later(-0.1, lambda: None)
 
 
 def test_mass_cancellation_compacts_both_loops_identically():
     real, reference = EventLoop(), ReferenceLoop()
     for loop in (real, reference):
-        handles = [loop.call_later(10.0 + i, lambda: None)
-                   for i in range(200)]
-        for handle in handles[:150]:
-            if isinstance(handle, _RefEvent):
-                handle.cancel(loop)
-            else:
-                handle.cancel()
+        timers = [loop.call_later(10.0 + i, lambda: None)
+                  for i in range(200)]
+        for timer in timers[:150]:
+            loop.cancel(timer)
     assert real.compactions == reference.compactions > 0
     assert real.pending_events == reference.pending_events == 50
     assert real.heap_size == reference.heap_size

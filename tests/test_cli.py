@@ -105,8 +105,15 @@ def test_sweep_task_traces_require_out_dir(capsys):
     assert "--task-traces requires --out-dir" in capsys.readouterr().err
 
 
+def test_run_takes_no_workers(capsys):
+    # One simulation has no internal sweep to spread across workers.
+    with pytest.raises(SystemExit):
+        main(["run", "--workers", "2"])
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_experiment_verbs_accept_workers(capsys):
-    # --workers must parse on every experiment verb (uniform interface).
+    # --workers parses on every verb with an internal sweep.
     code = main(["fig10", "--nodes", "10", "--duration", "8",
                  "--workloads", "120", "--workers", "2"])
     assert code == 0

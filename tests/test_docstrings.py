@@ -29,6 +29,8 @@ DOCTEST_MODULES = [
     "repro.obs.timeline",
     "repro.obs.steady",
     "repro.obs.report",
+    "repro.sim.loop",
+    "repro.net.network",
 ]
 
 DOCUMENTED_PACKAGES = [
