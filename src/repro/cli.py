@@ -11,20 +11,18 @@ Examples::
     python -m repro memory --workloads 120 600
     python -m repro cpu   --difference 128
     python -m repro fig6  --nodes 20 --fractions 0.2 --trace t.jsonl
-    python -m repro fig6  --nodes 50 --fractions 0.1 0.2 0.3 --workers 3
     python -m repro sweep fig6_point --param malicious_fraction=0.1,0.2 \
         --param num_nodes=20 --repetitions 4 --workers 4 --out-dir sweep-out
     python -m repro report t.jsonl
 
-Every experiment subcommand accepts ``--json PATH`` to dump the raw
-result object and ``--trace PATH`` to write a deterministic
-``repro.trace/1`` JSONL trace (``--trace-chrome PATH`` adds a
-Perfetto-loadable Chrome trace).  All but ``run`` (one simulation) also
-take ``--workers N`` to parallelise their internal sweep across worker
-processes (results are identical to the serial run; see
-``docs/parallelism.md``).  ``report`` summarises a trace; ``sweep`` fans
-an (experiment x seed x grid) task matrix across spool worker processes
-with crash containment and a deterministic merge.
+``run`` and every figure verb share one option group (``--seed``,
+``--json PATH`` to dump the raw result object, ``--trace PATH`` for a
+deterministic ``repro.trace/1`` JSONL trace, ``--trace-chrome PATH`` for
+a Perfetto-loadable Chrome trace) and run in this process.  ``sweep`` is
+the one parallel verb: it fans an (experiment x seed x grid) task matrix
+across spool worker processes with crash containment and a deterministic
+merge, and each figure's parallel form is a sweep of its registered
+point (see ``docs/parallelism.md``).  ``report`` summarises a trace.
 """
 
 from __future__ import annotations
@@ -47,12 +45,24 @@ from repro.obs.report import (
 )
 
 
-def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
-    """:func:`_add_common` plus ``--workers``, for verbs that sweep."""
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the verb's internal sweep"
-                             " (1 = serial; results are identical either way)")
-    _add_common(parser)
+def _checked(convert, ok, what: str):
+    """An argparse ``type``: ``convert`` the text, then require ``ok``.
+
+    A value outside the range is a usage error (exit code 2) instead of a
+    traceback from the constructor that would reject it later.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -64,11 +74,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-chrome", type=str, default=None,
                         metavar="PATH",
                         help="also write a Chrome/Perfetto trace-event JSON")
-    parser.add_argument("--trace-sample", type=int, default=1, metavar="N",
+    parser.add_argument("--trace-sample", type=_AT_LEAST_ONE, default=1,
+                        metavar="N",
                         help="keep every Nth per-message network trace event"
                              " (per message type; other records are never"
                              " sampled)")
-    parser.add_argument("--trace-snapshot-s", type=float, default=1.0,
+    parser.add_argument("--trace-snapshot-s", type=_POSITIVE, default=1.0,
                         help="metrics snapshot interval in simulated seconds")
 
 
@@ -176,7 +187,7 @@ def cmd_fig6(args) -> int:
     from repro.experiments.fig6_detection import run_fig6
 
     result = run_fig6(num_nodes=args.nodes, fractions=args.fractions,
-                      seed=args.seed, workers=args.workers)
+                      seed=args.seed)
     rows = [
         (
             f"{p.malicious_fraction:.0%}",
@@ -199,7 +210,7 @@ def cmd_fig7(args) -> int:
 
     result = run_fig7(num_nodes=args.nodes, tx_rate_per_s=args.rate,
                       workload_duration_s=args.duration, seed=args.seed,
-                      repetitions=args.repetitions, workers=args.workers)
+                      repetitions=args.repetitions)
     rows = [(k, f"{v:.3f}") for k, v in result.summary.items()]
     print(format_table(("metric", "value"), rows))
     _emit(result, args, "fig7")
@@ -211,8 +222,7 @@ def cmd_fig8(args) -> int:
 
     result = run_fig8(num_nodes=args.nodes, size_sweep=args.sizes,
                       tx_rate_per_s=args.rate,
-                      workload_duration_s=args.duration, seed=args.seed,
-                      workers=args.workers)
+                      workload_duration_s=args.duration, seed=args.seed)
     rows = []
     for policy in (result.fifo, result.highest_fee):
         s = policy.summary
@@ -233,8 +243,7 @@ def cmd_fig9(args) -> int:
     from repro.experiments.fig9_bandwidth import run_fig9
 
     result = run_fig9(num_nodes=args.nodes, tx_rate_per_s=args.rate,
-                      workload_duration_s=args.duration, seed=args.seed,
-                      workers=args.workers)
+                      workload_duration_s=args.duration, seed=args.seed)
     rows = [
         (r.protocol, f"{r.overhead_bytes / 1e6:.2f}",
          f"{r.ratio_vs_lo:.1f}x", f"{r.mean_latency_s:.2f}")
@@ -250,7 +259,7 @@ def cmd_fig10(args) -> int:
 
     result = run_fig10(workloads_tx_per_minute=args.workloads,
                        num_nodes=args.nodes, duration_s=args.duration,
-                       seed=args.seed, workers=args.workers)
+                       seed=args.seed)
     rows = [
         (f"{p.tx_per_minute:.0f}",
          f"{p.reconciliations_per_node_per_min:.1f}",
@@ -267,8 +276,7 @@ def cmd_memory(args) -> int:
 
     result = run_memory_sweep(workloads_tx_per_minute=args.workloads,
                               num_nodes=args.nodes,
-                              duration_s=args.duration, seed=args.seed,
-                              workers=args.workers)
+                              duration_s=args.duration, seed=args.seed)
     rows = [
         (f"{p.tx_per_minute:.0f}", f"{p.avg_commitment_bytes:.0f}",
          f"{p.extrapolated_10k_nodes_mb:.1f}")
@@ -285,7 +293,7 @@ def cmd_cpu(args) -> int:
     if args.differences:
         result = run_cpu_sweep(args.differences,
                                partition_capacity=args.capacity,
-                               seed=args.seed, workers=args.workers)
+                               seed=args.seed)
         points = result.points
     else:
         result = run_cpu_comparison(difference=args.difference,
@@ -666,19 +674,23 @@ def build_parser() -> argparse.ArgumentParser:
                         " metric series sampled on the sim clock")
     p.add_argument("--timeline-csv", type=str, default=None, metavar="PATH",
                    help="also write the timeline as a flat CSV")
-    p.add_argument("--timeline-bins", type=int, default=256,
+    p.add_argument("--timeline-bins", default=256,
+                   type=_checked(int, lambda v: v >= 4 and not v & (v - 1),
+                                 "a power of two >= 4"),
                    help="per-series bin budget (power of two; memory stays"
                         " O(bins) regardless of run length)")
-    p.add_argument("--timeline-interval", type=float, default=0.5,
+    p.add_argument("--timeline-interval", type=_POSITIVE, default=0.5,
                    help="base sampling interval in simulated seconds")
     p.add_argument("--until-steady", action="store_true",
                    help="stop as soon as the watched series stop drifting"
                         " (fee floor + pool occupancy by default) instead"
                         " of always running to duration+drain")
-    p.add_argument("--steady-window", type=int, default=12,
+    p.add_argument("--steady-window", default=12,
+                   type=_checked(int, lambda v: v >= 2, ">= 2"),
                    help="completed timeline bins each watched series must"
                         " hold steady over")
-    p.add_argument("--steady-rel-tol", type=float, default=0.05,
+    p.add_argument("--steady-rel-tol", default=0.05,
+                   type=_checked(float, lambda v: v >= 0, ">= 0"),
                    help="relative spread tolerance for the steady verdict")
     p.add_argument("--steady-series", action="append", metavar="NAME",
                    help="timeline series to watch (repeatable; default:"
@@ -697,17 +709,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=50)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.1, 0.2, 0.3])
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_fig6)
 
     p = sub.add_parser("fig7", help="mempool inclusion latency density")
     p.add_argument("--nodes", type=int, default=80)
     p.add_argument("--rate", type=float, default=20.0)
     p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--repetitions", type=int, default=1,
+    p.add_argument("--repetitions", type=_AT_LEAST_ONE, default=1,
                    help="repeat at derived seeds and pool the samples"
                         " (paper: 10)")
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("fig8", help="FIFO vs Highest-Fee block latency")
@@ -715,14 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=5.0)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--sizes", type=int, nargs="*", default=[])
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser("fig9", help="bandwidth overhead across protocols")
     p.add_argument("--nodes", type=int, default=60)
     p.add_argument("--rate", type=float, default=10.0)
     p.add_argument("--duration", type=float, default=15.0)
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_fig9)
 
     p = sub.add_parser("fig10", help="reconciliations per minute vs workload")
@@ -730,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--workloads", type=float, nargs="+",
                    default=[60, 180, 420])
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_fig10)
 
     p = sub.add_parser("memory", help="commitment sizes vs workload")
@@ -738,16 +750,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--workloads", type=float, nargs="+",
                    default=[120, 600])
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_memory)
 
     p = sub.add_parser("cpu", help="naive vs partitioned decode timing")
     p.add_argument("--difference", type=int, default=128)
     p.add_argument("--differences", type=int, nargs="*", default=[],
                    help="sweep several difference sizes (one row each);"
-                        " overrides --difference and honours --workers")
+                        " overrides --difference")
     p.add_argument("--capacity", type=int, default=16)
-    _add_sweep_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_cpu)
 
     p = sub.add_parser(
@@ -761,11 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
                         " fig9, fig10_point, memory_point)")
     p.add_argument("--param", action="append", metavar="NAME=V1,V2,...",
                    help="one grid axis; repeat for a cartesian product")
-    p.add_argument("--repetitions", type=int, default=1,
+    p.add_argument("--repetitions", type=_AT_LEAST_ONE, default=1,
                    help="derived seeds per grid point (paper: 10)")
     p.add_argument("--seed", type=int, default=42,
                    help="base seed for derive_seeds")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_AT_LEAST_ONE, default=1,
                    help="worker processes (1 = serial)")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="per-task wall-clock budget, enforced in the worker;"
@@ -786,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lease-timeout", type=float, default=None, metavar="S",
                    help="spool lease staleness threshold (default"
                         " 3 x heartbeat)")
-    p.add_argument("--max-attempts", type=int, default=3,
+    p.add_argument("--max-attempts", type=_AT_LEAST_ONE, default=3,
                    help="per-task attempt budget of a parallel sweep: a task"
                         " whose worker crashed or timed out this many times"
                         " is parked (default 3)")

@@ -18,20 +18,22 @@ serial run:
   backoff budget and then parked, and an interrupted sweep resumes
   (skipping completed indices) to a merged document byte-identical to
   the uninterrupted serial run;
-* :func:`map_points` -- the in-memory fan-out behind the experiment
-  runners' and :func:`repeat_scalar`'s ``workers`` parameter;
 * :func:`register_experiment` -- add custom sweepable entry points.
 
-Shell entry point: ``python -m repro sweep`` (plus ``--workers`` on every
-experiment verb and ``--spool DIR`` / ``--resume`` for durable runs).
-See ``docs/parallelism.md`` for the execution model and the determinism
+This is the only way to run experiments in parallel: the figure runners
+and their CLI verbs are serial, and each figure's parallel form is a
+sweep of its registered entry (``fig6_point``, ``fig7_point``,
+``fig8_policy``, ``fig9``, ``fig10_point``, ``memory_point``, ``cpu``).
+
+Shell entry point: ``python -m repro sweep`` (``--workers N``, and
+``--spool DIR`` / ``--resume`` for durable runs).  See
+``docs/parallelism.md`` for the execution model and the determinism
 argument.
 """
 
 from repro.exec.engine import (
     SweepOutcome,
     TaskOutcome,
-    map_points,
     run_sweep,
 )
 from repro.exec.spool import (
@@ -69,7 +71,6 @@ __all__ = [
     "experiment_names",
     "init_spool",
     "load_manifest",
-    "map_points",
     "reclaim_stale",
     "register_experiment",
     "reset_worker_state",

@@ -17,9 +17,6 @@ re-assembled in derivation order, and worker-side state isolation
 (:func:`repro.exec.worker.reset_worker_state`) makes each result a pure
 function of its task -- so :meth:`SweepOutcome.results_bytes` is
 byte-identical between ``workers=1`` and ``workers=N`` runs.
-
-:func:`map_points` is the experiment runners' in-memory fan-out of
-picklable results; it is not a sweep executor.
 """
 
 from __future__ import annotations
@@ -28,17 +25,11 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.exec.tasks import SweepTask
-from repro.exec.worker import (
-    execute_task,
-    preserved_process_state,
-    reset_worker_state,
-)
+from repro.exec.worker import execute_task, preserved_process_state
 
 if TYPE_CHECKING:
     from repro.exec.spool import SpoolConfig
@@ -235,35 +226,3 @@ def run_sweep(
     return SweepOutcome(outcomes=outcomes, workers=1,
                         wall_seconds=time.perf_counter() - start)
 
-
-# ------------------------------------------------------- point-level fan-out
-
-
-def _isolated_apply(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> Any:
-    """Worker-side shim: reset process state, then apply ``fn``."""
-    reset_worker_state()
-    return fn(**kwargs)
-
-
-def map_points(
-    fn: Callable[..., Any],
-    calls: Sequence[Mapping[str, Any]],
-    workers: int = 1,
-) -> List[Any]:
-    """Apply ``fn(**kwargs)`` to every call, preserving input order.
-
-    The parallel building block behind the experiment runners' ``workers``
-    parameter: ``fn`` must be a module-level callable and each result
-    picklable.  ``workers <= 1`` is a plain in-process loop (byte-for-byte
-    the pre-existing serial behaviour); with more workers the points run
-    in a process pool and exceptions propagate to the caller.
-    """
-    if workers <= 1 or len(calls) <= 1:
-        return [fn(**dict(kwargs)) for kwargs in calls]
-    effective = min(workers, len(calls))
-    with ProcessPoolExecutor(max_workers=effective) as executor:
-        futures = [
-            executor.submit(_isolated_apply, fn, dict(kwargs))
-            for kwargs in calls
-        ]
-        return [future.result() for future in futures]

@@ -665,7 +665,8 @@ def _run_workers(spool_dir: str, workers: int, config: SpoolConfig,
                         time.sleep(config.poll_s)  # no tight respawn loop
                 owner = f"{default_owner()}:w{slot}.{spawned[slot]}"
                 spawned[slot] += 1
-                # Not a daemon: a task may fan out with map_points itself.
+                # Not a daemon: daemonic processes cannot have children,
+                # and a task may run a parallel sweep of its own.
                 proc = ctx.Process(
                     target=spool_worker_loop, args=(spool_dir, owner, config,
                                                     timeout_s, trace_dir),

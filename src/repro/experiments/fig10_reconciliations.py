@@ -9,7 +9,7 @@ partition decodes instead of a single expensive (or impossible) one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments.harness import LOSimulation, SimulationParams
 
@@ -60,17 +60,11 @@ def run_fig10(
     num_nodes: int = 50,
     duration_s: float = 30.0,
     seed: int = 42,
-    workers: int = 1,
 ) -> Fig10Result:
-    """Sweep the workload as in Fig. 10 (optionally across processes)."""
-    from repro.exec.engine import map_points
-
+    """Sweep the workload as in Fig. 10."""
     workloads = workloads_tx_per_minute or [30, 120, 300, 600, 1200]
-    calls = [
-        {"tx_per_minute": workload, "num_nodes": num_nodes,
-         "duration_s": duration_s, "seed": seed}
+    return Fig10Result(points=[
+        run_fig10_point(tx_per_minute=workload, num_nodes=num_nodes,
+                        duration_s=duration_s, seed=seed)
         for workload in workloads
-    ]
-    return Fig10Result(
-        points=map_points(run_fig10_point, calls, workers=workers)
-    )
+    ])

@@ -87,21 +87,11 @@ def run_fig6(
     num_nodes: int = 60,
     fractions: Optional[List[float]] = None,
     seed: int = 42,
-    workers: int = 1,
 ) -> Fig6Result:
-    """Sweep the malicious fraction as in Fig. 6.
-
-    ``workers > 1`` runs the per-fraction points in parallel worker
-    processes; each point is a deterministic function of its arguments,
-    so the assembled result is identical to the serial sweep.
-    """
-    from repro.exec.engine import map_points
-
+    """Sweep the malicious fraction as in Fig. 6."""
     fractions = fractions or [0.1, 0.2, 0.3, 0.4, 0.5]
-    calls = [
-        {"num_nodes": num_nodes, "malicious_fraction": fraction, "seed": seed}
+    return Fig6Result(points=[
+        run_detection_point(num_nodes=num_nodes, malicious_fraction=fraction,
+                            seed=seed)
         for fraction in fractions
-    ]
-    return Fig6Result(
-        points=map_points(run_detection_point, calls, workers=workers)
-    )
+    ])

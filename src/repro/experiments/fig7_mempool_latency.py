@@ -105,25 +105,22 @@ def run_fig7(
     bins: int = 40,
     max_latency_s: float = 8.0,
     repetitions: int = 1,
-    workers: int = 1,
 ) -> Fig7Result:
     """Run the workload and collect per-(tx, miner) inclusion latencies.
 
     ``repetitions > 1`` repeats the run at derived seeds (the paper's
-    repetition protocol) and pools every sample into one density;
-    ``workers > 1`` fans the repetition simulations across worker
-    processes via :func:`repro.exec.map_points`.  Samples come back in
-    seed order, so the pooled result is identical to the serial run.
+    repetition protocol) and pools every sample, in seed order, into one
+    density.
     """
-    from repro.exec.engine import map_points
     from repro.experiments.repeat import derive_seeds
 
-    calls = [
-        {"seed": s, "num_nodes": num_nodes, "tx_rate_per_s": tx_rate_per_s,
-         "workload_duration_s": workload_duration_s, "drain_s": drain_s}
+    points = [
+        run_fig7_point(seed=s, num_nodes=num_nodes,
+                       tx_rate_per_s=tx_rate_per_s,
+                       workload_duration_s=workload_duration_s,
+                       drain_s=drain_s)
         for s in derive_seeds(seed, repetitions)
     ]
-    points = map_points(run_fig7_point, calls, workers=workers)
     latencies = [l for point in points for l in point["latencies"]]
     hops = [h for point in points for h in point["hops"]]
     histogram = Histogram(0.0, max_latency_s, bins)

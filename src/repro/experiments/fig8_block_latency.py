@@ -109,30 +109,16 @@ def run_fig8(
     tx_rate_per_s: float = 10.0,
     workload_duration_s: float = 60.0,
     seed: int = 42,
-    workers: int = 1,
 ) -> Fig8Result:
-    """Both panels of Fig. 8.
-
-    With ``workers > 1`` the two policy runs and every size-sweep point
-    execute in parallel worker processes (all are independent simulations
-    of the same seed), merged back in a fixed order.
-    """
-    from repro.exec.engine import map_points
-
+    """Both panels of Fig. 8."""
     sizes = list(size_sweep or [])
-    calls = [
-        {"policy": "fifo", "num_nodes": num_nodes,
-         "tx_rate_per_s": tx_rate_per_s,
-         "workload_duration_s": workload_duration_s, "seed": seed},
-        {"policy": "highest_fee", "num_nodes": num_nodes,
-         "tx_rate_per_s": tx_rate_per_s,
-         "workload_duration_s": workload_duration_s, "seed": seed},
-    ] + [
-        {"policy": "fifo", "num_nodes": n, "tx_rate_per_s": tx_rate_per_s,
-         "workload_duration_s": workload_duration_s, "seed": seed}
-        for n in sizes
+    runs = [("fifo", num_nodes), ("highest_fee", num_nodes)]
+    runs += [("fifo", n) for n in sizes]
+    points = [
+        run_policy(policy=policy, num_nodes=n, tx_rate_per_s=tx_rate_per_s,
+                   workload_duration_s=workload_duration_s, seed=seed)
+        for policy, n in runs
     ]
-    points = map_points(run_policy, calls, workers=workers)
     sweep: Dict[int, Dict[str, float]] = {
         n: point.summary for n, point in zip(sizes, points[2:])
     }

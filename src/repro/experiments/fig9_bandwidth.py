@@ -99,25 +99,15 @@ def run_fig9(
     workload_duration_s: float = 15.0,
     drain_s: float = 5.0,
     seed: int = 42,
-    workers: int = 1,
 ) -> Fig9Result:
-    """Measure overhead for the four protocols on identical workloads.
-
-    ``workers > 1`` runs the four protocol simulations in parallel
-    worker processes; each is independent and deterministic, and the
-    vs-LO ratios are computed after the merge, so the result matches the
-    serial run exactly.
-    """
-    from repro.exec.engine import map_points
-
-    calls = [
-        {"protocol": name, "num_nodes": num_nodes,
-         "tx_rate_per_s": tx_rate_per_s,
-         "workload_duration_s": workload_duration_s,
-         "drain_s": drain_s, "seed": seed}
+    """Measure overhead for the four protocols on identical workloads."""
+    rows = [
+        run_protocol_point(protocol=name, num_nodes=num_nodes,
+                           tx_rate_per_s=tx_rate_per_s,
+                           workload_duration_s=workload_duration_s,
+                           drain_s=drain_s, seed=seed)
         for name in PROTOCOLS
     ]
-    rows = map_points(run_protocol_point, calls, workers=workers)
     lo_overhead = rows[0].overhead_bytes
     for row in rows:
         if row.protocol == "lo":

@@ -110,23 +110,10 @@ def run_cpu_sweep(
     differences: Sequence[int],
     partition_capacity: int = 16,
     seed: int = 42,
-    workers: int = 1,
 ) -> CpuSweepResult:
-    """Section 6.5 rows at several difference sizes, optionally parallel.
-
-    ``workers > 1`` fans the independent comparisons across worker
-    processes via :func:`repro.exec.map_points`; each point is a pure
-    function of ``(difference, partition_capacity, seed)`` except for the
-    wall-clock *timings* themselves, which are machine-dependent either
-    way -- the deterministic surface (difference recovered, sketch
-    counts) is identical serial or parallel.
-    """
-    from repro.exec.engine import map_points
-
-    calls = [
-        {"difference": d, "partition_capacity": partition_capacity,
-         "seed": seed}
+    """Section 6.5 rows at several difference sizes."""
+    return CpuSweepResult(points=[
+        run_cpu_comparison(difference=d, partition_capacity=partition_capacity,
+                           seed=seed)
         for d in differences
-    ]
-    return CpuSweepResult(points=map_points(run_cpu_comparison, calls,
-                                            workers=workers))
+    ])

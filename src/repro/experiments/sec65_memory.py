@@ -74,17 +74,11 @@ def run_memory_sweep(
     num_nodes: int = 40,
     duration_s: float = 30.0,
     seed: int = 42,
-    workers: int = 1,
 ) -> MemoryResult:
     """Sweep workloads as in the section 6.5 memory discussion."""
-    from repro.exec.engine import map_points
-
     workloads = workloads_tx_per_minute or [120, 600, 1200]
-    calls = [
-        {"tx_per_minute": workload, "num_nodes": num_nodes,
-         "duration_s": duration_s, "seed": seed}
+    return MemoryResult(points=[
+        run_memory_point(tx_per_minute=workload, num_nodes=num_nodes,
+                         duration_s=duration_s, seed=seed)
         for workload in workloads
-    ]
-    return MemoryResult(
-        points=map_points(run_memory_point, calls, workers=workers)
-    )
+    ])

@@ -17,7 +17,6 @@ from repro.exec import (
     EXPERIMENTS,
     SpoolConfig,
     derive_tasks,
-    map_points,
     register_experiment,
     run_sweep,
 )
@@ -66,8 +65,9 @@ def _swallowing_experiment(seed, sleep_s=0.0, spin_s=0.0, **params):
 
 
 def _nested_experiment(seed, **params):
-    # An experiment runner's own ``workers=`` fan-out, inside a sweep task.
-    return map_points(_square, [{"x": seed}, {"x": 2}], workers=2)
+    # A task that runs a parallel sweep of its own, inside a sweep worker.
+    tasks = derive_tasks("probe_fast", {}, base_seed=seed, repetitions=2)
+    return [o.result["square"] for o in run_sweep(tasks, workers=2).outcomes]
 
 
 @pytest.fixture(autouse=True)
@@ -124,7 +124,7 @@ def test_parallel_task_may_fan_out_itself():
     tasks = derive_tasks("probe_nested", {}, base_seed=3)
     outcome = run_sweep(tasks, workers=2)
     assert outcome.outcomes[0].ok, outcome.outcomes[0].error
-    assert outcome.outcomes[0].result == [9, 4]
+    assert outcome.outcomes[0].result == [9, 1003 * 1003]
 
 
 def test_raising_experiment_is_recorded_not_fatal():
@@ -213,27 +213,3 @@ def test_per_task_traces_collected(tmp_path):
         header = json.loads(stream.readline())
     assert header["schema"] == "repro.trace/1"
 
-
-def _square(x):
-    return x * x
-
-
-def _seeded(seed):
-    return {"seed": seed, "value": seed * 2}
-
-
-def test_map_points_preserves_order():
-    calls = [{"x": i} for i in range(6)]
-    serial = map_points(_square, calls, workers=1)
-    parallel = map_points(_square, calls, workers=3)
-    assert serial == parallel == [0, 1, 4, 9, 16, 25]
-
-
-def test_map_points_preserves_seed_order():
-    # The seed fan-out behind ``repeat_scalar``: ``run(seed=s)`` per seed.
-    seeds = [7, 1007, 2007]
-    calls = [{"seed": s} for s in seeds]
-    serial = map_points(_seeded, calls, workers=1)
-    parallel = map_points(_seeded, calls, workers=3)
-    assert serial == parallel
-    assert [r["seed"] for r in parallel] == seeds

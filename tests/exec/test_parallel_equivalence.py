@@ -2,9 +2,10 @@
 
 The acceptance property of the sweep executor: for a fixed sweep
 specification, ``workers=N`` must produce a merged document
-*byte-identical* to ``workers=1`` -- and the experiment runners' own
-``workers`` parameter must leave their results (and any downstream
-aggregation, e.g. ``repeat_scalar`` mean/std) exactly unchanged.
+*byte-identical* to ``workers=1``.  A figure's parallel form is a sweep
+of its registered entry, so a ``workers=4`` sweep must also reproduce
+the serial figure runner point for point (and repetition for
+repetition).
 
 Worker fan-out is real multiprocessing even on a single-core machine;
 these tests assert correctness, not speedup (that lives in CI's
@@ -13,13 +14,24 @@ sweep-smoke job on 4-core runners, via ``--check-serial --min-speedup``).
 
 from repro.exec import derive_tasks, run_sweep
 from repro.experiments.fig6_detection import run_fig6
-from repro.experiments.fig9_bandwidth import run_fig9
 from repro.experiments.fig7_mempool_latency import run_fig7
-from repro.experiments.repeat import repeat_scalar
+from repro.experiments.fig9_bandwidth import run_fig9
+from repro.experiments.fig10_reconciliations import run_fig10
+from repro.experiments.repeat import derive_seeds
 from repro.experiments.sec65_cpu import run_cpu_sweep
+from repro.experiments.sec65_memory import run_memory_sweep
 from repro.obs.report import to_jsonable
 
 WORKERS = 4
+
+
+def _parallel_results(experiment, grid, seed, repetitions=1):
+    """Results of a ``WORKERS``-process sweep, in derivation order."""
+    tasks = derive_tasks(experiment, grid, base_seed=seed,
+                         repetitions=repetitions)
+    outcome = run_sweep(tasks, workers=WORKERS)
+    assert not outcome.failed(), [o.error for o in outcome.failed()]
+    return [o.result for o in outcome.outcomes]
 
 
 def test_sweep_byte_identity_on_simulation_tasks():
@@ -39,60 +51,75 @@ def test_sweep_byte_identity_on_simulation_tasks():
 
 
 def test_fig6_parallel_equals_serial():
-    kwargs = dict(num_nodes=10, fractions=[0.1, 0.2], seed=5)
-    serial = run_fig6(**kwargs, workers=1)
-    parallel = run_fig6(**kwargs, workers=WORKERS)
-    assert to_jsonable(serial) == to_jsonable(parallel)
+    serial = run_fig6(num_nodes=10, fractions=[0.1, 0.2], seed=5)
+    parallel = _parallel_results(
+        "fig6_point", {"malicious_fraction": [0.1, 0.2], "num_nodes": [10]},
+        seed=5,
+    )
+    assert parallel == to_jsonable(serial.points)
 
 
 def test_fig9_parallel_equals_serial():
-    kwargs = dict(num_nodes=10, tx_rate_per_s=3.0, workload_duration_s=3.0,
-                  drain_s=2.0, seed=5)
-    serial = run_fig9(**kwargs, workers=1)
-    parallel = run_fig9(**kwargs, workers=WORKERS)
-    assert to_jsonable(serial) == to_jsonable(parallel)
-    # The post-merge ratio fill-in must behave identically too.
-    assert parallel.by_protocol()["lo"].ratio_vs_lo == 1.0
+    # Two repetitions of the whole figure: repetition i is run_fig9 at
+    # the i-th derived seed, vs-LO ratios included.
+    params = dict(num_nodes=10, tx_rate_per_s=3.0, workload_duration_s=3.0,
+                  drain_s=2.0)
+    parallel = _parallel_results(
+        "fig9", {name: [value] for name, value in params.items()}, seed=5,
+        repetitions=2,
+    )
+    serial = [run_fig9(**params, seed=s) for s in derive_seeds(5, 2)]
+    assert parallel == to_jsonable(serial)
+    assert parallel[0] != parallel[1]
+    lo = next(row for row in parallel[0]["rows"] if row["protocol"] == "lo")
+    assert lo["ratio_vs_lo"] == 1.0
 
 
 def test_fig7_repetitions_parallel_equals_serial():
-    kwargs = dict(num_nodes=10, tx_rate_per_s=3.0, workload_duration_s=3.0,
-                  drain_s=3.0, seed=5, repetitions=2)
-    serial = run_fig7(**kwargs, workers=1)
-    parallel = run_fig7(**kwargs, workers=WORKERS)
-    assert to_jsonable(serial) == to_jsonable(parallel)
+    params = dict(num_nodes=10, tx_rate_per_s=3.0, workload_duration_s=3.0,
+                  drain_s=3.0)
+    serial = run_fig7(**params, seed=5, repetitions=2)
+    points = _parallel_results(
+        "fig7_point", {name: [value] for name, value in params.items()},
+        seed=5, repetitions=2,
+    )
+    pooled = [latency for point in points for latency in point["latencies"]]
+    assert pooled == serial.latencies
     # Pooling is real: two repetitions contribute more samples than one.
-    single = run_fig7(**{**kwargs, "repetitions": 1})
+    single = run_fig7(**params, seed=5)
     assert serial.summary["count"] > single.summary["count"]
 
 
+def test_fig10_parallel_equals_serial():
+    serial = run_fig10(workloads_tx_per_minute=[60, 120], num_nodes=8,
+                       duration_s=4.0, seed=5)
+    parallel = _parallel_results(
+        "fig10_point",
+        {"tx_per_minute": [60, 120], "num_nodes": [8], "duration_s": [4.0]},
+        seed=5,
+    )
+    assert parallel == to_jsonable(serial.points)
+
+
+def test_memory_parallel_equals_serial():
+    serial = run_memory_sweep(workloads_tx_per_minute=[60, 120], num_nodes=6,
+                              duration_s=3.0, seed=5)
+    parallel = _parallel_results(
+        "memory_point",
+        {"tx_per_minute": [60, 120], "num_nodes": [6], "duration_s": [3.0]},
+        seed=5,
+    )
+    assert parallel == to_jsonable(serial.points)
+
+
 def test_cpu_sweep_parallel_equals_serial_on_deterministic_fields():
-    kwargs = dict(differences=[4, 8], partition_capacity=16, seed=5)
-    serial = run_cpu_sweep(**kwargs, workers=1)
-    parallel = run_cpu_sweep(**kwargs, workers=WORKERS)
+    serial = run_cpu_sweep(differences=[4, 8], partition_capacity=16, seed=5)
+    parallel = _parallel_results(
+        "cpu", {"difference": [4, 8], "partition_capacity": [16]}, seed=5,
+    )
     # Wall-clock timings are machine noise either way; the deterministic
     # surface (which differences were reconciled, and how many partitioned
     # sketches each decode took) must match exactly.
-    def surface(result):
-        return [(p.difference, p.partitioned_sketches)
-                for p in result.points]
-    assert surface(serial) == surface(parallel)
-    assert [p.difference for p in serial.points] == [4, 8]
-
-
-def _fig7_run(seed):
-    # Module-level so the parallel path can ship it to worker processes.
-    return run_fig7(num_nodes=10, tx_rate_per_s=3.0, workload_duration_s=3.0,
-                    drain_s=3.0, seed=seed)
-
-
-def test_repeat_scalar_parallel_mean_std_identical():
-    run = _fig7_run
-    extract = {
-        "mean_latency": lambda r: r.summary["mean"],
-        "samples": lambda r: r.summary["count"],
-    }
-    serial = repeat_scalar(run, extract, base_seed=7, repetitions=3)
-    parallel = repeat_scalar(run, extract, base_seed=7, repetitions=3,
-                             workers=WORKERS)
-    assert serial == parallel  # exact float equality, mean and std included
+    assert [(p["difference"], p["partitioned_sketches"]) for p in parallel] \
+        == [(p.difference, p.partitioned_sketches) for p in serial.points]
+    assert [p["difference"] for p in parallel] == [4, 8]

@@ -1,8 +1,8 @@
-"""Tests for the repetition/averaging helpers."""
+"""Tests for the repetition seeds."""
 
 import pytest
 
-from repro.experiments.repeat import derive_seeds, repeat_scalar
+from repro.experiments.repeat import derive_seeds
 
 
 def test_derive_seeds_distinct():
@@ -16,33 +16,3 @@ def test_derive_seeds_validation():
     with pytest.raises(ValueError):
         derive_seeds(1, 0)
 
-
-def test_repeat_scalar_aggregates():
-    def run(seed):
-        return {"value": seed % 3}
-
-    stats = repeat_scalar(
-        run, {"value": lambda r: r["value"]}, base_seed=0, repetitions=3
-    )
-    v = stats["value"]
-    assert v["runs"] == 3
-    assert v["min"] <= v["mean"] <= v["max"]
-
-
-def test_repeat_scalar_on_real_experiment():
-    from repro.experiments.fig7_mempool_latency import run_fig7
-
-    stats = repeat_scalar(
-        lambda seed: run_fig7(
-            num_nodes=12, tx_rate_per_s=3.0, workload_duration_s=4.0,
-            drain_s=4.0, seed=seed,
-        ),
-        {
-            "mean_latency": lambda r: r.summary["mean"],
-            "samples": lambda r: r.summary["count"],
-        },
-        base_seed=7,
-        repetitions=2,
-    )
-    assert stats["mean_latency"]["mean"] > 0
-    assert stats["samples"]["runs"] == 2

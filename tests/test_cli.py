@@ -112,11 +112,81 @@ def test_run_takes_no_workers(capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def test_experiment_verbs_accept_workers(capsys):
-    # --workers parses on every verb with an internal sweep.
-    code = main(["fig10", "--nodes", "10", "--duration", "8",
-                 "--workloads", "120", "--workers", "2"])
-    assert code == 0
+FIGURE_VERBS = ["fig6", "fig7", "fig8", "fig9", "fig10", "memory", "cpu"]
+
+
+@pytest.mark.parametrize("verb", FIGURE_VERBS)
+def test_figure_verbs_take_no_workers(verb, capsys):
+    # A figure runs serially; its parallel form is a sweep of its point.
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def test_sweep_is_the_only_verb_with_workers():
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    with_workers = sorted(
+        name for name, verb in sub.choices.items()
+        if any("--workers" in a.option_strings for a in verb._actions)
+    )
+    assert with_workers == ["sweep"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "--trace", "t.jsonl", "--trace-sample", "0"],
+                 "--trace-sample: must be >= 1, got 0", id="trace-sample"),
+    pytest.param(["fig6", "--trace", "t.jsonl", "--trace-snapshot-s", "0"],
+                 "--trace-snapshot-s: must be > 0, got 0",
+                 id="trace-snapshot-s"),
+    pytest.param(["run", "--timeline", "t.jsonl", "--timeline-bins", "3"],
+                 "--timeline-bins: must be a power of two >= 4, got 3",
+                 id="timeline-bins-small"),
+    pytest.param(["run", "--timeline", "t.jsonl", "--timeline-bins", "48"],
+                 "--timeline-bins: must be a power of two >= 4, got 48",
+                 id="timeline-bins-not-power-of-two"),
+    pytest.param(["run", "--timeline", "t.jsonl",
+                  "--timeline-interval", "-0.5"],
+                 "--timeline-interval: must be > 0, got -0.5",
+                 id="timeline-interval"),
+    pytest.param(["run", "--until-steady", "--steady-window", "1"],
+                 "--steady-window: must be >= 2, got 1", id="steady-window"),
+    pytest.param(["run", "--until-steady", "--steady-rel-tol", "-0.1"],
+                 "--steady-rel-tol: must be >= 0, got -0.1",
+                 id="steady-rel-tol"),
+    pytest.param(["fig7", "--repetitions", "0"],
+                 "--repetitions: must be >= 1, got 0", id="fig7-repetitions"),
+    pytest.param(["sweep", "run", "--repetitions", "0"],
+                 "--repetitions: must be >= 1, got 0",
+                 id="sweep-repetitions"),
+    pytest.param(["sweep", "run", "--workers", "0"],
+                 "--workers: must be >= 1, got 0", id="sweep-workers"),
+    pytest.param(["sweep", "run", "--max-attempts", "0"],
+                 "--max-attempts: must be >= 1, got 0",
+                 id="sweep-max-attempts"),
+])
+def test_out_of_range_numbers_are_usage_errors(argv, message, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # nothing may run, but keep any file here
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_trace_sees_every_figure_point(tmp_path, capsys):
+    trace = tmp_path / "memory.jsonl"
+    assert main(["memory", "--nodes", "6", "--duration", "3",
+                 "--workloads", "60", "120", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    runs = [r for r in records if r.get("name") == "sim.run"]
+    assert len(runs) == 2
+    assert runs[0]["span_id"] != runs[1]["span_id"]
 
 
 SPOOL_ARGS = [
@@ -163,9 +233,9 @@ def test_sweep_spool_guards(tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
-def test_fig7_accepts_repetitions_and_workers(capsys):
+def test_fig7_accepts_repetitions(capsys):
     code = main(["fig7", "--nodes", "10", "--rate", "3", "--duration", "3",
-                 "--repetitions", "2", "--workers", "2"])
+                 "--repetitions", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "count" in out and "210" in out  # 2 reps x 105 pooled samples
@@ -174,7 +244,7 @@ def test_fig7_accepts_repetitions_and_workers(capsys):
 def test_cpu_accepts_differences_sweep(tmp_path, capsys):
     out_file = tmp_path / "cpu.json"
     code = main(["cpu", "--differences", "8", "16", "--capacity", "8",
-                 "--workers", "2", "--json", str(out_file)])
+                 "--json", str(out_file)])
     assert code == 0
     assert "speedup" in capsys.readouterr().out
     payload = json.loads(out_file.read_text())
