@@ -10,8 +10,12 @@ network eviction, leader ineligibility and block rejection.
 Run:  python examples/client_and_enforcement.py
 """
 
-from repro.attacks import OffChannelNode
-from repro.attacks.blockattacks import ReorderingNode, make_block_attacker_factory
+from repro.attacks import (
+    OffChannel,
+    Reorderer,
+    attacker,
+    make_block_attacker_factory,
+)
 from repro.core.client import LightClient
 from repro.core.enforcement import EnforcementManager
 from repro.experiments.harness import LOSimulation, SimulationParams
@@ -20,13 +24,7 @@ from repro.experiments.harness import LOSimulation, SimulationParams
 def stage1_censorship_demo() -> None:
     print("== stage-I censorship caught by the client ==")
 
-    def factory(**kwargs):
-        node = OffChannelNode(**kwargs)
-        node.peers_off_channel = set()
-        node.launder = True
-        node.intercept_fee_min = 100
-        return node
-
+    factory = attacker(OffChannel, launder=True, intercept_fee_min=100)
     sim = LOSimulation(
         SimulationParams(num_nodes=12, seed=21, malicious_ids=[0],
                          attacker_factory=factory)
@@ -55,7 +53,7 @@ def enforcement_demo() -> None:
     sim = LOSimulation(
         SimulationParams(
             num_nodes=15, seed=22, malicious_ids=[0],
-            attacker_factory=make_block_attacker_factory(ReorderingNode),
+            attacker_factory=make_block_attacker_factory(Reorderer),
         )
     )
     manager = EnforcementManager(sim.directory)

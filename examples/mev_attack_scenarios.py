@@ -15,18 +15,20 @@ implicated by commitment-chain tracing.
 Run:  python examples/mev_attack_scenarios.py
 """
 
-from repro.attacks import OffChannelNode, trace_commitment_chain
-from repro.attacks.blockattacks import (
-    BlockspaceCensorNode,
-    InjectingNode,
-    ReorderingNode,
+from repro.attacks import (
+    BlockspaceCensor,
+    Injector,
+    OffChannel,
+    Reorderer,
+    attacker,
     make_block_attacker_factory,
+    trace_commitment_chain,
 )
 from repro.experiments.harness import LOSimulation, SimulationParams
 
 
-def run_block_attack(name, attacker_cls, censor_predicate=None):
-    factory = make_block_attacker_factory(attacker_cls, censor_predicate)
+def run_block_attack(name, policy, censor_predicate=None):
+    factory = make_block_attacker_factory(policy, censor_predicate)
     sim = LOSimulation(
         SimulationParams(num_nodes=20, seed=11, malicious_ids=[0],
                          attacker_factory=factory)
@@ -54,20 +56,21 @@ def run_block_attack(name, attacker_cls, censor_predicate=None):
         print(f"violation: {kind.value}  "
               f"(policy broken: {kind.policy.value}; "
               f"manipulation: {kind.manipulation.value})")
+    # The attacker's own record of what it did: the ground truth the
+    # inspectors' verdicts are checked against.
+    recorded = {kind for _, kind, _ in sim.nodes[0].adversary.record}
+    print(f"attacker's record: {sorted(recorded)}")
     assert len(exposed_by) == len(sim.correct_ids)
+    assert recorded == {kind.value for kind in kinds}
     return kinds
 
 
 def run_collusion():
     print("\n== off-channel collusion (section 5.3 + stage-I interception) ==")
 
-    def factory(**kwargs):
-        node = OffChannelNode(**kwargs)
-        node.peers_off_channel = {0, 1} - {kwargs["node_id"]}
-        node.launder = True
-        node.intercept_fee_min = 500  # steal juicy client transactions
-        return node
-
+    # Colluders 0 and 1 launder, and steal juicy client transactions.
+    factory = attacker(OffChannel, colluders={0, 1}, launder=True,
+                       intercept_fee_min=500)
     sim = LOSimulation(
         SimulationParams(num_nodes=20, seed=13, malicious_ids=[0, 1],
                          attacker_factory=factory)
@@ -90,12 +93,13 @@ def run_collusion():
         state["acked"] = accepted
 
     def strike():
-        attacker = sim.nodes[0]
+        creator = sim.nodes[0]
         tx = state["tx"]
         state["covert"] = (
-            tx.sketch_id in attacker.stolen and tx.sketch_id not in attacker.log
+            tx.sketch_id in creator.adversary.stolen
+            and tx.sketch_id not in creator.log
         )
-        attacker.on_leader_elected()  # launders the stolen tx as 'local'
+        creator.on_leader_elected()  # launders the stolen tx as 'local'
 
     sim.loop.call_at(1.0, submit)
     sim.loop.call_at(3.0, strike)
@@ -125,12 +129,12 @@ def run_collusion():
 def main() -> None:
     from repro.core.policies import ViolationKind
 
-    kinds = run_block_attack("injection (front-running)", InjectingNode)
+    kinds = run_block_attack("injection (front-running)", Injector)
     assert ViolationKind.UNCOMMITTED_TX_IN_BODY in kinds
-    kinds = run_block_attack("re-ordering (fee-sorted block)", ReorderingNode)
+    kinds = run_block_attack("re-ordering (fee-sorted block)", Reorderer)
     assert ViolationKind.ORDER_DEVIATION in kinds
     kinds = run_block_attack(
-        "blockspace censorship", BlockspaceCensorNode,
+        "blockspace censorship", BlockspaceCensor,
         censor_predicate=lambda i: i % 2 == 0,
     )
     assert ViolationKind.MISSING_COMMITTED_TX in kinds

@@ -1,45 +1,57 @@
-"""Faulty-miner implementations (sections 2.2, 3.1, 5.3).
+"""Faulty-miner policies (sections 2.2, 3.1, 5.3).
 
-Each attacker subclasses :class:`~repro.core.node.LONode` and deviates in
+Every attack is an :class:`Adversary` policy in the ``adversary`` slot of
+an honest :class:`~repro.core.node.LONode` (see :mod:`repro.attacks.adversary`
+for the seams it acts on and the record it keeps).  Each deviates in
 exactly one dimension, so experiments can attribute effects to a single
 manipulation primitive:
 
-* :class:`CensoringNode` -- mempool censorship: ignores reconciliation
-  requests and/or refuses to commit targeted transactions; also able to
-  drop blame traffic to hinder detection (the section 6.2 adversary).
-* :class:`EquivocatingNode` -- maintains forked commitment histories and
-  shows different forks to different peers.
-* :class:`InjectingNode` -- block injection: puts uncommitted transactions
-  at the front of its blocks.
-* :class:`ReorderingNode` -- block re-ordering: fills its blocks in fee
-  order instead of the canonical order.
-* :class:`BlockspaceCensorNode` -- blockspace censorship: silently omits
+* :class:`Censor` -- mempool censorship: ignores reconciliation requests
+  and/or refuses to commit targeted transactions; also able to drop blame
+  traffic to hinder detection (the section 6.2 adversary).
+* :class:`Equivocator` -- shows different forks of its commitment history
+  to different peers.
+* :class:`Injector` -- block injection: puts uncommitted transactions at
+  the front of its blocks.
+* :class:`Reorderer` -- block re-ordering: fills its blocks in fee order
+  instead of the canonical order.
+* :class:`BlockspaceCensor` -- blockspace censorship: silently omits
   committed transactions from its blocks.
-* :mod:`repro.attacks.collusion` -- off-channel transaction sharing between
-  colluding miners, and the commitment-chain tracing that implicates them.
+* :class:`OffChannel` -- off-channel transaction sharing between colluding
+  miners; :func:`trace_commitment_chain` implicates them.
+* :class:`Slow`, :class:`Garbage`, :func:`spam_invalid`,
+  :func:`spam_dust` -- the degraded and protocol-abusing stress cases.
+
+``attacker(policy, **settings)`` is the harness ``attacker_factory`` for
+any of them.
 """
 
-from repro.attacks.censorship import CensoringNode, make_censor_factory
-from repro.attacks.equivocation import EquivocatingNode
+from repro.attacks.adversary import Adversary, attacker
+from repro.attacks.censorship import Censor, make_censor_factory
+from repro.attacks.equivocation import Equivocator
 from repro.attacks.blockattacks import (
-    BlockspaceCensorNode,
-    InjectingNode,
-    ReorderingNode,
+    BlockspaceCensor,
+    Injector,
+    Reorderer,
     make_block_attacker_factory,
 )
-from repro.attacks.collusion import OffChannelNode, trace_commitment_chain
-from repro.attacks.degraded import SlowNode, SpamClientNode
+from repro.attacks.collusion import OffChannel, trace_commitment_chain
+from repro.attacks.degraded import Garbage, Slow, spam_dust, spam_invalid
 
 __all__ = [
-    "BlockspaceCensorNode",
-    "CensoringNode",
-    "EquivocatingNode",
-    "InjectingNode",
-    "OffChannelNode",
-    "ReorderingNode",
-    "SlowNode",
-    "SpamClientNode",
+    "Adversary",
+    "BlockspaceCensor",
+    "Censor",
+    "Equivocator",
+    "Garbage",
+    "Injector",
+    "OffChannel",
+    "Reorderer",
+    "Slow",
+    "attacker",
     "make_block_attacker_factory",
     "make_censor_factory",
+    "spam_dust",
+    "spam_invalid",
     "trace_commitment_chain",
 ]

@@ -1,101 +1,62 @@
 """Block-building attackers: injection, re-ordering, blockspace censorship.
 
-Each attacker builds a block that deviates from the canonical expectation
-in exactly one way; block inspection (section 4.3) attributes the matching
+Each attacker changes the canonical body in exactly one way at the block
+body seam; the node re-signs and announces it as it would its honest
+block, and block inspection (section 4.3) attributes the matching
 violation kind and exposes the creator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Callable, Optional
 
-from repro.chain.block import sign_block
-from repro.core.node import LONode
-from repro.core.reconciliation import BlockAnnounce
-
-
-class _BlockAttackNode(LONode):
-    """Shared plumbing: announce a hand-crafted body with honest context."""
-
-    def _announce_body(self, tx_ids, commit_seq) -> None:
-        block = sign_block(
-            self.keypair,
-            height=self.ledger.height + 1,
-            prev_hash=self.ledger.tip_hash,
-            tx_ids=tx_ids,
-            commit_seq=commit_seq,
-            created_at=self.now,
-        )
-        header = self.header_at(commit_seq) or self.header()
-        announce = BlockAnnounce(
-            block=block,
-            header=header,
-            bundle_ids=tuple(b.ids for b in self.bundles[:commit_seq]),
-        )
-        self.ledger.append(block)
-        self._seen_blocks.add(block.block_hash)
-        self._announces_by_height[block.height] = announce
-        if self.block_tracker is not None:
-            for sketch_id in block.tx_ids:
-                self.block_tracker.record_seen(sketch_id, 0, self.now)
-        if self.on_block_created is not None:
-            self.on_block_created(block)
-        for peer in self._eligible_neighbors():
-            self._send(peer, "lo/block", announce, announce.wire_size(),
-                       is_overhead=False)
-
-    def _canonical_body(self):
-        """The honest body and seq this node *should* produce."""
-        block = self.builder.build(
-            self.log, self.bundles, self.ledger, created_at=self.now
-        )
-        return list(block.tx_ids), block.commit_seq
+from repro.attacks.adversary import Adversary, attacker
+from repro.mempool.transaction import make_transaction
 
 
-class InjectingNode(_BlockAttackNode):
+class Injector(Adversary):
     """Front-runs by inserting its own uncommitted transactions first.
 
     "Faulty miners inject new transactions in blocks in an arbitrary
     manner, without prior sharing of the updated mempool" (section 2.2).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.injected_per_block = 2
-        self.injected_ids: Set[int] = set()
+    def __init__(self, node, injected_per_block: int = 2):
+        super().__init__(node)
+        self.injected_per_block = injected_per_block
 
-    def on_leader_elected(self) -> None:
-        body, seq = self._canonical_body()
+    def block_body(self, block):
+        node = self.node
         front = []
         for _ in range(self.injected_per_block):
-            self._nonce += 1
-            from repro.mempool.transaction import make_transaction
-
+            node._nonce += 1
             tx = make_transaction(
-                self.keypair, self._nonce, fee=1000, created_at=self.now
+                node.keypair, node._nonce, fee=1000, created_at=node.now
             )
             # Deliberately NOT committed: the whole point of the attack.
             front.append(tx.sketch_id)
-            self.injected_ids.add(tx.sketch_id)
-        self._announce_body(tuple(front + body), seq)
+            self.did("uncommitted-tx-in-body", tx.sketch_id)
+        return tuple(front) + block.tx_ids, block.commit_seq
 
 
-class ReorderingNode(_BlockAttackNode):
+class Reorderer(Adversary):
     """Replaces the canonical order with fee-priority order (same tx set)."""
 
-    def on_leader_elected(self) -> None:
-        body, seq = self._canonical_body()
-        by_fee = sorted(
-            body,
-            key=lambda i: (
-                -(self.log.content_of(i).fee if self.log.content_of(i) else 0),
-                i,
-            ),
-        )
-        self._announce_body(tuple(by_fee), seq)
+    def block_body(self, block):
+        content_of = self.node.log.content_of
+
+        def fee(sketch_id: int) -> int:
+            tx = content_of(sketch_id)
+            return tx.fee if tx is not None else 0
+
+        body = tuple(sorted(block.tx_ids, key=lambda i: (-fee(i), i)))
+        for canonical, placed in zip(block.tx_ids, body):
+            if placed != canonical:
+                self.did("order-deviation", placed)
+        return body, block.commit_seq
 
 
-class BlockspaceCensorNode(_BlockAttackNode):
+class BlockspaceCensor(Adversary):
     """Omits targeted committed transactions from its blocks.
 
     "Faulty miners can exclude valid transactions from blocks, even after
@@ -103,32 +64,25 @@ class BlockspaceCensorNode(_BlockAttackNode):
     (section 2.2, blockspace censorship).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.censor_predicate: Callable[[int], bool] = lambda _i: False
-        self.censored_in_blocks: Set[int] = set()
+    def __init__(self, node, censor_predicate: Callable[[int], bool]):
+        super().__init__(node)
+        self.censor_predicate = censor_predicate
 
-    def on_leader_elected(self) -> None:
-        body, seq = self._canonical_body()
-        kept = []
-        for sketch_id in body:
-            if self.censor_predicate(sketch_id):
-                self.censored_in_blocks.add(sketch_id)
-            else:
-                kept.append(sketch_id)
-        self._announce_body(tuple(kept), seq)
+    def block_body(self, block):
+        kept = self.omit(block.tx_ids, self.censor_predicate,
+                         "missing-committed-tx")
+        return tuple(kept), block.commit_seq
 
 
 def make_block_attacker_factory(
-    attacker_cls,
+    policy,
     censor_predicate: Optional[Callable[[int], bool]] = None,
 ):
-    """Harness factory for block attackers."""
+    """Harness factory for one block attack.
 
-    def factory(**kwargs):
-        node = attacker_cls(**kwargs)
-        if censor_predicate is not None and hasattr(node, "censor_predicate"):
-            node.censor_predicate = censor_predicate
-        return node
-
-    return factory
+    Only :class:`BlockspaceCensor` takes ``censor_predicate``; given to
+    another policy it is a ``TypeError``, not silently ignored.
+    """
+    settings = {} if censor_predicate is None else {
+        "censor_predicate": censor_predicate}
+    return attacker(policy, **settings)

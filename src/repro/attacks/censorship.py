@@ -1,4 +1,4 @@
-"""Mempool censorship attackers (sections 2.2, 6.2).
+"""Mempool censorship (sections 2.2, 6.2).
 
 The section 6.2 adversary "aim[s] to hinder correct nodes from receiving
 information about transactions, commitments, exposure, and suspicion
@@ -11,150 +11,102 @@ does respond, which upgrades its detectability from suspicion to exposure
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set
+from typing import Callable, Iterable, Optional, Sequence
 
-from repro.core.commitment import CommitmentHeader, sign_header
+from repro.attacks.adversary import Adversary, attacker
 from repro.core.node import LONode
-from repro.crypto.hashing import sha256
+from repro.core.reconciliation import SyncResponse
+from repro.core.wire import validate_payload
 from repro.net.message import Message
 
+#: Accountability gossip a blame-dropping censor swallows.
+BLAME_TYPES = frozenset(("lo/suspicion", "lo/exposure", "lo/commit_upd"))
 
-class CensoringNode(LONode):
+#: Compatibility name for the benchmark harness, whose tracer patches
+#: ``CensoringNode.on_message``; censors are :class:`Censor` policies on
+#: plain nodes.  Goes when a benchmark change stops lobench patching it.
+CensoringNode = LONode
+
+
+class Censor(Adversary):
     """A faulty miner that censors transactions and blame traffic.
 
-    Behaviour toggles (set after construction or via
-    :func:`make_censor_factory`):
-
     * ``colluders`` -- node ids it keeps talking to (other attackers).
-    * ``ignore_sync`` -- drop sync requests from non-colluders (-> the
-      requester times out, retries, then suspects: Fig. 6 'Suspicion').
+    * ``ignore_sync`` -- drop sync and content requests from
+      non-colluders (-> the requester times out, retries, then suspects:
+      Fig. 6 'Suspicion').
     * ``drop_blames`` -- swallow suspicion/exposure/commit-update gossip.
-    * ``equivocate`` -- answer non-colluders it does talk to with a forked
-      commitment header (-> provable exposure: Fig. 6 'Exposure').
-    * ``censor_ids`` -- specific transaction ids it refuses to commit.
+    * ``equivocate`` -- answer every non-colluder's sync request with a
+      bare response carrying a forked header, and nothing else
+      (-> provable exposure: Fig. 6 'Exposure').
+    * ``censor_predicate`` -- transaction ids it refuses to commit.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.colluders: Set[int] = set()
-        self.ignore_sync = True
-        self.drop_blames = True
-        self.equivocate = False
-        self.censor_ids: Set[int] = set()
-        self._fork_headers: dict = {}
+    def __init__(self, node: LONode, colluders: Iterable[int] = (),
+                 ignore_sync: bool = True, drop_blames: bool = True,
+                 equivocate: bool = False,
+                 censor_predicate: Optional[Callable[[int], bool]] = None):
+        super().__init__(node)
+        self.colluders = set(colluders) - {node.node_id}
+        self.ignore_sync = ignore_sync
+        self.drop_blames = drop_blames
+        self.equivocate = equivocate
+        self.censor_predicate = censor_predicate
 
-    # ------------------------------------------------------------ behaviour
+    def intercepts(self, message: Message) -> bool:
+        msg_type, sender = message.msg_type, message.sender
+        if self.drop_blames and msg_type in BLAME_TYPES:
+            self.did("drop-blame", sender)
+            return True
+        if sender in self.colluders:
+            return False
+        if msg_type == "lo/content_req" and self.ignore_sync:
+            self.did("withhold-content", sender)
+            return True
+        if msg_type != "lo/sync_req":
+            return False
+        if self.equivocate:
+            return self._answer_with_fork(message)
+        if self.ignore_sync:
+            # A pure censor never answers, leaving only suspicion evidence.
+            self.did("ignore-sync", sender)
+            return True
+        return False
 
-    def _is_colluder(self, node_id: int) -> bool:
-        return node_id in self.colluders
-
-    def on_message(self, message: Message) -> None:
-        if self.drop_blames and message.msg_type in (
-            "lo/suspicion", "lo/exposure", "lo/commit_upd"
-        ):
-            return  # swallow accountability traffic
-        if (
-            self.ignore_sync
-            and message.msg_type == "lo/content_req"
-            and not self._is_colluder(message.sender)
-        ):
-            return  # censor: withhold transaction contents
-        if (
-            self.ignore_sync
-            and not self.equivocate
-            and message.msg_type == "lo/sync_req"
-            and not self._is_colluder(message.sender)
-        ):
-            # Pure censor: never answer, leaving only suspicion evidence.
-            # An equivocating censor instead answers with a forked
-            # commitment (handled in _handle_sync_request), which upgrades
-            # detection to a provable exposure.
-            return
-        super().on_message(message)
-
-    def _handle_sync_request(self, message: Message) -> None:
-        if self.equivocate and not self._is_colluder(message.sender):
-            self._respond_with_fork(message)
-            return
-        super()._handle_sync_request(message)
-
-    def _respond_with_fork(self, message: Message) -> None:
-        """Answer with a forked (same-seq, different-digest) commitment."""
-        from repro.core.reconciliation import SyncResponse
-
-        request = message.payload
-        header = self._forked_header()
+    def _answer_with_fork(self, message: Message) -> bool:
+        if validate_payload("lo/sync_req", message.payload) is not None:
+            return False  # malformed: ingress counts the violation
         response = SyncResponse(
-            request_id=request.request_id,
-            header=header,
+            request_id=message.payload.request_id,
+            header=self.header_for(message.sender, "lo/sync_resp"),
             status="ok",
             requested_ids=(),
             offered_ids=(),
         )
-        self._send(message.sender, "lo/sync_resp", response, response.wire_size())
+        self.node._send(message.sender, "lo/sync_resp", response,
+                        response.wire_size())
+        return True
 
-    def _forked_header(self) -> CommitmentHeader:
-        """A signed header whose digest chain conflicts with the honest one.
+    def header_for(self, peer: int, msg_type: str):
+        if (self.equivocate and msg_type == "lo/sync_resp"
+                and peer not in self.colluders):
+            return self.fork(peer)
+        return self.node.header()
 
-        Signing two different chains at the same sequence number is exactly
-        the equivocation the commitment store proves (section 5.2).
-        """
-        seq = self.seq
-        if seq == 0:
-            # Nothing to fork yet; fall back to the honest header.
-            return self.header()
-        cached = self._fork_headers.get(seq)
-        if cached is not None:
-            return cached
-        digests = list(self.header().digests)
-        digests[-1] = sha256(digests[-1] + b"fork")
-        forked = sign_header(
-            self.keypair,
-            seq=seq,
-            tx_count=len(self.log),
-            digests=digests,
-            clock=self.log.clock,
-        )
-        self._fork_headers[seq] = forked
-        return forked
-
-    def _commit_bundle(self, ids, source_peer):
-        """Refuse to commit censored transaction ids."""
-        kept = [i for i in ids if i not in self.censor_ids]
-        if not kept:
-            return None
-        return super()._commit_bundle(kept, source_peer)
+    def commit_filter(self, ids: Sequence[int], source_peer) -> Sequence[int]:
+        if self.censor_predicate is None:
+            return ids
+        return self.omit(ids, self.censor_predicate, "refuse-commit")
 
 
 def make_censor_factory(
-    colluders: Set[int],
+    colluders: Iterable[int],
     ignore_sync: bool = True,
     drop_blames: bool = True,
     equivocate: bool = False,
     censor_predicate: Optional[Callable[[int], bool]] = None,
-) -> Callable[..., CensoringNode]:
-    """Harness factory producing configured censoring nodes."""
-
-    def factory(**kwargs) -> CensoringNode:
-        node = CensoringNode(**kwargs)
-        node.colluders = set(colluders) - {node.node_id}
-        node.ignore_sync = ignore_sync
-        node.drop_blames = drop_blames
-        node.equivocate = equivocate
-        if censor_predicate is not None:
-            # Predicate-based censorship is applied via id filtering at
-            # commit time; materialise lazily through a wrapper set.
-            node.censor_ids = _PredicateSet(censor_predicate)
-        return node
-
-    return factory
-
-
-class _PredicateSet:
-    """Set-like membership driven by a predicate (for censor_ids)."""
-
-    def __init__(self, predicate: Callable[[int], bool]):
-        self._predicate = predicate
-
-    def __contains__(self, item: int) -> bool:
-        return self._predicate(item)
+) -> Callable[..., LONode]:
+    """Harness factory producing nodes run by a configured :class:`Censor`."""
+    return attacker(Censor, colluders=colluders, ignore_sync=ignore_sync,
+                    drop_blames=drop_blames, equivocate=equivocate,
+                    censor_predicate=censor_predicate)

@@ -19,98 +19,102 @@ commitment exchange.  ``C`` then either
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
+from repro.attacks.adversary import Adversary
 from repro.core.node import LONode
+from repro.core.wire import validate_payload
 from repro.net.message import Message
 
 
-class OffChannelNode(LONode):
+class OffChannel(Adversary):
     """A colluder that shares/receives transactions outside the protocol.
 
-    ``peers_off_channel`` are fellow colluders.  ``launder`` selects the
+    ``colluders`` are its fellow colluders.  ``launder`` selects the
     variant: False -> include stolen txs uncommitted (injection),
     True -> commit them as a fake 'local' bundle right before building.
+    Client transactions with fee >= ``intercept_fee_min`` are fake-acked,
+    withheld from the protocol entirely, and forwarded off-channel ("a
+    faulty miner either provides a fake transaction reception
+    acknowledgement...", section 2.3 stage I).
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.peers_off_channel: Set[int] = set()
-        self.launder = False
-        # Stage-I interception: client transactions with fee >= this are
-        # fake-acked, withheld from the protocol entirely, and forwarded
-        # off-channel ("a faulty miner either provides a fake transaction
-        # reception acknowledgement...", section 2.3 stage I).
-        self.intercept_fee_min: Optional[int] = None
+    def __init__(self, node: LONode, colluders: Iterable[int] = (),
+                 launder: bool = False,
+                 intercept_fee_min: Optional[int] = None):
+        super().__init__(node)
+        self.colluders = set(colluders) - {node.node_id}
+        self.launder = launder
+        self.intercept_fee_min = intercept_fee_min
         self.stolen: Dict[int, object] = {}  # sketch_id -> Transaction
 
-    def receive_client_transaction(self, tx, peer=None) -> bool:
-        if (
-            self.intercept_fee_min is not None
-            and tx.fee >= self.intercept_fee_min
-            and tx.sketch_id not in self.log
-        ):
-            self.stolen[tx.sketch_id] = tx
-            for colluder in self.peers_off_channel:
-                self._send(colluder, "atk/offchannel", tx, tx.wire_size())
-            return True  # fake acknowledgement: the client believes it's in
-        return super().receive_client_transaction(tx, peer=peer)
+    def _share(self, tx) -> None:
+        for colluder in self.colluders:
+            self.node._send(colluder, "atk/offchannel", tx, tx.wire_size())
+            self.did("offchannel", tx.sketch_id)
 
-    # Forward every new transaction content to colluders, off the record.
-    def _ingest_content(self, tx) -> None:
-        super()._ingest_content(tx)
-        for peer in self.peers_off_channel:
-            self._send(peer, "atk/offchannel", tx, tx.wire_size())
-
-    def on_message(self, message: Message) -> None:
+    def intercepts(self, message: Message) -> bool:
         if message.msg_type == "atk/offchannel":
             tx = message.payload
             # Keep it secret: no commitment, no log entry.
-            if tx.sketch_id not in self.log:
+            if tx.sketch_id not in self.node.log:
                 self.stolen[tx.sketch_id] = tx
-            return
-        super().on_message(message)
+            return True
+        # Forward every transaction content it receives, off the record.
+        payload = message.payload
+        if (message.msg_type == "lo/content_resp"
+                and validate_payload("lo/content_resp", payload) is None):
+            for tx in payload.txs:
+                self._share(tx)
+        return False
 
-    def _commit_bundle(self, ids, source_peer):
+    def intercepts_client_tx(self, tx) -> bool:
+        if (
+            self.intercept_fee_min is None
+            or tx.fee < self.intercept_fee_min
+            or tx.sketch_id in self.node.log
+        ):
+            return False
+        self.stolen[tx.sketch_id] = tx
+        self.did("intercept", tx.sketch_id)
+        self._share(tx)
+        return True  # fake acknowledgement: the client believes it's in
+
+    def commit_filter(self, ids, source_peer):
         # Fig. 5: the stolen transactions are deliberately kept out of the
         # protocol ("exchange transaction t off-channel without making any
         # commitments"), even when a reconciliation would commit them.
-        kept = [i for i in ids if i not in self.stolen]
-        if not kept:
-            return None
-        return super()._commit_bundle(kept, source_peer)
+        if not self.stolen:
+            return ids
+        return self.omit(ids, self.stolen.__contains__, "refuse-commit")
 
-    def on_leader_elected(self) -> None:
+    def block_body(self, block):
+        node = self.node
         usable = {
             i: tx for i, tx in self.stolen.items()
-            if i not in self.log and not self.ledger.is_settled(i)
+            if i not in node.log and not node.ledger.is_settled(i)
         }
         if not usable:
-            super().on_leader_elected()
-            return
-        if self.launder:
-            # Commit the stolen txs as if clients had submitted them here
-            # (dropping them from the covert store first, so the censoring
-            # _commit_bundle override lets them through).
-            for sketch_id in usable:
-                self.stolen.pop(sketch_id, None)
-            self._commit_bundle(sorted(usable), source_peer=None)
-            for tx in usable.values():
-                if (
-                    tx.sketch_id in self.log
-                    and self.log.content_of(tx.sketch_id) is None
-                ):
-                    self.log.add_content(tx, valid=True)
-            super().on_leader_elected()
-            return
-        # Injection variant: put the stolen txs first, uncommitted.
-        block = self.builder.build(
-            self.log, self.bundles, self.ledger, created_at=self.now
+            return block.tx_ids, block.commit_seq
+        if not self.launder:
+            # Injection variant: put the stolen txs first, uncommitted.
+            for sketch_id in sorted(usable):
+                self.did("uncommitted-tx-in-body", sketch_id)
+            return tuple(sorted(usable)) + block.tx_ids, block.commit_seq
+        # Commit the stolen txs as if clients had submitted them here
+        # (dropping them from the covert store first, so the commit filter
+        # lets them through), then build the canonical block over them.
+        for sketch_id in usable:
+            self.stolen.pop(sketch_id)
+            self.did("launder", sketch_id)
+        node._commit_bundle(sorted(usable), source_peer=None)
+        for sketch_id, tx in usable.items():
+            if sketch_id in node.log and node.log.content_of(sketch_id) is None:
+                node.log.add_content(tx, valid=True)
+        rebuilt = node.builder.build(
+            node.log, node.bundles, node.ledger, created_at=node.now
         )
-        from repro.attacks.blockattacks import _BlockAttackNode
-
-        body = tuple(sorted(usable)) + tuple(block.tx_ids)
-        _BlockAttackNode._announce_body(self, body, block.commit_seq)
+        return rebuilt.tx_ids, rebuilt.commit_seq
 
 
 @dataclass

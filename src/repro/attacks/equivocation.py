@@ -1,8 +1,8 @@
 """A pure equivocation attacker (section 5.2, 'Equivocation Detection').
 
-Unlike :class:`~repro.attacks.censorship.CensoringNode` (which equivocates
-only as a side effect of censoring), this node runs the protocol normally
-but presents *different* commitment histories to two halves of its peers --
+Unlike :class:`~repro.attacks.censorship.Censor` (which equivocates only
+as a side effect of censoring), this node runs the protocol normally but
+presents *different* commitment histories to two halves of its peers --
 the classic fork attack.  Any correct node that comes to hold headers from
 both forks (directly, or through a relayed blame) produces transferable
 equivocation evidence.
@@ -10,78 +10,15 @@ equivocation evidence.
 
 from __future__ import annotations
 
-from repro.core.commitment import CommitmentHeader, sign_header
-from repro.core.node import LONode
-from repro.crypto.hashing import sha256
-from repro.net.message import Message
+from repro.attacks.adversary import Adversary
+from repro.core.commitment import CommitmentHeader
 
 
-class EquivocatingNode(LONode):
-    """Shows fork A to even-numbered peers and fork B to odd-numbered ones."""
+class Equivocator(Adversary):
+    """Shows fork A (its honest chain) to even-numbered peers and fork B
+    to odd-numbered ones, in every header it sends to one peer."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fork_cache: dict = {}
-
-    def _fork_for(self, peer: int) -> int:
-        return peer % 2
-
-    def _honest_header(self) -> CommitmentHeader:
-        # Bypass self.header, which outgoing-request interception may have
-        # temporarily rebound to the per-peer fork.
-        return LONode.header(self)
-
-    def _header_for_peer(self, peer: int) -> CommitmentHeader:
-        if self._fork_for(peer) == 0 or self.seq == 0:
-            return self._honest_header()
-        key = self.seq
-        cached = self._fork_cache.get(key)
-        if cached is None:
-            digests = list(self._honest_header().digests)
-            digests[-1] = sha256(digests[-1] + b"fork-b")
-            cached = sign_header(
-                self.keypair,
-                seq=self.seq,
-                tx_count=len(self.log),
-                digests=digests,
-                clock=self.log.clock,
-            )
-            self._fork_cache[key] = cached
-        return cached
-
-    def _handle_sync_request(self, message: Message) -> None:
-        # Run the honest handler, then overwrite the outgoing header by
-        # intercepting the send (simplest faithful fork: same content,
-        # conflicting signature chain).
-        original_send = self._send
-        peer = message.sender
-
-        def forked_send(to, msg_type, payload, body_bytes, is_overhead=True):
-            if msg_type == "lo/sync_resp" and to == peer:
-                from repro.core.reconciliation import SyncResponse
-
-                payload = SyncResponse(
-                    request_id=payload.request_id,
-                    header=self._header_for_peer(peer),
-                    status=payload.status,
-                    requested_ids=payload.requested_ids,
-                    offered_ids=payload.offered_ids,
-                    split_specs=payload.split_specs,
-                )
-            original_send(to, msg_type, payload, body_bytes, is_overhead)
-
-        self._send = forked_send
-        try:
-            super()._handle_sync_request(message)
-        finally:
-            self._send = original_send
-
-    def _send_sync_request(self, peer, spec, depth, capacity=None,
-                           defer=None):
-        # Outgoing requests also carry the per-peer fork.
-        original_header = self.header
-        self.header = lambda: self._header_for_peer(peer)  # type: ignore
-        try:
-            super()._send_sync_request(peer, spec, depth, capacity, defer)
-        finally:
-            self.header = original_header  # type: ignore
+    def header_for(self, peer: int, msg_type: str) -> CommitmentHeader:
+        if peer % 2:
+            return self.fork(peer)
+        return self.node.header()

@@ -9,7 +9,8 @@ Public surface:
   follow the paper's evaluation setup).
 * :mod:`repro.core.policies` -- the three explicit policies of Table 1.
 * Commitments, ordering, inspection and accountability primitives for
-  building custom nodes (the attack implementations subclass LONode).
+  building custom nodes.  Attacks do not subclass :class:`LONode`: each
+  is a policy in its ``adversary`` slot (:mod:`repro.attacks`).
 """
 
 from repro.core.accountability import (

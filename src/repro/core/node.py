@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.bloomclock import BloomClock
-from repro.chain.block import Block
+from repro.chain.block import Block, sign_block
 from repro.chain.ledger import Ledger
 from repro.core.accountability import (
     AccountabilityState,
@@ -135,6 +135,11 @@ class _Session:
 
 class LONode(Endpoint):
     """One miner running the LO accountable base layer."""
+
+    #: The attack policy running this node, if any: a
+    #: :class:`repro.attacks.Adversary`, consulted at five seams
+    #: (docs/attacks.md).  Honest nodes leave it ``None``.
+    adversary = None
 
     def __init__(
         self,
@@ -250,6 +255,12 @@ class LONode(Endpoint):
             self._header_dirty = False
         return self._cached_header
 
+    def _header_for(self, peer: int, msg_type: str) -> CommitmentHeader:
+        """The header this node shows ``peer`` in a ``msg_type`` message."""
+        if self.adversary is None:
+            return self.header()
+        return self.adversary.header_for(peer, msg_type)
+
     def header_at(self, seq: int) -> Optional[CommitmentHeader]:
         """Previously signed header at an exact seq, if retained."""
         if seq == self.seq:
@@ -321,6 +332,9 @@ class LONode(Endpoint):
         Returns False when the transaction was rejected (it is then
         neither stored nor committed).
         """
+        adversary = self.adversary
+        if adversary is not None and adversary.intercepts_client_tx(tx):
+            return True
         if self.mempool is not None:
             result = self.mempool.admit(tx, self.now, peer=peer)
             if not result.accepted:
@@ -368,6 +382,9 @@ class LONode(Endpoint):
         self, ids: Sequence[int], source_peer: Optional[int]
     ) -> Optional[BundleInfo]:
         """Append a bundle of new ids to the commitment log."""
+        adversary = self.adversary
+        if adversary is not None:
+            ids = adversary.commit_filter(ids, source_peer)
         fresh = self.log.append_many(ids)
         if not fresh:
             return None
@@ -565,7 +582,7 @@ class LONode(Endpoint):
         )
         request = SyncRequest(
             request_id=request_obj.request_id,
-            header=self.header(),
+            header=self._header_for(peer, "lo/sync_req"),
             spec=spec,
             sketch=sketch,
         )
@@ -611,37 +628,6 @@ class LONode(Endpoint):
 
     # --------------------------------------------------------- msg dispatch
 
-    _HANDLERS = {
-        "lo/sync_req": "_handle_sync_request",
-        "lo/sync_resp": "_handle_sync_response",
-        "lo/content_req": "_handle_content_request",
-        "lo/content_resp": "_handle_content_response",
-        "lo/suspicion": "_handle_suspicion",
-        "lo/exposure": "_handle_exposure",
-        "lo/commit_upd": "_handle_commit_update",
-        "lo/block": "_handle_block_announce",
-        "lo/block_req": "_handle_block_request",
-        "lo/client_submit": "_handle_client_submit",
-        "lo/status_query": "_handle_status_query",
-    }
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._bind_handlers()
-
-    @classmethod
-    def _bind_handlers(cls) -> None:
-        """Resolve ``_HANDLERS`` to this class's functions, once.
-
-        Runs when a class is created, so a subclass's ``_handle_*``
-        override is the function its instances dispatch to; ingress then
-        calls ``handler(self, message)`` without a per-message ``getattr``.
-        """
-        cls._dispatch = {
-            msg_type: getattr(cls, name)
-            for msg_type, name in cls._HANDLERS.items()
-        }
-
     def on_message(self, message: Message) -> None:
         """Byzantine-hardened ingress: validate, contain, attribute.
 
@@ -650,8 +636,12 @@ class LONode(Endpoint):
         payload is schema-checked against its message type before the
         handler runs, the handler itself is exception-contained, and every
         violation is counted against the (authenticated) sender.  Repeated
-        garbage quarantines the peer with exponential backoff.
+        garbage quarantines the peer with exponential backoff.  An
+        adversary's inbound filter sees the message before all of that.
         """
+        adversary = self.adversary
+        if adversary is not None and adversary.intercepts(message):
+            return
         quarantine = self.quarantine
         if quarantine.any_open() and quarantine.is_quarantined(
             message.sender, self.loop.now
@@ -660,7 +650,7 @@ class LONode(Endpoint):
                 self.counter.increment("quarantine_drops", node=self.node_id)
             return
         msg_type = message.msg_type
-        handler = self._dispatch.get(msg_type)
+        handler = self._HANDLERS.get(msg_type)
         if handler is None:
             self._record_wire_violation(
                 message, f"unknown message type {msg_type!r}"
@@ -843,7 +833,7 @@ class LONode(Endpoint):
                          cell_gap=cell_gap)
             response = SyncResponse(
                 request_id=request.request_id,
-                header=self.header(),
+                header=self._header_for(sender, "lo/sync_resp"),
                 status="split",
                 split_specs=request.spec.split(),
             )
@@ -869,7 +859,7 @@ class LONode(Endpoint):
                          cells=len(request.spec.cells), outcome="fail")
             response = SyncResponse(
                 request_id=request.request_id,
-                header=self.header(),
+                header=self._header_for(sender, "lo/sync_resp"),
                 status="split",
                 split_specs=request.spec.split(),
             )
@@ -893,7 +883,7 @@ class LONode(Endpoint):
                     )
         response = SyncResponse(
             request_id=request.request_id,
-            header=self.header(),
+            header=self._header_for(sender, "lo/sync_resp"),
             status="ok",
             requested_ids=tuple(new_ids),
             offered_ids=offered,
@@ -1056,7 +1046,7 @@ class LONode(Endpoint):
             # vouches for it; it will appear in our next commitments).
             self._commit_bundle([tx.sketch_id], source_peer=None)
         if tx.sketch_id not in self.log:
-            return  # a (faulty) subclass refused the commitment
+            return  # an adversary's commit filter refused it
         if self.log.content_of(tx.sketch_id) is not None:
             return
         valid = prevalidate(tx)
@@ -1080,7 +1070,7 @@ class LONode(Endpoint):
             sketch = sketch_for_spec(self.log, session.spec, session.capacity)
             request = SyncRequest(
                 request_id=request_id,
-                header=self.header(),
+                header=self._header_for(session.peer, "lo/sync_req"),
                 spec=session.spec,
                 sketch=sketch,
                 is_retry=True,
@@ -1206,7 +1196,7 @@ class LONode(Endpoint):
         self._gossip_suspicion(blame)
 
     def _send_commit_update(self, peer: int) -> None:
-        header = self.header()
+        header = self._header_for(peer, "lo/commit_upd")
         self._send(peer, "lo/commit_upd", header, header.wire_size())
 
     def _handle_commit_update(self, message: Message) -> None:
@@ -1292,6 +1282,15 @@ class LONode(Endpoint):
             block = self.builder.build(
                 self.log, self.bundles, self.ledger, created_at=self.now
             )
+        adversary = self.adversary
+        if adversary is not None:
+            tx_ids, commit_seq = adversary.block_body(block)
+            if tx_ids != block.tx_ids or commit_seq != block.commit_seq:
+                block = sign_block(
+                    self.keypair, height=block.height,
+                    prev_hash=block.prev_hash, tx_ids=tx_ids,
+                    commit_seq=commit_seq, created_at=block.created_at,
+                )
         if _t.enabled:
             _t.end_span(span, self.now, height=block.height,
                         txs=len(block.tx_ids), commit_seq=block.commit_seq)
@@ -1525,5 +1524,18 @@ class LONode(Endpoint):
                     ExposureBlame(accused=block.creator, block_violation=evidence)
                 )
 
-
-LONode._bind_handlers()  # subclasses bind in __init_subclass__
+    # Ingress calls ``handler(self, message)`` from this table, with no
+    # per-message ``getattr``.
+    _HANDLERS = {
+        "lo/sync_req": _handle_sync_request,
+        "lo/sync_resp": _handle_sync_response,
+        "lo/content_req": _handle_content_request,
+        "lo/content_resp": _handle_content_response,
+        "lo/suspicion": _handle_suspicion,
+        "lo/exposure": _handle_exposure,
+        "lo/commit_upd": _handle_commit_update,
+        "lo/block": _handle_block_announce,
+        "lo/block_req": _handle_block_request,
+        "lo/client_submit": _handle_client_submit,
+        "lo/status_query": _handle_status_query,
+    }

@@ -1,17 +1,12 @@
 """Accuracy under degraded behaviour: slow nodes and spam."""
 
-from repro.attacks.degraded import SlowNode, SpamClientNode
+from repro.attacks import Slow, attacker, spam_dust, spam_invalid
 from repro.core.config import LOConfig
 from tests.conftest import make_sim
 
 
 def slow_factory(delay):
-    def factory(**kwargs):
-        node = SlowNode(**kwargs)
-        node.extra_delay_s = delay
-        return node
-
-    return factory
+    return attacker(Slow, extra_delay_s=delay)
 
 
 def test_slow_node_with_paper_budget_never_exposed():
@@ -96,12 +91,9 @@ def test_slow_node_near_timeout_transiently_suspected_then_cleared():
 
 
 def test_invalid_spam_never_committed():
-    sim = make_sim(
-        num_nodes=8, malicious_ids=[0],
-        attacker_factory=lambda **kw: SpamClientNode(**kw),
-    )
+    sim = make_sim(num_nodes=8, malicious_ids=[0])
     spammer = sim.nodes[0]
-    accepted = spammer.spam_invalid(count=10)
+    accepted = spam_invalid(spammer, count=10)
     assert accepted == 0
     assert len(spammer.log) == 0
     sim.run(10.0)
@@ -112,12 +104,8 @@ def test_invalid_spam_never_committed():
 
 def test_dust_committed_but_kept_out_of_blocks():
     config = LOConfig(min_fee=5)
-    sim = make_sim(
-        num_nodes=8, config=config, malicious_ids=[0],
-        attacker_factory=lambda **kw: SpamClientNode(**kw),
-    )
-    spammer = sim.nodes[0]
-    dust = spammer.spam_dust(count=4, fee=1)
+    sim = make_sim(num_nodes=8, config=config, malicious_ids=[0])
+    dust = spam_dust(sim.nodes[0], count=4, fee=1)
     good = sim.nodes[2].create_transaction(fee=50)
     sim.run(10.0)
     # Dust is committed everywhere (Inclusion of All Transactions)...
@@ -133,3 +121,15 @@ def test_dust_committed_but_kept_out_of_blocks():
         assert tx.sketch_id not in block.tx_ids
     for node in sim.nodes.values():
         assert not node.acct.exposed
+
+
+def test_slow_node_records_no_deviation():
+    sim = make_sim(
+        num_nodes=10, malicious_ids=[4],
+        attacker_factory=slow_factory(0.8),
+    )
+    for i in range(4):
+        sim.inject_at(0.2 + 0.3 * i, i % 10, fee=10)
+    sim.run(10.0)
+    assert sim.network.meters[4].recv_messages > 0  # it did handle traffic
+    assert sim.nodes[4].adversary.record == []

@@ -90,15 +90,10 @@ def test_duplicate_submission_still_acked():
 
 
 def test_contradicted_ack_detects_stage1_censorship():
-    from repro.attacks import OffChannelNode
+    from repro.attacks import OffChannel, attacker
 
-    def factory(**kwargs):
-        node = OffChannelNode(**kwargs)
-        node.peers_off_channel = set()
-        node.launder = True
-        node.intercept_fee_min = 100  # steal anything juicy
-        return node
-
+    # Steals anything juicy.
+    factory = attacker(OffChannel, launder=True, intercept_fee_min=100)
     sim = make_sim(num_nodes=8, malicious_ids=[0], attacker_factory=factory)
     client = client_in(sim)
     tx = client.make_transaction(fee=500)

@@ -1,6 +1,6 @@
 """Tests for the section 5.4 enforcement policies."""
 
-from repro.attacks.blockattacks import ReorderingNode, make_block_attacker_factory
+from repro.attacks.blockattacks import Reorderer, make_block_attacker_factory
 from repro.core.enforcement import EnforcementManager, StakeSlashing
 from tests.conftest import make_sim
 
@@ -9,7 +9,7 @@ def attacked_sim_with_enforcement():
     sim = make_sim(
         num_nodes=12,
         malicious_ids=[0],
-        attacker_factory=make_block_attacker_factory(ReorderingNode),
+        attacker_factory=make_block_attacker_factory(Reorderer),
     )
     manager = EnforcementManager(sim.directory)
     for node in sim.nodes.values():

@@ -234,7 +234,7 @@ def _corrupting_chaos():
 
 
 def _garbage_neighbour():
-    from repro.attacks.degraded import GarbageNode
+    from repro.attacks import Garbage, attacker
     from repro.core.config import LOConfig
     from repro.experiments.harness import LOSimulation, SimulationParams
 
@@ -242,7 +242,7 @@ def _garbage_neighbour():
         num_nodes=12, seed=3,
         config=LOConfig(quarantine_base_s=1.0, quarantine_max_s=4.0),
         malicious_ids=[4],
-        attacker_factory=lambda **kwargs: GarbageNode(**kwargs),
+        attacker_factory=attacker(Garbage),
     ))
     sim.inject_workload(rate_per_s=60.0, duration_s=3.0)
     sim.run(8.0)

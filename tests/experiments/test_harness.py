@@ -30,11 +30,11 @@ def test_directory_maps_all_nodes():
 def test_malicious_factory_applied():
     factory = make_censor_factory({0, 1})
     sim = tiny(num_nodes=10, malicious_ids=[0, 1], attacker_factory=factory)
-    from repro.attacks import CensoringNode
+    from repro.attacks import Censor
 
-    assert isinstance(sim.nodes[0], CensoringNode)
-    assert isinstance(sim.nodes[1], CensoringNode)
-    assert not isinstance(sim.nodes[2], CensoringNode)
+    assert isinstance(sim.nodes[0].adversary, Censor)
+    assert isinstance(sim.nodes[1].adversary, Censor)
+    assert sim.nodes[2].adversary is None
     assert sim.correct_ids == list(range(2, 10))
 
 

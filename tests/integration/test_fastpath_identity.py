@@ -15,8 +15,7 @@ import pytest
 
 import repro.experiments.harness as harness
 from repro import obs
-from repro.attacks import CensoringNode, make_censor_factory
-from repro.attacks.degraded import GarbageNode
+from repro.attacks import Censor, Garbage, attacker, make_censor_factory
 from repro.core import wire
 from repro.core.config import LOConfig
 from repro.core.node import LONode
@@ -218,19 +217,15 @@ class _RecomputingNode(_AlwaysRecompute, LONode):
     pass
 
 
-class _RecomputingCensor(_AlwaysRecompute, CensoringNode):
-    pass
-
-
-def _shuffled_censor_run(monkeypatch, node_cls, censor_cls):
+def _shuffled_censor_run(monkeypatch, node_cls):
     """Rotating neighbours around an equivocating censor: full outcome."""
     clear_decode_cache()
     clear_syndrome_cache()
     monkeypatch.setattr(harness, "LONode", node_cls)
 
     def censor(**kwargs):
-        node = censor_cls(**kwargs)
-        node.equivocate = True
+        node = node_cls(**kwargs)
+        node.adversary = Censor(node, equivocate=True)
         return node
 
     sim = LOSimulation(SimulationParams(
@@ -238,7 +233,8 @@ def _shuffled_censor_run(monkeypatch, node_cls, censor_cls):
         malicious_ids=[0], attacker_factory=censor,
         enable_shuffling=True, shuffle_period_s=1.5,
     ))
-    assert type(sim.nodes[1]) is node_cls and type(sim.nodes[0]) is censor_cls
+    assert type(sim.nodes[1]) is node_cls and type(sim.nodes[0]) is node_cls
+    assert sim.nodes[0].adversary is not None
     # The first transaction is the censor's own: a fork needs a commitment.
     for index in range(8):
         sim.inject_at(0.2 + 0.4 * index, index % 14, fee=5 + index)
@@ -264,10 +260,8 @@ def test_memoised_eligible_neighbours_do_not_change_a_shuffled_censor_run(
     """Exposures, evictions by the shuffler and rotations all invalidate
     the memoised list; RNG draws and message order -- so every outcome --
     must match a node that recomputes the list on every call."""
-    memoised = _shuffled_censor_run(monkeypatch, LONode, CensoringNode)
-    recomputed = _shuffled_censor_run(
-        monkeypatch, _RecomputingNode, _RecomputingCensor
-    )
+    memoised = _shuffled_censor_run(monkeypatch, LONode)
+    recomputed = _shuffled_censor_run(monkeypatch, _RecomputingNode)
     assert json.dumps(memoised, sort_keys=True) == \
         json.dumps(recomputed, sort_keys=True)
     # The run exercised what the memo has to notice.
@@ -305,10 +299,6 @@ class _EveryCellNode(_EveryCell, LONode):
     pass
 
 
-class _EveryCellCensor(_EveryCell, CensoringNode):
-    pass
-
-
 def _admission_run(monkeypatch, node_cls):
     """Admission, RBF and split rounds: full outcome."""
     clear_decode_cache()
@@ -338,12 +328,12 @@ def test_occupied_cell_bookkeeping_changes_no_outcome(monkeypatch):
     import repro.core.node as node_module
 
     fast = (
-        _shuffled_censor_run(monkeypatch, LONode, CensoringNode),
+        _shuffled_censor_run(monkeypatch, LONode),
         _admission_run(monkeypatch, LONode),
     )
     monkeypatch.setattr(node_module, "ids_for_spec", _ids_cell_by_cell)
     every_cell = (
-        _shuffled_censor_run(monkeypatch, _EveryCellNode, _EveryCellCensor),
+        _shuffled_censor_run(monkeypatch, _EveryCellNode),
         _admission_run(monkeypatch, _EveryCellNode),
     )
     assert json.dumps(fast, sort_keys=True) == \
@@ -361,13 +351,16 @@ def test_occupied_cell_bookkeeping_changes_no_outcome(monkeypatch):
 def _plain_on_message(self, message):
     """Ingress with no memory: every delivery pays the quarantine lookup,
     the full schema check and a ``getattr`` dispatch.  The oracle for
-    ``LONode.on_message`` + ``wire.validate_payload``."""
+    ``LONode.on_message`` + ``wire.validate_payload``, behind the same
+    adversary inbound filter."""
+    if self.adversary is not None and self.adversary.intercepts(message):
+        return
     if self.quarantine.is_quarantined(message.sender, self.now):
         if self.counter is not None:
             self.counter.increment("quarantine_drops", node=self.node_id)
         return
-    name = self._HANDLERS.get(message.msg_type)
-    if name is None:
+    handler = self._HANDLERS.get(message.msg_type)
+    if handler is None:
         self._record_wire_violation(
             message, f"unknown message type {message.msg_type!r}"
         )
@@ -380,7 +373,7 @@ def _plain_on_message(self, message):
         self._record_wire_violation(message, error)
         return
     try:
-        getattr(self, name)(message)
+        getattr(self, handler.__name__)(message)
     except Exception as exc:
         self._record_wire_violation(
             message, f"handler error: {type(exc).__name__}: {exc}"
@@ -411,7 +404,7 @@ def _garbage():
         num_nodes=12, seed=9,
         config=LOConfig(quarantine_base_s=1.0, quarantine_max_s=4.0),
         malicious_ids=[4],
-        attacker_factory=lambda **kwargs: GarbageNode(**kwargs),
+        attacker_factory=attacker(Garbage),
     ))
     for index in range(6):
         sim.inject_at(0.2 + 0.6 * index, index % 12, fee=3 + index)
@@ -490,19 +483,17 @@ def _lonode_subclasses(cls=LONode):
         yield from _lonode_subclasses(sub)
 
 
-@pytest.mark.parametrize(
-    "cls", sorted(
-        {c for c in _lonode_subclasses() if c.__module__.startswith("repro.")},
-        key=lambda c: c.__qualname__,
-    ), ids=lambda c: c.__name__,
-)
-def test_every_handler_override_is_what_ingress_dispatches_to(cls):
-    """The per-class table is resolved when the class is created; an
-    attacker's ``_handle_*`` override must be the function in it."""
-    assert set(cls._dispatch) == set(cls._HANDLERS)
-    for msg_type, name in cls._HANDLERS.items():
-        assert cls._dispatch[msg_type] is getattr(cls, name), (msg_type, name)
-    overridden = {name for name in cls.__dict__ if name.startswith("_handle_")}
-    for msg_type, name in cls._HANDLERS.items():
-        if name in overridden:
-            assert cls._dispatch[msg_type] is cls.__dict__[name]
+def test_no_repro_class_subclasses_lonode():
+    """Every attack is a policy in the ``adversary`` slot, so ingress's
+    one dispatch table, built for ``LONode``, is every node's."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    found = [c.__qualname__ for c in _lonode_subclasses()
+             if c.__module__.startswith("repro.")]
+    assert found == []

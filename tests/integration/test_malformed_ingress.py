@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.attacks.degraded import GarbageNode
+from repro.attacks import Garbage, attacker
 from repro.core.accountability import ExposureBlame, SuspicionBlame
 from repro.core.commitment import EquivocationEvidence
 from repro.core.config import LOConfig
@@ -175,16 +175,17 @@ def test_garbage_node_flood_is_survived_and_quarantined():
     )
     sim = make_sim(
         num_nodes=10, config=config, malicious_ids=[4],
-        attacker_factory=GarbageNode,
+        attacker_factory=attacker(Garbage),
     )
     for i in range(6):
         sim.inject_at(0.3 + 0.4 * i, (5 + i) % 10, fee=10)
     sim.run(30.0)
-    attacker = sim.nodes[4]
-    assert attacker.garbage_sent > 0
+    flooder = sim.nodes[4]
+    assert flooder.adversary.record
+    assert {kind for _, kind, _ in flooder.adversary.record} == {"garbage"}
     # The flooded neighbours survived, attributed the garbage, and at
     # least one of them quarantined the flooder.
-    victims = sorted(set(attacker.neighbors) & set(sim.correct_ids))
+    victims = sorted(set(flooder.neighbors) & set(sim.correct_ids))
     assert victims
     assert all(
         sim.nodes[nid].quarantine.violations_of(4) > 0 for nid in victims

@@ -228,8 +228,9 @@ def test_a_fanout_is_one_heap_entry_per_recipient():
 
 
 def test_kept_envelopes_are_never_reused():
-    # Any endpoint may hold on to a delivered Message (SlowNode re-queues
-    # it for a later callback): later traffic must leave it untouched.
+    # Any endpoint may hold on to a delivered Message (the Slow policy
+    # re-queues it for a later callback): later traffic must leave it
+    # untouched.
     class Keeper(Endpoint):
         def __init__(self, node_id):
             self.node_id = node_id
