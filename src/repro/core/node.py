@@ -70,7 +70,7 @@ from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
 from repro.sim.loop import EventLoop, Timer
 from repro.sketch import CandidateRegistry
-from repro.sketch.gf import GF2m
+from repro.sketch.registry import MAX_CANDIDATES
 
 
 class Directory:
@@ -81,24 +81,23 @@ class Directory:
     registry of sketch ids (a :class:`~repro.sketch.CandidateRegistry`):
     every id some node committed (:meth:`LONode._commit_bundle` is the
     only way into a log), once, in first-commit order, capped at the newest
-    :attr:`~repro.sketch.gf.GF2m.MAX_TESTED_CANDIDATES`.  A responder hands
-    it, uncopied, to the decoder as root candidates: every id a correct
-    sketch carries was committed by some node of this simulation, so the
-    decoder *tests* these instead of *searching* GF(2^32) for the roots --
-    the simulator's stand-in for libminisketch's root search, as the
-    simulated signatures' ``verify()`` is for Ed25519 (DESIGN.md section
-    3).  The registry keeps each id's powers for that test, built the first
-    time a test meets the id.  Candidates never change a decode's result,
-    only its cost.  One ``Directory`` is built per simulation, so two
-    simulations never share the registry.
+    :data:`~repro.sketch.registry.MAX_CANDIDATES`.  A responder hands it,
+    uncopied, to the decoder as candidates: every id a correct sketch
+    carries was committed by some node of this simulation, so the decoder
+    finds the difference by one GF(2) elimination over these ids' syndrome
+    vectors instead of Berlekamp--Massey and a root search in GF(2^32) --
+    the simulator's stand-in for libminisketch's decoder, as the simulated
+    signatures' ``verify()`` is for Ed25519 (DESIGN.md section 3).  The
+    registry keeps one echelon basis per sketch capacity for that, which
+    an id joins at the first decode after its commit.  Candidates never
+    change a decode's result, only its cost.  One ``Directory`` is built
+    per simulation, so two simulations never share the registry.
     """
 
     def __init__(self) -> None:
         self._by_id: Dict[int, PublicKey] = {}
         self._by_key: Dict[PublicKey, int] = {}
-        self.committed = CandidateRegistry(
-            limit=GF2m.MAX_TESTED_CANDIDATES
-        )
+        self.committed = CandidateRegistry(limit=MAX_CANDIDATES)
 
     def register(self, node_id: int, key: PublicKey) -> None:
         """Record one node's identity."""
@@ -845,7 +844,7 @@ class LONode(Endpoint):
         held = ids_for_spec(self.log, request.spec)
         if self.counter is not None:
             self.counter.increment("reconciliations", node=self.node_id)
-        # The decoder tests the simulation's committed ids as roots before
+        # The decoder eliminates over the simulation's committed ids before
         # it searches; a correct requester's sketch carries nothing else.
         diff = decode_difference(local, request.sketch,
                                  self.directory.committed)

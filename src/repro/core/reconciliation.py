@@ -131,8 +131,9 @@ def decode_difference(
     ``candidates`` are ids the difference is expected to be among -- a
     responder passes its simulation's registry of committed ids
     (:class:`repro.core.node.Directory`), which holds every id of a correct
-    difference.  The decoder tests them before it searches the field
-    (:meth:`PinSketch.decode`); the decoded set does not depend on them.
+    difference.  The decoder eliminates over them before it searches the
+    field (:meth:`PinSketch.decode`); the decoded set does not depend on
+    them.
     """
     from repro import obs
 

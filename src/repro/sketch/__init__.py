@@ -10,8 +10,9 @@ Submodules:
 
 * :mod:`repro.sketch.gf` -- carry-less GF(2^m) arithmetic and polynomials.
 * :mod:`repro.sketch.pinsketch` -- sketch create/add/merge/decode.
-* :mod:`repro.sketch.registry` -- candidate roots carrying their power
-  rows (a simulation's committed ids, tested before any root search).
+* :mod:`repro.sketch.registry` -- candidate ids and the GF(2) bases that
+  decode a difference among them by one elimination (a simulation's
+  committed ids, tried before any search).
 * :mod:`repro.sketch.partition` -- the recursive hash-partitioning fallback
   the paper introduces in section 6.5 to bound decode cost.
 """

@@ -30,11 +30,8 @@ Fast path
 When numpy is importable the field objects additionally run *batched*
 kernels as whole-array gathers on the same (mirrored) tables:
 
-* :meth:`GF2Tower32.roots_among`, the candidate test of every decode of
-  degree >= 3 -- one broadcast product over a
-  :class:`~repro.sketch.registry.CandidateRegistry`'s power rows;
-* the :class:`FrobeniusChain` of a locator of degree >= 5 that the
-  candidates do not explain (:class:`_TowerChain`);
+* the :class:`FrobeniusChain` of a locator of degree >= 5
+  (:class:`_TowerChain`);
 * :meth:`GF2m.mul_batch` / :meth:`GF2m.sqr_batch`, the bulk syndrome
   generation of :meth:`repro.sketch.pinsketch.PinSketch.add_all`.
 
@@ -54,8 +51,6 @@ try:  # The fast path is optional; the library must work without numpy.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via set_fast_path(False)
     _np = None
-
-from repro.sketch.registry import CandidateRegistry
 
 _FAST_ENABLED = True
 
@@ -596,59 +591,6 @@ class GF2m:
             acc = mul(acc, x) ^ coeff
         return acc
 
-    #: Most candidates :func:`repro.sketch.pinsketch._find_roots` tests
-    #: before it searches.  Measured on the numpy tower path (docs/sketch.md
-    #: section 3.4): the test is linear in the candidate count, the search
-    #: does not depend on it.  From degree 5 a test that finds half of the
-    #: roots still pays at 2,000 candidates; at degrees 3-4, whose closed
-    #: forms are cheap, a test pays only up to a few hundred.  A
-    #: simulation's registry of committed ids
-    #: (:class:`repro.core.node.Directory`) keeps this many, the newest.
-    MAX_TESTED_CANDIDATES = 1024
-
-    def roots_among(
-        self, poly: Sequence[int], candidates: Iterable[int]
-    ) -> List[int]:
-        """The distinct ``candidates`` at which ``poly`` is zero, ascending.
-
-        A *test*, not a search: ``deg poly`` multiplications per candidate
-        (Horner), nothing that depends on the field's size.  A value is
-        reported only if ``poly`` evaluates to zero at it, so whatever the
-        candidates are the result is a subset of ``poly``'s roots.
-        Candidates outside ``[1, 2^m)`` are no sketch elements and are
-        ignored (never reduced into the field).  Any iterable of ints will
-        do; :class:`GF2Tower32` on the numpy path takes a
-        :class:`~repro.sketch.registry.CandidateRegistry` as it is.
-        """
-        if len(poly) < 2:
-            return []
-        mask = self.mask
-        evaluate = self.poly_eval
-        return sorted({
-            c for c in candidates
-            if 0 < c <= mask and evaluate(poly, c) == 0
-        })
-
-    def poly_deflate(self, p: Sequence[int], roots: Sequence[int]) -> List[int]:
-        """``p / prod (x - r)`` over distinct roots ``r`` of ``p``, exactly.
-
-        One synthetic division per root (``deg p`` multiplications each).
-        Every remainder is ``p(r) == 0`` for distinct roots, so the
-        quotient is exact; a value that is no root (or a repeat the
-        quotient no longer vanishes at) raises :class:`ArithmeticError`.
-        """
-        quotient = list(p)
-        mul = self.mul
-        for r in roots:
-            acc = 0
-            for i in range(len(quotient) - 1, -1, -1):
-                acc = quotient[i] ^ mul(acc, r)
-                quotient[i] = acc
-            if acc:
-                raise ArithmeticError(f"{r} is not a root: remainder {acc}")
-            del quotient[0]  # slot 0 held the remainder
-        return quotient
-
     # ------------------------------------------------------ Berlekamp--Massey
 
     def berlekamp_massey(
@@ -947,49 +889,6 @@ class GF2Tower32(GF2m):
         s1 = exp[2 * log[av >> 16]]
         lo = exp[2 * log[av & 0xFFFF]] ^ exp[log[s1] + self._log_c]
         return ((s1 << 16) | lo).tolist()
-
-    def roots_among(
-        self, poly: Sequence[int], candidates: Iterable[int]
-    ) -> List[int]:
-        """:meth:`GF2m.roots_among` as one product over the candidates' rows.
-
-        ``q(c) = sum_j q_j c^j``, and a :class:`CandidateRegistry` keeps
-        the three subfield logs (hi, lo, hi ^ lo) of every candidate's
-        powers ``c^j``.  With the coefficients' logs looked up once, the
-        ``((deg q + 1) x candidates)`` block of Karatsuba partial products
-        is one broadcast add and one gather; XOR-reducing it along the
-        powers leaves three subfield sums per candidate, and ``q(c) == 0``
-        is two comparisons on them: under ten array operations whatever
-        the degree.  Any other collection is put into a throwaway registry
-        first (the same code: candidates outside ``[1, 2^32)`` get no row
-        and are never reported).
-        """
-        tables = self.sub._np_tables()
-        if tables is None:
-            return super().roots_among(poly, candidates)
-        if len(poly) < 2:
-            return []
-        if not isinstance(candidates, CandidateRegistry):
-            candidates = CandidateRegistry(candidates)
-        rows, values = candidates.block(self, len(poly) - 1)
-        if not values:
-            return []
-        exp = tables[0]
-        log, lc, order = self._sub_log, self._log_c, self.sub.order - 1
-        # The hi coefficient's log carries QUAD_C of ``lo = m0 + QUAD_C m1``
-        # (a zero hi keeps the sentinel), so the three sums are QUAD_C m1,
-        # m0 and mx, and q vanishes exactly where they are all equal.
-        coefficient_logs = _np.array([
-            ((log[q >> 16] + lc) % order if q >> 16 else log[0],
-             log[q & 0xFFFF], log[(q >> 16) ^ (q & 0xFFFF)])
-            for q in poly
-        ], dtype=_np.intp)[:, :, None]
-        sums = _np.bitwise_xor.reduce(exp[rows + coefficient_logs], axis=0)
-        zero = (sums[0] == sums[1]) & (sums[1] == sums[2])
-        return sorted(
-            value for value in map(values.__getitem__, _np.flatnonzero(zero))
-            if value
-        )
 
     def berlekamp_massey(
         self, odd_syndromes: Iterable[int]

@@ -13,17 +13,19 @@ Performance layers (docs/architecture.md has the full map):
   once, *incrementally extended* when a larger capacity is requested, and
   LRU-bounded; every node in a simulation re-uses one vector per
   transaction id across all rounds (:class:`_SyndromeCache`).
-* **Decode cost follows the decoded difference** -- Berlekamp--Massey runs
-  online, one loop per field class (the tower's entirely on subfield
-  logs), and stops at the first locator that reproduces every stored
-  syndrome (:meth:`PinSketch._decode_uncached`).  From degree 3 the
-  caller's candidates are tested first -- on the numpy path one broadcast
-  product over a :class:`~repro.sketch.registry.CandidateRegistry`'s
-  cached power rows -- and only roots they do not explain are searched,
-  by closed forms up to degree 4 and one shared Frobenius chain above
-  (:func:`_find_roots`).  A found set is verified by XOR-ing its elements'
-  cached packed syndrome vectors (:meth:`PinSketch._verify`).  The
-  pure-Python fallback decodes bit-identically.
+* **A difference among known ids is one elimination** -- a sketch is a
+  GF(2)-linear function of its set, so when the caller names candidates
+  the sketch's packed vector is reduced against an echelon basis of
+  theirs (:meth:`~repro.sketch.registry.CandidateRegistry.combination`),
+  Python ints only, on every path (:meth:`PinSketch._decode_uncached`).
+* **Otherwise decode cost follows the decoded difference** --
+  Berlekamp--Massey runs online, one loop per field class (the tower's
+  entirely on subfield logs), and stops at the first locator that
+  reproduces every stored syndrome; its roots are found by closed forms
+  up to degree 4 and one shared Frobenius chain above
+  (:func:`_find_roots`).  The pure-Python fallback decodes
+  bit-identically.  Either way a found set is verified by XOR-ing its
+  elements' cached packed syndrome vectors (:meth:`PinSketch._verify`).
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
   hit/miss/eviction counters exported via :func:`repro.obs.cache_stats`.
 """
@@ -75,8 +77,16 @@ class _SyndromeCache:
 
     @staticmethod
     def _validate(element: int, field: GF2m, m: int) -> None:
-        if element == 0 or element > field.mask:
-            raise ValueError(f"element {element} out of range for GF(2^{m})")
+        """Raise unless ``element`` is an int in ``[1, 2^m)``.
+
+        Checked before every lookup, hit or miss: no bogus vector is ever
+        cached, and a non-int that hashes like a cached id (``5.0``) is
+        refused all the same.
+        """
+        if type(element) is not int or not 0 < element <= field.mask:
+            raise ValueError(
+                f"element {element!r} out of range for GF(2^{m})"
+            )
 
     def _fresh_entry(self, element: int, field: GF2m) -> dict:
         return {"x2": field.sqr(element), "powers": [element], "views": {}}
@@ -89,12 +99,12 @@ class _SyndromeCache:
 
     def get(self, element: int, m: int, capacity: int) -> Tuple[int, ...]:
         """The first ``capacity`` odd power sums of ``element`` over GF(2^m)."""
+        field = default_field(m)
+        self._validate(element, field, m)
         key = (element, m)
         entry = self._entries.get(key)
-        field = default_field(m)
         if entry is None:
             self.stats.misses += 1
-            self._validate(element, field, m)
             entry = self._fresh_entry(element, field)
             self._insert(key, entry)
         else:
@@ -128,7 +138,9 @@ class _SyndromeCache:
         out: List[Optional[Tuple[int, ...]]] = [None] * len(elements)
         missing: List[int] = []
         missing_at: List[int] = []
+        validate = self._validate
         for idx, element in enumerate(elements):
+            validate(element, field, m)
             key = (element, m)
             entry = self._entries.get(key)
             if entry is not None and len(entry["powers"]) >= capacity:
@@ -140,7 +152,6 @@ class _SyndromeCache:
                     entry["views"][capacity] = view
                 out[idx] = view
             else:
-                self._validate(element, field, m)
                 missing.append(element)
                 missing_at.append(idx)
         if not missing:
@@ -481,15 +492,18 @@ class PinSketch:
         the syndrome re-verification that catches aliasing).
 
         ``candidates`` are values the caller expects the sketched set to be
-        among -- a reconciliation responder passes every id its simulation
-        has committed (:class:`repro.core.node.Directory`), which holds the
-        whole difference of a correct sketch.  Any collection of ints will
-        do, junk, duplicates and values outside the field included.  They
-        are a hint about *where* to look first (:func:`_find_roots` tests
-        them, and searches only when they do not explain every root) and
-        never about *what* is found: the result, the
-        :class:`SketchDecodeError` outcome and the memo entry are the same
-        for every ``candidates``, the empty default included.
+        among -- a reconciliation responder passes its simulation's
+        registry of committed ids (:class:`repro.core.node.Directory`),
+        which holds the whole difference of a correct sketch.  Any
+        collection of ints will do, junk, duplicates and values outside the
+        field included; one that is no
+        :class:`~repro.sketch.registry.CandidateRegistry` is put into a
+        throwaway one.  They are a hint about *where* to look first
+        (:meth:`_decode_uncached` eliminates over them, and searches only
+        when they do not explain the sketch) and never about *what* is
+        found: the result, the :class:`SketchDecodeError` outcome and the
+        memo entry are the same for every ``candidates``, the empty default
+        included.
 
         Results are memoised process-wide by syndrome content in an LRU
         (hit/miss counters: ``repro.obs.cache_stats()["sketch.decode"]``)
@@ -528,7 +542,17 @@ class PinSketch:
         return result
 
     def _decode_uncached(self, candidates: Collection[int] = ()) -> Set[int]:
-        """Early-exit Berlekamp--Massey, root finding, full verification.
+        """Elimination over the candidates, else early-exit
+        Berlekamp--Massey and root finding; full verification either way.
+
+        With candidates, the sketch's packed vector is reduced against
+        their echelon basis
+        (:meth:`~repro.sketch.registry.CandidateRegistry.combination`).
+        When it reduces to 0 through at most ``t`` of them, that set is the
+        result once :meth:`_verify` agrees.  It is exact for the reason
+        below: it is a set of size <= t with these ``t`` odd power sums, so
+        it is the one set Berlekamp--Massey returns.  Otherwise the search
+        below runs as it does without candidates.
 
         Berlekamp--Massey is online, so the stored syndromes are fed one at
         a time and decoding stops at the first locator that explains the
@@ -548,6 +572,17 @@ class PinSketch:
         identical to a full-length decode, aliased over-capacity sketches
         included.
         """
+        if candidates:
+            # Imported here: the registry reads this module's vectors.
+            from repro.sketch.registry import CandidateRegistry
+
+            if not isinstance(candidates, CandidateRegistry):
+                candidates = CandidateRegistry(candidates)
+            elements = candidates.combination(
+                pack_syndromes(self._syndromes, self.m), self.capacity, self.m
+            )
+            if elements is not None and self._verify(elements):
+                return elements
         tried = 0
         steps = self.field.berlekamp_massey(self._syndromes)
         for consumed, (length, locator) in enumerate(steps, 1):
@@ -555,7 +590,7 @@ class PinSketch:
             if tried < length <= consumed - 2 and consumed < self.capacity:
                 tried = length
                 if len(locator) - 1 == length:
-                    elements = self._explained_by(locator, candidates)
+                    elements = self._explained_by(locator)
                     if elements is not None:
                         return elements
         degree = len(locator) - 1
@@ -563,7 +598,7 @@ class PinSketch:
             raise SketchDecodeError(
                 f"locator degree {degree} exceeds capacity {self.capacity}"
             )
-        elements = self._explained_by(locator, candidates)
+        elements = self._explained_by(locator)
         if elements is None:
             raise SketchDecodeError(
                 f"locator of degree {degree} has fewer distinct roots or "
@@ -571,18 +606,16 @@ class PinSketch:
             )
         return elements
 
-    def _explained_by(
-        self, locator: List[int], candidates: Collection[int] = ()
-    ) -> Optional[Set[int]]:
+    def _explained_by(self, locator: List[int]) -> Optional[Set[int]]:
         """The set ``locator`` stands for, if it reproduces every syndrome.
 
         The difference elements are the roots of the reversed locator
         ``prod (x - e_i)``, which is monic because ``locator[0] == 1``.
         Both acceptance tests -- as many distinct roots as the degree, and
         the full-capacity re-sketch -- are applied to whatever
-        :func:`_find_roots` returns, however it found it.
+        :func:`_find_roots` returns.
         """
-        elements = set(_find_roots(locator[::-1], self.field, candidates))
+        elements = set(_find_roots(locator[::-1], self.field))
         if len(elements) == len(locator) - 1 and self._verify(elements):
             return elements
         return None
@@ -601,23 +634,13 @@ class PinSketch:
         return packed == pack_syndromes(self._syndromes, m)
 
 
-def _find_roots(
-    poly: Sequence[int], field: GF2m, candidates: Collection[int] = ()
-) -> List[int]:
+def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:
     """Roots of ``poly`` in GF(2^m), distinct-roots contract.
 
     Returns ``deg poly`` distinct values when ``poly`` is a product of
     distinct linear factors, and fewer distinct values otherwise; callers
     treat the latter as a decode failure.  By degree:
 
-    * **Known candidates** (degree >= 3): ``candidates`` -- values the
-      caller expects the roots to be among -- are *tested*
-      (:meth:`GF2m.roots_among`).  When the hits number ``deg poly`` they
-      are returned as they are: that many distinct roots of a monic
-      polynomial of that degree are all of its roots.  Fewer hits are
-      divided out (:meth:`GF2m.poly_deflate`) and only the residual is
-      *searched*, as below.  At degrees 3 and 4 the test is cheaper than
-      the closed form's m x m GF(2) solve whenever it explains the roots.
     * **Closed forms** (degree <= 4): degree 2 is an Artin--Schreier
       equation; degrees 3 and 4 are brought to an affine linearised
       quartic ``z^4 + A z^2 + B z = v`` and solved as an m x m system over
@@ -628,30 +651,11 @@ def _find_roots(
       every Berlekamp trace polynomial ``Tr(beta x) mod poly`` is a linear
       combination of its entries, so :func:`_trace_split` never squares
       again.
-
-    The candidates cannot change what is returned, only what it costs.  A
-    candidate is reported only if ``poly`` is zero at it and deflation is
-    exact division, so ``hits + roots(residual)`` is always a subset of
-    ``poly``'s distinct roots: it has ``deg poly`` elements exactly when
-    ``poly`` is a product of distinct linear factors (then the residual is
-    one too, and its search finds all of them), and fewer otherwise --
-    a repeated root leaves fewer than ``deg poly`` distinct roots to hit,
-    and when it is among the hits the residual keeps the repeat and
-    returns it again or not at all.  The test is skipped above
-    :attr:`GF2m.MAX_TESTED_CANDIDATES`, where it stops being cheaper than
-    the search it saves.
     """
     monic = field.poly_monic(poly)
     degree = len(monic) - 1
     if degree < 1:
         return []
-    if (degree > 2 and candidates
-            and len(candidates) <= field.MAX_TESTED_CANDIDATES):
-        hits = field.roots_among(monic, candidates)
-        if len(hits) == degree:
-            return hits
-        if hits:
-            return hits + _find_roots(field.poly_deflate(monic, hits), field)
     if degree <= 4:
         return _CLOSED_FORMS[degree](monic, field)
     chain = field.frobenius_chain(monic)

@@ -1,44 +1,92 @@
-"""Candidate roots that carry their power rows.
+"""Candidate ids and the GF(2) bases that decode a difference among them.
 
 :class:`CandidateRegistry` is an ordered, deduplicated, optionally bounded
 set of ids -- a simulation's committed sketch ids
-(:class:`repro.core.node.Directory`) -- that a decoder tests as roots
-(:meth:`repro.sketch.gf.GF2Tower32.roots_among`).  Testing ``q(c) == 0``
-for every id ``c`` is ``sum_j q_j c^j``: the powers ``c^j`` depend only on
-the id, so the registry keeps them, as the three GF(2^16) subfield logs
-(hi, lo, hi ^ lo) of each tower element ``c^0 .. c^w``.  A test is then
-one broadcast product against the locator's coefficient logs, whatever
-its degree.
+(:class:`repro.core.node.Directory`) -- that a decoder expects a sketch
+difference to be among.
 
-* A row is built once per id, the first time a test meets it (ids that
-  are committed but never tested cost nothing), and kept until the id is
-  evicted.
-* The width ``w`` grows lazily to the highest degree ever tested, at
-  least doubling each time, and every kept row is extended, not rebuilt.
-* Ids outside ``[1, 2^32)`` are kept for order and membership but get no
-  row: they are no element of the tower field and are never reported.
+A capacity-``t`` PinSketch over GF(2^m) is a GF(2)-linear function of its
+set: its packed syndrome vector
+(:func:`~repro.sketch.pinsketch.pack_syndromes`, ``m*t`` bits) is the XOR
+of its elements' packed vectors
+(:func:`~repro.sketch.pinsketch.sketch_syndromes_packed`).  A difference
+among known ids is therefore a *combination* of their vectors, and one
+Gaussian elimination over GF(2) finds it
+(:meth:`CandidateRegistry.combination`):
 
-Iteration, ``len`` and ``in`` see the ids in first-insertion order; the
-generic :meth:`repro.sketch.gf.GF2m.roots_among` and the pure-Python
-fallback read the registry only that way.  Rows need numpy and are built
-only on the numpy path.
+* The registry keeps one echelon basis per ``(capacity, m)`` that a decode
+  asks for.  A row is a packed vector, keyed by its highest bit, and the
+  bitmask of the registry ids it combines.
+* Ids join a basis at its next decode, one reduction each.
+* A basis covers the newest ``min(MAX_CANDIDATES, m*t // 2)`` ids.  That
+  is half the bits the sketch carries, so the rows stay independent (a
+  hash-derived id's vector falls into the span of the others with
+  probability at most ``2^(-m*t/4)``), and a reduction is at most ``m*t``
+  row XORs.  Ids that slide out of that window stay rows, unused, until a
+  rebuild; one rebuild per half a window of new ids keeps the cost per
+  added id amortised ``O(m*t)``.  A dependent id only costs a search:
+  no combination is reported unless it is the only one of at most ``t``
+  ids.
+* Ids that are no element of GF(2^m) -- outside ``[1, 2^m)``, or not an
+  ``int`` -- get no row in its bases and are never reported.
+
+Iteration, ``len`` and ``in`` see the ids in first-insertion order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - rows are then never built
-    _np = None
+from repro.sketch.pinsketch import sketch_syndromes_packed
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sketch.gf import GF2Tower32
+#: Most ids a basis covers, and the newest ids a simulation's registry
+#: keeps (:class:`repro.core.node.Directory`): a basis of capacity 64 or
+#: more over GF(2^32) covers the whole registry.
+MAX_CANDIDATES = 1024
 
-#: Ids at or above this bound are no GF(2^32) element and get no row.
-_ELEMENT_BOUND = 1 << 32
+
+class _Basis:
+    """One echelon basis over the packed vectors of ``(capacity, m)``."""
+
+    __slots__ = ("capacity", "m", "window", "vectors", "masks", "ids",
+                 "synced")
+
+    def __init__(self, capacity: int, m: int):
+        self.capacity, self.m = capacity, m
+        self.window = min(MAX_CANDIDATES, m * capacity // 2)
+        self.synced = 0  # the registry's insertion count seen
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every row and id."""
+        bits = self.m * self.capacity
+        self.vectors = [0] * (bits + 1)  # bit_length of a row -> the row
+        self.masks = [0] * (bits + 1)    # ... and the ids it combines
+        self.ids: List[int] = []  # bit i of a mask stands for ids[i]
+
+    def extend(self, fresh: List[int]) -> None:
+        """Reduce each id's vector into the basis (one new row unless the
+        vector is a combination of the rows already there)."""
+        vectors, masks, ids = self.vectors, self.masks, self.ids
+        capacity, m = self.capacity, self.m
+        bound = 1 << m
+        bit = 1 << len(ids)
+        for value in fresh:
+            ids.append(value)
+            if type(value) is int and 0 < value < bound:
+                vector = sketch_syndromes_packed(value, capacity, m)
+                mask = bit
+                while vector:
+                    top = vector.bit_length()
+                    row = vectors[top]
+                    if not row:
+                        vectors[top], masks[top] = vector, mask
+                        break
+                    vector ^= row
+                    mask ^= masks[top]
+            bit <<= 1
 
 
 class CandidateRegistry:
@@ -48,118 +96,103 @@ class CandidateRegistry:
     >>> registry.add_many([9])
     >>> list(registry), len(registry), 5 in registry
     ([7, 9], 2, False)
+
+    A difference among the ids is read off their syndrome vectors:
+
+    >>> from repro.sketch import sketch_syndromes_packed
+    >>> def packed(*ids):  # the capacity-4 sketch of ``ids`` over GF(2^16)
+    ...     vector = 0
+    ...     for x in ids:
+    ...         vector ^= sketch_syndromes_packed(x, 4, 16)
+    ...     return vector
+    >>> sorted(registry.combination(packed(7, 9), 4, 16))
+    [7, 9]
+    >>> registry.combination(packed(5, 9), 4, 16) is None  # 5 was evicted
+    True
     """
 
     def __init__(self, ids: Iterable[int] = (), limit: Optional[int] = None):
         self.limit = limit
-        self._slot_of: "OrderedDict[int, Optional[int]]" = OrderedDict()
-        self._values: List[int] = []   # slot -> id; 0 marks a free slot
-        self._free: List[int] = []
-        self._pending: List[int] = []  # slots whose row is not built yet
-        self._rows = None              # intp (width + 1, 3, slots)
-        self._width = -1
+        self._ids: "OrderedDict[int, None]" = OrderedDict()
+        self._added = 0  # ids ever inserted: a basis syncs from here
+        self._bases: Dict[Tuple[int, int], _Basis] = {}
         self.add_many(ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._slot_of)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self._ids)
 
     def __contains__(self, value: object) -> bool:
-        return value in self._slot_of
+        return value in self._ids
 
     def add_many(self, ids: Iterable[int]) -> None:
         """Append the ids not held yet; past ``limit`` the oldest go."""
-        slot_of = self._slot_of
+        held = self._ids
         limit = self.limit
         for value in ids:
-            if value in slot_of:
+            if value in held:
                 continue
-            if limit is not None and len(slot_of) >= limit:
-                _, slot = slot_of.popitem(last=False)
-                if slot is not None:
-                    self._values[slot] = 0
-                    self._free.append(slot)
-            slot = None
-            if 0 < value < _ELEMENT_BOUND:
-                if self._free:
-                    slot = self._free.pop()
-                    self._values[slot] = value
-                else:
-                    slot = len(self._values)
-                    self._values.append(value)
-                self._pending.append(slot)
-            slot_of[value] = slot
+            if limit is not None and len(held) >= limit:
+                held.popitem(last=False)
+            held[value] = None
+            self._added += 1
 
-    def block(
-        self, field: "GF2Tower32", degree: int
-    ) -> Tuple[object, List[int]]:
-        """``(logs, values)`` for a test of a degree-``degree`` polynomial.
+    def combination(
+        self, packed: int, capacity: int, m: int
+    ) -> Optional[Set[int]]:
+        """The ids whose packed vectors XOR to ``packed``, if at most
+        ``capacity`` of the newest ``min(MAX_CANDIDATES, m*capacity // 2)``
+        do; ``None`` otherwise.
 
-        ``logs[j, k, i]`` is subfield log ``k`` (hi, lo, hi ^ lo) of
-        ``values[i] ** j`` for ``j <= degree``, as ``intp`` (numpy gathers
-        with it as they are); a ``values`` entry of 0 is a free slot,
-        whose row is stale and must not be reported.
+        One reduction of ``packed`` against the ``(capacity, m)`` basis,
+        after the ids inserted since its last call have joined it.  The
+        rows are independent, so the combination is the only one within
+        the basis.
         """
-        rows, width = self._rows, self._width
-        if degree > width:
-            self._grow(field, max(degree, 2 * width))
-        elif len(self._values) > rows.shape[2]:
-            self._grow(field, width)
-        if self._pending:
-            slots = sorted(set(self._pending))
-            self._pending = []
-            self._build(field, [s for s in slots if self._values[s]])
-        return self._rows[:degree + 1, :, :len(self._values)], self._values
+        if packed >> (m * capacity):
+            return None  # a slot wider than the field: no set's sketch
+        basis = self._bases.get((capacity, m))
+        if basis is None:
+            basis = self._bases[(capacity, m)] = _Basis(capacity, m)
+        if basis.synced != self._added:
+            self._sync(basis)
+        vectors, masks = basis.vectors, basis.masks
+        mask = 0
+        while packed:
+            top = packed.bit_length()
+            row = vectors[top]
+            if not row:
+                return None
+            packed ^= row
+            mask ^= masks[top]
+        ids = basis.ids
+        # Bits below ``stale`` stand for ids that left the window.
+        stale = len(ids) - min(basis.window, len(self._ids))
+        if mask & ((1 << stale) - 1):
+            return None
+        found: Set[int] = set()
+        while mask:
+            if len(found) == capacity:
+                return None
+            low = mask & -mask
+            found.add(ids[low.bit_length() - 1])
+            mask ^= low
+        return found
 
-    def _build(self, field: "GF2Tower32", slots: List[int]) -> None:
-        """Fill the rows of ``slots`` (each built once per id)."""
-        if slots:
-            self._rows[:, :, slots] = _np.array([
-                _power_logs(field, self._values[s], 0, self._width + 1)
-                for s in slots
-            ]).transpose(2, 1, 0)
+    def _sync(self, basis: _Basis) -> None:
+        """Let the ids inserted since ``basis.synced`` join the basis.
 
-    def _grow(self, field: "GF2Tower32", width: int) -> None:
-        """Room for every slot and powers up to ``width``; extend kept rows."""
-        old, old_width = self._rows, self._width
-        rows = _np.zeros((width + 1, 3, max(16, 2 * len(self._values))),
-                         dtype=_np.intp)
-        if old is not None:
-            rows[:old_width + 1, :, :old.shape[2]] = old
-        self._rows, self._width = rows, width
-        if old is None or width == old_width:
-            return
-        pending = set(self._pending)
-        kept = [s for s, value in enumerate(self._values)
-                if value and s not in pending]
-        if kept:
-            rows[old_width + 1:, :, kept] = _np.array([
-                _power_logs(field, self._values[s], old_width + 1, width + 1)
-                for s in kept
-            ]).transpose(2, 1, 0)
-
-
-def _power_logs(
-    field: "GF2Tower32", c: int, start: int, stop: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """Subfield logs (hi, lo, hi ^ lo) of ``c^start .. c^(stop-1)``."""
-    exp, log, lc = field._sub_exp, field._sub_log, field._log_c
-    k1, k0 = log[c >> 16], log[c & 0xFFFF]
-    kx = log[(c >> 16) ^ (c & 0xFFFF)]
-    power = field.pow(c, start)
-    out1: List[int] = []
-    out0: List[int] = []
-    outx: List[int] = []
-    for _ in range(start, stop):
-        p1, p0 = power >> 16, power & 0xFFFF
-        l1, l0, lx = log[p1], log[p0], log[p1 ^ p0]
-        out1.append(l1)
-        out0.append(l0)
-        outx.append(lx)
-        m0 = exp[l0 + k0]
-        power = ((exp[lx + kx] ^ m0) << 16) | (
-            m0 ^ exp[log[exp[l1 + k1]] + lc]
-        )
-    return out1, out0, outx
+        When the basis would then hold more than half a window of ids
+        outside the window, it is rebuilt from the window alone.
+        """
+        window = min(basis.window, len(self._ids))
+        new = min(self._added - basis.synced, window)
+        if len(basis.ids) + new > window + window // 2:
+            basis.clear()
+            new = window
+        fresh = list(islice(reversed(self._ids), new))
+        fresh.reverse()
+        basis.extend(fresh)
+        basis.synced = self._added

@@ -3,7 +3,7 @@
 from repro.core.reconciliation import SyncRequest, full_range_spec
 from repro.net.message import Message
 from repro.sketch import PinSketch
-from repro.sketch.gf import GF2m
+from repro.sketch.registry import MAX_CANDIDATES
 
 from tests.conftest import make_sim
 
@@ -63,7 +63,7 @@ def test_an_id_inside_a_received_sketch_enters_only_once_committed(
 def test_registry_keeps_the_newest_ids_in_first_commit_order():
     sim = make_sim(num_nodes=3)
     first, second = sim.nodes[0], sim.nodes[1]
-    cap = GF2m.MAX_TESTED_CANDIDATES
+    cap = MAX_CANDIDATES
     assert cap == 1024
     first._commit_bundle(list(range(1, 1101)), source_peer=None)
     # Re-committed ids keep their first-commit place; new ones go last.
@@ -90,3 +90,55 @@ def test_restart_leaves_the_registry_intact():
     before = list(sim.directory.committed)
     node.restart()
     assert list(sim.directory.committed) == before == [21, 22, 23, 24]
+
+
+def test_a_registry_past_a_window_eliminates_only_inside_it(monkeypatch):
+    """A capacity-16 basis covers the newest 256 of 1,024 ids: a difference
+    of those decodes by elimination, one holding an older or evicted id by
+    Berlekamp--Massey, both exactly, and the basis is rebuilt once per at
+    least half a window of new ids."""
+    import random
+
+    from repro.sketch.gf import GF2Tower32
+    from repro.sketch.pinsketch import clear_decode_cache
+    from repro.sketch.registry import _Basis
+
+    runs, builds = [], []
+    berlekamp_massey = GF2Tower32.berlekamp_massey
+    extend = _Basis.extend
+
+    def counting_bm(self, odd):
+        runs.append(len(odd))
+        return berlekamp_massey(self, odd)
+
+    def counting_extend(basis, fresh):
+        if not basis.ids:  # the first build, or a rebuild
+            builds.append(len(fresh))
+        return extend(basis, fresh)
+
+    monkeypatch.setattr(GF2Tower32, "berlekamp_massey", counting_bm)
+    monkeypatch.setattr(_Basis, "extend", counting_extend)
+    sim = make_sim(num_nodes=3)
+    registry = sim.directory.committed
+    rnd = random.Random(5)
+    ids = rnd.sample(range(1, 1 << 32), 3000)
+    evicted = []
+    for start in range(0, len(ids), 25):
+        before = set(registry)
+        sim.nodes[start % 3]._commit_bundle(ids[start:start + 25], None)
+        evicted += sorted(before - set(registry))
+        held = list(registry)
+        newest = rnd.sample(held[-256:], 9)
+        older = held[:-256] + evicted[-50:]
+        cases = [(newest, 0)]
+        if older:
+            cases.append((newest[:8] + [rnd.choice(older)], 1))
+        for difference, searched in cases:
+            sketch = PinSketch(16, 32)
+            sketch.add_all(difference)
+            clear_decode_cache()
+            del runs[:]
+            assert sketch.decode(registry) == set(difference)
+            assert len(runs) == searched
+    assert len(registry) == MAX_CANDIDATES and len(evicted) > 1000
+    assert 2 <= len(builds) <= 1 + len(ids) // 128

@@ -153,30 +153,31 @@ def _outcome(sim):
 
 
 def _run_counting(monkeypatch, build, blind):
-    """Run ``build()``, counting root tests and Frobenius chains.
+    """Run ``build()``, counting eliminations and Frobenius chains.
 
     ``blind`` forces the candidates every responder decodes with to ``()``,
-    so each root of degree >= 5 is searched for instead of tested.
-    Returns ``(outcome, hits per test, chain count)``.
+    so each difference is searched for instead of eliminated.  Returns
+    ``(outcome, 1 per elimination that found the set else 0, chain count)``.
     """
     import repro.core.node as node_module
+    from repro.sketch import CandidateRegistry
     from repro.sketch.gf import GF2Tower32
     from repro.sketch.pinsketch import clear_decode_cache
 
     tested, chains = [], []
-    roots_among = GF2Tower32.roots_among
+    combination = CandidateRegistry.combination
     frobenius_chain = GF2Tower32.frobenius_chain
 
-    def counting(self, poly, candidates):
-        hits = roots_among(self, poly, candidates)
-        tested.append(len(hits))
-        return hits
+    def counting(self, packed, capacity, m):
+        found = combination(self, packed, capacity, m)
+        tested.append(int(found is not None))
+        return found
 
     def counting_chain(self, q):
         chains.append(len(q) - 1)
         return frobenius_chain(self, q)
 
-    monkeypatch.setattr(GF2Tower32, "roots_among", counting)
+    monkeypatch.setattr(CandidateRegistry, "combination", counting)
     monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
     if blind:
         monkeypatch.setattr(
@@ -211,8 +212,8 @@ def test_same_seed_run_is_identical_with_held_forced_empty(monkeypatch):
     result: forcing the responders' candidates to ``()`` gives the same run."""
     ((digest, known), tested, _), ((blind_digest, blind_known), blind, _) = \
         _with_and_without_candidates(monkeypatch, _sixteen_nodes)
-    assert sum(tested) > 0  # committed ids were found by testing
-    assert blind == []      # ... and without candidates nothing is tested
+    assert tested and all(tested)  # every miss was one elimination
+    assert blind == []      # ... and without candidates none ran
     assert known == blind_known
     assert digest == blind_digest
 
@@ -252,10 +253,10 @@ def _garbage_neighbour():
 @pytest.mark.parametrize("build", [_corrupting_chaos, _garbage_neighbour])
 def test_candidates_change_no_outcome_where_the_search_still_runs(
         monkeypatch, build):
-    """Corrupted copies and a garbage-sending neighbour: some locators
-    (over-capacity ones) are not explained by the committed ids, so the
+    """Corrupted copies and a garbage-sending neighbour: some sketches
+    (over-capacity ones) are no combination of committed ids, so the
     Frobenius chain still runs with the registry in place -- and the run
-    is the same as one that searches for every root."""
+    is the same as one that searches for every difference."""
     ((digest, known), tested, chains), ((blind_digest, blind_known), _,
                                         blind_chains) = \
         _with_and_without_candidates(monkeypatch, build)

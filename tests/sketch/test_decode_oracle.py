@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import PinSketch, SketchDecodeError, pinsketch
+from repro.sketch import (
+    CandidateRegistry, PinSketch, SketchDecodeError, pinsketch,
+)
 from repro.sketch.gf import default_field, set_fast_path
 from repro.sketch.pinsketch import (
     _find_roots,
@@ -22,6 +24,7 @@ from repro.sketch.pinsketch import (
     _solve_quartic,
     clear_decode_cache,
 )
+from repro.sketch.registry import MAX_CANDIDATES
 
 from tests.sketch import reference_decode as ref
 
@@ -262,15 +265,18 @@ def test_find_roots_rejects_non_split_locators_of_every_degree(fast):
         set_fast_path(previous)
 
 
-# ------------------------------------------------ known-candidate deflation
+# --------------------------------------- elimination over known candidates
 
 CANDIDATE_KINDS = ("half", "superset", "junk", "duplicates", "empty",
                    "over_bound", "out_of_range")
 
+#: One registry shared by every example below, so that bases are synced,
+#: windows slide and rebuilds happen between decodes.
+_SHARED = CandidateRegistry(limit=300)
+
 
 def _candidates(kind, elements, m, rnd):
     """Candidate lists a caller could pass: helpful, useless and hostile."""
-    field = default_field(m)
     ordered = sorted(elements)
     half = rnd.sample(ordered, len(ordered) // 2)
     junk = [x for x in (rnd.randrange(1, 1 << m) for _ in range(40))
@@ -287,13 +293,14 @@ def _candidates(kind, elements, m, rnd):
         return half + junk[:5] + half + half
     if kind == "empty":
         return ()
-    if kind == "over_bound":  # one more than is ever tested
-        padding = field.MAX_TESTED_CANDIDATES + 1 - len(half)
+    if kind == "over_bound":  # more ids than any basis covers, newest last
+        padding = MAX_CANDIDATES + 1 - len(half)
         return half + [rnd.randrange(1, 1 << m) for _ in range(padding)]
     # Values that are no field element.  ``e + 2^32`` is ``e`` once
-    # narrowed to uint32: it must not come back as a root.
-    return half + [0, -1, -ordered[0] if ordered else -7, 1 << m] + [
-        e + (1 << 32) for e in ordered] + [e + (1 << m) for e in ordered]
+    # narrowed to uint32: it must not come back as an element.
+    return half + [0, -1, -ordered[0] if ordered else -7, 1 << m, 5.0,
+                   "x"] + [e + (1 << 32) for e in ordered] + [
+        e + (1 << m) for e in ordered]
 
 
 @st.composite
@@ -307,7 +314,9 @@ def candidate_case(draw):
 @given(case=candidate_case())
 @settings(max_examples=400, deadline=None)
 def test_candidates_never_change_the_decode(case):
-    """decode(candidates=C) == decode() == the reference == brute force."""
+    """decode(candidates=C) == decode() == the reference == brute force,
+    for C as a list and as a long-lived registry, and the memo holds the
+    same entries either way."""
     elements, capacity, m, kind, seed = case
     field = default_field(m)
     syndromes = ref.sketch_of(elements, capacity, field)
@@ -315,25 +324,25 @@ def test_candidates_never_change_the_decode(case):
     if len(elements) <= capacity:
         assert expected == set(elements)
     candidates = _candidates(kind, elements, m, random.Random(seed))
+    _SHARED.add_many(candidates)
     sketch = PinSketch(capacity, m)
     sketch.load_syndromes(syndromes)
     for fast in (True, False):
         previous = set_fast_path(fast)
         try:
-            outcomes = []
-            for hint in ((), candidates):
+            outcomes, memos = [], []
+            for hint in ((), candidates, _SHARED):
                 clear_decode_cache()
                 try:
                     outcomes.append(sketch.decode(hint))
                 except SketchDecodeError:
                     outcomes.append(None)
                 # What the memo now holds does not depend on the hint.
-                outcomes.append(list(pinsketch._DECODE_CACHE.items()))
+                memos.append(list(pinsketch._DECODE_CACHE.items()))
         finally:
             set_fast_path(previous)
-        plain, plain_memo, hinted, hinted_memo = outcomes
-        assert plain == hinted == expected, (fast, kind, capacity)
-        assert plain_memo == hinted_memo
+        assert outcomes == [expected] * 3, (fast, kind, capacity)
+        assert memos[0] == memos[1] == memos[2]
 
 
 @pytest.mark.parametrize("m", [16, 32])
@@ -357,66 +366,94 @@ def test_decode_with_candidates_then_without_is_a_cache_hit(m, fast):
         set_fast_path(previous)
 
 
-@pytest.mark.parametrize("m", [16, 32])
-@pytest.mark.parametrize("fast", [True, False])
-def test_roots_among_reports_only_field_elements_that_are_roots(m, fast):
-    field = default_field(m)
-    rnd = random.Random(17 * m + fast)
-    roots = rnd.sample(range(1, 1 << m), 7)
-    poly = [1]
-    for r in roots:
-        poly = field.poly_mul(poly, [r, 1])
-    hostile = [0, -1, -roots[0], 1 << m, (1 << m) + roots[1],
-               (1 << 32) + roots[2], (1 << 64) + roots[3]]
-    junk = [x for x in (rnd.randrange(1, 1 << m) for _ in range(50))
-            if x not in roots]
-    previous = set_fast_path(fast)
-    try:
-        assert field.roots_among(poly, hostile) == []
-        assert field.roots_among(poly, hostile + junk) == []
-        assert field.roots_among(poly, hostile + junk + roots[:3] + roots[:3]) \
-            == sorted(roots[:3])
-        assert field.roots_among(poly, ()) == []
-        assert field.roots_among([5], roots) == []  # a constant has no roots
-    finally:
-        set_fast_path(previous)
+def _count_search(monkeypatch):
+    """Lists that grow by one per Berlekamp--Massey run, Frobenius chain
+    and GF(2) quartic solve."""
+    from repro.sketch.gf import GF2m, GF2Tower32
+
+    runs, chains, quartics = [], [], []
+    frobenius_chain = GF2Tower32.frobenius_chain
+    solve_linearized_quartic = GF2m.solve_linearized_quartic
+
+    def counting(berlekamp_massey):
+        def counting_bm(self, odd):
+            runs.append(len(odd))
+            return berlekamp_massey(self, odd)
+        return counting_bm
+
+    def counting_chain(self, q):
+        chains.append(len(q) - 1)
+        return frobenius_chain(self, q)
+
+    def counting_quartic(self, a, b, v):
+        quartics.append((a, b, v))
+        return solve_linearized_quartic(self, a, b, v)
+
+    for cls in (GF2m, GF2Tower32):  # the tower has a loop of its own
+        monkeypatch.setattr(cls, "berlekamp_massey",
+                            counting(cls.berlekamp_massey))
+    monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
+    monkeypatch.setattr(GF2m, "solve_linearized_quartic", counting_quartic)
+    return runs, chains, quartics
 
 
 @pytest.mark.parametrize("fast", [True, False])
-def test_candidates_cannot_rescue_a_locator_that_does_not_split(fast):
-    """Repeated roots and irreducible factors fail with or without hints."""
-    field = default_field(32)
+def test_candidates_cannot_rescue_a_locator_that_does_not_split(
+        monkeypatch, fast):
+    """Over-capacity sketches and arbitrary syndromes, whose locators do
+    not split: candidates holding every element (twice, next to junk)
+    leave the decode to the search, with the search's outcome, at m = 16
+    and m = 32."""
     rnd = random.Random(99 + fast)
-
-    def product(roots):
-        poly = [1]
-        for r in roots:
-            poly = field.poly_mul(poly, [r, 1])
-        return poly
-
+    runs, _, _ = _count_search(monkeypatch)
     previous = set_fast_path(fast)
     try:
-        for degree in range(5, 14):
-            roots = rnd.sample(range(1, 1 << 32), degree)
-            poly = product(roots)
-            for hint in (roots, roots[:degree // 2], roots[:1]):
-                assert sorted(_find_roots(poly, field, hint)) == sorted(roots)
-            # A repeated root, itself among the candidates.
-            repeated = product(roots[:-1] + [roots[0]])
-            assert len(_find_roots(repeated, field)) < degree
-            for hint in (roots, roots[:1], roots[1:3]):
-                assert len(set(_find_roots(repeated, field, hint))) < degree
-            # An irreducible quadratic factor next to known roots.
-            while True:
-                b, c = rnd.randrange(1, 1 << 32), rnd.randrange(1, 1 << 32)
-                if field.artin_schreier_solve(
-                        field.div(c, field.sqr(b))) is None:
-                    break
-            non_split = field.poly_mul(product(roots[:-2]), [c, b, 1])
-            got = _find_roots(non_split, field, roots)
-            assert set(got) <= set(roots[:-2]) and len(got) < degree
+        for m, capacity in [(m, t) for m in (16, 32) for t in range(2, 14)]:
+            field = default_field(m)
+            elements = rnd.sample(range(1, 1 << m),
+                                  capacity + rnd.randint(1, 8))
+            garbage = [rnd.randrange(1 << m) for _ in range(capacity)]
+            for syndromes in (ref.sketch_of(set(elements), capacity, field),
+                              garbage):
+                expected = ref.decode(syndromes, field)
+                sketch = PinSketch(capacity, m)
+                sketch.load_syndromes(syndromes)
+                for hint in (elements, elements * 2 + [0, 1 << m]):
+                    clear_decode_cache()
+                    del runs[:]
+                    try:
+                        outcome = sketch.decode(hint)
+                    except SketchDecodeError:
+                        outcome = None
+                    assert outcome == expected
+                    assert len(runs) == 1  # the search decided
+            assert expected is None or len(expected) <= capacity
     finally:
         set_fast_path(previous)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_a_reduction_past_capacity_falls_back_to_the_search(m):
+    """At capacity 1 a sketch is its elements' XOR, so ``a ^ b`` is a
+    combination of two registry ids: more than the capacity.  The decoder
+    then searches, and returns what the search returns -- ``{a ^ b}`` for
+    the sketch of ``{a ^ b}`` (whose own row is dependent, so the
+    reduction never lands on it) and for the aliased sketch of ``{a, b}``."""
+    field = default_field(m)
+    rnd = random.Random(m)
+    for _ in range(20):
+        a, b = rnd.sample(range(1, 1 << m), 2)
+        for members in ([a, b, a ^ b], [a, b]):
+            registry = CandidateRegistry(members)
+            for difference in ({a ^ b}, {a, b}):
+                syndromes = ref.sketch_of(difference, 1, field)
+                assert registry.combination(syndromes[0], 1, m) == (
+                    {a ^ b} if members == [a ^ b] else None)
+                sketch = PinSketch(1, m)
+                sketch.load_syndromes(syndromes)
+                clear_decode_cache()
+                assert sketch.decode(registry) == {a ^ b} \
+                    == ref.decode(syndromes, field)
 
 
 # ------------------------------------------- every root among the candidates
@@ -426,9 +463,10 @@ FULL_KINDS = ("exact", "superset", "duplicates", "out_of_range")
 
 def _candidates_with_every_root(kind, elements, rnd):
     """Candidate lists holding all of ``elements``, the way a simulation's
-    registry of committed ids holds a correct difference."""
+    registry of committed ids holds a correct difference: within the
+    16 * capacity newest ids a basis covers."""
     ordered = sorted(elements)
-    junk = [x for x in (rnd.randrange(1, 1 << 32) for _ in range(60))
+    junk = [x for x in (rnd.randrange(1, 1 << 32) for _ in range(10))
             if x not in elements]
     if kind == "exact":
         return ordered
@@ -446,41 +484,15 @@ def _candidates_with_every_root(kind, elements, rnd):
 @pytest.mark.parametrize("kind", FULL_KINDS)
 @pytest.mark.parametrize("fast", [True, False])
 def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
-    """A full hit is returned as it is: no deflation, no chain, no closed
-    form from degree 3, and the same set as the reference decoder, brute
-    force and the plain search."""
-    from repro.sketch.gf import GF2m, GF2Tower32
-
+    """Candidates holding the whole difference answer by elimination: no
+    Berlekamp--Massey, no chain and no quartic solve, and the same set as
+    the reference decoder, brute force and the plain search."""
     field = default_field(32)
     rnd = random.Random(10 * FULL_KINDS.index(kind) + fast)
-    tests, chains, quartics = [], [], []
-    roots_among = GF2Tower32.roots_among
-    frobenius_chain = GF2Tower32.frobenius_chain
-    solve_linearized_quartic = GF2m.solve_linearized_quartic
-
-    def counting(self, poly, candidates):
-        hits = roots_among(self, poly, candidates)
-        tests.append((len(poly) - 1, len(hits)))
-        return hits
-
-    def counting_chain(self, q):
-        chains.append(len(q) - 1)
-        return frobenius_chain(self, q)
-
-    def counting_quartic(self, a, b, v):
-        quartics.append((a, b, v))
-        return solve_linearized_quartic(self, a, b, v)
-
-    def no_deflation(self, p, roots):
-        raise AssertionError("a full hit needs no deflation")
-
-    monkeypatch.setattr(GF2Tower32, "roots_among", counting)
-    monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
-    monkeypatch.setattr(GF2m, "solve_linearized_quartic", counting_quartic)
-    monkeypatch.setattr(GF2Tower32, "poly_deflate", no_deflation)
+    runs, chains, quartics = _count_search(monkeypatch)
     previous = set_fast_path(fast)
     try:
-        for degree in (3, 4, 5, 6, 8, 12, 17, 24):
+        for degree in (1, 2, 3, 4, 5, 6, 8, 12, 17, 24):
             elements = set(rnd.sample(range(1, 1 << 32), degree))
             capacity = degree + rnd.randint(0, 8)
             syndromes = ref.sketch_of(elements, capacity, field)
@@ -488,161 +500,105 @@ def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
             sketch = PinSketch(capacity, 32)
             sketch.load_syndromes(syndromes)
             hint = _candidates_with_every_root(kind, elements, rnd)
-            del tests[:], chains[:], quartics[:]
+            del runs[:], chains[:], quartics[:]
             clear_decode_cache()
             assert sketch.decode(hint) == elements
-            assert tests and tests[-1] == (degree, degree)
-            assert chains == [] and quartics == []
+            assert runs == chains == quartics == []
             clear_decode_cache()
             assert sketch.decode() == elements
             # Without candidates the roots are searched for.
-            assert chains if degree > 4 else quartics
+            assert runs and (chains if degree > 4 else
+                             quartics if degree > 2 else True)
     finally:
         set_fast_path(previous)
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_a_repeated_root_among_the_candidates_fails_as_before(fast):
-    """``deg q`` hits are impossible when a root repeats: the hits are
-    divided out and the residual returns the repeat again, so the result
-    still has fewer than ``deg q`` distinct roots."""
-    field = default_field(32)
-    rnd = random.Random(123 + fast)
-    previous = set_fast_path(fast)
-    try:
-        for degree in range(5, 14):
-            roots = rnd.sample(range(1, 1 << 32), degree)
-            distinct = roots[:-1]
-            repeated = [1]
-            for r in distinct + [roots[0]]:
-                repeated = field.poly_mul(repeated, [r, 1])
-            assert _find_roots(repeated, field) == []  # the chain: no split
-            for hint in (distinct, distinct + distinct + [0, 1 << 32],
-                         roots + [rnd.randrange(1, 1 << 32)]):
-                got = _find_roots(repeated, field, hint)
-                assert sorted(got) == sorted(distinct + [roots[0]])
-                assert len(set(got)) < degree
-    finally:
-        set_fast_path(previous)
-
-
-def test_poly_deflate_is_exact_division_and_rejects_non_roots():
-    field = default_field(32)
-    rnd = random.Random(4)
-    roots = rnd.sample(range(1, 1 << 32), 9)
-    poly = [1]
-    for r in roots:
-        poly = field.poly_mul(poly, [r, 1])
-    rest = [1]
-    for r in roots[4:]:
-        rest = field.poly_mul(rest, [r, 1])
-    assert field.poly_deflate(poly, roots[:4]) == rest
-    assert field.poly_deflate(poly, []) == poly
-    assert field.poly_deflate(poly, roots) == [1]
-    with pytest.raises(ArithmeticError):
-        field.poly_deflate(poly, [roots[0] ^ 1])
-    with pytest.raises(ArithmeticError):
-        field.poly_deflate(poly, [roots[0], roots[0]])  # distinct roots only
-
-
-# ------------------------------------------ the registry's power-row test
-
-
-def _product(field, roots):
-    poly = [1]
-    for r in roots:
-        poly = field.poly_mul(poly, [r, 1])
-    return poly
+# -------------------------------------------- the registry's echelon bases
 
 
 @pytest.mark.parametrize("fast", [True, False])
-def test_registry_roots_test_matches_brute_force_and_horner(fast):
-    """Hostile entries, evictions and degrees past the row width.
+def test_registry_elimination_matches_brute_force(fast):
+    """Hostile entries, evictions, several capacities sharing one registry.
 
     The registry holds the newest 48 of everything added, hostile values
-    (0, negatives, >= 2^32) among them; every test is checked against the
-    roots the polynomial was built from (brute force) and against the
-    scalar Horner test over the same values as a plain list.
+    (0, negatives, >= 2^32, non-ints) among them.  A combination is
+    reported exactly when the planted difference lies among the newest
+    ids the ``(capacity, m)`` basis covers (brute force: at most one set
+    of size <= t has a given sketch), and decoding with the registry
+    gives the reference decoder's outcome whatever was planted.
     """
-    from repro.sketch import CandidateRegistry
-    from repro.sketch.gf import GF2m
-
     field = default_field(32)
     rnd = random.Random(404 + fast)
     registry = CandidateRegistry(limit=48)
     evicted = rnd.sample(range(1, 1 << 32), 20)
     registry.add_many(evicted + evicted[:5])
     hostile = [0, -1, -evicted[0], 1 << 32, (1 << 32) + evicted[1],
-               (1 << 64) + evicted[2]]
+               (1 << 64) + evicted[2], 5.0, "x"]
     previous = set_fast_path(fast)
+    reported = 0
     try:
-        degrees = list(range(1, 41))
-        rnd.shuffle(degrees)
-        for step, degree in enumerate([3, 1, 2] + degrees + [40, 1, 17]):
+        for step in range(160):
+            capacity = rnd.choice((1, 2, 3, 4, 8, 16, 24))
             fresh = rnd.sample(range(1, 1 << 32), rnd.randint(0, 6))
             before = set(registry)
-            # A hostile value evicts an id and takes no row in its place.
-            registry.add_many(hostile[step % 6:step % 6 + 1] + fresh)
-            evicted += [c for c in before - set(registry) if 0 < c < 1 << 32]
-            held = [c for c in registry if 0 < c < 1 << 32]
-            pool = held + evicted[-8:] + evicted[:4] + [(1 << 32) - 1, 1]
-            roots = rnd.sample(pool, min(degree, len(pool)))
-            roots += rnd.sample(range(1, 1 << 32), degree - len(roots))
-            poly = _product(field, roots)
-            if step % 3 == 1:
-                poly[0] ^= 1  # almost surely no longer split
-            brute = sorted({c for c in held if field.poly_eval(poly, c) == 0})
-            if step % 3 != 1:
-                assert brute == sorted(set(roots) & set(held))
-            assert field.roots_among(poly, registry) == brute
-            as_list = list(registry) + hostile + held[:4]
-            assert field.roots_among(poly, as_list) == brute
-            assert GF2m.roots_among(field, poly, as_list) == brute
+            # A hostile value evicts an id and is no element in its place.
+            registry.add_many(hostile[step % 8:step % 8 + 1] + fresh)
+            evicted += [c for c in before - set(registry)
+                        if type(c) is int and 0 < c < 1 << 32]
+            window = list(registry)[-min(16 * capacity, 48):]
+            covered = [c for c in window
+                       if type(c) is int and 0 < c < 1 << 32]
+            held = [c for c in registry if type(c) is int and 0 < c < 1 << 32]
+            pool = covered + held[:4] + evicted[-8:] + [(1 << 32) - 1]
+            size = rnd.randint(1, capacity + 2)
+            planted = set(rnd.sample(pool, min(size, len(pool))))
+            syndromes = ref.sketch_of(planted, capacity, field)
+            packed = pinsketch.pack_syndromes(syndromes, 32)
+            got = registry.combination(packed, capacity, 32)
+            in_window = len(planted) <= capacity and planted <= set(covered)
+            assert got == (planted if in_window else None), step
+            reported += got is not None
+            sketch = PinSketch(capacity, 32)
+            sketch.load_syndromes(syndromes)
+            clear_decode_cache()
+            try:
+                outcome = sketch.decode(registry)
+            except SketchDecodeError:
+                outcome = None
+            assert outcome == ref.decode(syndromes, field), step
         assert not set(evicted) & set(registry)
+        assert reported > 40  # not vacuous
     finally:
         set_fast_path(previous)
 
 
-def test_registry_rows_are_built_once_and_widen_by_doubling(monkeypatch):
-    """A quick ``steady_gossip`` run: one row build per tested id, and the
-    width grows at most ceil(log2(max degree)) times."""
-    import math
-
+def test_every_decode_miss_of_a_quick_run_is_one_elimination(monkeypatch):
+    """A quick ``steady_gossip`` run: no Berlekamp--Massey at all, and each
+    committed id is reduced into each basis once (the registry stays
+    inside every window, so nothing is rebuilt)."""
     from lobench.workloads import WORKLOADS
-    from repro.sketch import CandidateRegistry
-    from repro.sketch.gf import GF2Tower32
 
-    builds, widths, degrees = [], [], []
-    build, grow = CandidateRegistry._build, CandidateRegistry._grow
-    roots_among = GF2Tower32.roots_among
+    from repro.sketch.registry import _Basis
 
-    def counting_build(self, field, slots):
-        builds.extend(self._values[s] for s in slots)
-        return build(self, field, slots)
+    runs, chains, quartics = _count_search(monkeypatch)
+    reduced = []
+    extend = _Basis.extend
 
-    def counting_grow(self, field, width):
-        before = self._width
-        grow(self, field, width)
-        if self._width != before:
-            widths.append(self._width)
+    def counting_extend(basis, fresh):
+        reduced.extend((basis.capacity, value) for value in fresh)
+        return extend(basis, fresh)
 
-    def counting_test(self, poly, candidates):
-        degrees.append(len(poly) - 1)
-        return roots_among(self, poly, candidates)
-
-    monkeypatch.setattr(CandidateRegistry, "_build", counting_build)
-    monkeypatch.setattr(CandidateRegistry, "_grow", counting_grow)
-    monkeypatch.setattr(GF2Tower32, "roots_among", counting_test)
+    monkeypatch.setattr(_Basis, "extend", counting_extend)
     clear_decode_cache()
     workload = WORKLOADS["steady_gossip"]
     sim = workload.construct(7, True)
+    misses = pinsketch._DECODE_STATS.misses  # the build resets the stats
     workload.inject(sim, 7, True)
     sim.run(workload.horizon(True))
-    assert degrees and builds
-    assert len(builds) == len(set(builds))  # each id's row once
-    assert set(builds) <= set(sim.directory.committed)
-    assert widths == sorted(widths) and widths[-1] >= max(degrees)
-    assert len(widths) <= math.ceil(math.log2(max(degrees)))
+    assert pinsketch._DECODE_STATS.misses - misses >= 50
+    assert runs == chains == quartics == []
+    assert reduced and len(reduced) == len(set(reduced))
+    assert {value for _, value in reduced} <= set(sim.directory.committed)
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])

@@ -198,55 +198,6 @@ def test_polynomial_layer_identical_fast_vs_fallback(m):
     assert results[0][2] == field.poly_monic(q)
 
 
-@needs_numpy
-@given(
-    degree=st.integers(1, 24),
-    found=st.integers(0, 24),
-    junk=st.integers(0, 300),
-    seed=st.integers(0, 2 ** 32),
-    splits=st.booleans(),
-)
-@settings(max_examples=150, deadline=None)
-def test_roots_among_and_deflation_identical_numpy_vs_scalar(
-        degree, found, junk, seed, splits):
-    """One power-row product over all candidates == Horner per candidate.
-
-    Repeated candidates, non-roots, and polynomials that do not split; the
-    hits then deflate to the same quotient on either path, and under
-    ``set_fast_path(False)`` the tower runs the generic scalar method.
-    """
-    field = default_field(32)
-    rnd = random.Random(seed)
-    held = rnd.sample(range(1, 1 << 32), degree)
-    poly = [1]
-    for r in held:
-        poly = field.poly_mul(poly, [r, 1])
-    if not splits:
-        poly[0] ^= 1
-    candidates = held[:found] + _random_batch(rnd, 32, junk, nonzero=True)
-    candidates += candidates[:7]
-    rnd.shuffle(candidates)
-    results = []
-    for fast in (True, False):
-        previous = set_fast_path(fast)
-        try:
-            hits = field.roots_among(poly, candidates)
-            results.append((hits, field.poly_deflate(poly, hits)))
-        finally:
-            set_fast_path(previous)
-    assert results[0] == results[1]
-    assert results[0][0] == GF2m.roots_among(field, poly, candidates)
-    hits, quotient = results[0]
-    assert hits == sorted(set(hits))
-    assert all(field.poly_eval(poly, x) == 0 for x in hits)
-    if splits:
-        assert set(hits) >= set(held[:found])
-    rebuilt = quotient
-    for r in hits:
-        rebuilt = field.poly_mul(rebuilt, [r, 1])
-    assert rebuilt == poly
-
-
 # ------------------------------------------------------- decode equivalence
 
 

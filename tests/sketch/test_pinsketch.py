@@ -194,6 +194,31 @@ def test_element_out_of_range_rejected():
         sketch.add(0)
 
 
+@pytest.mark.parametrize("element", [-5, -1, -(2 ** 16), 5.0, "5", True,
+                                     None])
+def test_no_bogus_element_is_accepted_or_cached(element):
+    """Negative ints and non-ints are refused by every entry point, also
+    when a valid id of the same hash is cached, and none is stored."""
+    from repro.sketch.pinsketch import _SYNDROMES
+
+    sketch_syndromes(5, 3, 16)  # 5.0 and True hash like cached ids
+    sketch_syndromes(1, 3, 16)
+    sketch = PinSketch(capacity=4, m=16)
+    with pytest.raises(ValueError):
+        sketch.add(element)
+    with pytest.raises(ValueError):
+        sketch.add_all([3, 4, 6, element, 7])
+    for m in (16, 32):
+        with pytest.raises(ValueError):
+            sketch_syndromes(element, 3, m)
+        with pytest.raises(ValueError):
+            _SYNDROMES.get_many([element], m, 3)
+    assert sketch.is_empty()
+    assert all(
+        type(x) is int and 0 < x < 1 << m for x, m in _SYNDROMES._entries
+    )
+
+
 def test_invalid_capacity_rejected():
     with pytest.raises(ValueError):
         PinSketch(capacity=0, m=32)
