@@ -18,28 +18,15 @@ The log/exp tables carry a zero sentinel (``log[0] = 2n``, ``exp`` zero on
 ``[2n, 4n + 2)`` for ``n = 2^m - 1``), so a table product is three
 branch-free lookups whatever its operands.  Every kernel builds on that:
 :meth:`GF2m.mul_scalar_batch` -- the row update of polynomial division,
-gcd and the Frobenius chain -- looks the logs of its fixed operand up once
-per call.  The tower field GF((2^16)^2) inlines the same lookups on its
-subfield's tables, and its :meth:`~GF2Tower32.berlekamp_massey` keeps every
-operand of the recurrence in that log form, so a step is subfield lookups
-and XORs only.
+gcd, Berlekamp--Massey and the Frobenius chain -- looks the logs of its
+fixed operand up once per call.  The tower field GF((2^16)^2) inlines the
+same lookups on its subfield's tables.
 
-Fast path
----------
-
-When numpy is importable the field objects additionally run *batched*
-kernels as whole-array gathers on the same (mirrored) tables:
-
-* the :class:`FrobeniusChain` of a locator of degree >= 5
-  (:class:`_TowerChain`);
-* :meth:`GF2m.mul_batch` / :meth:`GF2m.sqr_batch`, the bulk syndrome
-  generation of :meth:`repro.sketch.pinsketch.PinSketch.add_all`.
-
-Every batched kernel has a pure-Python scalar fallback producing
-bit-identical results, selected automatically when numpy is absent or the
-fast path is disabled via :func:`set_fast_path`.
-``tests/sketch/test_fastpath.py`` property-tests the equality;
-``python -m lobench`` measures what it buys end to end.
+Every routine here is scalar Python on ints, one implementation per field
+class: the polynomial layer, Berlekamp--Massey and the Frobenius chain are
+written once on :class:`GF2m` and run on the tower through its ``mul``,
+``sqr``, ``inv`` and ``mul_scalar_batch``.  ``python -m lobench`` measures
+what they cost end to end.
 """
 
 from __future__ import annotations
@@ -47,35 +34,14 @@ from __future__ import annotations
 from operator import xor as _xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # The fast path is optional; the library must work without numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via set_fast_path(False)
-    _np = None
-
-_FAST_ENABLED = True
-
-
-def have_numpy() -> bool:
-    """Whether numpy is importable in this process."""
-    return _np is not None
-
 
 def fast_path_active() -> bool:
-    """Whether the vectorised kernels are currently in use."""
-    return _np is not None and _FAST_ENABLED
+    """Always ``False``: there is one scalar implementation per field.
 
-
-def set_fast_path(enabled: bool) -> bool:
-    """Enable/disable the numpy kernels; returns the previous setting.
-
-    Disabling forces every batched API through the pure-Python scalar
-    fallback -- used by the equality property tests as the reference
-    switch.  A no-op (always "disabled") when numpy is not installed.
+    Kept because benchmark records still report it; nothing in the
+    library calls it.
     """
-    global _FAST_ENABLED
-    previous = _FAST_ENABLED
-    _FAST_ENABLED = bool(enabled)
-    return previous
+    return False
 
 
 # Irreducible polynomials (without the leading x^m term) for supported m,
@@ -96,9 +62,6 @@ IRREDUCIBLE_POLY = {
 _TABLE_CACHE: Dict[
     Tuple[int, int], Tuple[Optional[List[int]], Optional[List[int]]]
 ] = {}
-
-# Numpy mirrors of the cached tables, built on first use of a batched kernel.
-_NP_TABLE_CACHE: Dict[Tuple[int, int], tuple] = {}
 
 
 class GF2m:
@@ -188,32 +151,6 @@ class GF2m:
         exp = exp + exp + [0] * (2 * n + 2)
         self._exp, self._log = exp, log
         _TABLE_CACHE[cache_key] = (exp, log)
-
-    def _np_tables(self):
-        """Numpy mirrors of the log/exp tables, or None off the fast path.
-
-        ``exp`` is uint32 (tower kernels shift products left by 16) and
-        ``log`` int32 (index sums stay below ``4n + 2``).  Only the first
-        period of ``exp`` is converted from the lists; the rest of both
-        mirrors follows from the sentinel layout.
-        """
-        if self._log is None or not fast_path_active():
-            return None
-        cache_key = (self.m, self.modulus)
-        mirrors = _NP_TABLE_CACHE.get(cache_key)
-        if mirrors is None:
-            n = self.order - 1
-            period = _np.array(self._exp[:n], dtype=_np.uint32)
-            log = _np.full(self.order, 2 * n, dtype=_np.int32)
-            log[period] = _np.arange(n, dtype=_np.int32)
-            mirrors = (
-                _np.concatenate(
-                    (period, period, _np.zeros(2 * n + 2, dtype=_np.uint32))
-                ),
-                log,
-            )
-            _NP_TABLE_CACHE[cache_key] = mirrors
-        return mirrors
 
     # ------------------------------------------------------------- arithmetic
 
@@ -349,21 +286,6 @@ class GF2m:
 
     # ------------------------------------------------------ batched kernels
 
-    def mul_batch(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """Elementwise field products of two equal-length sequences.
-
-        Vectorised through the log/exp tables on the fast path; otherwise a
-        scalar loop with identical results.
-        """
-        tables = self._np_tables()
-        if tables is None:
-            mul = self.mul
-            return [mul(x, y) for x, y in zip(a, b)]
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.uint32)
-        bv = _np.asarray(b, dtype=_np.uint32)
-        return exp[log[av] + log[bv]].tolist()
-
     def mul_scalar_batch(self, scalar: int, vec: Sequence[int]) -> List[int]:
         """``[scalar * v for v in vec]`` with the per-scalar setup hoisted.
 
@@ -392,15 +314,6 @@ class GF2m:
                 shift += 4
             out.append(reduce(result))
         return out
-
-    def sqr_batch(self, a: Sequence[int]) -> List[int]:
-        """Elementwise field squares of a sequence."""
-        tables = self._np_tables()
-        if tables is None:
-            sqr = self.sqr
-            return [sqr(x) for x in a]
-        exp, log = tables
-        return exp[2 * log[_np.asarray(a, dtype=_np.uint32)]].tolist()
 
     def trace(self, a: int) -> int:
         """Absolute trace down to GF(2): sum of the m Frobenius conjugates."""
@@ -613,8 +526,8 @@ class GF2m:
         simplification), so those steps need no inner product -- the LFSR
         is merely shifted.  The window holds the syndromes newest first,
         the one being consumed included, so the discrepancy is the inner
-        product of the whole of ``C`` (``C[0] == 1``) with it.
-        :class:`GF2Tower32` runs the same loop in the subfield log domain.
+        product of the whole of ``C`` (``C[0] == 1``) with it.  The same
+        loop serves every field class, the tower included.
         """
         current: List[int] = [1]
         previous: List[int] = [1]
@@ -710,9 +623,8 @@ class FrobeniusChain:
       ``q`` reduce this one polynomial modulo themselves instead of running
       their own chain.
 
-    ``q`` must be monic of degree >= 2.  This is the field-generic scalar
-    implementation (one hoisted row update per coefficient and step);
-    :class:`GF2Tower32` swaps in whole-array numpy steps when it pays.
+    ``q`` must be monic of degree >= 2.  One hoisted row update per
+    coefficient and step, on every field class.
     """
 
     def __init__(self, field: GF2m, q: Sequence[int]):
@@ -765,14 +677,10 @@ class GF2Tower32(GF2m):
     Every kernel works in the log domain of the subfield's sentinel tables
     (see :meth:`GF2m._build_tables`): a subfield product is three
     branch-free lookups, and the kernels with one fixed operand
-    (:meth:`mul_scalar_batch`, the chain) look its logs up once;
-    :meth:`berlekamp_massey` keeps all of its operands as logs.  On the
-    fast path the batched kernels run the same lookups as whole-array
-    numpy gathers.
+    (:meth:`mul_scalar_batch`) look its logs up once.  Berlekamp--Massey,
+    the polynomial layer and the Frobenius chain are :class:`GF2m`'s, run
+    on these kernels.
     """
-
-    #: Lowest locator degree whose Frobenius chain runs as numpy steps.
-    _NUMPY_CHAIN = 5
 
     def __init__(self):
         # Intentionally no super().__init__: the base attributes are set up
@@ -843,22 +751,6 @@ class GF2Tower32(GF2m):
 
     # ------------------------------------------------------ batched kernels
 
-    def mul_batch(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """Elementwise tower products of two equal-length sequences."""
-        tables = self.sub._np_tables()
-        if tables is None:
-            mul = self.mul
-            return [mul(x, y) for x, y in zip(a, b)]
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.uint32)
-        bv = _np.asarray(b, dtype=_np.uint32)
-        a1, a0 = av >> 16, av & 0xFFFF
-        b1, b0 = bv >> 16, bv & 0xFFFF
-        m0 = exp[log[a0] + log[b0]]
-        hi = exp[log[a1 ^ a0] + log[b1 ^ b0]] ^ m0
-        lo = m0 ^ exp[log[exp[log[a1] + log[b1]]] + self._log_c]
-        return ((hi << 16) | lo).tolist()
-
     def mul_scalar_batch(self, scalar: int, vec: Sequence[int]) -> List[int]:
         """``[scalar * v for v in vec]`` with the scalar's logs hoisted."""
         l1 = self._sub_log[scalar >> 16]
@@ -877,181 +769,6 @@ class GF2Tower32(GF2m):
                 | (m0 ^ exp[log[exp[log[v1] + l1]] + lc])
             )
         return out
-
-    def sqr_batch(self, a: Sequence[int]) -> List[int]:
-        """Elementwise tower squares of a sequence."""
-        tables = self.sub._np_tables()
-        if tables is None:
-            sqr = self.sqr
-            return [sqr(x) for x in a]
-        exp, log = tables
-        av = _np.asarray(a, dtype=_np.uint32)
-        s1 = exp[2 * log[av >> 16]]
-        lo = exp[2 * log[av & 0xFFFF]] ^ exp[log[s1] + self._log_c]
-        return ((s1 << 16) | lo).tolist()
-
-    def berlekamp_massey(
-        self, odd_syndromes: Iterable[int]
-    ) -> Iterator[Tuple[int, List[int]]]:
-        """:meth:`GF2m.berlekamp_massey` as one loop in the log domain.
-
-        Every syndrome's three subfield logs (hi, lo, hi ^ lo) are looked
-        up once, when it enters the window (an even one is squared from
-        its half's logs), and the connection polynomial ``C`` and the
-        previous one ``B`` carry theirs beside their values.  The
-        discrepancy is then three XOR-accumulated subfield products per
-        term, recombined once per step; the row update ``C += d/b x^s B``
-        multiplies ``B`` in its logs by the hoisted logs of ``d/b`` and
-        refreshes the logs of only the coefficients it changed.  Yields
-        exactly the generic recurrence's states.
-        """
-        exp, log, lc = self._sub_exp, self._sub_log, self._log_c
-        zero = (log[0], log[0], log[0])
-        current: List[int] = [1]
-        current_logs = [(log[0], log[1], log[1])]  # (hi, lo, hi ^ lo) each
-        previous, previous_logs = current, current_logs
-        inv_prev = 1  # 1 / the discrepancy that made `previous`
-        length = 0
-        shift = 1
-        window: List[Tuple[int, int, int]] = []  # logs, newest first
-        for k, s_odd in enumerate(odd_syndromes):
-            if k:  # s_2k = s_k^2 enters the window
-                half = window[k - 1]
-                hi = exp[2 * half[0]]
-                lo = exp[2 * half[1]] ^ exp[log[hi] + lc]
-                window.insert(0, (log[hi], log[lo], log[hi ^ lo]))
-            hi, lo = s_odd >> 16, s_odd & 0xFFFF
-            window.insert(0, (log[hi], log[lo], log[hi ^ lo]))
-            a1 = a0 = ax = 0
-            for (c1, c0, cx), (w1, w0, wx) in zip(current_logs, window):
-                a1 ^= exp[c1 + w1]
-                a0 ^= exp[c0 + w0]
-                ax ^= exp[cx + wx]
-            hi = ax ^ a0
-            lo = a0 ^ exp[log[a1] + lc]
-            if hi or lo:
-                discrepancy = (hi << 16) | lo
-                factor = self.mul(discrepancy, inv_prev)
-                f1, f0 = factor >> 16, factor & 0xFFFF
-                k1, k0, kx = log[f1], log[f0], log[f1 ^ f0]
-                extra = shift + len(previous) - len(current)
-                grown = current + [0] * extra
-                grown_logs = current_logs + [zero] * extra
-                j = shift
-                for b1, b0, bx in previous_logs:
-                    m0 = exp[k0 + b0]
-                    value = grown[j] ^ (
-                        ((exp[kx + bx] ^ m0) << 16)
-                        | (m0 ^ exp[log[exp[k1 + b1]] + lc])
-                    )
-                    grown[j] = value
-                    hi, lo = value >> 16, value & 0xFFFF
-                    grown_logs[j] = (log[hi], log[lo], log[hi ^ lo])
-                    j += 1
-                if length <= k:  # 2L <= n for the n = 2k syndromes before
-                    previous, previous_logs = current, current_logs
-                    length = 2 * k + 1 - length
-                    inv_prev = self.inv(discrepancy)
-                    shift = 0
-                current, current_logs = grown, grown_logs
-                while current[-1] == 0:
-                    current.pop()
-                    current_logs.pop()
-            shift += 2  # this step and the zero-discrepancy even step after
-            yield length, current
-
-    def frobenius_chain(self, q: Sequence[int]):
-        """The chain of ``q``: numpy steps when they pay, else the generic one."""
-        if len(q) > self._NUMPY_CHAIN and fast_path_active():
-            return _TowerChain(self, q)
-        return FrobeniusChain(self, q)
-
-
-class _TowerChain:
-    """:class:`FrobeniusChain` over the tower field as whole-array numpy steps.
-
-    A chain entry is stored split, ``[hi coefficients | lo coefficients]``
-    (subfield elements, ``2d`` of them).  Squaring a tower element
-    ``f1 y + f0`` gives ``f1^2 (y + c) + f0^2``, so with the rows
-    ``T_j = x^(2j) mod q`` of :func:`_square_table`
-
-        ``F_(i+1) = sum_j  f1_j^2 * ((y + c) T_j)  +  f0_j^2 * T_j``
-
-    -- subfield scalars times tower rows, i.e. plain subfield products.
-    The logs of ``(y + c) T_j`` and ``T_j`` are fixed for the whole chain
-    (a ``2d x 2d`` matrix looked up once); one step is then the logs of the
-    ``2d`` squares, one broadcast add, one gather and one XOR reduction.
-    Results are bit-identical with the generic chain.
-    """
-
-    def __init__(self, field: "GF2Tower32", q: Sequence[int]):
-        self.field = field
-        exp, log = field.sub._np_tables()
-        lc = field._log_c
-        m = field.m
-        self.degree = degree = len(q) - 1
-        table = _np.array(_square_table(field, q), dtype=_np.uint32)
-        t1, t0 = table >> 16, table & 0xFFFF
-        ts = t1 ^ t0
-        logs = _np.empty((2, degree, 2, degree), dtype=_np.int32)
-        logs[0, :, 0] = log[ts ^ exp[log[t1] + lc]]  # (y + c) T_j, hi part
-        logs[0, :, 1] = log[exp[log[ts] + lc]]       # (y + c) T_j, lo part
-        logs[1, :, 0] = log[t1]
-        logs[1, :, 1] = log[t0]
-        logs = logs.reshape(2 * degree, 2 * degree)
-        chain = _np.zeros((m + 1, 2 * degree), dtype=_np.uint32)
-        chain[0, degree + 1] = 1  # the polynomial x
-        reduce = _np.bitwise_xor.reduce
-        for i in range(m):
-            squares = log[exp[2 * log[chain[i]]]]
-            reduce(exp[squares[:, None] + logs], axis=0, out=chain[i + 1])
-        self._chain = chain
-        self.splits = bool((chain[m] == chain[0]).all())
-        self._traces: List[List[int]] = []
-        self._chain_logs = None
-
-    def _polys(self, split) -> List[List[int]]:
-        """Rows of ``[hi | lo]`` arrays as trimmed coefficient lists."""
-        degree = self.degree
-        joined = (split[:, :degree] << 16) | split[:, degree:]
-        trim = self.field.poly_trim
-        return [trim(row) for row in joined.tolist()]
-
-    def trace(self, bit: int) -> List[int]:
-        """``Tr((1 << bit) * x) mod q``, trimmed.
-
-        ``beta = 1`` is a plain XOR of the chain; further betas are
-        computed four at a time as one batched tower product
-        ``sum_i beta^(2^i) F_i`` against the chain's logs.
-        """
-        traces = self._traces
-        while bit >= len(traces):
-            traces.extend(self._more_traces(len(traces)))
-        return traces[bit]
-
-    def _more_traces(self, first: int) -> List[List[int]]:
-        field = self.field
-        m = field.m
-        degree = self.degree
-        reduce = _np.bitwise_xor.reduce
-        chain = self._chain[:m]
-        if first == 0:
-            return self._polys(reduce(chain, axis=0)[None, :])
-        exp, log = field.sub._np_tables()
-        if self._chain_logs is None:
-            f1, f0 = chain[:, :degree], chain[:, degree:]
-            self._chain_logs = (log[f1], log[f0], log[f1 ^ f0])
-        lf1, lf0, lfx = self._chain_logs
-        betas = _np.array(
-            [field.basis_conjugates(b) for b in range(first, min(first + 4, m))],
-            dtype=_np.uint32,
-        )
-        b1, b0 = betas >> 16, betas & 0xFFFF
-        m1 = reduce(exp[log[b1][:, :, None] + lf1], axis=1)
-        m0 = reduce(exp[log[b0][:, :, None] + lf0], axis=1)
-        mx = reduce(exp[log[b1 ^ b0][:, :, None] + lfx], axis=1)
-        lo = m0 ^ exp[log[m1] + field._log_c]
-        return self._polys(_np.concatenate((mx ^ m0, lo), axis=1))
 
 
 # Field instances shared per (m, modulus); see default_field.

@@ -17,15 +17,14 @@ Performance layers (docs/architecture.md has the full map):
   GF(2)-linear function of its set, so when the caller names candidates
   the sketch's packed vector is reduced against an echelon basis of
   theirs (:meth:`~repro.sketch.registry.CandidateRegistry.combination`),
-  Python ints only, on every path (:meth:`PinSketch._decode_uncached`).
+  Python ints only (:meth:`PinSketch._decode_uncached`).
 * **Otherwise decode cost follows the decoded difference** --
-  Berlekamp--Massey runs online, one loop per field class (the tower's
-  entirely on subfield logs), and stops at the first locator that
-  reproduces every stored syndrome; its roots are found by closed forms
-  up to degree 4 and one shared Frobenius chain above
-  (:func:`_find_roots`).  The pure-Python fallback decodes
-  bit-identically.  Either way a found set is verified by XOR-ing its
-  elements' cached packed syndrome vectors (:meth:`PinSketch._verify`).
+  Berlekamp--Massey runs online, one loop for every field, and stops at
+  the first locator that reproduces every stored syndrome; its roots are
+  found by closed forms up to degree 4 and one shared Frobenius chain
+  above (:func:`_find_roots`).  Either way a found set is verified by
+  XOR-ing its elements' cached packed syndrome vectors
+  (:meth:`PinSketch._verify`).
 * **Decode memoisation** -- an LRU keyed by syndrome content, with
   hit/miss/eviction counters exported via :func:`repro.obs.cache_stats`.
 """
@@ -42,7 +41,7 @@ from typing import (
 
 from repro import obs
 from repro.obs.caches import register_cache
-from repro.sketch.gf import GF2m, default_field, fast_path_active
+from repro.sketch.gf import GF2m, default_field
 
 class SketchDecodeError(ValueError):
     """Decoding failed: the set difference exceeds the sketch capacity."""
@@ -123,69 +122,6 @@ class _SyndromeCache:
             view = tuple(powers[:capacity])
             entry["views"][capacity] = view
         return view
-
-    def get_many(
-        self, elements: Sequence[int], m: int, capacity: int
-    ) -> List[Tuple[int, ...]]:
-        """Syndrome vectors for many elements, batch-computing the misses.
-
-        Cached entries are served individually; all missing (or too-short)
-        entries are computed together with one vectorised field sweep per
-        power -- ``capacity - 1`` batched multiplications for the whole
-        group instead of per element.
-        """
-        field = default_field(m)
-        out: List[Optional[Tuple[int, ...]]] = [None] * len(elements)
-        missing: List[int] = []
-        missing_at: List[int] = []
-        validate = self._validate
-        for idx, element in enumerate(elements):
-            validate(element, field, m)
-            key = (element, m)
-            entry = self._entries.get(key)
-            if entry is not None and len(entry["powers"]) >= capacity:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                view = entry["views"].get(capacity)
-                if view is None:
-                    view = tuple(entry["powers"][:capacity])
-                    entry["views"][capacity] = view
-                out[idx] = view
-            else:
-                missing.append(element)
-                missing_at.append(idx)
-        if not missing:
-            return out  # type: ignore[return-value]
-        if not fast_path_active() or len(missing) < 4:
-            for element, idx in zip(missing, missing_at):
-                out[idx] = self.get(element, m, capacity)
-            return out  # type: ignore[return-value]
-        # Column-wise batch: columns[k][j] = missing[j] ^ (2k+1).
-        x2 = field.sqr_batch(missing)
-        current = list(missing)
-        columns = [current]
-        for _ in range(capacity - 1):
-            current = field.mul_batch(current, x2)
-            columns.append(current)
-        for j, (element, idx) in enumerate(zip(missing, missing_at)):
-            powers = [columns[k][j] for k in range(capacity)]
-            key = (element, m)
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                entry = {"x2": x2[j], "powers": powers, "views": {}}
-                self._insert(key, entry)
-            else:
-                # Existed but was shorter than requested: count as a hit
-                # (the prefix was reused conceptually) and replace.
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                entry["powers"] = powers
-                entry["views"] = {}
-            view = tuple(powers)
-            entry["views"][capacity] = view
-            out[idx] = view
-        return out  # type: ignore[return-value]
 
 
 _SYNDROMES = _SyndromeCache()
@@ -330,23 +266,11 @@ class PinSketch:
         self._syndromes = list(map(_xor, self._syndromes, vector))
 
     def add_all(self, elements: Iterable[int]) -> None:
-        """Toggle every element of ``elements``.
-
-        Bulk inserts batch the syndrome generation of uncached elements
-        through the vectorised field kernels (one sweep per power instead
-        of one scalar chain per element).
-        """
-        batch = list(elements)
-        if not batch:
-            return
-        if len(batch) < 4:
-            for element in batch:
-                self.add(element)
-            return
-        vectors = _SYNDROMES.get_many(batch, self.m, self.capacity)
+        """Toggle every element of ``elements`` (:meth:`add` for each)."""
+        get, m, capacity = _SYNDROMES.get, self.m, self.capacity
         syndromes = self._syndromes
-        for vector in vectors:
-            syndromes = list(map(_xor, syndromes, vector))
+        for element in elements:
+            syndromes = list(map(_xor, syndromes, get(element, m, capacity)))
         self._syndromes = syndromes
 
     def xor_syndromes(self, vector: Sequence[int]) -> None:
@@ -465,17 +389,25 @@ class PinSketch:
 
     @classmethod
     def deserialize(cls, data: bytes, capacity: int, m: int = 32) -> "PinSketch":
-        """Inverse of :meth:`serialize`."""
+        """Inverse of :meth:`serialize`.
+
+        Raises :class:`ValueError` on a length other than ``capacity``
+        slots or on a slot outside GF(2^m): with ``m`` not a multiple of 8
+        a slot's bytes can hold values no field element has.
+        """
         width = (m + 7) // 8
         if len(data) != capacity * width:
             raise ValueError(
                 f"expected {capacity * width} bytes, got {len(data)}"
             )
-        sketch = cls(capacity, m)
-        sketch._syndromes = [
+        syndromes = [
             int.from_bytes(data[i * width : (i + 1) * width], "big")
             for i in range(capacity)
         ]
+        if any(value >> m for value in syndromes):
+            raise ValueError(f"syndrome outside GF(2^{m})")
+        sketch = cls(capacity, m)
+        sketch._syndromes = syndromes
         return sketch
 
     def wire_size(self) -> int:

@@ -4,8 +4,7 @@
 Berlekamp--Massey, per-beta trace splitting) written out on scalar field
 arithmetic only; brute force is the definition (the symmetric difference
 itself).  The library must agree with both on result-or-raise, for
-random and structured inputs, in- and over-capacity, with the numpy fast
-path on and off.
+random and structured inputs, in- and over-capacity.
 """
 
 import random
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from repro.sketch import (
     CandidateRegistry, PinSketch, SketchDecodeError, pinsketch,
 )
-from repro.sketch.gf import default_field, set_fast_path
+from repro.sketch.gf import GF2m, default_field
 from repro.sketch.pinsketch import (
     _find_roots,
     _solve_cubic,
@@ -44,13 +43,8 @@ def _check_against_oracles(elements, capacity, m):
     field = default_field(m)
     syndromes = ref.sketch_of(elements, capacity, field)
     expected = ref.decode(syndromes, field)
-    for fast in (True, False):
-        previous = set_fast_path(fast)
-        try:
-            got = _library_decode(syndromes, m)
-        finally:
-            set_fast_path(previous)
-        assert got == expected, (fast, capacity, sorted(elements))
+    got = _library_decode(syndromes, m)
+    assert got == expected, (capacity, sorted(elements))
     # Brute force: the definition, independent of either decoder.
     if len(elements) <= capacity:
         assert expected == set(elements)
@@ -240,29 +234,26 @@ def test_closed_forms_special_inputs(m, degree, solver):
         assert solver(non_split, field) == []
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_find_roots_rejects_non_split_locators_of_every_degree(fast):
-    """Degree >= 5 goes through the chain's split test."""
-    field = default_field(32)
+@pytest.mark.parametrize("tower", [True, False])
+def test_find_roots_rejects_non_split_locators_of_every_degree(tower):
+    """Degree >= 5 goes through the chain's split test, in the tower basis
+    and in the polynomial basis of GF(2^32)."""
+    field = default_field(32) if tower else GF2m(32)
     rnd = random.Random(77)
-    previous = set_fast_path(fast)
-    try:
-        for degree in range(1, 14):
-            roots = rnd.sample(range(1, 1 << 32), degree)
-            poly = [1]
-            for r in roots:
-                poly = field.poly_mul(poly, [r, 1])
-            assert sorted(_find_roots(poly, field)) == sorted(roots)
-            spoiled = list(poly)
-            spoiled[0] ^= 1  # almost surely no longer a product of linears
-            got = _find_roots(spoiled, field)
-            expected = ref.find_roots(spoiled, field)
-            if len(expected) == degree:
-                assert sorted(got) == sorted(expected)
-            else:
-                assert len(got) < degree
-    finally:
-        set_fast_path(previous)
+    for degree in range(1, 14):
+        roots = rnd.sample(range(1, 1 << 32), degree)
+        poly = [1]
+        for r in roots:
+            poly = field.poly_mul(poly, [r, 1])
+        assert sorted(_find_roots(poly, field)) == sorted(roots)
+        spoiled = list(poly)
+        spoiled[0] ^= 1  # almost surely no longer a product of linears
+        got = _find_roots(spoiled, field)
+        expected = ref.find_roots(spoiled, field)
+        if len(expected) == degree:
+            assert sorted(got) == sorted(expected)
+        else:
+            assert len(got) < degree
 
 
 # --------------------------------------- elimination over known candidates
@@ -327,43 +318,41 @@ def test_candidates_never_change_the_decode(case):
     _SHARED.add_many(candidates)
     sketch = PinSketch(capacity, m)
     sketch.load_syndromes(syndromes)
-    for fast in (True, False):
-        previous = set_fast_path(fast)
+    outcomes, memos = [], []
+    for hint in ((), candidates, _SHARED):
+        clear_decode_cache()
         try:
-            outcomes, memos = [], []
-            for hint in ((), candidates, _SHARED):
-                clear_decode_cache()
-                try:
-                    outcomes.append(sketch.decode(hint))
-                except SketchDecodeError:
-                    outcomes.append(None)
-                # What the memo now holds does not depend on the hint.
-                memos.append(list(pinsketch._DECODE_CACHE.items()))
-        finally:
-            set_fast_path(previous)
-        assert outcomes == [expected] * 3, (fast, kind, capacity)
-        assert memos[0] == memos[1] == memos[2]
+            outcomes.append(sketch.decode(hint))
+        except SketchDecodeError:
+            outcomes.append(None)
+        # What the memo now holds does not depend on the hint.
+        memos.append(list(pinsketch._DECODE_CACHE.items()))
+    assert outcomes == [expected] * 3, (kind, capacity)
+    assert memos[0] == memos[1] == memos[2]
+
+
+def _hint(candidates, registry):
+    """``candidates`` as given, or in a ``CandidateRegistry`` of their own
+    (a plain collection is wrapped in one by the decoder)."""
+    return CandidateRegistry(candidates) if registry else candidates
 
 
 @pytest.mark.parametrize("m", [16, 32])
-@pytest.mark.parametrize("fast", [True, False])
-def test_decode_with_candidates_then_without_is_a_cache_hit(m, fast):
-    rnd = random.Random(31 * m + fast)
+@pytest.mark.parametrize("registry", [True, False])
+def test_decode_with_candidates_then_without_is_a_cache_hit(m, registry):
+    """Whether the hint is a plain list or a ``CandidateRegistry``."""
+    rnd = random.Random(31 * m + registry)
     elements = set(rnd.sample(range(1, 1 << m), 9))
     sketch = PinSketch(16, m)
     sketch.add_all(elements)
-    previous = set_fast_path(fast)
-    try:
-        clear_decode_cache()
-        stats = pinsketch._DECODE_STATS
-        hits, misses = stats.hits, stats.misses
-        assert sketch.decode(sorted(elements)[:4]) == elements
-        assert (stats.hits, stats.misses) == (hits, misses + 1)
-        assert sketch.decode() == elements
-        assert sketch.decode([1, 2, 3]) == elements
-        assert (stats.hits, stats.misses) == (hits + 2, misses + 1)
-    finally:
-        set_fast_path(previous)
+    clear_decode_cache()
+    stats = pinsketch._DECODE_STATS
+    hits, misses = stats.hits, stats.misses
+    assert sketch.decode(_hint(sorted(elements)[:4], registry)) == elements
+    assert (stats.hits, stats.misses) == (hits, misses + 1)
+    assert sketch.decode() == elements
+    assert sketch.decode(_hint([1, 2, 3], registry)) == elements
+    assert (stats.hits, stats.misses) == (hits + 2, misses + 1)
 
 
 def _count_search(monkeypatch):
@@ -389,47 +378,42 @@ def _count_search(monkeypatch):
         quartics.append((a, b, v))
         return solve_linearized_quartic(self, a, b, v)
 
-    for cls in (GF2m, GF2Tower32):  # the tower has a loop of its own
-        monkeypatch.setattr(cls, "berlekamp_massey",
-                            counting(cls.berlekamp_massey))
+    # One loop for every field class: the tower inherits the patched one.
+    monkeypatch.setattr(GF2m, "berlekamp_massey",
+                        counting(GF2m.berlekamp_massey))
     monkeypatch.setattr(GF2Tower32, "frobenius_chain", counting_chain)
     monkeypatch.setattr(GF2m, "solve_linearized_quartic", counting_quartic)
     return runs, chains, quartics
 
 
-@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("registry", [True, False])
 def test_candidates_cannot_rescue_a_locator_that_does_not_split(
-        monkeypatch, fast):
+        monkeypatch, registry):
     """Over-capacity sketches and arbitrary syndromes, whose locators do
-    not split: candidates holding every element (twice, next to junk)
-    leave the decode to the search, with the search's outcome, at m = 16
-    and m = 32."""
-    rnd = random.Random(99 + fast)
+    not split: candidates holding every element (twice, next to junk),
+    as a list or as a registry, leave the decode to the search, with the
+    search's outcome, at m = 16 and m = 32."""
+    rnd = random.Random(99 + registry)
     runs, _, _ = _count_search(monkeypatch)
-    previous = set_fast_path(fast)
-    try:
-        for m, capacity in [(m, t) for m in (16, 32) for t in range(2, 14)]:
-            field = default_field(m)
-            elements = rnd.sample(range(1, 1 << m),
-                                  capacity + rnd.randint(1, 8))
-            garbage = [rnd.randrange(1 << m) for _ in range(capacity)]
-            for syndromes in (ref.sketch_of(set(elements), capacity, field),
-                              garbage):
-                expected = ref.decode(syndromes, field)
-                sketch = PinSketch(capacity, m)
-                sketch.load_syndromes(syndromes)
-                for hint in (elements, elements * 2 + [0, 1 << m]):
-                    clear_decode_cache()
-                    del runs[:]
-                    try:
-                        outcome = sketch.decode(hint)
-                    except SketchDecodeError:
-                        outcome = None
-                    assert outcome == expected
-                    assert len(runs) == 1  # the search decided
-            assert expected is None or len(expected) <= capacity
-    finally:
-        set_fast_path(previous)
+    for m, capacity in [(m, t) for m in (16, 32) for t in range(2, 14)]:
+        field = default_field(m)
+        elements = rnd.sample(range(1, 1 << m), capacity + rnd.randint(1, 8))
+        garbage = [rnd.randrange(1 << m) for _ in range(capacity)]
+        for syndromes in (ref.sketch_of(set(elements), capacity, field),
+                          garbage):
+            expected = ref.decode(syndromes, field)
+            sketch = PinSketch(capacity, m)
+            sketch.load_syndromes(syndromes)
+            for hint in (elements, elements * 2 + [0, 1 << m]):
+                clear_decode_cache()
+                del runs[:]
+                try:
+                    outcome = sketch.decode(_hint(hint, registry))
+                except SketchDecodeError:
+                    outcome = None
+                assert outcome == expected
+                assert len(runs) == 1  # the search decided
+        assert expected is None or len(expected) <= capacity
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
@@ -482,42 +466,41 @@ def _candidates_with_every_root(kind, elements, rnd):
 
 
 @pytest.mark.parametrize("kind", FULL_KINDS)
-@pytest.mark.parametrize("fast", [True, False])
-def test_candidates_holding_every_root_are_the_roots(monkeypatch, kind, fast):
-    """Candidates holding the whole difference answer by elimination: no
-    Berlekamp--Massey, no chain and no quartic solve, and the same set as
-    the reference decoder, brute force and the plain search."""
+@pytest.mark.parametrize("registry", [True, False])
+def test_candidates_holding_every_root_are_the_roots(
+        monkeypatch, kind, registry):
+    """Candidates holding the whole difference, as a list or as a
+    registry, answer by elimination: no Berlekamp--Massey, no chain and no
+    quartic solve, and the same set as the reference decoder, brute force
+    and the plain search."""
     field = default_field(32)
-    rnd = random.Random(10 * FULL_KINDS.index(kind) + fast)
+    rnd = random.Random(10 * FULL_KINDS.index(kind) + registry)
     runs, chains, quartics = _count_search(monkeypatch)
-    previous = set_fast_path(fast)
-    try:
-        for degree in (1, 2, 3, 4, 5, 6, 8, 12, 17, 24):
-            elements = set(rnd.sample(range(1, 1 << 32), degree))
-            capacity = degree + rnd.randint(0, 8)
-            syndromes = ref.sketch_of(elements, capacity, field)
-            assert ref.decode(syndromes, field) == elements  # brute force
-            sketch = PinSketch(capacity, 32)
-            sketch.load_syndromes(syndromes)
-            hint = _candidates_with_every_root(kind, elements, rnd)
-            del runs[:], chains[:], quartics[:]
-            clear_decode_cache()
-            assert sketch.decode(hint) == elements
-            assert runs == chains == quartics == []
-            clear_decode_cache()
-            assert sketch.decode() == elements
-            # Without candidates the roots are searched for.
-            assert runs and (chains if degree > 4 else
-                             quartics if degree > 2 else True)
-    finally:
-        set_fast_path(previous)
+    for degree in (1, 2, 3, 4, 5, 6, 8, 12, 17, 24):
+        elements = set(rnd.sample(range(1, 1 << 32), degree))
+        capacity = degree + rnd.randint(0, 8)
+        syndromes = ref.sketch_of(elements, capacity, field)
+        assert ref.decode(syndromes, field) == elements  # brute force
+        sketch = PinSketch(capacity, 32)
+        sketch.load_syndromes(syndromes)
+        hint = _hint(_candidates_with_every_root(kind, elements, rnd),
+                     registry)
+        del runs[:], chains[:], quartics[:]
+        clear_decode_cache()
+        assert sketch.decode(hint) == elements
+        assert runs == chains == quartics == []
+        clear_decode_cache()
+        assert sketch.decode() == elements
+        # Without candidates the roots are searched for.
+        assert runs and (chains if degree > 4 else
+                         quartics if degree > 2 else True)
 
 
 # -------------------------------------------- the registry's echelon bases
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_registry_elimination_matches_brute_force(fast):
+@pytest.mark.parametrize("snapshot", [True, False])
+def test_registry_elimination_matches_brute_force(snapshot):
     """Hostile entries, evictions, several capacities sharing one registry.
 
     The registry holds the newest 48 of everything added, hostile values
@@ -525,51 +508,48 @@ def test_registry_elimination_matches_brute_force(fast):
     reported exactly when the planted difference lies among the newest
     ids the ``(capacity, m)`` basis covers (brute force: at most one set
     of size <= t has a given sketch), and decoding with the registry
-    gives the reference decoder's outcome whatever was planted.
+    gives the reference decoder's outcome whatever was planted, handed
+    the live registry or (``snapshot``) a plain list of its entries.
     """
     field = default_field(32)
-    rnd = random.Random(404 + fast)
+    rnd = random.Random(404 + snapshot)
     registry = CandidateRegistry(limit=48)
     evicted = rnd.sample(range(1, 1 << 32), 20)
     registry.add_many(evicted + evicted[:5])
     hostile = [0, -1, -evicted[0], 1 << 32, (1 << 32) + evicted[1],
                (1 << 64) + evicted[2], 5.0, "x"]
-    previous = set_fast_path(fast)
     reported = 0
-    try:
-        for step in range(160):
-            capacity = rnd.choice((1, 2, 3, 4, 8, 16, 24))
-            fresh = rnd.sample(range(1, 1 << 32), rnd.randint(0, 6))
-            before = set(registry)
-            # A hostile value evicts an id and is no element in its place.
-            registry.add_many(hostile[step % 8:step % 8 + 1] + fresh)
-            evicted += [c for c in before - set(registry)
-                        if type(c) is int and 0 < c < 1 << 32]
-            window = list(registry)[-min(16 * capacity, 48):]
-            covered = [c for c in window
-                       if type(c) is int and 0 < c < 1 << 32]
-            held = [c for c in registry if type(c) is int and 0 < c < 1 << 32]
-            pool = covered + held[:4] + evicted[-8:] + [(1 << 32) - 1]
-            size = rnd.randint(1, capacity + 2)
-            planted = set(rnd.sample(pool, min(size, len(pool))))
-            syndromes = ref.sketch_of(planted, capacity, field)
-            packed = pinsketch.pack_syndromes(syndromes, 32)
-            got = registry.combination(packed, capacity, 32)
-            in_window = len(planted) <= capacity and planted <= set(covered)
-            assert got == (planted if in_window else None), step
-            reported += got is not None
-            sketch = PinSketch(capacity, 32)
-            sketch.load_syndromes(syndromes)
-            clear_decode_cache()
-            try:
-                outcome = sketch.decode(registry)
-            except SketchDecodeError:
-                outcome = None
-            assert outcome == ref.decode(syndromes, field), step
-        assert not set(evicted) & set(registry)
-        assert reported > 40  # not vacuous
-    finally:
-        set_fast_path(previous)
+    for step in range(160):
+        capacity = rnd.choice((1, 2, 3, 4, 8, 16, 24))
+        fresh = rnd.sample(range(1, 1 << 32), rnd.randint(0, 6))
+        before = set(registry)
+        # A hostile value evicts an id and is no element in its place.
+        registry.add_many(hostile[step % 8:step % 8 + 1] + fresh)
+        evicted += [c for c in before - set(registry)
+                    if type(c) is int and 0 < c < 1 << 32]
+        window = list(registry)[-min(16 * capacity, 48):]
+        covered = [c for c in window
+                   if type(c) is int and 0 < c < 1 << 32]
+        held = [c for c in registry if type(c) is int and 0 < c < 1 << 32]
+        pool = covered + held[:4] + evicted[-8:] + [(1 << 32) - 1]
+        size = rnd.randint(1, capacity + 2)
+        planted = set(rnd.sample(pool, min(size, len(pool))))
+        syndromes = ref.sketch_of(planted, capacity, field)
+        packed = pinsketch.pack_syndromes(syndromes, 32)
+        got = registry.combination(packed, capacity, 32)
+        in_window = len(planted) <= capacity and planted <= set(covered)
+        assert got == (planted if in_window else None), step
+        reported += got is not None
+        sketch = PinSketch(capacity, 32)
+        sketch.load_syndromes(syndromes)
+        clear_decode_cache()
+        try:
+            outcome = sketch.decode(list(registry) if snapshot else registry)
+        except SketchDecodeError:
+            outcome = None
+        assert outcome == ref.decode(syndromes, field), step
+    assert not set(evicted) & set(registry)
+    assert reported > 40  # not vacuous
 
 
 def test_every_decode_miss_of_a_quick_run_is_one_elimination(monkeypatch):
@@ -602,26 +582,26 @@ def test_every_decode_miss_of_a_quick_run_is_one_elimination(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
-@pytest.mark.parametrize("fast", [True, False])
-def test_fused_berlekamp_massey_matches_plain_recurrence(m, fast):
-    """Each field's one loop == the plain recurrence, state by state."""
+@pytest.mark.parametrize("one_shot", [True, False])
+def test_fused_berlekamp_massey_matches_plain_recurrence(m, one_shot):
+    """The one loop, which shifts through the even steps instead of
+    computing their zero discrepancy, on every field class == the plain
+    recurrence, state by state, on sketches of sets and on arbitrary
+    syndromes, fed as a list or (``one_shot``) as an iterator consumed
+    online."""
     field = default_field(m)
-    rnd = random.Random(7 * m + fast)
-    previous = set_fast_path(fast)
-    try:
-        for trial in range(120):
-            size = rnd.randint(0, 30)
-            if trial % 3:  # a sketch of a set, in or over capacity
-                capacity = rnd.randint(1, 24)
-                elements = rnd.sample(range(1, 1 << m), min(size, 200))
-                odd = ref.sketch_of(set(elements), capacity, field)
-            else:  # arbitrary syndromes, zeros and the field's top included
-                odd = [rnd.choice((0, 1, (1 << m) - 1, rnd.randrange(1 << m)))
-                       for _ in range(rnd.randint(1, 24))]
-            plain = ref.berlekamp_massey_trace(
-                ref.full_syndromes(odd, field), field)
-            steps = list(field.berlekamp_massey(odd))
-            assert [(length, list(c)) for length, c in steps] \
-                == [(length, c) for length, c, _ in plain[1::2]]
-    finally:
-        set_fast_path(previous)
+    rnd = random.Random(7 * m + one_shot)
+    for trial in range(120):
+        size = rnd.randint(0, 30)
+        if trial % 3:  # a sketch of a set, in or over capacity
+            capacity = rnd.randint(1, 24)
+            elements = rnd.sample(range(1, 1 << m), min(size, 200))
+            odd = ref.sketch_of(set(elements), capacity, field)
+        else:  # arbitrary syndromes, zeros and the field's top included
+            odd = [rnd.choice((0, 1, (1 << m) - 1, rnd.randrange(1 << m)))
+                   for _ in range(rnd.randint(1, 24))]
+        plain = ref.berlekamp_massey_trace(
+            ref.full_syndromes(odd, field), field)
+        steps = list(field.berlekamp_massey(iter(odd) if one_shot else odd))
+        assert [(length, list(c)) for length, c in steps] \
+            == [(length, c) for length, c, _ in plain[1::2]]

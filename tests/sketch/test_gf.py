@@ -141,6 +141,25 @@ def test_poly_monic_normalises_leading_coefficient():
     assert f.poly_eval(monic, root) == 0
 
 
+@pytest.mark.parametrize("m", [16, 32])
+def test_poly_divmod_gcd_and_monic_on_long_polynomials(m):
+    """``p == quotient * q + remainder``, and a multiple of ``q`` has the
+    monic ``q`` as its gcd with ``q``, at degrees 140 and 60."""
+    import random
+
+    f = default_field(m)
+    rnd = random.Random(m)
+    p = [rnd.randrange(1 << m) for _ in range(140)] + [1]
+    q = [rnd.randrange(1 << m) for _ in range(60)] + [rnd.randrange(1, 1 << m)]
+    quotient, remainder = f.poly_divmod(p, q)
+    assert len(remainder) < len(q)
+    assert f.poly_add(f.poly_mul(quotient, q), remainder) == p
+    monic = f.poly_monic(q)
+    assert monic[-1] == 1 and f.poly_mul([q[-1]], monic) == q
+    cubic = f.poly_mul(f.poly_mul([3, 1], [5, 1]), [7, 1])
+    assert f.poly_gcd(f.poly_mul(cubic, q), q) == monic
+
+
 def test_poly_sqr_mod_consistency():
     """The Frobenius chain squares modulo q exactly like poly_mul + poly_mod."""
     for m in (8, 16, 32):
@@ -179,6 +198,58 @@ def test_frobenius_chain_traces_match_direct_sum(m):
         # The trace polynomial takes the GF(2) value Tr(beta r) at each root.
         for r in roots:
             assert f.poly_eval(total, r) == f.trace(f.mul(1 << bit, r))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 6, 8, 13, 31, 50])
+def test_tower_frobenius_chain_matches_direct_powers(degree):
+    """The generic chain on the tower, for locators that split and that do
+    not: ``splits`` is ``x^(2^32) == x mod q`` and ``trace(bit)`` is
+    ``sum_i beta^(2^i) x^(2^i) mod q`` for ``beta = 2^bit``, both computed
+    here by plain squaring and reduction."""
+    import random
+
+    field = default_field(32)
+    rnd = random.Random(degree)
+    for splits in (True, False):
+        q = [1]
+        for r in rnd.sample(range(1, field.order), degree):
+            q = field.poly_mul(q, [r, 1])
+        if not splits:
+            q[0] ^= 1
+        powers = [field.poly_mod([0, 1], q)]  # x^(2^i) mod q, i < m
+        for _ in range(field.m):
+            powers.append(field.poly_mod(field.poly_mul(powers[-1],
+                                                        powers[-1]), q))
+        chain = field.frobenius_chain(q)
+        assert chain.splits == (powers[field.m] == powers[0])
+        if splits:
+            assert chain.splits
+        for bit in range(field.m):
+            beta, total = 1 << bit, []
+            for power in powers[:field.m]:
+                total = field.poly_add(
+                    total, [field.mul(beta, c) for c in power])
+                beta = field.sqr(beta)
+            assert chain.trace(bit) == total
+
+
+def test_berlekamp_massey_ends_at_the_difference_and_keeps_its_states():
+    """A 70-element sketch of capacity 80: the last locator has degree 70,
+    and no yielded state changes once the loop has run on."""
+    import random
+
+    from repro.sketch.pinsketch import PinSketch
+
+    field = default_field(32)
+    rnd = random.Random(8)
+    sketch = PinSketch(80, 32)
+    sketch.add_all(rnd.sample(range(1, 1 << 32), 70))
+    seen, kept = [], []
+    for length, locator in field.berlekamp_massey(sketch.syndromes_view()):
+        seen.append((length, list(locator)))
+        kept.append((length, locator))
+    assert [(length, list(c)) for length, c in kept] == seen
+    assert seen[-1][0] == 70 == len(seen[-1][1]) - 1
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
@@ -265,3 +336,95 @@ def test_poly_mod_by_zero_raises():
 def test_unknown_field_size_rejected():
     with pytest.raises(ValueError):
         GF2m(13)
+
+
+# ------------------------------------------------ field and table sharing
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_explicit_modulus_field_is_cached(m):
+    from repro.sketch.gf import IRREDUCIBLE_POLY
+
+    modulus = IRREDUCIBLE_POLY[m]
+    f1 = default_field(m, modulus)
+    f2 = default_field(m, modulus)
+    assert f1 is f2
+
+
+def test_explicit_and_default_modulus_share_tables():
+    """Two sketches over the same (m, modulus) share one table build."""
+    from repro.sketch.gf import IRREDUCIBLE_POLY
+    from repro.sketch.pinsketch import PinSketch
+
+    modulus = IRREDUCIBLE_POLY[16]
+    f1 = GF2m(16, modulus)
+    f2 = GF2m(16, modulus)
+    assert f1._exp is f2._exp
+    assert f1._log is f2._log
+
+    s1 = PinSketch(8, 16, field=default_field(16, modulus))
+    s2 = PinSketch(8, 16, field=default_field(16, modulus))
+    assert s1.field is s2.field
+
+
+def test_tower_subfield_tables_shared():
+    t1 = GF2Tower32()
+    t2 = GF2Tower32()
+    assert t1.sub._exp is t2.sub._exp
+
+
+def _tower_mul_by_definition(field, a, b):
+    """(a1 y + a0)(b1 y + b0) mod y^2 + y + c on shift-and-add products."""
+    mul = field.sub._mul_notable
+    a1, a0, b1, b0 = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
+    high = mul(a1, b1)
+    return ((mul(a1, b0) ^ mul(a0, b1) ^ high) << 16) | (
+        mul(a0, b0) ^ mul(high, field.QUAD_C)
+    )
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_sentinel_products_with_zero_operands(swap):
+    """Zero operands fall out of the sentinel tables: no masks, no tests.
+    ``swap`` puts each zero on the other side of the product."""
+    import random
+
+    rnd = random.Random(31)
+    sub = default_field(16)
+    xs = [0, 0, 1, 0xFFFF] + [rnd.randrange(1 << 16) for _ in range(60)]
+    ys = [0, 7, 0, 0xFFFF] + [rnd.randrange(1 << 16) for _ in range(60)]
+    if swap:
+        xs, ys = ys, xs
+    assert [sub.mul(x, y) for x, y in zip(xs, ys)] == [
+        sub._mul_notable(x, y) for x, y in zip(xs, ys)]
+    assert [sub.sqr(x) for x in xs] == [sub._mul_notable(x, x) for x in xs]
+    assert sub.mul_scalar_batch(0, xs) == [0] * len(xs)
+
+    tower = default_field(32)
+    # Zero halves as well as zero elements: every Karatsuba term hits
+    # the sentinel somewhere.
+    halves = [0, 0x10000, 0xFFFF, 0xFFFF0000, 0x00010001]
+    xs = halves + [rnd.randrange(1 << 32) for _ in range(60)]
+    ys = halves[::-1] + [rnd.randrange(1 << 32) for _ in range(60)]
+    if swap:
+        xs, ys = ys, xs
+    assert [tower.mul(x, y) for x, y in zip(xs, ys)] == [
+        _tower_mul_by_definition(tower, x, y) for x, y in zip(xs, ys)]
+    assert [tower.sqr(x) for x in xs] == [
+        _tower_mul_by_definition(tower, x, x) for x in xs]
+    for scalar in (0, 0x10000, 0xFFFF, xs[-1]):
+        for vec in (xs, xs * 2):
+            assert tower.mul_scalar_batch(scalar, vec) == [
+                _tower_mul_by_definition(tower, scalar, v) for v in vec]
+
+
+@pytest.mark.parametrize("m", [8, 12, 16, 24, 32, 48, 64])
+def test_mul_scalar_batch_matches_scalar_mul(m):
+    """The row update of every polynomial routine, on all three tiers."""
+    import random
+
+    f = default_field(m)
+    rnd = random.Random(1000 + m)
+    xs = [0, 1, f.mask] + [rnd.randrange(1 << m) for _ in range(254)]
+    for scalar in (0, 1, f.mask, rnd.randrange(1, 1 << m)):
+        assert f.mul_scalar_batch(scalar, xs) == [f.mul(scalar, x) for x in xs]

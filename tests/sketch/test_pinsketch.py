@@ -157,6 +157,21 @@ def test_deserialize_wrong_length_rejected():
         PinSketch.deserialize(b"\x00" * 10, capacity=6, m=32)
 
 
+@pytest.mark.parametrize("m", [8, 12, 16, 24, 32])
+def test_deserialize_rejects_syndromes_outside_the_field(m):
+    """A slot's bytes can hold more than m bits (m = 12 has 16): such a
+    slot is no field element and is refused as the wire validator refuses
+    it, instead of reaching the decoder's tables."""
+    width = (m + 7) // 8
+    top = ((1 << m) - 1).to_bytes(width, "big")
+    assert PinSketch.deserialize(top, 1, m).syndromes_view() == ((1 << m) - 1,)
+    if 8 * width > m:
+        with pytest.raises(ValueError):
+            PinSketch.deserialize(b"\xff" * width, 1, m)
+        with pytest.raises(ValueError):
+            PinSketch.deserialize(top + (1 << m).to_bytes(width, "big"), 2, m)
+
+
 def test_truncated_keeps_prefix_semantics():
     big = PinSketch(capacity=16, m=32)
     big.add_all({100, 200})
@@ -212,7 +227,7 @@ def test_no_bogus_element_is_accepted_or_cached(element):
         with pytest.raises(ValueError):
             sketch_syndromes(element, 3, m)
         with pytest.raises(ValueError):
-            _SYNDROMES.get_many([element], m, 3)
+            _SYNDROMES.get(element, m, 3)
     assert sketch.is_empty()
     assert all(
         type(x) is int and 0 < x < 1 << m for x, m in _SYNDROMES._entries
@@ -319,6 +334,27 @@ def test_large_difference_decodes():
     assert sketch.decode() == items
 
 
+@pytest.mark.parametrize("m,capacity,difference", [
+    (16, 64, 48), (32, 16, 12), (32, 64, 7), (32, 100, 45), (32, 12, 30),
+])
+def test_reconcile_decodes_the_difference_or_raises(m, capacity, difference):
+    """Two sketches XORed: the decode is the difference in capacity and a
+    ``SketchDecodeError`` past it."""
+    rnd = random.Random(99)
+    items = rnd.sample(range(1, (1 << m) - 1), difference)
+    a = PinSketch(capacity, m)
+    b = PinSketch(capacity, m)
+    a.add_all(items[: difference // 3])
+    b.add_all(items[difference // 3:])
+    combined = a ^ b
+    clear_decode_cache()
+    if difference <= capacity:
+        assert combined.decode() == set(items)
+    else:
+        with pytest.raises(SketchDecodeError):
+            combined.decode()
+
+
 def test_sixteen_bit_field_roundtrip():
     sketch = PinSketch(capacity=8, m=16)
     sketch.add_all({100, 200, 300})
@@ -345,3 +381,10 @@ def test_mixed_capacity_xor_difference():
     a.add_all({100, 200, 300})
     b.add_all({200, 400})
     assert (a ^ b).decode() == {100, 300, 400}
+
+
+def test_syndrome_views_are_identity_stable_across_capacities():
+    v_small = sketch_syndromes(7, 4, 16)
+    v_large = sketch_syndromes(7, 9, 16)
+    assert v_large[:4] == v_small
+    assert sketch_syndromes(7, 9, 16) is v_large
