@@ -85,11 +85,13 @@ class SuspicionBlame:
 class BlockViolationEvidence:
     """Proof that a creator's block violates LO's policies.
 
-    Bundles are carried as explicit id tuples; a verifier checks that the
-    digest chain of those bundles matches the creator's *signed* commitment
-    header, then re-runs the structural inspection.  Content-dependent
-    clauses (fee threshold, validity of an allegedly censored transaction)
-    verify when the verifier holds the contents.
+    Bundles are carried as explicit id tuples.  :meth:`verify_structure`
+    checks the block's signature and that the digest chain of those
+    bundles matches the creator's *signed* commitment header; for
+    ``STALE_COMMITMENT_SEQ`` it checks the seq gap instead.  It does not
+    re-run the inspection, so the carried ``violation`` of any other kind
+    is taken as claimed: a forged one around an honest block verifies
+    (ROADMAP item 11(a)).
     """
 
     accused: PublicKey

@@ -180,29 +180,29 @@ def _spec_within(spec: SplitSpec, clock: BloomClock, name: str) -> Optional[str]
 
 
 def _check_sketch(sketch: Any) -> Optional[str]:
-    """A sketch the decoder can take: its field, capacity and every slot.
+    """A sketch the decoder can take: its field, capacity and packed int.
 
     The field width must be one :func:`repro.sketch.gf.default_field`
-    builds, the capacity a positive int with exactly that many syndromes,
-    and every syndrome an int in ``[0, 2^m)``.  The decode kernels index
-    log tables by syndrome halves, so a negative one would silently read
-    from the end of a table and a wide one would raise mid-handler.
+    builds, the capacity a positive int, and the packed syndromes an int
+    in ``[0, 2^(m*capacity))``: ``capacity`` slots, each in ``[0, 2^m)``.
+    A negative one would read as an infinite run of set bits, and bits
+    past the top slot would be silently masked off before the decoder
+    runs.
     """
     error = _typed(sketch, PinSketch, "sketch")
     if error:
         return error
-    m, capacity, slots = sketch.m, sketch.capacity, sketch._syndromes
+    m, capacity, packed = sketch.m, sketch.capacity, sketch.packed
     if not _is_int(m) or m not in IRREDUCIBLE_POLY:
         return "sketch.m: unsupported field width"
     error = _int_field(capacity, "sketch.capacity", minimum=1)
     if error:
         return error
-    if type(slots) is not list or len(slots) != capacity:
-        return f"sketch: expected {capacity} syndromes"
-    if not set(map(type, slots)) <= {int}:
-        return "sketch: non-integer syndrome"
-    if min(slots) < 0 or max(slots) >> m:
-        return f"sketch: syndrome outside GF(2^{m})"
+    if type(packed) is not int:
+        return "sketch: non-integer syndromes"
+    if packed < 0 or packed.bit_length() > m * capacity:
+        return (f"sketch: expected {capacity} syndromes, got a value "
+                f"outside GF(2^{m})^{capacity}")
     return None
 
 

@@ -7,11 +7,11 @@ received (Transaction Selection in Received Order).  The log is therefore
 an ordered, append-only sequence of transaction ids, with:
 
 * the node's :class:`~repro.bloomclock.BloomClock` over the same ids;
-* one incremental *packed* sketch per Bloom-Clock cell (the whole syndrome
-  vector as one big integer, m bits per slot), so a sketch restricted to
-  any flagged cell subset is an O(cells) chain of single-integer XORs
-  (sketches are linear, and slot-wise XOR never carries) -- this is how
-  commitments stay cheap to produce;
+* one incremental sketch per Bloom-Clock cell, held as the packed int a
+  :class:`~repro.sketch.PinSketch` holds (m bits per slot), so a sketch
+  restricted to any flagged cell subset is one int XOR per cell and one
+  mask (sketches are linear, and slot-wise XOR never carries) -- this is
+  how commitments stay cheap to produce;
 * content storage: ids can be committed before their transaction bytes
   arrive ("share the transaction IDs, and only later selectively share the
   transaction content", section 2.3 stage II).
@@ -50,18 +50,12 @@ class TransactionLog:
         # and 32 empty lists per node were half the heap the collector
         # had to walk).
         self._cell_items: Dict[int, List[int]] = {}
-        # Per-cell and whole-log sketches in packed form: the syndrome
-        # vector as one big integer (m bits per slot), so both the
-        # per-append update and the cell-subset combine are single-integer
-        # XORs (see pack_syndromes in repro.sketch.pinsketch).
+        # Per-cell and whole-log sketches as packed ints (PinSketch.packed
+        # at ``sketch_capacity``): an append is two int XORs, a cell-subset
+        # combine one int XOR per cell.  Nothing is memoised on top: a
+        # combine costs about what validating a memo entry would.
         self._cell_packed: List[int] = [0] * clock_cells
         self._full_packed: int = 0
-        # Combined-sketch memo: per-cell append generations validate cached
-        # (cells, capacity) -> syndromes entries, so repeated sketch
-        # requests between appends (several peers syncing the same spec in
-        # one round) skip the combine-and-unpack entirely.
-        self._cell_gen: List[int] = [0] * clock_cells
-        self._sketch_memo: Dict[tuple, tuple] = {}
         self._all_cells = all_cells(clock_cells)
 
     # --------------------------------------------------------------- queries
@@ -126,7 +120,6 @@ class TransactionLog:
                                          self.sketch_bits)
         self._cell_packed[cell] ^= packed
         self._full_packed ^= packed
-        self._cell_gen[cell] += 1
         return True
 
     def append_many(self, sketch_ids: Iterable[int]) -> List[int]:
@@ -162,46 +155,30 @@ class TransactionLog:
         (linearity) combines them; ``capacity`` (<= the maintained maximum)
         truncates to the requested size.
         """
+        capacity = self._capacity(capacity)
+        if self.spans_every_cell(cells):
+            # XOR over every cell == the maintained whole-log sketch.
+            packed = self._full_packed
+        else:
+            cell_packed = self._cell_packed
+            packed = 0
+            for cell in cells:
+                packed ^= cell_packed[cell]
+        return PinSketch.from_packed(packed, capacity, self.sketch_bits)
+
+    def full_sketch(self, capacity: Optional[int] = None) -> PinSketch:
+        """Sketch of the entire log."""
+        return self.sketch_for_cells(self._all_cells, capacity)
+
+    def _capacity(self, capacity: Optional[int]) -> int:
+        """``capacity``, by default the maintained one, which it may not
+        exceed: a peer's sketch names the capacity a responder builds."""
         capacity = capacity or self.sketch_capacity
         if capacity > self.sketch_capacity:
             raise ValueError(
                 f"capacity {capacity} exceeds maintained {self.sketch_capacity}"
             )
-        cell_tuple = tuple(cells)
-        if self.spans_every_cell(cell_tuple):
-            # XOR over every cell == the incrementally maintained whole-log
-            # packed sketch.
-            gen = len(self._order)
-            packed = self._full_packed
-        else:
-            cell_gen = self._cell_gen
-            # Strictly increasing with any append into the covered cells,
-            # so a matching sum proves the cached combine is still current.
-            gen = sum(cell_gen[cell] for cell in cell_tuple)
-            packed = None
-        memo = self._sketch_memo
-        key = (cell_tuple, capacity)
-        hit = memo.get(key)
-        if hit is not None and hit[0] == gen:
-            combined = PinSketch(capacity, self.sketch_bits)
-            combined.load_syndromes(hit[1])
-            return combined
-        if packed is None:
-            cell_packed = self._cell_packed
-            packed = 0
-            for cell in cell_tuple:
-                packed ^= cell_packed[cell]
-        # from_packed drops slots beyond ``capacity``, which is exactly the
-        # truncation semantics of the old per-cell combine.
-        combined = PinSketch.from_packed(packed, capacity, self.sketch_bits)
-        if len(memo) >= 64:
-            memo.clear()
-        memo[key] = (gen, combined.syndromes_view())
-        return combined
-
-    def full_sketch(self, capacity: Optional[int] = None) -> PinSketch:
-        """Sketch of the entire log."""
-        return self.sketch_for_cells(range(self.clock.cells), capacity)
+        return capacity
 
     def spans_every_cell(self, cells: Iterable[int]) -> bool:
         """Whether ``cells`` is ``(0, ..., clock_cells - 1)``, in that order.
@@ -242,6 +219,6 @@ class TransactionLog:
         self, ids: Iterable[int], capacity: Optional[int] = None
     ) -> PinSketch:
         """Ad-hoc sketch over explicit ids (partition-fallback path)."""
-        sketch = PinSketch(capacity or self.sketch_capacity, self.sketch_bits)
+        sketch = PinSketch(self._capacity(capacity), self.sketch_bits)
         sketch.add_all(ids)
         return sketch

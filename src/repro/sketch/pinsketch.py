@@ -9,9 +9,16 @@ a BCH decoder and as libminisketch.
 
 Performance layers (docs/architecture.md has the full map):
 
-* **Syndrome cache** -- per-``(element, m)`` odd power sums are computed
-  once, *incrementally extended* when a larger capacity is requested, and
-  LRU-bounded; every node in a simulation re-uses one vector per
+* **One packed integer per sketch** -- a sketch's ``m * capacity`` bits
+  are one Python int, slot ``i`` at bits ``m*i`` (:attr:`PinSketch.packed`).
+  Slot-wise XOR never carries, so ``add``, ``^``, the transaction log's
+  cell combine and truncation (a mask) are single int operations, and the
+  same int is the decode memo's key, the elimination's input and
+  :meth:`PinSketch._verify`'s comparand.  Slots are read one at a time
+  only by Berlekamp--Massey and by ``serialize`` / ``deserialize``.
+* **Syndrome cache** -- one packed vector per ``(element, m)``, extended
+  in place when a larger capacity is requested and masked for a smaller
+  one, LRU-bounded; every node in a simulation re-uses one vector per
   transaction id across all rounds (:class:`_SyndromeCache`).
 * **A difference among known ids is one elimination** -- a sketch is a
   GF(2)-linear function of its set, so when the caller names candidates
@@ -25,8 +32,9 @@ Performance layers (docs/architecture.md has the full map):
   above (:func:`_find_roots`).  Either way a found set is verified by
   XOR-ing its elements' cached packed syndrome vectors
   (:meth:`PinSketch._verify`).
-* **Decode memoisation** -- an LRU keyed by syndrome content, with
-  hit/miss/eviction counters exported via :func:`repro.obs.cache_stats`.
+* **Decode memoisation** -- an LRU keyed by ``(m, capacity, packed)``,
+  with hit/miss/eviction counters exported via
+  :func:`repro.obs.cache_stats`.
 """
 
 from __future__ import annotations
@@ -34,10 +42,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from functools import lru_cache
-from operator import xor as _xor
-from typing import (
-    Collection, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Collection, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.obs.caches import register_cache
@@ -48,93 +53,12 @@ class SketchDecodeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Syndrome cache: element -> odd power sums, shared process-wide.
-# ---------------------------------------------------------------------------
-
-
-class _SyndromeCache:
-    """Incremental, LRU-bounded cache of per-element syndrome vectors.
-
-    Keyed by ``(element, m)`` -- *not* by capacity: one growable power list
-    serves every capacity, and asking for a larger sketch merely extends
-    the stored list from its last entry (each extension step is one field
-    multiplication by ``element^2``).  ``views`` memoises the per-capacity
-    tuples so repeated lookups return the identical object (cheap, and it
-    keeps ``sketch_syndromes`` referentially stable for callers).
-    """
-
-    def __init__(self, max_entries: int = 262144):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, int], dict]" = OrderedDict()
-        self.stats = register_cache(
-            "sketch.syndromes", size_probe=lambda: len(self._entries)
-        )
-
-    def clear(self) -> None:
-        """Drop every cached vector (counters are preserved)."""
-        self._entries.clear()
-
-    @staticmethod
-    def _validate(element: int, field: GF2m, m: int) -> None:
-        """Raise unless ``element`` is an int in ``[1, 2^m)``.
-
-        Checked before every lookup, hit or miss: no bogus vector is ever
-        cached, and a non-int that hashes like a cached id (``5.0``) is
-        refused all the same.
-        """
-        if type(element) is not int or not 0 < element <= field.mask:
-            raise ValueError(
-                f"element {element!r} out of range for GF(2^{m})"
-            )
-
-    def _fresh_entry(self, element: int, field: GF2m) -> dict:
-        return {"x2": field.sqr(element), "powers": [element], "views": {}}
-
-    def _insert(self, key: Tuple[int, int], entry: dict) -> None:
-        if len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = entry
-
-    def get(self, element: int, m: int, capacity: int) -> Tuple[int, ...]:
-        """The first ``capacity`` odd power sums of ``element`` over GF(2^m)."""
-        field = default_field(m)
-        self._validate(element, field, m)
-        key = (element, m)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            entry = self._fresh_entry(element, field)
-            self._insert(key, entry)
-        else:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-        powers = entry["powers"]
-        if len(powers) < capacity:
-            mul = field.mul
-            x2 = entry["x2"]
-            current = powers[-1]
-            while len(powers) < capacity:
-                current = mul(current, x2)
-                powers.append(current)
-        view = entry["views"].get(capacity)
-        if view is None:
-            view = tuple(powers[:capacity])
-            entry["views"][capacity] = view
-        return view
-
-
-_SYNDROMES = _SyndromeCache()
-
-
-# ---------------------------------------------------------------------------
 # Packed syndrome vectors: one big integer, m bits per slot.
 #
 # XOR over GF(2^m) vectors is slot-independent (no carries), so XOR-ing the
 # packed integers is *exactly* the element-wise XOR of the vectors -- one
-# C-level operation regardless of capacity.  The append-only transaction log
-# maintains its per-cell and whole-log sketches in this form and unpacks
-# only when a PinSketch object must be materialised for the wire.
+# C-level operation regardless of capacity.  Every sketch is held in this
+# form; the per-slot list below is for readers of single slots only.
 # ---------------------------------------------------------------------------
 
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -160,8 +84,8 @@ def pack_syndromes(vector: Sequence[int], m: int) -> int:
 def unpack_syndromes(packed: int, capacity: int, m: int) -> List[int]:
     """First ``capacity`` slots of a packed vector (inverse of pack).
 
-    Extra high slots are ignored, so truncating a packed sketch to a lower
-    capacity is implicit -- the same semantics as :meth:`PinSketch.truncated`.
+    Extra high slots are ignored, the same truncation as
+    :meth:`PinSketch.from_packed`.
     """
     packer = _slot_struct(capacity, m)
     if packer is not None:
@@ -171,34 +95,107 @@ def unpack_syndromes(packed: int, capacity: int, m: int) -> List[int]:
     return [(packed >> (m * i)) & mask for i in range(capacity)]
 
 
+# ---------------------------------------------------------------------------
+# Syndrome cache: element -> packed odd power sums, shared process-wide.
+# ---------------------------------------------------------------------------
+
+
+class _SyndromeCache:
+    """LRU-bounded cache of per-element packed syndrome vectors.
+
+    Keyed by ``(element, m)`` -- *not* by capacity: one packed vector
+    serves every capacity.  Its slots are ``x, x^3, x^5, ...``, none of
+    them zero, so its bit length tells how many it holds.  A request for
+    more slots extends the stored vector in place from its top slot (one
+    field multiplication by ``x^2`` per slot); a request for fewer masks
+    it.
+    """
+
+    def __init__(self, max_entries: int = 262144):
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
+        self.stats = register_cache(
+            "sketch.syndromes", size_probe=lambda: len(self._entries)
+        )
+
+    def clear(self) -> None:
+        """Drop every cached vector (counters are preserved)."""
+        self._entries.clear()
+
+    def get(self, element: int, m: int, capacity: int) -> int:
+        """The first ``capacity`` odd power sums of ``element`` over
+        GF(2^m), packed.
+
+        ``element`` must be an int in ``[1, 2^m)``, checked before every
+        lookup, hit or miss: no bogus vector is ever cached, and a non-int
+        that hashes like a cached id (``5.0``, ``True``) is refused all the
+        same.
+        """
+        if type(element) is not int or element <= 0 or element >> m:
+            raise ValueError(
+                f"element {element!r} out of range for GF(2^{m})"
+            )
+        key = (element, m)
+        entries = self._entries
+        packed = entries.get(key)
+        if packed is None:
+            self.stats.misses += 1
+            if len(entries) >= self.max_entries:
+                entries.popitem(last=False)
+                self.stats.evictions += 1
+            packed = entries[key] = element  # the first slot, x^1
+        else:
+            self.stats.hits += 1
+            entries.move_to_end(key)
+        bits = m * capacity
+        length = packed.bit_length()
+        if length <= bits - m:  # fewer than ``capacity`` slots held
+            packed = entries[key] = _extend(packed, element, m, capacity)
+        elif length > bits:
+            packed &= (1 << bits) - 1
+        return packed
+
+
+def _extend(packed: int, element: int, m: int, capacity: int) -> int:
+    """``packed`` (the leading odd powers of ``element``) to ``capacity``
+    slots."""
+    field = default_field(m)
+    held = (packed.bit_length() + m - 1) // m
+    mul, x2 = field.mul, field.sqr(element)
+    current = packed >> (m * (held - 1))
+    powers = []
+    for _ in range(held, capacity):
+        current = mul(current, x2)
+        powers.append(current)
+    return packed | pack_syndromes(powers, m) << (m * held)
+
+
+_SYNDROMES = _SyndromeCache()
+
+
 def sketch_syndromes_packed(element: int, capacity: int, m: int) -> int:
-    """Packed form of :func:`sketch_syndromes`, cached alongside it."""
-    view = _SYNDROMES.get(element, m, capacity)
-    entry = _SYNDROMES._entries[(element, m)]
-    packed_views = entry.setdefault("packed", {})
-    packed = packed_views.get(capacity)
-    if packed is None:
-        packed = pack_syndromes(view, m)
-        packed_views[capacity] = packed
-    return packed
-
-
-def sketch_syndromes(element: int, capacity: int, m: int) -> Tuple[int, ...]:
-    """Odd power sums ``element^1, element^3, ..., element^(2t-1)``.
+    """The capacity-``capacity`` sketch of ``{element}``, packed.
 
     Cached process-wide and *incrementally*: the cache is keyed by
     ``(element, m)`` only, so a later request at a higher capacity extends
-    the stored power list instead of recomputing it, and every node in a
+    the stored vector instead of recomputing it, and every node in a
     simulation re-uses each transaction id's vector as a cheap XOR (see
-    docs/architecture.md).  Repeated calls with identical arguments return
-    the identical tuple object.
+    docs/architecture.md).
+    """
+    return _SYNDROMES.get(element, m, capacity)
+
+
+def sketch_syndromes(element: int, capacity: int, m: int) -> Tuple[int, ...]:
+    """Odd power sums ``element^1, element^3, ..., element^(2t-1)``: the
+    slots of :func:`sketch_syndromes_packed`, one by one.
 
     >>> sketch_syndromes(3, 3, 8)
     (3, 15, 51)
     >>> sketch_syndromes(3, 5, 8)[:3]
     (3, 15, 51)
     """
-    return _SYNDROMES.get(element, m, capacity)
+    return tuple(unpack_syndromes(_SYNDROMES.get(element, m, capacity),
+                                  capacity, m))
 
 
 def clear_syndrome_cache() -> None:
@@ -207,10 +204,10 @@ def clear_syndrome_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Decode memoisation: syndrome content -> frozenset | failure, LRU-bounded.
+# Decode memoisation: (m, capacity, packed) -> frozenset | failure, LRU.
 # ---------------------------------------------------------------------------
 
-_DECODE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+_DECODE_CACHE: "OrderedDict[Tuple[int, int, int], object]" = OrderedDict()
 _DECODE_CACHE_LIMIT = 131072
 _UNDECODABLE = object()  # cache marker: decoding raises SketchDecodeError
 _DECODE_STATS = register_cache(
@@ -231,7 +228,8 @@ def clear_decode_cache() -> None:
 
 
 class PinSketch:
-    """A fixed-capacity set sketch.
+    """A fixed-capacity set sketch: ``capacity`` odd syndromes over
+    GF(2^m), held as one packed int (:attr:`packed`).
 
     >>> a = PinSketch(capacity=8, m=16)
     >>> b = PinSketch(capacity=8, m=16)
@@ -241,52 +239,46 @@ class PinSketch:
     ...     b.add(x)
     >>> sorted((a ^ b).decode())
     [10, 40]
+    >>> PinSketch.from_packed(a.packed, 2, 16).packed == (
+    ...     a.packed & (1 << 32) - 1)   # truncation is a mask
+    True
     """
 
-    __slots__ = ("capacity", "m", "field", "_syndromes")
+    __slots__ = ("capacity", "m", "field", "packed")
 
     def __init__(self, capacity: int, m: int = 32, field: Optional[GF2m] = None):
+        if type(capacity) is not int:
+            raise TypeError(f"capacity must be an int, got {capacity!r}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.m = m
         self.field = field if field is not None else default_field(m)
-        self._syndromes: List[int] = [0] * capacity
+        #: Slot ``i`` (the syndrome ``s_(2i+1)``) at bits ``m*i``.
+        self.packed = 0
 
     # ------------------------------------------------------------- mutation
 
     def add(self, element: int) -> None:
-        """Toggle ``element`` in the sketched set (add == remove over GF(2)).
-
-        The element-wise XOR runs as one C-level ``map`` sweep over the
-        syndrome vector (the cached view is exactly ``capacity`` long), the
-        dominant per-transaction cost in large simulations.
-        """
-        vector = _SYNDROMES.get(element, self.m, self.capacity)
-        self._syndromes = list(map(_xor, self._syndromes, vector))
+        """Toggle ``element`` in the sketched set (add == remove over GF(2)):
+        one XOR of its cached packed vector."""
+        self.packed ^= _SYNDROMES.get(element, self.m, self.capacity)
 
     def add_all(self, elements: Iterable[int]) -> None:
-        """Toggle every element of ``elements`` (:meth:`add` for each)."""
+        """Toggle every element of ``elements`` (:meth:`add` for each); an
+        invalid element leaves the sketch as it was."""
         get, m, capacity = _SYNDROMES.get, self.m, self.capacity
-        syndromes = self._syndromes
+        packed = self.packed
         for element in elements:
-            syndromes = list(map(_xor, syndromes, get(element, m, capacity)))
-        self._syndromes = syndromes
-
-    def xor_syndromes(self, vector: Sequence[int]) -> None:
-        """XOR a precomputed syndrome vector (at least this capacity) in."""
-        if len(vector) < self.capacity:
-            raise ValueError("syndrome vector shorter than sketch capacity")
-        # map stops at the shorter operand, i.e. exactly self.capacity.
-        self._syndromes = list(map(_xor, self._syndromes, vector))
+            packed ^= get(element, m, capacity)
+        self.packed = packed
 
     # ------------------------------------------------------------ combining
 
     def copy(self) -> "PinSketch":
-        """Deep copy of this sketch."""
-        clone = PinSketch(self.capacity, self.m, self.field)
-        clone._syndromes = list(self._syndromes)
-        return clone
+        """An independent copy of this sketch."""
+        return PinSketch.from_packed(self.packed, self.capacity, self.m,
+                                     self.field)
 
     def truncated(self, capacity: int) -> "PinSketch":
         """A lower-capacity view: the first ``capacity`` odd syndromes."""
@@ -294,20 +286,13 @@ class PinSketch:
             raise ValueError(
                 f"cannot extend capacity {self.capacity} to {capacity}"
             )
-        clone = PinSketch(capacity, self.m, self.field)
-        clone._syndromes = self._syndromes[:capacity]
-        return clone
+        return PinSketch.from_packed(self.packed, capacity, self.m, self.field)
 
     def xor_accumulate_many(self, sketches: Iterable["PinSketch"]) -> None:
-        """XOR a batch of (>=capacity) sketches into this one in place.
-
-        One call covers a whole cell-subset combine (``TxLog.
-        sketch_for_cells``), replacing per-cell :meth:`xor_accumulate`
-        method dispatch with a single loop over C-level ``map`` sweeps.
-        """
-        m = self.m
-        capacity = self.capacity
-        syndromes = self._syndromes
+        """XOR a batch of (>= capacity) sketches into this one in place;
+        a mismatched sketch leaves this one as it was."""
+        m, capacity = self.m, self.capacity
+        packed = self.packed
         for other in sketches:
             if other.m != m:
                 raise ValueError(
@@ -318,74 +303,51 @@ class PinSketch:
                     f"cannot accumulate capacity {other.capacity} "
                     f"into capacity {capacity}"
                 )
-            syndromes = list(map(_xor, syndromes, other._syndromes))
-        self._syndromes = syndromes
+            packed ^= other.packed
+        self.packed = packed & ((1 << (m * capacity)) - 1)
 
     def xor_accumulate(self, other: "PinSketch") -> None:
-        """XOR ``other`` into this sketch in place (``other`` may be larger).
-
-        Equivalent to ``self ^ other.truncated(self.capacity)`` without
-        allocating the truncated view or the result sketch -- the shape of
-        the per-cell combine in ``TxLog.sketch_for_cells``, which runs once
-        per (cell, reconciliation round) and dominated profile output
-        before this path existed.
-        """
-        if self.m != other.m:
-            raise ValueError("cannot combine sketches over different fields")
-        if other.capacity < self.capacity:
-            raise ValueError(
-                f"cannot accumulate capacity {other.capacity} "
-                f"into capacity {self.capacity}"
-            )
-        # map stops at the shorter operand, i.e. exactly self.capacity.
-        self._syndromes = list(map(_xor, self._syndromes, other._syndromes))
+        """XOR ``other`` into this sketch in place (``other`` may be
+        larger): ``self ^ other.truncated(self.capacity)`` without the
+        intermediate sketches."""
+        self.xor_accumulate_many((other,))
 
     def __xor__(self, other: "PinSketch") -> "PinSketch":
         if self.m != other.m:
             raise ValueError("cannot combine sketches over different fields")
-        capacity = min(self.capacity, other.capacity)
-        out = PinSketch(capacity, self.m, self.field)
-        # map stops at the shorter operand; both are >= capacity.
-        out._syndromes = list(map(_xor, self._syndromes, other._syndromes))
-        return out
+        return PinSketch.from_packed(
+            self.packed ^ other.packed, min(self.capacity, other.capacity),
+            self.m, self.field,
+        )
 
     @classmethod
     def from_packed(
         cls, packed: int, capacity: int, m: int = 32,
         field: Optional[GF2m] = None,
     ) -> "PinSketch":
-        """Materialise a sketch from a packed syndrome integer.
+        """A sketch holding the first ``capacity`` slots of ``packed``.
 
-        Extra high slots in ``packed`` are dropped, so passing a
-        higher-capacity packed sketch truncates it (linearity makes the
-        packed XOR of many sketches equal to the packed combined sketch).
+        Extra high slots are masked off, so passing a higher-capacity
+        packed sketch truncates it (linearity makes the packed XOR of many
+        sketches equal to the packed combined sketch).
         """
         sketch = cls(capacity, m, field)
-        sketch._syndromes = unpack_syndromes(packed, capacity, m)
+        sketch.packed = packed & ((1 << (m * capacity)) - 1)
         return sketch
-
-    def syndromes_view(self) -> Tuple[int, ...]:
-        """Immutable snapshot of the syndrome vector (for memo layers)."""
-        return tuple(self._syndromes)
-
-    def load_syndromes(self, syndromes: Sequence[int]) -> None:
-        """Overwrite the syndrome vector (inverse of :meth:`syndromes_view`)."""
-        if len(syndromes) != self.capacity:
-            raise ValueError(
-                f"expected {self.capacity} syndromes, got {len(syndromes)}"
-            )
-        self._syndromes = list(syndromes)
 
     def is_empty(self) -> bool:
         """True when every syndrome is zero (difference is empty or aliased)."""
-        return not any(self._syndromes)
+        return not self.packed
 
     # ----------------------------------------------------------- wire format
 
     def serialize(self) -> bytes:
         """Pack syndromes as fixed-width big-endian integers."""
         width = (self.m + 7) // 8
-        return b"".join(value.to_bytes(width, "big") for value in self._syndromes)
+        return b"".join(
+            value.to_bytes(width, "big")
+            for value in unpack_syndromes(self.packed, self.capacity, self.m)
+        )
 
     @classmethod
     def deserialize(cls, data: bytes, capacity: int, m: int = 32) -> "PinSketch":
@@ -406,9 +368,7 @@ class PinSketch:
         ]
         if any(value >> m for value in syndromes):
             raise ValueError(f"syndrome outside GF(2^{m})")
-        sketch = cls(capacity, m)
-        sketch._syndromes = syndromes
-        return sketch
+        return cls.from_packed(pack_syndromes(syndromes, m), capacity, m)
 
     def wire_size(self) -> int:
         """Serialized size in bytes."""
@@ -437,18 +397,19 @@ class PinSketch:
         memo entry are the same for every ``candidates``, the empty default
         included.
 
-        Results are memoised process-wide by syndrome content in an LRU
-        (hit/miss counters: ``repro.obs.cache_stats()["sketch.decode"]``)
-        and a hit is exact (same syndromes => same set).  How often it hits
+        Results are memoised process-wide in an LRU keyed by
+        ``(m, capacity, packed)`` (hit/miss counters:
+        ``repro.obs.cache_stats()["sketch.decode"]``), and a hit is exact
+        (same syndromes => same set).  How often it hits
         depends on how much work the nodes share: 99.8% on the 10,000-node
         ``paper_scale`` lobench workload (a few transactions, every pair
         decodes the same difference), 77% on ``censor_storm``, but only 9%
         on the paper-like ``steady_gossip`` and ``burst_admission``, where
         nearly every decode pays :meth:`_decode_uncached`.
         """
-        if self.is_empty():
+        if not self.packed:
             return set()
-        cache_key = (self.m, tuple(self._syndromes))
+        cache_key = (self.m, self.capacity, self.packed)
         cached = _DECODE_CACHE.get(cache_key)
         if cached is not None:
             _DECODE_STATS.hits += 1
@@ -477,8 +438,8 @@ class PinSketch:
         """Elimination over the candidates, else early-exit
         Berlekamp--Massey and root finding; full verification either way.
 
-        With candidates, the sketch's packed vector is reduced against
-        their echelon basis
+        With candidates, the sketch's packed int is reduced as it is
+        against their echelon basis
         (:meth:`~repro.sketch.registry.CandidateRegistry.combination`).
         When it reduces to 0 through at most ``t`` of them, that set is the
         result once :meth:`_verify` agrees.  It is exact for the reason
@@ -511,12 +472,14 @@ class PinSketch:
             if not isinstance(candidates, CandidateRegistry):
                 candidates = CandidateRegistry(candidates)
             elements = candidates.combination(
-                pack_syndromes(self._syndromes, self.m), self.capacity, self.m
+                self.packed, self.capacity, self.m
             )
             if elements is not None and self._verify(elements):
                 return elements
         tried = 0
-        steps = self.field.berlekamp_massey(self._syndromes)
+        steps = self.field.berlekamp_massey(
+            unpack_syndromes(self.packed, self.capacity, self.m)
+        )
         for consumed, (length, locator) in enumerate(steps, 1):
             # `consumed` odd syndromes stand for 2 * consumed syndromes.
             if tried < length <= consumed - 2 and consumed < self.capacity:
@@ -556,14 +519,14 @@ class PinSketch:
         """Whether ``elements`` sketch to exactly these syndromes.
 
         The XOR of the elements' cached packed syndrome vectors
-        (:func:`sketch_syndromes_packed`), compared with this sketch
-        packed: one big-integer XOR per element.
+        (:func:`sketch_syndromes_packed`), compared with :attr:`packed`:
+        one big-integer XOR per element and one int comparison.
         """
-        capacity, m = self.capacity, self.m
+        get, capacity, m = _SYNDROMES.get, self.capacity, self.m
         packed = 0
         for element in elements:
-            packed ^= sketch_syndromes_packed(element, capacity, m)
-        return packed == pack_syndromes(self._syndromes, m)
+            packed ^= get(element, m, capacity)
+        return packed == self.packed
 
 
 def _find_roots(poly: Sequence[int], field: GF2m) -> List[int]:

@@ -7,8 +7,8 @@ difference to be among.
 
 A capacity-``t`` PinSketch over GF(2^m) is a GF(2)-linear function of its
 set: its packed syndrome vector
-(:func:`~repro.sketch.pinsketch.pack_syndromes`, ``m*t`` bits) is the XOR
-of its elements' packed vectors
+(:attr:`~repro.sketch.pinsketch.PinSketch.packed`, ``m*t`` bits) is the
+XOR of its elements' packed vectors
 (:func:`~repro.sketch.pinsketch.sketch_syndromes_packed`).  A difference
 among known ids is therefore a *combination* of their vectors, and one
 Gaussian elimination over GF(2) finds it

@@ -218,6 +218,56 @@ def test_block_violation_structure_verifies():
     assert state.expose(ExposureBlame(REMOTE.public_key, block_violation=evidence))
 
 
+@pytest.fixture(scope="module")
+def honest_announce():
+    """The first ``lo/block`` announce of a short correct-only run with
+    blocks: a signed block, its creator's signed header and the bundles
+    that hash-chain to it."""
+    from repro.core.config import LOConfig
+    from tests.conftest import make_sim
+
+    sim = make_sim(num_nodes=8, config=LOConfig(mean_block_time_s=3.0),
+                   enable_blocks=True)
+    announces = []
+
+    def keep(message):
+        if message.msg_type == "lo/block":
+            announces.append(message.payload)
+        return True
+
+    sim.network.add_delivery_hook(keep)
+    for i in range(6):
+        sim.inject_at(0.2 + 0.3 * i, i % 8, fee=10)
+    sim.run(15.0)
+    assert announces, "no block was announced"
+    announce = announces[0]
+    assert announce.block.tx_ids
+    assert sim.nodes[0].acct.exposed == {}
+    return announce
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 11(a)")
+def test_an_honest_announce_with_a_fabricated_violation_does_not_verify(
+        honest_announce):
+    """Any node can wrap an honest announce it received in evidence of a
+    violation the block does not commit.  The verifier must re-derive the
+    violation from the block, header and bundles and refuse this one; it
+    checks only the block's signature and the digest chain, so the forgery
+    verifies and would expose an honest creator network-wide."""
+    announce = honest_announce
+    creator = announce.block.creator
+    forged = BlockViolationEvidence(
+        accused=creator,
+        block=announce.block,
+        header=announce.header,
+        bundle_ids=announce.bundle_ids,
+        violation=Violation(ViolationKind.ORDER_DEVIATION,
+                            announce.block.block_hash, "fabricated"),
+    )
+    assert forged.chain_matches_header()  # the honest parts are all real
+    assert not ExposureBlame(creator, block_violation=forged).verify()
+
+
 def test_block_violation_wrong_bundles_fails():
     good = make_block_violation()
     tampered = BlockViolationEvidence(

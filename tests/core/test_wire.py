@@ -21,7 +21,7 @@ from repro.bloomclock import BloomClock
 from repro.mempool.transaction import make_transaction
 from repro.obs.caches import cache_stats
 from repro.net.chaos import corrupt_payload
-from repro.sketch import PinSketch
+from repro.sketch import PinSketch, pack_syndromes
 
 
 def make_header(seed=b"wire-test", seq=0):
@@ -73,32 +73,35 @@ def test_field_level_corruption_rejected():
     assert "request_id" in validate_payload("lo/sync_req", bad_id)
 
 
-def _sketch_with(slots, capacity=16, m=32):
+def _sketch_with(packed, capacity=16, m=32):
     """A sketch whose fields were set past every constructor check."""
     sketch = PinSketch(capacity=1, m=32)
-    sketch.capacity, sketch.m, sketch._syndromes = capacity, m, slots
+    sketch.capacity, sketch.m, sketch.packed = capacity, m, packed
     return sketch
 
 
+# ``capacity`` slots of m bits are exactly the ints in [0, 2^(m*capacity)):
+# a negative value or a bit at or past m*capacity is the only way an int
+# can be malformed.
 @pytest.mark.parametrize("sketch,reason", [
-    (_sketch_with([-5] * 16), "outside GF(2^32)"),
-    (_sketch_with([0] * 15 + [-1]), "outside GF(2^32)"),
-    (_sketch_with([1 << 32] + [0] * 15), "outside GF(2^32)"),
-    (_sketch_with([0] * 15 + [(1 << 64) + 3]), "outside GF(2^32)"),
-    (_sketch_with([1 << 16] * 16, m=16), "outside GF(2^16)"),
-    (_sketch_with([1, 2, 3]), "expected 16 syndromes"),
-    (_sketch_with([0] * 17), "expected 16 syndromes"),
-    (_sketch_with((0,) * 16), "expected 16 syndromes"),
-    (_sketch_with([0] * 15 + [1.0]), "non-integer syndrome"),
-    (_sketch_with([0] * 15 + [True]), "non-integer syndrome"),
-    (_sketch_with([0] * 15 + ["7"]), "non-integer syndrome"),
-    (_sketch_with([0] * 15 + [None]), "non-integer syndrome"),
-    (_sketch_with([0] * 16, m=31), "sketch.m"),
-    (_sketch_with([0] * 16, m="32"), "sketch.m"),
-    (_sketch_with([0] * 16, m=True), "sketch.m"),
-    (_sketch_with([], capacity=0), "sketch.capacity"),
-    (_sketch_with([0] * 16, capacity=16.0), "sketch.capacity"),
-    (_sketch_with([0], capacity=True), "sketch.capacity"),
+    (_sketch_with(-5), "outside GF(2^32)"),
+    (_sketch_with(-1 << 480), "outside GF(2^32)"),  # -1 in the top slot
+    (_sketch_with(1 << 512), "outside GF(2^32)"),  # the first bit past it
+    (_sketch_with(((1 << 64) + 3) << 480), "outside GF(2^32)"),
+    (_sketch_with(1 << 256, m=16), "outside GF(2^16)"),
+    (_sketch_with((1 << 1024) - 1), "expected 16 syndromes"),  # 32 slots
+    (_sketch_with(0xFFFFFFFF << 512), "expected 16 syndromes"),  # a 17th
+    (_sketch_with(1 << 32_000), "expected 16 syndromes"),  # the 1,001st
+    (_sketch_with(1.0), "non-integer syndrome"),
+    (_sketch_with(True), "non-integer syndrome"),
+    (_sketch_with("7"), "non-integer syndrome"),
+    (_sketch_with(None), "non-integer syndrome"),
+    (_sketch_with(0, m=31), "sketch.m"),
+    (_sketch_with(0, m="32"), "sketch.m"),
+    (_sketch_with(0, m=True), "sketch.m"),
+    (_sketch_with(0, capacity=0), "sketch.capacity"),
+    (_sketch_with(0, capacity=16.0), "sketch.capacity"),
+    (_sketch_with(0, capacity=True), "sketch.capacity"),
 ])
 def test_malformed_sync_sketches_rejected(sketch, reason):
     request = dataclasses.replace(make_sync_request(), sketch=sketch)
@@ -108,18 +111,19 @@ def test_malformed_sync_sketches_rejected(sketch, reason):
 
 def test_sketches_at_the_field_bounds_pass():
     top = (1 << 32) - 1
-    for slots in ([0] * 16, [top] * 16, [top, 0] * 8):
+    for packed in (0, (1 << 512) - 1, pack_syndromes([top, 0] * 8, 32)):
         request = dataclasses.replace(
-            make_sync_request(), sketch=_sketch_with(slots))
+            make_sync_request(), sketch=_sketch_with(packed))
         assert validate_payload("lo/sync_req", request) is None
     request = dataclasses.replace(
-        make_sync_request(), sketch=_sketch_with([0xFFFF] * 4, 4, m=16))
+        make_sync_request(), sketch=_sketch_with((1 << 64) - 1, 4, m=16))
     assert validate_payload("lo/sync_req", request) is None
 
 
-@pytest.mark.parametrize("slots", [[-5] * 16, [1, 2, 3], [1 << 32] * 16])
+@pytest.mark.parametrize("packed", [-5, 1 << 512, (1 << 1024) - 1],
+                         ids=["negative", "past-the-top-slot", "32-slots"])
 def test_malformed_sketch_is_a_violation_before_any_handler_work(
-        slots, monkeypatch):
+        packed, monkeypatch):
     """No decode and no split reply: only the violation is counted."""
     import repro.core.node as node_module
     from tests.conftest import make_sim
@@ -138,7 +142,7 @@ def test_malformed_sketch_is_a_violation_before_any_handler_work(
     request = SyncRequest(
         request_id=1, header=requester.header(),
         spec=full_range_spec(requester.config.clock_cells),
-        sketch=_sketch_with(slots))
+        sketch=_sketch_with(packed))
     responder.on_message(Message(requester.node_id, responder.node_id,
                                  "lo/sync_req", request, 64))
     assert decoded == [] and sent == []

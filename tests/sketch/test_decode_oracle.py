@@ -7,6 +7,7 @@ itself).  The library must agree with both on result-or-raise, for
 random and structured inputs, in- and over-capacity.
 """
 
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from tests.sketch import reference_decode as ref
 def _library_decode(syndromes, m):
     """The library's result-or-None on a raw syndrome vector, cache off."""
     sketch = PinSketch(len(syndromes), m)
-    sketch.load_syndromes(syndromes)
+    sketch.packed = pinsketch.pack_syndromes(syndromes, m)
     clear_decode_cache()
     try:
         return sketch.decode()
@@ -317,7 +318,7 @@ def test_candidates_never_change_the_decode(case):
     candidates = _candidates(kind, elements, m, random.Random(seed))
     _SHARED.add_many(candidates)
     sketch = PinSketch(capacity, m)
-    sketch.load_syndromes(syndromes)
+    sketch.packed = pinsketch.pack_syndromes(syndromes, m)
     outcomes, memos = [], []
     for hint in ((), candidates, _SHARED):
         clear_decode_cache()
@@ -403,7 +404,7 @@ def test_candidates_cannot_rescue_a_locator_that_does_not_split(
                           garbage):
             expected = ref.decode(syndromes, field)
             sketch = PinSketch(capacity, m)
-            sketch.load_syndromes(syndromes)
+            sketch.packed = pinsketch.pack_syndromes(syndromes, m)
             for hint in (elements, elements * 2 + [0, 1 << m]):
                 clear_decode_cache()
                 del runs[:]
@@ -434,7 +435,7 @@ def test_a_reduction_past_capacity_falls_back_to_the_search(m):
                 assert registry.combination(syndromes[0], 1, m) == (
                     {a ^ b} if members == [a ^ b] else None)
                 sketch = PinSketch(1, m)
-                sketch.load_syndromes(syndromes)
+                sketch.packed = pinsketch.pack_syndromes(syndromes, m)
                 clear_decode_cache()
                 assert sketch.decode(registry) == {a ^ b} \
                     == ref.decode(syndromes, field)
@@ -482,7 +483,7 @@ def test_candidates_holding_every_root_are_the_roots(
         syndromes = ref.sketch_of(elements, capacity, field)
         assert ref.decode(syndromes, field) == elements  # brute force
         sketch = PinSketch(capacity, 32)
-        sketch.load_syndromes(syndromes)
+        sketch.packed = pinsketch.pack_syndromes(syndromes, 32)
         hint = _hint(_candidates_with_every_root(kind, elements, rnd),
                      registry)
         del runs[:], chains[:], quartics[:]
@@ -541,7 +542,7 @@ def test_registry_elimination_matches_brute_force(snapshot):
         assert got == (planted if in_window else None), step
         reported += got is not None
         sketch = PinSketch(capacity, 32)
-        sketch.load_syndromes(syndromes)
+        sketch.packed = packed
         clear_decode_cache()
         try:
             outcome = sketch.decode(list(registry) if snapshot else registry)
@@ -550,6 +551,96 @@ def test_registry_elimination_matches_brute_force(snapshot):
         assert outcome == ref.decode(syndromes, field), step
     assert not set(evicted) & set(registry)
     assert reported > 40  # not vacuous
+
+
+def _packed_sketch(elements, capacity, m):
+    """The packed sketch of ``elements`` from the reference's slots (no
+    syndrome cache)."""
+    return pinsketch.pack_syndromes(
+        ref.sketch_of(elements, capacity, default_field(m)), m)
+
+
+def _independent(vectors):
+    """Whether no nonempty subset of ``vectors`` XORs to 0 (rank check)."""
+    rows = {}
+    for vector in vectors:
+        while vector:
+            top = vector.bit_length()
+            if top not in rows:
+                rows[top] = vector
+                break
+            vector ^= rows[top]
+        else:
+            return False
+    return True
+
+
+@st.composite
+def combination_case(draw):
+    """A registry fed in batches, some ids slid out of the basis window or
+    evicted, and one planted set per batch: up to two past capacity, drawn
+    from the window, from the ids that left it and from ids never added."""
+    m = draw(st.sampled_from([8, 8, 16]))
+    capacity = draw(st.integers(1, 4 if m == 8 else 3))
+    limit = draw(st.none() | st.integers(4, 24))
+    element = st.integers(1, (1 << m) - 1)
+    batches = draw(st.lists(
+        st.lists(element | st.sampled_from([0, -1, 1 << m, 5.0]),
+                 max_size=12),
+        min_size=1, max_size=4))
+    source = st.sampled_from(["window", "window", "left", "stranger"])
+    plants = [draw(st.lists(st.tuples(source, st.integers(0, 10 ** 6)),
+                            min_size=1, max_size=capacity + 2))
+              for _ in batches]
+    strangers = draw(st.lists(element, min_size=1, max_size=4))
+    return m, capacity, limit, batches, plants, strangers
+
+
+@given(case=combination_case())
+@settings(max_examples=300, deadline=None)
+def test_combination_is_the_difference_or_none(case):
+    """``CandidateRegistry.combination`` against brute force over the
+    basis window: it returns the one set of at most ``capacity`` window ids
+    whose vectors XOR to the input, or ``None`` -- never a set that does
+    not XOR to the input, never an id outside the window -- and when the
+    vectors of every id ever added are independent, it does not miss."""
+    m, capacity, limit, batches, plants, strangers = case
+    registry = CandidateRegistry(limit=limit)
+    history, left = [], []
+
+    def valid(value):
+        return type(value) is int and 0 < value < 1 << m
+
+    window_size = min(MAX_CANDIDATES, m * capacity // 2)
+    for batch, plant in zip(batches, plants):
+        before = list(registry)
+        for value in batch:  # add_many's loop, noting what it inserts
+            if valid(value) and value not in registry:
+                history.append(value)
+            registry.add_many([value])
+        held = list(registry)
+        window = held[len(held) - min(window_size, len(held)):]
+        elements = [x for x in window if valid(x)]
+        left += [x for x in before + held if valid(x) and x not in window]
+        pools = {"window": elements, "left": sorted(set(left)),
+                 "stranger": strangers}
+        planted = {
+            pool[index % len(pool)] for pool, index in (
+                (pools[name] or strangers, index) for name, index in plant)
+        }
+        packed = _packed_sketch(planted, capacity, m)
+        explaining = [
+            set(subset) for size in range(capacity + 1)
+            for subset in itertools.combinations(elements, size)
+            if _packed_sketch(subset, capacity, m) == packed
+        ]
+        assert len(explaining) <= 1  # BCH distance 2t + 1
+        got = registry.combination(packed, capacity, m)
+        assert got is None or got in explaining, (planted, got)
+        if _independent([_packed_sketch([x], capacity, m) for x in history]):
+            assert got == (explaining[0] if explaining else None)
+        if len(planted) <= capacity and not planted <= set(elements):
+            assert got is None  # a stranger or an id that left the window
 
 
 def test_every_decode_miss_of_a_quick_run_is_one_elimination(monkeypatch):

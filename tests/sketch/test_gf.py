@@ -238,14 +238,15 @@ def test_berlekamp_massey_ends_at_the_difference_and_keeps_its_states():
     and no yielded state changes once the loop has run on."""
     import random
 
-    from repro.sketch.pinsketch import PinSketch
+    from repro.sketch.pinsketch import PinSketch, unpack_syndromes
 
     field = default_field(32)
     rnd = random.Random(8)
     sketch = PinSketch(80, 32)
     sketch.add_all(rnd.sample(range(1, 1 << 32), 70))
     seen, kept = [], []
-    for length, locator in field.berlekamp_massey(sketch.syndromes_view()):
+    slots = unpack_syndromes(sketch.packed, 80, 32)
+    for length, locator in field.berlekamp_massey(slots):
         seen.append((length, list(locator)))
         kept.append((length, locator))
     assert [(length, list(c)) for length, c in kept] == seen
@@ -354,7 +355,7 @@ def test_explicit_modulus_field_is_cached(m):
 def test_explicit_and_default_modulus_share_tables():
     """Two sketches over the same (m, modulus) share one table build."""
     from repro.sketch.gf import IRREDUCIBLE_POLY
-    from repro.sketch.pinsketch import PinSketch
+    from repro.sketch.pinsketch import PinSketch, unpack_syndromes
 
     modulus = IRREDUCIBLE_POLY[16]
     f1 = GF2m(16, modulus)

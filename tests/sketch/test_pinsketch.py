@@ -86,9 +86,7 @@ def test_decode_always_verifies_against_every_syndrome():
     sketch = PinSketch(capacity=8, m=32)
     sketch.add_all({5, 6, 7})
     assert sketch.decode() == {5, 6, 7}
-    corrupted = list(sketch.syndromes_view())
-    corrupted[-1] ^= 1
-    sketch.load_syndromes(corrupted)
+    sketch.packed ^= 1 << (32 * 7)  # the lowest bit of the last slot
     with pytest.raises(SketchDecodeError):
         sketch.decode()
 
@@ -164,7 +162,7 @@ def test_deserialize_rejects_syndromes_outside_the_field(m):
     it, instead of reaching the decoder's tables."""
     width = (m + 7) // 8
     top = ((1 << m) - 1).to_bytes(width, "big")
-    assert PinSketch.deserialize(top, 1, m).syndromes_view() == ((1 << m) - 1,)
+    assert PinSketch.deserialize(top, 1, m).packed == (1 << m) - 1
     if 8 * width > m:
         with pytest.raises(ValueError):
             PinSketch.deserialize(b"\xff" * width, 1, m)
@@ -239,26 +237,20 @@ def test_invalid_capacity_rejected():
         PinSketch(capacity=0, m=32)
 
 
+@pytest.mark.parametrize("capacity", [8.0, "8", True, None])
+def test_a_capacity_that_is_no_int_is_rejected(capacity):
+    """A slot list of ``capacity`` zeros refused these implicitly; the
+    packed form has no list, so the constructor checks."""
+    with pytest.raises(TypeError):
+        PinSketch(capacity=capacity, m=32)
+
+
 def test_syndrome_cache_consistency():
     v1 = sketch_syndromes(12345, 8, 32)
     v2 = sketch_syndromes(12345, 8, 32)
-    assert v1 is v2  # lru_cache
+    assert v1 == v2
     assert len(v1) == 8
     assert v1[0] == 12345
-
-
-def test_xor_syndromes_matches_add():
-    direct = PinSketch(capacity=8, m=32)
-    direct.add(4242)
-    via_vector = PinSketch(capacity=8, m=32)
-    via_vector.xor_syndromes(sketch_syndromes(4242, 8, 32))
-    assert direct.serialize() == via_vector.serialize()
-
-
-def test_xor_syndromes_short_vector_rejected():
-    sketch = PinSketch(capacity=8, m=32)
-    with pytest.raises(ValueError):
-        sketch.xor_syndromes((1, 2, 3))
 
 
 def test_pack_unpack_roundtrip_struct_and_generic_widths():
@@ -275,30 +267,31 @@ def test_pack_unpack_roundtrip_struct_and_generic_widths():
 
 
 def test_packed_xor_matches_sketch_xor():
-    from repro.sketch import pack_syndromes
+    from repro.sketch import unpack_syndromes
 
     a, b = PinSketch(capacity=8, m=32), PinSketch(capacity=8, m=32)
     for x in (10, 20, 30):
         a.add(x)
     for x in (20, 30, 40):
         b.add(x)
-    packed = (pack_syndromes(a.syndromes_view(), 32)
-              ^ pack_syndromes(b.syndromes_view(), 32))
-    combined = PinSketch.from_packed(packed, 8, 32)
+    combined = a ^ b
     # Slot-wise XOR never carries across slots, so the packed combine is
-    # exactly the sketch combine.
-    assert combined.syndromes_view() == (a ^ b).syndromes_view()
+    # exactly the slot-by-slot combine.
+    assert unpack_syndromes(combined.packed, 8, 32) == [
+        x ^ y for x, y in zip(unpack_syndromes(a.packed, 8, 32),
+                              unpack_syndromes(b.packed, 8, 32))]
     assert sorted(combined.decode()) == [10, 40]
 
 
 def test_from_packed_truncates_high_slots():
-    from repro.sketch import pack_syndromes
+    from repro.sketch import unpack_syndromes
 
     full = PinSketch(capacity=16, m=32)
     full.add_all(range(1, 6))
-    packed = pack_syndromes(full.syndromes_view(), 32)
-    truncated = PinSketch.from_packed(packed, 8, 32)
-    assert truncated.syndromes_view() == full.truncated(8).syndromes_view()
+    truncated = PinSketch.from_packed(full.packed, 8, 32)
+    assert truncated.packed == full.truncated(8).packed
+    assert unpack_syndromes(truncated.packed, 8, 32) == \
+        unpack_syndromes(full.packed, 16, 32)[:8]
 
 
 def test_sketch_syndromes_packed_matches_tuple_view():
@@ -383,8 +376,23 @@ def test_mixed_capacity_xor_difference():
     assert (a ^ b).decode() == {100, 300, 400}
 
 
-def test_syndrome_views_are_identity_stable_across_capacities():
-    v_small = sketch_syndromes(7, 4, 16)
-    v_large = sketch_syndromes(7, 9, 16)
-    assert v_large[:4] == v_small
-    assert sketch_syndromes(7, 9, 16) is v_large
+def test_one_packed_vector_per_id_serves_every_capacity():
+    """The cache holds one packed vector per ``(id, m)``: a larger
+    capacity extends it in place, a smaller one masks it, and each slot is
+    the odd power it stands for."""
+    from repro.sketch import sketch_syndromes_packed
+    from repro.sketch.gf import default_field
+    from repro.sketch.pinsketch import _SYNDROMES
+
+    entries = _SYNDROMES._entries
+    entries.pop((4099, 16), None)
+    small = sketch_syndromes_packed(4099, 4, 16)
+    assert entries[(4099, 16)] == small
+    large = sketch_syndromes_packed(4099, 9, 16)
+    assert entries[(4099, 16)] == large  # extended, still one entry
+    assert large & ((1 << 64) - 1) == small
+    assert sketch_syndromes_packed(4099, 4, 16) == small
+    assert entries[(4099, 16)] == large  # a mask does not shrink it
+    field = default_field(16)
+    assert sketch_syndromes(4099, 9, 16) == tuple(
+        field.pow(4099, 2 * k + 1) for k in range(9))
