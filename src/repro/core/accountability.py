@@ -29,6 +29,7 @@ from repro.core.commitment import (
 from repro.core.inspection import Violation
 from repro.core.policies import STALE_SEQ_SLACK, ViolationKind
 from repro.crypto.keys import PublicKey
+from repro.mempool.txlog import TransactionLog
 
 _request_ids = itertools.count()
 
@@ -202,9 +203,12 @@ class SuspicionRecord:
 class AccountabilityState:
     """Per-node accountability bookkeeping: Alg. 1's S and E sets."""
 
-    def __init__(self, owner: PublicKey, clock_cells: int):
+    def __init__(self, owner: PublicKey, log: TransactionLog):
         self.owner = owner
-        self.clock_cells = clock_cells  # the owner's Bloom-clock width
+        # The owner's log: every store records what its signer holds as
+        # positions in it.
+        self.log = log
+        self.clock_cells = log.clock.cells  # the owner's Bloom-clock width
         self.exposed: Dict[PublicKey, ExposureBlame] = {}
         self.suspected: Dict[PublicKey, SuspicionRecord] = {}
         self.pending: Dict[int, PendingRequest] = {}
@@ -331,7 +335,7 @@ class AccountabilityState:
         """
         store = self.stores.get(signer)
         if store is None:
-            store = self.stores[signer] = CommitmentStore(signer)
+            store = self.stores[signer] = CommitmentStore(signer, self.log)
         return store
 
     def latest_header(self, signer: PublicKey) -> Optional[CommitmentHeader]:
@@ -416,7 +420,7 @@ class AccountabilityState:
         if last_known is not None and latest.seq <= last_known.seq:
             return "adopt", None, None
         covered = blame.kind == "content" and all(
-            detail in store.known_ids for detail in blame.detail
+            store.holds(detail) for detail in blame.detail
         )
         if covered or blame.kind == "sync":
             return "relay", latest, None

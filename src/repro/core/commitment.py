@@ -16,11 +16,12 @@ Alg. 1 line 31's exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bloomclock import BloomClock
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, PublicKey, verify
+from repro.mempool.txlog import TransactionLog
 from repro.obs.caches import IdentityMemo
 
 # Wire cost of a commitment header: bloom clock (68 B at 32 cells) + seq
@@ -284,18 +285,27 @@ class CommitmentStore:
     """All commitments a node has observed from one remote signer.
 
     Maintains the latest header, a per-seq header index for equivocation
-    detection, and the observer's reconstruction of the signer's committed
-    id set (populated through reconciliation), which Alg. 1 needs for the
-    ``C_i \\ C_hat_j`` test.
+    detection, and what the signer is known to hold (populated through
+    reconciliation), which Alg. 1 needs for the ``C_i \\ C_hat_j`` test.
+
+    What the signer holds is kept over the *observer's* log: ``held`` is a
+    position mask (bit ``p`` set when the signer is known to hold
+    ``log.order[p]``), about one bit per id where a set of ids costs about
+    50 bytes each.  ``extra`` holds recorded ids the log did not hold when
+    recorded; only an adversary's ``commit_filter`` produces one, so a
+    correct node's store never allocates it.  The log is append-only, so a
+    position never changes its id and ``held`` never goes stale.
     """
 
-    __slots__ = ("signer", "latest", "by_seq", "known_ids")
+    __slots__ = ("signer", "latest", "by_seq", "log", "held", "extra")
 
-    def __init__(self, signer: PublicKey):
+    def __init__(self, signer: PublicKey, log: TransactionLog):
         self.signer = signer
         self.latest: Optional[CommitmentHeader] = None
         self.by_seq: Dict[int, CommitmentHeader] = {}
-        self.known_ids: set = set()
+        self.log = log
+        self.held = 0
+        self.extra: Optional[Set[int]] = None
 
     def observe(
         self, header: CommitmentHeader
@@ -328,9 +338,73 @@ class CommitmentStore:
         picked = {seqs[0], seqs[-1]}
         return [self.by_seq[s] for s in picked]
 
+    def record_mask(self, mask: int) -> None:
+        """Record that the signer holds the log ids at ``mask``'s bits.
+
+        ``mask`` is a position mask of the observer's log, as
+        :meth:`~repro.mempool.txlog.TransactionLog.mask_for_cells` gives.
+        """
+        self.held |= mask
+
     def record_ids(self, ids: Iterable[int]) -> None:
-        """Extend the local reconstruction of the signer's committed ids."""
-        self.known_ids.update(ids)
+        """Record that the signer holds ``ids``, one id at a time.
+
+        An id of the log sets its position bit; any other id goes to
+        ``extra``, where it stays if the log commits it later.
+        """
+        position = self.log.position
+        held = self.held
+        for sketch_id in ids:
+            index = position(sketch_id)
+            if index is not None:
+                held |= 1 << index
+                continue
+            if self.extra is None:
+                self.extra = set()
+            self.extra.add(sketch_id)
+        self.held = held
+
+    def holds(self, sketch_id: int) -> bool:
+        """Whether the signer is known to hold ``sketch_id``."""
+        index = self.log.position(sketch_id)
+        if index is not None and self.held >> index & 1:
+            return True
+        return self.extra is not None and sketch_id in self.extra
+
+    def outdated(self) -> bool:
+        """Alg. 1 line 13: does the log hold an id the signer is not known to hold?
+
+        True when some position below ``len(log)`` is unset in ``held``
+        and its id is not in ``extra``.  An unset position whose id
+        ``extra`` covers (recorded before the log committed it) is folded
+        into ``held`` on the way, so each is looked up once.
+        """
+        missing = ((1 << len(self.log)) - 1) & ~self.held
+        if not missing:
+            return False
+        extra = self.extra
+        if not extra:
+            return True
+        order = self.log.order
+        while missing:
+            lowest = missing & -missing
+            sketch_id = order[lowest.bit_length() - 1]
+            if sketch_id not in extra:
+                return True
+            extra.discard(sketch_id)
+            self.held |= lowest
+            missing ^= lowest
+        return False
+
+    def known_ids(self) -> FrozenSet[int]:
+        """Every id the signer is known to hold (a new frozenset; cold use)."""
+        order = self.log.order
+        # bin() lists the bits high to low; reversed, index p is bit p.
+        bits = bin(self.held)[:1:-1]
+        ids = {order[p] for p, bit in enumerate(bits) if bit == "1"}
+        if self.extra:
+            ids.update(self.extra)
+        return frozenset(ids)
 
     @property
     def seq(self) -> int:

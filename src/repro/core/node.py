@@ -175,8 +175,7 @@ class LONode(Endpoint):
         self._header_dirty = True
         self._cached_header: Optional[CommitmentHeader] = None
 
-        self.acct = AccountabilityState(self.keypair.public_key,
-                                        config.clock_cells)
+        self.acct = AccountabilityState(self.keypair.public_key, self.log)
         self.ledger = Ledger()
         self.builder = BlockBuilder(self.keypair, config)
         self.inspector = BlockInspector(config)
@@ -516,14 +515,15 @@ class LONode(Endpoint):
         return eligible
 
     def _peer_outdated(self, peer: int) -> bool:
-        """Alg. 1 line 13: do we hold ids the peer has not committed to?"""
+        """Alg. 1 line 13: do we hold ids the peer has not committed to?
+
+        Read from the peer's store as a position mask over our log
+        (:meth:`CommitmentStore.outdated`): no walk over the log.
+        """
         store = self.acct.stores.get(self.directory.key_of(peer))
         if store is None or store.latest is None:
             return len(self.log) > 0
-        if len(self.log) > len(store.known_ids):
-            return True
-        known = store.known_ids
-        return any(i not in known for i in self.log.order)
+        return store.outdated()
 
     def _flagged_spec(self, peer: int) -> SplitSpec:
         """Cells that look out of date versus the peer's last known clock."""
@@ -841,7 +841,7 @@ class LONode(Endpoint):
         local = sketch_for_spec(self.log, request.spec, capacity)
         # Our own slice of the log, taken before the commit below: the
         # store records it once the round is done.
-        held = ids_for_spec(self.log, request.spec)
+        held = self._slice_mask(request.spec)
         if self.counter is not None:
             self.counter.increment("reconciliations", node=self.node_id)
         # The decoder eliminates over the simulation's committed ids before
@@ -887,13 +887,22 @@ class LONode(Endpoint):
             requested_ids=tuple(new_ids),
             offered_ids=offered,
         )
-        # After a successful round both parties hold the union over the spec
-        # (two updates into the store's set -- no intermediate union set):
-        # what we held before the round, plus the difference.
+        # After a successful round both parties hold the union over the
+        # spec: what we held before the round, plus the difference.
         store = self.acct.store_for(request.header.signer)
-        store.record_ids(held)
+        store.record_mask(held)
         store.record_ids(diff)
         self._send(sender, "lo/sync_resp", response, response.wire_size())
+
+    def _slice_mask(self, spec: SplitSpec) -> int:
+        """Our ids inside ``spec`` as a position mask over our log.
+
+        At bit level 0 this is one OR per cell (or, for a full range, every
+        position); only a bit-refined spec walks its items.
+        """
+        if spec.bit_level == 0:
+            return self.log.mask_for_cells(spec.cells)
+        return self.log.mask_of(ids_for_spec(self.log, spec))
 
     def _cell_gap(self, spec: SplitSpec, clock: BloomClock) -> int:
         """Sum of counter differences to ``clock`` over the spec's cells."""
@@ -961,7 +970,7 @@ class LONode(Endpoint):
                         sketch_id, self.node_id, self.now
                     )
         store = self.acct.store_for(peer_key)
-        store.record_ids(ids_for_spec(self.log, session.spec))
+        store.record_mask(self._slice_mask(session.spec))
         store.record_ids(response.offered_ids)
         # Ship content the responder asked for; ask for content we lack.
         self._send_content(session.peer, response.requested_ids)

@@ -102,12 +102,11 @@ def sketch_for_spec(
 def ids_for_spec(log: TransactionLog, spec: SplitSpec) -> List[int]:
     """All local ids inside a split spec, as a new list.
 
-    The order is :meth:`TransactionLog.items_in_cells`'s: a full-range
-    spec yields the log in received order with no per-cell walk.
+    The order is :meth:`TransactionLog.items_in_cells`'s.  A node reads a
+    bit-level-0 slice as a position mask
+    (:meth:`TransactionLog.mask_for_cells`) instead, so only bit-refined
+    specs are walked here.
     """
-    if spec.bit_level == 0:
-        # matches() is vacuously true at bit level 0; skip the filter.
-        return log.items_in_cells(spec.cells)
     return [i for i in log.items_in_cells(spec.cells) if spec.matches(i)]
 
 

@@ -12,6 +12,10 @@ an ordered, append-only sequence of transaction ids, with:
   restricted to any flagged cell subset is one int XOR per cell and one
   mask (sketches are linear, and slot-wise XOR never carries) -- this is
   how commitments stay cheap to produce;
+* one position mask per Bloom-Clock cell (bit ``p`` set when
+  ``order[p]`` maps to the cell), so the ids of any cell slice are one int
+  OR per cell as positions -- what a peer is known to hold is recorded
+  this way (:class:`~repro.core.commitment.CommitmentStore`);
 * content storage: ids can be committed before their transaction bytes
   arrive ("share the transaction IDs, and only later selectively share the
   transaction content", section 2.3 stage II).
@@ -50,6 +54,12 @@ class TransactionLog:
         # and 32 empty lists per node were half the heap the collector
         # had to walk).
         self._cell_items: Dict[int, List[int]] = {}
+        # cell -> position mask of that cell's ids, also from its first
+        # append: a cell slice as positions is one OR per cell.
+        self._cell_masks: Dict[int, int] = {}
+        # Committed ids whose content has not arrived, in log order (the
+        # values are unused): the per-tick hole scan reads only these.
+        self._no_content: Dict[int, None] = {}
         # Per-cell and whole-log sketches as packed ints (PinSketch.packed
         # at ``sketch_capacity``): an append is two int XORs, a cell-subset
         # combine one int XOR per cell.  Nothing is memoised on top: a
@@ -88,8 +98,11 @@ class TransactionLog:
         return self._content.get(sketch_id)
 
     def missing_content(self) -> List[int]:
-        """Committed ids whose transaction content has not arrived yet."""
-        return [i for i in self._order if i not in self._content]
+        """Committed ids whose transaction content has not arrived yet.
+
+        In log order; the cost is the number of holes, not the log length.
+        """
+        return list(self._no_content)
 
     def is_invalid(self, sketch_id: int) -> bool:
         """Whether the id's content failed validation on arrival."""
@@ -106,14 +119,18 @@ class TransactionLog:
         """
         if sketch_id in self._position:
             return False
-        self._position[sketch_id] = len(self._order)
+        position = len(self._order)
+        self._position[sketch_id] = position
         self._order.append(sketch_id)
+        self._no_content[sketch_id] = None
         self.clock.add(sketch_id)
         cell = self.clock.cell_of(sketch_id)
         items = self._cell_items.get(cell)
         if items is None:
             items = self._cell_items[cell] = []
         items.append(sketch_id)
+        masks = self._cell_masks
+        masks[cell] = masks.get(cell, 0) | (1 << position)
         # One packed-vector fetch feeds both the cell and whole-log
         # sketches; each update is a single big-integer XOR.
         packed = sketch_syndromes_packed(sketch_id, self.sketch_capacity,
@@ -141,6 +158,7 @@ class TransactionLog:
         if sketch_id not in self._position:
             raise KeyError(f"id {sketch_id} was never committed to this log")
         self._content[sketch_id] = tx
+        self._no_content.pop(sketch_id, None)
         if not valid:
             self._invalid.add(sketch_id)
 
@@ -214,6 +232,29 @@ class TransactionLog:
         for cell in cells:
             items.extend(self._cell_items.get(cell, ()))
         return items
+
+    def mask_for_cells(self, cells: Iterable[int]) -> int:
+        """Positions of the ids in ``cells`` as a mask: bit ``p`` is ``order[p]``.
+
+        One OR per cell; a full range (:meth:`spans_every_cell`) is every
+        position below ``len(self)``.  The log is append-only, so a mask
+        taken now keeps naming the same ids later.
+        """
+        if self.spans_every_cell(cells):
+            return (1 << len(self._order)) - 1
+        masks = self._cell_masks
+        mask = 0
+        for cell in cells:
+            mask |= masks.get(cell, 0)
+        return mask
+
+    def mask_of(self, ids: Iterable[int]) -> int:
+        """Positions of ``ids`` as a mask; every id must be in the log."""
+        position = self._position
+        mask = 0
+        for sketch_id in ids:
+            mask |= 1 << position[sketch_id]
+        return mask
 
     def subset_sketch(
         self, ids: Iterable[int], capacity: Optional[int] = None

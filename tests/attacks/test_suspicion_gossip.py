@@ -20,6 +20,7 @@ from repro.core.commitment import (
 from repro.core.config import LOConfig
 from repro.crypto.keys import KeyPair
 from repro.experiments.harness import LOSimulation, SimulationParams
+from repro.mempool import TransactionLog
 from repro.testing import (
     DetectionMonitor,
     InvariantViolation,
@@ -48,7 +49,7 @@ def test_blame_key_is_what_the_blame_announces():
 
 
 def test_a_claim_keeps_its_episode_start_until_the_suspicion_clears():
-    acct = AccountabilityState(_key(b"me"), clock_cells=32)
+    acct = AccountabilityState(_key(b"me"), TransactionLog(clock_cells=32))
     peer = _key(b"peer")
     assert acct.claim(peer, "sync", (), 1.0) == (1.0, True)
     assert acct.claim(peer, "sync", (), 4.0) == (1.0, False)  # a retry round
@@ -94,7 +95,7 @@ def test_a_blame_carrying_a_clock_of_another_width_is_dropped_not_stored():
 
 
 def test_a_foreign_width_last_known_is_treated_as_absent():
-    acct = AccountabilityState(_key(b"me"), clock_cells=32)
+    acct = AccountabilityState(_key(b"me"), TransactionLog(clock_cells=32))
     keypair = KeyPair.generate(seed=b"x")
     digests = [chain_digest(GENESIS_DIGEST, bundle_digest([1]))]
     ours = sign_header(keypair, 1, 1, digests, BloomClock(32))

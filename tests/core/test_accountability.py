@@ -20,6 +20,7 @@ from repro.core.commitment import (
 from repro.core.inspection import Violation
 from repro.core.policies import STALE_SEQ_SLACK, ViolationKind
 from repro.crypto import KeyPair
+from repro.mempool import TransactionLog
 
 OWNER = KeyPair.generate(seed=b"acct-owner")
 REMOTE = KeyPair.generate(seed=b"acct-remote")
@@ -38,8 +39,9 @@ def make_header(bundles, keypair=REMOTE):
     )
 
 
-def fresh_state():
-    return AccountabilityState(OWNER.public_key, BloomClock().cells)
+def fresh_state(log=None):
+    return AccountabilityState(OWNER.public_key,
+                               TransactionLog() if log is None else log)
 
 
 # ------------------------------------------------------------ request cycle
@@ -313,7 +315,9 @@ def test_evaluate_suspicion_exposes_on_fork():
 
 
 def test_evaluate_suspicion_relays_newer_covering_commitment():
-    state = fresh_state()
+    log = TransactionLog()
+    log.append_many([1, 5])
+    state = fresh_state(log)
     newer = make_header([[1], [5]])
     state.observe_header(newer)
     state.store_for(REMOTE.public_key).record_ids([5])

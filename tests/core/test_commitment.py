@@ -14,6 +14,7 @@ from repro.core.commitment import (
     sign_header,
 )
 from repro.crypto import KeyPair
+from repro.mempool import TransactionLog
 
 KP = KeyPair.generate(seed=b"committer")
 
@@ -111,7 +112,7 @@ def test_wire_size_constant():
 
 
 def test_store_accepts_consistent_sequence():
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     assert store.observe(make_header([[1]])) is None
     assert store.observe(make_header([[1], [2]])) is None
     assert store.seq == 2
@@ -119,7 +120,7 @@ def test_store_accepts_consistent_sequence():
 
 
 def test_store_detects_same_seq_fork():
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     store.observe(make_header([[1], [2]]))
     evidence = store.observe(make_header([[1], [3]]))
     assert evidence is not None
@@ -128,7 +129,7 @@ def test_store_detects_same_seq_fork():
 
 
 def test_store_detects_history_rewrite():
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     store.observe(make_header([[1], [2]]))
     # A "newer" header whose prefix disagrees with what we stored.
     evidence = store.observe(make_header([[9], [2], [3]]))
@@ -137,24 +138,38 @@ def test_store_detects_history_rewrite():
 
 
 def test_store_out_of_order_observation_ok():
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     assert store.observe(make_header([[1], [2], [3]])) is None
     assert store.observe(make_header([[1]])) is None  # older but consistent
     assert store.seq == 3
 
 
 def test_store_rejects_foreign_signer():
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     other = KeyPair.generate(seed=b"foreign")
     with pytest.raises(ValueError):
         store.observe(make_header([[1]], keypair=other))
 
 
 def test_store_known_ids_accumulate():
-    store = CommitmentStore(KP.public_key)
+    log = TransactionLog()
+    log.append_many([1, 2])
+    store = CommitmentStore(KP.public_key, log)
     store.record_ids([1, 2])
-    store.record_ids([2, 3])
-    assert store.known_ids == {1, 2, 3}
+    store.record_ids([2, 3])  # 3 is not in the observer's log
+    assert store.known_ids() == {1, 2, 3}
+    assert store.held == 0b11 and store.extra == {3}
+
+
+def test_store_folds_an_id_recorded_before_the_log_committed_it():
+    log = TransactionLog()
+    log.append(1)
+    store = CommitmentStore(KP.public_key, log)
+    store.record_ids([1, 2])
+    log.append(2)
+    assert store.holds(2)
+    assert not store.outdated()
+    assert store.held == 0b11 and store.known_ids() == {1, 2}
 
 
 def test_evidence_for_honest_pair_does_not_verify():

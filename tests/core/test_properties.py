@@ -14,6 +14,7 @@ from repro.core.commitment import (
 from repro.core.commitment import BundleInfo
 from repro.core.ordering import canonical_order, shuffle_bundle
 from repro.crypto import KeyPair
+from repro.mempool import TransactionLog
 
 KP = KeyPair.generate(seed=b"prop-signer")
 
@@ -55,7 +56,7 @@ def test_prefix_headers_are_always_consistent(bundles):
 @settings(max_examples=60)
 def test_store_never_flags_honest_growth(bundles, extra):
     """Observing an honest, growing history never produces evidence."""
-    store = CommitmentStore(KP.public_key)
+    store = CommitmentStore(KP.public_key, TransactionLog())
     history = []
     for ids in bundles + [[extra]]:
         history.append([i for i in ids if all(i not in b for b in history)])

@@ -133,7 +133,7 @@ def _outcome(sim):
 
     known = {
         node_id: {
-            key.hex(): sorted(store.known_ids)
+            key.hex(): sorted(store.known_ids())
             for key, store in sorted(node.acct.stores.items())
         }
         for node_id, node in sim.nodes.items()
@@ -291,8 +291,8 @@ def test_sync_request_records_old_slice_and_difference():
     responder._handle_sync_request(
         Message(0, 1, "lo/sync_req", request, request.wire_size()))
     store = responder.acct.store_for(requester.public_key)
-    assert store.known_ids == held_before | difference
-    assert store.known_ids == set(ids_for_spec(responder.log, spec))
+    assert store.known_ids() == held_before | difference
+    assert store.known_ids() == set(ids_for_spec(responder.log, spec))
     assert all(tx.sketch_id in responder.log for tx in only_requester)
 
 

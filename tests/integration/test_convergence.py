@@ -60,11 +60,11 @@ def test_commitment_stores_track_peers_accurately():
     sim = make_sim(num_nodes=8)
     sim.inject_at(0.2, 0, fee=5)
     sim.run(12.0)
-    # known_ids recorded for a peer must be a subset of that peer's log.
+    # The ids recorded for a peer must be a subset of that peer's log.
     for nid, node in sim.nodes.items():
         for peer_key, store in node.acct.stores.items():
             peer = sim.directory.id_of(peer_key)
-            assert store.known_ids <= sim.nodes[peer].log.known_ids()
+            assert store.known_ids() <= sim.nodes[peer].log.known_ids()
 
 
 def test_deterministic_replay():

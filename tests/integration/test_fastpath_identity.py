@@ -273,7 +273,7 @@ def test_memoised_eligible_neighbours_do_not_change_a_shuffled_censor_run(
 
 
 def _ids_cell_by_cell(log, spec):
-    """``ids_for_spec`` walking every cell, full range or not."""
+    """A spec's ids walking every cell, full range or not."""
     items = []
     for cell in spec.cells:
         items.extend(i for i in log.items_in_cells((cell,)) if spec.matches(i))
@@ -293,6 +293,9 @@ class _EveryCell(_AlwaysRecompute):
             return super()._own_counts_for_spec(spec)
         return {cell: len(self.log.items_in_cells((cell,)))
                 for cell in spec.cells}
+
+    def _slice_mask(self, spec):
+        return self.log.mask_of(_ids_cell_by_cell(self.log, spec))
 
 
 class _EveryCellNode(_EveryCell, LONode):
@@ -323,15 +326,13 @@ def _admission_run(monkeypatch, node_cls):
 
 
 def test_occupied_cell_bookkeeping_changes_no_outcome(monkeypatch):
-    """The cell gap, own counts, full-range ids and the unfiltered
-    neighbour list must drive every round as the all-cell formulas do."""
-    import repro.core.node as node_module
-
+    """The cell gap, own counts, the held slices recorded as cell masks
+    and the unfiltered neighbour list must drive every round as the
+    all-cell formulas (a slice recorded id by id) do."""
     fast = (
         _shuffled_censor_run(monkeypatch, LONode),
         _admission_run(monkeypatch, LONode),
     )
-    monkeypatch.setattr(node_module, "ids_for_spec", _ids_cell_by_cell)
     every_cell = (
         _shuffled_censor_run(monkeypatch, _EveryCellNode),
         _admission_run(monkeypatch, _EveryCellNode),

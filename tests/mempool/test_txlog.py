@@ -68,6 +68,28 @@ def test_content_lifecycle():
     assert not log.is_invalid(tx.sketch_id)
 
 
+def test_missing_content_is_the_holes_in_log_order():
+    log = TransactionLog()
+    txs = [make_tx(n) for n in range(1, 7)]
+    log.append_many(tx.sketch_id for tx in txs)
+    for tx in (txs[3], txs[0], txs[3]):  # a repeated arrival is harmless
+        log.add_content(tx)
+    log.append(txs[0].sketch_id)  # already committed: still not a hole
+    expected = [i for i in log.order if log.content_of(i) is None]
+    assert log.missing_content() == expected
+    assert expected == [tx.sketch_id for tx in (txs[1], txs[2], txs[4], txs[5])]
+
+
+def test_cell_masks_name_the_cells_ids_by_position():
+    log = TransactionLog(clock_cells=4)
+    log.append_many(range(1, 30))
+    for cells in ((0,), (1, 3), (2, 0)):
+        mask = log.mask_for_cells(cells)
+        assert mask == log.mask_of(log.items_in_cells(cells))
+    assert log.mask_for_cells(tuple(range(4))) == (1 << 29) - 1
+    assert log.mask_of([]) == 0
+
+
 def test_invalid_content_marked():
     log = TransactionLog()
     tx = make_tx(2)
