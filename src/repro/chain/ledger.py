@@ -21,10 +21,13 @@ from repro.chain.block import GENESIS_HASH, Block
 class Ledger:
     """Append-only chain of blocks plus an index of settled transactions."""
 
+    __slots__ = ("_blocks", "_by_hash", "_settle_height")
+
     def __init__(self) -> None:
         self._blocks: List[Block] = []
         self._by_hash: Dict[bytes, Block] = {}
-        self._settled_ids: Set[int] = set()
+        # Settled id -> height of the first block that settled it; its
+        # keys are the settled ids.
         self._settle_height: Dict[int, int] = {}
 
     # --------------------------------------------------------------- queries
@@ -52,7 +55,7 @@ class Ledger:
 
     def is_settled(self, sketch_id: int) -> bool:
         """Whether a transaction id already appears in some settled block."""
-        return sketch_id in self._settled_ids
+        return sketch_id in self._settle_height
 
     def settle_height_of(self, sketch_id: int) -> Optional[int]:
         """Height of the block that settled the id, if any."""
@@ -60,7 +63,7 @@ class Ledger:
 
     def settled_ids(self) -> Set[int]:
         """Copy of all settled transaction ids."""
-        return set(self._settled_ids)
+        return set(self._settle_height)
 
     # -------------------------------------------------------------- mutation
 
@@ -79,6 +82,5 @@ class Ledger:
         self._blocks.append(block)
         self._by_hash[block.block_hash] = block
         for sketch_id in block.tx_ids:
-            self._settled_ids.add(sketch_id)
             self._settle_height.setdefault(sketch_id, block.height)
         return True

@@ -36,7 +36,15 @@ _request_ids = itertools.count()
 
 @dataclass
 class PendingRequest:
-    """A request awaiting a response, subject to the suspicion timeout."""
+    """A request awaiting a response, subject to the suspicion timeout.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10), so no
+    field has a default.  Correct nodes keep every unanswered request, so
+    a node facing silent peers holds one of these per timed-out round.
+    """
+
+    __slots__ = ("request_id", "target", "kind", "detail", "sent_at",
+                 "retries_left", "resend_count")
 
     request_id: int
     target: PublicKey
@@ -44,7 +52,7 @@ class PendingRequest:
     detail: Tuple[int, ...]     # e.g. the requested tx ids
     sent_at: float
     retries_left: int
-    resend_count: int = 0
+    resend_count: int
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,9 @@ class SuspicionRecord:
 class AccountabilityState:
     """Per-node accountability bookkeeping: Alg. 1's S and E sets."""
 
+    __slots__ = ("owner", "log", "clock_cells", "exposed", "suspected",
+                 "pending", "stores", "_seen_blame_keys")
+
     def __init__(self, owner: PublicKey, log: TransactionLog):
         self.owner = owner
         # The owner's log: every store records what its signer holds as
@@ -213,7 +224,9 @@ class AccountabilityState:
         self.suspected: Dict[PublicKey, SuspicionRecord] = {}
         self.pending: Dict[int, PendingRequest] = {}
         self.stores: Dict[PublicKey, CommitmentStore] = {}
-        self._seen_blame_keys: Set[Tuple] = set()
+        # Blame keys already verified (a dict used as a set: nearly every
+        # node keeps it empty, and an empty dict is 64 bytes to a set's 216).
+        self._seen_blame_keys: Dict[Tuple, None] = {}
 
     # ------------------------------------------------------------- requests
 
@@ -233,6 +246,7 @@ class AccountabilityState:
             detail=tuple(detail),
             sent_at=now,
             retries_left=retries,
+            resend_count=0,
         )
         self.pending[request.request_id] = request
         return request
@@ -371,7 +385,7 @@ class AccountabilityState:
         key = blame.key()
         if key in self._seen_blame_keys and blame.accused in self.exposed:
             return False
-        self._seen_blame_keys.add(key)
+        self._seen_blame_keys[key] = None
         if blame.accused in self.exposed:
             return False
         self.exposed[blame.accused] = blame

@@ -25,6 +25,8 @@ from repro.mempool.txlog import TransactionLog
 class BlockBuilder:
     """Builds blocks for one miner from its transaction log."""
 
+    __slots__ = ("keypair", "config")
+
     def __init__(self, keypair: KeyPair, config: LOConfig):
         self.keypair = keypair
         self.config = config

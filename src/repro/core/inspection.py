@@ -56,6 +56,8 @@ class InspectionResult:
 class BlockInspector:
     """Inspects blocks against a creator's committed bundle history."""
 
+    __slots__ = ("config",)
+
     def __init__(self, config: LOConfig):
         self.config = config
 

@@ -133,7 +133,27 @@ class _Session:
 
 
 class LONode(Endpoint):
-    """One miner running the LO accountable base layer."""
+    """One miner running the LO accountable base layer.
+
+    Every attribute ``__init__`` sets is a slot: with more than CPython's
+    30 shared keys each node would own a full instance dict.  ``Endpoint``
+    has no slots, so an attribute set outside them (an instance-method
+    hook, ``adversary``) still lands in a ``__dict__``, made only for the
+    nodes that use one.
+    """
+
+    __slots__ = (
+        "node_id", "loop", "network", "config", "directory", "neighbors",
+        "rng", "keypair", "_raw_key", "log", "bundles", "_digest_chain",
+        "_headers_by_seq", "_header_dirty", "_cached_header", "acct",
+        "ledger", "builder", "inspector", "_sessions", "_content_timers",
+        "_pending_blocks", "_announces_by_height", "_pending_inspections",
+        "_seen_blocks", "_seen_suspicions", "_relayed_updates",
+        "_sync_event", "_sketch_cache", "_eligible_memo", "_nonce",
+        "quarantine", "restarts", "mempool", "mempool_tracker",
+        "block_tracker", "counter", "on_block_created", "block_policy",
+        "inspection_enabled",
+    )
 
     #: The attack policy running this node, if any: a
     #: :class:`repro.attacks.Adversary`, consulted at five seams
@@ -158,7 +178,10 @@ class LONode(Endpoint):
         self.network = network
         self.config = config
         self.directory = directory
-        self.neighbors = set(neighbors)
+        # Kept, not copied: the harness hands over the topology's own set
+        # (``sim.topology[node_id]``), which shufflers and enforcement
+        # mutate in place.
+        self.neighbors = neighbors
         self.rng = rng
         self.keypair = KeyPair.generate(seed=f"lo-node-{node_id}".encode())
         self._raw_key = self.keypair.public_key.raw
@@ -185,9 +208,11 @@ class LONode(Endpoint):
         self._pending_blocks: Dict[int, BlockAnnounce] = {}
         self._announces_by_height: Dict[int, BlockAnnounce] = {}
         self._pending_inspections: List[BlockAnnounce] = []
-        self._seen_blocks: Set[bytes] = set()
-        self._seen_suspicions: Set[Tuple] = set()
-        self._relayed_updates: Set[Tuple] = set()
+        # Dicts used as sets (values unused): an empty dict is 64 bytes to
+        # an empty set's 216, and most nodes never fill these.
+        self._seen_blocks: Dict[bytes, None] = {}
+        self._seen_suspicions: Dict[Tuple, None] = {}
+        self._relayed_updates: Dict[Tuple, None] = {}
         self._sync_event: Optional[Timer] = None
         # Per-tick reconciliation cache, live only inside one _sync_tick
         # callback: (spec, capacity) -> (sketch, own counts, wire size).
@@ -1144,7 +1169,7 @@ class LONode(Endpoint):
         key = blame.key()
         if key in self._seen_suspicions:
             return
-        self._seen_suspicions.add(key)
+        self._seen_suspicions[key] = None
         peers = self._gossip_peers()
         if peers and self.counter is not None:
             self.counter.increment("suspicion_fanouts", node=self.node_id)
@@ -1217,7 +1242,7 @@ class LONode(Endpoint):
             self.acct.close_requests_to(signer)
             relay_key = (signer.raw, header.seq)
             if relay_key not in self._relayed_updates:
-                self._relayed_updates.add(relay_key)
+                self._relayed_updates[relay_key] = None
                 self._send_fanout(self._gossip_peers(), "lo/commit_upd",
                                   header, header.wire_size())
 
@@ -1311,7 +1336,7 @@ class LONode(Endpoint):
             bundle_ids=tuple(b.ids for b in self.bundles[: block.commit_seq]),
         )
         self.ledger.append(block)
-        self._seen_blocks.add(block.block_hash)
+        self._seen_blocks[block.block_hash] = None
         self._announces_by_height[block.height] = announce
         if self.block_tracker is not None:
             for sketch_id in block.tx_ids:
@@ -1326,7 +1351,7 @@ class LONode(Endpoint):
         block: Block = announce.block
         if block.block_hash in self._seen_blocks:
             return
-        self._seen_blocks.add(block.block_hash)
+        self._seen_blocks[block.block_hash] = None
         if not block.signature_valid():
             return
         # Forward first: settlement and detection both ride on propagation.

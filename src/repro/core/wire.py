@@ -478,6 +478,9 @@ class PeerQuarantine:
     and episode counts persist, so the next episode doubles again).
     """
 
+    __slots__ = ("threshold", "base_s", "max_s", "total_violations",
+                 "episodes", "_window", "_until")
+
     def __init__(
         self, threshold: int = 3, base_s: float = 5.0, max_s: float = 300.0
     ):

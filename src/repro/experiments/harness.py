@@ -139,6 +139,9 @@ class LOSimulation:
             out_degree=params.out_degree,
             max_in_degree=params.max_in_degree,
         )
+        # node id -> neighbour set.  Each node keeps the set it is handed,
+        # so ``self.topology[i]`` *is* node i's live neighbour set: the
+        # shufflers and enforcement's eviction mutate it in place.
         if malicious:
             self.topology = builder.build_with_adversaries(sorted(malicious))
         else:

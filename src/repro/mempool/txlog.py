@@ -15,7 +15,9 @@ an ordered, append-only sequence of transaction ids, with:
 * one position mask per Bloom-Clock cell (bit ``p`` set when
   ``order[p]`` maps to the cell), so the ids of any cell slice are one int
   OR per cell as positions -- what a peer is known to hold is recorded
-  this way (:class:`~repro.core.commitment.CommitmentStore`);
+  this way (:class:`~repro.core.commitment.CommitmentStore`), and a cell's
+  ids are read back from its mask (there is no per-cell id list; the
+  clock's counters are the per-cell counts);
 * content storage: ids can be committed before their transaction bytes
   arrive ("share the transaction IDs, and only later selectively share the
   transaction content", section 2.3 stage II).
@@ -40,6 +42,10 @@ def all_cells(clock_cells: int) -> Tuple[int, ...]:
 class TransactionLog:
     """Append-only, insertion-ordered record of observed transactions."""
 
+    __slots__ = ("clock", "sketch_capacity", "sketch_bits", "_order",
+                 "_position", "_content", "_invalid", "_cell_masks",
+                 "_no_content", "_cell_packed", "_full_packed", "_all_cells")
+
     def __init__(self, clock_cells: int = 32, sketch_capacity: int = 100,
                  sketch_bits: int = 32):
         self.clock = BloomClock(cells=clock_cells)
@@ -48,14 +54,14 @@ class TransactionLog:
         self._order: List[int] = []              # sketch ids, received order
         self._position: Dict[int, int] = {}      # sketch id -> index
         self._content: Dict[int, Transaction] = {}
-        self._invalid: Set[int] = set()
-        # cell -> ids in that cell; a cell's list exists from its first
-        # append (at paper scale most logs stay empty for most of the run,
-        # and 32 empty lists per node were half the heap the collector
-        # had to walk).
-        self._cell_items: Dict[int, List[int]] = {}
-        # cell -> position mask of that cell's ids, also from its first
-        # append: a cell slice as positions is one OR per cell.
+        # Ids whose content failed validation (a dict used as a set: an
+        # empty dict is 64 bytes against an empty set's 216, and almost
+        # every log keeps it empty).
+        self._invalid: Dict[int, None] = {}
+        # cell -> position mask of that cell's ids, from the cell's first
+        # append (at paper scale most logs stay empty for most of the run):
+        # a cell slice as positions is one OR per cell, and a cell's ids
+        # are its mask's bits read against ``_order``.
         self._cell_masks: Dict[int, int] = {}
         # Committed ids whose content has not arrived, in log order (the
         # values are unused): the per-tick hole scan reads only these.
@@ -63,8 +69,10 @@ class TransactionLog:
         # Per-cell and whole-log sketches as packed ints (PinSketch.packed
         # at ``sketch_capacity``): an append is two int XORs, a cell-subset
         # combine one int XOR per cell.  Nothing is memoised on top: a
-        # combine costs about what validating a memo entry would.
-        self._cell_packed: List[int] = [0] * clock_cells
+        # combine costs about what validating a memo entry would.  The
+        # per-cell list is made by the first append: an empty log's
+        # sketches are all 0, which ``_full_packed`` already says.
+        self._cell_packed: List[int] = []
         self._full_packed: int = 0
         self._all_cells = all_cells(clock_cells)
 
@@ -125,18 +133,21 @@ class TransactionLog:
         self._no_content[sketch_id] = None
         self.clock.add(sketch_id)
         cell = self.clock.cell_of(sketch_id)
-        items = self._cell_items.get(cell)
-        if items is None:
-            items = self._cell_items[cell] = []
-        items.append(sketch_id)
         masks = self._cell_masks
         masks[cell] = masks.get(cell, 0) | (1 << position)
         # One packed-vector fetch feeds both the cell and whole-log
-        # sketches; each update is a single big-integer XOR.
+        # sketches; each update is a single big-integer XOR.  An empty
+        # sketch takes the cached int itself: ``0 ^ packed`` is a new
+        # int as wide as the sketch.
         packed = sketch_syndromes_packed(sketch_id, self.sketch_capacity,
                                          self.sketch_bits)
-        self._cell_packed[cell] ^= packed
-        self._full_packed ^= packed
+        cell_packed = self._cell_packed
+        if not cell_packed:
+            cell_packed = self._cell_packed = [0] * self.clock.cells
+        held = cell_packed[cell]
+        cell_packed[cell] = held ^ packed if held else packed
+        held = self._full_packed
+        self._full_packed = held ^ packed if held else packed
         return True
 
     def append_many(self, sketch_ids: Iterable[int]) -> List[int]:
@@ -160,7 +171,7 @@ class TransactionLog:
         self._content[sketch_id] = tx
         self._no_content.pop(sketch_id, None)
         if not valid:
-            self._invalid.add(sketch_id)
+            self._invalid[sketch_id] = None
 
     # ------------------------------------------------------------- sketching
 
@@ -174,11 +185,12 @@ class TransactionLog:
         truncates to the requested size.
         """
         capacity = self._capacity(capacity)
-        if self.spans_every_cell(cells):
-            # XOR over every cell == the maintained whole-log sketch.
+        cell_packed = self._cell_packed
+        if not cell_packed or self.spans_every_cell(cells):
+            # XOR over every cell == the maintained whole-log sketch (0
+            # while the log is empty).
             packed = self._full_packed
         else:
-            cell_packed = self._cell_packed
             packed = 0
             for cell in cells:
                 packed ^= cell_packed[cell]
@@ -210,27 +222,30 @@ class TransactionLog:
     def cell_counts(self, cells: Iterable[int]) -> Dict[int, int]:
         """Ids per cell of ``cells``, for the cells that hold any.
 
-        A cell with no ids is left out rather than counted as 0; a full
-        range reads only the cells that hold ids.
+        A cell with no ids is left out rather than counted as 0.  The
+        log's clock counts exactly its own ids per cell, so this reads
+        the clock's counters.
         """
-        held = self._cell_items
+        counters = self.clock.counters
         if self.spans_every_cell(cells):
-            return {cell: len(items) for cell, items in held.items()}
-        return {cell: len(held[cell]) for cell in cells if cell in held}
+            return {cell: count for cell, count in enumerate(counters) if count}
+        return {cell: counters[cell] for cell in cells if counters[cell]}
 
     def items_in_cells(self, cells: Iterable[int]) -> List[int]:
         """All ids mapping into the given Bloom-Clock cells (a new list).
 
         Cells are walked in the order given, each one's ids in received
-        order.  A full-range walk (:meth:`spans_every_cell`) returns the
-        whole log in received order instead, with no per-cell walk: the
-        same ids, in a different order.
+        order: a cell's position mask read lowest bit first.
         """
-        if self.spans_every_cell(cells):
-            return self._order[:]
+        order = self._order
+        masks = self._cell_masks
         items: List[int] = []
         for cell in cells:
-            items.extend(self._cell_items.get(cell, ()))
+            mask = masks.get(cell, 0)
+            while mask:
+                low = mask & -mask
+                items.append(order[low.bit_length() - 1])
+                mask ^= low
         return items
 
     def mask_for_cells(self, cells: Iterable[int]) -> int:

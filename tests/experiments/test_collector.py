@@ -299,4 +299,4 @@ def test_an_idle_network_materialises_no_per_peer_state():
     nodes = list(sim.nodes.values())
     assert sim.loop.processed_events >= 5 * len(nodes)
     assert sum(len(node.acct.stores) for node in nodes) == 0
-    assert not any(node.log._cell_items for node in nodes)
+    assert not any(node.log._cell_masks for node in nodes)
