@@ -13,9 +13,10 @@ is exposed after the fact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.chain.block import GENESIS_HASH, Block
+from repro.empty import EMPTY_MAP
 
 
 class Ledger:
@@ -24,11 +25,13 @@ class Ledger:
     __slots__ = ("_blocks", "_by_hash", "_settle_height")
 
     def __init__(self) -> None:
-        self._blocks: List[Block] = []
-        self._by_hash: Dict[bytes, Block] = {}
+        # Shared empties until the first append makes all three
+        # (:mod:`repro.empty`): at paper scale most ledgers stay empty.
+        self._blocks: Sequence[Block] = ()
+        self._by_hash: Dict[bytes, Block] = EMPTY_MAP
         # Settled id -> height of the first block that settled it; its
         # keys are the settled ids.
-        self._settle_height: Dict[int, int] = {}
+        self._settle_height: Dict[int, int] = EMPTY_MAP
 
     # --------------------------------------------------------------- queries
 
@@ -79,6 +82,10 @@ class Ledger:
             return False
         if block.prev_hash != self.tip_hash or block.height != self.height + 1:
             return False
+        if not self._blocks:
+            self._blocks = []
+            self._by_hash = {}
+            self._settle_height = {}
         self._blocks.append(block)
         self._by_hash[block.block_hash] = block
         for sketch_id in block.tx_ids:

@@ -29,6 +29,7 @@ from repro.core.commitment import (
 from repro.core.inspection import Violation
 from repro.core.policies import STALE_SEQ_SLACK, ViolationKind
 from repro.crypto.keys import PublicKey
+from repro.empty import EMPTY_MAP
 from repro.mempool.txlog import TransactionLog
 
 _request_ids = itertools.count()
@@ -220,13 +221,15 @@ class AccountabilityState:
         # positions in it.
         self.log = log
         self.clock_cells = log.clock.cells  # the owner's Bloom-clock width
-        self.exposed: Dict[PublicKey, ExposureBlame] = {}
-        self.suspected: Dict[PublicKey, SuspicionRecord] = {}
-        self.pending: Dict[int, PendingRequest] = {}
-        self.stores: Dict[PublicKey, CommitmentStore] = {}
-        # Blame keys already verified (a dict used as a set: nearly every
-        # node keeps it empty, and an empty dict is 64 bytes to a set's 216).
-        self._seen_blame_keys: Dict[Tuple, None] = {}
+        # Each map is the shared empty until its first write
+        # (:mod:`repro.empty`): at paper scale most nodes never expose,
+        # suspect or hear from anyone.
+        self.exposed: Dict[PublicKey, ExposureBlame] = EMPTY_MAP
+        self.suspected: Dict[PublicKey, SuspicionRecord] = EMPTY_MAP
+        self.pending: Dict[int, PendingRequest] = EMPTY_MAP
+        self.stores: Dict[PublicKey, CommitmentStore] = EMPTY_MAP
+        # Blame keys already verified (a dict used as a set).
+        self._seen_blame_keys: Dict[Tuple, None] = EMPTY_MAP
 
     # ------------------------------------------------------------- requests
 
@@ -248,11 +251,15 @@ class AccountabilityState:
             retries_left=retries,
             resend_count=0,
         )
+        if self.pending is EMPTY_MAP:
+            self.pending = {}
         self.pending[request.request_id] = request
         return request
 
     def close_request(self, request_id: int) -> Optional[PendingRequest]:
         """A response arrived; drop the pending entry."""
+        if self.pending is EMPTY_MAP:
+            return None
         return self.pending.pop(request_id, None)
 
     def close_requests_to(self, target: PublicKey, kind: Optional[str] = None) -> int:
@@ -292,6 +299,8 @@ class AccountabilityState:
         """Mark a node suspected; returns True when newly suspected."""
         record = self.suspected.get(target)
         if record is None:
+            if self.suspected is EMPTY_MAP:
+                self.suspected = {}
             self.suspected[target] = SuspicionRecord(
                 since=now, kinds={kind}, secondhand=secondhand
             )
@@ -322,6 +331,8 @@ class AccountabilityState:
 
     def clear_suspicion(self, target: PublicKey) -> bool:
         """The node answered (directly or via a relayed commitment)."""
+        if self.suspected is EMPTY_MAP:
+            return False
         return self.suspected.pop(target, None) is not None
 
     def adopt_suspicion(self, blame: SuspicionBlame, now: float) -> bool:
@@ -349,6 +360,8 @@ class AccountabilityState:
         """
         store = self.stores.get(signer)
         if store is None:
+            if self.stores is EMPTY_MAP:
+                self.stores = {}
             store = self.stores[signer] = CommitmentStore(signer, self.log)
         return store
 
@@ -385,11 +398,15 @@ class AccountabilityState:
         key = blame.key()
         if key in self._seen_blame_keys and blame.accused in self.exposed:
             return False
+        if self._seen_blame_keys is EMPTY_MAP:
+            self._seen_blame_keys = {}
         self._seen_blame_keys[key] = None
         if blame.accused in self.exposed:
             return False
+        if self.exposed is EMPTY_MAP:
+            self.exposed = {}
         self.exposed[blame.accused] = blame
-        self.suspected.pop(blame.accused, None)
+        self.clear_suspicion(blame.accused)
         self.close_requests_to(blame.accused)
         return True
 

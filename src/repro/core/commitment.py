@@ -287,6 +287,9 @@ class CommitmentStore:
     Maintains the latest header, a per-seq header index for equivocation
     detection, and what the signer is known to hold (populated through
     reconciliation), which Alg. 1 needs for the ``C_i \\ C_hat_j`` test.
+    Nearly every store only ever keeps one header, so ``by_seq`` is None
+    until a second one is stored: until then ``latest`` is the index's
+    only entry.
 
     What the signer holds is kept over the *observer's* log: ``held`` is a
     position mask (bit ``p`` set when the signer is known to hold
@@ -302,7 +305,7 @@ class CommitmentStore:
     def __init__(self, signer: PublicKey, log: TransactionLog):
         self.signer = signer
         self.latest: Optional[CommitmentHeader] = None
-        self.by_seq: Dict[int, CommitmentHeader] = {}
+        self.by_seq: Optional[Dict[int, CommitmentHeader]] = None
         self.log = log
         self.held = 0
         self.extra: Optional[Set[int]] = None
@@ -319,21 +322,35 @@ class CommitmentStore:
         """
         if header.signer != self.signer:
             raise ValueError("header from a different signer")
-        existing = self.by_seq.get(header.seq)
+        by_seq = self.by_seq
+        latest = self.latest
+        if by_seq is not None:
+            existing = by_seq.get(header.seq)
+        elif latest is not None and latest.seq == header.seq:
+            existing = latest
+        else:
+            existing = None
         if existing is not None and existing.digests != header.digests:
             return EquivocationEvidence(self.signer, existing, header)
         for stored in self._anchors():
             if not stored.consistent_with(header):
                 return EquivocationEvidence(self.signer, stored, header)
-        self.by_seq[header.seq] = header
-        if self.latest is None or header.seq > self.latest.seq:
+        if latest is None:
+            self.latest = header
+            return None
+        if by_seq is None:
+            if header is latest:
+                return None
+            by_seq = self.by_seq = {latest.seq: latest}
+        by_seq[header.seq] = header
+        if header.seq > latest.seq:
             self.latest = header
         return None
 
     def _anchors(self) -> List[CommitmentHeader]:
         """Headers used for consistency checks (latest plus the extremes)."""
-        if not self.by_seq:
-            return []
+        if self.by_seq is None:
+            return [self.latest] if self.latest is not None else []
         seqs = sorted(self.by_seq)
         picked = {seqs[0], seqs[-1]}
         return [self.by_seq[s] for s in picked]

@@ -74,13 +74,16 @@ class NetworkEviction:
         self.evictions = 0
 
     def apply(self, node: LONode, directory) -> int:
-        """Evict every currently-exposed neighbour of ``node``."""
-        evicted = 0
-        for peer in sorted(node.neighbors):
-            key = directory.key_of(peer)
-            if node.acct.is_exposed(key):
-                node.neighbors.discard(peer)
-                evicted += 1
+        """Evict every currently-exposed neighbour of ``node``.
+
+        Rebinds ``node.neighbors`` to the kept peers (still sorted) when
+        any is evicted.
+        """
+        kept = tuple(peer for peer in node.neighbors
+                     if not node.acct.is_exposed(directory.key_of(peer)))
+        evicted = len(node.neighbors) - len(kept)
+        if evicted:
+            node.neighbors = kept
         self.evictions += evicted
         return evicted
 

@@ -62,6 +62,7 @@ from repro.core.reconciliation import (
 )
 from repro.core.wire import PeerQuarantine, validate_payload
 from repro.crypto.keys import KeyPair, PublicKey
+from repro.empty import EMPTY_MAP
 from repro.mempool.admission import Mempool
 from repro.mempool.transaction import Transaction, make_transaction, prevalidate
 from repro.mempool.txlog import TransactionLog
@@ -167,7 +168,7 @@ class LONode(Endpoint):
         network: Network,
         config: LOConfig,
         directory: Directory,
-        neighbors: Set[int],
+        neighbors: Tuple[int, ...],
         rng: random.Random,
         mempool_tracker: Optional[LatencyTracker] = None,
         block_tracker: Optional[LatencyTracker] = None,
@@ -178,9 +179,9 @@ class LONode(Endpoint):
         self.network = network
         self.config = config
         self.directory = directory
-        # Kept, not copied: the harness hands over the topology's own set
-        # (``sim.topology[node_id]``), which shufflers and enforcement
-        # mutate in place.
+        # A sorted tuple, the one live copy of this node's overlay edges:
+        # ``sim.topology`` reads it, and the shuffler and enforcement's
+        # eviction rebind it rather than mutate it.
         self.neighbors = neighbors
         self.rng = rng
         self.keypair = KeyPair.generate(seed=f"lo-node-{node_id}".encode())
@@ -192,9 +193,12 @@ class LONode(Endpoint):
             sketch_capacity=config.sketch_capacity,
             sketch_bits=config.sketch_bits,
         )
-        self.bundles: List[BundleInfo] = []
-        self._digest_chain: List[bytes] = []
-        self._headers_by_seq: Dict[int, CommitmentHeader] = {}
+        # Every list and map below starts as the shared empty (``()`` or
+        # EMPTY_MAP) and is made by its first write (repro.empty): at paper
+        # scale most nodes never write most of them.
+        self.bundles: Sequence[BundleInfo] = ()
+        self._digest_chain: Sequence[bytes] = ()
+        self._headers_by_seq: Dict[int, CommitmentHeader] = EMPTY_MAP
         self._header_dirty = True
         self._cached_header: Optional[CommitmentHeader] = None
 
@@ -203,23 +207,23 @@ class LONode(Endpoint):
         self.builder = BlockBuilder(self.keypair, config)
         self.inspector = BlockInspector(config)
 
-        self._sessions: Dict[int, _Session] = {}
-        self._content_timers: Dict[int, Timer] = {}
-        self._pending_blocks: Dict[int, BlockAnnounce] = {}
-        self._announces_by_height: Dict[int, BlockAnnounce] = {}
-        self._pending_inspections: List[BlockAnnounce] = []
-        # Dicts used as sets (values unused): an empty dict is 64 bytes to
-        # an empty set's 216, and most nodes never fill these.
-        self._seen_blocks: Dict[bytes, None] = {}
-        self._seen_suspicions: Dict[Tuple, None] = {}
-        self._relayed_updates: Dict[Tuple, None] = {}
+        self._sessions: Dict[int, _Session] = EMPTY_MAP
+        self._content_timers: Dict[int, Timer] = EMPTY_MAP
+        self._pending_blocks: Dict[int, BlockAnnounce] = EMPTY_MAP
+        self._announces_by_height: Dict[int, BlockAnnounce] = EMPTY_MAP
+        self._pending_inspections: Sequence[BlockAnnounce] = ()
+        # Dicts used as sets (values unused).
+        self._seen_blocks: Dict[bytes, None] = EMPTY_MAP
+        self._seen_suspicions: Dict[Tuple, None] = EMPTY_MAP
+        self._relayed_updates: Dict[Tuple, None] = EMPTY_MAP
         self._sync_event: Optional[Timer] = None
         # Per-tick reconciliation cache, live only inside one _sync_tick
         # callback: (spec, capacity) -> (sketch, own counts, wire size).
         self._sketch_cache: Optional[Dict[Tuple, Tuple]] = None
-        # (exposed count, sorted neighbours, eligible) of the last
+        # (neighbours, exposed count, eligible) of the last filtered,
         # quarantine-free _eligible_neighbors() computation.
-        self._eligible_memo: Optional[Tuple[int, List[int], List[int]]] = None
+        self._eligible_memo: Optional[Tuple[Tuple[int, ...], int,
+                                            Sequence[int]]] = None
         self._nonce = 0
         self.quarantine = PeerQuarantine(
             threshold=config.quarantine_threshold,
@@ -274,6 +278,8 @@ class LONode(Endpoint):
                 digests=self._digest_chain,
                 clock=self.log.clock,
             )
+            if self._headers_by_seq is EMPTY_MAP:
+                self._headers_by_seq = {}
             self._headers_by_seq[self.seq] = self._cached_header
             self._header_dirty = False
         return self._cached_header
@@ -318,11 +324,13 @@ class LONode(Endpoint):
             self.loop.cancel(session.timer)
             if _t.enabled:
                 _t.end_span(session.span, self.now, outcome="restart")
-        self._sessions.clear()
         for timer in self._content_timers.values():
             self.loop.cancel(timer)
-        self._content_timers.clear()
-        self.acct.pending.clear()
+        # Forget rather than clear: a map never written is the shared
+        # empty, which has no clear().
+        self._sessions = EMPTY_MAP
+        self._content_timers = EMPTY_MAP
+        self.acct.pending = EMPTY_MAP
         self.restarts += 1
         self.start()
 
@@ -412,6 +420,9 @@ class LONode(Endpoint):
         if not fresh:
             return None
         self.directory.committed.add_many(fresh)
+        if not self.bundles:
+            self.bundles = []
+            self._digest_chain = []
         bundle = BundleInfo(
             index=self.seq,
             ids=tuple(fresh),
@@ -444,6 +455,12 @@ class LONode(Endpoint):
             return
         fanout = min(self.config.sync_fanout, len(peers))
         sampled = self.rng.sample(peers, fanout)
+        if not self.log and not self.acct.suspected and not self._pending_blocks:
+            # Idle (most ticks at paper scale): every peer is up to date
+            # with an empty log, there is no content hole to heal, no
+            # suspect to re-probe and no block gap.  The draw above stays,
+            # so the rng advances as on any tick.
+            return
         # Per-tick reconciliation batching: the log cannot change inside
         # this callback, so peers sharing a (spec, capacity) reuse one
         # sketch build / own-count scan / wire-size computation, and the
@@ -496,47 +513,42 @@ class LONode(Endpoint):
                 self.rng.choice(sorted(suspects)), spec=None, depth=0
             )
 
-    def _eligible_neighbors(self) -> List[int]:
+    def _eligible_neighbors(self) -> Sequence[int]:
         """Neighbours that are not exposed or quarantined, sorted.
 
         Suspected peers are still probed (temporal accuracy); quarantined
         ones are skipped until their backoff window expires.
 
-        The returned list is shared between calls: callers must not
-        mutate it.  With no quarantine episode open the answer depends
-        only on the neighbour set and the exposed set, so it is kept and
-        recomputed when either changed.  The exposed set only grows, so
-        its size is its version; the neighbour set is mutated in place
-        (shuffler, enforcement) or reassigned by code that does not know
-        this node, so it is compared with the sorted copy taken here.  An
-        open episode ends with the clock: nothing is reused or kept while
-        there is one.
+        The answer is shared: callers must not mutate it.  While nobody
+        is exposed and no quarantine episode is open it is the neighbour
+        tuple itself.  Otherwise, with no episode open, the filtered list
+        is kept while the tuple is the same object (its owners rebind it,
+        never mutate it) and the exposed set the same size (it only
+        grows).  An open episode ends with the clock: nothing is kept
+        while there is one.
         """
         neighbors = self.neighbors
         exposed = self.acct.exposed
         quarantine = self.quarantine
+        if not exposed and not quarantine.any_open():
+            return neighbors
         memo = self._eligible_memo
         if (
             memo is not None
-            and memo[0] == len(exposed)
-            and len(memo[1]) == len(neighbors)
-            and neighbors.issuperset(memo[1])
+            and memo[0] is neighbors
+            and memo[1] == len(exposed)
             and not quarantine.any_open()
         ):
             return memo[2]
-        everyone = eligible = sorted(neighbors)
-        if exposed or quarantine.any_open():  # else nobody to filter out
-            now = self.now
-            key_of = self.directory.key_of
-            kept = [
-                peer for peer in everyone
-                if not quarantine.is_quarantined(peer, now)
-                and key_of(peer) not in exposed
-            ]
-            if len(kept) < len(everyone):
-                eligible = kept
+        now = self.now
+        key_of = self.directory.key_of
+        eligible = [
+            peer for peer in neighbors
+            if not quarantine.is_quarantined(peer, now)
+            and key_of(peer) not in exposed
+        ]
         if not quarantine.any_open():
-            self._eligible_memo = (len(exposed), everyone, eligible)
+            self._eligible_memo = (neighbors, len(exposed), eligible)
         return eligible
 
     def _peer_outdated(self, peer: int) -> bool:
@@ -624,6 +636,8 @@ class LONode(Endpoint):
                 peer=peer, cells=len(spec.cells), bit_level=spec.bit_level,
                 capacity=capacity, depth=depth, retries=0,
             )
+        if self._sessions is EMPTY_MAP:
+            self._sessions = {}
         self._sessions[request_obj.request_id] = _Session(
             peer, spec, capacity, depth, pushed, timer,
             request_obj.request_id, span,
@@ -1035,6 +1049,8 @@ class LONode(Endpoint):
             self.config.request_timeout_s, self._on_content_timeout,
             request_obj.request_id, peer, tuple(ids),
         )
+        if self._content_timers is EMPTY_MAP:
+            self._content_timers = {}
         self._content_timers[request_obj.request_id] = timer
         _t = obs.TRACER
         if _t.enabled:
@@ -1058,7 +1074,8 @@ class LONode(Endpoint):
     def _handle_content_response(self, message: Message) -> None:
         response: ContentResponse = message.payload
         if response.request_id >= 0:
-            timer = self._content_timers.pop(response.request_id, None)
+            timers = self._content_timers
+            timer = timers.pop(response.request_id, None) if timers else None
             if timer is not None:
                 self.loop.cancel(timer)
             self.acct.close_request(response.request_id)
@@ -1124,7 +1141,8 @@ class LONode(Endpoint):
     ) -> None:
         action = self.acct.on_timeout(request_id, self.now)
         if action is None:
-            self._content_timers.pop(request_id, None)
+            if self._content_timers:
+                self._content_timers.pop(request_id, None)
             return
         if action == "resend":
             request = ContentRequest(request_id=request_id, ids=ids)
@@ -1169,6 +1187,8 @@ class LONode(Endpoint):
         key = blame.key()
         if key in self._seen_suspicions:
             return
+        if self._seen_suspicions is EMPTY_MAP:
+            self._seen_suspicions = {}
         self._seen_suspicions[key] = None
         peers = self._gossip_peers()
         if peers and self.counter is not None:
@@ -1242,6 +1262,8 @@ class LONode(Endpoint):
             self.acct.close_requests_to(signer)
             relay_key = (signer.raw, header.seq)
             if relay_key not in self._relayed_updates:
+                if self._relayed_updates is EMPTY_MAP:
+                    self._relayed_updates = {}
                 self._relayed_updates[relay_key] = None
                 self._send_fanout(self._gossip_peers(), "lo/commit_upd",
                                   header, header.wire_size())
@@ -1336,8 +1358,8 @@ class LONode(Endpoint):
             bundle_ids=tuple(b.ids for b in self.bundles[: block.commit_seq]),
         )
         self.ledger.append(block)
-        self._seen_blocks[block.block_hash] = None
-        self._announces_by_height[block.height] = announce
+        self._note_seen_block(block.block_hash)
+        self._note_announce(announce)
         if self.block_tracker is not None:
             for sketch_id in block.tx_ids:
                 self.block_tracker.record_seen(sketch_id, 0, self.now)
@@ -1351,7 +1373,7 @@ class LONode(Endpoint):
         block: Block = announce.block
         if block.block_hash in self._seen_blocks:
             return
-        self._seen_blocks[block.block_hash] = None
+        self._note_seen_block(block.block_hash)
         if not block.signature_valid():
             return
         # Forward first: settlement and detection both ride on propagation.
@@ -1361,27 +1383,42 @@ class LONode(Endpoint):
         )
         self._settle_or_buffer(announce)
 
+    def _note_seen_block(self, block_hash: bytes) -> None:
+        if self._seen_blocks is EMPTY_MAP:
+            self._seen_blocks = {}
+        self._seen_blocks[block_hash] = None
+
+    def _note_announce(self, announce: BlockAnnounce) -> None:
+        if self._announces_by_height is EMPTY_MAP:
+            self._announces_by_height = {}
+        self._announces_by_height[announce.block.height] = announce
+
     def _settle_or_buffer(self, announce: BlockAnnounce) -> None:
         block: Block = announce.block
         if block.height > self.ledger.height + 1:
             # Chain gap (e.g. we just rejoined after a crash): buffer and
             # fetch the missing ancestors from a random neighbour.
+            if self._pending_blocks is EMPTY_MAP:
+                self._pending_blocks = {}
             self._pending_blocks[block.height] = announce
             self._request_missing_blocks()
             return
         settled_before = self.ledger.settled_ids()
         if not self.ledger.append(block):
             return
-        self._announces_by_height[block.height] = announce
+        self._note_announce(announce)
         self._inspect_announce(announce, settled_before)
         # Drain any buffered successor blocks.
-        next_announce = self._pending_blocks.pop(self.ledger.height + 1, None)
+        pending = self._pending_blocks
+        next_announce = (pending.pop(self.ledger.height + 1, None)
+                         if pending else None)
         if next_announce is not None:
             self._settle_or_buffer(next_announce)
 
     def _request_missing_blocks(self) -> None:
         wanted = self.ledger.height + 1
-        buffered = self._pending_blocks.pop(wanted, None)
+        pending = self._pending_blocks
+        buffered = pending.pop(wanted, None) if pending else None
         if buffered is not None:
             # The gap already closed from the buffer side; settle directly.
             self._settle_or_buffer(buffered)
@@ -1428,7 +1465,7 @@ class LONode(Endpoint):
                 _t.end_span(span, self.now, conclusive=False,
                             missing=len(result.missing_content))
             if result.missing_content:
-                self._pending_inspections.append(announce)
+                self._defer_inspection(announce)
                 self._send_content_request(
                     self.directory.id_of(block.creator),
                     result.missing_content[:64],
@@ -1529,21 +1566,27 @@ class LONode(Endpoint):
             ),
         )
 
+    def _defer_inspection(self, announce: BlockAnnounce) -> None:
+        """Keep an inconclusive inspection for when its content arrives."""
+        if not self._pending_inspections:
+            self._pending_inspections = []
+        self._pending_inspections.append(announce)
+
     def _retry_pending_inspections(self) -> None:
         pending = self._pending_inspections
-        self._pending_inspections = []
+        self._pending_inspections = ()
         for announce in pending:
             block: Block = announce.block
             height = block.height
             if height > self.ledger.height:
-                self._pending_inspections.append(announce)
+                self._defer_inspection(announce)
                 continue
             settled_before: Set[int] = set()
             for h in range(height):
                 settled_before.update(self.ledger.block_at(h).tx_ids)
             result = self._run_inspection(announce, settled_before)
             if not result.conclusive:
-                self._pending_inspections.append(announce)
+                self._defer_inspection(announce)
                 continue
             for violation in result.violations:
                 evidence = BlockViolationEvidence(

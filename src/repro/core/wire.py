@@ -42,6 +42,7 @@ from repro.core.reconciliation import (
     SyncResponse,
 )
 from repro.crypto.keys import PublicKey
+from repro.empty import EMPTY_MAP
 from repro.mempool.transaction import Transaction
 from repro.obs.caches import IdentityMemo, clear_identity_memos
 from repro.sketch import PinSketch
@@ -491,13 +492,20 @@ class PeerQuarantine:
         self.threshold = threshold
         self.base_s = base_s
         self.max_s = max_s
-        self.total_violations: Dict[int, int] = {}
-        self.episodes: Dict[int, int] = {}
-        self._window: Dict[int, int] = {}
-        self._until: Dict[int, float] = {}
+        # Shared empties until the first violation makes all four
+        # (:mod:`repro.empty`): most nodes never see one.
+        self.total_violations: Dict[int, int] = EMPTY_MAP
+        self.episodes: Dict[int, int] = EMPTY_MAP
+        self._window: Dict[int, int] = EMPTY_MAP
+        self._until: Dict[int, float] = EMPTY_MAP
 
     def record_violation(self, peer: int, now: float) -> bool:
         """Count one violation; returns True when quarantine newly opens."""
+        if self.total_violations is EMPTY_MAP:
+            self.total_violations = {}
+            self.episodes = {}
+            self._window = {}
+            self._until = {}
         self.total_violations[peer] = self.total_violations.get(peer, 0) + 1
         if self.is_quarantined(peer, now):
             return False  # already serving an episode; don't extend per hit

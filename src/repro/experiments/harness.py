@@ -17,7 +17,9 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import obs
 from repro.chain.leader import LeaderSchedule
@@ -139,13 +141,15 @@ class LOSimulation:
             out_degree=params.out_degree,
             max_in_degree=params.max_in_degree,
         )
-        # node id -> neighbour set.  Each node keeps the set it is handed,
-        # so ``self.topology[i]`` *is* node i's live neighbour set: the
-        # shufflers and enforcement's eviction mutate it in place.
+        # node id -> neighbour set, each handed to its node once as a
+        # sorted tuple (192 bytes for 19 ids, where the set built by ``add``
+        # is 2,264).  The node's tuple is then the only copy: ``topology``
+        # reads through the nodes, and the shufflers and enforcement's
+        # eviction rebind it.
         if malicious:
-            self.topology = builder.build_with_adversaries(sorted(malicious))
+            topology = builder.build_with_adversaries(sorted(malicious))
         else:
-            self.topology = builder.build()
+            topology = builder.build()
 
         self.nodes: Dict[int, LONode] = {}
         note_block_created = self._note_block_created  # one bound method
@@ -159,7 +163,7 @@ class LOSimulation:
                 network=self.network,
                 config=params.config,
                 directory=self.directory,
-                neighbors=self.topology[node_id],
+                neighbors=tuple(sorted(topology.pop(node_id))),
                 rng=self.rng.fork(f"node-{node_id}").stream("behaviour"),
                 mempool_tracker=self.mempool_tracker,
                 block_tracker=self.block_tracker,
@@ -181,7 +185,7 @@ class LOSimulation:
                 self.shufflers[node_id] = NeighborShuffler(
                     self.loop,
                     node_id=node_id,
-                    neighbors=node.neighbors,
+                    owner=node,
                     sampler=self.sampler,
                     rng=self.rng.fork(f"shuffle-{node_id}").stream("s"),
                     period=params.shuffle_period_s,
@@ -240,6 +244,15 @@ class LOSimulation:
         self._steady_monitor = None
         self._wire_tracing()
         self._wire_timeline()
+
+    @property
+    def topology(self) -> Dict[int, Tuple[int, ...]]:
+        """The current overlay: node id -> its sorted neighbour tuple.
+
+        Built from the nodes on each read, so after shuffling or eviction
+        it is the overlay as it is now.
+        """
+        return {node_id: node.neighbors for node_id, node in self.nodes.items()}
 
     # -------------------------------------------------------- observability
 

@@ -11,14 +11,18 @@ neighbours first.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Set
+from typing import Any, Callable, Optional, Set
 
 from repro.gossip.sampler import PeerSampler
 from repro.sim.loop import EventLoop
 
 
 class NeighborShuffler:
-    """Rotates one node's neighbour set against the sampler.
+    """Rotates one node's neighbours against the sampler.
+
+    ``owner`` is the object whose ``neighbors`` (a sorted tuple) this
+    rewires: each round that changes them rebinds it to a new sorted
+    tuple, so no one else's copy is ever mutated.
 
     :meth:`start` schedules the first round ``phase`` seconds in, with the
     phase drawn from ``rng`` at construction so nodes de-synchronise; each
@@ -30,7 +34,7 @@ class NeighborShuffler:
         self,
         loop: EventLoop,
         node_id: int,
-        neighbors: Set[int],
+        owner: Any,
         sampler: PeerSampler,
         rng: random.Random,
         period: float = 10.0,
@@ -45,7 +49,7 @@ class NeighborShuffler:
         self.period = period
         self._phase = rng.uniform(0, period)
         self.node_id = node_id
-        self.neighbors = neighbors
+        self.owner = owner
         self.sampler = sampler
         self.rng = rng
         self.swaps_per_round = swaps_per_round
@@ -69,27 +73,24 @@ class NeighborShuffler:
         """One shuffle round: evict bad/random neighbours, refill to target."""
         blocked = self.blocklist()
         added: Set[int] = set()
-        removed: Set[int] = set()
         # Evict blocked neighbours unconditionally.
-        for peer in [p for p in self.neighbors if p in blocked]:
-            self.neighbors.discard(peer)
-            removed.add(peer)
+        removed = {p for p in self.owner.neighbors if p in blocked}
         # Rotate a few healthy neighbours to keep the overlay mixing.
-        rotatable = sorted(self.neighbors)
+        rotatable = [p for p in self.owner.neighbors if p not in blocked]
         for _ in range(min(self.swaps_per_round, len(rotatable))):
             peer = self.rng.choice(rotatable)
             rotatable.remove(peer)
-            self.neighbors.discard(peer)
             removed.add(peer)
+        neighbors = set(rotatable)
         # Refill from the sampler up to the degree target.
-        needed = self.target_degree - len(self.neighbors)
+        needed = self.target_degree - len(neighbors)
         if needed > 0:
-            fresh = self.sampler.sample(
-                self.node_id, needed, exclude=blocked | self.neighbors | removed
-            )
-            for peer in fresh:
-                self.neighbors.add(peer)
-                added.add(peer)
+            added.update(self.sampler.sample(
+                self.node_id, needed, exclude=blocked | neighbors | removed
+            ))
+            neighbors |= added
         self.total_swaps += len(added)
-        if self.on_change is not None and (added or removed):
-            self.on_change(added, removed)
+        if added or removed:
+            self.owner.neighbors = tuple(sorted(neighbors))
+            if self.on_change is not None:
+                self.on_change(added, removed)

@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bloomclock import BloomClock
+from repro.empty import EMPTY_MAP
 from repro.mempool.transaction import Transaction
 from repro.sketch import PinSketch, sketch_syndromes_packed
 
@@ -51,28 +52,29 @@ class TransactionLog:
         self.clock = BloomClock(cells=clock_cells)
         self.sketch_capacity = sketch_capacity
         self.sketch_bits = sketch_bits
-        self._order: List[int] = []              # sketch ids, received order
-        self._position: Dict[int, int] = {}      # sketch id -> index
-        self._content: Dict[int, Transaction] = {}
-        # Ids whose content failed validation (a dict used as a set: an
-        # empty dict is 64 bytes against an empty set's 216, and almost
-        # every log keeps it empty).
-        self._invalid: Dict[int, None] = {}
-        # cell -> position mask of that cell's ids, from the cell's first
-        # append (at paper scale most logs stay empty for most of the run):
-        # a cell slice as positions is one OR per cell, and a cell's ids
-        # are its mask's bits read against ``_order``.
-        self._cell_masks: Dict[int, int] = {}
+        # Every container starts as the shared empty (``()`` or
+        # :data:`~repro.empty.EMPTY_MAP`, see :mod:`repro.empty`): at paper
+        # scale most logs stay empty for most of the run.  The first
+        # append makes the five it always writes.
+        self._order: Sequence[int] = ()          # sketch ids, received order
+        self._position: Dict[int, int] = EMPTY_MAP   # sketch id -> index
+        self._content: Dict[int, Transaction] = EMPTY_MAP
+        # Ids whose content failed validation (a dict used as a set).
+        self._invalid: Dict[int, None] = EMPTY_MAP
+        # cell -> position mask of that cell's ids: a cell slice as
+        # positions is one OR per cell, and a cell's ids are its mask's
+        # bits read against ``_order``.
+        self._cell_masks: Dict[int, int] = EMPTY_MAP
         # Committed ids whose content has not arrived, in log order (the
         # values are unused): the per-tick hole scan reads only these.
-        self._no_content: Dict[int, None] = {}
+        self._no_content: Dict[int, None] = EMPTY_MAP
         # Per-cell and whole-log sketches as packed ints (PinSketch.packed
         # at ``sketch_capacity``): an append is two int XORs, a cell-subset
         # combine one int XOR per cell.  Nothing is memoised on top: a
         # combine costs about what validating a memo entry would.  The
-        # per-cell list is made by the first append: an empty log's
+        # per-cell list is made by the first append too: an empty log's
         # sketches are all 0, which ``_full_packed`` already says.
-        self._cell_packed: List[int] = []
+        self._cell_packed: Sequence[int] = ()
         self._full_packed: int = 0
         self._all_cells = all_cells(clock_cells)
 
@@ -95,7 +97,7 @@ class TransactionLog:
 
     def ids_after(self, index: int) -> List[int]:
         """Ids appended at or after ``index`` (used to diff commitments)."""
-        return self._order[index:]
+        return list(self._order[index:])
 
     def known_ids(self) -> Set[int]:
         """Set view of every committed id."""
@@ -127,9 +129,16 @@ class TransactionLog:
         """
         if sketch_id in self._position:
             return False
-        position = len(self._order)
+        order = self._order
+        if not order:
+            order = self._order = []
+            self._position = {}
+            self._no_content = {}
+            self._cell_masks = {}
+            self._cell_packed = [0] * self.clock.cells
+        position = len(order)
         self._position[sketch_id] = position
-        self._order.append(sketch_id)
+        order.append(sketch_id)
         self._no_content[sketch_id] = None
         self.clock.add(sketch_id)
         cell = self.clock.cell_of(sketch_id)
@@ -142,8 +151,6 @@ class TransactionLog:
         packed = sketch_syndromes_packed(sketch_id, self.sketch_capacity,
                                          self.sketch_bits)
         cell_packed = self._cell_packed
-        if not cell_packed:
-            cell_packed = self._cell_packed = [0] * self.clock.cells
         held = cell_packed[cell]
         cell_packed[cell] = held ^ packed if held else packed
         held = self._full_packed
@@ -168,9 +175,13 @@ class TransactionLog:
         sketch_id = tx.sketch_id
         if sketch_id not in self._position:
             raise KeyError(f"id {sketch_id} was never committed to this log")
+        if self._content is EMPTY_MAP:
+            self._content = {}
         self._content[sketch_id] = tx
         self._no_content.pop(sketch_id, None)
         if not valid:
+            if self._invalid is EMPTY_MAP:
+                self._invalid = {}
             self._invalid[sketch_id] = None
 
     # ------------------------------------------------------------- sketching

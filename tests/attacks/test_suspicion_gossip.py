@@ -79,7 +79,7 @@ def test_a_blame_carrying_a_clock_of_another_width_is_dropped_not_stored():
     blame = SuspicionBlame(accuser=accuser.public_key,
                            accused=accused.public_key, kind="sync",
                            detail=(), last_known=wide, raised_at=1.4)
-    receivers = sorted(accused.neighbors - {accuser.node_id})
+    receivers = sorted(set(accused.neighbors) - {accuser.node_id})
     assert len(receivers) >= 5
     for receiver in receivers:
         sim.network.send(accuser.node_id, receiver, "lo/suspicion", blame,

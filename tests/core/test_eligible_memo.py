@@ -2,9 +2,9 @@
 
 ``LONode._eligible_neighbors`` keeps its answer between calls and must
 notice every change of its inputs: an adopted exposure, a quarantine
-episode opening or expiring with the clock, and the neighbour set being
-mutated behind its back by the shuffler, enforcement or a test.  The
-oracle below is the plain rule, recomputed on every call.
+episode opening or expiring with the clock, and the neighbour tuple being
+rebound by the shuffler, enforcement or a test.  The oracle below is the
+plain rule, recomputed on every call.
 """
 
 import random
@@ -96,12 +96,12 @@ def test_memoised_eligible_neighbours_equal_a_recompute(ops, seed):
     manager = EnforcementManager(sim.directory)
     manager.attach(node)
     shuffler = NeighborShuffler(
-        sim.loop, node_id=0, neighbors=node.neighbors,
+        sim.loop, node_id=0, owner=node,
         sampler=PeerSampler(range(NODES), random.Random(seed)),
         rng=random.Random(seed + 1), target_degree=4,
         blocklist=sim._blocklist_ids(node),
     )
-    assert node._eligible_neighbors() == recompute(node)
+    assert list(node._eligible_neighbors()) == recompute(node)
     for op, oracle_first in ops:
         kind = op[0]
         if kind == "expose":
@@ -117,30 +117,32 @@ def test_memoised_eligible_neighbours_equal_a_recompute(ops, seed):
             manager.eviction.apply(node, sim.directory)
         elif kind == "restart":
             node.restart()
-        elif op[1] in node.neighbors:
-            node.neighbors.discard(op[1])
-        else:
-            node.neighbors.add(op[1])
+        else:  # rebind, as the shuffler and eviction do
+            node.neighbors = tuple(sorted(set(node.neighbors) ^ {op[1]}))
         # The oracle's is_quarantined() re-admits expired peers as a side
         # effect; the memo must be right whichever of the two looks first.
         if oracle_first:
             expected = recompute(node)
-            assert node._eligible_neighbors() == expected
+            assert list(node._eligible_neighbors()) == expected
         else:
-            assert node._eligible_neighbors() == recompute(node)
+            assert list(node._eligible_neighbors()) == recompute(node)
         for other in sim.nodes.values():
-            assert other._eligible_neighbors() == recompute(other)
+            assert list(other._eligible_neighbors()) == recompute(other)
 
 
 def test_the_list_is_reused_while_nothing_changed_and_replaced_when_it_did():
     sim = make_sim(num_nodes=NODES)
     node = sim.nodes[0]
+    # Nobody exposed, no quarantine: the neighbour tuple itself.
+    assert node._eligible_neighbors() is node.neighbors
+    everyone = node.neighbors
+    node._broadcast_exposure(equivocation_by(sim.nodes[everyone[0]].keypair))
     first = node._eligible_neighbors()
+    assert list(first) == list(everyone[1:])
     assert node._eligible_neighbors() is first
-    gone = first[0]
-    node.neighbors.discard(gone)
+    node.neighbors = everyone[:-1]  # a rebind, as the shuffler does
     second = node._eligible_neighbors()
-    assert second == first[1:] and second is not first
-    assert first[0] == gone  # the list handed out earlier was not mutated
+    assert list(second) == list(everyone[1:-1]) and second is not first
+    assert list(first) == list(everyone[1:])  # not mutated either
     node._broadcast_exposure(equivocation_by(sim.nodes[second[0]].keypair))
-    assert node._eligible_neighbors() == second[1:]
+    assert list(node._eligible_neighbors()) == list(everyone[2:-1])

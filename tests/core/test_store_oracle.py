@@ -1,4 +1,4 @@
-"""Oracle for what a commitment store knows a peer holds.
+"""Oracles for a commitment store: what a peer holds, and its headers.
 
 :class:`~repro.core.commitment.CommitmentStore` keeps a peer's ids as a
 position mask over the observer's own log, plus ``extra`` for ids the log
@@ -9,9 +9,15 @@ appends, id-by-id records (some ids not in the log, some committed after
 they were recorded) and full- and partial-range cell-mask records.  After
 every step Alg. 1's outdated-peer predicate, the per-id coverage test and
 ``known_ids()`` must equal the model's answers.
+
+A store also keeps the signer's headers for equivocation detection, with
+no per-seq dict until a second header is stored.  A dict-backed reference
+store, the algorithm as it was before that, must return the same evidence
+and keep the same ``latest`` and anchors over honest headers, same-seq
+forks, cross-seq forks and re-observed headers.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -20,12 +26,21 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.commitment import CommitmentStore
+from repro.bloomclock import BloomClock
+from repro.core.commitment import (
+    GENESIS_DIGEST,
+    CommitmentStore,
+    EquivocationEvidence,
+    bundle_digest,
+    chain_digest,
+    sign_header,
+)
 from repro.crypto import KeyPair
 from repro.mempool import TransactionLog
 from repro.mempool.txlog import all_cells
 
-SIGNER = KeyPair.generate(seed=b"oracle-peer").public_key
+SIGNER_KEYS = KeyPair.generate(seed=b"oracle-peer")
+SIGNER = SIGNER_KEYS.public_key
 CELLS = 4
 POOL = range(1, 41)
 IDS = st.integers(min_value=POOL.start, max_value=POOL.stop - 1)
@@ -92,3 +107,87 @@ StoreAgainstSets.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None
 )
 test_store_matches_the_set_model = StoreAgainstSets.TestCase
+
+
+class DictStore:
+    """The reference: every stored header in a per-seq dict from the start."""
+
+    def __init__(self):
+        self.latest = None
+        self.by_seq = {}
+
+    def observe(self, header):
+        existing = self.by_seq.get(header.seq)
+        if existing is not None and existing.digests != header.digests:
+            return EquivocationEvidence(SIGNER, existing, header)
+        for stored in self.anchors():
+            if not stored.consistent_with(header):
+                return EquivocationEvidence(SIGNER, stored, header)
+        self.by_seq[header.seq] = header
+        if self.latest is None or header.seq > self.latest.seq:
+            self.latest = header
+        return None
+
+    def anchors(self):
+        if not self.by_seq:
+            return []
+        seqs = sorted(self.by_seq)
+        return [self.by_seq[s] for s in {seqs[0], seqs[-1]}]
+
+
+HONEST = [[1], [2, 3], [4], [5], [6, 7], [8]]
+
+
+def _header(seq, fork_at, extra):
+    """The honest chain cut at ``seq``, its bundle ``fork_at`` replaced.
+
+    ``extra`` adds an uncommitted id to the clock only, so the digests are
+    the honest ones and the clock dominates theirs.
+    """
+    bundles = [list(ids) for ids in HONEST[:seq]]
+    if fork_at is not None and fork_at < seq:
+        bundles[fork_at] = [100 + fork_at]
+    clock = BloomClock(cells=CELLS)
+    digests = []
+    digest = GENESIS_DIGEST
+    for ids in bundles:
+        clock.add_all(ids)
+        digest = chain_digest(digest, bundle_digest(ids))
+        digests.append(digest)
+    if extra:
+        clock.add(999)
+    return sign_header(SIGNER_KEYS, seq, sum(map(len, bundles)), digests,
+                       clock)
+
+
+headers = st.tuples(
+    st.integers(0, len(HONEST)),                        # seq
+    st.one_of(st.none(), st.integers(0, len(HONEST))),  # fork_at
+    st.booleans(),                                      # clock-only extra
+    st.booleans(),                                      # re-observe object
+)
+
+
+@given(st.lists(headers, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_a_lazy_store_keeps_what_a_dict_store_keeps(specs):
+    lazy = CommitmentStore(SIGNER, TransactionLog(clock_cells=CELLS))
+    reference = DictStore()
+    made = {}
+    for seq, fork_at, extra, again in specs:
+        key = (seq, fork_at, extra)
+        header = made.get(key) if again else None
+        if header is None:
+            header = made[key] = _header(seq, fork_at, extra)
+        got, want = lazy.observe(header), reference.observe(header)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.header_a is want.header_a
+            assert got.header_b is want.header_b
+        assert lazy.latest is reference.latest
+        assert [id(h) for h in lazy._anchors()] == \
+            [id(h) for h in reference.anchors()]
+        assert lazy.by_seq is None or lazy.by_seq == reference.by_seq
+        assert lazy.seq == (reference.latest.seq if reference.latest else 0)

@@ -9,12 +9,14 @@ import gc
 import tracemalloc
 
 from repro.core.node import LONode
+from repro.empty import EMPTY_MAP
 from repro.experiments.harness import LOSimulation, SimulationParams
 
-#: Traced bytes a node of a 1,000-node build allocated when the slots and
-#: the shared neighbour sets went in (8,225 B on CPython 3.11; 3.9 and 3.12
-#: read 8,116 and 8,209).  Before, a node cost 12,070 B.
-MEASURED_BYTES_PER_NODE = 8_225
+#: Traced bytes a node of a 1,000-node build allocated once its containers
+#: were made by their first write and its neighbours became a sorted tuple
+#: (5,428 B on CPython 3.11).  Before, a node cost 8,225 B, and 12,070 B
+#: before the slots went in.
+MEASURED_BYTES_PER_NODE = 5_428
 
 
 def _fields(obj):
@@ -34,19 +36,33 @@ def test_an_honest_node_keeps_every_attribute_in_a_slot():
 
 
 def test_a_node_holds_the_topologys_own_neighbour_set():
+    # A sorted tuple, the only copy: ``sim.topology`` reads it through the
+    # node, so a rebind (shuffler, eviction) is what the topology says.
     sim = LOSimulation(SimulationParams(num_nodes=8, seed=3))
     for node_id, node in sim.nodes.items():
+        assert type(node.neighbors) is tuple
+        assert list(node.neighbors) == sorted(set(node.neighbors))
         assert sim.topology[node_id] is node.neighbors
+    node = sim.nodes[0]
+    node.neighbors = node.neighbors[1:]
+    assert sim.topology[0] is node.neighbors
 
 
-def test_a_fresh_node_holds_no_set():
+def test_a_fresh_node_holds_no_empty_container_of_its_own():
+    # Every list or map a node has not written is the shared empty (``()``
+    # or EMPTY_MAP), and no field is a set.
     sim = LOSimulation(SimulationParams(num_nodes=8, seed=3))
     node = sim.nodes[0]
-    shared = sim.topology[0]  # the topology's set, not the node's own
-    for owner in (node, node.log, node.acct, node.ledger):
-        sets = [name for name, value in _fields(owner).items()
-                if isinstance(value, set) and value is not shared]
-        assert sets == [], (type(owner).__name__, sets)
+    owners = (node, node.log, node.acct, node.ledger, node.quarantine)
+    for owner in owners:
+        fields = _fields(owner)
+        made = [name for name, value in fields.items()
+                if isinstance(value, set)
+                or isinstance(value, (dict, list)) and not value]
+        assert made == [], (type(owner).__name__, made)
+        shared = [name for name, value in fields.items()
+                  if value is EMPTY_MAP or value == ()]
+        assert shared, type(owner).__name__
 
 
 def test_a_1000_node_build_costs_what_was_measured_a_node():

@@ -1,6 +1,7 @@
 """Unit tests for neighbour shuffling."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,13 +10,14 @@ from repro.sim import EventLoop
 
 
 def make_shuffler(neighbors, blocklist=None, period=1.0, target=4, swaps=1):
+    """A shuffler rewiring a stand-in node that starts with ``neighbors``."""
     loop = EventLoop()
     sampler = PeerSampler(range(20), random.Random(1))
     changes = []
     shuffler = NeighborShuffler(
         loop,
         node_id=0,
-        neighbors=neighbors,
+        owner=SimpleNamespace(neighbors=tuple(sorted(neighbors))),
         sampler=sampler,
         rng=random.Random(2),
         period=period,
@@ -28,39 +30,45 @@ def make_shuffler(neighbors, blocklist=None, period=1.0, target=4, swaps=1):
 
 
 def test_maintains_target_degree():
-    neighbors = {1, 2, 3, 4}
-    loop, shuffler, _ = make_shuffler(neighbors)
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4})
     shuffler.start()
     loop.run_until(10.0)
-    assert len(neighbors) == 4
+    assert len(shuffler.owner.neighbors) == 4
 
 
 def test_rotates_neighbors_over_time():
-    neighbors = {1, 2, 3, 4}
-    original = set(neighbors)
-    loop, shuffler, _ = make_shuffler(neighbors)
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4})
     shuffler.start()
     loop.run_until(30.0)
-    assert neighbors != original or shuffler.total_swaps > 0
+    assert shuffler.owner.neighbors != (1, 2, 3, 4) or shuffler.total_swaps > 0
+
+
+def test_rounds_rebind_a_sorted_tuple():
+    original = (1, 2, 3, 4)
+    loop, shuffler, _ = make_shuffler(set(original))
+    shuffler.owner.neighbors = original
+    shuffler.tick()
+    neighbors = shuffler.owner.neighbors
+    assert neighbors is not original and original == (1, 2, 3, 4)
+    assert type(neighbors) is tuple and list(neighbors) == sorted(neighbors)
 
 
 def test_blocked_neighbors_evicted():
-    neighbors = {1, 2, 3, 4}
     loop, shuffler, _ = make_shuffler(
-        neighbors, blocklist=lambda: {1, 2}
+        {1, 2, 3, 4}, blocklist=lambda: {1, 2}
     )
     shuffler.start()
     loop.run_until(2.0)
+    neighbors = shuffler.owner.neighbors
     assert 1 not in neighbors and 2 not in neighbors
     assert len(neighbors) == 4  # refilled
 
 
 def test_blocked_never_readded():
-    neighbors = {1, 2, 3, 4}
-    loop, shuffler, _ = make_shuffler(neighbors, blocklist=lambda: {1})
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4}, blocklist=lambda: {1})
     shuffler.start()
     loop.run_until(20.0)
-    assert 1 not in neighbors
+    assert 1 not in shuffler.owner.neighbors
 
 
 def test_on_change_reports_swaps():
@@ -74,19 +82,17 @@ def test_on_change_reports_swaps():
 
 
 def test_never_adds_self():
-    neighbors = set()
-    loop, shuffler, _ = make_shuffler(neighbors, target=8)
+    loop, shuffler, _ = make_shuffler(set(), target=8)
     shuffler.start()
     loop.run_until(5.0)
-    assert 0 not in neighbors
+    assert 0 not in shuffler.owner.neighbors
 
 
 def test_round_times_are_pinned():
     # The phase is drawn at construction and each round's +-10% jitter
     # after that round's own draws; these times were recorded before the
     # shuffler scheduled itself, so shuffled runs replay unchanged.
-    neighbors = {1, 2, 3, 4}
-    loop, shuffler, _ = make_shuffler(neighbors)
+    loop, shuffler, _ = make_shuffler({1, 2, 3, 4})
     times = []
     tick = shuffler.tick
     shuffler.tick = lambda: (times.append(loop.now), tick())
@@ -98,7 +104,7 @@ def test_round_times_are_pinned():
         7.0738056590629546, 8.082641068548819, 9.083054526997826,
         10.15726112067142,
     ]
-    assert sorted(neighbors) == [3, 4, 12, 17]
+    assert shuffler.owner.neighbors == (3, 4, 12, 17)
 
 
 def test_first_round_runs_at_the_phase_drawn_from_the_rng():

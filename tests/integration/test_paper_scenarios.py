@@ -16,7 +16,7 @@ def test_fig2_bundle_order_preserved_in_block():
     sim = make_sim(num_nodes=3, config=LOConfig(sync_fanout=2))
     a, b, c = sim.nodes[0], sim.nodes[1], sim.nodes[2]
     # Make the triangle explicit regardless of the sampled topology.
-    a.neighbors, b.neighbors, c.neighbors = {1}, {0, 2}, {1}
+    a.neighbors, b.neighbors, c.neighbors = (1,), (0, 2), (1,)
 
     tx_a = [a.create_transaction(fee=10) for _ in range(2)]
     sim.run(5.0)  # B reconciles with A (and C hears via B)
