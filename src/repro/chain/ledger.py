@@ -13,7 +13,7 @@ is exposed after the fact.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from repro.chain.block import GENESIS_HASH, Block
 from repro.empty import EMPTY_MAP
@@ -64,9 +64,14 @@ class Ledger:
         """Height of the block that settled the id, if any."""
         return self._settle_height.get(sketch_id)
 
-    def settled_ids(self) -> Set[int]:
-        """Copy of all settled transaction ids."""
-        return set(self._settle_height)
+    def settled_before(self, height: int) -> "SettledBefore":
+        """The ids settled below ``height``, as an ``in``-only view.
+
+        Nothing is copied: membership reads the settle-height index.  A
+        settle height never changes and later blocks only settle at
+        greater heights, so the view answers the same after any append.
+        """
+        return SettledBefore(self, height)
 
     # -------------------------------------------------------------- mutation
 
@@ -91,3 +96,17 @@ class Ledger:
         for sketch_id in block.tx_ids:
             self._settle_height.setdefault(sketch_id, block.height)
         return True
+
+
+class SettledBefore:
+    """``sketch_id in view``: settled in a block below a fixed height."""
+
+    __slots__ = ("_ledger", "_height")
+
+    def __init__(self, ledger: Ledger, height: int) -> None:
+        self._ledger = ledger
+        self._height = height
+
+    def __contains__(self, sketch_id: object) -> bool:
+        height = self._ledger._settle_height.get(sketch_id)
+        return height is not None and height < self._height

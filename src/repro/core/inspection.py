@@ -17,7 +17,7 @@ re-inspects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.chain.block import Block
@@ -66,7 +66,7 @@ class BlockInspector:
         block: Block,
         bundles: Sequence[BundleInfo],
         prev_hash: bytes,
-        settled: Set[int],
+        settled: Container[int],
         content_known: Callable[[int], bool],
         is_invalid: Callable[[int], bool],
         fee_of: Callable[[int], Optional[int]],
@@ -75,7 +75,8 @@ class BlockInspector:
 
         ``bundles`` must be the creator's bundle history as reconstructed by
         the inspector (it is exchanged during reconciliation); ``settled``
-        is the set of ids already in the chain *before* this block.
+        holds the ids already in the chain *before* this block (only
+        ``in`` is asked of it).
         """
         result = self._inspect(block, bundles, prev_hash, settled,
                                content_known, is_invalid, fee_of)
@@ -97,7 +98,7 @@ class BlockInspector:
         block: Block,
         bundles: Sequence[BundleInfo],
         prev_hash: bytes,
-        settled: Set[int],
+        settled: Container[int],
         content_known: Callable[[int], bool],
         is_invalid: Callable[[int], bool],
         fee_of: Callable[[int], Optional[int]],
@@ -136,7 +137,7 @@ class BlockInspector:
         block: Block,
         expected: List[int],
         committed: Set[int],
-        settled: Set[int],
+        settled: Container[int],
     ) -> List[Violation]:
         violations: List[Violation] = []
         body = list(block.tx_ids)

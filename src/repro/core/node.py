@@ -23,7 +23,9 @@ Wire protocol (message types on the simulated network):
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Container, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro import obs
 from repro.bloomclock import BloomClock
@@ -1403,11 +1405,11 @@ class LONode(Endpoint):
             self._pending_blocks[block.height] = announce
             self._request_missing_blocks()
             return
-        settled_before = self.ledger.settled_ids()
         if not self.ledger.append(block):
             return
         self._note_announce(announce)
-        self._inspect_announce(announce, settled_before)
+        self._inspect_announce(announce,
+                               self.ledger.settled_before(block.height))
         # Drain any buffered successor blocks.
         pending = self._pending_blocks
         next_announce = (pending.pop(self.ledger.height + 1, None)
@@ -1438,7 +1440,7 @@ class LONode(Endpoint):
             )
 
     def _inspect_announce(
-        self, announce: BlockAnnounce, settled_before: Set[int]
+        self, announce: BlockAnnounce, settled_before: Container[int]
     ) -> None:
         if not self.inspection_enabled:
             return
@@ -1544,7 +1546,7 @@ class LONode(Endpoint):
         return True
 
     def _run_inspection(
-        self, announce: BlockAnnounce, settled_before: Set[int]
+        self, announce: BlockAnnounce, settled_before: Container[int]
     ) -> InspectionResult:
         block: Block = announce.block
         bundles = [
@@ -1581,10 +1583,8 @@ class LONode(Endpoint):
             if height > self.ledger.height:
                 self._defer_inspection(announce)
                 continue
-            settled_before: Set[int] = set()
-            for h in range(height):
-                settled_before.update(self.ledger.block_at(h).tx_ids)
-            result = self._run_inspection(announce, settled_before)
+            result = self._run_inspection(
+                announce, self.ledger.settled_before(height))
             if not result.conclusive:
                 self._defer_inspection(announce)
                 continue

@@ -16,11 +16,15 @@ Sentinel tables
 
 The log/exp tables carry a zero sentinel (``log[0] = 2n``, ``exp`` zero on
 ``[2n, 4n + 2)`` for ``n = 2^m - 1``), so a table product is three
-branch-free lookups whatever its operands.  Every kernel builds on that:
+branch-free lookups whatever its operands.  They are packed machine words,
+not lists of int objects: ``exp`` is an ``array("H")`` (every value is
+below 2^16) and ``log`` an ``array("I")`` (values reach ``2n``), 768 KiB
+for GF(2^16).  Every kernel builds on the sentinel:
 :meth:`GF2m.mul_scalar_batch` -- the row update of polynomial division,
-gcd, Berlekamp--Massey and the Frobenius chain -- looks the logs of its
-fixed operand up once per call.  The tower field GF((2^16)^2) inlines the
-same lookups on its subfield's tables.
+gcd, Berlekamp--Massey and the Frobenius chain -- and
+:meth:`GF2m.mul_chain` -- the odd powers of a sketch's syndrome vector --
+look the logs of their fixed operand up once per call.  The tower field
+GF((2^16)^2) inlines the same lookups on its subfield's tables.
 
 Every routine here is scalar Python on ints, one implementation per field
 class: the polynomial layer, Berlekamp--Massey and the Frobenius chain are
@@ -31,6 +35,7 @@ what they cost end to end.
 
 from __future__ import annotations
 
+from array import array
 from operator import xor as _xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,9 +64,8 @@ IRREDUCIBLE_POLY = {
 # Log/exp tables shared across every GF2m instance of the same (m, modulus):
 # the tables are a pure function of the field, and partitioned sketches can
 # construct many field objects (see default_field for instance sharing too).
-_TABLE_CACHE: Dict[
-    Tuple[int, int], Tuple[Optional[List[int]], Optional[List[int]]]
-] = {}
+# ``(exp, log)``, or ``(None, None)`` when no small generator is primitive.
+_TABLE_CACHE: Dict[Tuple[int, int], Tuple[Optional[array], Optional[array]]] = {}
 
 
 class GF2m:
@@ -86,8 +90,8 @@ class GF2m:
         # Full modulus polynomial including the x^m term.
         self.modulus = modulus | self.order
         self._low_modulus = modulus
-        self._log: Optional[List[int]] = None
-        self._exp: Optional[List[int]] = None
+        self._log: Optional[array] = None
+        self._exp: Optional[array] = None
         self._reduce_table: Optional[List[int]] = None
         if m <= 16:
             self._build_tables()
@@ -107,12 +111,14 @@ class GF2m:
         Sentinel form: ``log[0] = 2n`` and ``exp`` is periodic on
         ``[0, 2n)`` and zero on ``[2n, 4n + 2)``, so ``exp[log[a] + log[b]]``
         and ``exp[2 * log[a]]`` are already correct for zero operands and
-        the kernels below need no zero tests or masks.  The ``log`` list
-        re-uses the int objects of ``exp`` (both hold ~2^m distinct values),
-        which keeps the pair at the size the plain tables had.
+        the kernels below need no zero tests or masks.
 
-        Tables are shared process-wide per (m, modulus) through a module
-        cache: far too costly to repeat per sketch.
+        Both tables are packed arrays, ``exp`` of 16-bit and ``log`` of
+        32-bit words, each allocated once at its final size, and the walk
+        writes straight into ``exp``: no list of int objects is ever
+        built, so none is left to pin its pages (for GF(2^16) the pair is
+        768 KiB).  Tables are shared process-wide per (m, modulus) through
+        a module cache: far too costly to repeat per sketch.
         """
         cache_key = (self.m, self.modulus)
         cached = _TABLE_CACHE.get(cache_key)
@@ -121,34 +127,32 @@ class GF2m:
             return
         n = self.order - 1
         m, mask = self.m, self.mask
+        # Allocated once at its final size; the sentinel range stays zero.
+        exp = array("H", [0]) * (4 * n + 2)
         for generator in range(2, 64):
             shifts = [k for k in range(generator.bit_length())
                       if generator >> k & 1]
             # fold[h] = (h << m) mod f for every overflow pattern of value * g.
             fold = [self._reduce(h << m) for h in range(generator)]
-            exp = []
-            value = 1
-            while len(exp) <= n:
-                exp.append(value)
+            value, size = 1, 0
+            while size < n:
+                exp[size] = value
+                size += 1
                 product = 0
                 for k in shifts:
                     product ^= value << k
                 value = (product & mask) ^ fold[product >> m]
                 if value == 1:
                     break
-            if len(exp) == n:
+            if value == 1 and size == n:
                 break  # the powers of g enumerate the whole group
         else:
             _TABLE_CACHE[cache_key] = (None, None)
             return
-        shared = [0] * self.order  # value -> the int object exp holds for it
-        for value in exp:
-            shared[value] = value
-        log = [2 * n] * self.order
-        for i, value in enumerate(exp):
-            log[value] = shared[i]
-        del shared
-        exp = exp + exp + [0] * (2 * n + 2)
+        exp[n:2 * n] = exp[:n]
+        log = array("I", [2 * n]) * self.order
+        for i in range(n):
+            log[exp[i]] = i
         self._exp, self._log = exp, log
         _TABLE_CACHE[cache_key] = (exp, log)
 
@@ -313,6 +317,21 @@ class GF2m:
                 v >>= 4
                 shift += 4
             out.append(reduce(result))
+        return out
+
+    def mul_chain(self, start: int, scalar: int, count: int) -> List[int]:
+        """``[start * scalar^k for k in 1..count]``: repeated products by
+        one fixed multiplier.
+
+        The syndrome cache extends an id's vector ``x, x^3, x^5, ...`` with
+        this chain on ``scalar = x^2``.  Here it is a loop over
+        :meth:`mul`; the tower hoists the multiplier's logs out of it.
+        """
+        mul = self.mul
+        out = []
+        for _ in range(count):
+            start = mul(start, scalar)
+            out.append(start)
         return out
 
     def trace(self, a: int) -> int:
@@ -751,12 +770,19 @@ class GF2Tower32(GF2m):
 
     # ------------------------------------------------------ batched kernels
 
+    def _scalar_logs(self, scalar: int) -> Tuple[int, int, int]:
+        """Sentinel logs of ``s0``, ``s1 + s0`` and ``c * s1`` for
+        ``scalar = s1 y + s0``: everything a product by ``scalar`` looks up
+        on its side.  Folding ``c`` into ``s1`` saves two lookups a product;
+        a zero ``s1`` still gives the sentinel log, as ``exp`` is zero from
+        ``2n`` on."""
+        exp, log = self._sub_exp, self._sub_log
+        s1, s0 = scalar >> 16, scalar & 0xFFFF
+        return log[s0], log[s1 ^ s0], log[exp[log[s1] + self._log_c]]
+
     def mul_scalar_batch(self, scalar: int, vec: Sequence[int]) -> List[int]:
         """``[scalar * v for v in vec]`` with the scalar's logs hoisted."""
-        l1 = self._sub_log[scalar >> 16]
-        l0 = self._sub_log[scalar & 0xFFFF]
-        lx = self._sub_log[(scalar >> 16) ^ (scalar & 0xFFFF)]
-        lc = self._log_c
+        l0, lx, l1c = self._scalar_logs(scalar)
         exp, log = self._sub_exp, self._sub_log
         out = []
         append = out.append
@@ -766,8 +792,25 @@ class GF2Tower32(GF2m):
             m0 = exp[log[v0] + l0]
             append(
                 ((exp[log[v1 ^ v0] + lx] ^ m0) << 16)
-                | (m0 ^ exp[log[exp[log[v1] + l1]] + lc])
+                | (m0 ^ exp[log[v1] + l1c])
             )
+        return out
+
+    def mul_chain(self, start: int, scalar: int, count: int) -> List[int]:
+        """``[start * scalar^k for k in 1..count]`` with the scalar's logs
+        hoisted, as in :meth:`mul_scalar_batch`."""
+        l0, lx, l1c = self._scalar_logs(scalar)
+        exp, log = self._sub_exp, self._sub_log
+        out = []
+        append = out.append
+        for _ in range(count):
+            v1 = start >> 16
+            v0 = start & 0xFFFF
+            m0 = exp[log[v0] + l0]
+            start = ((exp[log[v1 ^ v0] + lx] ^ m0) << 16) | (
+                m0 ^ exp[log[v1] + l1c]
+            )
+            append(start)
         return out
 
 

@@ -161,12 +161,8 @@ def _extend(packed: int, element: int, m: int, capacity: int) -> int:
     slots."""
     field = default_field(m)
     held = (packed.bit_length() + m - 1) // m
-    mul, x2 = field.mul, field.sqr(element)
-    current = packed >> (m * (held - 1))
-    powers = []
-    for _ in range(held, capacity):
-        current = mul(current, x2)
-        powers.append(current)
+    powers = field.mul_chain(packed >> (m * (held - 1)), field.sqr(element),
+                             capacity - held)
     return packed | pack_syndromes(powers, m) << (m * held)
 
 

@@ -56,7 +56,8 @@ def test_settlement_index():
     assert not ledger.is_settled(99)
     assert ledger.settle_height_of(20) == 0
     assert ledger.settle_height_of(30) == 1
-    assert ledger.settled_ids() == {10, 20, 30}
+    assert [i in ledger.settled_before(2) for i in (10, 20, 30, 99)] == [
+        True, True, True, False]
 
 
 def test_block_by_hash():
@@ -73,3 +74,21 @@ def test_settle_height_keeps_first_occurrence():
     # A (faulty) later block repeating the id must not move its height.
     ledger.append(chain_block(ledger, (5, 6)))
     assert ledger.settle_height_of(5) == 0
+
+
+def test_settled_before_is_the_union_of_lower_blocks():
+    """The view answers like the ids of the blocks below its height, both
+    before and after later appends; a view of an empty ledger holds
+    nothing, also once blocks arrive."""
+    ledger = Ledger()
+    early = ledger.settled_before(0)
+    bodies = [(1, 2), (3,), (2, 4), (), (5, 1)]
+    views = []
+    for body in bodies:
+        views.append(ledger.settled_before(ledger.height + 1))
+        ledger.append(chain_block(ledger, body))
+    views.append(ledger.settled_before(len(bodies)))
+    for height, view in enumerate(views):
+        below = {i for body in bodies[:height] for i in body}
+        assert [i in view for i in range(7)] == [i in below for i in range(7)]
+    assert not any(i in early for i in range(7))

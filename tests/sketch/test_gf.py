@@ -1,5 +1,7 @@
 """Unit and property tests for GF(2^m) arithmetic."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,25 +255,74 @@ def test_berlekamp_massey_ends_at_the_difference_and_keeps_its_states():
     assert seen[-1][0] == 70 == len(seen[-1][1]) - 1
 
 
-@pytest.mark.parametrize("m", [8, 12, 16])
-def test_tables_match_reference_construction(m):
-    """Inline generator walk == the shift-and-add ``_mul_notable`` walk."""
-    f = GF2m(m)
+def _reference_powers(f):
+    """``(g, [g^0, ..., g^(n-1)])`` for the first primitive ``g`` the table
+    build tries, walked with the shift-and-add ``_mul_notable``: no table
+    is read."""
     n = f.order - 1
     for generator in range(2, 64):
         powers, value = [], 1
         for _ in range(n):
             powers.append(value)
-            value = f._mul_notable(value, generator)
+            value = f._mul_notable(generator, value)
             if value == 1:
                 break
         if len(powers) == n:
-            break
-    assert f._exp[:n] == powers
-    assert f._exp[n:2 * n] == powers
-    assert not any(f._exp[2 * n:]) and len(f._exp) == 4 * n + 2
-    assert f._log[0] == 2 * n
-    assert all(f._log[value] == i for i, value in enumerate(powers))
+            return generator, powers
+    raise AssertionError("no primitive generator below 64")
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_tables_match_reference_construction(m):
+    """Inline generator walk == the shift-and-add ``_mul_notable`` walk."""
+    f = GF2m(m)
+    n = f.order - 1
+    _, powers = _reference_powers(f)
+    exp, log = f._exp.tolist(), f._log.tolist()
+    assert exp[:n] == powers
+    assert exp[n:2 * n] == powers
+    assert not any(exp[2 * n:]) and len(exp) == 4 * n + 2
+    assert log[0] == 2 * n
+    assert all(log[value] == i for i, value in enumerate(powers))
+
+
+def test_tables_are_packed():
+    """The GF(2^16) tables are machine-word arrays, not lists of ints."""
+    from array import array
+
+    f = GF2m(16)
+    assert isinstance(f._exp, array) and f._exp.typecode == "H"
+    assert isinstance(f._log, array) and f._log.typecode == "I"
+    assert sys.getsizeof(f._exp) + sys.getsizeof(f._log) <= 800_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_default_field_grows_a_fresh_process_by_at_most_1_5_mb():
+    """Building the tower's tables in a fresh interpreter costs what the
+    arrays hold; with lists of ints it cost 4.2 MB."""
+    import os
+    import subprocess
+    import textwrap
+
+    script = textwrap.dedent("""
+        def rss():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) * 1024
+        from repro.sketch.gf import default_field
+        before = rss()
+        default_field(32)
+        print(rss() - before)
+    """)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    grown = int(subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout)
+    assert grown <= 1.5 * 2 ** 20, grown
 
 
 def test_tower_quad_c_is_smallest_trace_one_element():
@@ -382,6 +433,57 @@ def _tower_mul_by_definition(field, a, b):
     return ((mul(a1, b0) ^ mul(a0, b1) ^ high) << 16) | (
         mul(a0, b0) ^ mul(high, field.QUAD_C)
     )
+
+
+# Halves that hit the sentinel (0) and the top of the subfield (0xFFFF).
+tower_half = st.one_of(st.sampled_from([0, 1, 0xFFFF]), elem16)
+tower_elem = st.builds(lambda hi, lo: hi << 16 | lo, tower_half, tower_half)
+
+
+@given(a=tower_elem, b=tower_elem, vec=st.lists(tower_elem, max_size=6),
+       count=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_tower_kernels_match_table_free_karatsuba(a, b, vec, count):
+    """Every tower kernel == the Karatsuba formula over y^2 + y + c on
+    shift-and-add subfield products: no log/exp table in the oracle."""
+    tower = FIELDS[32]
+    ref = _tower_mul_by_definition
+    assert tower.mul(a, b) == ref(tower, a, b)
+    assert tower.sqr(a) == ref(tower, a, a)
+    root = tower.sqrt(a)
+    assert ref(tower, root, root) == a
+    if a:
+        assert ref(tower, a, tower.inv(a)) == 1
+    assert tower.mul_scalar_batch(a, vec) == [ref(tower, a, v) for v in vec]
+    chain, value = [], b
+    for _ in range(count):
+        value = ref(tower, value, a)
+        chain.append(value)
+    assert tower.mul_chain(b, a, count) == chain
+    assert GF2m.mul_chain(tower, b, a, count) == chain
+
+
+def test_tower_kernels_read_every_table_entry_correctly():
+    """Products by ``g``, ``1``, ``g^-1`` and ``0`` over the whole subfield,
+    in either half, squares and inverses: together they read ``log``
+    everywhere and ``exp`` at every index of ``[0, 3n)`` but ``2n - 1`` and
+    at ``4n``, so one wrong entry there fails here.  The expected values
+    are the table-free walk of ``g``'s powers, reordered."""
+    tower = FIELDS[32]
+    generator, powers = _reference_powers(tower.sub)
+    inverse = powers[-1]
+    up, down = powers[1:] + powers[:1], powers[-1:] + powers[:-1]
+    zeros = [0] * len(powers)
+    for shift in (0, 16):
+        vec = [p << shift for p in powers]
+        for scalar, expected in ((generator, up), (1, powers),
+                                 (inverse, down), (0, zeros)):
+            assert tower.mul_scalar_batch(scalar, vec) == [
+                e << shift for e in expected]
+    assert tower.mul_chain(1, generator, len(powers)) == up
+    assert tower.mul_chain(1, inverse, len(powers)) == powers[::-1]
+    assert [tower.sqr(p) for p in powers] == powers[::2] + powers[1::2]
+    assert [tower.inv(p) for p in powers] == powers[:1] + powers[:0:-1]
 
 
 @pytest.mark.parametrize("swap", [True, False])
