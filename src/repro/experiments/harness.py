@@ -61,12 +61,13 @@ def _collector_paused() -> Iterator[None]:
     """Build or run a large object graph without the collector re-walking it.
 
     Construction only allocates objects that stay alive, and a run makes
-    no cyclic garbage on any workload measured (docs/performance.md), so
-    every pass the collector would make there frees nothing and costs
-    time proportional to the graph so far.  When the caller's collector
-    was on, the block ends with exactly one young pass -- it frees every
-    cycle made inside the block -- and the collector comes back on.  A
-    collector the caller turned off stays off, and no pass is forced.
+    no cyclic garbage on any workload measured (docs/performance.md,
+    "The cyclic collector"), so every pass the collector would make there
+    frees nothing and costs time proportional to the graph so far.  When
+    the caller's collector was on, the block ends with exactly one young
+    pass -- it frees every cycle made inside the block -- and the
+    collector comes back on.  A collector the caller turned off stays
+    off, and no pass is forced.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -8,6 +8,7 @@ reclaimed -- and an idle network allocates no per-node state.
 """
 
 import gc
+import random
 import sys
 import weakref
 
@@ -15,9 +16,13 @@ import pytest
 
 from repro import obs
 from repro.attacks import make_censor_factory
+from repro.core import wire
 from repro.core.config import LOConfig
+from repro.crypto import keys
+from repro.crypto.keys import KeyPair
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.mempool.admission import AdmissionConfig
+from repro.mempool.transaction import make_transaction
 from repro.net.chaos import ChaosPlan
 from repro.obs.timeline import TimelineRecorder
 
@@ -276,6 +281,72 @@ def test_building_2000_nodes_triggers_no_full_collection():
     assert after[2] == before[2]
     # At most the one young pass that re-enabling the collector allows.
     assert sum(after) - sum(before) <= 1
+
+
+@pytest.mark.gate
+def test_building_10000_nodes_costs_no_full_collection_and_18_objects_a_node(
+        monkeypatch):
+    """Before the collector was paused for the build it made 8 full passes
+    over a graph that only grows, and every node carried 68
+    collector-tracked objects, 32 of them empty lists; then 31, six of
+    them empty sets and the node's own instance dict; then 23, six of
+    them empty lists and its topology neighbour set.  A node now carries
+    16: an eager per-node container or a lost pause fails here instead of
+    silently doubling set-up.  (The run of
+    ``test_a_10000_node_run_makes_one_young_pass_that_frees_nothing`` is
+    too short to show the run-side passes.)"""
+    # Start from a fresh process's heap: the build would otherwise free an
+    # earlier run's memo entries and key pairs, and the count would drop.
+    gc.enable()
+    wire.clear_validation_memo()
+    monkeypatch.setattr(keys, "_VERIFIERS", {})
+    gc.collect()
+    tracked = len(gc.get_objects())
+    full_passes = gc.get_stats()[2]["collections"]
+    sim = LOSimulation(SimulationParams(num_nodes=10_000, seed=1234))
+    full_passes = gc.get_stats()[2]["collections"] - full_passes
+    per_node = (len(gc.get_objects()) - tracked) / 10_000
+    assert len(sim.nodes) == 10_000
+    assert full_passes == 0, full_passes
+    assert per_node <= 18, per_node
+
+
+@pytest.mark.gate
+def test_a_10000_node_run_makes_one_young_pass_that_frees_nothing():
+    """The run pauses the collector and ends with one young pass; before,
+    a run this size made hundreds of passes over the static network, all
+    with collected == 0.  A lost pause shows as extra passes, and a run
+    that starts making cyclic garbage shows as collected > 0."""
+    gc.enable()
+    sim = LOSimulation(SimulationParams(num_nodes=10_000, seed=1234))
+    client = KeyPair.generate(seed=b"ci-client")
+    rng = random.Random(1234)
+
+    def share(nonce, targets):
+        tx = make_transaction(client, nonce, 10, sim.loop.now, 250)
+        for target in targets:
+            sim.nodes[target].receive_client_transaction(tx)
+
+    for nonce in range(1, 5):
+        sim.loop.call_at(0.2 * nonce, share, nonce,
+                         rng.sample(range(10_000), 25))
+    passes = []
+
+    def hook(phase, info):
+        if phase == "stop":
+            passes.append((info["generation"], info["collected"]))
+
+    before = _young_middle_full()
+    gc.callbacks.append(hook)
+    try:
+        sim.run(1.0)
+    finally:
+        gc.callbacks.remove(hook)
+    delta = [b - a for a, b in zip(before, _young_middle_full())]
+    committed = sum(len(node.log) for node in sim.nodes.values())
+    assert committed > 100, committed
+    assert delta == [1, 0, 0], delta
+    assert passes == [(0, 0)], passes
 
 
 @pytest.mark.skipif(

@@ -2,13 +2,17 @@
 
 At 10,000 nodes the per-node bytes times the node count is the simulator's
 memory; each assertion here pins one way that state used to grow without
-holding anything (docs/performance.md, "A node costs what it holds").
+holding anything (docs/performance.md, "Per-node state: a node costs
+what it holds").
 """
 
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.core.node import LONode
+from repro.crypto import keys
 from repro.empty import EMPTY_MAP
 from repro.experiments.harness import LOSimulation, SimulationParams
 
@@ -65,8 +69,8 @@ def test_a_fresh_node_holds_no_empty_container_of_its_own():
         assert shared, type(owner).__name__
 
 
-def test_a_1000_node_build_costs_what_was_measured_a_node():
-    nodes = 1000
+def _traced_bytes_per_node(nodes):
+    """tracemalloc over one build of ``nodes`` nodes, divided by ``nodes``."""
     LOSimulation(SimulationParams(num_nodes=4, seed=1))  # warm shared caches
     gc.collect()
     tracemalloc.start()
@@ -77,4 +81,22 @@ def test_a_1000_node_build_costs_what_was_measured_a_node():
     finally:
         tracemalloc.stop()
     assert len(sim.nodes) == nodes
+    return per_node
+
+
+def test_a_1000_node_build_costs_what_was_measured_a_node():
+    per_node = _traced_bytes_per_node(1000)
     assert per_node <= 1.10 * MEASURED_BYTES_PER_NODE, per_node
+
+
+@pytest.mark.gate
+def test_a_fresh_node_of_a_10000_node_build_costs_at_most_6_kib(monkeypatch):
+    """A node used to cost 11.75 KiB (a 1,584-byte instance dict, a copy of
+    its neighbour set, six empty sets), then 8.0 (30 empty dicts and lists,
+    a 19-id neighbour set); now about 5.3, nearly half of it the node's
+    Mersenne Twister state.  A field that allocates for every node whether
+    or not it holds anything fails here."""
+    # As in a fresh process, the key registry grows with this build.
+    monkeypatch.setattr(keys, "_VERIFIERS", {})
+    kib = _traced_bytes_per_node(10_000) / 1024
+    assert kib <= 6.0, kib
