@@ -13,16 +13,17 @@ Examples::
     python -m repro fig6  --nodes 20 --fractions 0.2 --trace t.jsonl
     python -m repro sweep fig6_point --param malicious_fraction=0.1,0.2 \
         --param num_nodes=20 --repetitions 4 --workers 4 --out-dir sweep-out
-    python -m repro report t.jsonl
+    python -m repro report t.jsonl --chrome t.chrome.json
 
 ``run`` and every figure verb share one option group (``--seed``,
 ``--json PATH`` to dump the raw result object, ``--trace PATH`` for a
-deterministic ``repro.trace/1`` JSONL trace, ``--trace-chrome PATH`` for
-a Perfetto-loadable Chrome trace) and run in this process.  ``sweep`` is
-the one parallel verb: it fans an (experiment x seed x grid) task matrix
-across spool worker processes with crash containment and a deterministic
-merge, and each figure's parallel form is a sweep of its registered
-point (see ``docs/parallelism.md``).  ``report`` summarises a trace.
+deterministic ``repro.trace/1`` JSONL trace with the run's timeline
+series) and run in this process.  ``sweep`` is the one parallel verb: it
+fans an (experiment x seed x grid) task matrix across spool worker
+processes with crash containment and a deterministic merge, and each
+figure's parallel form is a sweep of its registered point (see
+``docs/parallelism.md``).  ``report`` summarises a trace and converts it
+(Chrome trace-event JSON for Perfetto, CSV of the timeline series).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.obs.report import (
     cache_rows,
     event_counts,
     fault_detection_rows,
-    final_metrics,
+    final_counters,
     format_table,
     load_trace,
     span_rows,
@@ -62,7 +63,6 @@ def _checked(convert, ok, what: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
-_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -70,17 +70,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", type=str, default=None,
                         help="write the raw result object to this file")
     parser.add_argument("--trace", type=str, default=None, metavar="PATH",
-                        help="write a repro.trace/1 JSONL trace of the run")
-    parser.add_argument("--trace-chrome", type=str, default=None,
-                        metavar="PATH",
-                        help="also write a Chrome/Perfetto trace-event JSON")
+                        help="write a repro.trace/1 JSONL trace of the run:"
+                             " its events, spans and timeline series")
     parser.add_argument("--trace-sample", type=_AT_LEAST_ONE, default=1,
                         metavar="N",
                         help="keep every Nth per-message network trace event"
                              " (per message type; other records are never"
                              " sampled)")
-    parser.add_argument("--trace-snapshot-s", type=_POSITIVE, default=1.0,
-                        help="metrics snapshot interval in simulated seconds")
 
 
 def _emit(result, args, label: str) -> None:
@@ -125,15 +121,7 @@ def cmd_run(args) -> int:
     horizon = args.duration + args.drain
     steady_outcome = None
     if args.until_steady:
-        from repro import obs
-
-        monitor = obs.SteadyStateMonitor(
-            obs.TIMELINE,
-            series=args.steady_series or None,
-            window_bins=args.steady_window,
-            rel_tol=args.steady_rel_tol,
-        )
-        steady_outcome = sim.run_until_steady(horizon, monitor=monitor)
+        steady_outcome = sim.run_until_steady(horizon)
     else:
         sim.run(horizon)
     sim.finalize_telemetry()
@@ -446,65 +434,9 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _print_timeline_table(records) -> None:
-    """Render ``timeline`` records as one sparkline table."""
-    rows = timeline_rows(records)
-    if not rows:
-        print("no timeline series recorded")
-        return
-    print(f"timeline series ({len(rows)})")
-    print(format_table(
-        ("series", "kind", "bins", "bin_s", "total/last", "spark"),
-        rows,
-    ))
-
-
-def _first_schema(path: str) -> Optional[str]:
-    """The ``schema`` tag of a JSONL file's first line, if any."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if isinstance(record, dict):
-                    return record.get("schema")
-                return None
-    except (OSError, ValueError):
-        return None
-    return None
-
-
 def cmd_report(args) -> int:
+    from repro.obs.export import export_chrome, export_csv
     from repro.obs.schema import validate_trace_file
-    from repro.obs.timeline import TIMELINE_SCHEMA, load_timeline
-
-    if _first_schema(args.trace) == TIMELINE_SCHEMA:
-        # Standalone timeline export (run --timeline): validate and render
-        # the sparkline table -- there are no spans/events to summarise.
-        from repro.obs.timeline import validate_timeline_lines
-
-        with open(args.trace, "r", encoding="utf-8") as stream:
-            errors = validate_timeline_lines(stream)
-        if errors:
-            for error in errors[:20]:
-                print(error, file=sys.stderr)
-            print(f"[{len(errors)} schema error(s) in {args.trace}]",
-                  file=sys.stderr)
-            return 1
-        meta, timeline_records = load_timeline(args.trace)
-        print(f"timeline: {args.trace}  (schema {TIMELINE_SCHEMA},"
-              f" {len(timeline_records)} series)")
-        if meta:
-            print(format_table(
-                ("meta", "value"), sorted((k, v) for k, v in meta.items())
-            ))
-        print()
-        _print_timeline_table(timeline_records)
-        return 0
 
     errors = validate_trace_file(args.trace)
     if errors:
@@ -562,29 +494,34 @@ def cmd_report(args) -> int:
               " block-policy violations in this trace)")
         print()
 
-    if args.timeline:
-        _print_timeline_table(
-            [r for r in records if r.get("type") == "timeline"]
-        )
-        print()
-
-    metrics = final_metrics(records)
-    if metrics is None:
-        print("no metrics snapshots recorded")
+    rows = timeline_rows(records)
+    if not rows:
+        print("no timeline series recorded")
     else:
-        caches = cache_rows(metrics)
+        print(f"timeline series ({len(rows)})")
+        print(format_table(
+            ("series", "kind", "bins", "bin_s", "total/last", "spark"), rows,
+        ))
+        print()
+        counters = final_counters(records)
+        caches = cache_rows(counters)
         if caches:
-            print(f"cache effectiveness (t={metrics['t']:.2f}s)")
+            print("cache effectiveness")
             print(format_table(("cache counter", "value"), caches))
             print()
-        counters = [
-            (name, value)
-            for name, value in sorted(metrics.get("counters", {}).items())
-            if not name.startswith("caches.")
-        ]
-        if counters:
-            print(f"final counters (t={metrics['t']:.2f}s)")
-            print(format_table(("counter", "value"), counters))
+        print("final counters")
+        print(format_table(
+            ("counter", "value"),
+            [(name, value) for name, value in counters.items()
+             if not name.startswith("caches.")],
+        ))
+
+    if args.chrome:
+        written = export_chrome(records, args.chrome, meta)
+        print(f"[chrome trace written to {args.chrome} ({written} events)]")
+    if args.csv:
+        written = export_csv(records, args.csv)
+        print(f"[timeline csv written to {args.csv} ({written} rows)]")
     return 0
 
 
@@ -670,31 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability an open-loop client re-submits its"
                         " previous nonce (exercises replace-by-fee)")
     p.add_argument("--timeline", type=str, default=None, metavar="PATH",
-                   help="write a repro.timeline/1 JSONL of fixed-memory"
-                        " metric series sampled on the sim clock")
-    p.add_argument("--timeline-csv", type=str, default=None, metavar="PATH",
-                   help="also write the timeline as a flat CSV")
-    p.add_argument("--timeline-bins", default=256,
-                   type=_checked(int, lambda v: v >= 4 and not v & (v - 1),
-                                 "a power of two >= 4"),
-                   help="per-series bin budget (power of two; memory stays"
-                        " O(bins) regardless of run length)")
-    p.add_argument("--timeline-interval", type=_POSITIVE, default=0.5,
-                   help="base sampling interval in simulated seconds")
+                   help="write a repro.trace/1 file of the run's"
+                        " fixed-memory timeline series alone")
     p.add_argument("--until-steady", action="store_true",
-                   help="stop as soon as the watched series stop drifting"
-                        " (fee floor + pool occupancy by default) instead"
-                        " of always running to duration+drain")
-    p.add_argument("--steady-window", default=12,
-                   type=_checked(int, lambda v: v >= 2, ">= 2"),
-                   help="completed timeline bins each watched series must"
-                        " hold steady over")
-    p.add_argument("--steady-rel-tol", default=0.05,
-                   type=_checked(float, lambda v: v >= 0, ">= 0"),
-                   help="relative spread tolerance for the steady verdict")
-    p.add_argument("--steady-series", action="append", metavar="NAME",
-                   help="timeline series to watch (repeatable; default:"
-                        " mempool.fee_floor_avg + mempool.pool_txs_avg)")
+                   help="stop as soon as the mean fee floor and pool"
+                        " occupancy stop drifting (12 timeline bins within"
+                        " 5%%) instead of always running to duration+drain")
     p.add_argument("--telemetry-dir", type=str, default=None, metavar="DIR",
                    help="publish a live telemetry.json status document into"
                         " DIR (atomic replace; tail it with"
@@ -820,17 +738,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="validate and summarise a repro.trace/1 JSONL trace"
-             " (span durations, fault->detection latency, cache stats)",
+        help="validate, summarise and convert a repro.trace/1 JSONL trace"
+             " (span durations, fault->detection latency, timeline series,"
+             " final counters)",
     )
     p.add_argument("trace", type=str,
-                   help="path to a --trace JSONL file (or a standalone"
-                        " --timeline export)")
+                   help="path to a --trace or --timeline JSONL file")
     p.add_argument("--limit", type=int, default=40,
                    help="max per-node span rows to print")
-    p.add_argument("--timeline", action="store_true",
-                   help="render embedded timeline series as sparkline"
-                        " tables (standalone timeline files always render)")
+    p.add_argument("--chrome", type=str, default=None, metavar="OUT",
+                   help="also write the trace as Chrome/Perfetto"
+                        " trace-event JSON")
+    p.add_argument("--csv", type=str, default=None, metavar="OUT",
+                   help="also write the timeline series as a flat"
+                        " series,kind,bin_s,t,value CSV")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
@@ -852,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _timeline_requested(args) -> bool:
     """Whether the verb's flags ask for a timeline recorder."""
     return bool(
-        getattr(args, "timeline", None)
-        or getattr(args, "timeline_csv", None)
+        getattr(args, "trace", None)
+        or getattr(args, "timeline", None)
         or getattr(args, "until_steady", False)
         or getattr(args, "telemetry_dir", None)
     )
@@ -862,7 +783,7 @@ def _timeline_requested(args) -> bool:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    When ``--trace`` (or ``--trace-chrome``) is given, a real tracer is
+    When ``--trace`` is given, a real tracer and a timeline recorder are
     installed for the duration of the command and the collected records
     are exported afterwards; otherwise the process-wide no-op tracer stays
     in place and tracing costs one attribute check per instrumented site.
@@ -876,11 +797,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # report/watch only read artifacts.
         return args.func(args)
     trace_path = getattr(args, "trace", None)
-    chrome_path = getattr(args, "trace_chrome", None)
-    wants_trace = bool(trace_path or chrome_path)
     wants_timeline = _timeline_requested(args)
     wants_phases = getattr(args, "phases", False)
-    if not wants_trace and not wants_timeline and not wants_phases:
+    if not wants_timeline and not wants_phases:
         return args.func(args)
 
     from contextlib import ExitStack
@@ -895,20 +814,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     timeline = None
     profiler = None
     with ExitStack() as stack:
-        if wants_trace:
-            tracer = obs.Tracer(
-                sample_every=args.trace_sample,
-                snapshot_interval_s=args.trace_snapshot_s,
-            )
+        if trace_path:
+            tracer = obs.Tracer(sample_every=args.trace_sample)
             meta["sample_every"] = args.trace_sample
-            meta["snapshot_interval_s"] = args.trace_snapshot_s
             stack.enter_context(obs.use_tracer(tracer))
         if wants_timeline:
-            timeline = obs.TimelineRecorder(
-                interval_s=args.timeline_interval,
-                bins=args.timeline_bins,
-            )
-            if args.telemetry_dir:
+            timeline = obs.TimelineRecorder()
+            if getattr(args, "telemetry_dir", None):
                 timeline.sink = obs.TelemetrySink(args.telemetry_dir)
             stack.enter_context(obs.use_timeline(timeline))
         if wants_phases:
@@ -916,21 +828,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             args._profiler = profiler
             stack.enter_context(obs.use_profiler(profiler))
         code = args.func(args)
-    if trace_path and tracer is not None:
+    if tracer is not None:
         written = obs.export_jsonl(tracer, trace_path, meta,
                                    timeline=timeline)
         print(f"[trace written to {trace_path} ({written} records)]")
-    if chrome_path and tracer is not None:
-        written = obs.export_chrome(tracer, chrome_path, meta,
-                                    timeline=timeline)
-        print(f"[chrome trace written to {chrome_path} ({written} events)]")
-    if timeline is not None and getattr(args, "timeline", None):
-        written = timeline.export_jsonl(args.timeline, meta)
+    if getattr(args, "timeline", None):
+        written = obs.export_jsonl(None, args.timeline, meta,
+                                   timeline=timeline)
         print(f"[timeline written to {args.timeline} ({written} series)]")
-    if timeline is not None and getattr(args, "timeline_csv", None):
-        written = timeline.export_csv(args.timeline_csv)
-        print(f"[timeline csv written to {args.timeline_csv}"
-              f" ({written} rows)]")
     if timeline is not None and timeline.sink is not None:
         print(f"[telemetry published to {timeline.sink.path}"
               f" ({timeline.sink.flushes} flushes)]")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro import obs
 from repro.chain.block import Block, sign_block
 from repro.chain.ledger import Ledger
 from repro.core.commitment import BundleInfo
@@ -92,10 +91,6 @@ class BlockBuilder:
         ordered = canonical_order(bundles, seq, ledger.tip_hash, exclude)
         ordered.extend(i for i in appended_ids if not exclude(i))
         ordered = ordered[: self.config.max_block_txs]
-        _t = obs.TRACER
-        if _t.enabled:
-            _t.registry.counter("blocks.built").inc()
-            _t.registry.histogram("blocks.txs").observe(len(ordered))
         return sign_block(
             self.keypair,
             height=ledger.height + 1,

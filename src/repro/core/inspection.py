@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, List, Optional, Sequence, Set, Tuple
 
-from repro import obs
 from repro.chain.block import Block
 from repro.core.commitment import BundleInfo
 from repro.core.config import LOConfig
@@ -78,31 +77,6 @@ class BlockInspector:
         holds the ids already in the chain *before* this block (only
         ``in`` is asked of it).
         """
-        result = self._inspect(block, bundles, prev_hash, settled,
-                               content_known, is_invalid, fee_of)
-        _t = obs.TRACER
-        if _t.enabled:
-            reg = _t.registry
-            if result.conclusive:
-                reg.counter("inspection.conclusive").inc()
-                if result.violations:
-                    reg.counter("inspection.violations").inc(
-                        len(result.violations)
-                    )
-            else:
-                reg.counter("inspection.inconclusive").inc()
-        return result
-
-    def _inspect(
-        self,
-        block: Block,
-        bundles: Sequence[BundleInfo],
-        prev_hash: bytes,
-        settled: Container[int],
-        content_known: Callable[[int], bool],
-        is_invalid: Callable[[int], bool],
-        fee_of: Callable[[int], Optional[int]],
-    ) -> InspectionResult:
         if block.commit_seq > len(bundles):
             # The inspector has not yet learned the pinned commitment
             # prefix; it cannot judge the block either way.

@@ -134,21 +134,10 @@ def decode_difference(
     field (:meth:`PinSketch.decode`); the decoded set does not depend on
     them.
     """
-    from repro import obs
-
     try:
-        diff = (local ^ remote).decode(candidates)
+        return (local ^ remote).decode(candidates)
     except SketchDecodeError:
-        diff = None
-    _t = obs.TRACER
-    if _t.enabled:
-        reg = _t.registry
-        if diff is None:
-            reg.counter("reconcile.decode_fail").inc()
-        else:
-            reg.counter("reconcile.decode_ok").inc()
-            reg.histogram("reconcile.diff_size").observe(len(diff))
-    return diff
+        return None
 
 
 # --------------------------------------------------------------------------

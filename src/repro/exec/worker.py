@@ -6,7 +6,8 @@ tasks (and differ from a fresh serial run):
 
 * the sketch syndrome/decode LRUs (``repro.sketch.pinsketch``),
 * the cache hit/miss counters (``repro.obs.caches``),
-* the installed tracer (``repro.obs.TRACER``),
+* the installed tracer and timeline (``repro.obs.TRACER`` /
+  ``repro.obs.TIMELINE``),
 * the signature-verification registry (``repro.crypto.keys._VERIFIERS``).
 
 :func:`reset_worker_state` restores all of them to cold-start condition;
@@ -44,13 +45,14 @@ class TaskTimeout(BaseException):
 
 
 def reset_worker_state() -> None:
-    """Restore cold-start process-global state (caches, tracer, verifiers)."""
+    """Restore cold-start process-global state (caches, telemetry, verifiers)."""
     from repro import obs
     from repro.crypto import keys
     from repro.obs.caches import reset_cache_stats
     from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 
     obs.clear_tracer()
+    obs.clear_timeline()
     clear_syndrome_cache()
     clear_decode_cache()
     reset_cache_stats()
@@ -59,13 +61,14 @@ def reset_worker_state() -> None:
 
 @contextmanager
 def preserved_process_state() -> Iterator[None]:
-    """Run tasks in this process, then restore the caller's tracer and
-    verifier registry (each task resets them, as in any worker), so an
+    """Run tasks in this process, then restore the caller's tracer, timeline
+    and verifier registry (each task resets them, as in any worker), so an
     in-process sweep leaves the caller's own simulations undisturbed."""
     from repro import obs
     from repro.crypto import keys
 
     saved_tracer = obs.TRACER
+    saved_timeline = obs.TIMELINE
     saved_verifiers = dict(keys._VERIFIERS)
     try:
         yield
@@ -73,6 +76,7 @@ def preserved_process_state() -> Iterator[None]:
         reset_worker_state()
         keys._VERIFIERS.update(saved_verifiers)
         obs.set_tracer(saved_tracer)
+        obs.set_timeline(saved_timeline)
 
 
 def _alarm_supported() -> bool:
@@ -100,7 +104,8 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
 
     ``timeout_s`` is enforced in-worker via ``SIGALRM`` where available,
     so a wedged simulation is interrupted rather than hanging the sweep;
-    ``trace_dir`` writes a per-task ``repro.trace/1`` JSONL there.
+    ``trace_dir`` writes a per-task ``repro.trace/1`` JSONL there: the
+    task's events and spans, and its timeline series.
     """
     from repro import obs
     from repro.exec.tasks import EXPERIMENTS
@@ -132,13 +137,14 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
         alarm_set = True
 
-    tracer = None
+    tracer = timeline = None
     start = time.perf_counter()
     try:
         runner = EXPERIMENTS[spec["experiment"]]
         if trace_dir:
-            tracer = obs.Tracer()
+            tracer, timeline = obs.Tracer(), obs.TimelineRecorder()
             obs.set_tracer(tracer)
+            obs.set_timeline(timeline)
         result = runner(seed=spec["seed"], **spec["params"])
         outcome["ok"] = True
         outcome["result"] = to_jsonable(result)
@@ -158,13 +164,14 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
         outcome["seconds"] = time.perf_counter() - start
         if tracer is not None:
             obs.clear_tracer()
+            obs.clear_timeline()
             try:
                 path = os.path.join(trace_dir, f"task-{index:04d}.trace.jsonl")
                 obs.export_jsonl(tracer, path, {
                     "experiment": spec["experiment"],
                     "seed": spec["seed"],
                     "task_index": index,
-                })
+                }, timeline=timeline)
                 outcome["trace_path"] = path
             except OSError as exc:  # artifact loss is not a task failure
                 outcome["trace_error"] = str(exc)

@@ -243,7 +243,6 @@ class LOSimulation:
         self._wall_start = time.perf_counter()
         self._telemetry_horizon: Optional[float] = None
         self._steady_monitor = None
-        self._wire_tracing()
         self._wire_timeline()
 
     @property
@@ -257,61 +256,44 @@ class LOSimulation:
 
     # -------------------------------------------------------- observability
 
-    def attach_registry(self, registry) -> None:
-        """Register this simulation's metric sources on a registry.
+    def collectors(self) -> Dict[str, Callable[[], Dict[str, Any]]]:
+        """This simulation's counter sources, by namespace prefix.
 
-        Absorbs the network byte/drop meters, the chaos fault counters, the
-        hot-path cache statistics and the harness event counter into the
-        unified ``counters`` namespace.  Collector names are fixed, so a
-        newer simulation in the same process replaces an older one's
-        sources rather than double-reporting.
+        The network byte/drop meters, the harness event counter, the
+        hot-path cache statistics, the admission counters and, under a
+        chaos plan, the per-fault counters (see
+        :class:`~repro.obs.registry.MetricsRegistry`).
         """
-        registry.register_collector("net", self.network.collect_metrics)
-        registry.register_collector("events", self.counter.totals)
-        registry.register_collector("caches", _collect_cache_stats)
-        registry.register_collector("mempool", self._mempool_metrics)
+        collectors: Dict[str, Callable[[], Dict[str, Any]]] = {
+            "net": self.network.collect_metrics,
+            "events": self.counter.totals,
+            "caches": _collect_cache_stats,
+            "mempool": self._mempool_metrics,
+        }
         if self.chaos is not None:
-            registry.register_collector(
-                "chaos", self.chaos.injector.counters.as_dict
-            )
+            collectors["chaos"] = self.chaos.injector.counters.as_dict
+        return collectors
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """One-off unified metrics snapshot (used by ``run --json``)."""
-        registry = obs.MetricsRegistry()
-        self.attach_registry(registry)
-        return registry.snapshot()
-
-    def _wire_tracing(self) -> None:
-        """Hook the installed tracer up to this run, if tracing is on."""
-        tracer = obs.TRACER
-        if not tracer.enabled:
-            return
-        self.attach_registry(tracer.registry)
-        interval = getattr(tracer, "snapshot_interval_s", 1.0)
-
-        def snapshot_tick() -> None:
-            current = obs.TRACER
-            if not current.enabled:
-                return  # tracer detached mid-run; stop rescheduling
-            current.snapshot_metrics(self.loop.now)
-            self.loop.call_later(interval, snapshot_tick)
-
-        self.loop.call_later(interval, snapshot_tick)
+        """One-off snapshot of :meth:`collectors` (used by ``run --json``)."""
+        return obs.MetricsRegistry(self.collectors()).snapshot()
 
     def _wire_timeline(self) -> None:
         """Hook the installed timeline recorder up to this run, if any.
 
-        Schedules a ``telemetry_tick`` at the recorder's base interval:
+        Attaches :meth:`collectors` (each count starts from zero) and
+        schedules a ``telemetry_tick`` at the recorder's base interval:
         each tick records the harness-derived gauges (mean fee floor and
         pool occupancy across admission-enabled nodes), absorbs one
-        registry snapshot, and -- when the recorder carries a live
+        collector snapshot, and -- when the recorder carries a live
         :class:`~repro.obs.live.TelemetrySink` -- publishes a progress
-        document, throttled on the wall clock.
+        document, throttled on the wall clock.  :meth:`run` and
+        :meth:`run_until_steady` end with one more sample (:meth:`_end_run`).
         """
         timeline = obs.TIMELINE
         if timeline is None:
             return
-        self.attach_registry(timeline.registry)
+        timeline.attach(self.collectors())
         interval = timeline.interval_s
 
         def telemetry_tick() -> None:
@@ -374,7 +356,7 @@ class LOSimulation:
         return payload
 
     def finalize_telemetry(self) -> None:
-        """Take a final timeline sample and publish the closing status.
+        """Publish the closing live status, if a telemetry sink is set.
 
         Call once after the last :meth:`run` /
         :meth:`run_until_steady` leg; the closing flush is unconditional
@@ -382,10 +364,7 @@ class LOSimulation:
         know the run ended rather than stalled.
         """
         timeline = obs.TIMELINE
-        if timeline is None:
-            return
-        self._sample_timeline(timeline)
-        if timeline.sink is not None:
+        if timeline is not None and timeline.sink is not None:
             timeline.sink.flush(self._telemetry_payload(timeline, done=True))
 
     def _halt_node(self, node_id: int) -> None:
@@ -620,29 +599,38 @@ class LOSimulation:
 
         The collector is paused for the run and, if the caller had it on,
         makes one young pass before returning (:func:`_collector_paused`).
-        Driving ``self.loop.run_until`` directly skips both.
+        The run ends with a timeline sample (:meth:`_end_run`).  Driving
+        ``self.loop.run_until`` directly skips all three.
         """
         if self._telemetry_horizon is None or until > self._telemetry_horizon:
             self._telemetry_horizon = until
         tracer = obs.TRACER
-        if not tracer.enabled:
-            with _collector_paused():
-                self.loop.run_until(until)
-            return
-        self._runs += 1
-        span = tracer.begin_span(
-            "sim.run", self.loop.now, phase=self._runs,
-            num_nodes=self.params.num_nodes, seed=self.params.seed,
-            malicious=len(self.malicious_ids),
-        )
+        span = None
+        if tracer.enabled:
+            self._runs += 1
+            span = tracer.begin_span(
+                "sim.run", self.loop.now, phase=self._runs,
+                num_nodes=self.params.num_nodes, seed=self.params.seed,
+                malicious=len(self.malicious_ids),
+            )
         try:
             with _collector_paused():
                 self.loop.run_until(until)
         finally:
-            tracer = obs.TRACER
-            if tracer.enabled:
-                tracer.snapshot_metrics(self.loop.now)
-                tracer.end_span(span, self.loop.now)
+            self._end_run(span)
+
+    def _end_run(self, span) -> None:
+        """Close a run: the timeline's closing sample, then the run's span.
+
+        The sample makes every series hold the run's counts up to its last
+        event, however the run's end falls between two ticks.
+        """
+        timeline = obs.TIMELINE
+        if timeline is not None:
+            self._sample_timeline(timeline)
+        tracer = obs.TRACER
+        if span is not None and tracer.enabled:
+            tracer.end_span(span, self.loop.now)
 
     def run_until_steady(
         self,
@@ -697,10 +685,7 @@ class LOSimulation:
                     steady_at = self.loop.now
                     break
         finally:
-            tracer = obs.TRACER
-            if tracer.enabled and span is not None:
-                tracer.snapshot_metrics(self.loop.now)
-                tracer.end_span(span, self.loop.now)
+            self._end_run(span)
         return {
             "steady": steady_at is not None,
             "steady_at": steady_at,

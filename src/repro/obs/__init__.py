@@ -5,8 +5,13 @@ no-op :class:`~repro.obs.tracer.NullTracer`; installing a real
 :class:`~repro.obs.tracer.Tracer` (``set_tracer``) turns every
 instrumented layer -- reconciliation rounds, block build/inspection,
 accountability, network delivery, chaos injection, the experiment
-harness -- into a sim-clock-stamped event/span stream exportable as
-``repro.trace/1`` JSONL or Chrome trace-event JSON (Perfetto).
+harness -- into a sim-clock-stamped event/span stream.  The timeline
+recorder (:data:`TIMELINE`, :mod:`~repro.obs.timeline`) is the one
+periodic sampler: it reads the simulation's counters
+(:mod:`~repro.obs.registry`) into fixed-memory series.  Both land in one
+``repro.trace/1`` JSONL file (:mod:`~repro.obs.export`), which
+:mod:`~repro.obs.report` reads and converts (tables, Chrome trace-event
+JSON for Perfetto, CSV).
 
 The tracer, the timeline (:data:`TIMELINE`) and the phase profiler
 (:data:`PROFILER`) are three slots with one switch each: a call site
@@ -18,10 +23,9 @@ reads the slot once per call and does nothing more while it is off::
         _t.event("acct.suspicion", t=now, node_id=me, accused=peer)
 
 Beside them: :mod:`~repro.obs.caches` (hit/miss counters of the hot-path
-caches), :mod:`~repro.obs.stats` (percentiles, density histograms),
-:mod:`~repro.obs.trackers` (latency and event trackers),
-:mod:`~repro.obs.probes` (convergence probes) and
-:mod:`~repro.obs.report` (trace reports, tables and JSON export).
+caches), :mod:`~repro.obs.stats` (percentiles, density histograms) and
+:mod:`~repro.obs.trackers` (latency and event trackers, from which
+coverage curves are computed after a run).
 
 See ``docs/observability.md`` for the span/event inventory and schema.
 """
@@ -38,25 +42,18 @@ from repro.obs.caches import (
 from repro.obs.export import (
     chrome_trace,
     export_chrome,
+    export_csv,
     export_jsonl,
     trace_lines,
-    write_jsonl,
 )
 from repro.obs.live import TelemetrySink, read_telemetry
 from repro.obs.phases import PhaseProfiler, classify_callback
-from repro.obs.probes import ConvergenceProbe
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import format_table, to_jsonable, write_json
 from repro.obs.schema import validate_trace_file, validate_trace_lines
 from repro.obs.stats import describe, mean, percentile, stddev
 from repro.obs.steady import SteadyStateMonitor, window_is_steady
-from repro.obs.timeline import (
-    TIMELINE_SCHEMA,
-    TimelineRecorder,
-    TimelineSeries,
-    load_timeline,
-    validate_timeline_lines,
-)
+from repro.obs.timeline import TimelineRecorder, TimelineSeries
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -73,7 +70,8 @@ TRACER = NULL_TRACER
 
 #: The process-wide timeline recorder (``None`` when no timeline is
 #: installed).  Like the tracer it is installed with ``set_timeline`` /
-#: ``use_timeline``; the harness samples it on its telemetry tick.
+#: ``use_timeline``; the harness samples it on its telemetry tick and at
+#: the end of each run.
 TIMELINE = None
 
 #: The process-wide phase profiler (``None`` when profiling is off).
@@ -185,11 +183,7 @@ def _gc_phase(phase: str, info) -> None:
 
 __all__ = [
     "CacheStats",
-    "ConvergenceProbe",
-    "Counter",
     "EventCounter",
-    "Gauge",
-    "Histogram",
     "LatencyTracker",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -199,7 +193,6 @@ __all__ = [
     "Span",
     "SteadyStateMonitor",
     "TIMELINE",
-    "TIMELINE_SCHEMA",
     "TRACER",
     "TRACE_SCHEMA",
     "TelemetrySink",
@@ -214,9 +207,9 @@ __all__ = [
     "clear_tracer",
     "describe",
     "export_chrome",
+    "export_csv",
     "export_jsonl",
     "format_table",
-    "load_timeline",
     "mean",
     "percentile",
     "read_telemetry",
@@ -231,10 +224,8 @@ __all__ = [
     "use_profiler",
     "use_timeline",
     "use_tracer",
-    "validate_timeline_lines",
     "validate_trace_file",
     "validate_trace_lines",
     "window_is_steady",
     "write_json",
-    "write_jsonl",
 ]

@@ -9,7 +9,8 @@ validates it, and prints:
   (chaos crashes, observed equivocations, block-policy violations) with
   the first suspicion / exposure raised against the same node -- the
   causal chain behind the paper's section 5.2 detection claims;
-* the final metrics snapshot (cache effectiveness, byte counters, drops).
+* the timeline series, and the run's final counters read off them
+  (cache effectiveness, byte counters, drops).
 
 Everything here is pure data-in/rows-out so tests can drive it without a
 terminal; the CLI glue lives in :mod:`repro.cli`.  The same module renders
@@ -172,25 +173,37 @@ def _first_at_or_after(times: List[float], when: float) -> Optional[float]:
     return min(eligible) if eligible else None
 
 
-# --------------------------------------------------------------- metrics
+# -------------------------------------------------------------- counters
 
 
-def final_metrics(records: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """The last ``metrics`` record in the trace, if any."""
-    last = None
+def final_counters(records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Each ``timeline`` series' end-of-run value, sorted by name.
+
+    A counter's value is its total, a gauge's its last reading.  A
+    cache's ``hit_rate`` is recomputed from its ``hits`` and ``misses``
+    totals: the last reading describes only the run's last simulation.
+    """
+    values: Dict[str, Any] = {}
     for record in records:
-        if record.get("type") == "metrics":
-            last = record
-    return last
+        if record.get("type") != "timeline" or not record["points"]:
+            continue
+        if record["kind"] == "counter":
+            values[record["name"]] = sum(v for _t, v in record["points"])
+        else:
+            values[record["name"]] = record["points"][-1][1]
+    for name in values:
+        if name.endswith(".hit_rate"):
+            prefix = name[: -len("hit_rate")]
+            hits = values.get(prefix + "hits", 0)
+            lookups = hits + values.get(prefix + "misses", 0)
+            values[name] = hits / lookups if lookups else 0.0
+    return dict(sorted(values.items()))
 
 
-def cache_rows(metrics: Dict[str, Any]) -> List[Tuple[str, Any]]:
-    """Cache-effectiveness counters out of a metrics record, sorted."""
-    counters = metrics.get("counters", {})
-    return sorted(
-        (name, value) for name, value in counters.items()
-        if name.startswith("caches.")
-    )
+def cache_rows(counters: Dict[str, Any]) -> List[Tuple[str, Any]]:
+    """The ``caches.*`` entries of :func:`final_counters`, sorted."""
+    return [(name, value) for name, value in counters.items()
+            if name.startswith("caches.")]
 
 
 # -------------------------------------------------------------- timelines

@@ -14,8 +14,6 @@ Schema (one JSON object per line):
 * ``{"type": "span", "name": str, "node": int|null, "t_start": float,
   "t_end": float >= t_start, "span_id": int, "parent_id": int|null,
   "attrs": {...}}``
-* ``{"type": "metrics", "t": float, "counters": {str: number},
-  "gauges": {str: number}, "histograms": {str: {...}}}``
 * ``{"type": "timeline", "name": str, "kind": "counter"|"gauge",
   "bin_s": float > 0, "points": [[t, v], ...]}`` -- one fixed-memory
   series from :mod:`repro.obs.timeline`, timestamps strictly increasing.
@@ -26,10 +24,10 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, List
 
-from repro.obs.timeline import check_timeline_record
+from repro.obs.timeline import COUNTER, GAUGE
 from repro.obs.tracer import TRACE_SCHEMA
 
-_RECORD_TYPES = ("event", "span", "metrics", "timeline")
+_RECORD_TYPES = ("event", "span", "timeline")
 
 
 def _is_num(value: Any) -> bool:
@@ -68,21 +66,28 @@ def _check_span(record: dict, where: str, errors: List[str]) -> None:
         errors.append(f"{where}: span missing 'attrs' object")
 
 
-def _check_metrics(record: dict, where: str, errors: List[str]) -> None:
-    if not _is_num(record.get("t")):
-        errors.append(f"{where}: metrics missing numeric 't'")
-    for section in ("counters", "gauges"):
-        values = record.get(section)
-        if not isinstance(values, dict):
-            errors.append(f"{where}: metrics missing '{section}' object")
-            continue
-        for key, value in values.items():
-            if not _is_num(value):
-                errors.append(
-                    f"{where}: metrics {section}[{key!r}] is not numeric"
-                )
-    if not isinstance(record.get("histograms"), dict):
-        errors.append(f"{where}: metrics missing 'histograms' object")
+def _check_timeline(record: dict, where: str, errors: List[str]) -> None:
+    if not isinstance(record.get("name"), str) or not record.get("name"):
+        errors.append(f"{where}: timeline missing non-empty 'name'")
+    if record.get("kind") not in (COUNTER, GAUGE):
+        errors.append(f"{where}: timeline 'kind' must be counter|gauge")
+    bin_s = record.get("bin_s")
+    if not _is_num(bin_s) or bin_s <= 0:
+        errors.append(f"{where}: timeline missing positive 'bin_s'")
+    points = record.get("points")
+    if not isinstance(points, list):
+        errors.append(f"{where}: timeline missing 'points' list")
+        return
+    previous = None
+    for point in points:
+        if (not isinstance(point, list) or len(point) != 2
+                or not all(_is_num(x) for x in point)):
+            errors.append(f"{where}: timeline point {point!r} is not [t, v]")
+            return
+        if previous is not None and point[0] <= previous:
+            errors.append(f"{where}: timeline timestamps not increasing")
+            return
+        previous = point[0]
 
 
 def validate_trace_lines(lines: Iterable[str]) -> List[str]:
@@ -117,10 +122,8 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
             _check_event(record, where, errors)
         elif kind == "span":
             _check_span(record, where, errors)
-        elif kind == "metrics":
-            _check_metrics(record, where, errors)
         elif kind == "timeline":
-            check_timeline_record(record, where, errors)
+            _check_timeline(record, where, errors)
         else:
             errors.append(
                 f"{where}: unknown record type {kind!r}"

@@ -65,7 +65,7 @@ class SteadyStateMonitor:
     report steady (a never-recorded series keeps the answer ``False``
     rather than silently passing).  ``window_bins`` is the number of
     completed bins each series must hold *and* satisfy
-    :func:`window_is_steady` over.
+    :func:`window_is_steady` (at its default tolerances) over.
     """
 
     def __init__(
@@ -73,21 +73,15 @@ class SteadyStateMonitor:
         timeline: TimelineRecorder,
         series: Optional[Iterable[str]] = None,
         window_bins: int = 12,
-        rel_tol: float = 0.05,
-        abs_tol: float = 1e-9,
     ):
         if window_bins < 2:
             raise ValueError(f"window_bins must be >= 2, got {window_bins}")
-        if rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
         self.timeline = timeline
         self.series = tuple(series) if series is not None \
             else DEFAULT_STEADY_SERIES
         if not self.series:
             raise ValueError("monitor needs at least one series to watch")
         self.window_bins = window_bins
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
 
     def window_values(self, name: str) -> List[float]:
         """The judged window for one series (empty when not yet eligible).
@@ -110,7 +104,7 @@ class SteadyStateMonitor:
             values = self.window_values(name)
             if not values:
                 return False
-            if not window_is_steady(values, self.rel_tol, self.abs_tol):
+            if not window_is_steady(values):
                 return False
         return True
 
@@ -121,13 +115,10 @@ class SteadyStateMonitor:
             values = self.window_values(name)
             per_series[name] = {
                 "eligible": bool(values),
-                "steady": bool(values) and window_is_steady(
-                    values, self.rel_tol, self.abs_tol
-                ),
+                "steady": bool(values) and window_is_steady(values),
             }
         return {
             "steady": all(v["steady"] for v in per_series.values()),
             "window_bins": self.window_bins,
-            "rel_tol": self.rel_tol,
             "series": per_series,
         }

@@ -1,68 +1,71 @@
-"""Fixed-memory time-series recording for long (soak) runs.
+"""Fixed-memory time series of a run's counters, on the simulated clock.
 
 The tracer (:mod:`repro.obs.tracer`) appends every record it sees, which
 is perfect for seconds-long experiments and hopeless for multi-hour soak
-runs.  :class:`TimelineRecorder` is the long-horizon complement: it
-samples a :class:`~repro.obs.registry.MetricsRegistry` on the *simulated*
-clock into per-series ring buffers that decimate by powers of two -- when
-a series reaches its bin budget, adjacent bins merge pairwise and the bin
-stride doubles.  Memory is therefore O(bins) per series regardless of how
-long the run lasts, and the resolution degrades gracefully from fine
-(recent history at the base interval) to coarse (the whole run at
-``bin_s``).
+runs.  :class:`TimelineRecorder` is the one periodic sampler: it reads a
+simulation's collectors (:mod:`repro.obs.registry`) on the *simulated*
+clock into per-series ring buffers that decimate by powers of two --
+when a series reaches its bin budget, adjacent bins merge pairwise and
+the bin stride doubles.  Memory is therefore O(bins) per series
+regardless of how long the run lasts, and the resolution degrades
+gracefully from fine (recent history at the base interval) to coarse
+(the whole run at ``bin_s``).  Its series reach a file as ``timeline``
+records of the ``repro.trace/1`` format (:mod:`repro.obs.export`).
 
 Two series kinds, with different merge semantics:
 
 * **counter** series store the *per-bin delta* of a monotone cumulative
-  counter.  Merging two adjacent bins sums their deltas, so the series
-  total is conserved exactly across any number of decimations
-  (``sum(point values) == last cumulative - first cumulative``).
+  count.  Every count starts from zero when a simulation attaches its
+  collectors (:meth:`TimelineRecorder.attach`), and merging two adjacent
+  bins sums their deltas, so a series' total is what the run's
+  simulations counted, exactly, across any number of decimations.
 * **gauge** series store the *last sampled value* of each bin.  Merging
   keeps the later bin's value (last-write-wins), which is the natural
-  downsample for an instantaneous reading.
+  downsample for a reading.  A collector value is a gauge when it is no
+  count (:func:`is_gauge`): hit rates, sizes and pool occupancy.
 
 Determinism: sampling happens on sim-clock ticks scheduled by the
-harness, values come from the registry, and bin timestamps are pure
+harness, values come from the collectors, and bin timestamps are pure
 functions of sim time -- nothing reads the wall clock, so two same-seed
-runs produce byte-identical exports.
+runs produce byte-identical records.
 
 Worked example -- a counter sampled far past the bin budget keeps its
 total through decimation while memory stays bounded::
 
-    >>> from repro.obs.registry import MetricsRegistry
     >>> from repro.obs.timeline import TimelineRecorder
-    >>> registry = MetricsRegistry()
-    >>> events = registry.counter("demo.events")
-    >>> recorder = TimelineRecorder(registry=registry, interval_s=1.0,
-    ...                             bins=8)
+    >>> events = {"count": 0}
+    >>> recorder = TimelineRecorder(interval_s=1.0, bins=8)
+    >>> recorder.attach({"demo": lambda: {"events": events["count"]}})
     >>> for tick in range(64):
-    ...     events.inc(3)
+    ...     events["count"] += 3
     ...     recorder.sample(float(tick))
     >>> series = recorder.series("demo.events")
     >>> len(series.points) <= 8, recorder.bin_s, series.total()
-    (True, 8.0, 189.0)
+    (True, 8.0, 192)
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs.registry import MetricsRegistry
-
-#: Schema tag of the standalone timeline JSONL export (header line
-#: ``{"schema": "repro.timeline/1", "meta": {...}}`` followed by one
-#: ``timeline`` record per series).
-TIMELINE_SCHEMA = "repro.timeline/1"
+from repro.obs.registry import Collector, MetricsRegistry
 
 #: Series kinds.
 COUNTER = "counter"
 GAUGE = "gauge"
 
+#: Collector values that are readings, not counts (see :func:`is_gauge`).
+_GAUGE_SUFFIXES = (".hit_rate", ".size")
+_GAUGE_NAMES = frozenset({"mempool.pool_txs", "mempool.pool_bytes"})
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+
+def is_gauge(name: str) -> bool:
+    """Whether a collector value is a reading rather than a monotone count.
+
+    >>> is_gauge("caches.sketch.decode.hit_rate"), is_gauge("net.delivered")
+    (True, False)
+    """
+    return name.endswith(_GAUGE_SUFFIXES) or name in _GAUGE_NAMES
 
 
 class TimelineSeries:
@@ -108,17 +111,9 @@ class TimelineSeries:
 
     def _decimate(self, new_bin_s: float) -> None:
         """Re-bin every point onto the doubled stride, merging pairs."""
-        merged: List[List[float]] = []
-        for t, value in self.points:
-            bin_start = (t // new_bin_s) * new_bin_s
-            if merged and merged[-1][0] == bin_start:
-                if self.kind == COUNTER:
-                    merged[-1][1] += value
-                else:
-                    merged[-1][1] = value
-            else:
-                merged.append([bin_start, value])
-        self.points = merged
+        points, self.points = self.points, []
+        for t, value in points:
+            self._add((t // new_bin_s) * new_bin_s, value)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -129,47 +124,51 @@ class TimelineSeries:
 
 
 class TimelineRecorder:
-    """Samples a metrics registry into power-of-two-decimating ring buffers.
+    """Samples a simulation's collectors into power-of-two-decimating buffers.
 
     ``interval_s`` is the base sampling interval on the simulated clock
-    (the harness schedules :meth:`sample` ticks at this period);
-    ``bins`` is the per-series point budget and must be a power of two.
-    All series share one stride (``bin_s``), which starts at
-    ``interval_s`` and doubles whenever any series would exceed the
-    budget -- so timestamps line up across series and total memory is
-    O(series x bins) for the whole run.
+    (the harness schedules :meth:`sample` ticks at this period, and one
+    more at the end of each run); ``bins`` is the per-series point budget
+    and must be a power of two.  All series share one stride (``bin_s``),
+    which starts at ``interval_s`` and doubles whenever any series would
+    exceed the budget -- so timestamps line up across series and total
+    memory is O(series x bins) for the whole run.
 
     ``sink`` may be set to a :class:`repro.obs.live.TelemetrySink`; the
     harness then flushes live progress snapshots alongside sampling.
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        interval_s: float = 0.5,
-        bins: int = 256,
-    ):
+    def __init__(self, interval_s: float = 0.5, bins: int = 256):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
         if bins < 4 or bins & (bins - 1):
             raise ValueError(f"bins must be a power of two >= 4, got {bins}")
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.interval_s = float(interval_s)
         self.bins = bins
         self.bin_s = float(interval_s)
         self.sink = None  # optional live TelemetrySink (set by the CLI)
         self._series: Dict[str, TimelineSeries] = {}
         self._counter_last: Dict[str, float] = {}
-        self._samples = 0
+        self._origin = 0.0  # where the attached simulation's t = 0 lies
+        self._latest = 0.0  # the latest time recorded
+
+    def attach(self, collectors: Mapping[str, Collector]) -> None:
+        """Sample ``collectors`` from now on, each count starting from zero.
+
+        Replaces whatever was attached before: a simulation's counts start
+        at zero when it is built, so the previous one's last values are no
+        baseline for them.  Series already recorded keep their points, and
+        a count's series total becomes the sum over the simulations.  The
+        new simulation's clock also starts at zero, so its times are
+        recorded after the latest one so far: the series of a run of
+        several simulations lie end to end on one axis.
+        """
+        self.registry = MetricsRegistry(collectors)
+        self._counter_last.clear()
+        self._origin = self._latest
 
     # ------------------------------------------------------------ sampling
-
-    @property
-    def samples(self) -> int:
-        """How many :meth:`sample` calls the recorder has absorbed."""
-        return self._samples
 
     def series_names(self) -> List[str]:
         """Sorted names of every recorded series."""
@@ -187,36 +186,36 @@ class TimelineRecorder:
         return series
 
     def sample(self, t: float) -> None:
-        """Absorb one registry snapshot taken at simulated time ``t``.
+        """Absorb one collector snapshot taken at simulated time ``t``.
 
-        Counters record the delta since the previous sample (first
-        sighting anchors the baseline at the current cumulative value, so
-        a series created mid-run starts at zero rather than a spike);
-        gauges record their instantaneous value.  Histograms are skipped:
-        their summaries belong to ``metrics`` trace records.
+        A count records its growth since the previous sample, or since
+        :meth:`attach` for its first one; a gauge records its value.
         """
-        snapshot = self.registry.snapshot()
-        bin_start = (t // self.bin_s) * self.bin_s
+        counters = self.registry.snapshot()["counters"]
+        bin_start = self._bin_start(t)
         counter_last = self._counter_last
-        for name, value in snapshot["counters"].items():
-            last = counter_last.get(name)
-            counter_last[name] = value
-            delta = 0.0 if last is None else value - last
-            self._series_for(name, COUNTER)._add(bin_start, delta)
-        for name, value in snapshot["gauges"].items():
-            self._series_for(name, GAUGE)._add(bin_start, float(value))
-        self._samples += 1
+        for name, value in counters.items():
+            if is_gauge(name):
+                self._series_for(name, GAUGE)._add(bin_start, value)
+            else:
+                delta = value - counter_last.get(name, 0)
+                counter_last[name] = value
+                self._series_for(name, COUNTER)._add(bin_start, delta)
         self._maybe_decimate()
 
     def record_gauge(self, name: str, t: float, value: float) -> None:
-        """Record one gauge observation outside the registry path.
+        """Record one gauge observation that no collector reports.
 
-        Convenience for callers that track a derived quantity (e.g. the
-        harness's mean fee floor) without registering a collector.
+        For quantities the harness derives itself (e.g. the mean fee
+        floor across nodes).
         """
-        bin_start = (t // self.bin_s) * self.bin_s
-        self._series_for(name, GAUGE)._add(bin_start, float(value))
+        self._series_for(name, GAUGE)._add(self._bin_start(t), float(value))
         self._maybe_decimate()
+
+    def _bin_start(self, t: float) -> float:
+        """The bin of simulated time ``t``; never one before the latest."""
+        self._latest = max(self._latest, self._origin + t)
+        return (self._latest // self.bin_s) * self.bin_s
 
     def _maybe_decimate(self) -> None:
         while any(len(s) > self.bins for s in self._series.values()):
@@ -244,122 +243,3 @@ class TimelineRecorder:
                 "points": [[t, v] for t, v in series.points],
             })
         return records
-
-    def export_lines(self, meta: Optional[Dict[str, Any]] = None) -> List[str]:
-        """The standalone JSONL export as lines (header first)."""
-        header = {"schema": TIMELINE_SCHEMA, "meta": meta or {}}
-        lines = [_dumps(header)]
-        lines.extend(_dumps(record) for record in self.timeline_records())
-        return lines
-
-    def export_jsonl(self, path: str,
-                     meta: Optional[Dict[str, Any]] = None) -> int:
-        """Write the standalone ``repro.timeline/1`` JSONL file."""
-        lines = self.export_lines(meta)
-        with open(path, "w", encoding="utf-8", newline="\n") as stream:
-            for line in lines:
-                stream.write(line)
-                stream.write("\n")
-        return len(lines) - 1
-
-    def export_csv(self, path: str) -> int:
-        """Write a flat CSV (``series,kind,bin_s,t,value``); returns rows."""
-        rows = 0
-        with open(path, "w", encoding="utf-8", newline="\n") as stream:
-            stream.write("series,kind,bin_s,t,value\n")
-            for record in self.timeline_records():
-                for t, value in record["points"]:
-                    stream.write(f"{record['name']},{record['kind']},"
-                                 f"{record['bin_s']:g},{t:g},{value:g}\n")
-                    rows += 1
-        return rows
-
-
-def load_timeline(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a timeline JSONL file; returns ``(meta, timeline records)``.
-
-    Also accepts a full ``repro.trace/1`` trace and returns just its
-    embedded ``timeline`` records, so ``report --timeline`` works on
-    either artifact.
-    """
-    meta: Dict[str, Any] = {}
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})")
-            if lineno == 1 and "schema" in record:
-                meta = record.get("meta", {}) or {}
-                continue
-            if record.get("type") == "timeline":
-                records.append(record)
-    return meta, records
-
-
-def validate_timeline_lines(lines: Iterable[str]) -> List[str]:
-    """Structural validation of a standalone timeline JSONL export."""
-    errors: List[str] = []
-    saw_header = False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"{where}: not valid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            errors.append(f"{where}: record is not a JSON object")
-            continue
-        if not saw_header:
-            saw_header = True
-            if record.get("schema") != TIMELINE_SCHEMA:
-                errors.append(
-                    f"{where}: header schema is {record.get('schema')!r},"
-                    f" expected {TIMELINE_SCHEMA!r}"
-                )
-            if not isinstance(record.get("meta"), dict):
-                errors.append(f"{where}: header missing 'meta' object")
-            continue
-        check_timeline_record(record, where, errors)
-    if not saw_header:
-        errors.append("timeline is empty (no header line)")
-    return errors
-
-
-def check_timeline_record(record: dict, where: str,
-                          errors: List[str]) -> None:
-    """Append errors for a malformed ``timeline`` record (shared with the
-    trace validator in :mod:`repro.obs.schema`)."""
-    if record.get("type") != "timeline":
-        errors.append(f"{where}: record type is not 'timeline'")
-    if not isinstance(record.get("name"), str) or not record.get("name"):
-        errors.append(f"{where}: timeline missing non-empty 'name'")
-    if record.get("kind") not in (COUNTER, GAUGE):
-        errors.append(f"{where}: timeline 'kind' must be counter|gauge")
-    bin_s = record.get("bin_s")
-    if not isinstance(bin_s, (int, float)) or isinstance(bin_s, bool) \
-            or bin_s <= 0:
-        errors.append(f"{where}: timeline missing positive 'bin_s'")
-    points = record.get("points")
-    if not isinstance(points, list):
-        errors.append(f"{where}: timeline missing 'points' list")
-        return
-    previous = None
-    for point in points:
-        if (not isinstance(point, list) or len(point) != 2
-                or not all(isinstance(x, (int, float))
-                           and not isinstance(x, bool) for x in point)):
-            errors.append(f"{where}: timeline point {point!r} is not [t, v]")
-            return
-        if previous is not None and point[0] <= previous:
-            errors.append(f"{where}: timeline timestamps not increasing")
-            return
-        previous = point[0]

@@ -1,14 +1,16 @@
 """Deterministic structured tracing: sim-clock-stamped events and spans.
 
-A :class:`Tracer` collects three kinds of records during a simulation run:
+A :class:`Tracer` collects two kinds of records during a simulation run:
 
 * **events** -- point-in-time observations (a suspicion raised, a chaos
   drop, a commitment append) stamped with the simulated clock;
 * **spans** -- named intervals (one Alg. 1 reconciliation round, a block
   inspection) with ``t_start``/``t_end``, an owning node, free-form
-  attributes and an optional parent span;
-* **metrics snapshots** -- periodic dumps of the unified
-  :class:`~repro.obs.registry.MetricsRegistry`.
+  attributes and an optional parent span.
+
+Counters are not the tracer's: the timeline recorder
+(:mod:`repro.obs.timeline`) samples them, and a traced run's file carries
+its series as ``timeline`` records.
 
 Records are appended in emission order, which under the deterministic
 event loop (:mod:`repro.sim.loop`) is itself deterministic: two runs with
@@ -33,8 +35,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Any, Dict, List, Optional
-
-from repro.obs.registry import MetricsRegistry
 
 TRACE_SCHEMA = "repro.trace/1"
 
@@ -78,7 +78,6 @@ class NullTracer:
     """
 
     enabled = False
-    registry: Optional[MetricsRegistry] = None
 
     def event(self, name: str, t: float, node_id: Optional[int] = None,
               **attrs: Any) -> None:
@@ -96,20 +95,15 @@ class NullTracer:
     def end_span(self, span: Optional[Span], t: float, **attrs: Any) -> None:
         """No-op."""
 
-    def snapshot_metrics(self, t: float) -> None:
-        """No-op."""
-
 
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects events, spans and metrics snapshots for one process.
+    """Collects events and spans for one process.
 
     ``sample_every`` thins per-message network events (see module
-    docstring); all other record kinds are never sampled.
-    ``snapshot_interval_s`` is advisory: the simulation harness reads it
-    to schedule :meth:`snapshot_metrics` ticks on the event loop.
+    docstring); all other records are never sampled.
 
     >>> tr = Tracer()
     >>> tr.event("demo", t=1.0, node_id=3, detail="x")
@@ -123,21 +117,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        sample_every: int = 1,
-        snapshot_interval_s: float = 1.0,
-    ):
+    def __init__(self, sample_every: int = 1):
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        if snapshot_interval_s <= 0:
-            raise ValueError(
-                f"snapshot_interval_s must be > 0, got {snapshot_interval_s}"
-            )
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.sample_every = sample_every
-        self.snapshot_interval_s = snapshot_interval_s
         self.records: List[Dict[str, Any]] = []
         self._span_ids = itertools.count(1)
         self._open_spans = 0
@@ -225,16 +208,6 @@ class Tracer:
     def open_spans(self) -> int:
         """Spans begun but not yet ended (these are never exported)."""
         return self._open_spans
-
-    # ------------------------------------------------------------- metrics
-
-    def snapshot_metrics(self, t: float) -> None:
-        """Record the registry's current state as a ``metrics`` record."""
-        self.records.append({
-            "type": "metrics",
-            "t": float(t),
-            **self.registry.snapshot(),
-        })
 
     # --------------------------------------------------------------- query
 

@@ -2,8 +2,10 @@
 
 :class:`LatencyTracker` records, per transaction, the moment of creation
 and the moments other nodes first learn it / include it in a block --
-feeding Figs. 7 and 8.  :class:`EventCounter` is a labelled counter used
-for reconciliation counts (Fig. 10) and detection events (Fig. 6).
+feeding Figs. 7 and 8 and the convergence curves
+(:meth:`LatencyTracker.coverage`).  :class:`EventCounter` is a labelled
+counter used for reconciliation counts (Fig. 10) and detection events
+(Fig. 6).
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ class LatencyTracker:
         for item in self._created_at:
             out.extend(self.latencies(item))
         return out
+
+    def coverage(self, item: int, when: float, population: int) -> float:
+        """Share of ``population`` observers that had seen ``item`` by ``when``.
+
+        Convergence curves are computed from this after the run, at any
+        times, instead of being sampled while it runs.
+        """
+        seen = self._first_seen.get(item, {})
+        return sum(1 for t in seen.values() if t <= when) / population
 
     def observers_of(self, item: int) -> int:
         """How many observers have seen the item."""

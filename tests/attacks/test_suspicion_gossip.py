@@ -189,12 +189,21 @@ def _pure_storm(seed):
     return sim
 
 
+@pytest.mark.gate
 def test_default_config_pure_censor_storm_stays_bounded():
-    """With an epidemic per retry round this storm takes 6.6M events by
-    30 s; with one per episode it takes 103k by 30 s and 152k by 60 s."""
+    """Counts the storm's loop events: at most 200k after every simulated
+    second up to 30 s, and less than double the 30 s count by 60 s.
+
+    With one epidemic per suspicion episode the storm takes 103k events
+    by 30 s and 152k by 60 s (about 1.5 s of wall time).  With an epidemic
+    per retry round it took 6.6M events and 103 s to reach 30 s; run in
+    1-second legs, such a regression fails at the first leg past 200k,
+    within seconds, instead of running on to 30 s.
+    """
     sim = _pure_storm(7)
-    sim.run(30.0)
+    for second in range(1, 31):
+        sim.run(float(second))
+        assert sim.loop.processed_events <= 200_000, second
     at_30 = sim.loop.processed_events
     sim.run(60.0)
-    assert at_30 <= 200_000
     assert sim.loop.processed_events < 2 * at_30

@@ -7,9 +7,9 @@
   minutes), put bytes on the wire and expose no correct node.
 * **An admission soak goes steady.**  ``--until-steady`` must end the
   converging soak before its 80 s horizon; the run publishes a live
-  ``telemetry.json`` and a fixed-memory ``repro.timeline/1`` export, which
-  ``watch --once`` reads and ``report`` schema-validates (a malformed
-  export fails it).
+  ``telemetry.json`` and a fixed-memory ``repro.trace/1`` timeline file,
+  which ``watch --once`` reads and ``report`` schema-validates (a
+  malformed file fails it).
 """
 
 import json

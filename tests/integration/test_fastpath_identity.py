@@ -24,7 +24,7 @@ from repro.mempool.admission import AdmissionConfig
 from repro.obs.caches import cache_stats, reset_cache_stats
 from repro.net import Endpoint, Network
 from repro.net.chaos import ChaosPlan
-from repro.obs import Tracer, trace_lines
+from repro.obs import TimelineRecorder, Tracer, trace_lines
 from repro.sim import EventLoop
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 from tests.core.test_eligible_memo import recompute
@@ -33,13 +33,13 @@ from tests.core.test_eligible_memo import recompute
 def _traced_run(approve_all_hook: bool):
     """One small simulation; returns (summary dict, trace lines)."""
     # The sketch caches and their hit/miss counters are process-global and
-    # appear in metrics snapshots inside the trace; start both runs from
+    # appear in the timeline series inside the trace; start both runs from
     # the same blank state so the comparison sees only the fault checks.
     clear_decode_cache()
     clear_syndrome_cache()
     reset_cache_stats()
-    tracer = Tracer()
-    with obs.use_tracer(tracer):
+    tracer, timeline = Tracer(), TimelineRecorder()
+    with obs.use_tracer(tracer), obs.use_timeline(timeline):
         sim = LOSimulation(SimulationParams(
             num_nodes=10, seed=1234, config=LOConfig(),
         ))
@@ -62,7 +62,7 @@ def _traced_run(approve_all_hook: bool):
         }
     # meta=None keeps the export free of wall-clock fields; every line is
     # then a pure function of the simulation.
-    return summary, trace_lines(tracer)
+    return summary, trace_lines(tracer, timeline=timeline)
 
 
 def test_fast_and_slow_send_paths_are_byte_identical():

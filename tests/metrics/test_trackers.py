@@ -56,3 +56,39 @@ def test_counter_totals_and_per_node():
     assert counter.total("other") == 1
     assert counter.total("missing") == 0
     assert set(counter.labels()) == {"recon", "other"}
+
+
+def test_coverage_counts_observers_seen_by_a_time():
+    tracker = LatencyTracker()
+    tracker.record_created(1, 0.0)
+    for observer, when in ((0, 0.0), (1, 0.5), (2, 2.0)):
+        tracker.record_seen(1, observer, when)
+    assert [tracker.coverage(1, t, 4) for t in (0.0, 0.5, 1.9, 2.0)] \
+        == [0.25, 0.5, 0.5, 0.75]
+    assert tracker.coverage(99, 5.0, 4) == 0.0
+
+
+def test_post_hoc_coverage_matches_live_convergence_fraction():
+    """The coverage curve computed after a run from the first-seen times
+    equals ``sim.convergence_fraction`` sampled live at the same times."""
+    from repro.experiments.harness import LOSimulation, SimulationParams
+
+    sim = LOSimulation(SimulationParams(num_nodes=12, seed=4))
+    tracked = []
+    live = []
+
+    def create():
+        tracked.append(sim.nodes[3].create_transaction(fee=20).sketch_id)
+
+    def sample(when):
+        live.append((when, sim.convergence_fraction(tracked[0])))
+
+    sim.loop.call_at(1.0, create)
+    times = [1.0 + 0.25 * step for step in range(1, 25)]
+    for when in times:
+        sim.loop.call_at(when, sample, when)
+    sim.run(8.0)
+    post_hoc = [(when, sim.mempool_tracker.coverage(
+        tracked[0], when, len(sim.correct_ids))) for when in times]
+    assert post_hoc == live
+    assert live[0][1] < 1.0 and live[-1][1] == 1.0

@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import (
+    TimelineRecorder,
     Tracer,
     chrome_trace,
     export_chrome,
@@ -18,24 +19,32 @@ def make_tracer():
     tracer.event("chaos.drop", t=0.5, node_id=1, msg_type="tx")
     span = tracer.begin_span("reconcile.round", t=1.0, node_id=2, peer=3)
     tracer.end_span(span, t=2.0, outcome="ok")
-    tracer.registry.counter("hits").inc(7)
-    tracer.snapshot_metrics(t=3.0)
     return tracer
+
+
+def make_timeline():
+    timeline = TimelineRecorder(interval_s=1.0, bins=8)
+    timeline.attach({"net": lambda: {"hits": 7}})
+    timeline.sample(3.0)
+    return timeline
 
 
 # ----------------------------------------------------------------- JSONL
 
 
 def test_trace_lines_header_first():
-    lines = trace_lines(make_tracer(), meta={"seed": 7})
+    lines = trace_lines(make_tracer(), meta={"seed": 7},
+                        timeline=make_timeline())
     header = json.loads(lines[0])
     assert header == {"schema": "repro.trace/1", "meta": {"seed": 7}}
-    assert len(lines) == 4  # header + event + span + metrics
+    assert len(lines) == 4  # header + event + span + timeline series
+    assert json.loads(lines[-1])["type"] == "timeline"
 
 
 def test_export_jsonl_roundtrip_and_validation(tmp_path):
     path = tmp_path / "t.jsonl"
-    count = export_jsonl(make_tracer(), str(path), meta={"seed": 7})
+    count = export_jsonl(make_tracer(), str(path), meta={"seed": 7},
+                         timeline=make_timeline())
     assert count == 3
     assert validate_trace_file(str(path)) == []
 
@@ -51,7 +60,8 @@ def test_export_is_byte_deterministic(tmp_path):
 
 
 def test_validator_accepts_valid_lines():
-    assert validate_trace_lines(trace_lines(make_tracer())) == []
+    assert validate_trace_lines(
+        trace_lines(make_tracer(), timeline=make_timeline())) == []
 
 
 def test_validator_rejects_empty_trace():
@@ -72,23 +82,26 @@ def test_validator_flags_malformed_records():
         '{"type": "event", "name": "", "node": "x"}',
         '{"type": "span", "name": "s", "t_start": 5.0, "t_end": 1.0,'
         ' "span_id": 1, "parent_id": null, "node": null, "attrs": {}}',
-        '{"type": "metrics", "t": 0.0, "counters": {"k": "NaNish"},'
-        ' "gauges": {}, "histograms": {}}',
+        '{"type": "timeline", "name": "k", "kind": "counter",'
+        ' "bin_s": 1.0, "points": [[0.0, "NaNish"]]}',
+        '{"type": "metrics", "t": 0.0, "counters": {}}',
         '{"type": "mystery"}',
     ]
     errors = validate_trace_lines(lines)
     assert any("not valid JSON" in e for e in errors)
     assert any("non-empty 'name'" in e for e in errors)
     assert any("ends before it starts" in e for e in errors)
-    assert any("not numeric" in e for e in errors)
-    assert any("unknown record type" in e for e in errors)
+    assert any("is not [t, v]" in e for e in errors)
+    # the tracer's metrics snapshots are gone: the type is unknown now
+    assert sum("unknown record type" in e for e in errors) == 2
 
 
 # --------------------------------------------------------------- chrome
 
 
 def test_chrome_trace_structure():
-    payload = chrome_trace(make_tracer(), meta={"seed": 7})
+    records = make_tracer().records + make_timeline().timeline_records()
+    payload = chrome_trace(records, meta={"seed": 7})
     assert payload["displayTimeUnit"] == "ms"
     assert payload["otherData"]["schema"] == "repro.trace/1"
     events = payload["traceEvents"]
@@ -98,11 +111,13 @@ def test_chrome_trace_structure():
     assert instant["ts"] == 0.5e6 and instant["tid"] == 1
     assert complete["ts"] == 1.0e6 and complete["dur"] == 1.0e6
     assert complete["args"]["outcome"] == "ok"
-    assert counter["args"] == {"hits": 7}
+    assert counter["name"] == "timeline.net.hits"
+    assert counter["ts"] == 3.0e6 and counter["args"] == {"counter": 7}
 
 
 def test_export_chrome_is_loadable_json(tmp_path):
     path = tmp_path / "t.chrome.json"
-    count = export_chrome(make_tracer(), str(path))
+    records = make_tracer().records + make_timeline().timeline_records()
+    count = export_chrome(records, str(path))
     payload = json.loads(path.read_text())
     assert count == len(payload["traceEvents"]) == 3

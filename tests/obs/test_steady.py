@@ -81,20 +81,18 @@ def test_monitor_excludes_still_filling_bin():
 def test_monitor_judges_counters_as_rates():
     """A counter growing at a constant rate is steady; an accelerating
     one is not."""
-    from repro.obs import MetricsRegistry
-
     for deltas, expected in (
         ([7.0] * 10, True),
         ([float(2 ** i) for i in range(10)], False),
     ):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        recorder = TimelineRecorder(registry=registry, interval_s=1.0,
-                                    bins=64)
+        count = {"c": 0.0}
+        recorder = TimelineRecorder(interval_s=1.0, bins=64)
+        recorder.attach({"demo": lambda: dict(count)})
         for i, delta in enumerate(deltas):
-            counter.inc(delta)
+            count["c"] += delta
             recorder.sample(float(i))
-        monitor = SteadyStateMonitor(recorder, series=("c",), window_bins=4)
+        monitor = SteadyStateMonitor(recorder, series=("demo.c",),
+                                     window_bins=4)
         assert monitor.check() is expected, deltas
 
 
@@ -110,8 +108,6 @@ def test_monitor_validation():
     recorder = TimelineRecorder()
     with pytest.raises(ValueError):
         SteadyStateMonitor(recorder, window_bins=1)
-    with pytest.raises(ValueError):
-        SteadyStateMonitor(recorder, rel_tol=-0.1)
     with pytest.raises(ValueError):
         SteadyStateMonitor(recorder, series=())
     assert SteadyStateMonitor(recorder).series == DEFAULT_STEADY_SERIES

@@ -14,7 +14,12 @@ from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.net.chaos import ChaosPlan, CrashWindow
 from repro.net.latency import ConstantLatencyModel
 from repro.obs.caches import reset_cache_stats
-from repro.obs import Tracer, export_jsonl, validate_trace_file
+from repro.obs import (
+    TimelineRecorder,
+    Tracer,
+    export_jsonl,
+    validate_trace_file,
+)
 from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 
 PLAN = ChaosPlan(
@@ -35,8 +40,9 @@ def run_traced(tmp_path, name, sample_every=4):
     clear_syndrome_cache()
     clear_decode_cache()
     reset_cache_stats()
-    tracer = Tracer(sample_every=sample_every, snapshot_interval_s=5.0)
-    with obs.use_tracer(tracer):
+    tracer = Tracer(sample_every=sample_every)
+    timeline = TimelineRecorder()
+    with obs.use_tracer(tracer), obs.use_timeline(timeline):
         sim = LOSimulation(
             SimulationParams(
                 num_nodes=10,
@@ -52,7 +58,7 @@ def run_traced(tmp_path, name, sample_every=4):
         sim.inject_workload(rate_per_s=4.0, duration_s=10.0)
         sim.run(20.0)
     path = tmp_path / name
-    export_jsonl(tracer, str(path), meta={"seed": 11})
+    export_jsonl(tracer, str(path), meta={"seed": 11}, timeline=timeline)
     return path
 
 
@@ -84,13 +90,11 @@ def test_trace_validates_and_covers_required_records(tmp_path):
               if r["type"] == "span" and r["name"] == "reconcile.round"]
     assert rounds and all("outcome" in r["attrs"] for r in rounds)
 
-    # periodic metrics snapshots made it in, carrying absorbed namespaces
-    metrics = [r for r in records if r["type"] == "metrics"]
-    assert metrics
-    final = metrics[-1]["counters"]
-    assert any(k.startswith("net.") for k in final)
-    assert any(k.startswith("chaos.") for k in final)
-    assert any(k.startswith("caches.") for k in final)
+    # the timeline's series made it in, carrying every collector namespace
+    series = {r["name"] for r in records if r["type"] == "timeline"}
+    assert any(k.startswith("net.") for k in series)
+    assert any(k.startswith("chaos.") for k in series)
+    assert any(k.startswith("caches.") for k in series)
 
 
 def test_tracing_off_leaves_no_records(tmp_path):

@@ -1,4 +1,4 @@
-"""Tracer and registry unit tests: no-op cost, spans, sampling, snapshots."""
+"""Tracer and collector-map unit tests: no-op cost, spans, sampling."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
     NullTracer,
+    TimelineRecorder,
     Tracer,
+    trace_lines,
 )
 
 
@@ -17,13 +19,11 @@ from repro.obs import (
 def test_null_tracer_is_disabled_and_inert():
     tracer = NullTracer()
     assert tracer.enabled is False
-    assert tracer.registry is None
     tracer.event("x", t=1.0, node_id=2, detail="y")
     span = tracer.begin_span("x", t=1.0)
     assert span is None
     tracer.end_span(span, t=2.0)
-    tracer.message_event("net.send", 0.0, "tx", 1, 2, 100)
-    tracer.snapshot_metrics(0.0)  # all no-ops, nothing to assert
+    tracer.message_event("net.send", 0.0, "tx", 1, 2, 100)  # all no-ops
 
 
 def test_default_tracer_is_null():
@@ -100,8 +100,6 @@ def test_message_sampling_is_per_kind_and_type():
 def test_sample_every_validation():
     with pytest.raises(ValueError):
         Tracer(sample_every=0)
-    with pytest.raises(ValueError):
-        Tracer(snapshot_interval_s=0.0)
 
 
 def test_use_tracer_restores_previous():
@@ -128,66 +126,58 @@ def test_set_and_clear_tracer():
 
 
 def test_counter_gauge_histogram_instruments():
-    reg = MetricsRegistry()
-    reg.counter("hits").inc()
-    reg.counter("hits").inc(4)
-    reg.gauge("depth").set(2.5)
-    hist = reg.histogram("sizes")
-    for value in (3, 1, 2):
-        hist.observe(value)
-    snap = reg.snapshot()
-    assert snap["counters"]["hits"] == 5
-    assert snap["gauges"]["depth"] == 2.5
-    assert snap["histograms"]["sizes"] == {
-        "count": 3, "total": 6.0, "mean": 2.0, "min": 1.0, "max": 3.0,
-    }
+    """The map holds collectors only: a snapshot is their counters."""
+    reg = MetricsRegistry({"sim": lambda: {"hits": 5, "depth": 2.5}})
+    assert reg.snapshot() == {"counters": {"sim.depth": 2.5, "sim.hits": 5}}
+    assert not hasattr(reg, "counter") and not hasattr(reg, "histogram")
 
 
 def test_counter_rejects_negative_increment():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.counter("c").inc(-1)
+    """No count is recorded as going down: a timeline reading a fresh
+    source (a new simulation) counts it from zero again."""
+    timeline = TimelineRecorder(interval_s=1.0, bins=8)
+    timeline.attach({"sim": lambda: {"c": 9}})
+    timeline.sample(0.0)
+    timeline.attach({"sim": lambda: {"c": 2}})
+    timeline.sample(1.0)
+    assert timeline.series("sim.c").values() == [9, 2]
 
 
 def test_collectors_merge_under_prefix_and_skip_non_numeric():
-    reg = MetricsRegistry()
-    reg.register_collector("net", lambda: {"bytes": 128, "name": "eth0",
-                                           "up": True})
+    reg = MetricsRegistry({"net": lambda: {"bytes": 128, "name": "eth0",
+                                           "up": True}})
     counters = reg.snapshot()["counters"]
     assert counters == {"net.bytes": 128}  # str and bool skipped
 
 
 def test_collector_reregistration_replaces():
-    reg = MetricsRegistry()
-    reg.register_collector("sim", lambda: {"txs": 1})
-    reg.register_collector("sim", lambda: {"txs": 99})
-    assert reg.snapshot()["counters"] == {"sim.txs": 99}
-    reg.unregister_collector("sim")
-    reg.unregister_collector("missing")  # ignored
-    assert reg.snapshot()["counters"] == {}
+    """Attaching a simulation's collectors replaces the previous ones."""
+    timeline = TimelineRecorder(interval_s=1.0, bins=8)
+    timeline.attach({"sim": lambda: {"txs": 1}, "chaos": lambda: {"d": 1}})
+    timeline.attach({"sim": lambda: {"txs": 99}})
+    assert timeline.registry.snapshot()["counters"] == {"sim.txs": 99}
 
 
 def test_snapshot_keys_sorted():
-    reg = MetricsRegistry()
-    reg.counter("z").inc()
-    reg.counter("a").inc()
-    reg.register_collector("m", lambda: {"k": 1})
-    assert list(reg.snapshot()["counters"]) == ["a", "m.k", "z"]
+    reg = MetricsRegistry({"z": lambda: {"b": 1, "a": 1},
+                           "m": lambda: {"k": 1}})
+    assert list(reg.snapshot()["counters"]) == ["m.k", "z.a", "z.b"]
 
 
 def test_tracer_snapshot_records_registry_state():
+    """The tracer records events and spans only; the counters it used to
+    snapshot reach the trace as the timeline's series."""
     tracer = Tracer()
-    tracer.registry.counter("hits").inc(2)
-    tracer.snapshot_metrics(t=5.0)
-    (record,) = tracer.records
-    assert record["type"] == "metrics"
-    assert record["t"] == 5.0
-    assert record["counters"]["hits"] == 2
+    assert not hasattr(tracer, "registry")
+    timeline = TimelineRecorder(interval_s=1.0, bins=8)
+    timeline.attach({"net": lambda: {"hits": 2}})
+    timeline.sample(5.0)
+    lines = trace_lines(tracer, timeline=timeline)
+    assert len(lines) == 2  # header + one timeline record
+    assert '"name":"net.hits"' in lines[1] and '"points":[[5.0,2]]' in lines[1]
 
 
 def test_registry_reset():
-    reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.register_collector("x", lambda: {"k": 1})
-    reg.reset()
-    assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    """An empty map (a recorder no simulation attached) reads nothing."""
+    assert MetricsRegistry().snapshot() == {"counters": {}}
+    assert TimelineRecorder().registry.snapshot() == {"counters": {}}

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,27 +137,36 @@ def test_sweep_is_the_only_verb_with_workers():
     assert with_workers == ["sweep"]
 
 
+def test_run_takes_at_most_18_options():
+    """The timeline and steady-state knobs are constants and the tracer
+    takes no snapshot period: ``run`` has 18 options (26 before)."""
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = [a for a in sub.choices["run"]._actions
+               if a.option_strings and a.dest != "help"]
+    assert len(options) <= 18
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["run", "--trace", "t.jsonl", "--trace-sample", "0"],
                  "--trace-sample: must be >= 1, got 0", id="trace-sample"),
-    pytest.param(["fig6", "--trace", "t.jsonl", "--trace-snapshot-s", "0"],
-                 "--trace-snapshot-s: must be > 0, got 0",
-                 id="trace-snapshot-s"),
+    # The timeline and steady-state knobs are constants now: each removed
+    # option is a usage error before anything runs, whatever its value.
     pytest.param(["run", "--timeline", "t.jsonl", "--timeline-bins", "3"],
-                 "--timeline-bins: must be a power of two >= 4, got 3",
+                 "unrecognized arguments: --timeline-bins 3",
                  id="timeline-bins-small"),
     pytest.param(["run", "--timeline", "t.jsonl", "--timeline-bins", "48"],
-                 "--timeline-bins: must be a power of two >= 4, got 48",
+                 "unrecognized arguments: --timeline-bins 48",
                  id="timeline-bins-not-power-of-two"),
     pytest.param(["run", "--timeline", "t.jsonl",
                   "--timeline-interval", "-0.5"],
-                 "--timeline-interval: must be > 0, got -0.5",
+                 "unrecognized arguments: --timeline-interval -0.5",
                  id="timeline-interval"),
     pytest.param(["run", "--until-steady", "--steady-window", "1"],
-                 "--steady-window: must be >= 2, got 1", id="steady-window"),
-    pytest.param(["run", "--until-steady", "--steady-rel-tol", "-0.1"],
-                 "--steady-rel-tol: must be >= 0, got -0.1",
-                 id="steady-rel-tol"),
+                 "unrecognized arguments: --steady-window 1",
+                 id="steady-window"),
     pytest.param(["fig7", "--repetitions", "0"],
                  "--repetitions: must be >= 1, got 0", id="fig7-repetitions"),
     pytest.param(["sweep", "run", "--repetitions", "0"],
@@ -268,20 +278,35 @@ def _cold_caches():
 
 
 def test_run_timeline_exports_are_deterministic(tmp_path, capsys):
-    """Two same-seed ``run --timeline`` invocations write byte-identical
-    repro.timeline/1 files (the ISSUE 9 acceptance check, at CLI level)."""
+    """One stream, deterministic end to end: two same-seed ``run --trace``
+    invocations write byte-identical traces, two ``--timeline`` ones
+    byte-identical timeline files (repro.trace/1 files of timeline records
+    alone), and ``report --chrome`` / ``--csv`` convert each pair into
+    byte-identical files."""
     run_args = ["run", "--nodes", "6", "--rate", "3", "--duration", "3",
                 "--drain", "2", "--seed", "5"]
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    _cold_caches()
-    assert main(run_args + ["--timeline", str(a),
-                            "--timeline-csv", str(tmp_path / "a.csv")]) == 0
-    _cold_caches()
-    assert main(run_args + ["--timeline", str(b)]) == 0
+    files = {}
+    for flag in ("--trace", "--timeline"):
+        for copy in "ab":
+            path = tmp_path / f"{flag[2:]}-{copy}.jsonl"
+            _cold_caches()
+            assert main(run_args + [flag, str(path)]) == 0
+            assert main(["report", str(path),
+                         "--chrome", f"{path}.chrome.json",
+                         "--csv", f"{path}.csv"]) == 0
+            files[flag, copy] = path
     out = capsys.readouterr().out
-    assert "timeline written" in out
-    assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "a.csv").read_text().startswith(
+    assert "trace written" in out and "timeline written" in out
+    for flag in ("--trace", "--timeline"):
+        a, b = files[flag, "a"], files[flag, "b"]
+        for suffix in ("", ".chrome.json", ".csv"):
+            assert (Path(f"{a}{suffix}").read_bytes()
+                    == Path(f"{b}{suffix}").read_bytes()), (flag, suffix)
+    trace = files["--trace", "a"].read_text().splitlines()
+    timeline = files["--timeline", "a"].read_text().splitlines()
+    assert all('"type":"timeline"' in line for line in timeline[1:])
+    assert timeline[1:] == trace[len(trace) - len(timeline) + 1:]
+    assert Path(f"{files['--timeline', 'a']}.csv").read_text().startswith(
         "series,kind,bin_s,t,value")
 
 

@@ -38,7 +38,6 @@ PUBLIC_MODULES = [
     "repro.metrics.stats",
     "repro.obs",
     "repro.obs.caches",
-    "repro.obs.probes",
     "repro.obs.stats",
     "repro.obs.trackers",
     "repro.obs.tracer",
@@ -83,7 +82,6 @@ def test_metrics_convenience_exports():
     """Measurement helpers are importable from the ``repro.obs`` root."""
     from repro.obs import (  # noqa: F401
         CacheStats,
-        ConvergenceProbe,
         EventCounter,
         LatencyTracker,
         cache_stats,
@@ -98,11 +96,9 @@ def test_metrics_convenience_exports():
         write_json,
     )
     from repro import obs
-    from repro.obs import registry, stats
 
-    # The root's Histogram is the registry's; the density one stays in stats.
-    assert obs.Histogram is registry.Histogram
-    assert stats.Histogram is not obs.Histogram
+    # The one Histogram is the density one in stats; the root has none.
+    assert not hasattr(obs, "Histogram")
 
 
 def test_version():
