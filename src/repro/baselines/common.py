@@ -10,13 +10,13 @@ LOSimulation` (same topology, latencies and workload) for any node class.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Set, Type
+from typing import Dict, Optional, Set, Type
 
 from repro.crypto.keys import KeyPair
 from repro.mempool.transaction import Transaction, make_transaction
 from repro.obs.trackers import LatencyTracker
 from repro.net.latency import CityLatencyModel, LatencyModel
-from repro.net.message import ENVELOPE_BYTES, Message
+from repro.net.message import ENVELOPE_BYTES
 from repro.net.network import Endpoint, Network
 from repro.net.topology import TopologyBuilder
 from repro.sim.loop import EventLoop

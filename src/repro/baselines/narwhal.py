@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.baselines.common import (
-    BaseMempoolNode,
-    SIGNATURE_BYTES,
-    TX_HASH_BYTES,
-)
+from repro.baselines.common import BaseMempoolNode, SIGNATURE_BYTES
 from repro.mempool.transaction import Transaction
 from repro.net.message import Message
 

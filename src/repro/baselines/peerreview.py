@@ -27,9 +27,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.baselines.common import AUTH_BYTES, BaseMempoolNode, TX_HASH_BYTES
-from repro.baselines.flood import ANNOUNCE_DELAY_S, FloodNode
-from repro.mempool.transaction import Transaction
+from repro.baselines.common import AUTH_BYTES
+from repro.baselines.flood import FloodNode
 from repro.net.message import Message
 
 LOG_ENTRY_WIRE_BYTES = 40     # content hash (32) + seq/type/peer packed (8)

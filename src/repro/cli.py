@@ -14,25 +14,33 @@ Examples::
     python -m repro sweep fig6_point --param malicious_fraction=0.1,0.2 \
         --param num_nodes=20 --repetitions 4 --workers 4 --out-dir sweep-out
     python -m repro report t.jsonl --chrome t.chrome.json
+    python -m repro run   --admission --until-steady --timeline soak.jsonl
+    python -m repro watch soak.jsonl
 
 ``run`` and every figure verb share one option group (``--seed``,
 ``--json PATH`` to dump the raw result object, ``--trace PATH`` for a
 deterministic ``repro.trace/1`` JSONL trace with the run's timeline
-series) and run in this process.  ``sweep`` is the one parallel verb: it
-fans an (experiment x seed x grid) task matrix across spool worker
-processes with crash containment and a deterministic merge, and each
-figure's parallel form is a sweep of its registered point (see
-``docs/parallelism.md``).  ``report`` summarises a trace and converts it
-(Chrome trace-event JSON for Perfetto, CSV of the timeline series).
+series) and run in this process; an output's missing directory is
+created.  ``sweep`` is the one parallel verb: it fans an (experiment x
+seed x grid) task matrix across spool worker processes with crash
+containment and a deterministic merge, and each figure's parallel form
+is a sweep of its registered point (see ``docs/parallelism.md``).
+``report`` summarises a trace and converts it (Chrome trace-event JSON
+for Perfetto, CSV of the timeline series).  ``run --timeline PATH``
+publishes its file, marked partial, while the run goes; ``watch``
+follows such a file, or a sweep spool, until it is finished.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import statistics
 import sys
 from typing import List, Optional
 
+from repro.obs.export import write_atomic
 from repro.obs.report import (
     cache_rows,
     event_counts,
@@ -81,8 +89,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _emit(result, args, label: str) -> None:
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as stream:
-            write_json(result, stream, label=label)
+        stream = io.StringIO()
+        write_json(result, stream, label=label)
+        write_atomic(args.json, stream.getvalue())
         print(f"[json written to {args.json}]")
 
 
@@ -124,7 +133,6 @@ def cmd_run(args) -> int:
         steady_outcome = sim.run_until_steady(horizon)
     else:
         sim.run(horizon)
-    sim.finalize_telemetry()
     latencies = sim.mempool_tracker.all_latencies()
     admission = sim.admission_breakdown()
     rows = [
@@ -400,8 +408,7 @@ def cmd_sweep(args) -> int:
         print(f"[run directory {args.out_dir}: sweep.json, execution.json"
               + (", task-*.trace.jsonl" if trace_dir else "") + "]")
     if args.json:
-        with open(args.json, "wb") as stream:
-            stream.write(outcome.results_bytes())
+        write_atomic(args.json, outcome.results_bytes())
         print(f"[json written to {args.json}]")
 
     code = 1 if outcome.failed() and args.strict else 0
@@ -525,42 +532,54 @@ def cmd_report(args) -> int:
     return 0
 
 
+def detect_watch_target(target: str) -> str:
+    """Classify a ``watch`` target: ``"spool"``, ``"trace"`` or ``""``.
+
+    A directory holding a spool ``manifest.json`` is a sweep spool; any
+    other file is read as a ``repro.trace/1`` file (a ``run --timeline``
+    file while the run goes).  Empty string means neither was found.
+    """
+    if os.path.isfile(os.path.join(target, "manifest.json")):
+        return "spool"
+    if os.path.isfile(target):
+        return "trace"
+    return ""
+
+
 def cmd_watch(args) -> int:
     import time as wall_time
 
-    from repro.obs.live import (
-        detect_watch_target,
-        read_telemetry,
-        spool_is_finished,
-        spool_watch_rows,
-        telemetry_is_finished,
-        telemetry_rows,
-    )
+    from repro.exec.spool import spool_is_finished, spool_status, \
+        spool_watch_rows
 
     while True:
         kind = detect_watch_target(args.target)
+        headers = ("field", "value")
         done = False
         if kind == "spool":
-            from repro.exec.spool import spool_status
-
             status = spool_status(args.target)
             rows = spool_watch_rows(status)
             done = spool_is_finished(status)
-        elif kind == "telemetry":
-            doc = read_telemetry(args.target)
-            if doc is None:
-                rows = [("status", "telemetry file not readable yet")]
-            else:
-                rows = telemetry_rows(doc)
-                done = telemetry_is_finished(doc)
+        elif kind == "trace":
+            try:
+                meta, records = load_trace(args.target)
+            except ValueError as exc:
+                print(f"{args.target}: {exc}", file=sys.stderr)
+                return 2
+            done = not meta.get("partial")
+            if not done:
+                kind = "trace (partial)"
+            headers = ("series", "kind", "bins", "bin_s", "total/last",
+                       "spark")
+            rows = timeline_rows(records)
         else:
             if args.once:
-                print(f"{args.target}: no telemetry.json or spool"
+                print(f"{args.target}: no repro.trace/1 file or spool"
                       " manifest.json found", file=sys.stderr)
                 return 2
             rows = [("status", "waiting for target to appear")]
         print(f"[watch {kind or 'pending'}: {args.target}]")
-        print(format_table(("field", "value"), rows))
+        print(format_table(headers, rows))
         if args.once or done:
             return 0
         print()
@@ -608,15 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
                         " previous nonce (exercises replace-by-fee)")
     p.add_argument("--timeline", type=str, default=None, metavar="PATH",
                    help="write a repro.trace/1 file of the run's"
-                        " fixed-memory timeline series alone")
+                        " fixed-memory timeline series alone, published"
+                        " (marked partial) while the run goes; follow it"
+                        " with 'python -m repro watch PATH'")
     p.add_argument("--until-steady", action="store_true",
                    help="stop as soon as the mean fee floor and pool"
                         " occupancy stop drifting (12 timeline bins within"
                         " 5%%) instead of always running to duration+drain")
-    p.add_argument("--telemetry-dir", type=str, default=None, metavar="DIR",
-                   help="publish a live telemetry.json status document into"
-                        " DIR (atomic replace; tail it with"
-                        " 'python -m repro watch DIR')")
     p.add_argument("--phases", action="store_true",
                    help="profile wall-clock time per phase (net, reconcile,"
                         " mempool, crypto, ...) and print the table")
@@ -756,11 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        help="tail a running run --telemetry-dir directory or a"
+        help="tail a running run's --timeline file or a"
              " sweep --spool directory without disturbing it",
     )
     p.add_argument("target", type=str,
-                   help="telemetry directory/file or spool directory")
+                   help="repro.trace/1 file or spool directory")
     p.add_argument("--once", action="store_true",
                    help="print one snapshot and exit (for scripts/CI)")
     p.add_argument("--interval", type=float, default=2.0,
@@ -776,7 +793,6 @@ def _timeline_requested(args) -> bool:
         getattr(args, "trace", None)
         or getattr(args, "timeline", None)
         or getattr(args, "until_steady", False)
-        or getattr(args, "telemetry_dir", None)
     )
 
 
@@ -788,8 +804,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     are exported afterwards; otherwise the process-wide no-op tracer stays
     in place and tracing costs one attribute check per instrumented site.
     The same pattern covers the other telemetry layers: ``--timeline`` /
-    ``--until-steady`` / ``--telemetry-dir`` install a
-    :class:`~repro.obs.timeline.TimelineRecorder` and ``--phases`` a
+    ``--until-steady`` install a
+    :class:`~repro.obs.timeline.TimelineRecorder` (publishing the
+    ``--timeline`` file while the command runs) and ``--phases`` a
     :class:`~repro.obs.phases.PhaseProfiler` for the command's duration.
     """
     args = build_parser().parse_args(argv)
@@ -819,9 +836,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             meta["sample_every"] = args.trace_sample
             stack.enter_context(obs.use_tracer(tracer))
         if wants_timeline:
-            timeline = obs.TimelineRecorder()
-            if getattr(args, "telemetry_dir", None):
-                timeline.sink = obs.TelemetrySink(args.telemetry_dir)
+            timeline = obs.TimelineRecorder(
+                path=getattr(args, "timeline", None), meta=meta)
             stack.enter_context(obs.use_timeline(timeline))
         if wants_phases:
             profiler = obs.PhaseProfiler()
@@ -832,13 +848,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         written = obs.export_jsonl(tracer, trace_path, meta,
                                    timeline=timeline)
         print(f"[trace written to {trace_path} ({written} records)]")
-    if getattr(args, "timeline", None):
-        written = obs.export_jsonl(None, args.timeline, meta,
-                                   timeline=timeline)
-        print(f"[timeline written to {args.timeline} ({written} series)]")
-    if timeline is not None and timeline.sink is not None:
-        print(f"[telemetry published to {timeline.sink.path}"
-              f" ({timeline.sink.flushes} flushes)]")
+    if timeline is not None and timeline.path:
+        written = timeline.publish(final=True)
+        print(f"[timeline written to {timeline.path} ({written} series)]")
     if profiler is not None:
         print()
         print(format_table(

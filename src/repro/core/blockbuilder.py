@@ -10,7 +10,7 @@ section 5.2); those become the builder's next committed bundle.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.chain.block import Block, sign_block
 from repro.chain.ledger import Ledger

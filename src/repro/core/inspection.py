@@ -17,7 +17,7 @@ re-inspects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, List, Optional, Sequence, Set
 
 from repro.chain.block import Block
 from repro.core.commitment import BundleInfo

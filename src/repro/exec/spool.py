@@ -58,13 +58,14 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.engine import SweepOutcome, TaskOutcome, \
     _outcome_from_payload
 from repro.exec.tasks import SweepTask
 from repro.exec.worker import execute_task, preserved_process_state
+from repro.obs.export import write_atomic
 
 SPOOL_SCHEMA = "repro.sweep-spool/1"
 
@@ -122,13 +123,9 @@ def _index_of(filename: str) -> int:
     return int(filename[len("task-"):-len(".json")])
 
 
-def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
-    """Publish ``payload`` at ``path`` via temp-file + ``os.replace``."""
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    os.replace(tmp, path)
+def _publish(path: str, payload: Dict[str, Any]) -> None:
+    """Publish ``payload`` as JSON at ``path`` (:func:`write_atomic`)."""
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: str) -> Optional[Dict[str, Any]]:
@@ -183,7 +180,7 @@ def init_spool(
     for sub in _DIRS:
         os.makedirs(os.path.join(spool_dir, sub), exist_ok=True)
     for task in tasks:
-        _write_atomic(_entry_path(spool_dir, "tasks", task.index), task.spec())
+        _publish(_entry_path(spool_dir, "tasks", task.index), task.spec())
     manifest = {
         "schema": SPOOL_SCHEMA,
         "created_unix": int(time.time()),
@@ -191,7 +188,7 @@ def init_spool(
         "fingerprint": task_fingerprint(tasks),
         "meta": dict(meta or {}),
     }
-    _write_atomic(_manifest_path(spool_dir), manifest)
+    _publish(_manifest_path(spool_dir), manifest)
     return manifest
 
 
@@ -281,7 +278,7 @@ def claim_task(
         release_lease(spool_dir, index)
         return None
     state["attempts"] += 1
-    _write_atomic(_entry_path(spool_dir, "state", index), state)
+    _publish(_entry_path(spool_dir, "state", index), state)
     return lease
 
 
@@ -292,7 +289,7 @@ def heartbeat_lease(spool_dir: str, index: int, owner: str) -> None:
     if lease is None or lease.get("owner") != owner:
         return  # reclaimed out from under us; the task will be re-run
     lease["heartbeat_unix"] = time.time()
-    _write_atomic(lease_path, lease)
+    _publish(lease_path, lease)
 
 
 def release_lease(spool_dir: str, index: int) -> None:
@@ -339,7 +336,7 @@ class _Heartbeat:
 def park_task(spool_dir: str, index: int, error: str,
               attempts: int, timeout: bool = False) -> None:
     """Record a task as permanently out of budget (idempotent)."""
-    _write_atomic(_entry_path(spool_dir, "parked", index), {
+    _publish(_entry_path(spool_dir, "parked", index), {
         "index": index,
         "attempts": attempts,
         "error": error,
@@ -358,11 +355,11 @@ def _requeue_or_park(spool_dir: str, index: int, error: str,
     if reclaim:
         state["reclaims"] += 1
     if state["attempts"] >= config.max_attempts:
-        _write_atomic(_entry_path(spool_dir, "state", index), state)
+        _publish(_entry_path(spool_dir, "state", index), state)
         park_task(spool_dir, index, error, state["attempts"], timeout)
     else:
         state["next_eligible_unix"] = now + config.backoff_s(state["attempts"])
-        _write_atomic(_entry_path(spool_dir, "state", index), state)
+        _publish(_entry_path(spool_dir, "state", index), state)
         release_lease(spool_dir, index)
 
 
@@ -469,7 +466,7 @@ def _execute_claimed(
         _requeue_or_park(spool_dir, index, payload.get("error", "timeout"),
                          config, time.time(), timeout=True)
         return
-    _write_atomic(_entry_path(spool_dir, "results", index), payload)
+    _publish(_entry_path(spool_dir, "results", index), payload)
     release_lease(spool_dir, index)
 
 
@@ -544,6 +541,27 @@ def spool_status(spool_dir: str) -> Dict[str, int]:
         "attempts": attempts,
         "reclaims": reclaims,
     }
+
+
+def spool_watch_rows(status: Dict[str, int]) -> List[Tuple[str, Any]]:
+    """``(field, value)`` table rows of one :func:`spool_status` scan."""
+    total = status.get("tasks_total", 0) or 0
+    completed = status.get("completed", 0)
+    fraction = f"  ({completed / total:.0%})" if total else ""
+    return [
+        ("tasks total", total),
+        ("completed", f"{completed}{fraction}"),
+        ("pending", status.get("pending", 0)),
+        ("leased (running)", status.get("leased", 0)),
+        ("parked (gave up)", status.get("parked", 0)),
+        ("attempts", status.get("attempts", 0)),
+        ("lease reclaims", status.get("reclaims", 0)),
+    ]
+
+
+def spool_is_finished(status: Dict[str, int]) -> bool:
+    """Whether every spool task is either completed or parked."""
+    return status.get("pending", 1) <= 0 and status.get("leased", 1) <= 0
 
 
 # ------------------------------------------------------- collect / resume

@@ -13,8 +13,6 @@ in :mod:`repro.attacks` plugs into the same harness.
 from __future__ import annotations
 
 import gc
-import random
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -237,12 +235,6 @@ class LOSimulation:
         self._client_rng = self.rng.stream("client-behaviour")
 
         self._runs = 0
-        # Telemetry context: wall-clock anchor for live event-rate
-        # reporting (never enters deterministic artifacts), plus the
-        # horizon/monitor the status document reports against.
-        self._wall_start = time.perf_counter()
-        self._telemetry_horizon: Optional[float] = None
-        self._steady_monitor = None
         self._wire_timeline()
 
     @property
@@ -285,10 +277,11 @@ class LOSimulation:
         schedules a ``telemetry_tick`` at the recorder's base interval:
         each tick records the harness-derived gauges (mean fee floor and
         pool occupancy across admission-enabled nodes), absorbs one
-        collector snapshot, and -- when the recorder carries a live
-        :class:`~repro.obs.live.TelemetrySink` -- publishes a progress
-        document, throttled on the wall clock.  :meth:`run` and
-        :meth:`run_until_steady` end with one more sample (:meth:`_end_run`).
+        collector snapshot, and lets the recorder publish its file, which
+        it does at most once per wall second
+        (:meth:`~repro.obs.timeline.TimelineRecorder.publish`).
+        :meth:`run` and :meth:`run_until_steady` end with one more sample
+        (:meth:`_end_run`).
         """
         timeline = obs.TIMELINE
         if timeline is None:
@@ -301,9 +294,7 @@ class LOSimulation:
             if current is None:
                 return  # recorder detached mid-run; stop rescheduling
             self._sample_timeline(current)
-            sink = current.sink
-            if sink is not None:
-                sink.maybe_flush(lambda: self._telemetry_payload(current))
+            current.publish()
             self.loop.call_later(interval, telemetry_tick)
 
         self.loop.call_later(interval, telemetry_tick)
@@ -323,49 +314,6 @@ class LOSimulation:
                 sum(len(p) for p in pools) / len(pools),
             )
         timeline.sample(now)
-
-    def _telemetry_payload(self, timeline,
-                           done: bool = False) -> Dict[str, Any]:
-        """The live-status document one sink flush publishes."""
-        payload: Dict[str, Any] = {
-            "t": self.loop.now,
-            "events_processed": self.loop.processed_events,
-            "seed": self.params.seed,
-            "num_nodes": self.params.num_nodes,
-            "done": done,
-        }
-        if self._telemetry_horizon is not None:
-            payload["horizon"] = self._telemetry_horizon
-        wall = time.perf_counter() - self._wall_start
-        if wall > 0:
-            payload["events_per_wall_s"] = self.loop.processed_events / wall
-        monitor = self._steady_monitor
-        if monitor is not None:
-            payload["steady"] = monitor.status()
-            watched = monitor.series
-        else:
-            watched = [name for name in obs.steady.DEFAULT_STEADY_SERIES
-                       if timeline.series(name) is not None]
-        series_last = {}
-        for name in watched:
-            series = timeline.series(name)
-            if series is not None and series.last() is not None:
-                series_last[name] = series.last()
-        if series_last:
-            payload["series_last"] = series_last
-        return payload
-
-    def finalize_telemetry(self) -> None:
-        """Publish the closing live status, if a telemetry sink is set.
-
-        Call once after the last :meth:`run` /
-        :meth:`run_until_steady` leg; the closing flush is unconditional
-        (not wall-throttled) and marks the document ``done`` so watchers
-        know the run ended rather than stalled.
-        """
-        timeline = obs.TIMELINE
-        if timeline is not None and timeline.sink is not None:
-            timeline.sink.flush(self._telemetry_payload(timeline, done=True))
 
     def _halt_node(self, node_id: int) -> None:
         node = self.nodes.get(node_id)
@@ -602,8 +550,6 @@ class LOSimulation:
         The run ends with a timeline sample (:meth:`_end_run`).  Driving
         ``self.loop.run_until`` directly skips all three.
         """
-        if self._telemetry_horizon is None or until > self._telemetry_horizon:
-            self._telemetry_horizon = until
         tracer = obs.TRACER
         span = None
         if tracer.enabled:
@@ -661,8 +607,6 @@ class LOSimulation:
             )
         if monitor is None:
             monitor = obs.SteadyStateMonitor(timeline)
-        self._steady_monitor = monitor
-        self._telemetry_horizon = horizon
         step = check_every_s if check_every_s is not None \
             else timeline.interval_s * 4
         if step <= 0:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs

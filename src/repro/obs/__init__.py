@@ -46,7 +46,6 @@ from repro.obs.export import (
     export_jsonl,
     trace_lines,
 )
-from repro.obs.live import TelemetrySink, read_telemetry
 from repro.obs.phases import PhaseProfiler, classify_callback
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import format_table, to_jsonable, write_json
@@ -195,7 +194,6 @@ __all__ = [
     "TIMELINE",
     "TRACER",
     "TRACE_SCHEMA",
-    "TelemetrySink",
     "TimelineRecorder",
     "TimelineSeries",
     "Tracer",
@@ -212,7 +210,6 @@ __all__ = [
     "format_table",
     "mean",
     "percentile",
-    "read_telemetry",
     "register_cache",
     "reset_cache_stats",
     "set_profiler",

@@ -22,9 +22,28 @@ The other formats are made from a trace's loaded records
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+import os
+import threading
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.tracer import TRACE_SCHEMA, Tracer
+
+
+def write_atomic(path: str, data: Union[str, bytes]) -> None:
+    """Publish ``data`` at ``path`` via a temp file and ``os.replace``.
+
+    A reader sees the old file or the new one, never a torn write; the
+    sweep spool's files go through here too.  Creates ``path``'s directory.
+    """
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "wb") as stream:
+        stream.write(data)
+    os.replace(tmp, path)
 
 
 def _dumps(obj: Any) -> str:
@@ -58,10 +77,7 @@ def export_jsonl(tracer: Optional[Tracer], path: str,
                  timeline=None) -> int:
     """Write the JSONL export to ``path``; returns the record count."""
     lines = trace_lines(tracer, meta, timeline=timeline)
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        for line in lines:
-            stream.write(line)
-            stream.write("\n")
+    write_atomic(path, "".join(line + "\n" for line in lines))
     return len(lines) - 1
 
 
@@ -120,9 +136,7 @@ def export_chrome(records: Iterable[Dict[str, Any]], path: str,
                   meta: Optional[Dict[str, Any]] = None) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count."""
     payload = chrome_trace(records, meta)
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write(_dumps(payload))
-        stream.write("\n")
+    write_atomic(path, _dumps(payload) + "\n")
     return len(payload["traceEvents"])
 
 
@@ -131,14 +145,12 @@ def export_csv(records: Iterable[Dict[str, Any]], path: str) -> int:
 
     Returns the row count; records of other types are skipped.
     """
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write("series,kind,bin_s,t,value\n")
-        for record in records:
-            if record["type"] != "timeline":
-                continue
-            for t, value in record["points"]:
-                stream.write(f"{record['name']},{record['kind']},"
-                             f"{record['bin_s']:g},{t:g},{value:g}\n")
-                rows += 1
-    return rows
+    rows = ["series,kind,bin_s,t,value\n"]
+    for record in records:
+        if record["type"] != "timeline":
+            continue
+        for t, value in record["points"]:
+            rows.append(f"{record['name']},{record['kind']},"
+                        f"{record['bin_s']:g},{t:g},{value:g}\n")
+    write_atomic(path, "".join(rows))
+    return len(rows) - 1

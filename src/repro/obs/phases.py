@@ -38,7 +38,6 @@ CLASSIFY_RULES: Tuple[Tuple[str, str], ...] = (
     ("_inject_client", "workload"),
     ("LeaderSchedule", "blocks"),
     ("NeighborShuffler", "gossip"),
-    ("snapshot_tick", "telemetry"),
     ("telemetry_tick", "telemetry"),
     ("ChaosController", "chaos"),
 )

@@ -107,18 +107,3 @@ class SteadyStateMonitor:
             if not window_is_steady(values):
                 return False
         return True
-
-    def status(self) -> dict:
-        """Per-series verdicts for telemetry payloads and reports."""
-        per_series = {}
-        for name in self.series:
-            values = self.window_values(name)
-            per_series[name] = {
-                "eligible": bool(values),
-                "steady": bool(values) and window_is_steady(values),
-            }
-        return {
-            "steady": all(v["steady"] for v in per_series.values()),
-            "window_bins": self.window_bins,
-            "series": per_series,
-        }

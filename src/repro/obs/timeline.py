@@ -10,7 +10,8 @@ the bin stride doubles.  Memory is therefore O(bins) per series
 regardless of how long the run lasts, and the resolution degrades
 gracefully from fine (recent history at the base interval) to coarse
 (the whole run at ``bin_s``).  Its series reach a file as ``timeline``
-records of the ``repro.trace/1`` format (:mod:`repro.obs.export`).
+records of the ``repro.trace/1`` format (:mod:`repro.obs.export`),
+published while the run goes when the recorder has a ``path``.
 
 Two series kinds, with different merge semantics:
 
@@ -26,8 +27,8 @@ Two series kinds, with different merge semantics:
 
 Determinism: sampling happens on sim-clock ticks scheduled by the
 harness, values come from the collectors, and bin timestamps are pure
-functions of sim time -- nothing reads the wall clock, so two same-seed
-runs produce byte-identical records.
+functions of sim time (the wall clock only times live publishes), so
+two same-seed runs produce byte-identical records.
 
 Worked example -- a counter sampled far past the bin budget keeps its
 total through decimation while memory stays bounded::
@@ -46,8 +47,10 @@ total through decimation while memory stays bounded::
 
 from __future__ import annotations
 
+from time import monotonic
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.obs.export import export_jsonl
 from repro.obs.registry import Collector, MetricsRegistry
 
 #: Series kinds.
@@ -57,6 +60,9 @@ GAUGE = "gauge"
 #: Collector values that are readings, not counts (see :func:`is_gauge`).
 _GAUGE_SUFFIXES = (".hit_rate", ".size")
 _GAUGE_NAMES = frozenset({"mempool.pool_txs", "mempool.pool_bytes"})
+
+#: Wall seconds between two live publishes of a recorder's file.
+PUBLISH_WALL_S = 1.0
 
 
 def is_gauge(name: str) -> bool:
@@ -134,11 +140,14 @@ class TimelineRecorder:
     exceed the budget -- so timestamps line up across series and total
     memory is O(series x bins) for the whole run.
 
-    ``sink`` may be set to a :class:`repro.obs.live.TelemetrySink`; the
-    harness then flushes live progress snapshots alongside sampling.
+    ``path`` names the file the series are published to, with ``meta``
+    as its header's metadata (``run --timeline PATH``): while the run
+    goes, each harness tick calls :meth:`publish`.
     """
 
-    def __init__(self, interval_s: float = 0.5, bins: int = 256):
+    def __init__(self, interval_s: float = 0.5, bins: int = 256,
+                 path: Optional[str] = None,
+                 meta: Optional[Dict[str, Any]] = None):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
         if bins < 4 or bins & (bins - 1):
@@ -147,7 +156,9 @@ class TimelineRecorder:
         self.interval_s = float(interval_s)
         self.bins = bins
         self.bin_s = float(interval_s)
-        self.sink = None  # optional live TelemetrySink (set by the CLI)
+        self.path = path
+        self.meta = dict(meta or {})
+        self._published_at: Optional[float] = None  # wall clock
         self._series: Dict[str, TimelineSeries] = {}
         self._counter_last: Dict[str, float] = {}
         self._origin = 0.0  # where the attached simulation's t = 0 lies
@@ -243,3 +254,23 @@ class TimelineRecorder:
                 "points": [[t, v] for t, v in series.points],
             })
         return records
+
+    def publish(self, final: bool = False) -> Optional[int]:
+        """Publish the series at :attr:`path`; returns the record count.
+
+        The file holds the ``repro.trace/1`` header and the ``timeline``
+        records.  Until ``final`` its meta carries ``"partial": true`` and
+        it is written at most once per :data:`PUBLISH_WALL_S` wall seconds
+        (``None``: this call wrote nothing).
+        """
+        if self.path is None:
+            return None
+        meta = self.meta
+        if not final:
+            now = monotonic()
+            if self._published_at is not None \
+                    and now - self._published_at < PUBLISH_WALL_S:
+                return None
+            self._published_at = now
+            meta = dict(meta, partial=True)
+        return export_jsonl(None, self.path, meta, timeline=self)

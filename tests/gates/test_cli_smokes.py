@@ -6,10 +6,13 @@
   budget exists to catch quadratic regressions, which turn seconds into
   minutes), put bytes on the wire and expose no correct node.
 * **An admission soak goes steady.**  ``--until-steady`` must end the
-  converging soak before its 80 s horizon; the run publishes a live
-  ``telemetry.json`` and a fixed-memory ``repro.trace/1`` timeline file,
-  which ``watch --once`` reads and ``report`` schema-validates (a
-  malformed file fails it).
+  converging soak before its 80 s horizon; the run writes its
+  fixed-memory ``repro.trace/1`` timeline file into a directory that is
+  not there yet, and ``watch --once`` reads it and ``report``
+  schema-validates it (a malformed file fails it).
+* **A traced figure point validates and converts.**  ``fig6 --trace``
+  at 12 nodes writes a trace that ``report`` schema-validates and turns
+  into a non-empty Chrome trace-event file (about 2 s).
 """
 
 import json
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.obs.schema import validate_trace_file
 
 pytestmark = pytest.mark.gate
 
@@ -50,11 +54,21 @@ def test_an_admission_soak_goes_steady_before_its_horizon(tmp_path):
     _repro(["run", "--nodes", "8", "--rate", "6.0", "--duration", "60",
             "--drain", "20", "--admission", "--seed", "7", "--until-steady",
             "--timeline", "soak-out/timeline.jsonl",
-            "--telemetry-dir", "soak-out", "--json", "soak-out/run.json"],
+            "--json", "soak-out/run.json"],
            tmp_path)
     doc = json.loads((tmp_path / "soak-out" / "run.json").read_text())
     steady = doc["result"]["steady"]
     assert steady["steady"], steady
     assert steady["t"] < steady["horizon"], steady
-    _repro(["watch", "soak-out", "--once"], tmp_path)
+    _repro(["watch", "soak-out/timeline.jsonl", "--once"], tmp_path)
     _repro(["report", "soak-out/timeline.jsonl"], tmp_path)
+
+
+def test_a_traced_fig6_point_validates_and_converts(tmp_path):
+    _repro(["fig6", "--nodes", "12", "--fractions", "0.2",
+            "--trace", "trace-out/fig6.jsonl"], tmp_path)
+    assert validate_trace_file(str(tmp_path / "trace-out/fig6.jsonl")) == []
+    _repro(["report", "trace-out/fig6.jsonl",
+            "--chrome", "trace-out/fig6.chrome.json"], tmp_path)
+    chrome = json.loads((tmp_path / "trace-out/fig6.chrome.json").read_text())
+    assert chrome["traceEvents"]

@@ -1,29 +1,24 @@
-"""Live telemetry sink + ``watch`` verb tests (injected clocks, tmp dirs).
+"""Live publishing of a ``run --timeline`` file + ``watch`` verb tests.
 
-The sink's contract: readers never observe a torn document (atomic
-replace), flushes are wall-clock throttled, and ``python -m repro watch``
-renders either a telemetry directory or a sweep spool without disturbing
+The contract: readers never observe a torn file (atomic replace), a
+running recorder publishes at most once per wall second a valid
+``repro.trace/1`` file marked ``partial``, the final file is the same
+bytes a recorder that never published exports, and ``python -m repro
+watch`` renders either such a file or a sweep spool without disturbing
 the writer.
 """
 
 import json
 import os
 
-import pytest
-
-from repro.cli import main
-from repro.obs.live import (
-    TELEMETRY_FILE,
-    TELEMETRY_SCHEMA,
-    TelemetrySink,
-    detect_watch_target,
-    read_telemetry,
-    spool_is_finished,
-    spool_watch_rows,
-    telemetry_is_finished,
-    telemetry_rows,
-    write_atomic_json,
-)
+from repro import obs
+from repro.cli import build_parser, detect_watch_target, main
+from repro.exec.spool import spool_is_finished, spool_watch_rows
+from repro.experiments.harness import LOSimulation
+from repro.obs.export import export_jsonl, write_atomic
+from repro.obs.report import load_trace
+from repro.obs.schema import validate_trace_file
+from repro.obs.timeline import PUBLISH_WALL_S, TimelineRecorder
 
 
 class FakeClock:
@@ -40,58 +35,57 @@ class FakeClock:
         self.now += dt
 
 
-# -------------------------------------------------------------------- sink
+def _sampled_recorder(**kwargs):
+    count = {"c": 0}
+    recorder = TimelineRecorder(interval_s=1.0, bins=8, **kwargs)
+    recorder.attach({"demo": lambda: dict(count)})
+    for tick in range(5):
+        count["c"] += 2
+        recorder.sample(float(tick))
+    return recorder
+
+
+# ----------------------------------------------------------------- publish
 
 
 def test_write_atomic_json_leaves_no_temp_files(tmp_path):
-    path = tmp_path / "doc.json"
-    write_atomic_json(str(path), {"a": 1})
+    path = tmp_path / "new-dir" / "doc.json"
+    write_atomic(str(path), json.dumps({"a": 1}))
     assert json.loads(path.read_text()) == {"a": 1}
-    assert os.listdir(tmp_path) == ["doc.json"]  # temp file replaced away
+    assert os.listdir(path.parent) == ["doc.json"]  # temp file replaced away
 
 
-def test_sink_flush_publishes_schema_tagged_document(tmp_path):
-    sink = TelemetrySink(str(tmp_path))
-    sink.flush({"t": 4.0})
-    doc = read_telemetry(str(tmp_path))
-    assert doc["schema"] == TELEMETRY_SCHEMA
-    assert doc["t"] == 4.0
-    assert doc["updated_unix"] > 0
-    assert sink.flushes == 1
+def test_a_live_publish_is_a_partial_trace(tmp_path):
+    path = tmp_path / "timeline.jsonl"
+    recorder = _sampled_recorder(path=str(path), meta={"seed": 3})
+    assert recorder.publish() == 1
+    assert validate_trace_file(str(path)) == []
+    meta, records = load_trace(str(path))
+    assert meta == {"seed": 3, "partial": True}
+    assert [r["name"] for r in records] == ["demo.c"]
+
+    assert recorder.publish(final=True) == 1
+    reference = tmp_path / "reference.jsonl"
+    export_jsonl(None, str(reference), {"seed": 3},
+                 timeline=_sampled_recorder())
+    assert path.read_bytes() == reference.read_bytes()
+    assert TimelineRecorder().publish() is None  # no path, nothing to do
 
 
-def test_sink_maybe_flush_throttles_on_wall_clock(tmp_path):
+def test_live_publish_throttles_on_wall_clock(tmp_path, monkeypatch):
     clock = FakeClock()
-    sink = TelemetrySink(str(tmp_path), flush_wall_s=1.0, clock=clock)
-    built = []
-
-    def payload():
-        built.append(True)
-        return {"t": clock.now}
-
-    assert sink.maybe_flush(payload)        # first flush always happens
-    assert not sink.maybe_flush(payload)    # throttled
-    clock.advance(0.5)
-    assert not sink.maybe_flush(payload)
-    clock.advance(0.6)
-    assert sink.maybe_flush(payload)
-    assert sink.flushes == 2
-    assert len(built) == 2  # payload_fn not invoked on throttled calls
+    monkeypatch.setattr("repro.obs.timeline.monotonic", clock)
+    recorder = _sampled_recorder(path=str(tmp_path / "t.jsonl"))
+    assert recorder.publish() == 1          # the first publish always writes
+    assert recorder.publish() is None       # throttled
+    clock.advance(PUBLISH_WALL_S / 2)
+    assert recorder.publish() is None
+    clock.advance(PUBLISH_WALL_S)
+    assert recorder.publish() == 1
+    assert recorder.publish(final=True) == 1  # the final one is never held
 
 
-def test_sink_validation(tmp_path):
-    with pytest.raises(ValueError):
-        TelemetrySink(str(tmp_path), flush_wall_s=0.0)
-
-
-# ----------------------------------------------------------------- reading
-
-
-def test_read_telemetry_absent_and_garbled(tmp_path):
-    assert read_telemetry(str(tmp_path)) is None
-    garbled = tmp_path / TELEMETRY_FILE
-    garbled.write_text("{not json", encoding="utf-8")
-    assert read_telemetry(str(tmp_path)) is None  # mid-replace torn read
+# ----------------------------------------------------------------- watching
 
 
 def test_detect_watch_target(tmp_path):
@@ -100,30 +94,10 @@ def test_detect_watch_target(tmp_path):
     spool.mkdir()
     (spool / "manifest.json").write_text("{}")
     assert detect_watch_target(str(spool)) == "spool"
-    tele = tmp_path / "tele"
-    TelemetrySink(str(tele)).flush({"t": 0.0})
-    assert detect_watch_target(str(tele)) == "telemetry"
-    assert detect_watch_target(str(tele / TELEMETRY_FILE)) == "telemetry"
+    trace = tmp_path / "timeline.jsonl"
+    _sampled_recorder(path=str(trace)).publish()
+    assert detect_watch_target(str(trace)) == "trace"
     assert detect_watch_target(str(tmp_path / "nope")) == ""
-
-
-def test_telemetry_rows_and_finished():
-    doc = {
-        "t": 40.0, "horizon": 80.0, "events_processed": 1234,
-        "events_per_wall_s": 5000.0, "done": False,
-        "steady": {"steady": False,
-                   "series": {"g": {"eligible": True, "steady": False}}},
-        "series_last": {"g": 5.5},
-    }
-    rows = dict(telemetry_rows(doc))
-    assert rows["sim time (s)"] == "40.00  (50% of horizon)"
-    assert rows["events processed"] == 1234
-    assert rows["steady"] == "not yet"
-    assert rows["  g"] == "drifting"
-    assert rows["last g"] == "5.5"
-    assert rows["done"] == "running"
-    assert not telemetry_is_finished(doc)
-    assert telemetry_is_finished({"done": True})
 
 
 def test_spool_rows_and_finished():
@@ -136,19 +110,15 @@ def test_spool_rows_and_finished():
     assert not spool_is_finished({"pending": 0, "leased": 1})
 
 
-# ----------------------------------------------------------------- watch verb
-
-
-def test_watch_once_on_telemetry_dir(tmp_path, capsys):
-    sink = TelemetrySink(str(tmp_path))
-    sink.flush({"t": 12.0, "horizon": 24.0, "events_processed": 99,
-                "done": False})
-    code = main(["watch", str(tmp_path), "--once"])
+def test_watch_once_on_a_partial_timeline_file(tmp_path, capsys):
+    path = tmp_path / "timeline.jsonl"
+    _sampled_recorder(path=str(path)).publish()
+    code = main(["watch", str(path), "--once"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "watch telemetry" in out
-    assert "12.00" in out
-    assert "99" in out
+    assert "watch trace (partial)" in out
+    assert "demo.c" in out
+    assert "10" in out  # the counter's total so far
 
 
 def test_watch_once_on_spool_dir(tmp_path, capsys):
@@ -171,20 +141,67 @@ def test_watch_once_on_spool_dir(tmp_path, capsys):
 def test_watch_once_unknown_target_fails(tmp_path, capsys):
     code = main(["watch", str(tmp_path / "missing"), "--once"])
     assert code == 2
-    assert "no telemetry.json or spool manifest.json" in \
+    assert "no repro.trace/1 file or spool manifest.json" in \
         capsys.readouterr().err
 
 
-def test_run_telemetry_dir_end_to_end(tmp_path, capsys):
-    """``run --telemetry-dir`` publishes a final done=True document that
-    ``watch --once`` then renders."""
-    code = main(["run", "--nodes", "6", "--rate", "3", "--duration", "3",
-                 "--drain", "2", "--telemetry-dir", str(tmp_path)])
-    assert code == 0
-    doc = read_telemetry(str(tmp_path))
-    assert doc["done"] is True
-    assert doc["events_processed"] > 0
-    assert telemetry_is_finished(doc)
+def test_watch_of_a_file_that_is_no_trace_fails(tmp_path, capsys):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json\n")
+    assert main(["watch", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- end to end
+
+RUN = ["run", "--nodes", "6", "--rate", "3", "--duration", "3",
+       "--drain", "2", "--seed", "5"]
+
+
+def test_run_timeline_end_to_end(tmp_path, capsys):
+    """``run --timeline`` ends with a final (not partial) file, on which
+    ``watch`` prints once and exits without ``--once``."""
+    path = tmp_path / "timeline.jsonl"
+    assert main(RUN + ["--timeline", str(path)]) == 0
+    meta, records = load_trace(str(path))
+    assert "partial" not in meta
+    assert records
     capsys.readouterr()
-    assert main(["watch", str(tmp_path), "--once"]) == 0
-    assert "yes" in capsys.readouterr().out  # the done row
+    assert main(["watch", str(path)]) == 0
+    assert f"[watch trace: {path}]" in capsys.readouterr().out
+
+
+def test_the_timeline_file_is_a_partial_trace_mid_run(tmp_path,
+                                                       monkeypatch):
+    """Read from inside the run, the ``--timeline`` file loads, validates
+    and is partial; the final file equals a same-seed export made by a
+    recorder that never published."""
+    path = tmp_path / "timeline.jsonl"
+    seen = []
+
+    def read_mid_run():
+        seen.append((validate_trace_file(str(path)), load_trace(str(path))))
+
+    built = LOSimulation.__init__
+
+    def build_and_schedule_a_read(self, *args, **kwargs):
+        built(self, *args, **kwargs)
+        self.loop.call_at(2.5, read_mid_run)
+
+    monkeypatch.setattr(LOSimulation, "__init__", build_and_schedule_a_read)
+    assert main(RUN + ["--timeline", str(path)]) == 0
+    monkeypatch.undo()
+
+    (errors, (meta, records)), = seen
+    assert errors == []
+    assert meta["partial"] is True
+    assert records and all(r["type"] == "timeline" for r in records)
+
+    args = build_parser().parse_args(RUN)
+    recorder = TimelineRecorder()
+    with obs.use_timeline(recorder):
+        assert args.func(args) == 0
+    reference = tmp_path / "reference.jsonl"
+    export_jsonl(None, str(reference), {"command": "run", "seed": 5},
+                 timeline=recorder)
+    assert path.read_bytes() == reference.read_bytes()

@@ -164,7 +164,6 @@ def test_classify_is_cached_per_function():
 def test_classification_rules_cover_telemetry_ticks():
     rules = dict(CLASSIFY_RULES)
     assert rules["telemetry_tick"] == "telemetry"
-    assert rules["snapshot_tick"] == "telemetry"
 
 
 # ----------------------------------------------------------------- integration

@@ -48,8 +48,6 @@ def test_monitor_not_steady_until_window_fills():
     # 4 points = window + still-filling bin not yet available
     assert monitor.window_values("g") == []
     assert not monitor.check()
-    status = monitor.status()
-    assert status["series"]["g"] == {"eligible": False, "steady": False}
 
 
 def test_monitor_converging_gauge_goes_steady():
@@ -57,7 +55,7 @@ def test_monitor_converging_gauge_goes_steady():
     recorder = _gauge_timeline(values)
     monitor = SteadyStateMonitor(recorder, series=("g",), window_bins=4)
     assert monitor.check()
-    assert monitor.status()["steady"] is True
+    assert monitor.window_values("g") == [10.0] * 4
 
 
 def test_monitor_drifting_gauge_stays_unsteady():
@@ -65,8 +63,9 @@ def test_monitor_drifting_gauge_stays_unsteady():
     recorder = _gauge_timeline(values)
     monitor = SteadyStateMonitor(recorder, series=("g",), window_bins=4)
     assert not monitor.check()
-    assert monitor.status()["series"]["g"] == {"eligible": True,
-                                               "steady": False}
+    window = monitor.window_values("g")  # eligible, but not steady
+    assert window == [50.0, 60.0, 70.0, 80.0]
+    assert not window_is_steady(window)
 
 
 def test_monitor_excludes_still_filling_bin():
@@ -101,7 +100,8 @@ def test_monitor_never_recorded_series_blocks_steady():
     monitor = SteadyStateMonitor(recorder, series=("present", "absent"),
                                  window_bins=4)
     assert not monitor.check()
-    assert monitor.status()["series"]["absent"]["eligible"] is False
+    assert monitor.window_values("present") == [1.0] * 4
+    assert monitor.window_values("absent") == []
 
 
 def test_monitor_validation():

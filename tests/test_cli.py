@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.schema import validate_trace_file
 
 
 def test_parser_covers_all_experiments():
@@ -137,16 +138,17 @@ def test_sweep_is_the_only_verb_with_workers():
     assert with_workers == ["sweep"]
 
 
-def test_run_takes_at_most_18_options():
-    """The timeline and steady-state knobs are constants and the tracer
-    takes no snapshot period: ``run`` has 18 options (26 before)."""
+def test_run_takes_at_most_17_options():
+    """The timeline and steady-state knobs are constants, the tracer
+    takes no snapshot period and the ``--timeline`` file is the live
+    view: ``run`` has 17 options (26 before)."""
     parser = build_parser()
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     options = [a for a in sub.choices["run"]._actions
                if a.option_strings and a.dest != "help"]
-    assert len(options) <= 18
+    assert len(options) <= 17
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -197,6 +199,25 @@ def test_trace_sees_every_figure_point(tmp_path, capsys):
     runs = [r for r in records if r.get("name") == "sim.run"]
     assert len(runs) == 2
     assert runs[0]["span_id"] != runs[1]["span_id"]
+
+
+def test_outputs_go_into_a_directory_that_is_not_there_yet(tmp_path,
+                                                           capsys):
+    """``--json``, ``--trace`` and ``--timeline`` create their directory
+    instead of failing after the whole run."""
+    out = tmp_path / "missing"
+    assert main(["run", "--nodes", "6", "--rate", "3", "--duration", "3",
+                 "--drain", "2", "--json", str(out / "run.json"),
+                 "--trace", str(out / "t.jsonl"),
+                 "--timeline", str(out / "deeper" / "timeline.jsonl")]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "run.json").read_text())["experiment"] == "run"
+    for path in (out / "t.jsonl", out / "deeper" / "timeline.jsonl"):
+        assert validate_trace_file(str(path)) == [], path
+    assert main(["sweep", "run", "--param", "num_nodes=6",
+                 "--param", "duration_s=1.0", "--param", "drain_s=1.0",
+                 "--json", str(out / "sweep" / "sweep.json")]) == 0
+    assert (out / "sweep" / "sweep.json").read_bytes()
 
 
 SPOOL_ARGS = [

@@ -48,7 +48,6 @@ PUBLIC_MODULES = [
     "repro.obs.timeline",
     "repro.obs.steady",
     "repro.obs.phases",
-    "repro.obs.live",
     "repro.exec",
     "repro.exec.tasks",
     "repro.exec.worker",
