@@ -22,7 +22,7 @@ Examples::
 deterministic ``repro.trace/1`` JSONL trace with the run's timeline
 series) and run in this process; an output's missing directory is
 created.  ``sweep`` is the one parallel verb: it fans an (experiment x
-seed x grid) task matrix across spool worker processes with crash
+seed x grid) task matrix across one process per task with crash
 containment and a deterministic merge, and each figure's parallel form
 is a sweep of its registered point (see ``docs/parallelism.md``).
 ``report`` summarises a trace and converts it (Chrome trace-event JSON
@@ -333,8 +333,7 @@ def _parse_grid(params: List[str]):
 
 
 def cmd_sweep(args) -> int:
-    from repro.exec import (SpoolConfig, derive_tasks, experiment_names,
-                            run_sweep)
+    from repro.exec import derive_tasks, experiment_names, run_sweep
 
     if args.experiment not in experiment_names():
         print(f"unknown experiment {args.experiment!r};"
@@ -350,17 +349,13 @@ def cmd_sweep(args) -> int:
     tasks = derive_tasks(args.experiment, grid, base_seed=args.seed,
                          repetitions=args.repetitions)
     trace_dir = args.out_dir if args.task_traces else None
-    config = SpoolConfig(
-        heartbeat_s=args.heartbeat,
-        lease_timeout_s=args.lease_timeout,
-        max_attempts=args.max_attempts,
-    )
     if args.spool:
         from repro.exec import SpoolError, run_spool_sweep
 
         try:
             outcome = run_spool_sweep(
-                args.spool, tasks, workers=args.workers, config=config,
+                args.spool, tasks, workers=args.workers,
+                max_attempts=args.max_attempts,
                 resume=args.resume, timeout_s=args.timeout,
                 trace_dir=trace_dir,
                 meta={"experiment": args.experiment, "grid": grid,
@@ -373,7 +368,7 @@ def cmd_sweep(args) -> int:
     else:
         outcome = run_sweep(
             tasks, workers=args.workers, timeout_s=args.timeout,
-            config=config, trace_dir=trace_dir,
+            max_attempts=args.max_attempts, trace_dir=trace_dir,
         )
     rows = [
         (o.task.index, o.task.seed, o.task.repetition,
@@ -393,7 +388,7 @@ def cmd_sweep(args) -> int:
         print(f"[spool {args.spool or '(temporary)'}:"
               f" {s['completed']}/{s['tasks_total']}"
               f" completed, {s['attempts']} attempt(s),"
-              f" {s['reclaims']} reclaim(s), {s['parked']} parked,"
+              f" {s['parked']} parked,"
               f" {s.get('worker_restarts', 0)} worker restart(s)]")
     for parked in outcome.parked():
         print(f"  task {parked.task.index} PARKED: {parked.error}",
@@ -415,10 +410,11 @@ def cmd_sweep(args) -> int:
     if args.check_serial:
         import tempfile
 
-        # Tracing perturbs the event count a simulation reports (metric
-        # snapshots are loop events), so the serial reference must run
-        # with the same tracing configuration -- its artifacts go to a
-        # throwaway directory rather than clobbering the run dir's.
+        # Tracing perturbs the event count a simulation reports (the
+        # timeline's ``telemetry_tick`` is a loop event), so the serial
+        # reference must run with the same tracing configuration -- its
+        # artifacts go to a throwaway directory rather than clobbering
+        # the run dir's.
         with tempfile.TemporaryDirectory() as scratch:
             serial = run_sweep(
                 tasks, workers=1, timeout_s=args.timeout,
@@ -713,30 +709,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42,
                    help="base seed for derive_seeds")
     p.add_argument("--workers", type=_AT_LEAST_ONE, default=1,
-                   help="worker processes (1 = serial)")
+                   help="task processes run at once (1 = serial,"
+                        " in-process)")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-task wall-clock budget, enforced in the worker;"
-                        " with --workers > 1 a worker still on a task after"
-                        " 2 x S + 5s is killed. Timed-out tasks are retried,"
-                        " then parked")
+                   help="per-task wall-clock budget, enforced in the task's"
+                        " process; with --workers > 1 a task process still"
+                        " running after 2 x S + 5s is killed. Timed-out"
+                        " tasks are retried, then parked")
     p.add_argument("--spool", type=str, default=None, metavar="DIR",
-                   help="durable spool directory: tasks/leases/results live"
-                        " as atomically-published files, so the sweep"
-                        " survives worker and coordinator crashes and"
-                        " multiple hosts can share one directory"
-                        " (see docs/parallelism.md)")
+                   help="durable spool directory: tasks, attempt counts"
+                        " and results live as atomically-published files,"
+                        " so the sweep survives task-process and"
+                        " coordinator crashes (see docs/parallelism.md)")
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted --spool run: completed"
-                        " task indices are skipped, stale leases reclaimed")
-    p.add_argument("--heartbeat", type=float, default=5.0, metavar="S",
-                   help="spool lease heartbeat interval (default 5s)")
-    p.add_argument("--lease-timeout", type=float, default=None, metavar="S",
-                   help="spool lease staleness threshold (default"
-                        " 3 x heartbeat)")
+                        " and parked task indices are skipped")
     p.add_argument("--max-attempts", type=_AT_LEAST_ONE, default=3,
-                   help="per-task attempt budget of a parallel sweep: a task"
-                        " whose worker crashed or timed out this many times"
-                        " is parked (default 3)")
+                   help="per-task attempt budget of a --spool or parallel"
+                        " sweep: a task whose process crashed or timed out"
+                        " this many times is parked (default 3)")
     p.add_argument("--out-dir", type=str, default=None,
                    help="run directory for sweep.json + execution.json"
                         " (+ per-task traces with --task-traces)")

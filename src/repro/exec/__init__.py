@@ -12,12 +12,12 @@ serial run:
 * :func:`run_sweep` -- serial in-process with ``workers=1``; otherwise
   :func:`run_spool_sweep` on a temporary directory;
 * :func:`run_spool_sweep` / :mod:`repro.exec.spool` -- the one parallel
-  executor: tasks, leases and results live as atomically published files
-  in a spool directory, workers claim via exclusive lease files with
-  heartbeats, a crashed or wedged worker's task is retried under a
-  backoff budget and then parked, and an interrupted sweep resumes
-  (skipping completed indices) to a merged document byte-identical to
-  the uninterrupted serial run;
+  executor: tasks, attempt counts and results live as atomically
+  published files in a spool directory, the coordinator runs each task in
+  its own child process, a task whose process crashed or wedged is
+  retried at once until its attempt budget is spent and then parked, and
+  an interrupted sweep resumes (skipping completed indices) to a merged
+  document byte-identical to the uninterrupted serial run;
 * :func:`register_experiment` -- add custom sweepable entry points.
 
 This is the only way to run experiments in parallel: the figure runners
@@ -37,15 +37,12 @@ from repro.exec.engine import (
     run_sweep,
 )
 from repro.exec.spool import (
-    SpoolConfig,
     SpoolError,
     collect_outcomes,
     init_spool,
     load_manifest,
-    reclaim_stale,
     run_spool_sweep,
     spool_status,
-    spool_worker_loop,
 )
 from repro.exec.tasks import (
     EXPERIMENTS,
@@ -59,7 +56,6 @@ from repro.exec.worker import execute_task, reset_worker_state
 
 __all__ = [
     "EXPERIMENTS",
-    "SpoolConfig",
     "SpoolError",
     "SweepOutcome",
     "SweepTask",
@@ -71,11 +67,9 @@ __all__ = [
     "experiment_names",
     "init_spool",
     "load_manifest",
-    "reclaim_stale",
     "register_experiment",
     "reset_worker_state",
     "run_spool_sweep",
     "run_sweep",
     "spool_status",
-    "spool_worker_loop",
 ]

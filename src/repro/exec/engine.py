@@ -6,11 +6,12 @@
 * ``workers=1`` runs the tasks in-process, one after another, with the
   same per-task state reset a worker applies -- the reference every
   parallel run is checked against;
-* ``workers > 1`` drains a spool on a temporary directory with that many
-  worker processes (:func:`repro.exec.spool.run_spool_sweep`), which owns
-  retry, timeout and crash containment: a task that *raises* is a
-  recorded failure, a worker that *dies* or wedges past its deadline has
-  its task retried until the attempt budget is spent and then parked.
+* ``workers > 1`` drains a spool on a temporary directory, running each
+  task in its own process, at most that many at once
+  (:func:`repro.exec.spool.run_spool_sweep`), which owns retry, timeout
+  and crash containment: a task that *raises* is a recorded failure, a
+  task process that *dies* or wedges past its deadline has its task
+  retried until the attempt budget is spent and then parked.
 
 Merging is order-independent: outcomes are keyed by ``task.index`` and
 re-assembled in derivation order, and worker-side state isolation
@@ -26,13 +27,10 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.tasks import SweepTask
 from repro.exec.worker import execute_task, preserved_process_state
-
-if TYPE_CHECKING:
-    from repro.exec.spool import SpoolConfig
 
 
 @dataclass
@@ -132,7 +130,8 @@ class SweepOutcome:
         Degradation is first-class here: ``tasks_retried`` /
         ``attempts_total`` expose retry/requeue activity, and parallel
         runs attach the spool's ground-truth lifecycle scan
-        (claims, reclaims, parked tasks, worker restarts) under ``spool``
+        (completed, pending and parked tasks, attempts, task processes
+        that died or were killed as ``worker_restarts``) under ``spool``
         so operators see recovery work instead of inferring it from wall
         time.
         """
@@ -191,7 +190,7 @@ def run_sweep(
     tasks: Sequence[SweepTask],
     workers: int = 1,
     timeout_s: Optional[float] = None,
-    config: Optional["SpoolConfig"] = None,
+    max_attempts: int = 3,
     trace_dir: Optional[str] = None,
 ) -> SweepOutcome:
     """Execute ``tasks`` and merge the outcomes in derivation order.
@@ -199,17 +198,17 @@ def run_sweep(
     ``workers <= 1`` runs every task once, in-process (same per-task state
     reset as the workers apply, so the results document is identical
     either way): the reference ``--check-serial`` compares against.
-    ``workers > 1`` is :func:`repro.exec.spool.run_spool_sweep` under
-    ``config`` on a temporary spool directory: crashed or wedged workers
-    are replaced and their tasks retried until ``config.max_attempts`` is
-    spent, then parked.
+    ``workers > 1`` is :func:`repro.exec.spool.run_spool_sweep` on a
+    temporary spool directory: a task whose process crashed or wedged is
+    retried until ``max_attempts`` is spent, then parked.
     """
     if workers > 1 and tasks:
         from repro.exec.spool import run_spool_sweep
 
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as spool_dir:
             return run_spool_sweep(
-                spool_dir, tasks, workers=workers, config=config,
+                spool_dir, tasks, workers=workers,
+                max_attempts=max_attempts,
                 timeout_s=timeout_s, trace_dir=trace_dir,
             )
     if trace_dir is not None:

@@ -42,7 +42,7 @@ class SweepTask:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def spec(self) -> Dict[str, Any]:
-        """Plain-data form shipped to worker processes (picklable)."""
+        """Plain-data form a task process reads from the spool (JSON)."""
         return {
             "index": self.index,
             "experiment": self.experiment,

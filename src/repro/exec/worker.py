@@ -1,8 +1,9 @@
 """Worker-side task execution with per-task process-state isolation.
 
-A worker process executes many tasks over its lifetime, and several
-subsystems keep *process-global* state that would otherwise leak between
-tasks (and differ from a fresh serial run):
+The serial path runs many tasks in one process, and a forked task
+process inherits its coordinator's memory.  Several subsystems keep
+*process-global* state that would otherwise leak into a task (and differ
+from a fresh serial run):
 
 * the sketch syndrome/decode LRUs (``repro.sketch.pinsketch``),
 * the cache hit/miss counters (``repro.obs.caches``),

@@ -3,8 +3,8 @@
 ``workers=1`` is the in-process serial loop; ``workers > 1`` runs the spool
 executor on a temporary directory.  The crash/timeout experiments are
 module-level functions registered via :func:`register_experiment`;
-fork-started workers inherit the registry, so no importable plugin module
-is needed.
+fork-started task processes inherit the registry, so no importable plugin
+module is needed.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro.exec import (
     EXPERIMENTS,
-    SpoolConfig,
     derive_tasks,
     register_experiment,
     run_sweep,
@@ -34,7 +33,7 @@ def _failing_experiment(seed, **params):
 
 def _crashing_experiment(seed, **params):
     # Repetition 0 seeds stay alive; the derived second-repetition seed
-    # (base + 1000) kills its worker outright -- no exception, no cleanup,
+    # (base + 1000) kills its process outright -- no exception, no cleanup,
     # exactly what a segfault or OOM-kill looks like to the parent.
     if seed >= 1000:
         os._exit(3)
@@ -65,7 +64,7 @@ def _swallowing_experiment(seed, sleep_s=0.0, spin_s=0.0, **params):
 
 
 def _nested_experiment(seed, **params):
-    # A task that runs a parallel sweep of its own, inside a sweep worker.
+    # A task that runs a parallel sweep of its own, inside a task process.
     tasks = derive_tasks("probe_fast", {}, base_seed=seed, repetitions=2)
     return [o.result["square"] for o in run_sweep(tasks, workers=2).outcomes]
 
@@ -140,9 +139,9 @@ def test_raising_experiment_is_recorded_not_fatal():
 
 def test_worker_crash_is_contained_and_retried():
     # 2 grid points x 2 repetitions; the repetition-1 seed (>= 1000) makes
-    # its worker die via os._exit.  The dead worker is replaced, its task
-    # retried until the default 3-attempt budget is spent and then parked,
-    # and every other task still completes.
+    # its task process die via os._exit.  The task is retried until the
+    # default 3-attempt budget is spent and then parked, and every other
+    # task still completes.
     tasks = derive_tasks("probe_crash", {"x": [1, 2]}, base_seed=1,
                          repetitions=2)
     outcome = run_sweep(tasks, workers=2)
@@ -161,8 +160,7 @@ def test_worker_crash_is_contained_and_retried():
 def test_in_worker_timeout_records_timeout():
     tasks = derive_tasks("probe_sleep", {"sleep_s": [5.0]}, base_seed=9)
     start = time.perf_counter()
-    outcome = run_sweep(tasks, workers=2, timeout_s=0.5,
-                        config=SpoolConfig(max_attempts=1))
+    outcome = run_sweep(tasks, workers=2, timeout_s=0.5, max_attempts=1)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0  # SIGALRM interrupted the sleep
     assert len(outcome.outcomes) == 1

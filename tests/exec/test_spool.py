@@ -1,16 +1,17 @@
-"""Spool-backed sweeps: crash recovery, lease atomicity, resume identity.
+"""Spool-backed sweeps: crash recovery, attempt budgets, resume identity.
 
 The acceptance properties of ``repro.exec.spool``:
 
-* a spool sweep interrupted at any point (worker SIGKILL, coordinator
-  death modelled as a partial drain) resumes to a merged ``repro.sweep/1``
-  document *byte-identical* to the uninterrupted serial run;
-* a stale lease is reclaimed within one lease-timeout and the task is
-  retried under the backoff budget;
-* concurrent claimants can never double-claim one task (lease-file
-  atomicity);
+* a spool sweep interrupted at any point (a task process SIGKILLed, the
+  coordinator SIGKILLed with its children) resumes to a merged
+  ``repro.sweep/1`` document *byte-identical* to the uninterrupted serial
+  run;
+* the coordinator retries a task whose process died at once, and the
+  attempt counts it writes before each dispatch survive a coordinator
+  kill and ``--resume``;
 * a task that exhausts ``max_attempts`` is parked -- recorded in the
-  merged document, never fatal to the sweep.
+  merged document, never fatal to the sweep;
+* a spool of another schema is refused, not continued.
 """
 
 import json
@@ -21,34 +22,25 @@ import threading
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.exec import (
     EXPERIMENTS,
-    SpoolConfig,
     SpoolError,
     derive_tasks,
     register_experiment,
     run_spool_sweep,
     run_sweep,
     spool_status,
-    spool_worker_loop,
 )
 from repro.exec.spool import (
-    claim_task,
+    _drain_in_process,
     collect_outcomes,
     init_spool,
     load_manifest,
     load_tasks,
-    reclaim_stale,
-    release_lease,
 )
 from repro.exec.worker import preserved_process_state
-
-# Tight liveness knobs so recovery paths run in test time.
-FAST = SpoolConfig(heartbeat_s=0.05, lease_timeout_s=0.25, max_attempts=3,
-                   backoff_base_s=0.01, backoff_cap_s=0.05, poll_s=0.02)
 
 
 def _fast_experiment(seed, **params):
@@ -63,21 +55,20 @@ def _crashing_experiment(seed, **params):
     return {"seed": seed}
 
 
-def _blocking_experiment(seed, block_file="", **params):
-    # Spins while the sentinel file exists, so a test can hold a task
-    # "mid-flight" for as long as it needs, then release it.
+def _blocking_experiment(seed, block_file="", pid_dir="", **params):
+    # Announces each attempt as a ``SEED-PID`` file in ``pid_dir``, then
+    # spins while the sentinel file exists, so a test can find a task's
+    # process, hold it "mid-flight" for as long as it needs, then release.
+    if pid_dir:
+        with open(os.path.join(pid_dir, f"{seed}-{os.getpid()}"), "w"):
+            pass
     while block_file and os.path.exists(block_file):
         time.sleep(0.02)
     return {"seed": seed}
 
 
-def _sleeping_experiment(seed, sleep_s=0.0, **params):
-    time.sleep(sleep_s)
-    return {"seed": seed}
-
-
 def _wedged_experiment(seed, **params):
-    # Out of reach of the in-worker timeout: SIGALRM is blocked, so only
+    # Out of reach of the in-process timeout: SIGALRM is blocked, so only
     # the coordinator's hard deadline can end this task early.
     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
     time.sleep(30.0)
@@ -87,14 +78,12 @@ def _wedged_experiment(seed, **params):
 @pytest.fixture(autouse=True)
 def _registered_probes():
     # Register the probe experiments, and restore the process-global state
-    # that direct in-process ``spool_worker_loop`` calls reset per task
-    # (``run_spool_sweep`` does this itself; raw loop calls do not).
+    # that direct in-process drains reset per task.
     probes = {
         "spool_fast": _fast_experiment,
         "spool_crash": _crashing_experiment,
         "spool_block": _blocking_experiment,
         "spool_wedge": _wedged_experiment,
-        "spool_sleep": _sleeping_experiment,
     }
     for name, fn in probes.items():
         register_experiment(name, fn)
@@ -109,14 +98,34 @@ def _tasks(n_points=2, repetitions=2, experiment="spool_fast", **grid_extra):
     return derive_tasks(experiment, grid, base_seed=3, repetitions=repetitions)
 
 
+def _blocking_tasks(tmp_path, repetitions=2):
+    """Blocking tasks, their sentinel file (created) and their pid dir."""
+    block = tmp_path / "block"
+    block.touch()
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    tasks = derive_tasks("spool_block", {"block_file": [str(block)],
+                                         "pid_dir": [str(pid_dir)]},
+                         base_seed=3, repetitions=repetitions)
+    return tasks, block, pid_dir
+
+
+def _wait_for_pids(pid_dir, count, timeout_s=10.0):
+    """The ``SEED-PID`` names in ``pid_dir`` once there are ``count``."""
+    deadline = time.monotonic() + timeout_s
+    while len(os.listdir(pid_dir)) < count:
+        assert time.monotonic() < deadline, "task processes never started"
+        time.sleep(0.01)
+    return sorted(os.listdir(pid_dir))
+
+
 # ------------------------------------------------------------ happy paths
 
 
 def test_spool_sweep_byte_identical_to_serial(tmp_path):
     tasks = _tasks()
     serial = run_sweep(tasks, workers=1)
-    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=1,
-                              config=FAST)
+    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=1)
     assert outcome.results_bytes() == serial.results_bytes()
     assert outcome.spool["completed"] == len(tasks)
     assert outcome.spool["parked"] == 0
@@ -125,10 +134,11 @@ def test_spool_sweep_byte_identical_to_serial(tmp_path):
 def test_spool_multiworker_byte_identical_to_serial(tmp_path):
     tasks = _tasks(n_points=3)
     serial = run_sweep(tasks, workers=1)
-    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=3,
-                              config=FAST)
+    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=3)
     assert outcome.results_bytes() == serial.results_bytes()
     assert not outcome.failed()
+    assert outcome.spool["attempts"] == len(tasks)
+    assert outcome.spool["worker_restarts"] == 0
 
 
 def test_resume_after_partial_drain_matches_serial(tmp_path):
@@ -138,12 +148,11 @@ def test_resume_after_partial_drain_matches_serial(tmp_path):
     tasks = _tasks(n_points=3)
     serial = run_sweep(tasks, workers=1)
     init_spool(spool, tasks)
-    executed = spool_worker_loop(spool, config=FAST, max_tasks=2)
-    assert executed == 2
+    _drain_in_process(spool, [0, 1], max_attempts=3, timeout_s=None,
+                      trace_dir=None)
     assert spool_status(spool)["pending"] == len(tasks) - 2
 
-    outcome = run_spool_sweep(spool, tasks, workers=1, config=FAST,
-                              resume=True)
+    outcome = run_spool_sweep(spool, tasks, workers=1, resume=True)
     assert outcome.results_bytes() == serial.results_bytes()
     # Already-completed indices were skipped, not re-run.
     assert outcome.spool["attempts"] == len(tasks)
@@ -154,10 +163,9 @@ def test_resume_with_tasks_reloaded_from_spool(tmp_path):
     # round-trips through the spooled spec files.
     spool = str(tmp_path / "spool")
     tasks = _tasks()
-    run_spool_sweep(spool, tasks, workers=1, config=FAST)
+    run_spool_sweep(spool, tasks, workers=1)
     assert load_tasks(spool) == tasks
-    outcome = run_spool_sweep(spool, None, workers=1, config=FAST,
-                              resume=True)
+    outcome = run_spool_sweep(spool, None, workers=1, resume=True)
     assert outcome.results_bytes() == run_sweep(tasks, workers=1).results_bytes()
 
 
@@ -165,57 +173,67 @@ def test_resume_with_tasks_reloaded_from_spool(tmp_path):
 
 
 def test_sigkilled_worker_is_reclaimed_retried_and_identical(tmp_path):
-    # A real worker process is SIGKILLed mid-task; its lease must go
-    # stale, be reclaimed within one lease timeout, and the task re-run --
-    # with the final merge byte-identical to the serial run.
+    # A real task process is SIGKILLed mid-task; the coordinator must
+    # dispatch the task again at once, count the extra attempt, and merge
+    # byte-identically to the serial run.
+    tasks, block, pid_dir = _blocking_tasks(tmp_path, repetitions=1)
+    result = {}
+    coordinator = threading.Thread(target=lambda: result.update(
+        outcome=run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2)))
+    coordinator.start()
+    try:
+        (first,) = _wait_for_pids(pid_dir, 1)
+        killed_at = time.monotonic()
+        os.kill(int(first.split("-")[1]), signal.SIGKILL)
+        _wait_for_pids(pid_dir, 2)
+        assert time.monotonic() - killed_at < 2.0, "retry was not immediate"
+    finally:
+        block.unlink()
+        coordinator.join(timeout=30.0)
+    assert not coordinator.is_alive()
+    outcome = result["outcome"]
+    assert outcome.results_bytes() == run_sweep(tasks, workers=1).results_bytes()
+    (retried,) = outcome.outcomes
+    assert retried.ok and retried.attempts == 2
+    assert outcome.execution_doc()["tasks_retried"] == 1
+    assert outcome.spool["worker_restarts"] == 1
+
+
+def _coordinate_in_own_group(spool, tasks):
+    os.setsid()
+    run_spool_sweep(spool, tasks, workers=2)
+
+
+def test_attempt_counts_survive_a_coordinator_kill_and_resume(tmp_path):
+    # The coordinator and both task processes are SIGKILLed together
+    # mid-run.  The attempts written before dispatch survive, so the
+    # resumed tasks record their second attempt; the merge is identical.
     spool = str(tmp_path / "spool")
-    block = str(tmp_path / "block")
-    with open(block, "w"):
-        pass
-    tasks = derive_tasks("spool_block", {"block_file": [block]}, base_seed=3,
-                         repetitions=2)
-    init_spool(spool, tasks)
-
-    proc = multiprocessing.get_context("fork").Process(
-        target=spool_worker_loop, args=(spool,),
-        kwargs={"config": FAST}, daemon=True,
-    )
-    proc.start()
-    deadline = time.time() + 10.0
-    while True:  # wait for a fully recorded claim (lease AND attempt count)
-        status = spool_status(spool)
-        if status["leased"] > 0 and status["attempts"] > 0:
-            break
-        assert time.time() < deadline, "worker never claimed a task"
-        time.sleep(0.02)
-    os.kill(proc.pid, signal.SIGKILL)
-    proc.join(timeout=5.0)
-
-    # The dead worker's lease expires and is reclaimed for retry.
-    time.sleep(FAST.effective_lease_timeout_s + 0.1)
-    reclaimed = reclaim_stale(spool, FAST)
-    assert reclaimed, "stale lease was not reclaimed"
+    tasks, block, pid_dir = _blocking_tasks(tmp_path)
+    coordinator = multiprocessing.get_context("fork").Process(
+        target=_coordinate_in_own_group, args=(spool, tasks))
+    coordinator.start()
+    try:
+        _wait_for_pids(pid_dir, 2)
+    finally:
+        os.killpg(coordinator.pid, signal.SIGKILL)
+        coordinator.join(timeout=10.0)
+    assert not coordinator.is_alive()
     status = spool_status(spool)
-    assert status["leased"] == 0
-    assert status["reclaims"] >= 1
+    assert status["completed"] == 0 and status["attempts"] == 2
 
-    os.unlink(block)  # release: retries now complete instantly
-    outcome = run_spool_sweep(spool, tasks, workers=1, config=FAST,
-                              resume=True)
-    serial = run_sweep(tasks, workers=1)
-    assert outcome.results_bytes() == serial.results_bytes()
-    retried = [o for o in outcome.outcomes if o.attempts > 1]
-    assert retried, "the killed task should record the extra attempt"
-    assert outcome.execution_doc()["tasks_retried"] >= 1
+    block.unlink()
+    outcome = run_spool_sweep(spool, tasks, workers=2, resume=True)
+    assert outcome.results_bytes() == run_sweep(tasks, workers=1).results_bytes()
+    assert [o.attempts for o in outcome.outcomes] == [2, 2]
+    assert outcome.execution_doc()["tasks_retried"] == 2
 
 
 def test_deterministic_crasher_is_parked_not_fatal(tmp_path):
-    # seed >= 1000 (repetition 1) kills its worker every time; the task
-    # must burn its budget, be parked, and leave the rest of the sweep
-    # (and the merged document) intact.  Default config: waiting out the
-    # 15 s lease timeout per crash would take 45 s, but the coordinator
-    # reclaims a dead worker's lease as soon as it exits, so only the
-    # 1 s + 2 s backoffs stand between the three attempts.
+    # seed >= 1000 (repetition 1) kills its process every time; the task
+    # must burn its default 3-attempt budget, be parked, and leave the
+    # rest of the sweep (and the merged document) intact.  Each retry is
+    # dispatched as soon as the dead process is reaped.
     tasks = _tasks(n_points=2, experiment="spool_crash")
     start = time.perf_counter()
     outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2)
@@ -223,8 +241,8 @@ def test_deterministic_crasher_is_parked_not_fatal(tmp_path):
     crashed = [o for o in outcome.outcomes if o.task.seed >= 1000]
     survived = [o for o in outcome.outcomes if o.task.seed < 1000]
     assert all(o.parked and not o.ok for o in crashed)
-    assert all(o.attempts == SpoolConfig().max_attempts for o in crashed)
-    assert all("worker process crashed (exit code 3)" in o.error
+    assert all(o.attempts == 3 for o in crashed)
+    assert all("task process crashed (exit code 3)" in o.error
                for o in crashed)
     assert all(o.ok for o in survived)
     doc = outcome.results_doc()
@@ -234,135 +252,21 @@ def test_deterministic_crasher_is_parked_not_fatal(tmp_path):
     execution = outcome.execution_doc()
     assert execution["tasks_parked"] == len(crashed)
     assert execution["spool"]["parked"] == len(crashed)
-    assert execution["spool"]["worker_restarts"] >= 1
+    assert execution["spool"]["worker_restarts"] == 3 * len(crashed)
 
 
 def test_wedged_worker_killed_at_hard_deadline(tmp_path):
-    # The task ignores its 0.5 s SIGALRM and its heartbeat keeps the lease
-    # alive; the coordinator kills it at 2 x 0.5 + 5 = 6 s.
+    # The task ignores its 0.5 s SIGALRM; the coordinator kills its
+    # process at 2 x 0.5 + 5 = 6 s.
     tasks = derive_tasks("spool_wedge", {}, base_seed=3)
     start = time.perf_counter()
     outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2,
-                              timeout_s=0.5,
-                              config=SpoolConfig(max_attempts=1))
+                              timeout_s=0.5, max_attempts=1)
     assert time.perf_counter() - start < 10.0
     (wedged,) = outcome.outcomes
     assert wedged.parked and wedged.timeout and not wedged.ok
     assert "hard deadline" in wedged.error
     assert outcome.spool["worker_restarts"] == 1
-
-
-def test_late_claim_in_a_long_pass_is_not_reclaimed_or_killed(tmp_path):
-    # One worker pass walks the whole task list, so with two workers each
-    # pass lasts the full ~6.6 s sweep: longer than the 0.3 s lease timeout
-    # and the 2 x 0.5 + 5 = 6 s hard deadline.  A claim made late in the
-    # pass is fresh all the same: nothing is reclaimed, killed or re-run.
-    config = SpoolConfig(heartbeat_s=0.05, lease_timeout_s=0.3, poll_s=0.02)
-    tasks = derive_tasks("spool_sleep", {"x": list(range(22)),
-                                         "sleep_s": [0.3]},
-                         base_seed=3, repetitions=2)
-    outcome = run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2,
-                              timeout_s=0.5, config=config)
-    assert not outcome.failed()
-    assert all(o.attempts == 1 for o in outcome.outcomes)
-    assert outcome.spool["reclaims"] == 0
-    assert outcome.spool["worker_restarts"] == 0
-
-
-def test_heartbeat_keeps_long_task_from_being_reclaimed(tmp_path):
-    # A slow-but-alive task renews its lease; a reclaimer sweeping well
-    # past the lease timeout must leave it alone.
-    spool = str(tmp_path / "spool")
-    block = str(tmp_path / "block")
-    with open(block, "w"):
-        pass
-    tasks = derive_tasks("spool_block", {"block_file": [block]}, base_seed=3)
-    init_spool(spool, tasks)
-    worker = threading.Thread(
-        target=spool_worker_loop, args=(spool,),
-        kwargs={"config": FAST, "reclaim": False}, daemon=True,
-    )
-    worker.start()
-    try:
-        deadline = time.time() + 10.0
-        while spool_status(spool)["leased"] == 0:
-            assert time.time() < deadline
-            time.sleep(0.02)
-        time.sleep(FAST.effective_lease_timeout_s + 0.2)
-        assert reclaim_stale(spool, FAST) == []
-        assert spool_status(spool)["leased"] == 1
-    finally:
-        os.unlink(block)
-        worker.join(timeout=10.0)
-    assert spool_status(spool)["pending"] == 0
-
-
-def test_reclaim_applies_retry_backoff(tmp_path):
-    spool = str(tmp_path / "spool")
-    tasks = _tasks(n_points=1, repetitions=1)
-    init_spool(spool, tasks)
-    config = SpoolConfig(heartbeat_s=0.05, lease_timeout_s=0.1,
-                         max_attempts=3, backoff_base_s=30.0)
-    now = time.time()
-    assert claim_task(spool, 0, "owner-a", config, now=now) is not None
-    # Fake a dead owner: heartbeat frozen at claim time, clock far ahead.
-    reclaimed = reclaim_stale(spool, config, now=now + 5.0)
-    assert reclaimed == [0]
-    # Inside the backoff window the task is not claimable...
-    assert claim_task(spool, 0, "owner-b", config, now=now + 6.0) is None
-    # ...after it elapses, it is.
-    assert claim_task(spool, 0, "owner-b", config,
-                      now=now + 5.0 + 31.0) is not None
-
-
-# -------------------------------------------------------- lease atomicity
-
-
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(claimants=st.integers(min_value=2, max_value=10),
-       indices=st.integers(min_value=1, max_value=3))
-def test_concurrent_claimants_never_double_claim(tmp_path_factory,
-                                                 claimants, indices):
-    # N threads race to claim each task through the same atomic-link
-    # protocol real workers use; exactly one winner per task, always.
-    spool = str(tmp_path_factory.mktemp("spool-race") / "spool")
-    tasks = _tasks(n_points=indices, repetitions=1)
-    init_spool(spool, tasks)
-    config = SpoolConfig(heartbeat_s=5.0)
-    for index in range(indices):
-        wins = []
-        barrier = threading.Barrier(claimants)
-
-        def attempt(owner_id, index=index, wins=wins, barrier=barrier):
-            barrier.wait()
-            lease = claim_task(spool, index, f"owner-{owner_id}", config)
-            if lease is not None:
-                wins.append(lease["owner"])
-
-        threads = [threading.Thread(target=attempt, args=(i,))
-                   for i in range(claimants)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(wins) == 1, f"task {index} claimed {len(wins)} times"
-        release_lease(spool, index)
-
-
-def test_claim_respects_results_parked_and_live_leases(tmp_path):
-    spool = str(tmp_path / "spool")
-    tasks = _tasks(n_points=1, repetitions=1)
-    init_spool(spool, tasks)
-    config = SpoolConfig()
-    lease = claim_task(spool, 0, "owner-a", config)
-    assert lease is not None and lease["attempt"] == 1
-    # Live lease blocks a second claim.
-    assert claim_task(spool, 0, "owner-b", config) is None
-    release_lease(spool, 0)
-    # A published result blocks claims forever.
-    run_spool_sweep(spool, tasks, workers=1, config=FAST, resume=True)
-    assert claim_task(spool, 0, "owner-b", config) is None
 
 
 # --------------------------------------------------------------- guards
@@ -371,26 +275,26 @@ def test_claim_respects_results_parked_and_live_leases(tmp_path):
 def test_fresh_run_refuses_existing_spool(tmp_path):
     spool = str(tmp_path / "spool")
     tasks = _tasks(n_points=1)
-    run_spool_sweep(spool, tasks, workers=1, config=FAST)
+    run_spool_sweep(spool, tasks, workers=1)
     with pytest.raises(SpoolError, match="resume"):
-        run_spool_sweep(spool, tasks, workers=1, config=FAST)
+        run_spool_sweep(spool, tasks, workers=1)
 
 
 def test_resume_refuses_missing_and_mismatched_spools(tmp_path):
     with pytest.raises(SpoolError, match="nothing to resume"):
         run_spool_sweep(str(tmp_path / "nope"), _tasks(), resume=True)
     spool = str(tmp_path / "spool")
-    run_spool_sweep(spool, _tasks(n_points=1), workers=1, config=FAST)
+    run_spool_sweep(spool, _tasks(n_points=1), workers=1)
     other = derive_tasks("spool_fast", {"x": [99]}, base_seed=8)
     with pytest.raises(SpoolError, match="fingerprint"):
-        run_spool_sweep(spool, other, resume=True, config=FAST)
+        run_spool_sweep(spool, other, resume=True)
 
 
 def test_manifest_records_schema_and_meta(tmp_path):
     spool = str(tmp_path / "spool")
     init_spool(spool, _tasks(n_points=1), meta={"experiment": "spool_fast"})
     manifest = load_manifest(spool)
-    assert manifest["schema"] == "repro.sweep-spool/1"
+    assert manifest["schema"] == "repro.sweep-spool/2"
     assert manifest["meta"]["experiment"] == "spool_fast"
     assert manifest["tasks_total"] == 2
 
@@ -399,7 +303,8 @@ def test_collect_reports_unfinished_tasks_without_dropping(tmp_path):
     spool = str(tmp_path / "spool")
     tasks = _tasks(n_points=2, repetitions=1)
     init_spool(spool, tasks)
-    spool_worker_loop(spool, config=FAST, max_tasks=1)
+    _drain_in_process(spool, [0], max_attempts=3, timeout_s=None,
+                      trace_dir=None)
     outcome = collect_outcomes(spool)
     assert len(outcome.outcomes) == len(tasks)
     unfinished = [o for o in outcome.outcomes if not o.ok]
@@ -408,3 +313,20 @@ def test_collect_reports_unfinished_tasks_without_dropping(tmp_path):
     # The deterministic document still lists every index.
     doc = json.loads(outcome.results_bytes())
     assert [t["index"] for t in doc["tasks"]] == [t.index for t in tasks]
+
+
+def test_a_version_1_spool_is_refused_on_resume(tmp_path, capsys):
+    # A ``repro.sweep-spool/1`` spool kept its liveness in lease files this
+    # executor no longer reads: ``--resume`` refuses it by its schema.
+    spool = tmp_path / "spool"
+    args = ["sweep", "spool_fast", "--param", "x=0,1", "--seed", "3",
+            "--spool", str(spool)]
+    assert main(args) == 0
+    manifest = json.loads((spool / "manifest.json").read_text())
+    manifest["schema"] = "repro.sweep-spool/1"
+    (spool / "manifest.json").write_text(json.dumps(manifest))
+    (spool / "leases").mkdir()
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    assert "unexpected spool schema 'repro.sweep-spool/1'" in \
+        capsys.readouterr().err

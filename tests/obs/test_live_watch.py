@@ -101,13 +101,13 @@ def test_detect_watch_target(tmp_path):
 
 
 def test_spool_rows_and_finished():
-    status = {"tasks_total": 8, "completed": 8, "pending": 0, "leased": 0,
-              "parked": 0, "attempts": 9, "reclaims": 1}
+    status = {"tasks_total": 8, "completed": 8, "pending": 0,
+              "parked": 0, "attempts": 9}
     rows = dict(spool_watch_rows(status))
     assert rows["completed"] == "8  (100%)"
+    assert rows["attempts"] == 9
     assert spool_is_finished(status)
-    assert not spool_is_finished({"pending": 2, "leased": 0})
-    assert not spool_is_finished({"pending": 0, "leased": 1})
+    assert not spool_is_finished({"pending": 2})
 
 
 def test_watch_once_on_a_partial_timeline_file(tmp_path, capsys):
