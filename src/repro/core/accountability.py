@@ -13,7 +13,6 @@ arrive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
@@ -31,8 +30,6 @@ from repro.core.policies import STALE_SEQ_SLACK, ViolationKind
 from repro.crypto.keys import PublicKey
 from repro.empty import EMPTY_MAP
 from repro.mempool.txlog import TransactionLog
-
-_request_ids = itertools.count()
 
 
 @dataclass
@@ -235,15 +232,16 @@ class AccountabilityState:
 
     def open_request(
         self,
+        request_id: int,
         target: PublicKey,
         kind: str,
         detail: Sequence[int],
         now: float,
         retries: int,
     ) -> PendingRequest:
-        """Register an outgoing request for timeout tracking."""
+        """Register outgoing request ``request_id`` for timeout tracking."""
         request = PendingRequest(
-            request_id=next(_request_ids),
+            request_id=request_id,
             target=target,
             kind=kind,
             detail=tuple(detail),

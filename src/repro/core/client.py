@@ -27,7 +27,7 @@ from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
 from repro.sim.loop import EventLoop
 
-_client_ids = itertools.count(1_000_000)  # clients live above miner ids
+_FIRST_CLIENT_ID = 1_000_000  # clients live above miner ids
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,12 @@ class LightClient(Endpoint):
 
     def __init__(self, loop: EventLoop, network: Network,
                  seed: Optional[bytes] = None):
-        self.node_id = next(_client_ids)
+        # The first client id this network has never seen: ``meters``
+        # keeps the ids of detached endpoints too.
+        self.node_id = next(
+            i for i in itertools.count(_FIRST_CLIENT_ID)
+            if i not in network.meters
+        )
         self.loop = loop
         self.network = network
         self.keypair = KeyPair.generate(

@@ -22,6 +22,7 @@ Wire protocol (message types on the simulated network):
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import (
     Any, Callable, Container, Dict, List, Optional, Sequence, Tuple,
@@ -93,14 +94,16 @@ class Directory:
     signatures' ``verify()`` is for Ed25519 (DESIGN.md section 3).  The
     registry keeps one echelon basis per sketch capacity for that, which
     an id joins at the first decode after its commit.  Candidates never
-    change a decode's result, only its cost.  One ``Directory`` is built
-    per simulation, so two simulations never share the registry.
+    change a decode's result, only its cost.  ``request_ids`` numbers the
+    simulation's sync and content requests.  One ``Directory`` is built per
+    simulation, so two simulations never share the registry or the ids.
     """
 
     def __init__(self) -> None:
         self._by_id: Dict[int, PublicKey] = {}
         self._by_key: Dict[PublicKey, int] = {}
         self.committed = CandidateRegistry(limit=MAX_CANDIDATES)
+        self.request_ids = itertools.count()
 
     def register(self, node_id: int, key: PublicKey) -> None:
         """Record one node's identity."""
@@ -611,8 +614,8 @@ class LONode(Endpoint):
             pushed = self._own_counts_for_spec(spec)
             wire_size = None
         request_obj = self.acct.open_request(
-            self.directory.key_of(peer), "sync", (), self.now,
-            self.config.request_retries,
+            next(self.directory.request_ids), self.directory.key_of(peer),
+            "sync", (), self.now, self.config.request_retries,
         )
         timer = self.loop.call_later(
             self.config.request_timeout_s, self._on_sync_timeout,
@@ -1043,8 +1046,8 @@ class LONode(Endpoint):
 
     def _send_content_request(self, peer: int, ids: Sequence[int]) -> None:
         request_obj = self.acct.open_request(
-            self.directory.key_of(peer), "content", tuple(ids), self.now,
-            self.config.request_retries,
+            next(self.directory.request_ids), self.directory.key_of(peer),
+            "content", tuple(ids), self.now, self.config.request_retries,
         )
         request = ContentRequest(request_id=request_obj.request_id, ids=tuple(ids))
         timer = self.loop.call_later(

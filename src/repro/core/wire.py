@@ -44,7 +44,7 @@ from repro.core.reconciliation import (
 from repro.crypto.keys import PublicKey
 from repro.empty import EMPTY_MAP
 from repro.mempool.transaction import Transaction
-from repro.obs.caches import IdentityMemo, clear_identity_memos
+from repro.obs.caches import IdentityMemo
 from repro.sketch import PinSketch
 from repro.sketch.gf import IRREDUCIBLE_POLY
 
@@ -422,17 +422,6 @@ _MEMOISED_TYPES = frozenset({
 _CLEAN_PAYLOADS = IdentityMemo(
     "wire.validate", kinds=_MEMOISED_TYPES, limit=512
 )
-
-
-def clear_validation_memo() -> None:
-    """Forget every remembered verdict (and let go of the objects).
-
-    Empties every :class:`IdentityMemo`: the payload verdicts above, the
-    header / spec schema verdicts and the signature verdicts of
-    :meth:`CommitmentHeader.signature_valid` and
-    :meth:`Transaction.signature_valid`.
-    """
-    clear_identity_memos()
 
 
 def validate_payload(msg_type: str, payload: Any) -> Optional[str]:

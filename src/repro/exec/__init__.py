@@ -52,7 +52,7 @@ from repro.exec.tasks import (
     experiment_names,
     register_experiment,
 )
-from repro.exec.worker import execute_task, reset_worker_state
+from repro.exec.worker import execute_task
 
 __all__ = [
     "EXPERIMENTS",
@@ -68,7 +68,6 @@ __all__ = [
     "init_spool",
     "load_manifest",
     "register_experiment",
-    "reset_worker_state",
     "run_spool_sweep",
     "run_sweep",
     "spool_status",

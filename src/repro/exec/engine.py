@@ -3,9 +3,8 @@
 :func:`run_sweep` has one serial and one parallel path (see
 ``docs/parallelism.md``):
 
-* ``workers=1`` runs the tasks in-process, one after another, with the
-  same per-task state reset a worker applies -- the reference every
-  parallel run is checked against;
+* ``workers=1`` runs the tasks in-process, one after another -- the
+  reference every parallel run is checked against;
 * ``workers > 1`` drains a spool on a temporary directory, running each
   task in its own process, at most that many at once
   (:func:`repro.exec.spool.run_spool_sweep`), which owns retry, timeout
@@ -14,9 +13,9 @@
   retried until the attempt budget is spent and then parked.
 
 Merging is order-independent: outcomes are keyed by ``task.index`` and
-re-assembled in derivation order, and worker-side state isolation
-(:func:`repro.exec.worker.reset_worker_state`) makes each result a pure
-function of its task -- so :meth:`SweepOutcome.results_bytes` is
+re-assembled in derivation order, and every simulation build starts
+from empty caches (:func:`repro.obs.caches.reset_caches`), which makes
+each result a pure function of its task -- so :meth:`SweepOutcome.results_bytes` is
 byte-identical between ``workers=1`` and ``workers=N`` runs.
 """
 
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.tasks import SweepTask
-from repro.exec.worker import execute_task, preserved_process_state
+from repro.exec.worker import execute_task
 
 
 @dataclass
@@ -195,9 +194,9 @@ def run_sweep(
 ) -> SweepOutcome:
     """Execute ``tasks`` and merge the outcomes in derivation order.
 
-    ``workers <= 1`` runs every task once, in-process (same per-task state
-    reset as the workers apply, so the results document is identical
-    either way): the reference ``--check-serial`` compares against.
+    ``workers <= 1`` runs every task once, in-process (each simulation
+    build starts cold, so the results document is identical either way):
+    the reference ``--check-serial`` compares against.
     ``workers > 1`` is :func:`repro.exec.spool.run_spool_sweep` on a
     temporary spool directory: a task whose process crashed or wedged is
     retried until ``max_attempts`` is spent, then parked.
@@ -214,14 +213,13 @@ def run_sweep(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     start = time.perf_counter()
-    with preserved_process_state():
-        outcomes = [
-            _outcome_from_payload(
-                task, execute_task(task.spec(), timeout_s, trace_dir),
-                attempts=1,
-            )
-            for task in tasks
-        ]
+    outcomes = [
+        _outcome_from_payload(
+            task, execute_task(task.spec(), timeout_s, trace_dir),
+            attempts=1,
+        )
+        for task in tasks
+    ]
     return SweepOutcome(outcomes=outcomes, workers=1,
                         wall_seconds=time.perf_counter() - start)
 

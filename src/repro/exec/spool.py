@@ -13,7 +13,8 @@ Spool layout (on-disk schema ``repro.sweep-spool/2``)::
     SPOOL/
       manifest.json          # written last at init: task count + fingerprint
       tasks/task-00000.json  # one immutable task spec per file
-      state/task-00000.json  # attempts so far (written by the coordinator)
+      state/task-00000.json  # attempts so far and the wall seconds of the
+                             # failed ones (written by the coordinator)
       results/task-00000.json# the task payload, atomically renamed in
       parked/task-00000.json # exhausted the retry budget; recorded, not fatal
 
@@ -50,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.exec.engine import SweepOutcome, TaskOutcome, \
     _outcome_from_payload
 from repro.exec.tasks import SweepTask
-from repro.exec.worker import execute_task, preserved_process_state
+from repro.exec.worker import execute_task
 from repro.obs.export import write_atomic
 
 SPOOL_SCHEMA = "repro.sweep-spool/2"
@@ -186,28 +187,41 @@ def load_tasks(spool_dir: str) -> List[SweepTask]:
 # -------------------------------------------------------- attempts / park
 
 
+def _state(spool_dir: str, index: int) -> Dict[str, Any]:
+    """Task ``index``'s attempts and the wall seconds its failed ones took."""
+    state = _read_json(_entry_path(spool_dir, "state", index)) or {}
+    return {"attempts": state.get("attempts", 0),
+            "failed_s": state.get("failed_s", 0.0)}
+
+
 def _attempts(spool_dir: str, index: int) -> int:
-    state = _read_json(_entry_path(spool_dir, "state", index))
-    return state["attempts"] if state else 0
+    return _state(spool_dir, index)["attempts"]
 
 
 def _count_attempt(spool_dir: str, index: int) -> int:
     """Record one more attempt of task ``index`` before it is dispatched;
     returns the new count."""
-    attempts = _attempts(spool_dir, index) + 1
-    _publish(_entry_path(spool_dir, "state", index), {"attempts": attempts})
-    return attempts
+    state = _state(spool_dir, index)
+    state["attempts"] += 1
+    _publish(_entry_path(spool_dir, "state", index), state)
+    return state["attempts"]
 
 
-def _retry_or_park(spool_dir: str, index: int, attempts: int,
-                   max_attempts: int, error: str, timeout: bool) -> bool:
-    """After a failed attempt: ``True`` to run the task again; once its
-    budget is spent, record the task as parked and return ``False``."""
-    if attempts < max_attempts:
+def _retry_or_park(spool_dir: str, index: int, max_attempts: int,
+                   seconds: float, error: str, timeout: bool) -> bool:
+    """After a failed attempt that took ``seconds`` of wall time: ``True``
+    to run the task again; once its budget is spent, record the task as
+    parked, with the wall seconds of all its attempts, and return
+    ``False``."""
+    state = _state(spool_dir, index)
+    state["failed_s"] += seconds
+    _publish(_entry_path(spool_dir, "state", index), state)
+    if state["attempts"] < max_attempts:
         return True
     _publish(_entry_path(spool_dir, "parked", index), {
-        "index": index, "attempts": attempts, "error": error,
-        "timeout": timeout, "parked_unix": time.time(),
+        "index": index, "attempts": state["attempts"], "error": error,
+        "timeout": timeout, "seconds": state["failed_s"],
+        "parked_unix": time.time(),
     })
     return False
 
@@ -243,15 +257,14 @@ def _drain_in_process(spool_dir: str, pending: Sequence[int],
                       max_attempts: int, timeout_s: Optional[float],
                       trace_dir: Optional[str]) -> None:
     """Run the pending tasks one after another in this process."""
-    with preserved_process_state():
-        for index in pending:
-            retry = True
-            while retry:
-                attempts = _count_attempt(spool_dir, index)
-                payload = _run_task(spool_dir, index, timeout_s, trace_dir)
-                retry = bool(payload.get("timeout")) and _retry_or_park(
-                    spool_dir, index, attempts, max_attempts,
-                    payload["error"], timeout=True)
+    for index in pending:
+        retry = True
+        while retry:
+            _count_attempt(spool_dir, index)
+            payload = _run_task(spool_dir, index, timeout_s, trace_dir)
+            retry = bool(payload.get("timeout")) and _retry_or_park(
+                spool_dir, index, max_attempts, payload["seconds"],
+                payload["error"], timeout=True)
 
 
 def _supervise(spool_dir: str, pending: Sequence[int], workers: int,
@@ -270,30 +283,30 @@ def _supervise(spool_dir: str, pending: Sequence[int], workers: int,
 
     from repro.sketch.gf import default_field
 
-    # The field's log/exp tables (about 30 ms to build) are pure, so
-    # reset_worker_state keeps them: build them once here, and every
-    # forked task process inherits them.
+    # The field's log/exp tables (about 30 ms to build) are pure, and no
+    # cache reset empties them: build them once here, and every forked
+    # task process inherits them.
     default_field()
     ctx = mp.get_context()
     hard_deadline_s = None if timeout_s is None else 2.0 * timeout_s + 5.0
     queue = deque(pending)
-    # index -> (process, its attempt number, monotonic start)
-    running: Dict[int, Tuple[Any, int, float]] = {}
+    # index -> (process, monotonic start)
+    running: Dict[int, Tuple[Any, float]] = {}
     died = 0
     try:
         while queue or running:
             while queue and len(running) < workers:
                 index = queue.popleft()
-                attempts = _count_attempt(spool_dir, index)
+                _count_attempt(spool_dir, index)
                 # Not a daemon: daemonic processes cannot have children,
                 # and a task may run a parallel sweep of its own.
                 proc = ctx.Process(target=_task_process, args=(
                     spool_dir, index, timeout_s, trace_dir))
                 proc.start()
-                running[index] = (proc, attempts, time.monotonic())
-            wait_for_exit([proc.sentinel for proc, _, _ in running.values()],
+                running[index] = (proc, time.monotonic())
+            wait_for_exit([proc.sentinel for proc, _ in running.values()],
                           timeout=POLL_S)
-            for index, (proc, attempts, started) in list(running.items()):
+            for index, (proc, started) in list(running.items()):
                 killed = False
                 if proc.is_alive():
                     if hard_deadline_s is None or \
@@ -320,13 +333,13 @@ def _supervise(spool_dir: str, pending: Sequence[int], workers: int,
                              if proc.exitcode else
                              "task process exited without a result")
                     timeout = False
-                if _retry_or_park(spool_dir, index, attempts, max_attempts,
-                                  error, timeout):
+                if _retry_or_park(spool_dir, index, max_attempts,
+                                  time.monotonic() - started, error, timeout):
                     queue.appendleft(index)
     finally:
         # Only an exception (an interrupt) leaves children behind; their
         # attempts are counted, and a resume runs the tasks again.
-        for proc, _, _ in running.values():
+        for proc, _ in running.values():
             proc.kill()
             proc.join()
     return died
@@ -388,11 +401,14 @@ def collect_outcomes(
         tasks = load_tasks(spool_dir)
     outcomes: List[TaskOutcome] = []
     for task in tasks:
-        attempts = _attempts(spool_dir, task.index)
+        state = _state(spool_dir, task.index)
+        attempts = state["attempts"]
         payload = _read_json(_entry_path(spool_dir, "results", task.index))
         if payload is not None:
-            outcomes.append(
-                _outcome_from_payload(task, payload, max(1, attempts)))
+            # A retried task's seconds include its failed attempts'.
+            outcome = _outcome_from_payload(task, payload, max(1, attempts))
+            outcome.seconds += state["failed_s"]
+            outcomes.append(outcome)
             continue
         parked = _read_json(_entry_path(spool_dir, "parked", task.index))
         if parked is not None:
@@ -401,6 +417,7 @@ def collect_outcomes(
                 error=f"parked after {parked['attempts']} attempt(s):"
                       f" {parked['error']}",
                 timeout=bool(parked.get("timeout")),
+                seconds=parked.get("seconds", 0.0),
                 attempts=parked["attempts"], parked=True,
             ))
             continue
@@ -434,13 +451,12 @@ def run_spool_sweep(
     document is byte-identical to an uninterrupted serial run of the same
     task list.
 
-    ``workers <= 1`` runs the tasks in-process (with the same global-state
-    save/restore the serial sweep applies); ``workers > 1`` runs each task
-    in its own child process, at most ``workers`` at once
-    (:func:`_supervise`).  A task process killed mid-task takes nothing
-    down with it: its task is dispatched again at once, and each failed
-    attempt consumes one of its ``max_attempts``, so a deterministic
-    crasher ends up parked and the sweep still terminates.
+    ``workers <= 1`` runs the tasks in-process, as the serial sweep does;
+    ``workers > 1`` runs each task in its own child process, at most
+    ``workers`` at once (:func:`_supervise`).  A task process killed
+    mid-task takes nothing down with it: its task is dispatched again at
+    once, and each failed attempt consumes one of its ``max_attempts``, so
+    a deterministic crasher ends up parked and the sweep still terminates.
     """
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)

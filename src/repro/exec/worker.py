@@ -1,26 +1,16 @@
-"""Worker-side task execution with per-task process-state isolation.
+"""Worker-side task execution: one task spec in, one outcome dict out.
 
-The serial path runs many tasks in one process, and a forked task
-process inherits its coordinator's memory.  Several subsystems keep
-*process-global* state that would otherwise leak into a task (and differ
-from a fresh serial run):
-
-* the sketch syndrome/decode LRUs (``repro.sketch.pinsketch``),
-* the cache hit/miss counters (``repro.obs.caches``),
-* the installed tracer and timeline (``repro.obs.TRACER`` /
-  ``repro.obs.TIMELINE``),
-* the signature-verification registry (``repro.crypto.keys._VERIFIERS``).
-
-:func:`reset_worker_state` restores all of them to cold-start condition;
-:func:`execute_task` calls it before every task so a task's observable
-output is a function of ``(experiment, seed, params)`` alone -- the
-invariant behind the serial/parallel byte-identity guarantee.
-
-Simulation *results* never depend on cache contents (caches memoise pure
-functions) or on the verifier registry (every simulation re-registers its
-nodes' deterministic keys at construction); what the reset protects is the
-*metrics* surface (per-run cache counters, trace streams) and memory
-footprint across long sweeps.
+A task's observable output is a function of ``(experiment, seed,
+params)`` alone -- the invariant behind the serial/parallel byte-identity
+guarantee -- because every ``LOSimulation`` build starts cold: it empties
+the process-wide caches and zeroes their counters
+(:func:`repro.obs.caches.reset_caches`), whatever ran before it in the
+process or in the coordinator a task process was forked from.  Simulation
+*results* never depend on cache contents (the caches memoise pure
+functions) or on the verifier registry ``repro.crypto.keys._VERIFIERS``
+(every simulation re-registers its nodes' deterministic keys at
+construction).  :func:`execute_task` installs its task's tracer and
+timeline, or none, and restores the caller's when the task ends.
 """
 
 from __future__ import annotations
@@ -29,8 +19,7 @@ import os
 import signal
 import time
 import traceback
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 
 # Seconds between repeats of an alarm whose TaskTimeout was dropped.
@@ -43,41 +32,6 @@ class TaskTimeout(BaseException):
     A ``BaseException``, like ``KeyboardInterrupt``: the simulation contains
     handler errors with ``except Exception``, which must not swallow it.
     """
-
-
-def reset_worker_state() -> None:
-    """Restore cold-start process-global state (caches, telemetry, verifiers)."""
-    from repro import obs
-    from repro.crypto import keys
-    from repro.obs.caches import reset_cache_stats
-    from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
-
-    obs.clear_tracer()
-    obs.clear_timeline()
-    clear_syndrome_cache()
-    clear_decode_cache()
-    reset_cache_stats()
-    keys._VERIFIERS.clear()
-
-
-@contextmanager
-def preserved_process_state() -> Iterator[None]:
-    """Run tasks in this process, then restore the caller's tracer, timeline
-    and verifier registry (each task resets them, as in any worker), so an
-    in-process sweep leaves the caller's own simulations undisturbed."""
-    from repro import obs
-    from repro.crypto import keys
-
-    saved_tracer = obs.TRACER
-    saved_timeline = obs.TIMELINE
-    saved_verifiers = dict(keys._VERIFIERS)
-    try:
-        yield
-    finally:
-        reset_worker_state()
-        keys._VERIFIERS.update(saved_verifiers)
-        obs.set_tracer(saved_tracer)
-        obs.set_timeline(saved_timeline)
 
 
 def _alarm_supported() -> bool:
@@ -113,13 +67,17 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
     from repro.obs.report import to_jsonable
 
     index = spec["index"]
-    reset_worker_state()
-
     outcome: Dict[str, Any] = {
         "index": index,
         "ok": False,
         "worker_pid": os.getpid(),
     }
+    saved_tracer, saved_timeline = obs.TRACER, obs.TIMELINE
+    tracer = timeline = None
+    if trace_dir:
+        tracer, timeline = obs.Tracer(), obs.TimelineRecorder()
+    obs.set_tracer(tracer or obs.NULL_TRACER)
+    obs.set_timeline(timeline)
     alarm_set = False
     caught = False
     if timeout_s is not None and _alarm_supported():
@@ -138,14 +96,9 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
         alarm_set = True
 
-    tracer = timeline = None
     start = time.perf_counter()
     try:
         runner = EXPERIMENTS[spec["experiment"]]
-        if trace_dir:
-            tracer, timeline = obs.Tracer(), obs.TimelineRecorder()
-            obs.set_tracer(tracer)
-            obs.set_timeline(timeline)
         result = runner(seed=spec["seed"], **spec["params"])
         outcome["ok"] = True
         outcome["result"] = to_jsonable(result)
@@ -163,9 +116,9 @@ def execute_task(spec: Dict[str, Any], timeout_s: Optional[float] = None,
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         outcome["seconds"] = time.perf_counter() - start
+        obs.set_tracer(saved_tracer)
+        obs.set_timeline(saved_timeline)
         if tracer is not None:
-            obs.clear_tracer()
-            obs.clear_timeline()
             try:
                 path = os.path.join(trace_dir, f"task-{index:04d}.trace.jsonl")
                 obs.export_jsonl(tracer, path, {

@@ -24,12 +24,11 @@ from repro.chain.leader import LeaderSchedule
 from repro.core.config import LOConfig
 from repro.gossip import NeighborShuffler, PeerSampler
 from repro.core.node import Directory, LONode
-from repro.core.wire import clear_validation_memo
 from repro.net.chaos import ChaosController, ChaosPlan
 from repro.net.latency import CityLatencyModel, LatencyModel
 from repro.net.network import Network
 from repro.net.topology import TopologyBuilder
-from repro.obs.caches import cache_stats, reset_cache_stats
+from repro.obs.caches import cache_stats, reset_caches
 from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.crypto.keys import KeyPair
 from repro.mempool.transaction import make_transaction
@@ -111,16 +110,10 @@ class LOSimulation:
             self._build(params)
 
     def _build(self, params: SimulationParams) -> None:
-        # Per-run cache-metric scoping: the sketch LRU hit/miss counters are
-        # process-global, so without this reset every `run --json` and
-        # metrics snapshot would report numbers accumulated across all
-        # repetitions (and, in a sweep worker, all prior tasks) instead of
-        # this run's own cache behaviour.  The cache *contents* are kept --
-        # they memoise pure functions and only affect speed.  The ingress
-        # memo is emptied: it is keyed on the previous run's payload
-        # objects, which can never be delivered again.
-        reset_cache_stats()
-        clear_validation_memo()
+        # The caches are process-wide; emptying them and their counters
+        # here makes a run's counters, cache sizes and memory the same
+        # whatever ran before it in the process.
+        reset_caches()
         self.params = params
         self.rng = SeededRng(params.seed)
         self.loop = EventLoop()

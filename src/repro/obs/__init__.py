@@ -37,7 +37,7 @@ from repro.obs.caches import (
     CacheStats,
     cache_stats,
     register_cache,
-    reset_cache_stats,
+    reset_caches,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -211,7 +211,7 @@ __all__ = [
     "mean",
     "percentile",
     "register_cache",
-    "reset_cache_stats",
+    "reset_caches",
     "set_profiler",
     "set_timeline",
     "set_tracer",

@@ -1,11 +1,15 @@
-"""Process-wide cache instrumentation (hit/miss/eviction counters).
+"""Process-wide caches: their hit/miss/eviction counters and one reset.
 
 Hot-path caches (the sketch syndrome cache, the decode memoisation layer,
-field-table sharing) register a :class:`CacheStats` here so experiments and
-benchmarks can report cache effectiveness without importing the subsystem
-internals.  Counters are plain ints mutated inline by the owning cache --
-the instrumented paths are the tightest loops in the repository, so the
-accounting must stay allocation-free.
+the verifiers' identity memos) register a :class:`CacheStats` here so
+experiments and benchmarks can report cache effectiveness without
+importing the subsystem internals.  Counters are plain ints mutated inline
+by the owning cache -- the instrumented paths are the tightest loops in the
+repository, so the accounting must stay allocation-free.
+
+A cache registered with ``clear=`` is emptied by :func:`reset_caches`,
+which every ``LOSimulation`` build calls: a run starts from empty caches
+and zeroed counters whatever ran before it in the process.
 
 >>> stats = register_cache("doctest.example")
 >>> stats.hits += 2
@@ -19,7 +23,6 @@ accounting must stay allocation-free.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 
@@ -27,18 +30,19 @@ class CacheStats:
     """Mutable counters for one named cache.
 
     ``size_probe`` (optional) reports the cache's current entry count when a
-    snapshot is taken; it is a callable so the registry never holds a strong
-    reference to the cached data itself.
+    snapshot is taken, and ``clear`` (optional) empties the cache.
     """
 
-    __slots__ = ("name", "hits", "misses", "evictions", "size_probe")
+    __slots__ = ("name", "hits", "misses", "evictions", "size_probe", "clear")
 
-    def __init__(self, name: str, size_probe: Optional[Callable[[], int]] = None):
+    def __init__(self, name: str, size_probe: Optional[Callable[[], int]] = None,
+                 clear: Optional[Callable[[], None]] = None):
         self.name = name
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.size_probe = size_probe
+        self.clear = clear
 
     @property
     def lookups(self) -> int:
@@ -52,7 +56,10 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def reset(self) -> None:
-        """Zero all counters (the cache contents are not touched)."""
+        """Empty the cache (when it registered ``clear``) and zero the
+        counters."""
+        if self.clear is not None:
+            self.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -77,24 +84,27 @@ class CacheStats:
 
 
 _REGISTRY: Dict[str, CacheStats] = {}
-_IDENTITY_MEMOS: "weakref.WeakSet[IdentityMemo]" = weakref.WeakSet()
 
 
 def register_cache(
-    name: str, size_probe: Optional[Callable[[], int]] = None
+    name: str, size_probe: Optional[Callable[[], int]] = None,
+    clear: Optional[Callable[[], None]] = None,
 ) -> CacheStats:
     """Create (or fetch) the stats object for a named cache.
 
     Idempotent: re-registering returns the existing object so module
     reloads and repeated imports keep a single counter set; a provided
-    ``size_probe`` replaces the previous one.
+    ``size_probe`` or ``clear`` replaces the previous one.
     """
     stats = _REGISTRY.get(name)
     if stats is None:
-        stats = CacheStats(name, size_probe)
+        stats = CacheStats(name, size_probe, clear)
         _REGISTRY[name] = stats
-    elif size_probe is not None:
-        stats.size_probe = size_probe
+    else:
+        if size_probe is not None:
+            stats.size_probe = size_probe
+        if clear is not None:
+            stats.clear = clear
     return stats
 
 
@@ -109,8 +119,7 @@ class IdentityMemo:
     ``kinds`` are remembered -- a subclass can turn any field into a
     property, so its verdict may not hold twice.  At ``limit`` entries the
     memo is cleared wholesale (every entry pins its object; the bound is
-    what keeps memory flat) and :func:`clear_identity_memos` empties every
-    memo.
+    what keeps memory flat) and :func:`reset_caches` empties every memo.
 
     >>> memo = IdentityMemo("doctest.memo", kinds=frozenset({tuple}), limit=2)
     >>> point = (1, 2)
@@ -124,14 +133,14 @@ class IdentityMemo:
     >>> unregister_cache("doctest.memo")
     """
 
-    __slots__ = ("kinds", "limit", "entries", "stats", "__weakref__")
+    __slots__ = ("kinds", "limit", "entries", "stats")
 
     def __init__(self, name: str, kinds: FrozenSet[type], limit: int):
         self.kinds = kinds
         self.limit = limit
         self.entries: Dict[int, Tuple[Any, Any]] = {}
-        self.stats = register_cache(name, size_probe=self.entries.__len__)
-        _IDENTITY_MEMOS.add(self)
+        self.stats = register_cache(name, size_probe=self.entries.__len__,
+                                    clear=self.entries.clear)
 
     def get(self, obj: Any) -> Any:
         """The verdict remembered for this very object, else ``None``."""
@@ -165,12 +174,6 @@ class IdentityMemo:
         entries[id(obj)] = (obj, verdict)
 
 
-def clear_identity_memos() -> None:
-    """Empty every :class:`IdentityMemo` (and let go of the objects)."""
-    for memo in _IDENTITY_MEMOS:
-        memo.entries.clear()
-
-
 def unregister_cache(name: str) -> None:
     """Drop a cache's stats from the registry (used by tests/doctests)."""
     _REGISTRY.pop(name, None)
@@ -181,7 +184,8 @@ def cache_stats() -> Dict[str, Dict[str, float]]:
     return {name: stats.snapshot() for name, stats in sorted(_REGISTRY.items())}
 
 
-def reset_cache_stats() -> None:
-    """Zero the counters of every registered cache."""
+def reset_caches() -> None:
+    """Empty every registered cache that can be cleared and zero every
+    counter: what a simulation starts from."""
     for stats in _REGISTRY.values():
         stats.reset()

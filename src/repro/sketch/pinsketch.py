@@ -115,12 +115,9 @@ class _SyndromeCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self.stats = register_cache(
-            "sketch.syndromes", size_probe=lambda: len(self._entries)
+            "sketch.syndromes", size_probe=self._entries.__len__,
+            clear=self._entries.clear,
         )
-
-    def clear(self) -> None:
-        """Drop every cached vector (counters are preserved)."""
-        self._entries.clear()
 
     def get(self, element: int, m: int, capacity: int) -> int:
         """The first ``capacity`` odd power sums of ``element`` over
@@ -194,11 +191,6 @@ def sketch_syndromes(element: int, capacity: int, m: int) -> Tuple[int, ...]:
                                   capacity, m))
 
 
-def clear_syndrome_cache() -> None:
-    """Drop all cached syndrome vectors (used by benchmarks)."""
-    _SYNDROMES.clear()
-
-
 # ---------------------------------------------------------------------------
 # Decode memoisation: (m, capacity, packed) -> frozenset | failure, LRU.
 # ---------------------------------------------------------------------------
@@ -207,7 +199,8 @@ _DECODE_CACHE: "OrderedDict[Tuple[int, int, int], object]" = OrderedDict()
 _DECODE_CACHE_LIMIT = 131072
 _UNDECODABLE = object()  # cache marker: decoding raises SketchDecodeError
 _DECODE_STATS = register_cache(
-    "sketch.decode", size_probe=lambda: len(_DECODE_CACHE)
+    "sketch.decode", size_probe=_DECODE_CACHE.__len__,
+    clear=_DECODE_CACHE.clear,
 )
 
 
@@ -219,7 +212,8 @@ def _cache_store(key, value) -> None:
 
 
 def clear_decode_cache() -> None:
-    """Drop all memoised decode results (used by CPU benchmarks)."""
+    """Drop all memoised decode results, for callers that decode outside
+    a simulation (a simulation build empties every cache itself)."""
     _DECODE_CACHE.clear()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for suspicion/exposure bookkeeping."""
 
+import itertools
+
 import pytest
 
 from repro.bloomclock import BloomClock
@@ -24,6 +26,7 @@ from repro.mempool import TransactionLog
 
 OWNER = KeyPair.generate(seed=b"acct-owner")
 REMOTE = KeyPair.generate(seed=b"acct-remote")
+REQUEST_IDS = itertools.count()
 
 
 def make_header(bundles, keypair=REMOTE):
@@ -49,7 +52,7 @@ def fresh_state(log=None):
 
 def test_request_timeout_retry_then_suspect():
     state = fresh_state()
-    req = state.open_request(REMOTE.public_key, "sync", (), 0.0, retries=2)
+    req = state.open_request(next(REQUEST_IDS), REMOTE.public_key, "sync", (), 0.0, retries=2)
     assert state.on_timeout(req.request_id, 1.0) == "resend"
     assert state.on_timeout(req.request_id, 2.0) == "resend"
     assert state.on_timeout(req.request_id, 3.0) == "suspect"
@@ -60,7 +63,7 @@ def test_request_timeout_retry_then_suspect():
 
 def test_response_closes_request():
     state = fresh_state()
-    req = state.open_request(REMOTE.public_key, "content", (5,), 0.0, retries=3)
+    req = state.open_request(next(REQUEST_IDS), REMOTE.public_key, "content", (5,), 0.0, retries=3)
     assert state.close_request(req.request_id) is req
     assert state.on_timeout(req.request_id, 1.0) is None
     assert not state.is_suspected(REMOTE.public_key)
@@ -68,15 +71,15 @@ def test_response_closes_request():
 
 def test_close_requests_to_filters_by_kind():
     state = fresh_state()
-    state.open_request(REMOTE.public_key, "sync", (), 0.0, 1)
-    state.open_request(REMOTE.public_key, "content", (1,), 0.0, 1)
+    state.open_request(next(REQUEST_IDS), REMOTE.public_key, "sync", (), 0.0, 1)
+    state.open_request(next(REQUEST_IDS), REMOTE.public_key, "content", (1,), 0.0, 1)
     assert state.close_requests_to(REMOTE.public_key, kind="sync") == 1
     assert len(state.pending) == 1
 
 
 def test_clear_suspicion():
     state = fresh_state()
-    req = state.open_request(REMOTE.public_key, "sync", (), 0.0, 0)
+    req = state.open_request(next(REQUEST_IDS), REMOTE.public_key, "sync", (), 0.0, 0)
     state.on_timeout(req.request_id, 1.0)
     assert state.clear_suspicion(REMOTE.public_key)
     assert not state.is_suspected(REMOTE.public_key)
@@ -142,7 +145,7 @@ def test_expose_with_valid_evidence():
 
 def test_exposure_supersedes_suspicion():
     state = fresh_state()
-    req = state.open_request(REMOTE.public_key, "sync", (), 0.0, 0)
+    req = state.open_request(next(REQUEST_IDS), REMOTE.public_key, "sync", (), 0.0, 0)
     state.on_timeout(req.request_id, 1.0)
     state.expose(ExposureBlame(REMOTE.public_key, equivocation=make_equivocation()))
     assert not state.is_suspected(REMOTE.public_key)

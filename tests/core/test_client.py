@@ -116,3 +116,30 @@ def test_multiple_clients_are_distinct():
     b = client_in(sim, seed=b"b")
     assert a.node_id != b.node_id
     assert a.keypair.public_key != b.keypair.public_key
+
+
+def test_a_client_id_depends_on_its_network_not_on_the_process():
+    """Each build of one seeded simulation gives its client the same id,
+    so the latency model puts the client in the same city and the same
+    submission arrives after the same latencies."""
+    from repro.experiments.harness import LOSimulation, SimulationParams
+
+    def build_and_submit():
+        sim = LOSimulation(SimulationParams(num_nodes=12, seed=21))
+        client = LightClient(sim.loop, sim.network, seed=b"demo-client")
+        client.submit(client.make_transaction(fee=750), miners=[0, 3])
+        sim.run(3.0)
+        return client.node_id, sorted(sim.mempool_tracker.all_latencies())
+
+    runs = [build_and_submit() for _ in range(3)]
+    assert runs[0][0] == 1_000_000
+    assert runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_client_never_reuses_an_id_its_network_has_seen():
+    sim = make_sim(num_nodes=6)
+    first = client_in(sim, seed=b"a")
+    sim.network.unregister(first.node_id)  # its meter stays
+    second = client_in(sim, seed=b"b")
+    assert (first.node_id, second.node_id) == (1_000_000, 1_000_001)

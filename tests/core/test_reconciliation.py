@@ -162,7 +162,6 @@ def _run_counting(monkeypatch, build, blind):
     import repro.core.node as node_module
     from repro.sketch import CandidateRegistry
     from repro.sketch.gf import GF2Tower32
-    from repro.sketch.pinsketch import clear_decode_cache
 
     tested, chains = [], []
     combination = CandidateRegistry.combination
@@ -185,7 +184,6 @@ def _run_counting(monkeypatch, build, blind):
             lambda local, remote, candidates=(): decode_difference(
                 local, remote),
         )
-    clear_decode_cache()  # every decode below is found, not remembered
     sim = build()
     return _outcome(sim), tested, len(chains)
 

@@ -19,7 +19,7 @@ from repro.core.wire import PeerQuarantine, validate_payload
 from repro.crypto.keys import KeyPair
 from repro.bloomclock import BloomClock
 from repro.mempool.transaction import make_transaction
-from repro.obs.caches import cache_stats
+from repro.obs.caches import cache_stats, reset_caches
 from repro.net.chaos import corrupt_payload
 from repro.sketch import PinSketch, pack_syndromes
 
@@ -418,7 +418,7 @@ def test_memo_is_bounded_and_a_recycled_id_cannot_hit(schema_runs):
 
 def test_header_and_spec_with_a_preset_schema_mark_are_still_checked():
     """``_schema_ok`` on the object a peer built is not a verdict."""
-    wire.clear_validation_memo()
+    reset_caches()
     bad_header = dataclasses.replace(make_header(), seq="seven")
     object.__setattr__(bad_header, "_schema_ok", True)
     bad_spec = SplitSpec((-1, 2))
@@ -435,7 +435,7 @@ def test_header_and_spec_with_a_preset_schema_mark_are_still_checked():
 
 def test_forged_signatures_with_a_preset_mark_are_still_rejected():
     """``_sig_ok`` on a forged header / transaction buys nothing."""
-    wire.clear_validation_memo()
+    reset_caches()
     forged_header = dataclasses.replace(make_header(), tx_count=99)
     object.__setattr__(forged_header, "_sig_ok", True)
     assert not forged_header.signature_valid()
@@ -453,7 +453,7 @@ def test_verifier_side_verdicts_hit_once_known_and_are_cleared_together(
     import repro.core.commitment as commitment
     import repro.mempool.transaction as transaction
 
-    wire.clear_validation_memo()
+    reset_caches()
     calls = {"verify": 0, "header": 0, "spec": 0}
 
     def counted(name, fn):
@@ -478,7 +478,7 @@ def test_verifier_side_verdicts_hit_once_known_and_are_cleared_together(
         assert validate_payload("lo/sync_req", request) is None
         assert header.signature_valid() and tx.signature_valid()
     assert calls == {"verify": 2, "header": 1, "spec": 1}
-    wire.clear_validation_memo()
+    reset_caches()
     assert validate_payload(
         "lo/sync_req", SyncRequest(9, header, spec, PinSketch(8, 32))) is None
     assert header.signature_valid() and tx.signature_valid()
@@ -493,7 +493,7 @@ def test_subclass_instances_are_verified_every_time(monkeypatch):
     class Shifty(commitment.CommitmentHeader):
         """Passes isinstance; could override ``signing_bytes``."""
 
-    wire.clear_validation_memo()
+    reset_caches()
     calls = []
     verify = commitment.verify
     monkeypatch.setattr(

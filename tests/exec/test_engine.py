@@ -211,3 +211,28 @@ def test_per_task_traces_collected(tmp_path):
         header = json.loads(stream.readline())
     assert header["schema"] == "repro.trace/1"
 
+
+
+def test_a_task_runs_under_its_own_tracer_and_restores_the_callers(tmp_path):
+    """A serial sweep task records into its own tracer (with a trace
+    directory) or none, never into the caller's, which is back after."""
+    from repro import obs
+
+    seen = []
+    register_experiment(
+        "probe_tracer", lambda seed, **params: seen.append(
+            (obs.TRACER, obs.TIMELINE)) or {"seed": seed})
+    caller_tracer, caller_timeline = obs.Tracer(), obs.TimelineRecorder()
+    tasks = derive_tasks("probe_tracer", {}, base_seed=3)
+    try:
+        with obs.use_tracer(caller_tracer), obs.use_timeline(caller_timeline):
+            run_sweep(tasks, workers=1)
+            run_sweep(tasks, workers=1, trace_dir=str(tmp_path / "traces"))
+            assert obs.TRACER is caller_tracer
+            assert obs.TIMELINE is caller_timeline
+    finally:
+        EXPERIMENTS.pop("probe_tracer", None)
+    (untraced, untimed), (traced, timed) = seen
+    assert untraced is obs.NULL_TRACER and untimed is None
+    assert traced.enabled and traced is not caller_tracer
+    assert timed is not None and timed is not caller_timeline

@@ -35,12 +35,13 @@ from repro.exec import (
 )
 from repro.exec.spool import (
     _drain_in_process,
+    _entry_path,
+    _read_json,
     collect_outcomes,
     init_spool,
     load_manifest,
     load_tasks,
 )
-from repro.exec.worker import preserved_process_state
 
 
 def _fast_experiment(seed, **params):
@@ -77,8 +78,6 @@ def _wedged_experiment(seed, **params):
 
 @pytest.fixture(autouse=True)
 def _registered_probes():
-    # Register the probe experiments, and restore the process-global state
-    # that direct in-process drains reset per task.
     probes = {
         "spool_fast": _fast_experiment,
         "spool_crash": _crashing_experiment,
@@ -87,8 +86,7 @@ def _registered_probes():
     }
     for name, fn in probes.items():
         register_experiment(name, fn)
-    with preserved_process_state():
-        yield
+    yield
     for name in probes:
         EXPERIMENTS.pop(name, None)
 
@@ -175,14 +173,17 @@ def test_resume_with_tasks_reloaded_from_spool(tmp_path):
 def test_sigkilled_worker_is_reclaimed_retried_and_identical(tmp_path):
     # A real task process is SIGKILLed mid-task; the coordinator must
     # dispatch the task again at once, count the extra attempt, and merge
-    # byte-identically to the serial run.
+    # byte-identically to the serial run.  The task's seconds include the
+    # killed attempt's.
     tasks, block, pid_dir = _blocking_tasks(tmp_path, repetitions=1)
+    spool = str(tmp_path / "spool")
     result = {}
     coordinator = threading.Thread(target=lambda: result.update(
-        outcome=run_spool_sweep(str(tmp_path / "spool"), tasks, workers=2)))
+        outcome=run_spool_sweep(spool, tasks, workers=2)))
     coordinator.start()
     try:
         (first,) = _wait_for_pids(pid_dir, 1)
+        time.sleep(0.5)
         killed_at = time.monotonic()
         os.kill(int(first.split("-")[1]), signal.SIGKILL)
         _wait_for_pids(pid_dir, 2)
@@ -195,6 +196,8 @@ def test_sigkilled_worker_is_reclaimed_retried_and_identical(tmp_path):
     assert outcome.results_bytes() == run_sweep(tasks, workers=1).results_bytes()
     (retried,) = outcome.outcomes
     assert retried.ok and retried.attempts == 2
+    last_attempt_s = _read_json(_entry_path(spool, "results", 0))["seconds"]
+    assert retried.seconds >= last_attempt_s + 0.5
     assert outcome.execution_doc()["tasks_retried"] == 1
     assert outcome.spool["worker_restarts"] == 1
 
@@ -266,6 +269,7 @@ def test_wedged_worker_killed_at_hard_deadline(tmp_path):
     (wedged,) = outcome.outcomes
     assert wedged.parked and wedged.timeout and not wedged.ok
     assert "hard deadline" in wedged.error
+    assert wedged.seconds > 6.0  # the attempt's wall time, up to the kill
     assert outcome.spool["worker_restarts"] == 1
 
 

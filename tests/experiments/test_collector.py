@@ -16,7 +16,6 @@ import pytest
 
 from repro import obs
 from repro.attacks import make_censor_factory
-from repro.core import wire
 from repro.core.config import LOConfig
 from repro.crypto import keys
 from repro.crypto.keys import KeyPair
@@ -24,6 +23,7 @@ from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.mempool.admission import AdmissionConfig
 from repro.mempool.transaction import make_transaction
 from repro.net.chaos import ChaosPlan
+from repro.obs.caches import reset_caches
 from repro.obs.timeline import TimelineRecorder
 
 
@@ -295,10 +295,11 @@ def test_building_10000_nodes_costs_no_full_collection_and_18_objects_a_node(
     silently doubling set-up.  (The run of
     ``test_a_10000_node_run_makes_one_young_pass_that_frees_nothing`` is
     too short to show the run-side passes.)"""
-    # Start from a fresh process's heap: the build would otherwise free an
-    # earlier run's memo entries and key pairs, and the count would drop.
+    # Start from a fresh process's heap: the build empties the caches, and
+    # would otherwise free an earlier run's memo entries (and key pairs)
+    # inside the count, which would drop.
     gc.enable()
-    wire.clear_validation_memo()
+    reset_caches()
     monkeypatch.setattr(keys, "_VERIFIERS", {})
     gc.collect()
     tracked = len(gc.get_objects())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.attacks import make_censor_factory
+from repro.attacks import Equivocator, attacker, make_censor_factory
 from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.net.latency import ConstantLatencyModel
@@ -149,29 +149,51 @@ def test_can_propose_excludes_stale_nodes():
 
 
 def test_cache_stats_reset_per_simulation():
-    from repro.obs.caches import cache_stats
+    """One seed built and run three times in one process reports the same
+    metrics snapshot each time, every cache's counters and size included:
+    a build empties the process-wide caches, so no run inherits an earlier
+    one's decodes, syndromes or verdicts."""
 
-    def totals():
-        # Only the resettable counters: `size` reports the (deliberately
-        # retained) cache contents and `hit_rate` is derived.
+    def snapshot():
+        sim = tiny(num_nodes=8)
+        sim.inject_workload(rate_per_s=5.0, duration_s=3.0)
+        sim.run(6.0)
+        return sim.metrics_snapshot()["counters"]
+
+    first = snapshot()
+    assert first["caches.sketch.decode.misses"] > 0
+    assert first["caches.sketch.syndromes.size"] > 0
+    assert snapshot() == first
+    assert snapshot() == first
+
+
+def test_a_build_mid_run_changes_no_outcome_of_the_running_simulation():
+    """Another build empties the caches under a simulation that is half
+    way through its run, and the run's outcome does not change: the caches
+    memoise pure functions (decodes, syndromes, schema and signature
+    verdicts), so they decide only how fast the run gets there."""
+
+    def outcome(build_between):
+        sim = LOSimulation(SimulationParams(
+            num_nodes=12, seed=5, malicious_ids=[0],
+            attacker_factory=attacker(Equivocator)))
+        sim.inject_at(0.3, 0, fee=10)  # the equivocator commits: exposable
+        sim.inject_workload(rate_per_s=5.0, duration_s=8.0)
+        sim.run(5.0)
+        if build_between:
+            tiny(num_nodes=6)
+        sim.run(15.0)
         return {
-            name: sum(counters[k] for k in ("hits", "misses", "evictions"))
-            for name, counters in cache_stats().items()
+            "events": sim.loop.processed_events,
+            "latencies": sorted(sim.mempool_tracker.all_latencies()),
+            "overhead": sim.total_overhead_bytes(),
+            "net": sim.network.collect_metrics(),
+            "exposures": sorted(
+                (node.node_id, sim.directory.id_of(key))
+                for node in sim.correct_nodes() for key in node.acct.exposed
+            ),
         }
 
-    # Counter state right after a fresh construction is deterministic:
-    # __init__ resets the process-global cache counters before building
-    # the network, so whatever construction itself contributes is the
-    # same every time.
-    sim = tiny(num_nodes=8)
-    baseline = totals()
-    sim.inject_workload(rate_per_s=5.0, duration_s=3.0)
-    sim.run(6.0)
-    dirty = totals()
-    assert sum(dirty.values()) > sum(baseline.values()), (
-        "expected the run to touch at least one registered cache"
-    )
-    # Constructing the next simulation must scope the counters to it: the
-    # first run's hits/misses may not leak into the new snapshot.
-    tiny(num_nodes=8)
-    assert totals() == baseline
+    alone = outcome(build_between=False)
+    assert alone["exposures"] and alone["latencies"]
+    assert outcome(build_between=True) == alone

@@ -61,7 +61,6 @@ def test_every_decode_miss_is_one_elimination(monkeypatch):
     for name in ("steady_gossip", "burst_admission", "paper_scale"):
         for counts in (eliminated, runs, chains, quartics):
             counts.clear()
-        pinsketch.clear_decode_cache()
         workload = WORKLOADS[name]
         sim = workload.construct(7, True)
         misses = pinsketch._DECODE_STATS.misses

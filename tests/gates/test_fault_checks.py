@@ -8,20 +8,18 @@ them.  A hook that approves everything turns the checks on and must leave
 and suspicions) exactly as it was: same events, deliveries, drops, bytes
 and verdicts.
 
-The lobench workload runs at smoke size, seed 7, on an emptied decode
-cache each time.
+The lobench workload runs at smoke size, seed 7; each build starts on
+empty caches, as in a fresh process.
 """
 
 import pytest
 
 from lobench.workloads import WORKLOADS
-from repro.sketch import pinsketch
 
 pytestmark = pytest.mark.gate
 
 
 def _run(approve_all_hook, seed=7):
-    pinsketch.clear_decode_cache()
     workload = WORKLOADS["censor_storm"]
     sim = workload.construct(seed, True)
     if approve_all_hook:

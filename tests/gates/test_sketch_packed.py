@@ -10,8 +10,8 @@ decoder shows here as unpacks without Berlekamp--Massey runs (with a list
 per sketch, ``steady_gossip`` unpacked 605 times and ran none) or as more
 packs than cache misses.
 
-Both lobench workloads run at smoke size, seed 7, one after the other on
-caches emptied first, as in a fresh process.
+Both lobench workloads run at smoke size, seed 7, one after the other;
+each build starts on empty caches, as in a fresh process.
 """
 
 import pytest
@@ -38,8 +38,6 @@ def test_a_sketch_is_one_packed_int_from_the_log_to_the_decoder(monkeypatch):
                         counting("pack", pinsketch.pack_syndromes))
     monkeypatch.setattr(GF2m, "berlekamp_massey",
                         counting("berlekamp_massey", GF2m.berlekamp_massey))
-    pinsketch.clear_syndrome_cache()
-    pinsketch.clear_decode_cache()
     syndromes = pinsketch._SYNDROMES.stats
 
     for name in ("steady_gossip", "burst_admission"):

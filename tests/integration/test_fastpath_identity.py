@@ -21,23 +21,17 @@ from repro.core.config import LOConfig
 from repro.core.node import LONode
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.mempool.admission import AdmissionConfig
-from repro.obs.caches import cache_stats, reset_cache_stats
+from repro.obs.caches import cache_stats
 from repro.net import Endpoint, Network
 from repro.net.chaos import ChaosPlan
 from repro.obs import TimelineRecorder, Tracer, trace_lines
 from repro.sim import EventLoop
-from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
+from repro.sketch.pinsketch import clear_decode_cache
 from tests.core.test_eligible_memo import recompute
 
 
 def _traced_run(approve_all_hook: bool):
     """One small simulation; returns (summary dict, trace lines)."""
-    # The sketch caches and their hit/miss counters are process-global and
-    # appear in the timeline series inside the trace; start both runs from
-    # the same blank state so the comparison sees only the fault checks.
-    clear_decode_cache()
-    clear_syndrome_cache()
-    reset_cache_stats()
     tracer, timeline = Tracer(), TimelineRecorder()
     with obs.use_tracer(tracer), obs.use_timeline(timeline):
         sim = LOSimulation(SimulationParams(
@@ -219,8 +213,6 @@ class _RecomputingNode(_AlwaysRecompute, LONode):
 
 def _shuffled_censor_run(monkeypatch, node_cls):
     """Rotating neighbours around an equivocating censor: full outcome."""
-    clear_decode_cache()
-    clear_syndrome_cache()
     monkeypatch.setattr(harness, "LONode", node_cls)
 
     def censor(**kwargs):
@@ -304,8 +296,6 @@ class _EveryCellNode(_EveryCell, LONode):
 
 def _admission_run(monkeypatch, node_cls):
     """Admission, RBF and split rounds: full outcome."""
-    clear_decode_cache()
-    clear_syndrome_cache()
     monkeypatch.setattr(harness, "LONode", node_cls)
     sim = LOSimulation(SimulationParams(
         num_nodes=10, seed=8, enable_blocks=True,
@@ -427,8 +417,6 @@ def _chaos():
 
 
 def _ingress_outcome(scenario):
-    clear_decode_cache()
-    clear_syndrome_cache()
     sim = scenario()
     nodes = [sim.nodes[i] for i in sorted(sim.nodes)]
     return {

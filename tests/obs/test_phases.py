@@ -15,7 +15,6 @@ from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.obs.caches import cache_stats
 from repro.obs import PhaseProfiler
 from repro.obs.phases import CLASSIFY_RULES, OTHER_PHASE, classify_callback
-from repro.sketch.pinsketch import clear_decode_cache
 
 
 class FakeClock:
@@ -188,7 +187,6 @@ def _run(seed=11, profiler=None):
 
 
 def test_profiled_sim_attributes_expected_phases():
-    clear_decode_cache()  # so the run below decodes, not just looks up
     profiler = PhaseProfiler()
     _run(profiler=profiler)
     phases = set(profiler.self_s)

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.experiments.harness import LOSimulation, SimulationParams
-from repro.obs.caches import reset_cache_stats
 from repro.obs import TimelineRecorder
 from repro.obs.export import export_csv, export_jsonl, trace_lines
 from repro.obs.report import load_trace
 from repro.obs.schema import validate_trace_lines
-from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 
 
 def _attached(interval_s=1.0, bins=16):
@@ -237,15 +235,7 @@ def test_gauge_last_value_survives_decimation(values):
 
 
 def _timeline_lines(seed):
-    """One small run under a fresh recorder; returns its timeline file.
-
-    The sketch caches are process-global, so back-to-back in-process runs
-    must start them cold for byte-identity (separate processes, as the
-    CLI runs, start cold anyway).
-    """
-    clear_decode_cache()
-    clear_syndrome_cache()
-    reset_cache_stats()
+    """One small run under a fresh recorder; returns its timeline file."""
     recorder = TimelineRecorder(interval_s=0.5, bins=64)
     with obs.use_timeline(recorder):
         sim = LOSimulation(SimulationParams(num_nodes=8, seed=seed))

@@ -13,14 +13,12 @@ from repro.attacks import make_censor_factory
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.net.chaos import ChaosPlan, CrashWindow
 from repro.net.latency import ConstantLatencyModel
-from repro.obs.caches import reset_cache_stats
 from repro.obs import (
     TimelineRecorder,
     Tracer,
     export_jsonl,
     validate_trace_file,
 )
-from repro.sketch.pinsketch import clear_decode_cache, clear_syndrome_cache
 
 PLAN = ChaosPlan(
     seed=5,
@@ -31,15 +29,7 @@ PLAN = ChaosPlan(
 
 
 def run_traced(tmp_path, name, sample_every=4):
-    """One seeded chaos + equivocator run; returns the JSONL path.
-
-    The sketch caches are process-global, so back-to-back in-process runs
-    must start them cold for byte-identity (separate processes, as the
-    CLI runs, start cold anyway).
-    """
-    clear_syndrome_cache()
-    clear_decode_cache()
-    reset_cache_stats()
+    """One seeded chaos + equivocator run; returns the JSONL path."""
     tracer = Tracer(sample_every=sample_every)
     timeline = TimelineRecorder()
     with obs.use_tracer(tracer), obs.use_timeline(timeline):

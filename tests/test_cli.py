@@ -282,22 +282,6 @@ def test_cpu_accepts_differences_sweep(tmp_path, capsys):
     assert [p["difference"] for p in payload["result"]["points"]] == [8, 16]
 
 
-def _cold_caches():
-    """Blank the process-global sketch caches (fresh-process state).
-
-    The timeline samples the cache hit/miss counters, so back-to-back
-    in-process CLI runs must start them cold for byte-identity; separate
-    processes -- the real CLI usage -- start cold anyway.
-    """
-    from repro.obs.caches import reset_cache_stats
-    from repro.sketch.pinsketch import clear_decode_cache, \
-        clear_syndrome_cache
-
-    clear_decode_cache()
-    clear_syndrome_cache()
-    reset_cache_stats()
-
-
 def test_run_timeline_exports_are_deterministic(tmp_path, capsys):
     """One stream, deterministic end to end: two same-seed ``run --trace``
     invocations write byte-identical traces, two ``--timeline`` ones
@@ -310,7 +294,6 @@ def test_run_timeline_exports_are_deterministic(tmp_path, capsys):
     for flag in ("--trace", "--timeline"):
         for copy in "ab":
             path = tmp_path / f"{flag[2:]}-{copy}.jsonl"
-            _cold_caches()
             assert main(run_args + [flag, str(path)]) == 0
             assert main(["report", str(path),
                          "--chrome", f"{path}.chrome.json",

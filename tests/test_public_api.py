@@ -89,7 +89,7 @@ def test_metrics_convenience_exports():
         mean,
         percentile,
         register_cache,
-        reset_cache_stats,
+        reset_caches,
         stddev,
         to_jsonable,
         write_json,
