@@ -3,32 +3,26 @@
 Examples::
 
     python -m repro run   --nodes 40 --rate 10 --duration 20 --blocks
-    python -m repro fig6  --nodes 50 --fractions 0.1 0.2 0.3
-    python -m repro fig7  --nodes 80 --rate 20
-    python -m repro fig8  --nodes 40 --sizes 20 40 60
-    python -m repro fig9  --nodes 60
-    python -m repro fig10 --workloads 60 180 420
-    python -m repro memory --workloads 120 600
-    python -m repro cpu   --difference 128
-    python -m repro fig6  --nodes 20 --fractions 0.2 --trace t.jsonl
+    python -m repro run   --nodes 20 --trace t.jsonl
     python -m repro sweep fig6_point --param malicious_fraction=0.1,0.2 \
         --param num_nodes=20 --repetitions 4 --workers 4 --out-dir sweep-out
+    python -m repro report sweep-out/sweep.json
     python -m repro report t.jsonl --chrome t.chrome.json
     python -m repro run   --admission --until-steady --timeline soak.jsonl
     python -m repro watch soak.jsonl
 
-``run`` and every figure verb share one option group (``--seed``,
-``--json PATH`` to dump the raw result object, ``--trace PATH`` for a
-deterministic ``repro.trace/1`` JSONL trace with the run's timeline
-series) and run in this process; an output's missing directory is
-created.  ``sweep`` is the one parallel verb: it fans an (experiment x
+``run`` drives one network in this process (``--seed``, ``--json PATH``
+to dump the raw result object, ``--trace PATH`` for a deterministic
+``repro.trace/1`` JSONL trace with the run's timeline series); an
+output's missing directory is created.  ``sweep`` fans an (experiment x
 seed x grid) task matrix across one process per task with crash
-containment and a deterministic merge, and each figure's parallel form
-is a sweep of its registered point (see ``docs/parallelism.md``).
-``report`` summarises a trace and converts it (Chrome trace-event JSON
-for Perfetto, CSV of the timeline series).  ``run --timeline PATH``
-publishes its file, marked partial, while the run goes; ``watch``
-follows such a file, or a sweep spool, until it is finished.
+containment and a deterministic merge: every figure is a sweep of its
+registered point (see ``docs/parallelism.md``).  ``report`` prints a
+sweep document's figure table, or summarises a trace and converts it
+(Chrome trace-event JSON for Perfetto, CSV of the timeline series).
+``run --timeline PATH`` publishes its file, marked partial, while the
+run goes; ``watch`` follows such a file, or a sweep spool, until it is
+finished.
 """
 
 from __future__ import annotations
@@ -85,14 +79,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="keep every Nth per-message network trace event"
                              " (per message type; other records are never"
                              " sampled)")
-
-
-def _emit(result, args, label: str) -> None:
-    if args.json:
-        stream = io.StringIO()
-        write_json(result, stream, label=label)
-        write_atomic(args.json, stream.getvalue())
-        print(f"[json written to {args.json}]")
 
 
 # ---------------------------------------------------------------- commands
@@ -175,134 +161,11 @@ def cmd_run(args) -> int:
     profiler = getattr(args, "_profiler", None)
     if profiler is not None:
         result["phases"] = profiler.as_dict()
-    _emit(result, args, "run")
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    from repro.experiments.fig6_detection import run_fig6
-
-    result = run_fig6(num_nodes=args.nodes, fractions=args.fractions,
-                      seed=args.seed)
-    rows = [
-        (
-            f"{p.malicious_fraction:.0%}",
-            p.num_malicious,
-            _s(p.suspicion_convergence_at),
-            _s(p.exposure_convergence_at),
-            _s(p.exposure_spread_s),
-        )
-        for p in result.points
-    ]
-    print(format_table(
-        ("malicious", "count", "suspicion_s", "exposure_s", "spread_s"), rows
-    ))
-    _emit(result, args, "fig6")
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    from repro.experiments.fig7_mempool_latency import run_fig7
-
-    result = run_fig7(num_nodes=args.nodes, tx_rate_per_s=args.rate,
-                      workload_duration_s=args.duration, seed=args.seed,
-                      repetitions=args.repetitions)
-    rows = [(k, f"{v:.3f}") for k, v in result.summary.items()]
-    print(format_table(("metric", "value"), rows))
-    _emit(result, args, "fig7")
-    return 0
-
-
-def cmd_fig8(args) -> int:
-    from repro.experiments.fig8_block_latency import run_fig8
-
-    result = run_fig8(num_nodes=args.nodes, size_sweep=args.sizes,
-                      tx_rate_per_s=args.rate,
-                      workload_duration_s=args.duration, seed=args.seed)
-    rows = []
-    for policy in (result.fifo, result.highest_fee):
-        s = policy.summary
-        rows.append((policy.policy, f"{s['mean']:.2f}", f"{s['p50']:.2f}",
-                     f"{s['p90']:.2f}", f"{s['p99']:.2f}", f"{s['std']:.2f}"))
-    print(format_table(("policy", "mean", "p50", "p90", "p99", "std"), rows))
-    if result.size_sweep:
-        print()
-        print(format_table(
-            ("nodes", "fifo_mean_s"),
-            [(n, f"{s['mean']:.2f}") for n, s in sorted(result.size_sweep.items())],
-        ))
-    _emit(result, args, "fig8")
-    return 0
-
-
-def cmd_fig9(args) -> int:
-    from repro.experiments.fig9_bandwidth import run_fig9
-
-    result = run_fig9(num_nodes=args.nodes, tx_rate_per_s=args.rate,
-                      workload_duration_s=args.duration, seed=args.seed)
-    rows = [
-        (r.protocol, f"{r.overhead_bytes / 1e6:.2f}",
-         f"{r.ratio_vs_lo:.1f}x", f"{r.mean_latency_s:.2f}")
-        for r in result.rows
-    ]
-    print(format_table(("protocol", "overhead_MB", "vs_LO", "latency_s"), rows))
-    _emit(result, args, "fig9")
-    return 0
-
-
-def cmd_fig10(args) -> int:
-    from repro.experiments.fig10_reconciliations import run_fig10
-
-    result = run_fig10(workloads_tx_per_minute=args.workloads,
-                       num_nodes=args.nodes, duration_s=args.duration,
-                       seed=args.seed)
-    rows = [
-        (f"{p.tx_per_minute:.0f}",
-         f"{p.reconciliations_per_node_per_min:.1f}",
-         f"{p.failure_fraction:.1%}")
-        for p in result.points
-    ]
-    print(format_table(("tx/min", "recon/node/min", "failure_frac"), rows))
-    _emit(result, args, "fig10")
-    return 0
-
-
-def cmd_memory(args) -> int:
-    from repro.experiments.sec65_memory import run_memory_sweep
-
-    result = run_memory_sweep(workloads_tx_per_minute=args.workloads,
-                              num_nodes=args.nodes,
-                              duration_s=args.duration, seed=args.seed)
-    rows = [
-        (f"{p.tx_per_minute:.0f}", f"{p.avg_commitment_bytes:.0f}",
-         f"{p.extrapolated_10k_nodes_mb:.1f}")
-        for p in result.points
-    ]
-    print(format_table(("tx/min", "avg_commitment_B", "10k_nodes_MB"), rows))
-    _emit(result, args, "memory")
-    return 0
-
-
-def cmd_cpu(args) -> int:
-    from repro.experiments.sec65_cpu import run_cpu_comparison, run_cpu_sweep
-
-    if args.differences:
-        result = run_cpu_sweep(args.differences,
-                               partition_capacity=args.capacity,
-                               seed=args.seed)
-        points = result.points
-    else:
-        result = run_cpu_comparison(difference=args.difference,
-                                    partition_capacity=args.capacity,
-                                    seed=args.seed)
-        points = [result]
-    rows = [(p.difference, f"{p.naive_seconds:.3f}",
-             f"{p.partitioned_seconds:.3f}", f"{p.speedup:.1f}x")
-            for p in points]
-    print(format_table(
-        ("difference", "naive_s", "partitioned_s", "speedup"), rows
-    ))
-    _emit(result, args, "cpu")
+    if args.json:
+        stream = io.StringIO()
+        write_json(result, stream, label="run")
+        write_atomic(args.json, stream.getvalue())
+        print(f"[json written to {args.json}]")
     return 0
 
 
@@ -320,16 +183,26 @@ def _parse_param_value(text: str):
 
 
 def _parse_grid(params: List[str]):
-    """``["nodes=10,20", "rate=5.0"]`` -> ``{"nodes": [10, 20], ...}``."""
+    """``["nodes=10,20", "rate=5.0"]`` -> ``{"nodes": [10, 20], ...}``.
+
+    A malformed item or an axis given twice is a usage error (exit 2):
+    a second ``--param nodes=...`` would silently replace the first.
+    """
     grid = {}
     for item in params:
         name, eq, values = item.partition("=")
         if not eq or not name or not values:
-            raise SystemExit(
-                f"--param must look like name=v1,v2,... (got {item!r})"
-            )
+            _usage_error(f"--param must look like name=v1,v2,... (got {item!r})")
+        if name in grid:
+            _usage_error(f"--param {name} given twice; list its values once:"
+                         f" {name}=v1,v2,...")
         grid[name] = [_parse_param_value(v) for v in values.split(",")]
     return grid
+
+
+def _usage_error(message: str) -> None:
+    print(f"repro sweep: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_sweep(args) -> int:
@@ -437,10 +310,38 @@ def cmd_sweep(args) -> int:
     return code
 
 
+def load_sweep(path: str):
+    """The ``repro.sweep/1`` document at ``path``, or None for any other
+    file (a trace is line-JSON, so its first line is a whole record)."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as stream:
+        if stream.readline().strip() != "{":
+            return None
+        stream.seek(0)
+        try:
+            doc = json.load(stream)
+        except ValueError:
+            return None
+    if isinstance(doc, dict) and doc.get("schema") == "repro.sweep/1":
+        return doc
+    return None
+
+
 def cmd_report(args) -> int:
     from repro.obs.export import export_chrome, export_csv
     from repro.obs.schema import validate_trace_file
 
+    doc = load_sweep(args.trace) if os.path.isfile(args.trace) else None
+    if doc is not None:
+        from repro.experiments.tables import render_sweep
+
+        if args.chrome or args.csv:
+            print("--chrome and --csv convert a trace, not a sweep document",
+                  file=sys.stderr)
+            return 2
+        print(render_sweep(doc, args.trace))
+        return 0
     errors = validate_trace_file(args.trace)
     if errors:
         for error in errors[:20]:
@@ -636,63 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("fig6", help="detection times vs malicious fraction")
-    p.add_argument("--nodes", type=int, default=50)
-    p.add_argument("--fractions", type=float, nargs="+",
-                   default=[0.1, 0.2, 0.3])
-    _add_common(p)
-    p.set_defaults(func=cmd_fig6)
-
-    p = sub.add_parser("fig7", help="mempool inclusion latency density")
-    p.add_argument("--nodes", type=int, default=80)
-    p.add_argument("--rate", type=float, default=20.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--repetitions", type=_AT_LEAST_ONE, default=1,
-                   help="repeat at derived seeds and pool the samples"
-                        " (paper: 10)")
-    _add_common(p)
-    p.set_defaults(func=cmd_fig7)
-
-    p = sub.add_parser("fig8", help="FIFO vs Highest-Fee block latency")
-    p.add_argument("--nodes", type=int, default=40)
-    p.add_argument("--rate", type=float, default=5.0)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--sizes", type=int, nargs="*", default=[])
-    _add_common(p)
-    p.set_defaults(func=cmd_fig8)
-
-    p = sub.add_parser("fig9", help="bandwidth overhead across protocols")
-    p.add_argument("--nodes", type=int, default=60)
-    p.add_argument("--rate", type=float, default=10.0)
-    p.add_argument("--duration", type=float, default=15.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_fig9)
-
-    p = sub.add_parser("fig10", help="reconciliations per minute vs workload")
-    p.add_argument("--nodes", type=int, default=40)
-    p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--workloads", type=float, nargs="+",
-                   default=[60, 180, 420])
-    _add_common(p)
-    p.set_defaults(func=cmd_fig10)
-
-    p = sub.add_parser("memory", help="commitment sizes vs workload")
-    p.add_argument("--nodes", type=int, default=30)
-    p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--workloads", type=float, nargs="+",
-                   default=[120, 600])
-    _add_common(p)
-    p.set_defaults(func=cmd_memory)
-
-    p = sub.add_parser("cpu", help="naive vs partitioned decode timing")
-    p.add_argument("--difference", type=int, default=128)
-    p.add_argument("--differences", type=int, nargs="*", default=[],
-                   help="sweep several difference sizes (one row each);"
-                        " overrides --difference")
-    p.add_argument("--capacity", type=int, default=16)
-    _add_common(p)
-    p.set_defaults(func=cmd_cpu)
-
     p = sub.add_parser(
         "sweep",
         help="fan (experiment x seed x grid-point) tasks across worker"
@@ -701,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("experiment", type=str,
                    help="registered experiment name (e.g. fig6_point, run,"
-                        " fig9, fig10_point, memory_point)")
+                        " fig9_point, fig10_point, memory_point)")
     p.add_argument("--param", action="append", metavar="NAME=V1,V2,...",
                    help="one grid axis; repeat for a cartesian product")
     p.add_argument("--repetitions", type=_AT_LEAST_ONE, default=1,
@@ -746,12 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="validate, summarise and convert a repro.trace/1 JSONL trace"
+        help="print a sweep document's figure table, or validate,"
+             " summarise and convert a repro.trace/1 JSONL trace"
              " (span durations, fault->detection latency, timeline series,"
              " final counters)",
     )
     p.add_argument("trace", type=str,
-                   help="path to a --trace or --timeline JSONL file")
+                   help="a sweep.json, or a --trace or --timeline JSONL"
+                        " file")
     p.add_argument("--limit", type=int, default=40,
                    help="max per-node span rows to print")
     p.add_argument("--chrome", type=str, default=None, metavar="OUT",

@@ -20,10 +20,11 @@ serial run:
   document byte-identical to the uninterrupted serial run;
 * :func:`register_experiment` -- add custom sweepable entry points.
 
-This is the only way to run experiments in parallel: the figure runners
-and their CLI verbs are serial, and each figure's parallel form is a
-sweep of its registered entry (``fig6_point``, ``fig7_point``,
-``fig8_policy``, ``fig9``, ``fig10_point``, ``memory_point``, ``cpu``).
+This is the only way to make a figure: each figure is a sweep of its
+registered point entry (``fig6_point``, ``fig7_point``, ``fig8_policy``,
+``fig9_point``, ``fig10_point``, ``memory_point``, ``cpu``), serial with
+``workers=1``, and :mod:`repro.experiments.tables` renders its merged
+document.
 
 Shell entry point: ``python -m repro sweep`` (``--workers N``, and
 ``--spool DIR`` / ``--resume`` for durable runs).  See

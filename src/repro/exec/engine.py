@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -124,7 +125,10 @@ class SweepOutcome:
         ).encode("utf-8")
 
     def execution_doc(self) -> Dict[str, Any]:
-        """Timings and placement: everything the results doc excludes.
+        """Timings, placement and the interpreter: everything the results
+        doc excludes.  Float sums can differ in the last bit between
+        Python versions (3.12's ``sum()`` is compensated), so a results doc
+        is reproducible byte for byte under the ``python`` recorded here.
 
         Degradation is first-class here: ``tasks_retried`` /
         ``attempts_total`` expose retry/requeue activity, and parallel
@@ -136,6 +140,7 @@ class SweepOutcome:
         """
         doc: Dict[str, Any] = {
             "schema": "repro.sweep-execution/1",
+            "python": platform.python_version(),
             "workers": self.workers,
             "wall_seconds": self.wall_seconds,
             "tasks_total": len(self.outcomes),

@@ -21,6 +21,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
+from repro.experiments import (
+    fig6_detection,
+    fig7_mempool_latency,
+    fig8_block_latency,
+    fig9_bandwidth,
+    fig10_reconciliations,
+    plain_run,
+    sec65_cpu,
+    sec65_memory,
+)
 from repro.experiments.repeat import derive_seeds
 
 Runner = Callable[..., Any]
@@ -105,94 +115,22 @@ def derive_tasks(
 # ----------------------------------------------------------------- registry
 
 
-def run_plain(seed: int, num_nodes: int = 20, rate_per_s: float = 10.0,
-              duration_s: float = 10.0, drain_s: float = 5.0,
-              enable_blocks: bool = False) -> Dict[str, Any]:
-    """A plain LO network run (the ``run`` CLI verb as a sweepable task)."""
-    import statistics
-
-    from repro.core.config import LOConfig
-    from repro.experiments.harness import LOSimulation, SimulationParams
-
-    sim = LOSimulation(SimulationParams(
-        num_nodes=num_nodes, seed=seed, config=LOConfig(),
-        enable_blocks=enable_blocks,
-    ))
-    count = sim.inject_workload(rate_per_s=rate_per_s, duration_s=duration_s)
-    sim.run(duration_s + drain_s)
-    latencies = sim.mempool_tracker.all_latencies()
-    return {
-        "nodes": num_nodes,
-        "transactions": count,
-        "mean_mempool_latency_s":
-            statistics.mean(latencies) if latencies else None,
-        "chain_height":
-            sim.nodes[0].ledger.height if enable_blocks else None,
-        "overhead_bytes": sim.total_overhead_bytes(),
-        "exposures": sum(len(n.acct.exposed) for n in sim.nodes.values()),
-        "events_processed": sim.loop.processed_events,
-    }
-
-
-def _fig6_point(seed: int, **params: Any):
-    from repro.experiments.fig6_detection import run_detection_point
-    return run_detection_point(seed=seed, **params)
-
-
-def _fig6(seed: int, **params: Any):
-    from repro.experiments.fig6_detection import run_fig6
-    return run_fig6(seed=seed, **params)
-
-
-def _fig7(seed: int, **params: Any):
-    from repro.experiments.fig7_mempool_latency import run_fig7
-    return run_fig7(seed=seed, **params)
-
-
-def _fig7_point(seed: int, **params: Any):
-    from repro.experiments.fig7_mempool_latency import run_fig7_point
-    return run_fig7_point(seed=seed, **params)
-
-
-def _fig8_policy(seed: int, **params: Any):
-    from repro.experiments.fig8_block_latency import run_policy
-    return run_policy(seed=seed, **params)
-
-
-def _fig9(seed: int, **params: Any):
-    from repro.experiments.fig9_bandwidth import run_fig9
-    return run_fig9(seed=seed, **params)
-
-
-def _fig10_point(seed: int, **params: Any):
-    from repro.experiments.fig10_reconciliations import run_fig10_point
-    return run_fig10_point(seed=seed, **params)
-
-
-def _memory_point(seed: int, **params: Any):
-    from repro.experiments.sec65_memory import run_memory_point
-    return run_memory_point(seed=seed, **params)
-
-
-def _cpu(seed: int, **params: Any):
-    from repro.experiments.sec65_cpu import run_cpu_comparison
-    return run_cpu_comparison(seed=seed, **params)
-
-
 #: Experiment name -> ``fn(seed, **params) -> result`` entry point.  All
 #: entries are module-level functions so worker processes can resolve them
 #: by name; results must be picklable and `to_jsonable`-serialisable.
+#: Each is one point of a figure: the figure is a sweep of its entry, and
+#: the arithmetic across points lives in the ``table`` function of the
+#: entry's module, which ``report`` prints
+#: (:mod:`repro.experiments.tables`).
 EXPERIMENTS: Dict[str, Runner] = {
-    "run": run_plain,
-    "fig6": _fig6,
-    "fig6_point": _fig6_point,
-    "fig7": _fig7,
-    "fig7_point": _fig7_point,
-    "fig8_policy": _fig8_policy,
-    "fig9": _fig9,
-    "fig10_point": _fig10_point,
-    "memory_point": _memory_point,
-    "cpu": _cpu,
+    "run": plain_run.run_plain,
+    "fig6_point": fig6_detection.run_detection_point,
+    "fig7_point": fig7_mempool_latency.run_fig7_point,
+    "fig8_policy": fig8_block_latency.run_policy,
+    "fig9_point": fig9_bandwidth.run_protocol_point,
+    "fig10_point": fig10_reconciliations.run_fig10_point,
+    "memory_point": sec65_memory.run_memory_point,
+    "cpu": sec65_cpu.run_cpu_comparison,
 }
 
 

@@ -1,14 +1,14 @@
 """Experiment runners: one module per paper table/figure.
 
-Each runner builds a simulation from :mod:`repro.experiments.harness`,
-drives the workload, and returns a plain-data result object that the
-corresponding benchmark prints as the paper's rows/series.  See DESIGN.md
-section 4 for the experiment index.
-
-Runners are serial: each calls its point function in a plain loop.  To
-spread a figure's points or repetitions across processes, sweep its
-registered entry with :func:`repro.exec.run_sweep` (``python -m repro
-sweep``; see ``docs/parallelism.md``).
+Each module's point runner builds a simulation from
+:mod:`repro.experiments.harness`, drives the workload, and returns a
+plain-data result for one point of its figure.  A figure is a sweep of
+that runner's registered entry (``python -m repro sweep``;
+:mod:`repro.exec`), and the module's ``table(tasks)`` turns the merged
+sweep document into the figure's rows, doing any arithmetic across
+points (:mod:`repro.experiments.tables`, ``python -m repro report``).
+The committed documents are under ``results/``; DESIGN.md section 4
+indexes the experiments and EXPERIMENTS.md shows each table.
 """
 
 from repro.experiments.harness import LOSimulation, SimulationParams

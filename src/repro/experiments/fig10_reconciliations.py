@@ -8,8 +8,8 @@ partition decodes instead of a single expensive (or impossible) one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.experiments.harness import LOSimulation, SimulationParams
 
@@ -22,13 +22,6 @@ class ReconciliationPoint:
     reconciliations_per_node_per_min: float
     failures_per_node_per_min: float
     failure_fraction: float
-
-
-@dataclass
-class Fig10Result:
-    """Full workload sweep."""
-
-    points: List[ReconciliationPoint] = field(default_factory=list)
 
 
 def run_fig10_point(
@@ -55,16 +48,17 @@ def run_fig10_point(
     )
 
 
-def run_fig10(
-    workloads_tx_per_minute: Optional[List[float]] = None,
-    num_nodes: int = 50,
-    duration_s: float = 30.0,
-    seed: int = 42,
-) -> Fig10Result:
-    """Sweep the workload as in Fig. 10."""
-    workloads = workloads_tx_per_minute or [30, 120, 300, 600, 1200]
-    return Fig10Result(points=[
-        run_fig10_point(tx_per_minute=workload, num_nodes=num_nodes,
-                        duration_s=duration_s, seed=seed)
-        for workload in workloads
-    ])
+def table(tasks: List[Dict[str, Any]]):
+    """Fig. 10's table: one row per point of a ``fig10_point`` sweep."""
+    rows = [
+        (f"{r['tx_per_minute']:.0f}", task["seed"],
+         f"{r['reconciliations_per_node_per_min']:.1f}",
+         f"{r['failures_per_node_per_min']:.1f}",
+         f"{r['failure_fraction']:.1%}")
+        for task in tasks for r in [task["result"]]
+    ]
+    return [(
+        "Fig. 10 -- sketch reconciliations per node per minute",
+        ("tx/min", "seed", "recon/node/min", "failures/min", "failure_frac"),
+        rows,
+    )]

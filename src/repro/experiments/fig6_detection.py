@@ -16,8 +16,8 @@ miners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.attacks import make_censor_factory
 from repro.experiments.harness import LOSimulation, SimulationParams
@@ -34,13 +34,6 @@ class DetectionPoint:
     exposure_convergence_at: Optional[float]    # all correct nodes exposed all
     suspicion_convergence_at: Optional[float]   # all correct nodes suspect all
     exposure_spread_s: Optional[float]          # convergence - first exposure
-
-
-@dataclass
-class Fig6Result:
-    """All points of one Fig. 6 sweep."""
-
-    points: List[DetectionPoint] = field(default_factory=list)
 
 
 def run_detection_point(
@@ -83,15 +76,21 @@ def run_detection_point(
     )
 
 
-def run_fig6(
-    num_nodes: int = 60,
-    fractions: Optional[List[float]] = None,
-    seed: int = 42,
-) -> Fig6Result:
-    """Sweep the malicious fraction as in Fig. 6."""
-    fractions = fractions or [0.1, 0.2, 0.3, 0.4, 0.5]
-    return Fig6Result(points=[
-        run_detection_point(num_nodes=num_nodes, malicious_fraction=fraction,
-                            seed=seed)
-        for fraction in fractions
-    ])
+def table(tasks: List[Dict[str, Any]]):
+    """Fig. 6's table: one row per point of a ``fig6_point`` sweep."""
+    def s(value: Optional[float]) -> str:
+        return "n/a" if value is None else f"{value:.2f}"
+
+    rows = [
+        (task["seed"], f"{r['malicious_fraction']:.0%}", r["num_malicious"],
+         s(r["suspicion_convergence_at"]), s(r["exposure_convergence_at"]),
+         s(r["exposure_spread_s"]))
+        for task in tasks for r in [task["result"]]
+    ]
+    return [(
+        "Fig. 6 -- detection times (suspicion/exposure convergence across"
+        " all correct nodes, simulated s)",
+        ("seed", "malicious", "count", "suspicion_s", "exposure_s",
+         "spread_s"),
+        rows,
+    )]

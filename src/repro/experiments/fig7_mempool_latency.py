@@ -8,28 +8,11 @@ a node in 1.14 seconds" with the section 6.1 setup (20 tx/s, 250 B txs,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.obs.stats import Histogram, describe
-
-
-@dataclass
-class Fig7Result:
-    """Latency density, summary statistics, and dissemination hop counts.
-
-    ``hops_summary`` covers the paper's companion claim that "convergence
-    on the transaction among nodes is achieved after an interaction with 5
-    to 6 nodes": for every (transaction, miner) pair we walk the bundle
-    provenance chain back to the origin and count the pairwise
-    reconciliations involved.
-    """
-
-    latencies: List[float]
-    summary: Dict[str, float]
-    density: List[Tuple[float, float]]  # (bin centre seconds, density)
-    hops_summary: Dict[str, float]
 
 
 def dissemination_hops(sim: LOSimulation, max_txs: int = 200) -> List[int]:
@@ -83,9 +66,9 @@ def run_fig7_point(
 ) -> Dict[str, List[float]]:
     """One seed's raw samples: inclusion latencies + dissemination hops.
 
-    Module-level and plain-data so it can cross a process boundary -- this
-    is the unit :func:`run_fig7` fans out per repetition seed and the
-    ``fig7_point`` entry in :data:`repro.exec.tasks.EXPERIMENTS`.
+    Module-level and plain-data so it can cross a process boundary: the
+    ``fig7_point`` entry in :data:`repro.exec.tasks.EXPERIMENTS`, swept
+    once per repetition seed and pooled by :func:`pooled`.
     """
     sim = LOSimulation(SimulationParams(num_nodes=num_nodes, seed=seed))
     sim.inject_workload(rate_per_s=tx_rate_per_s, duration_s=workload_duration_s)
@@ -96,38 +79,47 @@ def run_fig7_point(
     }
 
 
-def run_fig7(
-    num_nodes: int = 100,
-    tx_rate_per_s: float = 20.0,
-    workload_duration_s: float = 20.0,
-    drain_s: float = 10.0,
-    seed: int = 42,
-    bins: int = 40,
-    max_latency_s: float = 8.0,
-    repetitions: int = 1,
-) -> Fig7Result:
-    """Run the workload and collect per-(tx, miner) inclusion latencies.
+def pooled(tasks: List[Dict[str, Any]]):
+    """Each grid point's samples, pooled over its repetitions in seed order.
 
-    ``repetitions > 1`` repeats the run at derived seeds (the paper's
-    repetition protocol) and pools every sample, in seed order, into one
-    density.
+    Yields ``(params, latencies, hops)``: a sweep lists a point's
+    repetitions next to each other, in derivation (seed) order.
     """
-    from repro.experiments.repeat import derive_seeds
+    for _key, group in itertools.groupby(
+            tasks, key=lambda task: sorted(task["params"].items())):
+        group = list(group)
+        yield (group[0]["params"],
+               [x for task in group for x in task["result"]["latencies"]],
+               [x for task in group for x in task["result"]["hops"]])
 
-    points = [
-        run_fig7_point(seed=s, num_nodes=num_nodes,
-                       tx_rate_per_s=tx_rate_per_s,
-                       workload_duration_s=workload_duration_s,
-                       drain_s=drain_s)
-        for s in derive_seeds(seed, repetitions)
-    ]
-    latencies = [l for point in points for l in point["latencies"]]
-    hops = [h for point in points for h in point["hops"]]
-    histogram = Histogram(0.0, max_latency_s, bins)
-    histogram.add_all(latencies)
-    return Fig7Result(
-        latencies=latencies,
-        summary=describe(latencies),
-        density=histogram.density(),
-        hops_summary=describe(hops),
-    )
+
+def table(tasks: List[Dict[str, Any]]):
+    """Fig. 7's tables per grid point: the pooled latency summary, its
+    density over 40 bins up to 8 s shown as 8 averaged bins, and the
+    dissemination-hop summary."""
+    sections = []
+    for params, latencies, hops in pooled(tasks):
+        where = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+        summary, hop = describe(latencies), describe(hops)
+        histogram = Histogram(0.0, 8.0, 40)
+        histogram.add_all(latencies)
+        density = histogram.density()
+        chunks = [density[i:i + 5] for i in range(0, len(density), 5)]
+        sections += [
+            (f"Fig. 7 -- mempool inclusion latency ({where})",
+             ("metric", "seconds"),
+             [(name, f"{summary[name]:.3f}")
+              for name in ("mean", "p50", "p90", "p99", "max")]
+             + [("samples", int(summary["count"]))]),
+            ("Fig. 7 -- latency density (coarse bins)",
+             ("bin_centre_s", "density"),
+             [(f"{sum(c for c, _d in chunk) / len(chunk):.2f}",
+               f"{sum(d for _c, d in chunk) / len(chunk):.3f}")
+              for chunk in chunks]),
+            ("Fig. 7 companion -- reconciliation hops to reach a miner"
+             " (paper: converges after interacting with 5-6 nodes)",
+             ("metric", "hops"),
+             [("mean", f"{hop['mean']:.2f}"), ("p50", f"{hop['p50']:.1f}"),
+              ("p90", f"{hop['p90']:.1f}"), ("max", f"{hop['max']:.0f}")]),
+        ]
+    return sections

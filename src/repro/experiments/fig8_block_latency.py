@@ -15,7 +15,7 @@ Right panel: FIFO latency as a function of the system size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
@@ -29,15 +29,6 @@ class PolicyLatency:
     policy: str
     summary: Dict[str, float]
     latencies: List[float]
-
-
-@dataclass
-class Fig8Result:
-    """Left panel (policies) and right panel (size sweep)."""
-
-    fifo: PolicyLatency
-    highest_fee: PolicyLatency
-    size_sweep: Dict[int, Dict[str, float]]  # num_nodes -> FIFO summary
 
 
 def run_policy(
@@ -103,23 +94,42 @@ def run_policy(
     )
 
 
-def run_fig8(
-    num_nodes: int = 60,
-    size_sweep: Optional[List[int]] = None,
-    tx_rate_per_s: float = 10.0,
-    workload_duration_s: float = 60.0,
-    seed: int = 42,
-) -> Fig8Result:
-    """Both panels of Fig. 8."""
-    sizes = list(size_sweep or [])
-    runs = [("fifo", num_nodes), ("highest_fee", num_nodes)]
-    runs += [("fifo", n) for n in sizes]
-    points = [
-        run_policy(policy=policy, num_nodes=n, tx_rate_per_s=tx_rate_per_s,
-                   workload_duration_s=workload_duration_s, seed=seed)
-        for policy, n in runs
+def table(tasks: List[Dict[str, Any]]):
+    """Both panels of Fig. 8 from one ``policy x num_nodes`` sweep.
+
+    Left: one row per task.  Right: FIFO latency against the system size,
+    with the Highest-Fee mean of the same size and seed and their ratio.
+    """
+    def key(task, policy):
+        params = dict(task["params"], policy=policy)
+        return task["seed"], tuple(sorted(params.items()))
+
+    by_key = {key(t, t["params"]["policy"]): t["result"] for t in tasks}
+    left = [
+        (r["policy"], t["params"].get("num_nodes", "-"), t["seed"])
+        + tuple(f"{r['summary'][m]:.2f}"
+                for m in ("mean", "p50", "p90", "p99", "std"))
+        for t in tasks for r in [t["result"]]
     ]
-    sweep: Dict[int, Dict[str, float]] = {
-        n: point.summary for n, point in zip(sizes, points[2:])
-    }
-    return Fig8Result(fifo=points[0], highest_fee=points[1], size_sweep=sweep)
+    right = []
+    for task in tasks:
+        if task["params"]["policy"] != "fifo":
+            continue
+        fifo = task["result"]["summary"]
+        fee = by_key.get(key(task, "highest_fee"))
+        right.append((
+            task["params"].get("num_nodes", "-"), task["seed"],
+            f"{fifo['mean']:.2f}", f"{fifo['p90']:.2f}",
+            "n/a" if fee is None else f"{fee['summary']['mean']:.2f}",
+            "n/a" if fee is None or not fifo["mean"]
+            else f"{fee['summary']['mean'] / fifo['mean']:.1f}x",
+        ))
+    return [
+        ("Fig. 8 (left) -- tx-to-block latency by policy (seconds)",
+         ("policy", "nodes", "seed", "mean", "p50", "p90", "p99", "std"),
+         left),
+        ("Fig. 8 (right) -- FIFO latency vs system size",
+         ("nodes", "seed", "fifo_mean_s", "fifo_p90_s", "fee_mean_s",
+          "fee/fifo"),
+         right),
+    ]

@@ -13,8 +13,8 @@ with Narwhal trading its bandwidth for 1-2 s better latency.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.baselines import (
     BaselineSimulation,
@@ -33,17 +33,6 @@ class ProtocolBandwidth:
     overhead_bytes: int
     overhead_bytes_per_node_per_s: float
     mean_latency_s: float
-    ratio_vs_lo: float = 0.0
-
-
-@dataclass
-class Fig9Result:
-    """All four protocol measurements."""
-
-    rows: List[ProtocolBandwidth] = field(default_factory=list)
-
-    def by_protocol(self) -> Dict[str, ProtocolBandwidth]:
-        return {row.protocol: row for row in self.rows}
 
 
 PROTOCOLS = ("lo", "flood", "peerreview", "narwhal")
@@ -65,8 +54,8 @@ def run_protocol_point(
 ) -> ProtocolBandwidth:
     """Measure one protocol's overhead/latency on the shared workload.
 
-    ``ratio_vs_lo`` is left at 0.0 -- it is a cross-protocol quantity,
-    filled in by :func:`run_fig9` once the LO measurement is known.
+    The ratio to LO is a cross-protocol quantity: :func:`table` takes it
+    against the LO row of the same seed.
     """
     horizon = workload_duration_s + drain_s
     if protocol == "lo":
@@ -93,27 +82,35 @@ def run_protocol_point(
     )
 
 
-def run_fig9(
-    num_nodes: int = 60,
-    tx_rate_per_s: float = 10.0,
-    workload_duration_s: float = 15.0,
-    drain_s: float = 5.0,
-    seed: int = 42,
-) -> Fig9Result:
-    """Measure overhead for the four protocols on identical workloads."""
-    rows = [
-        run_protocol_point(protocol=name, num_nodes=num_nodes,
-                           tx_rate_per_s=tx_rate_per_s,
-                           workload_duration_s=workload_duration_s,
-                           drain_s=drain_s, seed=seed)
-        for name in PROTOCOLS
+def ratios_vs_lo(tasks: List[Dict[str, Any]]) -> List[Any]:
+    """Each task's overhead over the LO task of the same seed and other
+    parameters (None without such a row, or when LO sent nothing)."""
+    def key(task):
+        params = {k: v for k, v in task["params"].items() if k != "protocol"}
+        return task["seed"], tuple(sorted(params.items()))
+
+    lo = {key(t): t["result"]["overhead_bytes"] for t in tasks
+          if t["result"]["protocol"] == "lo"}
+    return [
+        t["result"]["overhead_bytes"] / lo[key(t)] if lo.get(key(t)) else None
+        for t in tasks
     ]
-    lo_overhead = rows[0].overhead_bytes
-    for row in rows:
-        if row.protocol == "lo":
-            row.ratio_vs_lo = 1.0
-        else:
-            row.ratio_vs_lo = (
-                row.overhead_bytes / lo_overhead if lo_overhead else 0.0
-            )
-    return Fig9Result(rows=rows)
+
+
+def table(tasks: List[Dict[str, Any]]):
+    """Fig. 9's table: one row per task of a ``fig9_point`` sweep over
+    ``protocol``, with its overhead against the same seed's LO row."""
+    rows = [
+        (r["protocol"], task["seed"], f"{r['overhead_bytes'] / 1e6:.2f}",
+         f"{r['overhead_bytes_per_node_per_s'] / 1e3:.2f}",
+         "n/a" if ratio is None else f"{ratio:.1f}x",
+         f"{r['mean_latency_s']:.2f}")
+        for task, ratio in zip(tasks, ratios_vs_lo(tasks))
+        for r in [task["result"]]
+    ]
+    return [(
+        "Fig. 9 -- bandwidth overhead (tx content bytes excluded)",
+        ("protocol", "seed", "overhead_MB", "KB/node/s", "vs_LO",
+         "mean_latency_s"),
+        rows,
+    )]

@@ -2,8 +2,9 @@
 average result of these runs is reported" (paper section 6.1).
 
 Experiment runners are deterministic functions of their seed;
-:func:`derive_seeds` gives the per-repetition seeds that ``run_fig7``'s
-``repetitions`` and every sweep (:func:`repro.exec.derive_tasks`) use.
+:func:`derive_seeds` gives the per-repetition seeds of every sweep
+(:func:`repro.exec.derive_tasks`, ``sweep --repetitions``), and a
+figure's table averages or pools over them.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.sketch import PartitionedReconciler, PinSketch, SketchDecodeError
 from repro.sketch.pinsketch import clear_decode_cache
@@ -91,29 +91,31 @@ def run_cpu_comparison(
     set_a, set_b = make_sets(difference, seed=seed)
     naive_s = time_naive(set_a, set_b, capacity=difference)
     part_s, sketches = time_partitioned(set_a, set_b, partition_capacity)
+    # Microseconds: finer digits of a wall-clock decode time are noise.
     return CpuResult(
         difference=difference,
-        naive_seconds=naive_s,
-        partitioned_seconds=part_s,
+        naive_seconds=round(naive_s, 6),
+        partitioned_seconds=round(part_s, 6),
         partitioned_sketches=sketches,
     )
 
 
-@dataclass
-class CpuSweepResult:
-    """Naive-vs-partitioned comparisons across difference sizes."""
+def table(tasks: List[Dict[str, Any]]):
+    """Section 6.5's CPU table: one row per ``cpu`` task.
 
-    points: List[CpuResult] = field(default_factory=list)
-
-
-def run_cpu_sweep(
-    differences: Sequence[int],
-    partition_capacity: int = 16,
-    seed: int = 42,
-) -> CpuSweepResult:
-    """Section 6.5 rows at several difference sizes."""
-    return CpuSweepResult(points=[
-        run_cpu_comparison(difference=d, partition_capacity=partition_capacity,
-                           seed=seed)
-        for d in differences
-    ])
+    Timings are stored rounded to the microsecond and shown in full.
+    """
+    rows = [
+        (r["difference"], task["seed"], f"{r['naive_seconds']:.6f}",
+         f"{r['partitioned_seconds']:.6f}",
+         f"{r['naive_seconds'] / r['partitioned_seconds']:.1f}x"
+         if r["partitioned_seconds"] > 0 else "inf",
+         r["partitioned_sketches"])
+        for task in tasks for r in [task["result"]]
+    ]
+    return [(
+        "Sec. 6.5 -- sketch decode cost, naive vs hash-partitioned",
+        ("difference", "seed", "naive_s", "partitioned_s", "speedup",
+         "sketches"),
+        rows,
+    )]

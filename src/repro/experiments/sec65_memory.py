@@ -17,8 +17,8 @@ per network member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.experiments.harness import LOSimulation, SimulationParams
 
@@ -32,13 +32,6 @@ class MemoryPoint:
     max_commitment_bytes: int
     per_neighbor_store_bytes: float      # latest commitment per neighbour
     extrapolated_10k_nodes_mb: float     # storing one per 10,000 members
-
-
-@dataclass
-class MemoryResult:
-    """Full workload sweep of section 6.5's memory analysis."""
-
-    points: List[MemoryPoint] = field(default_factory=list)
 
 
 def run_memory_point(
@@ -69,16 +62,17 @@ def run_memory_point(
     )
 
 
-def run_memory_sweep(
-    workloads_tx_per_minute: Optional[List[float]] = None,
-    num_nodes: int = 40,
-    duration_s: float = 30.0,
-    seed: int = 42,
-) -> MemoryResult:
-    """Sweep workloads as in the section 6.5 memory discussion."""
-    workloads = workloads_tx_per_minute or [120, 600, 1200]
-    return MemoryResult(points=[
-        run_memory_point(tx_per_minute=workload, num_nodes=num_nodes,
-                         duration_s=duration_s, seed=seed)
-        for workload in workloads
-    ])
+def table(tasks: List[Dict[str, Any]]):
+    """Section 6.5's memory table: one row per ``memory_point`` task."""
+    rows = [
+        (f"{r['tx_per_minute']:.0f}", task["seed"],
+         f"{r['avg_commitment_bytes']:.0f}", r["max_commitment_bytes"],
+         f"{r['per_neighbor_store_bytes'] / 1e3:.2f}",
+         f"{r['extrapolated_10k_nodes_mb']:.1f}")
+        for task in tasks for r in [task["result"]]
+    ]
+    return [(
+        "Sec. 6.5 -- commitment sizes vs workload",
+        ("tx/min", "seed", "avg_B", "max_B", "8-neighbor_KB", "10k-node_MB"),
+        rows,
+    )]

@@ -274,7 +274,8 @@ def timeline_rows(
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Render an aligned plain-text table."""
+    """Render an aligned plain-text table (no trailing blanks, so a table
+    pasted into a document survives an editor that strips them)."""
     rows = [tuple(str(c) for c in row) for row in rows]
     widths = [
         max(len(str(h)), *(len(r[i]) for r in rows)) if rows else len(str(h))
@@ -283,10 +284,11 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [
         "  ".join(str(h).ljust(w) for h, w in zip(headers, widths)),
     ]
-    lines.append("-" * len(lines[0]))
+    rule = "-" * len(lines[0])
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    lines.insert(1, rule)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def to_jsonable(value: Any) -> Any:

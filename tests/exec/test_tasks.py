@@ -68,10 +68,10 @@ def test_task_spec_is_plain_data():
 
 
 def test_registry_covers_cli_experiments():
-    names = experiment_names()
-    for expected in ("run", "fig6", "fig7", "fig9", "fig10_point",
-                     "memory_point"):
-        assert expected in names
+    # One entry per figure point; a whole figure is a sweep of its entry.
+    assert experiment_names() == [
+        "cpu", "fig10_point", "fig6_point", "fig7_point", "fig8_policy",
+        "fig9_point", "memory_point", "run"]
 
 
 def _probe_experiment(seed, **params):

@@ -10,9 +10,10 @@
   fixed-memory ``repro.trace/1`` timeline file into a directory that is
   not there yet, and ``watch --once`` reads it and ``report``
   schema-validates it (a malformed file fails it).
-* **A traced figure point validates and converts.**  ``fig6 --trace``
-  at 12 nodes writes a trace that ``report`` schema-validates and turns
-  into a non-empty Chrome trace-event file (about 2 s).
+* **A traced figure point validates and converts.**  ``sweep fig6_point
+  --task-traces`` at 12 nodes writes a task trace that ``report``
+  schema-validates and turns into a non-empty Chrome trace-event file
+  (about 2 s).
 """
 
 import json
@@ -65,10 +66,12 @@ def test_an_admission_soak_goes_steady_before_its_horizon(tmp_path):
 
 
 def test_a_traced_fig6_point_validates_and_converts(tmp_path):
-    _repro(["fig6", "--nodes", "12", "--fractions", "0.2",
-            "--trace", "trace-out/fig6.jsonl"], tmp_path)
-    assert validate_trace_file(str(tmp_path / "trace-out/fig6.jsonl")) == []
-    _repro(["report", "trace-out/fig6.jsonl",
-            "--chrome", "trace-out/fig6.chrome.json"], tmp_path)
+    _repro(["sweep", "fig6_point", "--param", "num_nodes=12",
+            "--param", "malicious_fraction=0.2", "--task-traces",
+            "--out-dir", "trace-out"], tmp_path)
+    trace = "trace-out/task-0000.trace.jsonl"
+    assert validate_trace_file(str(tmp_path / trace)) == []
+    _repro(["report", trace, "--chrome", "trace-out/fig6.chrome.json"],
+           tmp_path)
     chrome = json.loads((tmp_path / "trace-out/fig6.chrome.json").read_text())
     assert chrome["traceEvents"]

@@ -9,7 +9,7 @@ traffic.
 
 import pytest
 
-from repro.exec.tasks import run_plain
+from repro.experiments.plain_run import run_plain
 
 PAPER_NODES = 10_000
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,23 @@ from repro.obs.schema import validate_trace_file
 
 
 def test_parser_covers_all_experiments():
+    # A figure is a sweep of its point entry, and report prints its table.
     parser = build_parser()
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    commands = set(sub.choices)
-    assert {"run", "fig6", "fig7", "fig8", "fig9", "fig10", "memory",
-            "cpu", "report"} <= commands
+    assert set(sub.choices) == {"run", "sweep", "report", "watch"}
+
+
+def _sweep_and_report(tmp_path, capsys, experiment, *args):
+    """``sweep EXPERIMENT ARGS --out-dir`` then ``report`` its sweep.json:
+    the report's output, and the document."""
+    out_dir = tmp_path / experiment
+    assert main(["sweep", experiment, *args, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out_dir / "sweep.json")]) == 0
+    doc = json.loads((out_dir / "sweep.json").read_text())
+    return capsys.readouterr().out, doc
 
 
 def test_run_command(capsys):
@@ -31,27 +42,33 @@ def test_run_command(capsys):
 
 def test_cpu_command_with_json(tmp_path, capsys):
     out_file = tmp_path / "cpu.json"
-    code = main(["cpu", "--difference", "24", "--capacity", "8",
-                 "--json", str(out_file)])
+    code = main(["sweep", "cpu", "--param", "difference=24",
+                 "--param", "partition_capacity=8", "--json", str(out_file)])
     assert code == 0
-    assert "speedup" in capsys.readouterr().out
     payload = json.loads(out_file.read_text())
-    assert payload["experiment"] == "cpu"
-    assert payload["result"]["difference"] == 24
+    assert payload["tasks"][0]["experiment"] == "cpu"
+    assert payload["tasks"][0]["result"]["difference"] == 24
+    capsys.readouterr()
+    assert main(["report", str(out_file)]) == 0
+    assert "speedup" in capsys.readouterr().out
 
 
-def test_fig10_command(capsys):
-    code = main(["fig10", "--nodes", "10", "--duration", "8",
-                 "--workloads", "120"])
-    assert code == 0
-    assert "recon/node/min" in capsys.readouterr().out
+def test_fig10_command(tmp_path, capsys):
+    out, _doc = _sweep_and_report(
+        tmp_path, capsys, "fig10_point", "--param", "num_nodes=10",
+        "--param", "duration_s=8.0", "--param", "tx_per_minute=120")
+    assert "recon/node/min" in out
+    # A sweep document has no trace to convert.
+    assert main(["report", str(tmp_path / "fig10_point" / "sweep.json"),
+                 "--chrome", str(tmp_path / "c.json")]) == 2
+    assert "not a sweep document" in capsys.readouterr().err
 
 
-def test_memory_command(capsys):
-    code = main(["memory", "--nodes", "10", "--duration", "8",
-                 "--workloads", "120"])
-    assert code == 0
-    assert "avg_commitment_B" in capsys.readouterr().out
+def test_memory_command(tmp_path, capsys):
+    out, _doc = _sweep_and_report(
+        tmp_path, capsys, "memory_point", "--param", "num_nodes=10",
+        "--param", "duration_s=8.0", "--param", "tx_per_minute=120")
+    assert "avg_B" in out and "10k-node_MB" in out
 
 
 def test_missing_command_rejected():
@@ -102,6 +119,15 @@ def test_sweep_rejects_malformed_param():
         main(["sweep", "run", "--param", "num_nodes"])
 
 
+def test_sweep_rejects_a_repeated_axis(capsys):
+    # A second --param of one axis used to replace the first silently.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "run", "--param", "num_nodes=20",
+              "--param", "num_nodes=40"])
+    assert exit_info.value.code == 2
+    assert "--param num_nodes given twice" in capsys.readouterr().err
+
+
 def test_sweep_task_traces_require_out_dir(capsys):
     assert main(["sweep", "run", "--task-traces"]) == 2
     assert "--task-traces requires --out-dir" in capsys.readouterr().err
@@ -119,11 +145,11 @@ FIGURE_VERBS = ["fig6", "fig7", "fig8", "fig9", "fig10", "memory", "cpu"]
 
 @pytest.mark.parametrize("verb", FIGURE_VERBS)
 def test_figure_verbs_take_no_workers(verb, capsys):
-    # A figure runs serially; its parallel form is a sweep of its point.
+    # There is no figure verb: a figure is a sweep of its point entry.
     with pytest.raises(SystemExit) as exit_info:
         main([verb, "--workers", "2"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
 
 def test_sweep_is_the_only_verb_with_workers():
@@ -169,7 +195,7 @@ def test_run_takes_at_most_17_options():
     pytest.param(["run", "--until-steady", "--steady-window", "1"],
                  "unrecognized arguments: --steady-window 1",
                  id="steady-window"),
-    pytest.param(["fig7", "--repetitions", "0"],
+    pytest.param(["sweep", "fig7_point", "--repetitions", "0"],
                  "--repetitions: must be >= 1, got 0", id="fig7-repetitions"),
     pytest.param(["sweep", "run", "--repetitions", "0"],
                  "--repetitions: must be >= 1, got 0",
@@ -191,14 +217,16 @@ def test_out_of_range_numbers_are_usage_errors(argv, message, tmp_path,
 
 
 def test_trace_sees_every_figure_point(tmp_path, capsys):
-    trace = tmp_path / "memory.jsonl"
-    assert main(["memory", "--nodes", "6", "--duration", "3",
-                 "--workloads", "60", "120", "--trace", str(trace)]) == 0
+    assert main(["sweep", "memory_point", "--param", "num_nodes=6",
+                 "--param", "duration_s=3.0", "--param", "tx_per_minute=60,120",
+                 "--task-traces", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
-    runs = [r for r in records if r.get("name") == "sim.run"]
-    assert len(runs) == 2
-    assert runs[0]["span_id"] != runs[1]["span_id"]
+    traces = sorted(tmp_path.glob("task-*.trace.jsonl"))
+    assert len(traces) == 2
+    for trace in traces:
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["name"] for r in records if r.get("name") == "sim.run"] \
+            == ["sim.run"], trace
 
 
 def test_outputs_go_into_a_directory_that_is_not_there_yet(tmp_path,
@@ -264,22 +292,21 @@ def test_sweep_spool_guards(tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
-def test_fig7_accepts_repetitions(capsys):
-    code = main(["fig7", "--nodes", "10", "--rate", "3", "--duration", "3",
-                 "--repetitions", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "count" in out and "210" in out  # 2 reps x 105 pooled samples
+def test_fig7_accepts_repetitions(tmp_path, capsys):
+    out, doc = _sweep_and_report(
+        tmp_path, capsys, "fig7_point", "--param", "num_nodes=10",
+        "--param", "tx_rate_per_s=3.0", "--param", "workload_duration_s=3.0",
+        "--repetitions", "2")
+    assert [len(t["result"]["latencies"]) for t in doc["tasks"]] == [100, 110]
+    assert re.search(r"^samples +210$", out, re.M)  # pooled over both
 
 
 def test_cpu_accepts_differences_sweep(tmp_path, capsys):
-    out_file = tmp_path / "cpu.json"
-    code = main(["cpu", "--differences", "8", "16", "--capacity", "8",
-                 "--json", str(out_file)])
-    assert code == 0
-    assert "speedup" in capsys.readouterr().out
-    payload = json.loads(out_file.read_text())
-    assert [p["difference"] for p in payload["result"]["points"]] == [8, 16]
+    out, doc = _sweep_and_report(
+        tmp_path, capsys, "cpu", "--param", "difference=8,16",
+        "--param", "partition_capacity=8")
+    assert "speedup" in out
+    assert [t["result"]["difference"] for t in doc["tasks"]] == [8, 16]
 
 
 def test_run_timeline_exports_are_deterministic(tmp_path, capsys):

@@ -59,6 +59,8 @@ PUBLIC_MODULES = [
     "repro.experiments.fig8_block_latency",
     "repro.experiments.fig9_bandwidth",
     "repro.experiments.fig10_reconciliations",
+    "repro.experiments.plain_run",
+    "repro.experiments.tables",
     "repro.experiments.sec65_cpu",
     "repro.experiments.sec65_memory",
 ]
