@@ -10,14 +10,18 @@ Examples::
     python -m repro report t.jsonl --chrome t.chrome.json
     python -m repro run   --admission --until-steady --timeline soak.jsonl
     python -m repro watch soak.jsonl
+    python -m repro report soak.jsonl
 
 ``run`` drives one network in this process (``--seed``, ``--json PATH``
 to dump the raw result object, ``--trace PATH`` for a deterministic
 ``repro.trace/1`` JSONL trace with the run's timeline series); an
-output's missing directory is created.  ``sweep`` fans an (experiment x
-seed x grid) task matrix across one process per task with crash
-containment and a deterministic merge: every figure is a sweep of its
-registered point (see ``docs/parallelism.md``).  ``report`` prints a
+output's missing directory is created.  Every recording (``run --trace``
+/ ``--timeline``, ``sweep --task-traces``) ends with the run's wall time
+per phase, as ``phase`` records that ``report`` prints as a table.
+``sweep`` fans an (experiment x seed x grid) task matrix across one
+process per task with crash containment and a deterministic merge:
+every figure is a sweep of its registered point (see
+``docs/parallelism.md``).  ``report`` prints a
 sweep document's figure table, or summarises a trace and converts it
 (Chrome trace-event JSON for Perfetto, CSV of the timeline series).
 ``run --timeline PATH`` publishes its file, marked partial, while the
@@ -42,6 +46,7 @@ from repro.obs.report import (
     final_counters,
     format_table,
     load_trace,
+    phase_rows,
     span_rows,
     timeline_rows,
     write_json,
@@ -65,6 +70,9 @@ def _checked(convert, ok, what: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+_NON_NEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -158,9 +166,6 @@ def cmd_run(args) -> int:
     }
     if steady_outcome is not None:
         result["steady"] = steady_outcome
-    profiler = getattr(args, "_profiler", None)
-    if profiler is not None:
-        result["phases"] = profiler.as_dict()
     if args.json:
         stream = io.StringIO()
         write_json(result, stream, label="run")
@@ -275,9 +280,6 @@ def cmd_sweep(args) -> int:
         outcome.write_run_dir(args.out_dir)
         print(f"[run directory {args.out_dir}: sweep.json, execution.json"
               + (", task-*.trace.jsonl" if trace_dir else "") + "]")
-    if args.json:
-        write_atomic(args.json, outcome.results_bytes())
-        print(f"[json written to {args.json}]")
 
     code = 1 if outcome.failed() and args.strict else 0
     if args.check_serial:
@@ -419,6 +421,18 @@ def cmd_report(args) -> int:
             [(name, value) for name, value in counters.items()
              if not name.startswith("caches.")],
         ))
+        print()
+
+    phases = phase_rows(records)
+    if phases:
+        print("wall time per phase")
+        print(format_table(
+            ("phase", "calls", "self_s", "incl_s", "self_frac"),
+            [(p, c, f"{s:.4f}", f"{i:.4f}", f"{f:.1%}")
+             for p, c, s, i, f in phases],
+        ))
+    else:
+        print("no phases recorded")
 
     if args.chrome:
         written = export_chrome(records, args.chrome, meta)
@@ -498,10 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a plain LO network")
-    p.add_argument("--nodes", type=int, default=30)
-    p.add_argument("--rate", type=float, default=10.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--drain", type=float, default=10.0)
+    p.add_argument("--nodes", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                   default=30)
+    p.add_argument("--rate", type=_POSITIVE, default=10.0)
+    p.add_argument("--duration", type=_POSITIVE, default=20.0)
+    p.add_argument("--drain", type=_NON_NEGATIVE, default=10.0)
     p.add_argument("--blocks", action="store_true")
     p.add_argument("--admission", action="store_true",
                    help="enable the production admission pipeline (fee"
@@ -513,27 +528,26 @@ def build_parser() -> argparse.ArgumentParser:
                         " 'poisson'/'bursty': open-loop client workload"
                         " with per-account keys and nonces (bursty ="
                         " two-state MMPP arrivals)")
-    p.add_argument("--hot-fraction", type=float, default=0.0,
+    p.add_argument("--hot-fraction", type=_FRACTION, default=0.0,
                    help="fraction of open-loop traffic funnelled through"
                         " a handful of hot sender accounts (0 = pure Zipf)")
-    p.add_argument("--scale", type=int, default=1,
+    p.add_argument("--scale", type=_AT_LEAST_ONE, default=1,
                    help="superpose this many replicas of the open-loop"
                         " trace (disjoint account ranges) for heavy traffic")
-    p.add_argument("--rbf-fraction", type=float, default=0.0,
+    p.add_argument("--rbf-fraction", type=_FRACTION, default=0.0,
                    help="probability an open-loop client re-submits its"
                         " previous nonce (exercises replace-by-fee)")
     p.add_argument("--timeline", type=str, default=None, metavar="PATH",
                    help="write a repro.trace/1 file of the run's"
-                        " fixed-memory timeline series alone, published"
-                        " (marked partial) while the run goes; follow it"
-                        " with 'python -m repro watch PATH'")
+                        " fixed-memory timeline series and its wall time"
+                        " per phase, published (marked partial) while the"
+                        " run goes; follow it with 'python -m repro watch"
+                        " PATH', print it with 'python -m repro report"
+                        " PATH'")
     p.add_argument("--until-steady", action="store_true",
                    help="stop as soon as the mean fee floor and pool"
                         " occupancy stop drifting (12 timeline bins within"
                         " 5%%) instead of always running to duration+drain")
-    p.add_argument("--phases", action="store_true",
-                   help="profile wall-clock time per phase (net, reconcile,"
-                        " mempool, crypto, ...) and print the table")
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
@@ -555,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_AT_LEAST_ONE, default=1,
                    help="task processes run at once (1 = serial,"
                         " in-process)")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_POSITIVE, default=None, metavar="S",
                    help="per-task wall-clock budget, enforced in the task's"
                         " process; with --workers > 1 a task process still"
                         " running after 2 x S + 5s is killed. Timed-out"
@@ -577,8 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " (+ per-task traces with --task-traces)")
     p.add_argument("--task-traces", action="store_true",
                    help="write a repro.trace/1 JSONL per task into --out-dir")
-    p.add_argument("--json", type=str, default=None,
-                   help="write the merged repro.sweep/1 results document")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero if any task failed")
     p.add_argument("--check-serial", action="store_true",
@@ -593,12 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a sweep document's figure table, or validate,"
              " summarise and convert a repro.trace/1 JSONL trace"
              " (span durations, fault->detection latency, timeline series,"
-             " final counters)",
+             " final counters, wall time per phase)",
     )
     p.add_argument("trace", type=str,
                    help="a sweep.json, or a --trace or --timeline JSONL"
                         " file")
-    p.add_argument("--limit", type=int, default=40,
+    p.add_argument("--limit", type=_AT_LEAST_ONE, default=40,
                    help="max per-node span rows to print")
     p.add_argument("--chrome", type=str, default=None, metavar="OUT",
                    help="also write the trace as Chrome/Perfetto"
@@ -617,46 +629,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repro.trace/1 file or spool directory")
     p.add_argument("--once", action="store_true",
                    help="print one snapshot and exit (for scripts/CI)")
-    p.add_argument("--interval", type=float, default=2.0,
+    p.add_argument("--interval", type=_POSITIVE, default=2.0,
                    help="poll interval in wall seconds (default 2)")
     p.set_defaults(func=cmd_watch)
 
     return parser
 
 
-def _timeline_requested(args) -> bool:
-    """Whether the verb's flags ask for a timeline recorder."""
-    return bool(
-        getattr(args, "trace", None)
-        or getattr(args, "timeline", None)
-        or getattr(args, "until_steady", False)
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    When ``--trace`` is given, a real tracer and a timeline recorder are
-    installed for the duration of the command and the collected records
-    are exported afterwards; otherwise the process-wide no-op tracer stays
-    in place and tracing costs one attribute check per instrumented site.
-    The same pattern covers the other telemetry layers: ``--timeline`` /
-    ``--until-steady`` install a
+    A command that writes a recording (``--trace`` / ``--timeline``) runs
+    under a :class:`~repro.obs.tracer.Tracer` (``--trace`` only), a
     :class:`~repro.obs.timeline.TimelineRecorder` (publishing the
-    ``--timeline`` file while the command runs) and ``--phases`` a
-    :class:`~repro.obs.phases.PhaseProfiler` for the command's duration.
+    ``--timeline`` file while the command runs) and a
+    :class:`~repro.obs.phases.PhaseProfiler`, and each file is written
+    afterwards with the profiler's ``phase`` records last.
+    ``--until-steady`` alone installs the timeline it reads.  Otherwise
+    every slot stays off and each instrumented site costs one attribute
+    check.
     """
     args = build_parser().parse_args(argv)
     if args.command in ("report", "watch"):
         # report/watch only read artifacts.
         return args.func(args)
     trace_path = getattr(args, "trace", None)
-    wants_timeline = _timeline_requested(args)
-    wants_phases = getattr(args, "phases", False)
-    if not wants_timeline and not wants_phases:
+    timeline_path = getattr(args, "timeline", None)
+    if not (trace_path or timeline_path
+            or getattr(args, "until_steady", False)):
         return args.func(args)
-
-    from contextlib import ExitStack
 
     from repro import obs
 
@@ -664,37 +665,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "command": args.command,
         "seed": getattr(args, "seed", None),
     }
-    tracer = None
-    timeline = None
-    profiler = None
-    with ExitStack() as stack:
-        if trace_path:
-            tracer = obs.Tracer(sample_every=args.trace_sample)
-            meta["sample_every"] = args.trace_sample
-            stack.enter_context(obs.use_tracer(tracer))
-        if wants_timeline:
-            timeline = obs.TimelineRecorder(
-                path=getattr(args, "timeline", None), meta=meta)
-            stack.enter_context(obs.use_timeline(timeline))
-        if wants_phases:
-            profiler = obs.PhaseProfiler()
-            args._profiler = profiler
-            stack.enter_context(obs.use_profiler(profiler))
+    tracer = profiler = None
+    if trace_path:
+        tracer = obs.Tracer(sample_every=args.trace_sample)
+        meta["sample_every"] = args.trace_sample
+    if trace_path or timeline_path:
+        profiler = obs.PhaseProfiler()
+    timeline = obs.TimelineRecorder(path=timeline_path, meta=meta)
+    with obs.recording(tracer, timeline, profiler):
         code = args.func(args)
-    if tracer is not None:
-        written = obs.export_jsonl(tracer, trace_path, meta,
-                                   timeline=timeline)
-        print(f"[trace written to {trace_path} ({written} records)]")
-    if timeline is not None and timeline.path:
-        written = timeline.publish(final=True)
-        print(f"[timeline written to {timeline.path} ({written} series)]")
-    if profiler is not None:
-        print()
-        print(format_table(
-            ("phase", "calls", "self_s", "incl_s", "self_frac"),
-            [(p, c, f"{s:.4f}", f"{i:.4f}", f"{f:.1%}")
-             for p, c, s, i, f in profiler.rows()],
-        ))
+    for kind, path, records_of in (("trace", trace_path, tracer),
+                                   ("timeline", timeline_path, None)):
+        if path:
+            written = obs.export_jsonl(records_of, path, meta,
+                                       timeline=timeline, profiler=profiler)
+            print(f"[{kind} written to {path} ({written} records)]")
     return code
 
 

@@ -596,7 +596,7 @@ class LOSimulation:
         if timeline is None:
             raise ValueError(
                 "run_until_steady needs an installed timeline recorder"
-                " (obs.set_timeline / obs.use_timeline)"
+                " (obs.recording(timeline=...))"
             )
         if monitor is None:
             monitor = obs.SteadyStateMonitor(timeline)

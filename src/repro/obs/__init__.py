@@ -2,20 +2,21 @@
 
 One process-wide tracer (module attribute :data:`TRACER`) defaults to a
 no-op :class:`~repro.obs.tracer.NullTracer`; installing a real
-:class:`~repro.obs.tracer.Tracer` (``set_tracer``) turns every
+:class:`~repro.obs.tracer.Tracer` (:func:`recording`) turns every
 instrumented layer -- reconciliation rounds, block build/inspection,
 accountability, network delivery, chaos injection, the experiment
 harness -- into a sim-clock-stamped event/span stream.  The timeline
 recorder (:data:`TIMELINE`, :mod:`~repro.obs.timeline`) is the one
 periodic sampler: it reads the simulation's counters
-(:mod:`~repro.obs.registry`) into fixed-memory series.  Both land in one
-``repro.trace/1`` JSONL file (:mod:`~repro.obs.export`), which
-:mod:`~repro.obs.report` reads and converts (tables, Chrome trace-event
-JSON for Perfetto, CSV).
+(:mod:`~repro.obs.registry`) into fixed-memory series.  The phase
+profiler (:data:`PROFILER`, :mod:`~repro.obs.phases`) charges wall time
+to layers.  All three land in one ``repro.trace/1`` JSONL file
+(:mod:`~repro.obs.export`), which :mod:`~repro.obs.report` reads and
+converts (tables, Chrome trace-event JSON for Perfetto, CSV).
 
-The tracer, the timeline (:data:`TIMELINE`) and the phase profiler
-(:data:`PROFILER`) are three slots with one switch each: a call site
-reads the slot once per call and does nothing more while it is off::
+The tracer, the timeline (:data:`TIMELINE`) and the profiler are three
+slots that :func:`recording` sets together; a call site reads its slot
+once per call and does nothing more while it is off::
 
     from repro import obs
     _t = obs.TRACER
@@ -64,13 +65,13 @@ from repro.obs.trackers import EventCounter, LatencyTracker
 
 #: The process-wide tracer.  Instrumented code reads ``obs.TRACER`` once
 #: per call (a module attribute lookup, so it stays current after
-#: ``set_tracer``) and tests ``enabled`` before doing any work.
+#: :func:`recording` installs another) and tests ``enabled`` before doing
+#: any work.
 TRACER = NULL_TRACER
 
 #: The process-wide timeline recorder (``None`` when no timeline is
-#: installed).  Like the tracer it is installed with ``set_timeline`` /
-#: ``use_timeline``; the harness samples it on its telemetry tick and at
-#: the end of each run.
+#: installed).  The harness samples it on its telemetry tick and at the
+#: end of each run.
 TIMELINE = None
 
 #: The process-wide phase profiler (``None`` when profiling is off).
@@ -78,91 +79,36 @@ TIMELINE = None
 PROFILER = None
 
 
-def set_tracer(tracer) -> None:
-    """Install a tracer process-wide (pass ``NULL_TRACER`` to disable)."""
-    global TRACER
-    TRACER = tracer
-
-
-def clear_tracer() -> None:
-    """Restore the no-op tracer."""
-    set_tracer(NULL_TRACER)
-
-
 @contextmanager
-def use_tracer(tracer):
-    """Context manager: install ``tracer``, restore the previous one after.
+def recording(tracer=None, timeline=None, profiler=None):
+    """Install the three observers for a ``with`` block; restore the caller's.
+
+    Every slot is set: one not given is off (the no-op tracer, no
+    timeline, no profiler) inside the block.  :func:`_gc_phase` sits in
+    ``gc.callbacks`` exactly while a profiler is installed.
 
     >>> from repro import obs
-    >>> with obs.use_tracer(obs.Tracer()) as tr:
+    >>> tracer = obs.Tracer()
+    >>> with obs.recording(tracer=tracer):
     ...     obs.TRACER.event("demo", t=0.0)
-    >>> obs.TRACER.enabled, len(tr.records)
+    >>> obs.TRACER.enabled, len(tracer.records)
     (False, 1)
     """
-    previous = TRACER
-    set_tracer(tracer)
+    saved = TRACER, TIMELINE, PROFILER
+    _install(NULL_TRACER if tracer is None else tracer, timeline, profiler)
     try:
-        yield tracer
+        yield
     finally:
-        set_tracer(previous)
+        _install(*saved)
 
 
-# ------------------------------------------------------------- timeline
-
-
-def set_timeline(timeline) -> None:
-    """Install a timeline recorder process-wide (``None`` to disable)."""
-    global TIMELINE
-    TIMELINE = timeline
-
-
-def clear_timeline() -> None:
-    """Remove any installed timeline recorder."""
-    set_timeline(None)
-
-
-@contextmanager
-def use_timeline(timeline):
-    """Install a timeline for a ``with`` block, restoring the previous one."""
-    previous = TIMELINE
-    set_timeline(timeline)
-    try:
-        yield timeline
-    finally:
-        set_timeline(previous)
-
-
-# ------------------------------------------------------------- profiler
-
-
-def set_profiler(profiler) -> None:
-    """Install a phase profiler process-wide (``None`` to disable).
-
-    :func:`_gc_phase` sits in ``gc.callbacks`` exactly while a profiler
-    is installed.
-    """
-    global PROFILER
-    PROFILER = profiler
+def _install(tracer, timeline, profiler) -> None:
+    global TRACER, TIMELINE, PROFILER
+    TRACER, TIMELINE, PROFILER = tracer, timeline, profiler
     if _gc_phase in gc.callbacks:
         gc.callbacks.remove(_gc_phase)
     if profiler is not None:
         gc.callbacks.append(_gc_phase)
-
-
-def clear_profiler() -> None:
-    """Remove any installed phase profiler."""
-    set_profiler(None)
-
-
-@contextmanager
-def use_profiler(profiler):
-    """Install a profiler for a ``with`` block, restoring the previous one."""
-    previous = PROFILER
-    set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
 
 
 def _gc_phase(phase: str, info) -> None:
@@ -173,7 +119,7 @@ def _gc_phase(phase: str, info) -> None:
     """
     profiler = PROFILER
     if profiler is None:
-        return  # a pass between set_profiler(None) and this hook's removal
+        return  # a pass between uninstalling and this hook's removal
     if phase == "start":
         profiler.enter("gc")
     else:
@@ -200,9 +146,6 @@ __all__ = [
     "cache_stats",
     "chrome_trace",
     "classify_callback",
-    "clear_profiler",
-    "clear_timeline",
-    "clear_tracer",
     "describe",
     "export_chrome",
     "export_csv",
@@ -210,17 +153,12 @@ __all__ = [
     "format_table",
     "mean",
     "percentile",
+    "recording",
     "register_cache",
     "reset_caches",
-    "set_profiler",
-    "set_timeline",
-    "set_tracer",
     "stddev",
     "to_jsonable",
     "trace_lines",
-    "use_profiler",
-    "use_timeline",
-    "use_tracer",
     "validate_trace_file",
     "validate_trace_lines",
     "window_is_steady",

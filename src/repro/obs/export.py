@@ -4,9 +4,10 @@ JSONL is the one recording format (one JSON object per line, documented
 in ``docs/observability.md`` and validated by :mod:`repro.obs.schema`).
 The first line is a header carrying the schema tag and run metadata;
 every later line is one record: the tracer's events and spans in
-emission order, then the timeline's series.  Serialisation uses sorted
-keys and fixed separators, so a deterministic simulation produces a
-byte-identical file: no wall-clock timestamps, no hash randomisation.
+emission order, then the timeline's series, then the phase profiler's
+totals.  Serialisation uses sorted keys and fixed separators, so a
+deterministic simulation produces a byte-identical file but for its
+``phase`` records, the one record type that holds wall-clock seconds.
 
 The other formats are made from a trace's loaded records
 (``python -m repro report TRACE --chrome OUT`` / ``--csv OUT``):
@@ -17,6 +18,8 @@ The other formats are made from a trace's loaded records
   become microseconds (the viewers' native unit); node ids become thread
   ids so each node gets its own swimlane.
 * a flat ``series,kind,bin_s,t,value`` CSV of the timeline series.
+
+Both skip ``phase`` records: they carry no simulated time.
 """
 
 from __future__ import annotations
@@ -53,14 +56,16 @@ def _dumps(obj: Any) -> str:
 
 def trace_lines(tracer: Optional[Tracer],
                 meta: Optional[Dict[str, Any]] = None,
-                timeline=None) -> List[str]:
+                timeline=None, profiler=None) -> List[str]:
     """The JSONL export as a list of lines (header first, no newlines).
 
     ``timeline`` may be a :class:`repro.obs.timeline.TimelineRecorder`;
     its series are appended as ``timeline`` records after the tracer's
     emission-ordered stream (they summarise the whole run, so they have
-    no single emission point).  With ``tracer=None`` the file holds the
-    timeline records alone (``run --timeline``).
+    no single emission point).  With ``tracer=None`` the file holds no
+    events or spans (``run --timeline``).  ``profiler`` may be a
+    :class:`repro.obs.phases.PhaseProfiler`; its totals come last, as
+    ``phase`` records.
     """
     header = {"schema": TRACE_SCHEMA, "meta": meta or {}}
     lines = [_dumps(header)]
@@ -69,14 +74,16 @@ def trace_lines(tracer: Optional[Tracer],
     if timeline is not None:
         lines.extend(_dumps(record)
                      for record in timeline.timeline_records())
+    if profiler is not None:
+        lines.extend(_dumps(record) for record in profiler.phase_records())
     return lines
 
 
 def export_jsonl(tracer: Optional[Tracer], path: str,
                  meta: Optional[Dict[str, Any]] = None,
-                 timeline=None) -> int:
+                 timeline=None, profiler=None) -> int:
     """Write the JSONL export to ``path``; returns the record count."""
-    lines = trace_lines(tracer, meta, timeline=timeline)
+    lines = trace_lines(tracer, meta, timeline=timeline, profiler=profiler)
     write_atomic(path, "".join(line + "\n" for line in lines))
     return len(lines) - 1
 

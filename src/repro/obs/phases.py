@@ -14,10 +14,11 @@ per call, so the off path is one attribute load plus one ``is None``
 branch -- and the event loop reads it once per ``run_until`` call, not
 per event.
 
-The profiler reads the wall clock, so it is deliberately kept out of
-every deterministic artifact: nothing it measures enters traces,
-timelines or simulation state, which is why profiled runs remain
-byte-identical to unprofiled ones.
+The profiler reads the wall clock, so nothing it measures enters the
+simulation or the deterministic records: a run that writes a recording
+(``run --trace`` / ``--timeline``, ``sweep --task-traces``) appends its
+totals to the file as ``phase`` records, the one wall-clock record type
+of ``repro.trace/1``, and two same-seed files differ only in those.
 """
 
 from __future__ import annotations
@@ -112,36 +113,19 @@ class PhaseProfiler:
         if self._stack:
             self._stack[-1][2] += elapsed
 
-    # ------------------------------------------------------------ reports
+    # ------------------------------------------------------------ records
 
-    def rows(self) -> List[Tuple[str, int, float, float, float]]:
-        """``(phase, calls, self_s, incl_s, self_fraction)`` rows.
+    def phase_records(self) -> List[Dict[str, Any]]:
+        """One ``phase`` record per phase, sorted by name.
 
-        Sorted by descending self time; ``self_fraction`` is the phase's
-        share of total self time (the self times of all phases sum to the
-        profiled wall clock, so fractions sum to 1).
+        ``{"type": "phase", "name": str, "calls": int, "self_s": float,
+        "incl_s": float}``, seconds rounded to the microsecond; ``python
+        -m repro report`` renders them as the phase table.
         """
-        total = sum(self.self_s.values()) or 1.0
-        rows = []
-        for phase in sorted(self.self_s,
-                            key=lambda p: (-self.self_s[p], p)):
-            rows.append((
-                phase,
-                self.calls.get(phase, 0),
-                round(self.self_s[phase], 6),
-                round(self.incl_s.get(phase, self.self_s[phase]), 6),
-                round(self.self_s[phase] / total, 4),
-            ))
-        return rows
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-friendly summary keyed by phase (for ``run --json``)."""
-        return {
-            phase: {
-                "calls": calls,
-                "self_s": self_s,
-                "incl_s": incl_s,
-                "self_fraction": fraction,
-            }
-            for phase, calls, self_s, incl_s, fraction in self.rows()
-        }
+        return [{
+            "type": "phase",
+            "name": phase,
+            "calls": self.calls[phase],
+            "self_s": round(self.self_s[phase], 6),
+            "incl_s": round(self.incl_s.get(phase, self.self_s[phase]), 6),
+        } for phase in sorted(self.self_s)]

@@ -10,7 +10,9 @@ validates it, and prints:
   the first suspicion / exposure raised against the same node -- the
   causal chain behind the paper's section 5.2 detection claims;
 * the timeline series, and the run's final counters read off them
-  (cache effectiveness, byte counters, drops).
+  (cache effectiveness, byte counters, drops);
+* the wall time per phase (net, reconcile, sketch, crypto, ...) from the
+  ``phase`` records.
 
 Everything here is pure data-in/rows-out so tests can drive it without a
 terminal; the CLI glue lives in :mod:`repro.cli`.  The same module renders
@@ -204,6 +206,26 @@ def cache_rows(counters: Dict[str, Any]) -> List[Tuple[str, Any]]:
     """The ``caches.*`` entries of :func:`final_counters`, sorted."""
     return [(name, value) for name, value in counters.items()
             if name.startswith("caches.")]
+
+
+# ----------------------------------------------------------------- phases
+
+
+def phase_rows(
+    records: List[Dict[str, Any]]
+) -> List[Tuple[str, int, float, float, float]]:
+    """``(phase, calls, self_s, incl_s, self_fraction)`` rows of the
+    ``phase`` records, by descending self time.
+
+    ``self_fraction`` is the phase's share of the summed self time; the
+    self times of all phases sum to the profiled wall clock, so the
+    fractions sum to 1.
+    """
+    phases = sorted((r for r in records if r.get("type") == "phase"),
+                    key=lambda r: (-r["self_s"], r["name"]))
+    total = sum(r["self_s"] for r in phases) or 1.0
+    return [(r["name"], r["calls"], r["self_s"], r["incl_s"],
+             r["self_s"] / total) for r in phases]
 
 
 # -------------------------------------------------------------- timelines

@@ -17,6 +17,9 @@ Schema (one JSON object per line):
 * ``{"type": "timeline", "name": str, "kind": "counter"|"gauge",
   "bin_s": float > 0, "points": [[t, v], ...]}`` -- one fixed-memory
   series from :mod:`repro.obs.timeline`, timestamps strictly increasing.
+* ``{"type": "phase", "name": str, "calls": int >= 0, "self_s": float,
+  "incl_s": float}`` -- one phase profiler total
+  (:mod:`repro.obs.phases`), the one record type in wall-clock seconds.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from typing import Any, Iterable, List
 
 from repro.obs.timeline import COUNTER, GAUGE
 from repro.obs.tracer import TRACE_SCHEMA
-
-_RECORD_TYPES = ("event", "span", "timeline")
 
 
 def _is_num(value: Any) -> bool:
@@ -90,6 +91,24 @@ def _check_timeline(record: dict, where: str, errors: List[str]) -> None:
         previous = point[0]
 
 
+def _check_phase(record: dict, where: str, errors: List[str]) -> None:
+    if not isinstance(record.get("name"), str) or not record.get("name"):
+        errors.append(f"{where}: phase missing non-empty 'name'")
+    calls = record.get("calls")
+    if not isinstance(calls, int) or isinstance(calls, bool) or calls < 0:
+        errors.append(f"{where}: phase missing non-negative integer 'calls'")
+    if not _is_num(record.get("self_s")) or not _is_num(record.get("incl_s")):
+        errors.append(f"{where}: phase missing numeric 'self_s'/'incl_s'")
+
+
+_CHECKS = {
+    "event": _check_event,
+    "span": _check_span,
+    "timeline": _check_timeline,
+    "phase": _check_phase,
+}
+
+
 def validate_trace_lines(lines: Iterable[str]) -> List[str]:
     """Validate an iterable of JSONL lines; returns (possibly empty) errors."""
     errors: List[str] = []
@@ -118,17 +137,14 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
                 errors.append(f"{where}: header missing 'meta' object")
             continue
         kind = record.get("type")
-        if kind == "event":
-            _check_event(record, where, errors)
-        elif kind == "span":
-            _check_span(record, where, errors)
-        elif kind == "timeline":
-            _check_timeline(record, where, errors)
-        else:
+        check = _CHECKS.get(kind) if isinstance(kind, str) else None
+        if check is None:
             errors.append(
                 f"{where}: unknown record type {kind!r}"
-                f" (expected one of {_RECORD_TYPES})"
+                f" (expected one of {tuple(_CHECKS)})"
             )
+        else:
+            check(record, where, errors)
     if not saw_header:
         errors.append("trace is empty (no header line)")
     return errors

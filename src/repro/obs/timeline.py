@@ -255,22 +255,21 @@ class TimelineRecorder:
             })
         return records
 
-    def publish(self, final: bool = False) -> Optional[int]:
-        """Publish the series at :attr:`path`; returns the record count.
+    def publish(self) -> Optional[int]:
+        """Publish the series so far at :attr:`path`; returns the record count.
 
-        The file holds the ``repro.trace/1`` header and the ``timeline``
-        records.  Until ``final`` its meta carries ``"partial": true`` and
-        it is written at most once per :data:`PUBLISH_WALL_S` wall seconds
-        (``None``: this call wrote nothing).
+        The file holds the ``repro.trace/1`` header, whose meta carries
+        ``"partial": true``, and the ``timeline`` records.  It is written
+        at most once per :data:`PUBLISH_WALL_S` wall seconds (``None``:
+        this call wrote nothing); the final file is the recording the run
+        writes when it ends (``repro.cli.main``).
         """
         if self.path is None:
             return None
-        meta = self.meta
-        if not final:
-            now = monotonic()
-            if self._published_at is not None \
-                    and now - self._published_at < PUBLISH_WALL_S:
-                return None
-            self._published_at = now
-            meta = dict(meta, partial=True)
-        return export_jsonl(None, self.path, meta, timeline=self)
+        now = monotonic()
+        if self._published_at is not None \
+                and now - self._published_at < PUBLISH_WALL_S:
+            return None
+        self._published_at = now
+        return export_jsonl(None, self.path, dict(self.meta, partial=True),
+                            timeline=self)

@@ -169,7 +169,7 @@ def test_malformed_spec_or_clock_is_a_violation_before_any_handler_work(
     import repro.core.node as node_module
     from repro.core.node import LONode
     from repro.net.message import Message
-    from repro.obs import Tracer, use_tracer
+    from repro.obs import Tracer, recording
     from tests.conftest import make_sim
 
     sim = make_sim(num_nodes=6)
@@ -185,7 +185,7 @@ def test_malformed_spec_or_clock_is_a_violation_before_any_handler_work(
         patch.setattr(LONode, "_send",
                       lambda self, *args, **kwargs: sent.append(args))
         tracer = Tracer()
-        with use_tracer(tracer):
+        with recording(tracer=tracer):
             responder.on_message(Message(requester.node_id,
                                          responder.node_id, "lo/sync_req",
                                          request, 64))

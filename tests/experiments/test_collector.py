@@ -86,7 +86,7 @@ def test_the_collector_is_off_inside_a_run_and_comes_back(enabled):
     before = _young_middle_full()
     sim.run(1.0)
     assert seen == [False] and gc.isenabled() is enabled
-    with obs.use_tracer(obs.Tracer()):  # the traced branch of run()
+    with obs.recording(tracer=obs.Tracer()):  # the traced branch of run()
         seen = _watch_collector(sim, at=(1.5,))
         sim.run(2.0)
     assert seen == [False] and gc.isenabled() is enabled
@@ -96,7 +96,7 @@ def test_the_collector_is_off_inside_a_run_and_comes_back(enabled):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_each_run_until_steady_leg_pauses_the_collector(enabled):
-    with obs.use_timeline(TimelineRecorder(interval_s=0.5, bins=64)):
+    with obs.recording(timeline=TimelineRecorder(interval_s=0.5, bins=64)):
         sim = LOSimulation(SimulationParams(num_nodes=6, seed=1))
         legs, checks = [], []
         run_until = sim.loop.run_until

@@ -68,7 +68,7 @@ def test_a_sweep_killed_mid_run_resumes_to_the_serial_result(tmp_path):
     assert 1 <= completed < TASKS, f"{completed}/{TASKS} results at the kill"
 
     _repro(SWEEP + ["--workers", "2", "--spool", "spool-out", "--resume",
-                    "--json", "resumed.json"], tmp_path)
-    _repro(SWEEP + ["--workers", "1", "--json", "serial.json"], tmp_path)
-    assert (tmp_path / "resumed.json").read_bytes() == \
-        (tmp_path / "serial.json").read_bytes()
+                    "--out-dir", "resumed"], tmp_path)
+    _repro(SWEEP + ["--workers", "1", "--out-dir", "serial"], tmp_path)
+    assert (tmp_path / "resumed" / "sweep.json").read_bytes() == \
+        (tmp_path / "serial" / "sweep.json").read_bytes()

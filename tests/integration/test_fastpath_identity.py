@@ -30,10 +30,10 @@ from repro.sketch.pinsketch import clear_decode_cache
 from tests.core.test_eligible_memo import recompute
 
 
-def _traced_run(approve_all_hook: bool):
+def _traced_run(approve_all_hook: bool, profiler=None):
     """One small simulation; returns (summary dict, trace lines)."""
     tracer, timeline = Tracer(), TimelineRecorder()
-    with obs.use_tracer(tracer), obs.use_timeline(timeline):
+    with obs.recording(tracer, timeline, profiler):
         sim = LOSimulation(SimulationParams(
             num_nodes=10, seed=1234, config=LOConfig(),
         ))
@@ -101,7 +101,7 @@ def test_telemetry_slots_are_read_per_call():
     decode_stats = cache_stats()["sketch.decode"]
 
     profiler = obs.PhaseProfiler()
-    with obs.use_profiler(profiler):
+    with obs.recording(profiler=profiler):
         assert obs._gc_phase in gc.callbacks
         signatures = [keypair.sign(b"m%d" % i) for i in range(4)]
         assert profiler.calls == {"crypto": 4}
@@ -126,12 +126,9 @@ def test_telemetry_slots_are_read_per_call():
     assert profiler.calls == charged
 
     tracer = Tracer()
-    obs.set_tracer(tracer)
-    try:
+    with obs.recording(tracer=tracer):
         network.send(0, 1, "ping", None, wire_bytes=64)
         loop.run_for(1.0)
-    finally:
-        obs.clear_tracer()
     assert [r["name"] for r in tracer.records] == ["net.send", "net.deliver"]
     network.send(0, 1, "ping", None, wire_bytes=64)
     loop.run_for(1.0)
@@ -144,8 +141,8 @@ def test_profiled_run_is_byte_identical_to_unprofiled():
     are line-for-line identical to an unprofiled run's."""
     plain_summary, plain_trace = _traced_run(approve_all_hook=False)
     profiler = obs.PhaseProfiler()
-    with obs.use_profiler(profiler):
-        profiled_summary, profiled_trace = _traced_run(approve_all_hook=False)
+    profiled_summary, profiled_trace = _traced_run(approve_all_hook=False,
+                                                   profiler=profiler)
     assert json.dumps(plain_summary, sort_keys=True) == \
         json.dumps(profiled_summary, sort_keys=True)
     assert plain_trace == profiled_trace

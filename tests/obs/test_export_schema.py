@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import (
+    PhaseProfiler,
     TimelineRecorder,
     Tracer,
     chrome_trace,
@@ -59,9 +60,19 @@ def test_export_is_byte_deterministic(tmp_path):
 # ------------------------------------------------------------- validator
 
 
+def make_profiler():
+    profiler = PhaseProfiler(clock=iter([0.0, 0.25]).__next__)
+    profiler.enter("net")
+    profiler.exit()
+    return profiler
+
+
 def test_validator_accepts_valid_lines():
-    assert validate_trace_lines(
-        trace_lines(make_tracer(), timeline=make_timeline())) == []
+    lines = trace_lines(make_tracer(), timeline=make_timeline(),
+                        profiler=make_profiler())
+    assert lines[-1] == ('{"calls":1,"incl_s":0.25,"name":"net",'
+                         '"self_s":0.25,"type":"phase"}')
+    assert validate_trace_lines(lines) == []
 
 
 def test_validator_rejects_empty_trace():
@@ -84,23 +95,30 @@ def test_validator_flags_malformed_records():
         ' "span_id": 1, "parent_id": null, "node": null, "attrs": {}}',
         '{"type": "timeline", "name": "k", "kind": "counter",'
         ' "bin_s": 1.0, "points": [[0.0, "NaNish"]]}',
+        '{"type": "phase", "name": "net", "calls": -1, "self_s": "x",'
+        ' "incl_s": 0.1}',
         '{"type": "metrics", "t": 0.0, "counters": {}}',
         '{"type": "mystery"}',
+        '{"type": ["phase"]}',
     ]
     errors = validate_trace_lines(lines)
     assert any("not valid JSON" in e for e in errors)
     assert any("non-empty 'name'" in e for e in errors)
     assert any("ends before it starts" in e for e in errors)
     assert any("is not [t, v]" in e for e in errors)
+    assert any("non-negative integer 'calls'" in e for e in errors)
+    assert any("numeric 'self_s'/'incl_s'" in e for e in errors)
     # the tracer's metrics snapshots are gone: the type is unknown now
-    assert sum("unknown record type" in e for e in errors) == 2
+    assert sum("unknown record type" in e for e in errors) == 3
 
 
 # --------------------------------------------------------------- chrome
 
 
 def test_chrome_trace_structure():
-    records = make_tracer().records + make_timeline().timeline_records()
+    # phase records carry no simulated time, so they become no event
+    records = (make_tracer().records + make_timeline().timeline_records()
+               + make_profiler().phase_records())
     payload = chrome_trace(records, meta={"seed": 7})
     assert payload["displayTimeUnit"] == "ms"
     assert payload["otherData"]["schema"] == "repro.trace/1"

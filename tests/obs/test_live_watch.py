@@ -63,12 +63,6 @@ def test_a_live_publish_is_a_partial_trace(tmp_path):
     meta, records = load_trace(str(path))
     assert meta == {"seed": 3, "partial": True}
     assert [r["name"] for r in records] == ["demo.c"]
-
-    assert recorder.publish(final=True) == 1
-    reference = tmp_path / "reference.jsonl"
-    export_jsonl(None, str(reference), {"seed": 3},
-                 timeline=_sampled_recorder())
-    assert path.read_bytes() == reference.read_bytes()
     assert TimelineRecorder().publish() is None  # no path, nothing to do
 
 
@@ -82,7 +76,6 @@ def test_live_publish_throttles_on_wall_clock(tmp_path, monkeypatch):
     assert recorder.publish() is None
     clock.advance(PUBLISH_WALL_S)
     assert recorder.publish() == 1
-    assert recorder.publish(final=True) == 1  # the final one is never held
 
 
 # ----------------------------------------------------------------- watching
@@ -174,8 +167,9 @@ def test_run_timeline_end_to_end(tmp_path, capsys):
 def test_the_timeline_file_is_a_partial_trace_mid_run(tmp_path,
                                                        monkeypatch):
     """Read from inside the run, the ``--timeline`` file loads, validates
-    and is partial; the final file equals a same-seed export made by a
-    recorder that never published."""
+    and is partial; the final file, but for its ``phase`` records (wall
+    clock), equals a same-seed export made by a recorder that never
+    published."""
     path = tmp_path / "timeline.jsonl"
     seen = []
 
@@ -199,9 +193,12 @@ def test_the_timeline_file_is_a_partial_trace_mid_run(tmp_path,
 
     args = build_parser().parse_args(RUN)
     recorder = TimelineRecorder()
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         assert args.func(args) == 0
     reference = tmp_path / "reference.jsonl"
     export_jsonl(None, str(reference), {"command": "run", "seed": 5},
                  timeline=recorder)
-    assert path.read_bytes() == reference.read_bytes()
+    final = path.read_text().splitlines()
+    assert '"type":"phase"' in final[-1]
+    assert [line for line in final if '"type":"phase"' not in line] \
+        == reference.read_text().splitlines()

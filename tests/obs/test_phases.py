@@ -15,6 +15,7 @@ from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.obs.caches import cache_stats
 from repro.obs import PhaseProfiler
 from repro.obs.phases import CLASSIFY_RULES, OTHER_PHASE, classify_callback
+from repro.obs.report import phase_rows
 
 
 class FakeClock:
@@ -86,12 +87,14 @@ def test_rows_sorted_by_self_time_and_fractions_sum_to_one():
         profiler.enter(phase)
         clock.advance(dt)
         profiler.exit()
-    rows = profiler.rows()
+    records = profiler.phase_records()
+    assert [r["name"] for r in records] == ["crypto", "mempool", "net"]
+    assert records[2] == {"type": "phase", "name": "net", "calls": 1,
+                          "self_s": 6.0, "incl_s": 6.0}
+    rows = phase_rows(records)
     assert [row[0] for row in rows] == ["net", "crypto", "mempool"]
     assert sum(row[4] for row in rows) == pytest.approx(1.0)
-    as_dict = profiler.as_dict()
-    assert as_dict["net"]["self_s"] == 6.0
-    assert as_dict["net"]["self_fraction"] == 0.6
+    assert rows[0][4] == pytest.approx(0.6)
 
 
 def test_collector_passes_are_a_nested_phase_of_their_own():
@@ -108,7 +111,7 @@ def test_collector_passes_are_a_nested_phase_of_their_own():
     was_enabled = gc.isenabled()
     gc.disable()  # only the forced pass below may run
     try:
-        with obs.use_profiler(profiler):
+        with obs.recording(profiler=profiler):
             assert gc.callbacks.count(obs._gc_phase) == 1
             gc.callbacks.append(three_seconds_in_the_collector)
             profiler.enter("net")
@@ -169,13 +172,7 @@ def test_classification_rules_cover_telemetry_ticks():
 
 
 def _run(seed=11, profiler=None):
-    if profiler is not None:
-        ctx = obs.use_profiler(profiler)
-    else:
-        import contextlib
-
-        ctx = contextlib.nullcontext()
-    with ctx:
+    with obs.recording(profiler=profiler):
         sim = LOSimulation(SimulationParams(num_nodes=8, seed=seed))
         sim.inject_workload(rate_per_s=6.0, duration_s=4.0)
         sim.run(8.0)

@@ -118,7 +118,7 @@ def test_monitor_validation():
 
 def _steady_soak(seed=7):
     recorder = TimelineRecorder(interval_s=0.5, bins=256)
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         sim = LOSimulation(SimulationParams(
             num_nodes=8, seed=seed,
             config=LOConfig(admission=AdmissionConfig()),
@@ -148,7 +148,7 @@ def test_run_until_steady_requires_timeline():
 def test_run_until_steady_unsteady_run_reaches_horizon():
     """A drifting watched series keeps the run going to the horizon."""
     recorder = TimelineRecorder(interval_s=0.5, bins=256)
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         sim = LOSimulation(SimulationParams(num_nodes=6, seed=3))
         sim.inject_workload(rate_per_s=4.0, duration_s=8.0)
         monitor = SteadyStateMonitor(recorder, series=("never.recorded",))

@@ -237,7 +237,7 @@ def test_gauge_last_value_survives_decimation(values):
 def _timeline_lines(seed):
     """One small run under a fresh recorder; returns its timeline file."""
     recorder = TimelineRecorder(interval_s=0.5, bins=64)
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         sim = LOSimulation(SimulationParams(num_nodes=8, seed=seed))
         sim.inject_workload(rate_per_s=6.0, duration_s=6.0)
         sim.run(10.0)
@@ -275,7 +275,7 @@ def test_counter_totals_equal_what_the_simulation_counted():
     """Every count the simulation kept is a counter series whose total is
     that count: none is lost before its first tick or after the last."""
     recorder = TimelineRecorder()
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         final = _small_run()
     counters = _counter_series(recorder)
     assert counters
@@ -290,7 +290,7 @@ def test_counter_totals_equal_what_the_simulation_counted():
 
 def test_no_counter_series_has_a_negative_bin():
     recorder = TimelineRecorder()
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         _small_run()
     assert not [name for name, series in _counter_series(recorder).items()
                 if any(value < 0 for value in series.values())]
@@ -301,7 +301,7 @@ def test_two_simulations_in_turn_add_up_under_one_recorder():
     too): no bin goes negative, each total is the sum of both runs'
     final counts, and the second run's bins follow the first's."""
     recorder = TimelineRecorder()
-    with obs.use_timeline(recorder):
+    with obs.recording(timeline=recorder):
         first = _small_run(seed=1)
         second = _small_run(seed=2)
     counters = _counter_series(recorder)

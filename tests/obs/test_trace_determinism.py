@@ -32,7 +32,7 @@ def run_traced(tmp_path, name, sample_every=4):
     """One seeded chaos + equivocator run; returns the JSONL path."""
     tracer = Tracer(sample_every=sample_every)
     timeline = TimelineRecorder()
-    with obs.use_tracer(tracer), obs.use_timeline(timeline):
+    with obs.recording(tracer=tracer, timeline=timeline):
         sim = LOSimulation(
             SimulationParams(
                 num_nodes=10,

@@ -103,36 +103,41 @@ def test_sample_every_validation():
 
 
 def test_use_tracer_restores_previous():
+    """A nested recording replaces every slot and restores the outer
+    block's on exit."""
     assert obs.TRACER is NULL_TRACER
-    with obs.use_tracer(Tracer()) as tracer:
-        assert obs.TRACER is tracer
-        with obs.use_tracer(Tracer()) as inner:
-            assert obs.TRACER is inner
-        assert obs.TRACER is tracer
-    assert obs.TRACER is NULL_TRACER
+    tracer, timeline = Tracer(), TimelineRecorder()
+    with obs.recording(tracer=tracer, timeline=timeline):
+        assert (obs.TRACER, obs.TIMELINE) == (tracer, timeline)
+        inner = Tracer()
+        with obs.recording(tracer=inner):
+            assert (obs.TRACER, obs.TIMELINE) == (inner, None)
+        assert (obs.TRACER, obs.TIMELINE) == (tracer, timeline)
+    assert (obs.TRACER, obs.TIMELINE, obs.PROFILER) == (NULL_TRACER, None,
+                                                        None)
 
 
 def test_set_and_clear_tracer():
+    """A recording that raises still puts the no-op tracer back."""
     tracer = Tracer()
-    obs.set_tracer(tracer)
-    try:
-        assert obs.TRACER is tracer
-    finally:
-        obs.clear_tracer()
+    with pytest.raises(RuntimeError):
+        with obs.recording(tracer=tracer):
+            assert obs.TRACER is tracer
+            raise RuntimeError("the block fails")
     assert obs.TRACER is NULL_TRACER
 
 
 # ---------------------------------------------------------------- registry
 
 
-def test_counter_gauge_histogram_instruments():
+def test_the_registry_has_no_counter_or_histogram_instruments():
     """The map holds collectors only: a snapshot is their counters."""
     reg = MetricsRegistry({"sim": lambda: {"hits": 5, "depth": 2.5}})
     assert reg.snapshot() == {"counters": {"sim.depth": 2.5, "sim.hits": 5}}
     assert not hasattr(reg, "counter") and not hasattr(reg, "histogram")
 
 
-def test_counter_rejects_negative_increment():
+def test_a_reattached_source_counts_from_zero_again():
     """No count is recorded as going down: a timeline reading a fresh
     source (a new simulation) counts it from zero again."""
     timeline = TimelineRecorder(interval_s=1.0, bins=8)
@@ -164,7 +169,7 @@ def test_snapshot_keys_sorted():
     assert list(reg.snapshot()["counters"]) == ["m.k", "z.a", "z.b"]
 
 
-def test_tracer_snapshot_records_registry_state():
+def test_counters_reach_a_trace_through_the_timeline_not_the_tracer():
     """The tracer records events and spans only; the counters it used to
     snapshot reach the trace as the timeline's series."""
     tracer = Tracer()

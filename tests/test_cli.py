@@ -41,9 +41,10 @@ def test_run_command(capsys):
 
 
 def test_cpu_command_with_json(tmp_path, capsys):
-    out_file = tmp_path / "cpu.json"
+    out_file = tmp_path / "cpu" / "sweep.json"
     code = main(["sweep", "cpu", "--param", "difference=24",
-                 "--param", "partition_capacity=8", "--json", str(out_file)])
+                 "--param", "partition_capacity=8",
+                 "--out-dir", str(out_file.parent)])
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["tasks"][0]["experiment"] == "cpu"
@@ -78,22 +79,20 @@ def test_missing_command_rejected():
 
 def test_sweep_command_json_and_run_dir(tmp_path, capsys):
     out_dir = tmp_path / "run"
-    out_json = tmp_path / "merged.json"
     code = main([
         "sweep", "run",
         "--param", "num_nodes=6,8", "--param", "rate_per_s=3.0",
         "--param", "duration_s=1.0", "--param", "drain_s=1.0",
         "--repetitions", "1", "--workers", "1",
-        "--out-dir", str(out_dir), "--json", str(out_json),
+        "--out-dir", str(out_dir),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "2 tasks" in out and "0 failed" in out
-    merged = json.loads(out_json.read_text())
+    merged = json.loads((out_dir / "sweep.json").read_text())
     assert merged["schema"] == "repro.sweep/1"
     assert [t["params"]["num_nodes"] for t in merged["tasks"]] == [6, 8]
     assert all(t["ok"] for t in merged["tasks"])
-    assert (out_dir / "sweep.json").read_bytes() == out_json.read_bytes()
     execution = json.loads((out_dir / "execution.json").read_text())
     assert execution["schema"] == "repro.sweep-execution/1"
 
@@ -164,17 +163,18 @@ def test_sweep_is_the_only_verb_with_workers():
     assert with_workers == ["sweep"]
 
 
-def test_run_takes_at_most_17_options():
+def test_run_takes_at_most_16_options():
     """The timeline and steady-state knobs are constants, the tracer
-    takes no snapshot period and the ``--timeline`` file is the live
-    view: ``run`` has 17 options (26 before)."""
+    takes no snapshot period, the ``--timeline`` file is the live view
+    and every recording carries the phase totals: ``run`` has 16
+    options (26 before)."""
     parser = build_parser()
     sub = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     options = [a for a in sub.choices["run"]._actions
                if a.option_strings and a.dest != "help"]
-    assert len(options) <= 17
+    assert len(options) <= 16
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -205,6 +205,39 @@ def test_run_takes_at_most_17_options():
     pytest.param(["sweep", "run", "--max-attempts", "0"],
                  "--max-attempts: must be >= 1, got 0",
                  id="sweep-max-attempts"),
+    # A number the simulation would reject later, or silently bend, is
+    # refused before anything runs.
+    pytest.param(["run", "--nodes", "1"], "--nodes: must be >= 2, got 1",
+                 id="run-nodes"),
+    pytest.param(["run", "--nodes", "6", "--rate", "-3"],
+                 "--rate: must be > 0, got -3", id="run-rate"),
+    pytest.param(["run", "--nodes", "6", "--duration", "0"],
+                 "--duration: must be > 0, got 0", id="run-duration"),
+    pytest.param(["run", "--nodes", "6", "--duration", "1", "--drain", "-5"],
+                 "--drain: must be >= 0, got -5", id="run-drain"),
+    pytest.param(["run", "--nodes", "6", "--duration", "1", "--drain", "0",
+                  "--workload", "poisson", "--scale", "0"],
+                 "--scale: must be >= 1, got 0", id="run-scale"),
+    pytest.param(["run", "--nodes", "6", "--duration", "1", "--drain", "0",
+                  "--workload", "poisson", "--hot-fraction", "1.5"],
+                 "--hot-fraction: must be in [0, 1], got 1.5",
+                 id="run-hot-fraction"),
+    pytest.param(["run", "--nodes", "6", "--duration", "1", "--drain", "0",
+                  "--workload", "poisson", "--rbf-fraction", "-0.1"],
+                 "--rbf-fraction: must be in [0, 1], got -0.1",
+                 id="run-rbf-fraction"),
+    pytest.param(["sweep", "run", "--param", "num_nodes=6",
+                  "--param", "duration_s=1.0", "--param", "drain_s=0.0",
+                  "--timeout", "-1"],
+                 "--timeout: must be > 0, got -1", id="sweep-timeout"),
+    pytest.param(["sweep", "run", "--param", "num_nodes=6",
+                  "--param", "duration_s=1.0", "--param", "drain_s=0.0",
+                  "--timeout", "0"],
+                 "--timeout: must be > 0, got 0", id="sweep-timeout-zero"),
+    pytest.param(["report", "t.jsonl", "--limit", "-1"],
+                 "--limit: must be >= 1, got -1", id="report-limit"),
+    pytest.param(["watch", "t.jsonl", "--once", "--interval", "0"],
+                 "--interval: must be > 0, got 0", id="watch-interval"),
 ])
 def test_out_of_range_numbers_are_usage_errors(argv, message, tmp_path,
                                                monkeypatch, capsys):
@@ -231,8 +264,8 @@ def test_trace_sees_every_figure_point(tmp_path, capsys):
 
 def test_outputs_go_into_a_directory_that_is_not_there_yet(tmp_path,
                                                            capsys):
-    """``--json``, ``--trace`` and ``--timeline`` create their directory
-    instead of failing after the whole run."""
+    """``--json``, ``--trace``, ``--timeline`` and ``--out-dir`` create
+    their directory instead of failing after the whole run."""
     out = tmp_path / "missing"
     assert main(["run", "--nodes", "6", "--rate", "3", "--duration", "3",
                  "--drain", "2", "--json", str(out / "run.json"),
@@ -244,7 +277,7 @@ def test_outputs_go_into_a_directory_that_is_not_there_yet(tmp_path,
         assert validate_trace_file(str(path)) == [], path
     assert main(["sweep", "run", "--param", "num_nodes=6",
                  "--param", "duration_s=1.0", "--param", "drain_s=1.0",
-                 "--json", str(out / "sweep" / "sweep.json")]) == 0
+                 "--out-dir", str(out / "sweep")]) == 0
     assert (out / "sweep" / "sweep.json").read_bytes()
 
 
@@ -257,11 +290,11 @@ SPOOL_ARGS = [
 
 
 def test_sweep_spool_byte_identical_to_plain(tmp_path, capsys):
-    plain_json = tmp_path / "plain.json"
-    spool_json = tmp_path / "spool.json"
-    assert main(SPOOL_ARGS + ["--json", str(plain_json)]) == 0
+    plain_json = tmp_path / "plain" / "sweep.json"
+    spool_json = tmp_path / "spooled" / "sweep.json"
+    assert main(SPOOL_ARGS + ["--out-dir", str(plain_json.parent)]) == 0
     assert main(SPOOL_ARGS + ["--spool", str(tmp_path / "spool"),
-                              "--json", str(spool_json)]) == 0
+                              "--out-dir", str(spool_json.parent)]) == 0
     out = capsys.readouterr().out
     assert plain_json.read_bytes() == spool_json.read_bytes()
     assert "spool" in out and "2/2 completed" in out
@@ -269,13 +302,13 @@ def test_sweep_spool_byte_identical_to_plain(tmp_path, capsys):
 
 def test_sweep_spool_resume_is_idempotent(tmp_path, capsys):
     spool_dir = tmp_path / "spool"
-    first = tmp_path / "first.json"
-    resumed = tmp_path / "resumed.json"
+    first = tmp_path / "first" / "sweep.json"
+    resumed = tmp_path / "resumed" / "sweep.json"
     assert main(SPOOL_ARGS + ["--spool", str(spool_dir),
-                              "--json", str(first)]) == 0
+                              "--out-dir", str(first.parent)]) == 0
     # Resuming a drained spool re-merges without re-running anything.
     assert main(SPOOL_ARGS + ["--spool", str(spool_dir), "--resume",
-                              "--json", str(resumed)]) == 0
+                              "--out-dir", str(resumed.parent)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == resumed.read_bytes()
 
@@ -309,12 +342,18 @@ def test_cpu_accepts_differences_sweep(tmp_path, capsys):
     assert [t["result"]["difference"] for t in doc["tasks"]] == [8, 16]
 
 
+def _without_phases(path):
+    """A recording's lines but its ``phase`` records (wall clock)."""
+    return [line for line in path.read_text().splitlines()
+            if '"type":"phase"' not in line]
+
+
 def test_run_timeline_exports_are_deterministic(tmp_path, capsys):
     """One stream, deterministic end to end: two same-seed ``run --trace``
-    invocations write byte-identical traces, two ``--timeline`` ones
-    byte-identical timeline files (repro.trace/1 files of timeline records
-    alone), and ``report --chrome`` / ``--csv`` convert each pair into
-    byte-identical files."""
+    invocations write traces that differ only in their ``phase`` records
+    (the wall time per phase), two ``--timeline`` ones likewise, and
+    ``report --chrome`` / ``--csv``, which skip phase records, convert
+    each pair into byte-identical files."""
     run_args = ["run", "--nodes", "6", "--rate", "3", "--duration", "3",
                 "--drain", "2", "--seed", "5"]
     files = {}
@@ -330,11 +369,13 @@ def test_run_timeline_exports_are_deterministic(tmp_path, capsys):
     assert "trace written" in out and "timeline written" in out
     for flag in ("--trace", "--timeline"):
         a, b = files[flag, "a"], files[flag, "b"]
-        for suffix in ("", ".chrome.json", ".csv"):
+        assert _without_phases(a) == _without_phases(b), flag
+        assert len(_without_phases(a)) < len(a.read_text().splitlines())
+        for suffix in (".chrome.json", ".csv"):
             assert (Path(f"{a}{suffix}").read_bytes()
                     == Path(f"{b}{suffix}").read_bytes()), (flag, suffix)
-    trace = files["--trace", "a"].read_text().splitlines()
-    timeline = files["--timeline", "a"].read_text().splitlines()
+    trace = _without_phases(files["--trace", "a"])
+    timeline = _without_phases(files["--timeline", "a"])
     assert all('"type":"timeline"' in line for line in timeline[1:])
     assert timeline[1:] == trace[len(trace) - len(timeline) + 1:]
     assert Path(f"{files['--timeline', 'a']}.csv").read_text().startswith(
@@ -354,13 +395,23 @@ def test_run_until_steady_stops_early_and_reports(tmp_path, capsys):
     assert steady["t"] < steady["horizon"]
 
 
-def test_run_phases_prints_profile_table(tmp_path, capsys):
-    out_file = tmp_path / "run.json"
-    code = main(["run", "--nodes", "6", "--rate", "3", "--duration", "3",
-                 "--drain", "2", "--phases", "--json", str(out_file)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "phase" in out and "self_s" in out
-    phases = json.loads(out_file.read_text())["result"]["phases"]
-    assert "net" in phases
-    assert all(entry["self_s"] >= 0.0 for entry in phases.values())
+def test_report_prints_the_phase_table_of_a_recording(tmp_path, capsys):
+    """A recording carries the run's wall time per phase as ``phase``
+    records, which ``report`` prints as a table; ``run --json`` holds no
+    wall-clock field."""
+    path, out_file = tmp_path / "timeline.jsonl", tmp_path / "run.json"
+    assert main(["run", "--nodes", "6", "--rate", "3", "--duration", "3",
+                 "--drain", "2", "--timeline", str(path),
+                 "--json", str(out_file)]) == 0
+    assert "phases" not in json.loads(out_file.read_text())["result"]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    phases = {r["name"]: r for r in records if r.get("type") == "phase"}
+    assert {"net", "reconcile", "sketch", "crypto"} <= set(phases)
+    assert all(r["calls"] > 0 and r["incl_s"] >= r["self_s"] >= 0.0
+               for r in phases.values())
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 0
+    table = capsys.readouterr().out.split("wall time per phase\n")[1]
+    for name, record in phases.items():
+        assert re.search(rf"^{re.escape(name)} +{record['calls']} ", table,
+                         re.M), name

@@ -2,9 +2,8 @@
 
 Two jobs:
 
-* run every doctest in ``repro.sketch`` (and the cache-metrics module) as
-  part of the normal suite, so the examples in the docs cannot rot even
-  when CI's separate ``--doctest-modules`` step is skipped;
+* run every doctest of every ``repro`` module as part of the normal
+  suite (the modules are found, not listed), so no example can rot;
 * enforce that the public symbols of the documented packages actually
   carry docstrings, so the coverage achieved by the docs pass sticks.
 """
@@ -17,21 +16,18 @@ import pkgutil
 
 import pytest
 
-DOCTEST_MODULES = [
-    "repro.sketch.gf",
-    "repro.sketch.pinsketch",
-    "repro.sketch.partition",
-    "repro.sketch.registry",
-    "repro.obs.caches",
-    "repro.mempool.priority",
-    "repro.mempool.fee_market",
-    "repro.workload.hotkey",
-    "repro.obs.timeline",
-    "repro.obs.steady",
-    "repro.obs.report",
-    "repro.sim.loop",
-    "repro.net.network",
-]
+
+def _modules():
+    """Every module under ``repro`` but ``__main__`` (importing it runs
+    the command line)."""
+    import repro
+
+    return [info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")]
+
+
+DOCTEST_MODULES = ["repro"] + _modules()
 
 DOCUMENTED_PACKAGES = [
     "repro.sketch",
