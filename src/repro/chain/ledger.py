@@ -13,7 +13,7 @@ is exposed after the fact.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.chain.block import GENESIS_HASH, Block
 from repro.empty import EMPTY_MAP
@@ -64,14 +64,17 @@ class Ledger:
         """Height of the block that settled the id, if any."""
         return self._settle_height.get(sketch_id)
 
-    def settled_before(self, height: int) -> "SettledBefore":
-        """The ids settled below ``height``, as an ``in``-only view.
+    @property
+    def settle_heights(self) -> Mapping[int, int]:
+        """Settled id -> height of the first block that settled it.
 
-        Nothing is copied: membership reads the settle-height index.  A
-        settle height never changes and later blocks only settle at
-        greater heights, so the view answers the same after any append.
+        The ledger's own index, not a copy: read it, never write it.  A
+        settle height never changes and later blocks only settle at greater
+        heights, so "settled below height ``h``" --
+        ``settle_heights.get(i, h) < h`` -- answers the same after any
+        append.
         """
-        return SettledBefore(self, height)
+        return self._settle_height
 
     # -------------------------------------------------------------- mutation
 
@@ -97,16 +100,3 @@ class Ledger:
             self._settle_height.setdefault(sketch_id, block.height)
         return True
 
-
-class SettledBefore:
-    """``sketch_id in view``: settled in a block below a fixed height."""
-
-    __slots__ = ("_ledger", "_height")
-
-    def __init__(self, ledger: Ledger, height: int) -> None:
-        self._ledger = ledger
-        self._height = height
-
-    def __contains__(self, sketch_id: object) -> bool:
-        height = self._ledger._settle_height.get(sketch_id)
-        return height is not None and height < self._height

@@ -661,6 +661,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro import obs
 
+    if args.command == "run":
+        # Load the simulation before the recording opens: a collector pass
+        # made while its modules compile is no phase of the run.
+        import repro.experiments.harness  # noqa: F401
+
     meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),

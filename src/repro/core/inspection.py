@@ -8,6 +8,9 @@ the known commitments."
 Inspection is a pure comparison: recompute the canonical order from the
 creator's committed bundle history (pinned by the block's ``commit_seq``),
 apply the deterministic exclusion rules, and diff against the block body.
+The permutations are shared with the block's creator and every other
+inspector (:func:`repro.core.ordering.shuffled_bundle`), so an inspector's
+own pass costs one lookup per settled id of the prefix.
 The result is either a (possibly empty) list of violations or
 *inconclusive* when the inspector is still missing transaction contents it
 needs for the exclusion rules -- a real inspector requests those and
@@ -17,13 +20,13 @@ re-inspects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, List, Optional, Sequence, Set
+from typing import Callable, List, Mapping, Optional, Sequence, Set
 
 from repro.chain.block import Block
-from repro.core.commitment import BundleInfo
 from repro.core.config import LOConfig
-from repro.core.ordering import canonical_order
+from repro.core.ordering import canonical_survivors
 from repro.core.policies import ViolationKind
+from repro.mempool.transaction import Transaction
 
 
 @dataclass(frozen=True)
@@ -63,47 +66,57 @@ class BlockInspector:
     def inspect(
         self,
         block: Block,
-        bundles: Sequence[BundleInfo],
-        prev_hash: bytes,
-        settled: Container[int],
-        content_known: Callable[[int], bool],
+        bundle_ids: Sequence[Sequence[int]],
+        settle_heights: Mapping[int, int],
+        content_of: Callable[[int], Optional[Transaction]],
         is_invalid: Callable[[int], bool],
-        fee_of: Callable[[int], Optional[int]],
     ) -> InspectionResult:
         """Compare a block body against the canonical expectation.
 
-        ``bundles`` must be the creator's bundle history as reconstructed by
-        the inspector (it is exchanged during reconciliation); ``settled``
-        holds the ids already in the chain *before* this block (only
-        ``in`` is asked of it).
+        ``bundle_ids`` must be the creator's bundle history (bundle ``i``
+        at index ``i``) as reconstructed by the inspector (it is exchanged
+        during reconciliation); ``settle_heights`` maps each id settled in
+        the inspector's chain to the height of the block that first
+        settled it, so an id is settled before this block when that height
+        is below ``block.height``.  The order seed is ``block.prev_hash``.
+
+        One pass over the pinned prefix tests each id once: settled ids
+        cost one lookup, and a bundle none of whose ids survive exclusion
+        is not permuted.
         """
-        if block.commit_seq > len(bundles):
+        if block.commit_seq > len(bundle_ids):
             # The inspector has not yet learned the pinned commitment
             # prefix; it cannot judge the block either way.
             return InspectionResult(False, [], [])
 
-        committed_prefix: List[int] = []
-        for bundle in bundles[: block.commit_seq]:
-            committed_prefix.extend(bundle.ids)
-
-        unknown = [
-            i for i in committed_prefix
-            if not content_known(i) and not is_invalid(i) and i not in settled
-        ]
+        prefix = bundle_ids[: block.commit_seq]
+        height = block.height
+        settled_at = settle_heights.get
+        min_fee = self.config.min_fee
+        unknown: List[int] = []
+        expected: List[int] = []
+        for index, ids in enumerate(prefix):
+            survivors = []
+            for sketch_id in ids:
+                if settled_at(sketch_id, height) < height:
+                    continue
+                tx = content_of(sketch_id)
+                if tx is None:
+                    if not is_invalid(sketch_id):
+                        unknown.append(sketch_id)
+                elif tx.fee >= min_fee and not is_invalid(sketch_id):
+                    survivors.append(sketch_id)
+            if not unknown:
+                expected.extend(canonical_survivors(
+                    ids, block.prev_hash, index, survivors))
         if unknown:
             return InspectionResult(False, [], unknown)
 
-        def exclude(sketch_id: int) -> bool:
-            if sketch_id in settled:
-                return True
-            if is_invalid(sketch_id):
-                return True
-            fee = fee_of(sketch_id)
-            return fee is None or fee < self.config.min_fee
-
-        expected = canonical_order(bundles, block.commit_seq, prev_hash, exclude)
         expected = expected[: self.config.max_block_txs]
-        violations = self._diff(block, expected, set(committed_prefix), settled)
+        if list(block.tx_ids) == expected:
+            return InspectionResult(True, [], [])
+        committed = {sketch_id for ids in prefix for sketch_id in ids}
+        violations = self._diff(block, expected, committed, settle_heights)
         return InspectionResult(True, violations, [])
 
     def _diff(
@@ -111,7 +124,7 @@ class BlockInspector:
         block: Block,
         expected: List[int],
         committed: Set[int],
-        settled: Container[int],
+        settle_heights: Mapping[int, int],
     ) -> List[Violation]:
         violations: List[Violation] = []
         body = list(block.tx_ids)
@@ -140,8 +153,10 @@ class BlockInspector:
             else:
                 # 3. Suffix may only hold the creator's own new (never
                 #    previously committed, unsettled) transactions.
+                height = block.height
                 for extra in body[len(expected):]:
-                    if extra in committed or extra in settled:
+                    if (extra in committed
+                            or settle_heights.get(extra, height) < height):
                         violations.append(
                             Violation(
                                 ViolationKind.ORDER_DEVIATION,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from typing import (
-    Any, Callable, Container, Dict, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro import obs
@@ -69,6 +69,7 @@ from repro.empty import EMPTY_MAP
 from repro.mempool.admission import Mempool
 from repro.mempool.transaction import Transaction, make_transaction, prevalidate
 from repro.mempool.txlog import TransactionLog
+from repro.obs.caches import IdentityMemo
 from repro.obs.trackers import EventCounter, LatencyTracker
 from repro.net.message import ENVELOPE_BYTES, Message
 from repro.net.network import Endpoint, Network
@@ -136,6 +137,30 @@ class _Session:
         self.timer = timer
         self.acct_id = acct_id
         self.span = span  # open "reconcile.round" trace span, if tracing
+
+
+#: Inspection-context verdicts of the block announces this process has
+#: checked, both outcomes.  Gossip hands one announce object to every node,
+#: and the verdict reads only that object's frozen fields.  Nodes keep
+#: their announces by height anyway, so pinning them here costs nothing.
+_ANNOUNCE_CONTEXTS = IdentityMemo(
+    "core.announce_context", kinds=frozenset({BlockAnnounce}), limit=1024
+)
+
+
+def _announce_context_valid(announce: BlockAnnounce) -> bool:
+    header: CommitmentHeader = announce.header
+    block: Block = announce.block
+    if header.signer != block.creator or not header.signature_valid():
+        return False
+    if header.seq < block.commit_seq or len(announce.bundle_ids) < block.commit_seq:
+        return False
+    digest = GENESIS_DIGEST
+    for index in range(block.commit_seq):
+        digest = chain_digest(digest, bundle_digest(announce.bundle_ids[index]))
+        if header.digests[index] != digest:
+            return False
+    return True
 
 
 class LONode(Endpoint):
@@ -1411,8 +1436,7 @@ class LONode(Endpoint):
         if not self.ledger.append(block):
             return
         self._note_announce(announce)
-        self._inspect_announce(announce,
-                               self.ledger.settled_before(block.height))
+        self._inspect_announce(announce)
         # Drain any buffered successor blocks.
         pending = self._pending_blocks
         next_announce = (pending.pop(self.ledger.height + 1, None)
@@ -1442,9 +1466,7 @@ class LONode(Endpoint):
                 is_overhead=False,
             )
 
-    def _inspect_announce(
-        self, announce: BlockAnnounce, settled_before: Container[int]
-    ) -> None:
+    def _inspect_announce(self, announce: BlockAnnounce) -> None:
         if not self.inspection_enabled:
             return
         block: Block = announce.block
@@ -1464,7 +1486,7 @@ class LONode(Endpoint):
                 height=block.height,
                 creator=self._peer_id_of(block.creator),
             )
-        result = self._run_inspection(announce, settled_before)
+        result = self._run_inspection(announce)
         if not result.conclusive:
             if _t.enabled:
                 _t.end_span(span, self.now, conclusive=False,
@@ -1535,40 +1557,22 @@ class LONode(Endpoint):
         )
 
     def _verify_announce_context(self, announce: BlockAnnounce) -> bool:
-        header: CommitmentHeader = announce.header
-        block: Block = announce.block
-        if header.signer != block.creator or not header.signature_valid():
-            return False
-        if header.seq < block.commit_seq or len(announce.bundle_ids) < block.commit_seq:
-            return False
-        digest = GENESIS_DIGEST
-        for index in range(block.commit_seq):
-            digest = chain_digest(digest, bundle_digest(announce.bundle_ids[index]))
-            if header.digests[index] != digest:
-                return False
-        return True
+        """The header is the creator's and chains ``bundle_ids``' digests.
 
-    def _run_inspection(
-        self, announce: BlockAnnounce, settled_before: Container[int]
-    ) -> InspectionResult:
-        block: Block = announce.block
-        bundles = [
-            BundleInfo(index=i, ids=ids, source_peer=None, committed_at=0.0)
-            for i, ids in enumerate(announce.bundle_ids)
-        ]
-        prev_hash = block.prev_hash
+        A verdict on the announce alone, so it is reached once per announce
+        object and shared by every node the object is delivered to.
+        """
+        verdict = _ANNOUNCE_CONTEXTS.get(announce)
+        if verdict is None:
+            verdict = _announce_context_valid(announce)
+            _ANNOUNCE_CONTEXTS.put(announce, verdict)
+        return verdict
+
+    def _run_inspection(self, announce: BlockAnnounce) -> InspectionResult:
+        log = self.log
         return self.inspector.inspect(
-            block,
-            bundles,
-            prev_hash,
-            settled_before,
-            content_known=lambda i: self.log.content_of(i) is not None,
-            is_invalid=self.log.is_invalid,
-            fee_of=lambda i: (
-                self.log.content_of(i).fee
-                if self.log.content_of(i) is not None
-                else None
-            ),
+            announce.block, announce.bundle_ids, self.ledger.settle_heights,
+            log.content_of, log.is_invalid,
         )
 
     def _defer_inspection(self, announce: BlockAnnounce) -> None:
@@ -1582,12 +1586,10 @@ class LONode(Endpoint):
         self._pending_inspections = ()
         for announce in pending:
             block: Block = announce.block
-            height = block.height
-            if height > self.ledger.height:
+            if block.height > self.ledger.height:
                 self._defer_inspection(announce)
                 continue
-            result = self._run_inspection(
-                announce, self.ledger.settled_before(height))
+            result = self._run_inspection(announce)
             if not result.conclusive:
                 self._defer_inspection(announce)
                 continue

@@ -22,6 +22,7 @@ Two pieces:
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import lt
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -128,7 +129,7 @@ def _check_header_fields(header: Any, name: str) -> Optional[str]:
     ):
         if reason:
             return reason
-    if not all(isinstance(d, bytes) for d in header.digests):
+    if not all(map(isinstance, header.digests, repeat(bytes))):
         return f"{name}.digests: non-bytes element"
     if len(header.digests) > header.seq:
         return f"{name}.digests: {len(header.digests)} entries for seq {header.seq}"

@@ -56,8 +56,7 @@ def test_settlement_index():
     assert not ledger.is_settled(99)
     assert ledger.settle_height_of(20) == 0
     assert ledger.settle_height_of(30) == 1
-    assert [i in ledger.settled_before(2) for i in (10, 20, 30, 99)] == [
-        True, True, True, False]
+    assert ledger.settle_heights == {10: 0, 20: 0, 30: 1}
 
 
 def test_block_by_hash():
@@ -77,18 +76,24 @@ def test_settle_height_keeps_first_occurrence():
 
 
 def test_settled_before_is_the_union_of_lower_blocks():
-    """The view answers like the ids of the blocks below its height, both
-    before and after later appends; a view of an empty ledger holds
-    nothing, also once blocks arrive."""
+    """"Settled below height h" read from the settle heights
+    (``settle_heights.get(i, h) < h``) answers like the ids of the blocks
+    below h, both before and after later appends; an empty ledger settles
+    nothing."""
     ledger = Ledger()
-    early = ledger.settled_before(0)
+    assert ledger.settle_heights == {}
     bodies = [(1, 2), (3,), (2, 4), (), (5, 1)]
-    views = []
+
+    def settled_below(height):
+        heights = ledger.settle_heights
+        return [heights.get(i, height) < height for i in range(7)]
+
+    answers = []
     for body in bodies:
-        views.append(ledger.settled_before(ledger.height + 1))
+        answers.append(settled_below(ledger.height + 1))
         ledger.append(chain_block(ledger, body))
-    views.append(ledger.settled_before(len(bodies)))
-    for height, view in enumerate(views):
+    answers.append(settled_below(len(bodies)))
+    for height, answer in enumerate(answers):
         below = {i for body in bodies[:height] for i in body}
-        assert [i in view for i in range(7)] == [i in below for i in range(7)]
-    assert not any(i in early for i in range(7))
+        assert answer == [i in below for i in range(7)]
+        assert settled_below(height) == answer

@@ -32,12 +32,10 @@ def inspect(block, bundles, contents, settled=frozenset(), config=None):
     inspector = BlockInspector(config or LOConfig())
     return inspector.inspect(
         block,
-        bundles,
-        PREV,
-        set(settled),
-        content_known=lambda i: i in contents,
+        [bundle.ids for bundle in bundles],
+        {i: block.height - 1 for i in settled},
+        contents.get,
         is_invalid=lambda i: False,
-        fee_of=lambda i: contents[i].fee if i in contents else None,
     )
 
 

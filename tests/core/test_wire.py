@@ -222,6 +222,19 @@ def test_a_clock_with_the_wrong_number_of_counters_is_rejected():
         "header.clock: expected 32 counters"
 
 
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_non_bytes_digest_is_rejected_at_any_position(position):
+    """The first, a middle and the last digest are each checked."""
+    digests = [bytes([n]) * 32 for n in range(5)]
+    header = make_header(seq=5)
+    clean = dataclasses.replace(header, digests=tuple(digests))
+    assert validate_payload("lo/commit_upd", clean) is None
+    digests[position] = digests[position].hex()
+    bad = dataclasses.replace(header, digests=tuple(digests))
+    assert validate_payload("lo/commit_upd", bad) == \
+        "payload.digests: non-bytes element"
+
+
 def test_an_honest_run_records_no_violation():
     from tests.conftest import make_sim
 

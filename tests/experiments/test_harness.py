@@ -6,6 +6,7 @@ from repro.attacks import Equivocator, attacker, make_censor_factory
 from repro.core.config import LOConfig
 from repro.experiments.harness import LOSimulation, SimulationParams
 from repro.net.latency import ConstantLatencyModel
+from repro.obs.caches import cache_stats
 
 
 def tiny(num_nodes=8, **kwargs):
@@ -152,10 +153,14 @@ def test_cache_stats_reset_per_simulation():
     """One seed built and run three times in one process reports the same
     metrics snapshot each time, every cache's counters and size included:
     a build empties the process-wide caches, so no run inherits an earlier
-    one's decodes, syndromes or verdicts."""
+    one's decodes, syndromes, verdicts, permutations or announce checks."""
+    shared = ("core.shuffle", "core.announce_context")
 
     def snapshot():
-        sim = tiny(num_nodes=8)
+        sim = tiny(num_nodes=8, enable_blocks=True,
+                   config=LOConfig(mean_block_time_s=2.0))
+        built = cache_stats()
+        assert [built[name]["size"] for name in shared] == [0, 0]
         sim.inject_workload(rate_per_s=5.0, duration_s=3.0)
         sim.run(6.0)
         return sim.metrics_snapshot()["counters"]
@@ -163,6 +168,9 @@ def test_cache_stats_reset_per_simulation():
     first = snapshot()
     assert first["caches.sketch.decode.misses"] > 0
     assert first["caches.sketch.syndromes.size"] > 0
+    for name in shared:
+        assert first[f"caches.{name}.size"] > 0
+        assert first[f"caches.{name}.hits"] > 0
     assert snapshot() == first
     assert snapshot() == first
 
